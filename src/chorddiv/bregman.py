@@ -150,6 +150,14 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     return G(0.0) - g_a + a * (g_b - g_a) / (b - a)
 
 
+def tangent_anchor(alpha: float) -> float:
+    """Validated tangent anchor: alpha in (0, 1]."""
+    a = float(alpha)
+    if not (0.0 < a <= 1.0):
+        raise ParameterError(f"tangent anchor must lie in (0, 1], got {alpha}")
+    return a
+
+
 def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     """Tangent Bregman divergence B[alpha](theta1 : theta2).
 
@@ -157,9 +165,7 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     interpolant; the beta -> alpha limit of the chord divergence. Recovers
     the ordinary divergence at alpha = 1 and vanishes as alpha -> 0.
     """
-    a = float(alpha)
-    if not (0.0 < a <= 1.0):
-        raise ParameterError(f"tangent anchor must lie in (0, 1], got {alpha}")
+    a = tangent_anchor(alpha)
     if not F.has_grad:
         raise GradientRequiredError(
             f"bregman_tangent requires a gradient; generator {F.name} has none"
@@ -229,6 +235,25 @@ def mean_value_witness(F: Generator, theta1, theta2, cp: ChordParams,
         ) from exc
 
 
+def approx_anchors(epsilon: float) -> ChordParams:
+    """Chord anchors (1 - epsilon, 1) for epsilon in (0, 1).
+
+    Rejects an epsilon so small that 1 - epsilon rounds to 1, which would
+    leave the two anchors equal.
+    """
+    eps = float(epsilon)
+    if not (0.0 < eps < 1.0):
+        raise ParameterError(
+            f"approximation offset must lie in (0, 1), got {epsilon}"
+        )
+    if 1.0 - eps == 1.0:
+        raise ParameterError(
+            f"approximation offset epsilon = {epsilon} is below float "
+            f"resolution: 1 - epsilon rounds to 1"
+        )
+    return ChordParams(1.0 - eps, 1.0)
+
+
 def bregman_chord_approx(F: Generator, theta1, theta2,
                          epsilon: float) -> float:
     """Gradient-free approximation of the ordinary Bregman divergence.
@@ -237,12 +262,7 @@ def bregman_chord_approx(F: Generator, theta1, theta2,
     within O(epsilon) of B_F(theta1 : theta2) using three evaluations of F
     and no gradient.
     """
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(
-            f"approximation offset must lie in (0, 1), got {epsilon}"
-        )
-    return bregman_chord(F, theta1, theta2, ChordParams(1.0 - eps, 1.0))
+    return bregman_chord(F, theta1, theta2, approx_anchors(epsilon))
 
 
 def biskew(D: Callable[[np.ndarray, np.ndarray], float], theta1, theta2,

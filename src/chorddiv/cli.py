@@ -82,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "families, divergence k-means, and anchor sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    div_help = ("divergence identifier, one of: "
+                + ", ".join(known_divergences()))
 
     p_eval = sub.add_parser(
         "eval", help="evaluate a divergence at one pair of points")
@@ -89,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="built-in generator name: "
                              + ", ".join(BUILTIN_GENERATORS)
                              + " (ignored by the f-divergence family)")
-    p_eval.add_argument("--div", required=True,
-                        help="divergence identifier, one of: "
-                             + ", ".join(known_divergences()))
+    p_eval.add_argument("--div", required=True, help=div_help)
     p_eval.add_argument("--x", type=_vector, required=True,
                         help="first point, comma-separated coordinates")
     p_eval.add_argument("--y", type=_vector, required=True,
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--generator", default="quadratic",
                          help="built-in generator name")
     p_sweep.add_argument("--div", default="bregman_chord",
-                         help="divergence identifier to sweep")
+                         help=div_help + " (default %(default)s)")
     p_sweep.add_argument("--x", type=_vector, required=True)
     p_sweep.add_argument("--y", type=_vector, required=True)
     p_sweep.add_argument("--grid", type=_positive_int, required=True,
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--k", type=_positive_int, required=True)
     p_cluster.add_argument("--generator", default="quadratic")
     p_cluster.add_argument("--div", default="bregman",
-                           help="divergence identifier (default bregman)")
+                           help=div_help + " (default %(default)s)")
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--max-iters", type=_positive_int, default=100)
     p_cluster.add_argument("--centroid-tol", type=_finite_float,

@@ -1,9 +1,11 @@
 """Right-sided k-means under any divergence from the registry.
 
 Lloyd iterations with D(point : center) assignments. Centroids are found
-numerically, per coordinate, by golden-section search over the cluster's
-bounding box (expanded by 10 percent), so no closed-form minimizer and no
-gradient is ever needed. Everything is deterministic for a fixed seed.
+numerically by numerics.coordinate_minimize, golden-section search per
+coordinate over the cluster's bounding box (expanded by 10 percent and kept
+in the positive orthant when the generator's domain or the divergence needs
+positive arguments), so no closed-form minimizer and no gradient is ever
+needed. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ParameterError, ShapeError
 from .generators import Generator
-from .numerics import golden_minimize
-from .registry import resolve_divergence
+from .numerics import coordinate_minimize
+# Not called here: perfbench/tracing.py patches golden_minimize by this name.
+from .numerics import golden_minimize  # noqa: F401
+from .registry import needs_generator, resolve_divergence
 
 
 @dataclass(frozen=True)
@@ -135,50 +139,37 @@ def _repair_empty(labels: np.ndarray, k: int,
     return labels
 
 
-def _centroid_box(members: np.ndarray, domain) -> tuple:
+def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
     lo = members.min(axis=0)
     hi = members.max(axis=0)
     width = hi - lo
     lo_x = lo - 0.1 * width
-    hi_x = hi + 0.1 * width
-    if domain.kind in ("positive", "simplex"):
+    if positive:
         # stay strictly inside the orthant: never drop below half the
         # smallest member coordinate
         lo_x = np.maximum(lo_x, 0.5 * lo)
-    elif domain.kind == "shifted":
-        lo_x = np.maximum(lo_x, domain.offset + 0.5 * (lo - domain.offset))
-    return lo_x, hi_x
+    return lo_x, hi + 0.1 * width
 
 
-def _update_center(members: np.ndarray, F: Generator, D,
-                   tol: float, max_sweeps: int = 100) -> np.ndarray:
+def _update_center(members: np.ndarray, F: Generator, D, tol: float,
+                   positive: bool = False) -> np.ndarray:
     """Numerical right centroid: argmin_c sum_i D(x_i : c).
 
     Coordinate-wise golden-section search over the expanded bounding box,
-    started from the arithmetic mean, swept round-robin until movement per
-    sweep drops below tol.
+    started from the arithmetic mean. Each slice is solved to
+    min(tol, 1e-9); sweeps stop once no coordinate moves by more than tol.
+    The box stays in the positive orthant when F's domain is positive or
+    when positive is set, for divergences that read points as positive
+    weights.
     """
-    lo, hi = _centroid_box(members, F.domain)
-    center = np.clip(members.mean(axis=0), lo, hi)
-    dim = members.shape[1]
-    golden_tol = min(tol, 1e-9)
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for d in range(dim):
-            if hi[d] - lo[d] <= golden_tol:
-                best = 0.5 * (lo[d] + hi[d])
-            else:
-                def slice_obj(v: float, d: int = d) -> float:
-                    c = center.copy()
-                    c[d] = v
-                    return sum(float(D(x, c)) for x in members)
+    lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
-                best = golden_minimize(slice_obj, lo[d], hi[d], golden_tol)
-            moved = max(moved, abs(best - center[d]))
-            center[d] = best
-        if moved < tol:
-            break
-    return center
+    def total(c: np.ndarray) -> float:
+        return sum(float(D(x, c)) for x in members)
+
+    return coordinate_minimize(total, lo, hi, x0=members.mean(axis=0),
+                               tol=min(tol, 1e-9), max_sweeps=100,
+                               stop_tol=tol)
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -209,6 +200,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     D = resolve_divergence(cfg.divergence, F, cfg.params)
+    positive = not needs_generator(cfg.divergence)
 
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
@@ -222,7 +214,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         for j in range(cfg.k):
             members = pts[labels == j]
             if members.size:
-                centers[j] = _update_center(members, F, D, cfg.centroid_tol)
+                centers[j] = _update_center(members, F, D, cfg.centroid_tol,
+                                            positive)
         labels = _assign(pts, centers, D)
         dist = np.array(
             [float(D(pts[i], centers[labels[i]]))

@@ -7,9 +7,8 @@ I_f[p : q] = sum_i p_i f(q_i / p_i). Three generator transforms are exposed:
     j_symmetrize  (f + dual f) / 2          Jeffreys-style half sum
     js form       half-sum of divergences to the midpoint mixture
 
-The JS-type symmetrization is defined at the divergence level; matching
-generator-level forms exist for both argument orders and are kept mostly for
-cross-checks.
+The JS-type symmetrization is defined at the divergence level;
+js_generator is the generator that induces the same divergence.
 """
 
 from __future__ import annotations
@@ -115,23 +114,6 @@ def _weights(x: Weights, label: str) -> np.ndarray:
     return w
 
 
-def scalar_f_div(f: FGenerator, a: float, b: float) -> float:
-    """Single-cell contribution a f(b / a) for positive a, b.
-
-    Zero at a = b. Individual cells can be negative for sign-changing
-    generators such as kl; non-negativity is a property of the aggregate on
-    normalized weights.
-    """
-    a = float(a)
-    b = float(b)
-    for label, v in (("a", a), ("b", b)):
-        if not (np.isfinite(v) and v > 0.0):
-            raise DomainError(
-                f"scalar_f_div requires positive finite {label}, got {v}"
-            )
-    return a * float(f.fn(b / a))
-
-
 def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
     """Discrete f-divergence I_f[p : q] = sum_i p_i f(q_i / p_i).
 
@@ -191,21 +173,6 @@ def js_generator(f: FGenerator) -> FGenerator:
         f.name + "_jssym",
         lambda u: 0.5 * (f.fn((1.0 + u) / 2.0)
                          + u * f.fn((1.0 + u) / (2.0 * u))),
-    )
-
-
-def js_generator_mixture_first(f: FGenerator) -> FGenerator:
-    """Generator for the opposite argument order, half-sum of divergences
-    measured *from* the midpoint mixture, (I_f[m:p] + I_f[m:q]) / 2:
-
-        (1 + u)/4 [ f(2u/(1 + u)) + f(2/(1 + u)) ]
-
-    Agrees with js_generator exactly when f equals its own dual.
-    """
-    return FGenerator(
-        f.name + "_jssym_mix",
-        lambda u: (1.0 + u) / 4.0 * (f.fn(2.0 * u / (1.0 + u))
-                                     + f.fn(2.0 / (1.0 + u))),
     )
 
 

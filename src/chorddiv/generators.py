@@ -24,7 +24,7 @@ from .errors import (
 )
 from .numerics import coordinate_minimize
 
-DOMAIN_KINDS = ("reals", "positive", "simplex", "shifted")
+DOMAIN_KINDS = ("reals", "positive")
 
 #: Stable identifiers accepted by make_builtin (and the CLI --generator flag).
 BUILTIN_GENERATORS = (
@@ -42,8 +42,6 @@ class Domain:
     kind:
         reals    -- all of R^D
         positive -- the positive orthant, theta_i > 0
-        simplex  -- the open probability simplex (positive, sums to one)
-        shifted  -- reals above a lower offset, theta_i > offset
 
     Membership requires strict clearance of ``margin`` from every boundary,
     which guards log and reciprocal evaluations near the edge. Non-finite
@@ -51,7 +49,6 @@ class Domain:
     """
 
     kind: str = "reals"
-    offset: float = 0.0
     margin: float = 1e-12
 
     def __post_init__(self):
@@ -69,20 +66,11 @@ class Domain:
             return False
         if self.kind == "reals":
             return True
-        if self.kind == "positive":
-            return bool(np.all(coords > self.margin))
-        if self.kind == "shifted":
-            return bool(np.all(coords > self.offset + self.margin))
-        # simplex
-        return bool(
-            np.all(coords > self.margin)
-            and abs(float(np.sum(coords)) - 1.0) <= 1e-12
-        )
+        return bool(np.all(coords > self.margin))
 
 
 REALS = Domain("reals")
 POSITIVE = Domain("positive")
-SIMPLEX = Domain("simplex")
 
 
 @dataclass(frozen=True, eq=False)

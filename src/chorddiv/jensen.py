@@ -10,7 +10,6 @@ the skewed Jensen gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bregman import _coincident, bregman, interpolate
 from .errors import ParameterError
@@ -49,6 +48,14 @@ class JensenChordParams:
             )
 
 
+def skew_weight(alpha: float) -> float:
+    """Validated skew: alpha in the open interval (0, 1)."""
+    a = float(alpha)
+    if not (0.0 < a < 1.0):
+        raise ParameterError(f"skew must lie in (0, 1), got {alpha}")
+    return a
+
+
 def jensen(F: Generator, theta1, theta2) -> float:
     """Midpoint convexity gap (F(theta1) + F(theta2))/2 - F(midpoint).
 
@@ -69,9 +76,7 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
     Recovers the midpoint gap at alpha = 1/2; (1/alpha) times the gap tends
     to the reverse Bregman divergence as alpha -> 0.
     """
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise ParameterError(f"skew must lie in (0, 1), got {alpha}")
+    a = skew_weight(alpha)
     t1 = F.point(theta1)
     t2 = F.point(theta2)
     if _coincident(t1, t2):
@@ -81,17 +86,6 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
             - float(F.fn(m)))
 
 
-def jensen_scaled_limit_check(F: Generator, theta1, theta2,
-                              alphas: Sequence[float]) -> list:
-    """Gap |(1/alpha) J^alpha(theta1 : theta2) - B_F(theta2 : theta1)| per
-    alpha; decays linearly as alpha -> 0 for twice-differentiable F.
-    """
-    reverse = bregman(F, theta2, theta1)
-    return [abs(jensen_skewed(F, theta1, theta2, float(a)) / float(a)
-                - reverse)
-            for a in alphas]
-
-
 def jensen_bregman(F: Generator, theta1, theta2, alpha: float) -> float:
     """Skew-weighted average of the Bregman divergences to the interpolant:
 
@@ -99,9 +93,7 @@ def jensen_bregman(F: Generator, theta1, theta2, alpha: float) -> float:
 
     Coincides with the midpoint Jensen gap at alpha = 1/2.
     """
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise ParameterError(f"skew must lie in (0, 1), got {alpha}")
+    a = skew_weight(alpha)
     t1 = F.point(theta1)
     t2 = F.point(theta2)
     if _coincident(t1, t2):

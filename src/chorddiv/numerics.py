@@ -124,12 +124,14 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
 def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
                         x0: Optional[Sequence[float]] = None,
-                        tol: float = 1e-10, max_sweeps: int = 60) -> np.ndarray:
+                        tol: float = 1e-10, max_sweeps: int = 60,
+                        stop_tol: Optional[float] = None) -> np.ndarray:
     """Round-robin per-coordinate golden-section descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
-    golden_minimize, until the largest per-coordinate movement in a sweep
-    drops to tol or max_sweeps is hit. Deterministic for a fixed start.
+    golden_minimize to tol, until the largest per-coordinate movement in a
+    sweep drops to stop_tol (default tol) or max_sweeps is hit.
+    Deterministic for a fixed start.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -139,6 +141,8 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
         raise BracketError("box has lo > hi on some coordinate")
     x = 0.5 * (lo + hi) if x0 is None else np.asarray(x0, dtype=float).copy()
     np.clip(x, lo, hi, out=x)
+    if stop_tol is None:
+        stop_tol = tol
     for _ in range(max_sweeps):
         moved = 0.0
         for i in range(x.size):
@@ -153,7 +157,7 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
                 best = golden_minimize(slice_obj, lo[i], hi[i], tol)
             moved = max(moved, abs(best - x[i]))
             x[i] = best
-        if moved <= tol:
+        if moved <= stop_tol:
             break
     return x
 

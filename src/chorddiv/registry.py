@@ -10,17 +10,18 @@ ones raise ParameterError.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bregman import (
     ChordParams,
     SkewPair,
+    approx_anchors,
     biskew,
     bregman,
     bregman_chord,
-    bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
+    tangent_anchor,
 )
 from .errors import (
     ParameterError,
@@ -43,43 +44,78 @@ from .jensen import (
     jensen_bregman,
     jensen_chord,
     jensen_skewed,
+    skew_weight,
 )
 
-#: Identifiers resolvable without a trailing :<name> part.
-BARE_DIVERGENCES = (
-    "bregman",
-    "bregman_dual",
-    "bregman_chord",
-    "bregman_tangent",
-    "bregman_chord_approx",
-    "jensen",
-    "jensen_skewed",
-    "jensen_chord",
-    "jensen_bregman",
-    "kl",
-    "ekl",
-)
 
-#: Prefix families taking a trailing :<name> part.
-PREFIX_DIVERGENCES = ("fdiv", "fdiv_dual", "fdiv_jsym", "fdiv_jssym", "biskew")
+class DivSpec(NamedTuple):
+    """How one identifier resolves.
+
+    A bare id resolves to kernel(F, x, y), or to kernel(F, x, y, arg) with
+    arg = build(param) when build is set: build reads scalar parameters
+    through param(name) and checks them with the kernel module's own
+    validator, so bad values fail at resolution. An f-divergence prefix id
+    resolves to kernel(build(name), x, y), build making the f generator
+    named after the colon; biskew:<inner> resolves to
+    kernel(inner, x, y, build(param)). needs_generator is False for ids that
+    ignore the generator and read their arguments as positive weights.
+    """
+
+    kernel: Callable
+    build: Optional[Callable] = None
+    needs_generator: bool = True
 
 
-def _param(params: Mapping, key: str, div_id: str) -> float:
-    value = params.get(key)
-    if value is None:
-        raise ParameterError(
-            f"divergence {div_id!r} requires parameter {key!r}"
+#: The only list of identifiers; its order is the order of the help text.
+DIVERGENCES = {
+    "bregman": DivSpec(bregman),
+    "bregman_dual": DivSpec(bregman_dual),
+    "bregman_chord": DivSpec(
+        bregman_chord, lambda param: ChordParams(param("alpha"),
+                                                 param("beta"))),
+    "bregman_tangent": DivSpec(
+        bregman_tangent, lambda param: tangent_anchor(param("alpha"))),
+    "bregman_chord_approx": DivSpec(
+        bregman_chord, lambda param: approx_anchors(param("epsilon"))),
+    "jensen": DivSpec(jensen),
+    "jensen_skewed": DivSpec(
+        jensen_skewed, lambda param: skew_weight(param("alpha"))),
+    "jensen_chord": DivSpec(
+        jensen_chord, lambda param: JensenChordParams(
+            param("alpha"), param("beta"), param("gamma"))),
+    "jensen_bregman": DivSpec(
+        jensen_bregman, lambda param: skew_weight(param("alpha"))),
+    "kl": DivSpec(kl, needs_generator=False),
+    "ekl": DivSpec(extended_kl, needs_generator=False),
+    "fdiv:": DivSpec(f_div, make_f_generator, False),
+    "fdiv_dual:": DivSpec(
+        f_div, lambda name: dual_generator(make_f_generator(name)), False),
+    "fdiv_jsym:": DivSpec(
+        f_div, lambda name: j_symmetrize(make_f_generator(name)), False),
+    "fdiv_jssym:": DivSpec(js_symmetrize_div, make_f_generator, False),
+    # needs_generator of a biskew id is its inner id's, see needs_generator
+    "biskew:": DivSpec(
+        biskew, lambda param: SkewPair(param("gamma"), param("delta"))),
+}
+
+
+def _spec(div_id: str) -> tuple:
+    head, sep, rest = div_id.partition(":")
+    spec = DIVERGENCES.get(head + sep)
+    if spec is None:
+        raise UnknownDivergenceError(
+            f"unknown divergence identifier {div_id!r}"
         )
-    return float(value)
+    return spec, rest
 
 
-def _require_generator(generator: Optional[Generator],
-                       div_id: str) -> Generator:
-    if generator is None:
-        raise ParameterError(
-            f"divergence {div_id!r} requires a generator"
-        )
-    return generator
+def needs_generator(div_id: str) -> bool:
+    """Whether the identifier evaluates the generator; False for the
+    f-divergence family, kl and ekl, which take positive weight vectors."""
+    spec, rest = _spec(div_id)
+    if spec.kernel is biskew:
+        return needs_generator(rest)
+    return spec.needs_generator
 
 
 def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
@@ -94,97 +130,44 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
     """
     params = dict(params or {})
 
-    if div_id.startswith("biskew:"):
-        inner_id = div_id[len("biskew:"):]
-        if inner_id.startswith("biskew:") or inner_id == "jensen_chord":
+    def param(key: str) -> float:
+        value = params.get(key)
+        if value is None:
             raise ParameterError(
-                f"biskew cannot wrap {inner_id!r}: its gamma/delta "
+                f"divergence {div_id!r} requires parameter {key!r}"
+            )
+        return float(value)
+
+    spec, rest = _spec(div_id)
+    kernel = spec.kernel
+    if kernel is biskew:
+        if rest.startswith("biskew:") or rest == "jensen_chord":
+            raise ParameterError(
+                f"biskew cannot wrap {rest!r}: its gamma/delta "
                 f"parameters would be consumed twice"
             )
-        sp = SkewPair(_param(params, "gamma", div_id),
-                      _param(params, "delta", div_id))
-        inner = resolve_divergence(inner_id, generator, params)
+        sp = spec.build(param)
+        inner = resolve_divergence(rest, generator, params)
         return lambda x, y: biskew(inner, x, y, sp)
-
-    head, sep, fname = div_id.partition(":")
-    if sep and head in ("fdiv", "fdiv_dual", "fdiv_jsym", "fdiv_jssym"):
+    if not spec.needs_generator:
+        if spec.build is None:
+            return kernel
         try:
-            f = make_f_generator(fname)
+            f = spec.build(rest)
         except UnsupportedGeneratorError as exc:
             raise UnknownDivergenceError(
                 f"unknown f generator in divergence identifier {div_id!r}"
             ) from exc
-        if head == "fdiv":
-            return lambda x, y: f_div(f, x, y)
-        if head == "fdiv_dual":
-            fd = dual_generator(f)
-            return lambda x, y: f_div(fd, x, y)
-        if head == "fdiv_jsym":
-            fj = j_symmetrize(f)
-            return lambda x, y: f_div(fj, x, y)
-        return lambda x, y: js_symmetrize_div(f, x, y)
-
-    if div_id == "kl":
-        return lambda x, y: kl(x, y)
-    if div_id == "ekl":
-        return lambda x, y: extended_kl(x, y)
-
-    if div_id == "bregman":
-        F = _require_generator(generator, div_id)
-        return lambda x, y: bregman(F, x, y)
-    if div_id == "bregman_dual":
-        F = _require_generator(generator, div_id)
-        return lambda x, y: bregman_dual(F, x, y)
-    if div_id == "bregman_chord":
-        F = _require_generator(generator, div_id)
-        cp = ChordParams(_param(params, "alpha", div_id),
-                         _param(params, "beta", div_id))
-        return lambda x, y: bregman_chord(F, x, y, cp)
-    if div_id == "bregman_tangent":
-        F = _require_generator(generator, div_id)
-        a = _param(params, "alpha", div_id)
-        if not (0.0 < a <= 1.0):
-            raise ParameterError(
-                f"tangent anchor must lie in (0, 1], got {a}"
-            )
-        return lambda x, y: bregman_tangent(F, x, y, a)
-    if div_id == "bregman_chord_approx":
-        F = _require_generator(generator, div_id)
-        eps = _param(params, "epsilon", div_id)
-        if not (0.0 < eps < 1.0):
-            raise ParameterError(
-                f"approximation offset must lie in (0, 1), got {eps}"
-            )
-        return lambda x, y: bregman_chord_approx(F, x, y, eps)
-    if div_id == "jensen":
-        F = _require_generator(generator, div_id)
-        return lambda x, y: jensen(F, x, y)
-    if div_id == "jensen_skewed":
-        F = _require_generator(generator, div_id)
-        a = _param(params, "alpha", div_id)
-        if not (0.0 < a < 1.0):
-            raise ParameterError(f"skew must lie in (0, 1), got {a}")
-        return lambda x, y: jensen_skewed(F, x, y, a)
-    if div_id == "jensen_bregman":
-        F = _require_generator(generator, div_id)
-        a = _param(params, "alpha", div_id)
-        if not (0.0 < a < 1.0):
-            raise ParameterError(f"skew must lie in (0, 1), got {a}")
-        return lambda x, y: jensen_bregman(F, x, y, a)
-    if div_id == "jensen_chord":
-        F = _require_generator(generator, div_id)
-        jcp = JensenChordParams(_param(params, "alpha", div_id),
-                                _param(params, "beta", div_id),
-                                _param(params, "gamma", div_id))
-        return lambda x, y: jensen_chord(F, x, y, jcp)
-
-    raise UnknownDivergenceError(
-        f"unknown divergence identifier {div_id!r}"
-    )
+        return lambda x, y: kernel(f, x, y)
+    if generator is None:
+        raise ParameterError(f"divergence {div_id!r} requires a generator")
+    if spec.build is None:
+        return lambda x, y: kernel(generator, x, y)
+    arg = spec.build(param)
+    return lambda x, y: kernel(generator, x, y, arg)
 
 
 def known_divergences() -> tuple:
     """Identifier families for help text."""
-    return BARE_DIVERGENCES + tuple(
-        p + ":<name>" for p in PREFIX_DIVERGENCES
-    )
+    return tuple(key + "<name>" if key.endswith(":") else key
+                 for key in DIVERGENCES)

@@ -80,7 +80,7 @@ def _generator_matrix() -> list:
 
 
 def _sample_point(rng: np.random.Generator, F: Generator) -> np.ndarray:
-    if F.domain.kind in ("positive", "simplex", "shifted"):
+    if F.domain.kind == "positive":
         return rng.uniform(0.2, 1.5, F.dim)
     return rng.uniform(-1.5, 1.5, F.dim)
 

@@ -56,6 +56,13 @@ class TestEval:
         assert code == 3
         assert "error" in err
 
+    def test_epsilon_below_float_resolution(self, capsys):
+        code, _, err = run(
+            capsys, "eval", "--div", "bregman_chord_approx",
+            "--x", "0", "--y", "1", "--epsilon", "1e-17")
+        assert code == 3
+        assert "epsilon" in err
+
     def test_missing_required_parameter(self, capsys):
         code, _, err = run(
             capsys, "eval", "--div", "bregman_tangent",
@@ -235,6 +242,22 @@ class TestCluster:
                   for line in out_a.read_text().splitlines()]
         truth = [0] * 8 + [1] * 8
         assert adjusted_rand_index(labels, truth) == 1.0
+
+    def test_fdiv_centers_stay_positive(self, capsys, tmp_path):
+        # quadratic's domain is all of R^2, but fdiv:chi2 needs positive
+        # centers; its right centroid is the coordinate-wise harmonic mean
+        pts = [[0.06, 0.5], [0.1, 0.6], [2.9, 3.0], [3.1, 2.8]]
+        inp = tmp_path / "points.csv"
+        write_points(inp, pts)
+        out_s = tmp_path / "summary.json"
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--div", "fdiv:chi2", "--out-summary", str(out_s),
+            "--out-assignments", str(tmp_path / "assignments.csv"))
+        assert code == 0, err
+        center = np.array(json.loads(out_s.read_text())["centers"][0])
+        harmonic = len(pts) / np.sum(1.0 / np.array(pts), axis=0)
+        assert np.max(np.abs(center - harmonic)) <= 1e-6
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(

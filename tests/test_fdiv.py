@@ -20,12 +20,10 @@ from chorddiv import (
     f_div,
     j_symmetrize,
     js_generator,
-    js_generator_mixture_first,
     js_symmetrize_div,
     kl,
     make_builtin,
     make_f_generator,
-    scalar_f_div,
 )
 
 # 0.5 log 2 + 0.5 log(2/3)
@@ -79,28 +77,30 @@ class TestDiscreteDist:
 
 
 class TestScalarFDiv:
+    """One-cell f_div is the single-cell contribution a f(b / a)."""
+
     def test_frozen_value(self):
         f = make_f_generator("kl")
-        assert scalar_f_div(f, 0.5, 0.25) == pytest.approx(
+        assert f_div(f, [0.5], [0.25]) == pytest.approx(
             0.5 * math.log(2.0), abs=1e-15)
 
     def test_zero_at_equal_arguments(self):
         for name in ("kl", "tv", "chi2"):
             f = make_f_generator(name)
-            assert scalar_f_div(f, 0.7, 0.7) == 0.0
+            assert f_div(f, [0.7], [0.7]) == 0.0
 
     def test_rejects_non_positive(self):
         f = make_f_generator("kl")
         with pytest.raises(DomainError):
-            scalar_f_div(f, 0.0, 1.0)
+            f_div(f, [0.0], [1.0])
         with pytest.raises(DomainError):
-            scalar_f_div(f, 1.0, -1.0)
+            f_div(f, [1.0], [-1.0])
 
     def test_kl_cells_can_be_negative(self):
         # pointwise terms are signed; only the aggregate on normalized
         # weights is guaranteed non-negative
         f = make_f_generator("kl")
-        assert scalar_f_div(f, 0.25, 0.5) < 0.0
+        assert f_div(f, [0.25], [0.5]) < 0.0
 
 
 class TestFDiv:
@@ -131,7 +131,7 @@ class TestFDiv:
         f = make_f_generator("chi2")
         p = (0.2, 0.5, 0.3)
         q = (0.4, 0.1, 0.5)
-        total = sum(scalar_f_div(f, a, b) for a, b in zip(p, q))
+        total = sum(a * f.fn(b / a) for a, b in zip(p, q))
         assert f_div(f, p, q) == pytest.approx(total, abs=1e-15)
 
     def test_length_mismatch(self):
@@ -234,27 +234,6 @@ class TestJSSymmetrize:
                 q = rng.uniform(0.1, 2.0, 4)
                 assert abs(f_div(fj, p, q)
                            - js_symmetrize_div(f, p, q)) <= 1e-12
-
-    def test_mixture_first_form_differs_for_asymmetric_f(self):
-        # the mixture-first generator reproduces the opposite argument
-        # order; it coincides with the half-sum form only for self-dual f
-        f = make_f_generator("kl")
-        fm = js_generator_mixture_first(f)
-        p, q = (0.9, 0.1), (0.1, 0.9)
-        m = (0.5, 0.5)
-        mixture_first = 0.5 * (kl(m, p) + kl(m, q))
-        assert f_div(fm, p, q) == pytest.approx(mixture_first, abs=1e-12)
-        assert abs(f_div(fm, p, q) - js_symmetrize_div(f, p, q)) > 1e-3
-
-    def test_mixture_first_form_agrees_for_self_dual_f(self):
-        rng = np.random.default_rng(69)
-        f = make_f_generator("tv")
-        fm = js_generator_mixture_first(f)
-        for _ in range(25):
-            p = rng.uniform(0.1, 2.0, 3)
-            q = rng.uniform(0.1, 2.0, 3)
-            assert abs(f_div(fm, p, q)
-                       - js_symmetrize_div(f, p, q)) <= 1e-12
 
 
 class TestKL:

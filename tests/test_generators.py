@@ -94,17 +94,6 @@ class TestDomains:
         with pytest.raises(ShapeError):
             F([1.0, 2.0, 3.0])
 
-    def test_simplex_membership(self):
-        d = Domain("simplex")
-        assert d.contains(np.array([0.25, 0.75]))
-        assert not d.contains(np.array([0.3, 0.8]))
-        assert not d.contains(np.array([-0.25, 1.25]))
-
-    def test_shifted_membership(self):
-        d = Domain("shifted", offset=-2.0)
-        assert d.contains(np.array([-1.5]))
-        assert not d.contains(np.array([-2.0]))
-
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             Domain("lattice")

@@ -15,7 +15,6 @@ from chorddiv import (
     jensen,
     jensen_bregman,
     jensen_chord,
-    jensen_scaled_limit_check,
     jensen_skewed,
     make_builtin,
     restrict_to_line,
@@ -98,17 +97,24 @@ class TestJensenSkewed:
             jensen_skewed(F, t2, t1, 0.7), abs=1e-13)
 
 
+def scaled_limit_gaps(F, t1, t2, alphas):
+    """|(1/alpha) J^alpha(t1 : t2) - B_F(t2 : t1)| per alpha; decays
+    linearly as alpha -> 0 for twice-differentiable F."""
+    reverse = bregman(F, t2, t1)
+    return [abs(jensen_skewed(F, t1, t2, a) / a - reverse) for a in alphas]
+
+
 class TestScaledLimit:
     def test_quadratic_exact_gaps(self):
         # (1/a) J^a = (1 - a) (t2 - t1)^2, reverse Bregman is (t2 - t1)^2
         F = make_builtin("quadratic", 1)
-        gaps = jensen_scaled_limit_check(F, 0.0, 1.0, [0.1, 0.01])
+        gaps = scaled_limit_gaps(F, 0.0, 1.0, [0.1, 0.01])
         assert gaps[0] == pytest.approx(0.1, abs=1e-12)
         assert gaps[1] == pytest.approx(0.01, abs=1e-12)
 
     def test_identical_arguments_all_zero(self):
         F = make_builtin("quadratic", 1)
-        assert jensen_scaled_limit_check(F, 1.0, 1.0, [0.1, 0.01]) == \
+        assert scaled_limit_gaps(F, 1.0, 1.0, [0.1, 0.01]) == \
             [0.0, 0.0]
 
     def test_linear_decay_for_curved_generators(self):
@@ -116,8 +122,7 @@ class TestScaledLimit:
         for name in ("shannon_negentropy", "burg_negentropy"):
             F = make_builtin(name, 1)
             t1, t2 = sample_pair(rng, F)
-            gaps = jensen_scaled_limit_check(F, t1, t2,
-                                             [1e-1, 1e-2, 1e-3])
+            gaps = scaled_limit_gaps(F, t1, t2, [1e-1, 1e-2, 1e-3])
             assert gaps[0] > gaps[1] > gaps[2]
             for big, small in zip(gaps, gaps[1:]):
                 assert 5.0 <= big / small <= 20.0

@@ -15,10 +15,59 @@ from chorddiv import (
     make_builtin,
     resolve_divergence,
 )
+from chorddiv.cli import main
+from chorddiv.registry import needs_generator
 
 QUAD = make_builtin("quadratic", 2)
 T1 = np.array([0.0, 0.0])
 T2 = np.array([1.0, 0.5])
+P = np.array([0.5, 0.5])
+Q = np.array([0.25, 0.75])
+
+#: In-range values for every scalar parameter any id reads.
+SAMPLE_PARAMS = {"alpha": 0.25, "beta": 0.75, "gamma": 0.5, "delta": 0.75,
+                 "epsilon": 1e-4}
+#: Sample name after the colon of each prefix family.
+SUFFIX = {"fdiv:": "kl", "fdiv_dual:": "chi2", "fdiv_jsym:": "tv",
+          "fdiv_jssym:": "kl", "biskew:": "bregman"}
+#: One out-of-range override per id that reads scalar parameters.
+OUT_OF_RANGE = {
+    "bregman_chord": {"alpha": 1.5},
+    "bregman_tangent": {"alpha": 0.0},
+    "bregman_chord_approx": {"epsilon": 1e-17},
+    "jensen_skewed": {"alpha": 1.0},
+    "jensen_chord": {"gamma": 0.9},
+    "jensen_bregman": {"alpha": 0.0},
+    "biskew:": {"delta": 0.5},
+}
+
+
+def eval_help_ids(capsys):
+    assert main(["eval", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("one of: ", 1)[1].split(" --x ", 1)[0]
+    return [item.strip() for item in listed.split(",")]
+
+
+@pytest.mark.parametrize("family", known_divergences())
+def test_every_table_id(family, capsys):
+    """Each id resolves with sample parameters, is listed by eval --help,
+    and, when it reads scalar parameters, rejects a missing or out-of-range
+    value at resolve time."""
+    key = family.replace("<name>", "")
+    div_id = key + SUFFIX.get(key, "")
+    D = resolve_divergence(div_id, QUAD, SAMPLE_PARAMS)
+    x, y = (T1, T2) if needs_generator(div_id) else (P, Q)
+    assert D(x, y) > 0.0
+    assert family in eval_help_ids(capsys)
+    if key in OUT_OF_RANGE:
+        with pytest.raises(ParameterError):
+            resolve_divergence(div_id, QUAD, {})
+        with pytest.raises(ParameterError):
+            resolve_divergence(div_id, QUAD,
+                               {**SAMPLE_PARAMS, **OUT_OF_RANGE[key]})
+    else:
+        resolve_divergence(div_id, QUAD, {})
 
 
 class TestBareIds:
@@ -187,10 +236,24 @@ class TestErrors:
             resolve_divergence(
                 "jensen_skewed", generator=QUAD, params={"alpha": 1.0})
 
+    def test_epsilon_below_float_resolution_names_epsilon(self):
+        with pytest.raises(ParameterError, match="epsilon"):
+            resolve_divergence("bregman_chord_approx", generator=QUAD,
+                               params={"epsilon": 1e-17})
+
     def test_extra_params_ignored(self):
         D = resolve_divergence(
             "bregman", generator=QUAD, params={"alpha": 0.25})
         assert D(T1, T2) == pytest.approx(bregman(QUAD, T1, T2), abs=1e-15)
+
+
+class TestNeedsGenerator:
+    def test_weight_ids_ignore_the_generator(self):
+        for div_id in ("kl", "ekl", "fdiv:chi2", "fdiv_jssym:kl",
+                       "biskew:fdiv:kl"):
+            assert not needs_generator(div_id)
+        for div_id in ("bregman", "jensen_chord", "biskew:bregman_chord"):
+            assert needs_generator(div_id)
 
 
 class TestKnownDivergences:
