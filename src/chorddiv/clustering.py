@@ -1,11 +1,13 @@
 """Right-sided k-means under any divergence from the registry.
 
-Lloyd iterations with D(point : center) assignments. Centroids are found
-numerically by numerics.coordinate_minimize, golden-section search per
-coordinate over the cluster's bounding box (expanded by 10 percent and kept
-in the positive orthant when the generator's domain or the divergence needs
-positive arguments), so no closed-form minimizer and no gradient is ever
-needed. Everything is deterministic for a fixed seed.
+Lloyd iterations with D(point : center) assignments. Where the registry
+gives a closed-form right centroid (the member mean, for bregman and ekl),
+centers take it. Otherwise they are found numerically by
+numerics.coordinate_minimize, golden-section search per coordinate over the
+cluster's bounding box (expanded by 10 percent and kept in the positive
+orthant when the generator's domain or the divergence needs positive
+arguments), so no gradient is ever needed. Each iteration evaluates the
+n x k divergence matrix once. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .generators import Generator
 from .numerics import coordinate_minimize
 # Not called here: perfbench/tracing.py patches golden_minimize by this name.
 from .numerics import golden_minimize  # noqa: F401
-from .registry import needs_generator, resolve_divergence
+from .registry import needs_generator, resolve_divergence, right_centroid
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,9 @@ class ClusterConfig:
 
     divergence is any registry identifier; params feeds its scalar
     parameters (alpha, beta, ...). centroid_tol bounds per-coordinate
-    centroid movement inside a center update; objective_tol stops the Lloyd
-    loop once an iteration improves the objective by less than that.
+    centroid movement inside a numerical center update and is unused by
+    closed-form centroids; objective_tol stops the Lloyd loop once an
+    iteration improves the objective by less than that.
     """
 
     k: int
@@ -98,17 +101,18 @@ def objective(points, assignments, centers, D) -> float:
     return total
 
 
-def _assign(pts: np.ndarray, centers: np.ndarray, D) -> np.ndarray:
-    n, k = pts.shape[0], centers.shape[0]
-    labels = np.empty(n, dtype=int)
-    for i in range(n):
-        best, best_j = math.inf, 0
-        for j in range(k):
-            d = float(D(pts[i], centers[j]))
-            if d < best:  # ties keep the lowest center index
-                best, best_j = d, j
-        labels[i] = best_j
-    return labels
+def _distances(pts: np.ndarray, centers: np.ndarray, D) -> np.ndarray:
+    """The (n, k) matrix of D(pts[i] : centers[j])."""
+    return np.array([[float(D(x, c)) for c in centers] for x in pts])
+
+
+def _objective_from(dist: np.ndarray, labels: np.ndarray) -> float:
+    """objective() read off a _distances matrix: the same terms summed in
+    the same order, so the value is bit-identical."""
+    total = 0.0
+    for i in range(dist.shape[0]):
+        total += float(dist[i, labels[i]])
+    return total
 
 
 def _repair_empty(labels: np.ndarray, k: int,
@@ -153,7 +157,8 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
 
 def _update_center(members: np.ndarray, F: Generator, D, tol: float,
                    positive: bool = False) -> np.ndarray:
-    """Numerical right centroid: argmin_c sum_i D(x_i : c).
+    """Numerical right centroid: argmin_c sum_i D(x_i : c), for divergences
+    the registry gives no closed form.
 
     Coordinate-wise golden-section search over the expanded bounding box,
     started from the arithmetic mean. Each slice is solved to
@@ -176,11 +181,13 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     """Lloyd k-means under the configured divergence.
 
     Centers are initialized to k distinct data points drawn uniformly with
-    the configured seed. Each iteration updates every center numerically,
-    reassigns points to the divergence-nearest center (right argument), and
-    hands any emptied cluster the point farthest from its own center. Stops
-    when the objective improves by less than objective_tol or after
-    max_iters iterations.
+    the configured seed. Each iteration updates every center (closed form
+    where the registry has one, numerically otherwise), reassigns points to
+    the divergence-nearest center (right argument; ties keep the lowest
+    center index), and hands any emptied cluster the point farthest from its
+    own center. The labels, the repair distances and the objective all come
+    from one n x k divergence matrix per iteration. Stops when the objective
+    improves by less than objective_tol or after max_iters iterations.
     """
     pts = _as_matrix(points)
     if pts.shape[1] != F.dim:
@@ -188,11 +195,17 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"points have dimension {pts.shape[1]} but generator {F.name} "
             f"expects {F.dim}"
         )
+    positive = not needs_generator(cfg.divergence)
     for i in range(pts.shape[0]):
         if not F.domain.contains(pts[i]):
             raise DomainError(
                 f"point {pts[i].tolist()} at row {i} is outside the "
                 f"{F.domain.kind} domain of {F.name}"
+            )
+        if positive and not np.all(pts[i] > 0.0):
+            raise DomainError(
+                f"point {pts[i].tolist()} at row {i} is not strictly "
+                f"positive, as divergence {cfg.divergence!r} requires"
             )
     distinct = np.unique(pts, axis=0)
     if cfg.k > distinct.shape[0]:
@@ -200,29 +213,30 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     D = resolve_divergence(cfg.divergence, F, cfg.params)
-    positive = not needs_generator(cfg.divergence)
+    centroid = right_centroid(cfg.divergence)
+    if centroid is None:
+        def centroid(members):
+            return _update_center(members, F, D, cfg.centroid_tol, positive)
 
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
 
-    labels = _assign(pts, centers, D)
-    trace = [objective(pts, labels, centers, D)]
+    dist = _distances(pts, centers, D)
+    labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
+    trace = [_objective_from(dist, labels)]
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
         for j in range(cfg.k):
             members = pts[labels == j]
             if members.size:
-                centers[j] = _update_center(members, F, D, cfg.centroid_tol,
-                                            positive)
-        labels = _assign(pts, centers, D)
-        dist = np.array(
-            [float(D(pts[i], centers[labels[i]]))
-             for i in range(pts.shape[0])]
-        )
-        labels = _repair_empty(labels, cfg.k, dist)
-        trace.append(objective(pts, labels, centers, D))
+                centers[j] = centroid(members)
+        dist = _distances(pts, centers, D)
+        labels = np.argmin(dist, axis=1)
+        labels = _repair_empty(labels, cfg.k,
+                               dist[np.arange(pts.shape[0]), labels])
+        trace.append(_objective_from(dist, labels))
         if trace[-2] - trace[-1] < cfg.objective_tol:
             break
     return ClusterResult(

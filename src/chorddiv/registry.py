@@ -59,16 +59,26 @@ class DivSpec(NamedTuple):
     named after the colon; biskew:<inner> resolves to
     kernel(inner, x, y, build(param)). needs_generator is False for ids that
     ignore the generator and read their arguments as positive weights.
+    right_centroid, when set, maps an (m, dim) member matrix to the
+    closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
+    holds for every generator and parameter value.
     """
 
     kernel: Callable
     build: Optional[Callable] = None
     needs_generator: bool = True
+    right_centroid: Optional[Callable] = None
+
+
+def _member_mean(members):
+    """Right centroid of every Bregman divergence (Banerjee, Merugu, Dhillon
+    and Ghosh, "Clustering with Bregman Divergences", JMLR 2005)."""
+    return members.mean(axis=0)
 
 
 #: The only list of identifiers; its order is the order of the help text.
 DIVERGENCES = {
-    "bregman": DivSpec(bregman),
+    "bregman": DivSpec(bregman, right_centroid=_member_mean),
     "bregman_dual": DivSpec(bregman_dual),
     "bregman_chord": DivSpec(
         bregman_chord, lambda param: ChordParams(param("alpha"),
@@ -86,7 +96,9 @@ DIVERGENCES = {
     "jensen_bregman": DivSpec(
         jensen_bregman, lambda param: skew_weight(param("alpha"))),
     "kl": DivSpec(kl, needs_generator=False),
-    "ekl": DivSpec(extended_kl, needs_generator=False),
+    # ekl is the Bregman divergence of sum(t log t - t)
+    "ekl": DivSpec(extended_kl, needs_generator=False,
+                   right_centroid=_member_mean),
     "fdiv:": DivSpec(f_div, make_f_generator, False),
     "fdiv_dual:": DivSpec(
         f_div, lambda name: dual_generator(make_f_generator(name)), False),
@@ -116,6 +128,12 @@ def needs_generator(div_id: str) -> bool:
     if spec.kernel is biskew:
         return needs_generator(rest)
     return spec.needs_generator
+
+
+def right_centroid(div_id: str) -> Optional[Callable]:
+    """The identifier's closed-form right centroid, or None when it must be
+    found numerically (every biskew: wrapper included)."""
+    return _spec(div_id)[0].right_centroid
 
 
 def resolve_divergence(div_id: str, generator: Optional[Generator] = None,

@@ -259,6 +259,20 @@ class TestCluster:
         harmonic = len(pts) / np.sum(1.0 / np.array(pts), axis=0)
         assert np.max(np.abs(center - harmonic)) <= 1e-6
 
+    def test_fdiv_non_positive_row_names_the_row(self, capsys, tmp_path):
+        # quadratic accepts any real point, but fdiv:kl reads weights
+        inp = tmp_path / "points.csv"
+        write_points(inp, [[-0.5, 0.5], [0.1, 0.6], [2.9, 3.0]])
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--div", "fdiv:kl",
+            "--out-summary", str(tmp_path / "summary.json"),
+            "--out-assignments", str(tmp_path / "assignments.csv"))
+        assert code == 3
+        assert "row 0" in err
+        assert "strictly positive" in err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "cluster", "--input", str(tmp_path / "absent.csv"),

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import chorddiv.clustering
+import chorddiv.numerics
 from chorddiv import (
+    BUILTIN_GENERATORS,
     ClusterConfig,
     DomainError,
     InfeasibleError,
@@ -185,6 +188,14 @@ class TestKMeans:
         with pytest.raises(DomainError):
             kmeans(pts, F, ClusterConfig(k=1))
 
+    @pytest.mark.parametrize("div", ["kl", "ekl", "fdiv:kl",
+                                     "biskew:fdiv:chi2"])
+    def test_weight_divergence_rejects_non_positive_row(self, div):
+        pts = np.array([[0.5, 0.5], [0.1, 0.0], [2.9, 3.0]])
+        with pytest.raises(DomainError, match="row 1"):
+            kmeans(pts, QUAD2, ClusterConfig(
+                k=1, divergence=div, params={"gamma": 0.2, "delta": 0.7}))
+
     def test_dimension_mismatch(self):
         pts = np.array([[0.5, 1.0], [1.0, 2.0]])
         with pytest.raises(ShapeError):
@@ -202,6 +213,79 @@ class TestKMeans:
         recomputed = objective(points, res.assignments, res.centers, D)
         assert recomputed == pytest.approx(res.objective_trace[-1],
                                            rel=1e-12, abs=1e-12)
+
+
+def forbid_golden(monkeypatch):
+    def golden(*args, **kwargs):
+        raise AssertionError("golden_minimize called")
+    monkeypatch.setattr(chorddiv.numerics, "golden_minimize", golden)
+    monkeypatch.setattr(chorddiv.clustering, "golden_minimize", golden)
+
+
+class TestClosedFormCentroid:
+    @pytest.mark.parametrize("div,gen,dim", [
+        *(("bregman", gen, dim) for gen in BUILTIN_GENERATORS
+          for dim in (1, 2)),
+        ("ekl", "quadratic", 2),
+    ])
+    def test_centers_are_member_means(self, monkeypatch, div, gen, dim):
+        forbid_golden(monkeypatch)
+        rng = np.random.default_rng(7)
+        pts = np.vstack([0.5 + 0.1 * rng.random((6, dim)),
+                         2.0 + 0.1 * rng.random((6, dim))])
+        res = kmeans(pts, make_builtin(gen, dim),
+                     ClusterConfig(k=2, divergence=div, seed=1))
+        assert sorted(np.bincount(res.assignments).tolist()) == [6, 6]
+        for j, center in enumerate(res.centers):
+            members = pts[res.assignments == j]
+            assert np.array_equal(center, members.mean(axis=0))
+
+    def test_biskew_bregman_stays_numeric(self, monkeypatch):
+        calls = []
+        original = chorddiv.numerics.golden_minimize
+
+        def golden(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chorddiv.numerics, "golden_minimize", golden)
+        pts = np.array([[0.1], [0.2], [0.4]])
+        kmeans(pts, QUAD1, ClusterConfig(
+            k=1, divergence="biskew:bregman",
+            params={"gamma": 0.2, "delta": 0.7}))
+        assert calls
+
+
+class TestDistanceMatrix:
+    def test_one_pass_of_n_times_k_calls_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting_resolve(*args, **kwargs):
+            D = resolve_divergence(*args, **kwargs)
+
+            def counted(x, y):
+                calls.append(1)
+                return D(x, y)
+            return counted
+
+        monkeypatch.setattr(chorddiv.clustering, "resolve_divergence",
+                            counting_resolve)
+        points, _ = clustering_dataset(seed=2)
+        k = 3
+        res = kmeans(points, QUAD1, ClusterConfig(k=k, seed=2))
+        assert res.iterations >= 2
+        assert len(calls) == (res.iterations + 1) * points.shape[0] * k
+
+    def test_tied_distance_picks_lowest_center(self):
+        # 1.0 is equidistant from the initial centers 0.0 and 2.0
+        pts = np.array([[0.0], [1.0], [2.0]])
+        seed = next(s for s in range(100) if sorted(
+            np.random.default_rng(s).choice(3, size=2, replace=False)
+        ) == [0, 2])
+        res = kmeans(pts, QUAD1, ClusterConfig(k=2, seed=seed, max_iters=1))
+        assert res.objective_trace == (1.0, 0.5)
+        assert res.assignments.tolist() == [0, 0, 1]
+        assert res.centers.tolist() == [[0.5], [2.0]]
 
 
 class TestAdjustedRandIndex:
