@@ -25,6 +25,10 @@ from .numerics import coordinate_minimize
 from .numerics import golden_minimize  # noqa: F401
 from .registry import needs_generator, resolve_divergence, right_centroid
 
+#: Ids with no right centroid: sum_i kl(x_i : c) is a constant minus
+#: sum_j (sum_i x_ij) log c_j, which falls without bound as c grows.
+_NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -188,6 +192,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     own center. The labels, the repair distances and the objective all come
     from one n x k divergence matrix per iteration. Stops when the objective
     improves by less than objective_tol or after max_iters iterations.
+    Under kl and fdiv:kl, which have no right centroid, it raises
+    InfeasibleError once the points have passed their checks.
     """
     pts = _as_matrix(points)
     if pts.shape[1] != F.dim:
@@ -207,6 +213,12 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                 f"point {pts[i].tolist()} at row {i} is not strictly "
                 f"positive, as divergence {cfg.divergence!r} requires"
             )
+    if cfg.divergence in _NO_RIGHT_CENTROID:
+        raise InfeasibleError(
+            f"divergence {cfg.divergence!r} has no right centroid: the sum "
+            f"of kl(x_i : c) falls without bound as c grows; use 'ekl', "
+            f"whose right centroid is the member mean"
+        )
     distinct = np.unique(pts, axis=0)
     if cfg.k > distinct.shape[0]:
         raise InfeasibleError(

@@ -114,12 +114,8 @@ def _weights(x: Weights, label: str) -> np.ndarray:
     return w
 
 
-def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
-    """Discrete f-divergence I_f[p : q] = sum_i p_i f(q_i / p_i).
-
-    Non-negative and zero iff p = q when both vectors are normalized, by
-    Jensen's inequality.
-    """
+def _weight_pair(p: Weights, q: Weights) -> tuple:
+    """p and q as weight vectors of equal length."""
     pw = _weights(p, "p")
     qw = _weights(q, "q")
     if pw.shape != qw.shape:
@@ -127,6 +123,16 @@ def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
             f"p and q must have equal length, got {pw.shape[0]} and "
             f"{qw.shape[0]}"
         )
+    return pw, qw
+
+
+def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
+    """Discrete f-divergence I_f[p : q] = sum_i p_i f(q_i / p_i).
+
+    Non-negative and zero iff p = q when both vectors are normalized, by
+    Jensen's inequality.
+    """
+    pw, qw = _weight_pair(p, q)
     return float(np.sum(pw * f.fn(qw / pw)))
 
 
@@ -153,13 +159,7 @@ def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights) -> float:
     For f = kl on normalized inputs this is the Jensen-Shannon divergence,
     bounded by log 2.
     """
-    pw = _weights(p, "p")
-    qw = _weights(q, "q")
-    if pw.shape != qw.shape:
-        raise ShapeError(
-            f"p and q must have equal length, got {pw.shape[0]} and "
-            f"{qw.shape[0]}"
-        )
+    pw, qw = _weight_pair(p, q)
     m = 0.5 * (pw + qw)
     return 0.5 * (f_div(f, pw, m) + f_div(f, qw, m))
 
@@ -197,11 +197,5 @@ def extended_kl(p: Weights, q: Weights) -> float:
     both vectors are normalized. Equals the Bregman divergence of the
     Shannon negentropy generator.
     """
-    pw = _weights(p, "p")
-    qw = _weights(q, "q")
-    if pw.shape != qw.shape:
-        raise ShapeError(
-            f"p and q must have equal length, got {pw.shape[0]} and "
-            f"{qw.shape[0]}"
-        )
+    pw, qw = _weight_pair(p, q)
     return float(np.sum(pw * np.log(pw / qw) + qw - pw))

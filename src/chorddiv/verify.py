@@ -58,13 +58,17 @@ class SuiteResult:
 
     worst is the largest violation margin observed: positive means the suite
     failed by that much, non-positive means it passed with that margin to
-    spare. detail is a short human-readable account of the sub-checks.
+    spare, and passed says which. detail is a short human-readable account
+    of the sub-checks.
     """
 
     name: str
-    passed: bool
     worst: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst <= 0.0)
 
 
 def _generator_matrix() -> list:
@@ -116,6 +120,39 @@ def _ratio_violation(errors: list) -> float:
     return worst
 
 
+def _linear_decay(rng: np.random.Generator, gens: list, pairs: int,
+                  ladder: tuple, error: Callable) -> tuple:
+    """Check that error(F, t1, t2, step) vanishes linearly along a ladder of
+    decades.
+
+    For each generator, draws a pool of `pairs` pairs and takes the max
+    |error| over the pool at each step. The max errors must fall at every
+    step (else the margin is inf) and pass _ratio_violation. Returns the
+    worst margin and a "name: ratios r1/r2/..." line per generator.
+    """
+    worst = -np.inf
+    lines = []
+    for F in gens:
+        pool = [_sample_pair(rng, F) for _ in range(pairs)]
+        errors = [max(abs(error(F, t1, t2, step)) for t1, t2 in pool)
+                  for step in ladder]
+        steps = list(zip(errors, errors[1:]))
+        stalls = any(b <= s for b, s in steps)
+        worst = max(worst, np.inf if stalls else _ratio_violation(errors))
+        lines.append(f"{F.name}: ratios " + "/".join(
+            f"{(b / s if s else np.inf):.2f}" for b, s in steps))
+    return worst, "; ".join(lines)
+
+
+def _limit_generators() -> list:
+    return [
+        make_builtin("quadratic", 1),
+        make_builtin("shannon_negentropy", 1),
+        make_builtin("burg_negentropy", 1),
+        make_builtin("log_sum_exp", 3),
+    ]
+
+
 def suite_sandwich(trials: int = 200, seed: int = 0) -> SuiteResult:
     """0 <= chord divergence <= ordinary Bregman divergence + 1e-12
     over the built-in generator matrix and random anchor pairs."""
@@ -133,7 +170,6 @@ def suite_sandwich(trials: int = 200, seed: int = 0) -> SuiteResult:
                 checks += 1
     return SuiteResult(
         name="sandwich",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"{checks} chord evaluations across "
                f"{len(_generator_matrix())} generators",
@@ -156,7 +192,6 @@ def suite_swap_symmetry(trials: int = 200, seed: int = 0) -> SuiteResult:
                 checks += 1
     return SuiteResult(
         name="swap_symmetry",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"{checks} anchor swaps, tolerance 1e-12",
     )
@@ -165,76 +200,25 @@ def suite_swap_symmetry(trials: int = 200, seed: int = 0) -> SuiteResult:
 def suite_limit_bregman(trials: int = 200, seed: int = 0) -> SuiteResult:
     """The gradient-free approximation error decays linearly: max error over
     a pair pool shrinks by a factor in [5, 20] per decade of epsilon."""
-    rng = np.random.default_rng(seed)
-    eps_ladder = (1e-1, 1e-2, 1e-3, 1e-4)
-    pairs = max(2, trials // 4)
-    gens = [
-        make_builtin("quadratic", 1),
-        make_builtin("shannon_negentropy", 1),
-        make_builtin("burg_negentropy", 1),
-        make_builtin("log_sum_exp", 3),
-    ]
-    worst = -np.inf
-    details = []
-    for F in gens:
-        pool = [_sample_pair(rng, F) for _ in range(pairs)]
-        errors = []
-        for eps in eps_ladder:
-            errors.append(max(
-                abs(bregman_chord_approx(F, t1, t2, eps) - bregman(F, t1, t2))
-                for t1, t2 in pool
-            ))
-        if any(b <= s for b, s in zip(errors, errors[1:])):
-            worst = np.inf
-        worst = max(worst, _ratio_violation(errors))
-        ratios = [b / s for b, s in zip(errors, errors[1:])]
-        details.append(f"{F.name}: ratios "
-                       + "/".join(f"{r:.2f}" for r in ratios))
-    return SuiteResult(
-        name="limit_bregman",
-        passed=worst <= 0.0,
-        worst=worst,
-        detail="; ".join(details),
-    )
+    worst, detail = _linear_decay(
+        np.random.default_rng(seed), _limit_generators(), max(2, trials // 4),
+        (1e-1, 1e-2, 1e-3, 1e-4),
+        lambda F, t1, t2, eps: (bregman_chord_approx(F, t1, t2, eps)
+                                - bregman(F, t1, t2)))
+    return SuiteResult(name="limit_bregman", worst=worst, detail=detail)
 
 
 def suite_limit_tangent(trials: int = 200, seed: int = 0) -> SuiteResult:
     """bregman_chord(alpha, alpha + eps) approaches bregman_tangent(alpha)
     linearly in eps, with per-decade decay ratios in [5, 20]."""
-    rng = np.random.default_rng(seed)
     alpha = 0.4
-    eps_ladder = (1e-2, 1e-3, 1e-4)
-    pairs = max(2, trials // 4)
-    gens = [
-        make_builtin("quadratic", 1),
-        make_builtin("shannon_negentropy", 1),
-        make_builtin("burg_negentropy", 1),
-        make_builtin("log_sum_exp", 3),
-    ]
-    worst = -np.inf
-    details = []
-    for F in gens:
-        pool = [_sample_pair(rng, F) for _ in range(pairs)]
-        errors = []
-        for eps in eps_ladder:
-            cp = ChordParams(alpha, alpha + eps)
-            errors.append(max(
-                abs(bregman_chord(F, t1, t2, cp)
-                    - bregman_tangent(F, t1, t2, alpha))
-                for t1, t2 in pool
-            ))
-        if any(b <= s for b, s in zip(errors, errors[1:])):
-            worst = np.inf
-        worst = max(worst, _ratio_violation(errors))
-        ratios = [b / s for b, s in zip(errors, errors[1:])]
-        details.append(f"{F.name}: ratios "
-                       + "/".join(f"{r:.2f}" for r in ratios))
-    return SuiteResult(
-        name="limit_tangent",
-        passed=worst <= 0.0,
-        worst=worst,
-        detail="; ".join(details),
-    )
+    worst, detail = _linear_decay(
+        np.random.default_rng(seed), _limit_generators(), max(2, trials // 4),
+        (1e-2, 1e-3, 1e-4),
+        lambda F, t1, t2, eps: (
+            bregman_chord(F, t1, t2, ChordParams(alpha, alpha + eps))
+            - bregman_tangent(F, t1, t2, alpha)))
+    return SuiteResult(name="limit_tangent", worst=worst, detail=detail)
 
 
 def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
@@ -265,7 +249,6 @@ def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
                 -np.inf if inside else np.inf)
     return SuiteResult(
         name="mean_value",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"{instances} instances; max slope dev {worst_slope:.3e}, "
                f"max reconstruction dev {worst_recon:.3e}",
@@ -288,7 +271,6 @@ def suite_dual_identity(trials: int = 200, seed: int = 0) -> SuiteResult:
                 worst = max(worst, abs(lhs - rhs) - 1e-9)
     return SuiteResult(
         name="dual_identity",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"{4 * pairs} pairs over quadratic and shannon, dims 1 and 3",
     )
@@ -309,20 +291,11 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
                 abs(jensen_bregman(F, t1, t2, 0.5) - jensen(F, t1, t2)),
             )
 
-    alphas = (1e-1, 1e-2, 1e-3)
-    worst_ratio = -np.inf
-    for name in ("quadratic", "shannon_negentropy", "burg_negentropy"):
-        F = make_builtin(name, 1)
-        pool = [_sample_pair(rng, F) for _ in range(max(2, trials // 4))]
-        errors = []
-        for a in alphas:
-            errors.append(max(
-                abs(jensen_skewed(F, t1, t2, a) / a - bregman(F, t2, t1))
-                for t1, t2 in pool
-            ))
-        if any(b <= s for b, s in zip(errors, errors[1:])):
-            worst_ratio = np.inf
-        worst_ratio = max(worst_ratio, _ratio_violation(errors))
+    # the univariate limit generators
+    worst_ratio, _ = _linear_decay(
+        rng, _limit_generators()[:3], max(2, trials // 4), (1e-1, 1e-2, 1e-3),
+        lambda F, t1, t2, a: jensen_skewed(F, t1, t2, a) / a
+        - bregman(F, t2, t1))
 
     triples = max(8, int(round(2.5 * trials)))
     worst_neg = -np.inf
@@ -350,7 +323,6 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
                 worst_degen - 1e-12)
     return SuiteResult(
         name="jensen",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"bridge dev {worst_bridge:.3e}; {triples} chord triples, "
                f"min value {-worst_neg:.3e}; degenerate dev "
@@ -387,7 +359,6 @@ def suite_fdiv(trials: int = 200, seed: int = 0) -> SuiteResult:
     worst = max(worst_dual - 1e-12, worst_ekl - 1e-12, kl_dev - 1e-6)
     return SuiteResult(
         name="fdiv",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"dual dev {worst_dual:.3e}; ekl dev {worst_ekl:.3e}; "
                f"kl reference dev {kl_dev:.3e}",
@@ -411,7 +382,6 @@ def suite_gradcheck(trials: int = 200, seed: int = 0) -> SuiteResult:
             worst = max(worst, rel - 1e-6)
     return SuiteResult(
         name="gradcheck",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"{points} points per generator, relative tolerance 1e-6",
     )
@@ -465,7 +435,6 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
                 dev_c - 1e-6)
     return SuiteResult(
         name="clustering",
-        passed=worst <= 0.0,
         worst=worst,
         detail=f"ARI bregman {ari_b:.3f}, chord {ari_c:.3f}; mean dev "
                f"bregman {dev_b:.3e}, chord {dev_c:.3e}; iterations "

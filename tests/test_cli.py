@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 
-from chorddiv import adjusted_rand_index
+import chorddiv.verify
+from chorddiv import SuiteResult, adjusted_rand_index
 from chorddiv.cli import main
 
 
@@ -273,6 +274,19 @@ class TestCluster:
         assert "strictly positive" in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_kl_has_no_right_centroid(self, capsys, tmp_path):
+        inp = tmp_path / "points.csv"
+        write_points(inp, [[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]])
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--div", "kl",
+            "--out-summary", str(tmp_path / "summary.json"),
+            "--out-assignments", str(tmp_path / "assignments.csv"))
+        assert code == 3
+        assert "'kl' has no right centroid" in err
+        assert "'ekl'" in err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "cluster", "--input", str(tmp_path / "absent.csv"),
@@ -330,3 +344,13 @@ class TestVerify:
             capsys, "verify", "--suite", "swap_symmetry", "--trials", "10")
         assert code == 0
         assert "swap_symmetry: PASS" in out
+
+    def test_failing_suite_prints_fail_and_exits_3(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.setitem(
+            chorddiv.verify.SUITES, "dual_identity",
+            lambda trials, seed: SuiteResult("dual_identity", 0.5, "patched"))
+        code, out, _ = run(capsys, "verify", "--suite", "dual_identity")
+        assert code == 3
+        assert out == ("dual_identity: FAIL (worst margin 5.000e-01; "
+                       "patched)\n")

@@ -196,6 +196,17 @@ class TestKMeans:
             kmeans(pts, QUAD2, ClusterConfig(
                 k=1, divergence=div, params={"gamma": 0.2, "delta": 0.7}))
 
+    @pytest.mark.parametrize("div", ["kl", "fdiv:kl"])
+    def test_kl_has_no_right_centroid(self, monkeypatch, div):
+        # sum_i kl(x_i : c) falls without bound as c grows, so the numeric
+        # search used to return a corner of its box, here [0.64, 0.84]
+        forbid_golden(monkeypatch)
+        pts = np.array([[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]])
+        with pytest.raises(InfeasibleError) as info:
+            kmeans(pts, QUAD2, ClusterConfig(k=1, divergence=div))
+        assert repr(div) in str(info.value)
+        assert "'ekl'" in str(info.value)
+
     def test_dimension_mismatch(self):
         pts = np.array([[0.5, 1.0], [1.0, 2.0]])
         with pytest.raises(ShapeError):

@@ -1,0 +1,68 @@
+"""The shared pieces of the property suites: the pass rule and the
+linear-decay check, fed synthetic error ladders."""
+
+import numpy as np
+import pytest
+
+from chorddiv import SuiteResult, make_builtin
+from chorddiv.verify import _linear_decay
+
+LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def decay(error):
+    return _linear_decay(np.random.default_rng(0),
+                         [make_builtin("quadratic", 1)], 3, LADDER, error)
+
+
+class TestSuiteResult:
+    @pytest.mark.parametrize("worst,passed", [
+        (-np.inf, True), (-1.0, True), (0.0, True),
+        (1e-300, False), (np.inf, False),
+    ])
+    def test_passed_is_worst_at_most_zero(self, worst, passed):
+        assert SuiteResult("s", worst, "d").passed is passed
+
+    def test_passed_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            SuiteResult("s", passed=True, worst=0.0)
+
+
+class TestLinearDecay:
+    def test_tenfold_per_decade_passes(self):
+        worst, detail = decay(lambda F, t1, t2, eps: -eps * (1.0 + t1[0]))
+        assert worst == pytest.approx(-5.0)
+        assert detail == "quadratic: ratios 10.00/10.00/10.00"
+
+    @pytest.mark.parametrize("error", [
+        lambda F, t1, t2, eps: 0.3,
+        lambda F, t1, t2, eps: 1.0 / eps,
+        lambda F, t1, t2, eps: eps * (1.0 if eps > 1e-3 else 10.0),
+    ], ids=["flat", "rising", "stalls"])
+    def test_errors_that_do_not_fall_fail(self, error):
+        worst, _ = decay(error)
+        assert worst == np.inf
+
+    def test_hundredfold_per_decade_fails(self):
+        worst, detail = decay(lambda F, t1, t2, eps: eps * eps)
+        assert worst == pytest.approx(80.0)
+        assert detail == "quadratic: ratios 100.00/100.00/100.00"
+
+    def test_zero_error_fails_without_raising(self):
+        worst, detail = decay(lambda F, t1, t2, eps: 0.0 if eps < 1e-3
+                              else eps)
+        assert worst == np.inf
+        assert detail.endswith("/inf")
+
+    def test_worst_is_taken_over_generators(self):
+        gens = [make_builtin("quadratic", 1),
+                make_builtin("shannon_negentropy", 1)]
+
+        def error(F, t1, t2, eps):
+            return eps if F.name == "quadratic" else eps ** 1.5
+
+        worst, detail = _linear_decay(np.random.default_rng(0), gens, 2,
+                                      LADDER, error)
+        assert worst == pytest.approx(10 ** 1.5 - 20.0)
+        assert detail.startswith("quadratic: ratios 10.00/10.00/10.00; "
+                                 "shannon_negentropy: ratios 31.62/")
