@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Sweep the chord divergence over an (alpha, beta) anchor grid.
 
-Writes a CSV of all cells plus an SVG heatmap, then prints where the
-chord divergence sits relative to its ordinary Bregman upper bound.
+Runs `chorddiv sweep`, which writes a CSV of all cells plus an SVG heatmap,
+then reads the CSV back and prints where the chord divergence sits relative
+to its ordinary Bregman upper bound.
 
     python scripts/sweep_demo.py --grid 12 --out-dir out
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
-
-from chorddiv import bregman, make_builtin, sweep
-from chorddiv.cli import _sweep_grid, _write_sweep_csv, render_heatmap_svg
+from chorddiv.cli import main as chorddiv_main
 
 
 def main() -> None:
@@ -26,26 +25,27 @@ def main() -> None:
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()
 
-    x = np.array([float(p) for p in args.x.split(",")])
-    y = np.array([float(p) for p in args.y.split(",")])
-    F = make_builtin(args.generator, x.size)
-    grid = _sweep_grid(args.grid)
-    rows = sweep(F, x, y, grid, "bregman_chord")
-    bound = bregman(F, x, y) if F.has_grad else None
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "chord_sweep.csv"
     svg_path = out_dir / "chord_sweep.svg"
-    _write_sweep_csv(str(csv_path), rows, bound)
-    title = f"bregman_chord / {args.generator}  x={args.x}  y={args.y}"
-    svg_path.write_text(
-        render_heatmap_svg(rows, list(grid.alpha_values),
-                           list(grid.beta_values), title))
+    code = chorddiv_main([
+        "sweep", "--generator", args.generator, "--div", "bregman_chord",
+        "--x", args.x, "--y", args.y, "--grid", str(args.grid),
+        "--out", str(csv_path), "--svg", str(svg_path),
+    ])
+    if code:
+        sys.exit(code)
 
-    values = [v for _, _, v in rows]
+    values = []
+    bound = None
+    for line in csv_path.read_text().splitlines()[1:]:
+        if line.startswith("# bregman="):
+            bound = float(line.split("=", 1)[1])
+        else:
+            values.append(float(line.rsplit(",", 1)[1]))
     print(f"generator        {args.generator}")
-    print(f"cells            {len(rows)}")
+    print(f"cells            {len(values)}")
     print(f"min cell         {min(values):.6g}")
     print(f"max cell         {max(values):.6g}")
     if bound is not None:

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .bregman import bregman
 from .clustering import ClusterConfig, kmeans
 from .errors import (
     ChorddivError,
@@ -28,8 +29,7 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .generators import BUILTIN_GENERATORS, make_builtin
-from .numerics import SweepGrid, sweep
-from .registry import known_divergences, resolve_divergence
+from .registry import known_divergences, resolve_divergence, sweep
 from .verify import SUITES, run_all, run_suite
 
 PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -161,10 +161,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_grid(n: int) -> SweepGrid:
+def _sweep_grid(n: int) -> tuple:
     alphas = [i / (n + 1) for i in range(1, n + 1)]
-    betas = sorted(alphas + [1.0])
-    return SweepGrid(tuple(alphas), tuple(betas), skip_diagonal=True)
+    return alphas, alphas + [1.0]
 
 
 def _write_sweep_csv(path: str, rows, bound: Optional[float]) -> None:
@@ -275,19 +274,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{len(args.y)}", file=sys.stderr)
         return 2
     F = make_builtin(args.generator, len(args.x))
-    grid = _sweep_grid(args.grid)
+    alphas, betas = _sweep_grid(args.grid)
     x = np.array(args.x)
     y = np.array(args.y)
-    rows = sweep(F, x, y, grid, args.div, _params_from(args))
-    bound = None
-    if F.has_grad:
-        from .bregman import bregman
-        bound = bregman(F, x, y)
+    rows = sweep(F, x, y, alphas, betas, args.div, _params_from(args))
+    bound = bregman(F, x, y) if F.has_grad else None
     _write_sweep_csv(args.out, rows, bound)
     if args.svg is not None:
         title = (f"{args.div} / {args.generator}  x={args.x}  y={args.y}")
-        svg = render_heatmap_svg(rows, list(grid.alpha_values),
-                                 list(grid.beta_values), title)
+        svg = render_heatmap_svg(rows, alphas, betas, title)
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
     print(f"wrote {len(rows)} cells to {args.out}")

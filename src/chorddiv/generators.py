@@ -26,6 +26,10 @@ from .numerics import coordinate_minimize
 
 DOMAIN_KINDS = ("reals", "positive")
 
+#: Strict clearance a member of the positive domain keeps from its boundary,
+#: which guards log and reciprocal evaluations near the edge.
+DOMAIN_MARGIN = 1e-12
+
 #: Stable identifiers accepted by make_builtin (and the CLI --generator flag).
 BUILTIN_GENERATORS = (
     "quadratic",
@@ -43,13 +47,11 @@ class Domain:
         reals    -- all of R^D
         positive -- the positive orthant, theta_i > 0
 
-    Membership requires strict clearance of ``margin`` from every boundary,
-    which guards log and reciprocal evaluations near the edge. Non-finite
-    coordinates are never members.
+    Membership requires strict clearance of DOMAIN_MARGIN from every
+    boundary. Non-finite coordinates are never members.
     """
 
     kind: str = "reals"
-    margin: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in DOMAIN_KINDS:
@@ -57,8 +59,6 @@ class Domain:
                 f"unknown domain kind {self.kind!r}; expected one of "
                 f"{', '.join(DOMAIN_KINDS)}"
             )
-        if self.margin < 0.0:
-            raise ParameterError(f"margin must be >= 0, got {self.margin}")
 
     def contains(self, coords: np.ndarray) -> bool:
         coords = np.asarray(coords, dtype=float)
@@ -66,7 +66,7 @@ class Domain:
             return False
         if self.kind == "reals":
             return True
-        return bool(np.all(coords > self.margin))
+        return bool(np.all(coords > DOMAIN_MARGIN))
 
 
 REALS = Domain("reals")

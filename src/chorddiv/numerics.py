@@ -1,17 +1,15 @@
 """Shared numerical machinery.
 
-Central finite differences, bracketing root finding, derivative-free 1-D and
-coordinate-descent minimization, and the (alpha, beta) sweep engine used by
-the CLI. The solvers are deliberately small and deterministic: no randomized
-restarts, fixed evaluation budgets derived from the bracket width and the
-tolerance.
+Central finite differences, bracketing root finding, and derivative-free 1-D
+and coordinate-descent minimization. The solvers are deliberately small and
+deterministic: no randomized restarts, fixed evaluation budgets derived from
+the bracket width and the tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -160,59 +158,3 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
         if moved <= stop_tol:
             break
     return x
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Anchor grid for chord sweeps: sorted values in (0, 1] on both axes.
-
-    skip_diagonal drops cells with alpha == beta, which are invalid chord
-    anchors.
-    """
-
-    alpha_values: tuple
-    beta_values: tuple
-    skip_diagonal: bool = True
-
-    def __post_init__(self):
-        for label, values in (("alpha", self.alpha_values),
-                              ("beta", self.beta_values)):
-            vals = tuple(float(v) for v in values)
-            if not vals:
-                raise ParameterError(f"{label}_values must be non-empty")
-            for v in vals:
-                if not (0.0 < v <= 1.0):
-                    raise ParameterError(
-                        f"{label}_values must lie in (0, 1], got {v}"
-                    )
-            object.__setattr__(self, f"{label}_values", tuple(sorted(vals)))
-
-
-def sweep(F, theta1, theta2, grid: SweepGrid, div_id: str,
-          params: Optional[Mapping[str, float]] = None) -> list:
-    """Evaluate a divergence over an anchor grid, row-major by alpha then beta.
-
-    Returns a list of (alpha, beta, value) tuples; diagonal cells are skipped
-    when the grid says so. The grid's alpha and beta override any entries of
-    the same name in params.
-    """
-    from .registry import resolve_divergence  # deferred: registry imports us
-
-    base = dict(params or {})
-    rows = []
-    for a in grid.alpha_values:
-        for b in grid.beta_values:
-            if grid.skip_diagonal and a == b:
-                continue
-            cell = dict(base)
-            cell["alpha"] = a
-            cell["beta"] = b
-            D = resolve_divergence(div_id, F, cell)
-            value = float(D(theta1, theta2))
-            if not np.isfinite(value):
-                raise DomainError(
-                    f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
-                    f"value {value}"
-                )
-            rows.append((a, b, value))
-    return rows

@@ -1,16 +1,18 @@
-"""Resolution of divergence identifiers to callables.
+"""Resolution of divergence identifiers to callables, and the (alpha, beta)
+anchor sweep that resolves one per cell.
 
-Shared by the CLI, the sweep engine, and clustering. An identifier is either
-a bare name (bregman, jensen, kl, ...), an f-divergence form fdiv:<f>,
-fdiv_dual:<f>, fdiv_jsym:<f>, fdiv_jssym:<f>, or a biskewed wrapper
-biskew:<inner>. Scalar parameters (alpha, beta, gamma, delta, epsilon) are
-taken from a params mapping; extra entries are ignored, missing required
-ones raise ParameterError.
+Shared by the CLI and clustering. An identifier is either a bare name
+(bregman, jensen, kl, ...), an f-divergence form fdiv:<f>, fdiv_dual:<f>,
+fdiv_jsym:<f>, fdiv_jssym:<f>, or a biskewed wrapper biskew:<inner>.
+Scalar parameters (alpha, beta, gamma, delta, epsilon) are taken from a
+params mapping; extra entries are ignored, missing required ones raise
+ParameterError.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional
+import math
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .bregman import (
     ChordParams,
@@ -24,6 +26,7 @@ from .bregman import (
     tangent_anchor,
 )
 from .errors import (
+    DomainError,
     ParameterError,
     UnknownDivergenceError,
     UnsupportedGeneratorError,
@@ -189,3 +192,43 @@ def known_divergences() -> tuple:
     """Identifier families for help text."""
     return tuple(key + "<name>" if key.endswith(":") else key
                  for key in DIVERGENCES)
+
+
+def _anchors(label: str, values: Sequence[float]) -> tuple:
+    anchors = tuple(sorted(float(v) for v in values))
+    if not anchors:
+        raise ParameterError(f"{label} must be non-empty")
+    for v in anchors:
+        if not (0.0 < v <= 1.0):
+            raise ParameterError(f"{label} must lie in (0, 1], got {v}")
+    return anchors
+
+
+def sweep(F, theta1, theta2, alphas: Sequence[float],
+          betas: Sequence[float], div_id: str,
+          params: Optional[Mapping[str, float]] = None) -> list:
+    """Evaluate a divergence over an anchor grid, row-major by alpha then beta.
+
+    alphas and betas are non-empty anchor values in (0, 1], visited in
+    sorted order. Cells with alpha == beta are skipped: they are not valid
+    chord anchors. Each cell resolves div_id afresh with its alpha and beta
+    overriding any entries of the same name in params. Returns a list of
+    (alpha, beta, value) tuples.
+    """
+    alphas = _anchors("alphas", alphas)
+    betas = _anchors("betas", betas)
+    base = dict(params or {})
+    rows = []
+    for a in alphas:
+        for b in betas:
+            if a == b:
+                continue
+            D = resolve_divergence(div_id, F, {**base, "alpha": a, "beta": b})
+            value = float(D(theta1, theta2))
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
+                    f"value {value}"
+                )
+            rows.append((a, b, value))
+    return rows

@@ -107,16 +107,22 @@ def _sample_anchors(rng: np.random.Generator,
     return ChordParams(a, b)
 
 
+def _worst(*margins) -> float:
+    """The largest margin, NaN if any margin is NaN: Python's max keeps an
+    earlier value when a later one is NaN, which would let a NaN pass."""
+    return float(np.max(margins))
+
+
 def _ratio_violation(errors: list) -> float:
     """Worst margin of decay-ratio checks: successive max-error ratios must
     be decreasing by a factor inside RATIO_WINDOW."""
     lo, hi = RATIO_WINDOW
     worst = -np.inf
     for big, small in zip(errors, errors[1:]):
-        if small <= 0.0:
+        if not small > 0.0:
             return np.inf
         ratio = big / small
-        worst = max(worst, lo - ratio, ratio - hi)
+        worst = _worst(worst, lo - ratio, ratio - hi)
     return worst
 
 
@@ -134,11 +140,11 @@ def _linear_decay(rng: np.random.Generator, gens: list, pairs: int,
     lines = []
     for F in gens:
         pool = [_sample_pair(rng, F) for _ in range(pairs)]
-        errors = [max(abs(error(F, t1, t2, step)) for t1, t2 in pool)
+        errors = [_worst(*(abs(error(F, t1, t2, step)) for t1, t2 in pool))
                   for step in ladder]
         steps = list(zip(errors, errors[1:]))
-        stalls = any(b <= s for b, s in steps)
-        worst = max(worst, np.inf if stalls else _ratio_violation(errors))
+        stalls = not all(b > s for b, s in steps)
+        worst = _worst(worst, np.inf if stalls else _ratio_violation(errors))
         lines.append(f"{F.name}: ratios " + "/".join(
             f"{(b / s if s else np.inf):.2f}" for b, s in steps))
     return worst, "; ".join(lines)
@@ -166,7 +172,7 @@ def suite_sandwich(trials: int = 200, seed: int = 0) -> SuiteResult:
             for _ in range(20):
                 cp = _sample_anchors(rng)
                 v = bregman_chord(F, t1, t2, cp)
-                worst = max(worst, -v, v - upper)
+                worst = _worst(worst, -v, v - upper)
                 checks += 1
     return SuiteResult(
         name="sandwich",
@@ -188,7 +194,7 @@ def suite_swap_symmetry(trials: int = 200, seed: int = 0) -> SuiteResult:
                 cp = _sample_anchors(rng)
                 dev = abs(bregman_chord(F, t1, t2, cp)
                           - bregman_chord(F, t1, t2, cp.swapped()))
-                worst = max(worst, dev - 1e-12)
+                worst = _worst(worst, dev - 1e-12)
                 checks += 1
     return SuiteResult(
         name="swap_symmetry",
@@ -240,13 +246,13 @@ def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
         inside = inside and (lo < lam < hi)
         G = restrict_to_line(F, t1, t2)
         slope = (G(cp.alpha) - G(cp.beta)) / (cp.alpha - cp.beta)
-        worst_slope = max(worst_slope, abs(G.deriv(lam) - slope))
+        worst_slope = _worst(worst_slope, abs(G.deriv(lam) - slope))
         recon = G(0.0) - G(cp.alpha) + cp.alpha * G.deriv(lam)
-        worst_recon = max(
+        worst_recon = _worst(
             worst_recon, abs(recon - bregman_chord(F, t1, t2, cp))
         )
-    worst = max(worst_slope - 1e-9, worst_recon - 1e-8,
-                -np.inf if inside else np.inf)
+    worst = _worst(worst_slope - 1e-9, worst_recon - 1e-8,
+                   -np.inf if inside else np.inf)
     return SuiteResult(
         name="mean_value",
         worst=worst,
@@ -268,7 +274,7 @@ def suite_dual_identity(trials: int = 200, seed: int = 0) -> SuiteResult:
                 t1, t2 = _sample_pair(rng, F)
                 lhs = bregman_dual(F, t1, t2)
                 rhs = bregman(F.conjugate, F.grad(t1), F.grad(t2))
-                worst = max(worst, abs(lhs - rhs) - 1e-9)
+                worst = _worst(worst, abs(lhs - rhs) - 1e-9)
     return SuiteResult(
         name="dual_identity",
         worst=worst,
@@ -286,7 +292,7 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
     for F in _generator_matrix():
         for _ in range(pairs // 4 + 1):
             t1, t2 = _sample_pair(rng, F)
-            worst_bridge = max(
+            worst_bridge = _worst(
                 worst_bridge,
                 abs(jensen_bregman(F, t1, t2, 0.5) - jensen(F, t1, t2)),
             )
@@ -308,7 +314,7 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
             a, b = np.sort(rng.uniform(0.0, 1.0, 2))
         c = rng.uniform(a, b)
         v = jensen_chord(F, t1, t2, JensenChordParams(a, b, c))
-        worst_neg = max(worst_neg, -v)
+        worst_neg = _worst(worst_neg, -v)
 
     worst_degen = -np.inf
     for i in range(max(4, trials // 2)):
@@ -317,10 +323,10 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
         t = rng.uniform(0.05, 0.95)
         dev = abs(jensen_chord(F, t1, t2, JensenChordParams(t, t, t))
                   - jensen_skewed(F, t1, t2, t))
-        worst_degen = max(worst_degen, dev)
+        worst_degen = _worst(worst_degen, dev)
 
-    worst = max(worst_bridge - 1e-12, worst_ratio, worst_neg,
-                worst_degen - 1e-12)
+    worst = _worst(worst_bridge - 1e-12, worst_ratio, worst_neg,
+                   worst_degen - 1e-12)
     return SuiteResult(
         name="jensen",
         worst=worst,
@@ -343,7 +349,7 @@ def suite_fdiv(trials: int = 200, seed: int = 0) -> SuiteResult:
             for _ in range(pairs):
                 p = rng.uniform(0.1, 2.0, dim)
                 q = rng.uniform(0.1, 2.0, dim)
-                worst_dual = max(
+                worst_dual = _worst(
                     worst_dual, abs(f_div(fd, p, q) - f_div(f, q, p))
                 )
 
@@ -352,11 +358,12 @@ def suite_fdiv(trials: int = 200, seed: int = 0) -> SuiteResult:
     for _ in range(pairs):
         p = rng.uniform(0.2, 1.5, 3)
         q = rng.uniform(0.2, 1.5, 3)
-        worst_ekl = max(worst_ekl, abs(extended_kl(p, q) - bregman(F, p, q)))
+        worst_ekl = _worst(worst_ekl,
+                           abs(extended_kl(p, q) - bregman(F, p, q)))
 
     kl_dev = abs(kl((0.5, 0.5), (0.25, 0.75)) - KL_REFERENCE_VALUE)
 
-    worst = max(worst_dual - 1e-12, worst_ekl - 1e-12, kl_dev - 1e-6)
+    worst = _worst(worst_dual - 1e-12, worst_ekl - 1e-12, kl_dev - 1e-6)
     return SuiteResult(
         name="fdiv",
         worst=worst,
@@ -379,7 +386,7 @@ def suite_gradcheck(trials: int = 200, seed: int = 0) -> SuiteResult:
             rel = float(np.max(np.abs(g - fd))) / max(
                 1.0, float(np.max(np.abs(g)))
             )
-            worst = max(worst, rel - 1e-6)
+            worst = _worst(worst, rel - 1e-6)
     return SuiteResult(
         name="gradcheck",
         worst=worst,
@@ -421,7 +428,7 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     for res in (res_b, res_c):
         tr = res.objective_trace
         for prev, cur in zip(tr, tr[1:]):
-            trace_viol = max(trace_viol, cur - prev - 1e-8)
+            trace_viol = _worst(trace_viol, cur - prev - 1e-8)
 
     def mean_dev(divergence: str, params: dict) -> float:
         res = kmeans(points, F, ClusterConfig(
@@ -431,8 +438,8 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     dev_b = mean_dev("bregman", {})
     dev_c = mean_dev("bregman_chord", {"alpha": 0.9, "beta": 1.0})
 
-    worst = max(1.0 - ari_b, 1.0 - ari_c, trace_viol, dev_b - 1e-6,
-                dev_c - 1e-6)
+    worst = _worst(1.0 - ari_b, 1.0 - ari_c, trace_viol, dev_b - 1e-6,
+                   dev_c - 1e-6)
     return SuiteResult(
         name="clustering",
         worst=worst,

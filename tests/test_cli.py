@@ -131,6 +131,18 @@ class TestSweep:
                     for a, b, v in self.expected_grid2_cells()]
         assert lines[1:-1] == expected
 
+    def test_constant_divergence_rows_equal_bound(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--div", "bregman", "--x", "0.2,0.4",
+            "--y", "1.1,0.3", "--grid", "2", "--out", str(out_csv))
+        assert code == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[-1].startswith("# bregman=")
+        bound = lines[-1].split("=", 1)[1]
+        values = [line.rsplit(",", 1)[1] for line in lines[1:-1]]
+        assert values == [bound] * 4
+
     def test_reruns_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -354,3 +366,11 @@ class TestVerify:
         assert code == 3
         assert out == ("dual_identity: FAIL (worst margin 5.000e-01; "
                        "patched)\n")
+
+    def test_nan_divergence_fails_and_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(chorddiv.verify, "bregman_chord",
+                            lambda *args: float("nan"))
+        code, out, _ = run(capsys, "verify", "--suite", "sandwich",
+                           "--trials", "5")
+        assert code == 3
+        assert out.startswith("sandwich: FAIL (worst margin nan;")

@@ -10,7 +10,6 @@ from chorddiv import (
     BracketError,
     DomainError,
     ParameterError,
-    SweepGrid,
     UnknownDivergenceError,
     bisect_root,
     bregman,
@@ -18,6 +17,7 @@ from chorddiv import (
     coordinate_minimize,
     golden_minimize,
     make_builtin,
+    resolve_divergence,
     sweep,
 )
 from chorddiv.numerics import INV_PHI
@@ -159,67 +159,73 @@ class TestCoordinateMinimize:
 
 
 class TestSweepGrid:
+    """The alpha and beta anchor lists a sweep takes."""
+
     def test_sorts_values(self):
-        grid = SweepGrid((0.75, 0.25), (1.0, 0.5))
-        assert grid.alpha_values == (0.25, 0.75)
-        assert grid.beta_values == (0.5, 1.0)
+        F = make_builtin("quadratic", 1)
+        rows = sweep(F, 0.0, 1.0, (0.75, 0.25), (1.0, 0.5), "bregman_chord")
+        assert [(a, b) for a, b, _ in rows] == [
+            (0.25, 0.5), (0.25, 1.0), (0.75, 0.5), (0.75, 1.0)
+        ]
 
     def test_rejects_out_of_range(self):
+        F = make_builtin("quadratic", 1)
         with pytest.raises(ParameterError):
-            SweepGrid((0.0, 0.5), (0.5,))
+            sweep(F, 0.0, 1.0, (0.0, 0.5), (0.5,), "bregman_chord")
         with pytest.raises(ParameterError):
-            SweepGrid((0.5,), (1.2,))
+            sweep(F, 0.0, 1.0, (0.5,), (1.2,), "bregman_chord")
         with pytest.raises(ParameterError):
-            SweepGrid((), (0.5,))
+            sweep(F, 0.0, 1.0, (), (0.5,), "bregman_chord")
 
 
 class TestSweep:
     def test_two_by_two_skips_diagonal(self):
         F = make_builtin("quadratic", 1)
-        grid = SweepGrid((0.25, 0.75), (0.25, 0.75))
-        rows = sweep(F, 0.0, 1.0, grid, "bregman_chord")
+        rows = sweep(F, 0.0, 1.0, (0.25, 0.75), (0.25, 0.75), "bregman_chord")
         assert [(a, b) for a, b, _ in rows] == [(0.25, 0.75), (0.75, 0.25)]
         for _, _, v in rows:
             assert v == pytest.approx(0.1875, abs=1e-15)
 
     def test_row_major_ordering(self):
         F = make_builtin("quadratic", 1)
-        grid = SweepGrid((0.2, 0.5), (0.3, 0.9))
-        rows = sweep(F, 0.0, 1.0, grid, "bregman_chord")
+        rows = sweep(F, 0.0, 1.0, (0.2, 0.5), (0.3, 0.9), "bregman_chord")
         assert [(a, b) for a, b, _ in rows] == [
             (0.2, 0.3), (0.2, 0.9), (0.5, 0.3), (0.5, 0.9)
         ]
 
     def test_identical_points_give_zeros(self):
         F = make_builtin("shannon_negentropy", 2)
-        grid = SweepGrid((0.25, 0.75), (0.25, 0.75))
-        rows = sweep(F, [0.4, 0.6], [0.4, 0.6], grid, "bregman_chord")
+        rows = sweep(F, [0.4, 0.6], [0.4, 0.6], (0.25, 0.75), (0.25, 0.75),
+                     "bregman_chord")
         assert all(v == 0.0 for _, _, v in rows)
 
     def test_constant_divergence_ignores_anchors(self):
         F = make_builtin("quadratic", 1)
-        grid = SweepGrid((0.25, 0.75), (0.25, 0.75), skip_diagonal=False)
-        rows = sweep(F, 0.0, 1.0, grid, "bregman")
-        assert len(rows) == 4
+        rows = sweep(F, 0.0, 1.0, (0.25, 0.75), (0.25, 0.75), "bregman")
+        assert len(rows) == 2
         assert all(v == 1.0 for _, _, v in rows)
 
-    def test_diagonal_cells_invalid_for_chord(self):
-        F = make_builtin("quadratic", 1)
-        grid = SweepGrid((0.25, 0.75), (0.25, 0.75), skip_diagonal=False)
-        with pytest.raises(ParameterError):
-            sweep(F, 0.0, 1.0, grid, "bregman_chord")
+    @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
+    def test_cells_equal_resolved_divergence(self, div):
+        F = make_builtin("shannon_negentropy", 3)
+        x, y = np.array([0.3, 0.5, 1.2]), np.array([0.9, 0.2, 0.7])
+        params = {"gamma": 0.3, "delta": 0.6}
+        anchors = (0.2, 0.5, 1.0)
+        rows = sweep(F, x, y, anchors, anchors, div, params)
+        assert len(rows) == 6
+        for a, b, v in rows:
+            D = resolve_divergence(div, F, {**params, "alpha": a, "beta": b})
+            assert v == D(x, y)
 
     def test_unknown_divergence(self):
         F = make_builtin("quadratic", 1)
-        grid = SweepGrid((0.5,), (0.25,))
         with pytest.raises(UnknownDivergenceError):
-            sweep(F, 0.0, 1.0, grid, "nonesuch")
+            sweep(F, 0.0, 1.0, (0.5,), (0.25,), "nonesuch")
 
     def test_cells_respect_sandwich_and_symmetry(self):
         F = make_builtin("shannon_negentropy", 1)
         values = tuple(i / 7 for i in range(1, 7))
-        grid = SweepGrid(values, values)
-        rows = sweep(F, 0.2, 0.8, grid, "bregman_chord")
+        rows = sweep(F, 0.2, 0.8, values, values, "bregman_chord")
         bound = bregman(F, 0.2, 0.8)
         table = {(a, b): v for a, b, v in rows}
         for (a, b), v in table.items():

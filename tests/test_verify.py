@@ -1,11 +1,12 @@
-"""The shared pieces of the property suites: the pass rule and the
-linear-decay check, fed synthetic error ladders."""
+"""The shared pieces of the property suites: the pass rule, the
+linear-decay check fed synthetic error ladders, and NaN margins."""
 
 import numpy as np
 import pytest
 
+import chorddiv.verify
 from chorddiv import SuiteResult, make_builtin
-from chorddiv.verify import _linear_decay
+from chorddiv.verify import _linear_decay, suite_sandwich
 
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -48,6 +49,10 @@ class TestLinearDecay:
         assert worst == pytest.approx(80.0)
         assert detail == "quadratic: ratios 100.00/100.00/100.00"
 
+    def test_nan_errors_fail(self):
+        worst, _ = decay(lambda F, t1, t2, eps: np.nan)
+        assert worst == np.inf
+
     def test_zero_error_fails_without_raising(self):
         worst, detail = decay(lambda F, t1, t2, eps: 0.0 if eps < 1e-3
                               else eps)
@@ -66,3 +71,12 @@ class TestLinearDecay:
         assert worst == pytest.approx(10 ** 1.5 - 20.0)
         assert detail.startswith("quadratic: ratios 10.00/10.00/10.00; "
                                  "shannon_negentropy: ratios 31.62/")
+
+
+class TestNaN:
+    def test_nan_divergence_fails_the_sandwich(self, monkeypatch):
+        monkeypatch.setattr(chorddiv.verify, "bregman_chord",
+                            lambda *args: np.nan)
+        res = suite_sandwich(5, 0)
+        assert not res.passed
+        assert np.isnan(res.worst)
