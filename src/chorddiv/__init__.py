@@ -2,8 +2,8 @@
 
 Builds Bregman, Jensen, and f-divergence families from strictly convex
 generators, including the gradient-free chord and tangent Bregman
-divergences, biskewed variants, numeric Legendre conjugates, right-sided
-k-means under any of these divergences, and an (alpha, beta) sweep engine.
+divergences, biskewed variants, right-sided k-means under any of these
+divergences, and an (alpha, beta) sweep engine.
 """
 
 from .bregman import (
@@ -16,7 +16,6 @@ from .bregman import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
-    chord_slope,
     interpolate,
     mean_value_witness,
 )
@@ -56,11 +55,9 @@ from .fdiv import (
 )
 from .generators import (
     BUILTIN_GENERATORS,
-    ConjugateResult,
     Domain,
     Generator,
     LineRestriction,
-    legendre_conjugate_numeric,
     make_builtin,
     restrict_to_line,
 )
@@ -72,6 +69,7 @@ from .jensen import (
     jensen_skewed,
 )
 from .numerics import (
+    Minimum,
     bisect_root,
     central_diff_grad,
     coordinate_minimize,
@@ -92,7 +90,6 @@ __all__ = [
     "bregman_chord_approx",
     "bregman_dual",
     "bregman_tangent",
-    "chord_slope",
     "interpolate",
     "mean_value_witness",
     "ClusterConfig",
@@ -124,11 +121,9 @@ __all__ = [
     "kl",
     "make_f_generator",
     "BUILTIN_GENERATORS",
-    "ConjugateResult",
     "Domain",
     "Generator",
     "LineRestriction",
-    "legendre_conjugate_numeric",
     "make_builtin",
     "restrict_to_line",
     "JensenChordParams",
@@ -136,6 +131,7 @@ __all__ = [
     "jensen_bregman",
     "jensen_chord",
     "jensen_skewed",
+    "Minimum",
     "bisect_root",
     "central_diff_grad",
     "coordinate_minimize",

@@ -179,21 +179,6 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
 
 
-def chord_slope(F: Generator, theta1, theta2, cp: ChordParams) -> float:
-    """Slope in lam of the chord through the alpha and beta anchors of the
-    line restriction; symmetric under anchor swap.
-
-    Zero for coincident inputs, where the restriction is constant.
-    """
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if _coincident(t1, t2):
-        return 0.0
-    G = restrict_to_line(F, t1, t2)
-    a, b = float(cp.alpha), float(cp.beta)
-    return (G(a) - G(b)) / (a - b)
-
-
 def mean_value_witness(F: Generator, theta1, theta2, cp: ChordParams,
                        tol: float = 1e-12) -> float:
     """Anchor lam* strictly between alpha and beta where the restriction's

@@ -4,7 +4,9 @@ Subcommands:
     eval     evaluate one divergence at a pair of points
     sweep    evaluate a chord divergence over an (alpha, beta) grid to CSV,
              optionally rendering an SVG heatmap
-    cluster  k-means over a points CSV under any divergence
+    cluster  k-means over a points CSV under any divergence; prints a
+             warning to stderr for each numeric center search that hit its
+             sweep cap or ended on the edge of its box
     verify   run the randomized property suites
 
 Exit codes: 0 success, 2 usage error (including unknown generator,
@@ -127,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=div_help + " (default %(default)s)")
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--max-iters", type=_positive_int, default=100)
-    p_cluster.add_argument("--centroid-tol", type=_finite_float,
-                           default=1e-8)
-    p_cluster.add_argument("--objective-tol", type=_finite_float,
-                           default=1e-10)
     p_cluster.add_argument("--out-assignments", default="assignments.csv",
                            help="output CSV of index,cluster rows")
     p_cluster.add_argument("--out-summary", default="summary.json",
@@ -329,10 +327,16 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         params=_params_from(args),
         max_iters=args.max_iters,
         seed=args.seed,
-        centroid_tol=args.centroid_tol,
-        objective_tol=args.objective_tol,
     )
     result = kmeans(points, F, cfg)
+    for iteration, j, sweeps, capped, on_edge in result.center_solves:
+        ended = [text for text, flag in (
+            (f"hit its cap of {sweeps} sweeps", capped),
+            ("ended on the edge of its box", on_edge),
+        ) if flag]
+        if ended:
+            print(f"warning: center {j} at iteration {iteration}: the "
+                  f"numeric search {' and '.join(ended)}", file=sys.stderr)
     with open(args.out_assignments, "w", encoding="utf-8",
               newline="\n") as fh:
         for i, label in enumerate(result.assignments):

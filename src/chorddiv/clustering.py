@@ -6,8 +6,10 @@ centers take it. Otherwise they are found numerically by
 numerics.coordinate_minimize, golden-section search per coordinate over the
 cluster's bounding box (expanded by 10 percent and kept in the positive
 orthant when the generator's domain or the divergence needs positive
-arguments), so no gradient is ever needed. Each iteration evaluates the
-n x k divergence matrix once. Everything is deterministic for a fixed seed.
+arguments), so no gradient is ever needed. Each numeric solve is recorded
+with how it ended; the library only records, it never warns. Each iteration
+evaluates the n x k divergence matrix once. Everything is deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ParameterError, ShapeError
 from .generators import Generator
-from .numerics import coordinate_minimize
+from .numerics import Minimum, coordinate_minimize
 # Not called here: perfbench/tracing.py patches golden_minimize by this name.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import needs_generator, resolve_divergence, right_centroid
@@ -29,16 +31,21 @@ from .registry import needs_generator, resolve_divergence, right_centroid
 #: sum_j (sum_i x_ij) log c_j, which falls without bound as c grows.
 _NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
 
+#: A numeric center update stops once a sweep moves no coordinate by more
+#: than CENTROID_TOL; each 1-D slice is solved to SLICE_TOL.
+CENTROID_TOL = 1e-8
+SLICE_TOL = 1e-9
+#: The Lloyd loop stops once an iteration improves the objective by less.
+OBJECTIVE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
     """Settings for a k-means run.
 
     divergence is any registry identifier; params feeds its scalar
-    parameters (alpha, beta, ...). centroid_tol bounds per-coordinate
-    centroid movement inside a numerical center update and is unused by
-    closed-form centroids; objective_tol stops the Lloyd loop once an
-    iteration improves the objective by less than that.
+    parameters (alpha, beta, ...). The tolerances are the module constants
+    CENTROID_TOL, SLICE_TOL and OBJECTIVE_TOL.
     """
 
     k: int
@@ -46,8 +53,6 @@ class ClusterConfig:
     params: Mapping[str, float] = field(default_factory=dict)
     max_iters: int = 100
     seed: int = 0
-    centroid_tol: float = 1e-8
-    objective_tol: float = 1e-10
 
     def __post_init__(self):
         if int(self.k) < 1:
@@ -56,8 +61,6 @@ class ClusterConfig:
             raise ParameterError(
                 f"max_iters must be >= 1, got {self.max_iters}"
             )
-        if not (self.centroid_tol > 0.0 and self.objective_tol > 0.0):
-            raise ParameterError("tolerances must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +69,16 @@ class ClusterResult:
 
     objective_trace holds the objective after the initial assignment and
     after each Lloyd iteration; it is non-increasing up to the centroid
-    solver tolerance.
+    solver tolerance. center_solves holds one (iteration, cluster, sweeps,
+    capped, on_edge) record per numeric center update, iterations counted
+    from 1, in the order they ran; it is () when every center is closed-form.
     """
 
     centers: np.ndarray
     assignments: np.ndarray
     objective_trace: tuple
     iterations: int
+    center_solves: tuple = ()
 
 
 def _as_matrix(points) -> np.ndarray:
@@ -159,17 +165,17 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
     return lo_x, hi + 0.1 * width
 
 
-def _update_center(members: np.ndarray, F: Generator, D, tol: float,
-                   positive: bool = False) -> np.ndarray:
+def _update_center(members: np.ndarray, F: Generator, D,
+                   positive: bool = False) -> Minimum:
     """Numerical right centroid: argmin_c sum_i D(x_i : c), for divergences
     the registry gives no closed form.
 
     Coordinate-wise golden-section search over the expanded bounding box,
-    started from the arithmetic mean. Each slice is solved to
-    min(tol, 1e-9); sweeps stop once no coordinate moves by more than tol.
-    The box stays in the positive orthant when F's domain is positive or
-    when positive is set, for divergences that read points as positive
-    weights.
+    started from the arithmetic mean, for at most 100 sweeps. Each slice is
+    solved to SLICE_TOL; sweeps stop once no coordinate moves by more than
+    CENTROID_TOL. The box stays in the positive orthant when F's domain is
+    positive or when positive is set, for divergences that read points as
+    positive weights. Returns the search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
@@ -177,8 +183,8 @@ def _update_center(members: np.ndarray, F: Generator, D, tol: float,
         return sum(float(D(x, c)) for x in members)
 
     return coordinate_minimize(total, lo, hi, x0=members.mean(axis=0),
-                               tol=min(tol, 1e-9), max_sweeps=100,
-                               stop_tol=tol)
+                               tol=SLICE_TOL, max_sweeps=100,
+                               stop_tol=CENTROID_TOL)
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -191,7 +197,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     center index), and hands any emptied cluster the point farthest from its
     own center. The labels, the repair distances and the objective all come
     from one n x k divergence matrix per iteration. Stops when the objective
-    improves by less than objective_tol or after max_iters iterations.
+    improves by less than OBJECTIVE_TOL or after max_iters iterations. Every
+    numeric center update leaves a record in center_solves.
     Under kl and fdiv:kl, which have no right centroid, it raises
     InfeasibleError once the points have passed their checks.
     """
@@ -226,10 +233,6 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         )
     D = resolve_divergence(cfg.divergence, F, cfg.params)
     centroid = right_centroid(cfg.divergence)
-    if centroid is None:
-        def centroid(members):
-            return _update_center(members, F, D, cfg.centroid_tol, positive)
-
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
@@ -237,25 +240,34 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     dist = _distances(pts, centers, D)
     labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
     trace = [_objective_from(dist, labels)]
+    solves = []
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
         for j in range(cfg.k):
             members = pts[labels == j]
-            if members.size:
+            if not members.size:
+                continue
+            if centroid is not None:
                 centers[j] = centroid(members)
+            else:
+                found = _update_center(members, F, D, positive)
+                centers[j] = found.x
+                solves.append((iterations, j, found.sweeps, found.capped,
+                               found.on_edge))
         dist = _distances(pts, centers, D)
         labels = np.argmin(dist, axis=1)
         labels = _repair_empty(labels, cfg.k,
                                dist[np.arange(pts.shape[0]), labels])
         trace.append(_objective_from(dist, labels))
-        if trace[-2] - trace[-1] < cfg.objective_tol:
+        if trace[-2] - trace[-1] < OBJECTIVE_TOL:
             break
     return ClusterResult(
         centers=centers,
         assignments=labels,
         objective_trace=tuple(trace),
         iterations=iterations,
+        center_solves=tuple(solves),
     )
 
 

@@ -1,5 +1,4 @@
-"""Strictly convex generators, their domains, line restrictions, and
-Legendre conjugates.
+"""Strictly convex generators, their domains, and line restrictions.
 
 A Generator wraps the evaluation map F: Theta -> R together with an optional
 closed-form gradient and an optional closed-form conjugate. Divergences in
@@ -22,7 +21,6 @@ from .errors import (
     ShapeError,
     UnsupportedGeneratorError,
 )
-from .numerics import coordinate_minimize
 
 DOMAIN_KINDS = ("reals", "positive")
 
@@ -262,61 +260,3 @@ def restrict_to_line(F: Generator, theta1, theta2) -> LineRestriction:
             "line restriction endpoints coincide"
         )
     return LineRestriction(F, t1, t2)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugateResult:
-    """Numeric Legendre-Fenchel value with its maximizer and a boundary flag.
-
-    on_boundary means the maximizer was pinned to an edge of the search box,
-    in which case the true supremum may lie outside the box.
-    """
-
-    value: float
-    argmax: np.ndarray
-    on_boundary: bool
-
-
-def legendre_conjugate_numeric(F: Generator, eta, search_box,
-                               tol: float = 1e-10) -> ConjugateResult:
-    """sup over a box of <theta, eta> - F(theta), derivative free.
-
-    search_box is a (lo, hi) pair per coordinate (a single pair is accepted
-    for dim 1); both corner points must lie inside F's domain. Runs
-    coordinate-descent golden-section search on the negated objective from
-    the box center.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.ndim != 1 or eta.shape[0] != F.dim:
-        raise ShapeError(
-            f"eta must have dimension {F.dim}, got shape {eta.shape}"
-        )
-    if not np.all(np.isfinite(eta)):
-        raise DomainError(f"eta must be finite, got {eta.tolist()}")
-    box = np.asarray(search_box, dtype=float)
-    if box.shape == (2,) and F.dim == 1:
-        box = box.reshape(1, 2)
-    if box.shape != (F.dim, 2):
-        raise ShapeError(
-            f"search_box must give (lo, hi) per coordinate, expected shape "
-            f"({F.dim}, 2), got {box.shape}"
-        )
-    lo, hi = box[:, 0], box[:, 1]
-    if np.any(lo >= hi):
-        raise ParameterError("search_box must satisfy lo < hi per coordinate")
-    for corner in (lo, hi):
-        if not F.domain.contains(corner):
-            raise DomainError(
-                f"search_box corner {corner.tolist()} is outside the "
-                f"{F.domain.kind} domain of {F.name}"
-            )
-
-    def neg_obj(theta: np.ndarray) -> float:
-        return float(F.fn(theta)) - float(np.dot(theta, eta))
-
-    arg = coordinate_minimize(neg_obj, lo, hi, tol=tol)
-    width = hi - lo
-    edge_tol = np.maximum(1e-6 * width, tol)
-    on_edge = np.any((arg - lo <= edge_tol) | (hi - arg <= edge_tol))
-    value = float(np.dot(arg, eta)) - float(F.fn(arg))
-    return ConjugateResult(value=value, argmax=arg, on_boundary=bool(on_edge))

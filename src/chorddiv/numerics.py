@@ -3,13 +3,14 @@
 Central finite differences, bracketing root finding, and derivative-free 1-D
 and coordinate-descent minimization. The solvers are deliberately small and
 deterministic: no randomized restarts, fixed evaluation budgets derived from
-the bracket width and the tolerance.
+the bracket width and the tolerance. The coordinate search returns a Minimum
+that says whether it ran out of sweeps and whether it ended on its box.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -119,17 +120,34 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + d) if g_c < g_d else 0.5 * (c + hi)
 
 
+class Minimum(NamedTuple):
+    """How coordinate_minimize ended.
+
+    x is the point found and sweeps the number of sweeps run. capped means
+    the sweep limit ran out before a sweep moved every coordinate by at most
+    stop_tol. on_edge means some coordinate whose box is wider than tol
+    ended within max(1e-6 * width, tol) of lo or hi, so the true minimizer
+    may lie outside the box.
+    """
+
+    x: np.ndarray
+    sweeps: int
+    capped: bool
+    on_edge: bool
+
+
 def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
                         x0: Optional[Sequence[float]] = None,
                         tol: float = 1e-10, max_sweeps: int = 60,
-                        stop_tol: Optional[float] = None) -> np.ndarray:
+                        stop_tol: Optional[float] = None) -> Minimum:
     """Round-robin per-coordinate golden-section descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
     golden_minimize to tol, until the largest per-coordinate movement in a
-    sweep drops to stop_tol (default tol) or max_sweeps is hit.
-    Deterministic for a fixed start.
+    sweep drops to stop_tol (default tol) or max_sweeps is hit. Returns a
+    Minimum that says which of the two happened and whether the point ended
+    on the box edge. Deterministic for a fixed start.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -141,7 +159,9 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
     np.clip(x, lo, hi, out=x)
     if stop_tol is None:
         stop_tol = tol
-    for _ in range(max_sweeps):
+    sweeps, capped = 0, True
+    while sweeps < max_sweeps:
+        sweeps += 1
         moved = 0.0
         for i in range(x.size):
             if hi[i] - lo[i] <= tol:
@@ -156,5 +176,9 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
             moved = max(moved, abs(best - x[i]))
             x[i] = best
         if moved <= stop_tol:
+            capped = False
             break
-    return x
+    width = hi - lo
+    edge_tol = np.maximum(1e-6 * width, tol)
+    on_edge = (width > tol) & ((x - lo <= edge_tol) | (hi - x <= edge_tol))
+    return Minimum(x, sweeps, capped, bool(np.any(on_edge)))

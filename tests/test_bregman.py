@@ -28,7 +28,6 @@ from chorddiv import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
-    chord_slope,
     interpolate,
     kl,
     make_builtin,
@@ -293,31 +292,6 @@ class TestBregmanTangent:
         assert errs[0] > errs[1] > errs[2]
         for big, small in zip(errs, errs[1:]):
             assert 5.0 <= big / small <= 20.0
-
-
-class TestChordSlope:
-    def test_quadratic_value(self):
-        # restriction lam^2: secant slope over (0.25, 0.75) is 1
-        F = make_builtin("quadratic", 1)
-        assert chord_slope(F, 0.0, 1.0, ChordParams(0.25, 0.75)) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_swap_invariant(self):
-        F = make_builtin("shannon_negentropy", 1)
-        cp = ChordParams(0.2, 0.9)
-        assert chord_slope(F, 0.3, 1.1, cp) == pytest.approx(
-            chord_slope(F, 0.3, 1.1, cp.swapped()), abs=1e-15)
-
-    def test_bracketed_by_derivative_range(self):
-        rng = np.random.default_rng(71)
-        for name, dim in GENERATOR_MATRIX:
-            F = make_builtin(name, dim)
-            t1, t2 = sample_pair(rng, F)
-            cp = ChordParams(0.2, 0.8)
-            s = chord_slope(F, t1, t2, cp)
-            G = restrict_to_line(F, t1, t2)
-            # strictly increasing derivative brackets the secant slope
-            assert G.deriv(0.2) < s < G.deriv(0.8)
 
 
 class TestMeanValueWitness:

@@ -5,7 +5,13 @@ import json
 import numpy as np
 
 import chorddiv.verify
-from chorddiv import SuiteResult, adjusted_rand_index
+from chorddiv import (
+    ClusterConfig,
+    SuiteResult,
+    adjusted_rand_index,
+    kmeans,
+    make_builtin,
+)
 from chorddiv.cli import main
 
 
@@ -246,11 +252,12 @@ class TestCluster:
         inp = self.make_input(tmp_path, seed=9)
         out_a = tmp_path / "assignments.csv"
         out_s = tmp_path / "summary.json"
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "cluster", "--input", str(inp), "--k", "2",
             "--div", "bregman_chord", "--alpha", "0.9", "--beta", "1.0",
             "--out-assignments", str(out_a), "--out-summary", str(out_s))
         assert code == 0
+        assert err == ""
         labels = [int(line.split(",")[1])
                   for line in out_a.read_text().splitlines()]
         truth = [0] * 8 + [1] * 8
@@ -298,6 +305,37 @@ class TestCluster:
         assert "'kl' has no right centroid" in err
         assert "'ekl'" in err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_edge_pinned_center_warns(self, capsys, tmp_path):
+        pts = [[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]]
+        inp = tmp_path / "points.csv"
+        write_points(inp, pts)
+        out_a = tmp_path / "assignments.csv"
+        out_s = tmp_path / "summary.json"
+        code, out, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--div", "biskew:kl", "--gamma", "0.2", "--delta", "0.7",
+            "--out-assignments", str(out_a), "--out-summary", str(out_s))
+        assert code == 0
+        lines = err.splitlines()
+        assert lines
+        for line in lines:
+            assert line.startswith("warning: center 0 at iteration ")
+            assert "ended on the edge of its box" in line
+        # the warnings leave stdout and both files as kmeans alone gives
+        res = kmeans(np.array(pts), make_builtin("quadratic", 2),
+                     ClusterConfig(k=1, divergence="biskew:kl",
+                                   params={"gamma": 0.2, "delta": 0.7}))
+        assert len(lines) == len(res.center_solves)
+        assert out == (f"objective {res.objective_trace[-1]:.12g} after "
+                       f"{res.iterations} iterations\n")
+        assert out_a.read_text() == "0,0\n1,0\n2,0\n"
+        assert json.loads(out_s.read_text()) == {
+            "objective": res.objective_trace[-1],
+            "iterations": res.iterations,
+            "centers": res.centers.tolist(),
+            "seed": 0,
+        }
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(

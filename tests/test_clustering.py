@@ -13,6 +13,7 @@ from chorddiv import (
     ParameterError,
     ShapeError,
     adjusted_rand_index,
+    coordinate_minimize,
     kmeans,
     make_builtin,
     objective,
@@ -42,12 +43,6 @@ class TestClusterConfig:
     def test_rejects_bad_max_iters(self):
         with pytest.raises(ParameterError):
             ClusterConfig(k=2, max_iters=0)
-
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ParameterError):
-            ClusterConfig(k=2, centroid_tol=0.0)
-        with pytest.raises(ParameterError):
-            ClusterConfig(k=2, objective_tol=-1.0)
 
 
 class TestObjective:
@@ -112,15 +107,16 @@ class TestUpdateCenter:
         rng = np.random.default_rng(12)
         members = rng.uniform(-1.0, 1.0, (20, 2))
         D = resolve_divergence("bregman", QUAD2)
-        center = _update_center(members, QUAD2, D, tol=1e-8)
-        assert np.max(np.abs(center - members.mean(axis=0))) <= 1e-6
+        found = _update_center(members, QUAD2, D)
+        assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
+        assert not (found.capped or found.on_edge)
 
     def test_positive_domain_center_stays_positive(self):
         F = make_builtin("shannon_negentropy", 1)
         members = np.array([[0.2], [0.4], [0.9]])
         D = resolve_divergence("bregman", F)
-        center = _update_center(members, F, D, tol=1e-8)
-        assert center[0] > 0.0
+        found = _update_center(members, F, D)
+        assert found.x[0] > 0.0
 
 
 class TestKMeans:
@@ -250,6 +246,7 @@ class TestClosedFormCentroid:
         for j, center in enumerate(res.centers):
             members = pts[res.assignments == j]
             assert np.array_equal(center, members.mean(axis=0))
+        assert res.center_solves == ()
 
     def test_biskew_bregman_stays_numeric(self, monkeypatch):
         calls = []
@@ -338,3 +335,62 @@ class TestAdjustedRandIndex:
             ours = adjusted_rand_index(a, b)
             theirs = sklearn_metrics.adjusted_rand_score(a, b)
             assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+class TestCenterSolves:
+    """ClusterResult.center_solves: one record per numeric center update."""
+
+    def test_one_record_per_numeric_update(self):
+        points, _ = clustering_dataset(seed=0)
+        res = kmeans(points, QUAD1, ClusterConfig(
+            k=2, seed=0, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}))
+        assert [(it, j) for it, j, *_ in res.center_solves] == [
+            (it, j) for it in range(1, res.iterations + 1) for j in (0, 1)]
+        for _, _, sweeps, capped, on_edge in res.center_solves:
+            assert 1 <= sweeps < 100
+            assert not capped
+            assert not on_edge
+
+    @pytest.mark.parametrize("gamma,delta,corner", [
+        (0.2, 0.7, "upper"),
+        (0.7, 0.2, "lower"),
+    ])
+    def test_biskew_kl_center_is_on_edge(self, gamma, delta, corner):
+        # biskew:kl, like kl, falls without bound one way along the box;
+        # the search stops on a corner and must say so
+        pts = np.array([[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]])
+        res = kmeans(pts, QUAD2, ClusterConfig(
+            k=1, divergence="biskew:kl",
+            params={"gamma": gamma, "delta": delta}))
+        assert res.center_solves
+        assert all(on_edge for *_, on_edge in res.center_solves)
+        expected = [0.64, 0.84] if corner == "upper" else [0.16, 0.36]
+        assert np.allclose(res.centers[0], expected, atol=1e-8)
+
+    def test_capped_search_is_recorded(self, monkeypatch):
+        def one_sweep(*args, **kwargs):
+            return coordinate_minimize(*args, **{**kwargs, "max_sweeps": 1})
+
+        monkeypatch.setattr(chorddiv.clustering, "coordinate_minimize",
+                            one_sweep)
+        pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
+        res = kmeans(pts, QUAD2, ClusterConfig(
+            k=1, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}))
+        assert res.center_solves
+        for _, _, sweeps, capped, _ in res.center_solves:
+            assert sweeps == 1
+            assert capped
+
+    def test_singleton_cluster_is_not_on_edge(self):
+        # a one-point cluster has a zero-width box on every coordinate
+        pts = np.array([[0.0], [0.1], [0.2], [5.0]])
+        res = kmeans(pts, QUAD1, ClusterConfig(
+            k=2, seed=0, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}))
+        single = int(res.assignments[3])
+        assert np.bincount(res.assignments).tolist()[single] == 1
+        solves = [r for r in res.center_solves if r[1] == single]
+        assert solves
+        assert not any(on_edge for *_, on_edge in solves)

@@ -17,7 +17,6 @@ from chorddiv import (
     ParameterError,
     ShapeError,
     UnsupportedGeneratorError,
-    legendre_conjugate_numeric,
     make_builtin,
     restrict_to_line,
 )
@@ -221,53 +220,6 @@ class TestClosedFormConjugates:
                 t = sample_point(rng, F)
                 back = F.conjugate.grad(F.grad(t))
                 assert np.allclose(back, t, atol=1e-10)
-
-
-class TestLegendreNumeric:
-    def test_quadratic_interior(self):
-        F = make_builtin("quadratic", 1)
-        res = legendre_conjugate_numeric(F, 2.0, (-10.0, 10.0))
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-        assert res.argmax[0] == pytest.approx(1.0, abs=1e-6)
-        assert not res.on_boundary
-
-    def test_shannon_interior(self):
-        F = make_builtin("shannon_negentropy", 1)
-        res = legendre_conjugate_numeric(F, 1.0, (1e-3, 10.0))
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-        assert res.argmax[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_matches_closed_form_on_random_eta(self):
-        rng = np.random.default_rng(17)
-        for name, box, etas in (
-            ("quadratic", [(-10.0, 10.0)] * 2,
-             lambda: rng.uniform(-4.0, 4.0, 2)),
-            ("shannon_negentropy", [(1e-3, 10.0)] * 2,
-             lambda: rng.uniform(-1.0, 2.0, 2)),
-        ):
-            F = make_builtin(name, 2)
-            for _ in range(20):
-                eta = etas()
-                res = legendre_conjugate_numeric(F, eta, box)
-                assert res.value == pytest.approx(F.conjugate(eta), abs=1e-6)
-                assert not res.on_boundary
-
-    def test_boundary_flag(self):
-        F = make_builtin("quadratic", 1)
-        res = legendre_conjugate_numeric(F, 30.0, (-10.0, 10.0))
-        assert res.on_boundary
-        assert res.argmax[0] == pytest.approx(10.0, abs=1e-6)
-
-    def test_box_validation(self):
-        F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError):
-            legendre_conjugate_numeric(F, [1.0, 1.0], (0.0, 1.0, 2.0))
-        with pytest.raises(ParameterError):
-            legendre_conjugate_numeric(F, [1.0, 1.0],
-                                       [(1.0, 1.0), (0.0, 1.0)])
-        S = make_builtin("shannon_negentropy", 1)
-        with pytest.raises(DomainError):
-            legendre_conjugate_numeric(S, 1.0, (-1.0, 5.0))
 
 
 @given(

@@ -134,24 +134,56 @@ class TestGoldenMinimize:
 
 class TestCoordinateMinimize:
     def test_separable_quadratic(self):
-        x = coordinate_minimize(
+        res = coordinate_minimize(
             lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2,
             [-5.0, -5.0], [5.0, 5.0], tol=1e-9,
         )
-        assert np.allclose(x, [1.0, -2.0], atol=1e-8)
+        assert np.allclose(res.x, [1.0, -2.0], atol=1e-8)
+        assert not res.capped
+        assert not res.on_edge
 
     def test_minimum_pinned_to_box(self):
-        x = coordinate_minimize(lambda v: (v[0] - 10.0) ** 2,
-                                [0.0], [1.0], tol=1e-9)
-        assert x[0] == pytest.approx(1.0, abs=1e-8)
+        res = coordinate_minimize(lambda v: (v[0] - 10.0) ** 2,
+                                  [0.0], [1.0], tol=1e-9)
+        assert res.x[0] == pytest.approx(1.0, abs=1e-8)
+        assert res.on_edge
+        assert not res.capped
+        # the edge is 1e-6 of the width wide: 5e-7 inside is on it, 1e-3
+        # inside is not
+        for target, on_edge in ((1.0 - 5e-7, True), (1.0 - 1e-3, False)):
+            res = coordinate_minimize(lambda v: (v[0] - target) ** 2,
+                                      [0.0], [1.0], tol=1e-9)
+            assert res.on_edge is on_edge
 
     def test_coupled_quadratic(self):
         # minimum of (x - y)^2 + (x - 1)^2 at x = y = 1
-        x = coordinate_minimize(
+        res = coordinate_minimize(
             lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
             [-5.0, -5.0], [5.0, 5.0], tol=1e-10,
         )
-        assert np.allclose(x, [1.0, 1.0], atol=1e-6)
+        assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
+        assert not res.capped
+        assert 1 < res.sweeps < 60
+        # one sweep cannot settle the coupling, so the search is capped
+        res = coordinate_minimize(
+            lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
+            [-5.0, -5.0], [5.0, 5.0], tol=1e-10, max_sweeps=1,
+        )
+        assert res.capped
+        assert res.sweeps == 1
+        assert not res.on_edge
+
+    def test_zero_width_coordinate_is_not_on_edge(self):
+        # the pinned coordinate sits at both lo and hi, yet is not a
+        # search that ran into its box
+        res = coordinate_minimize(
+            lambda v: (v[0] - 0.3) ** 2 + (v[1] - 2.0) ** 2,
+            [0.0, 2.0], [1.0, 2.0], tol=1e-9,
+        )
+        assert res.x[1] == 2.0
+        assert res.x[0] == pytest.approx(0.3, abs=1e-8)
+        assert not res.on_edge
+        assert not res.capped
 
     def test_bad_box(self):
         with pytest.raises(BracketError):
