@@ -1,5 +1,5 @@
 """Resolution of divergence identifiers to callables, and the (alpha, beta)
-anchor sweep that resolves one per cell.
+anchor sweep.
 
 Shared by the CLI and clustering. An identifier is either a bare name
 (bregman, jensen, kl, ...), an f-divergence form fdiv:<f>, fdiv_dual:<f>,
@@ -23,6 +23,9 @@ from .bregman import (
     bregman_chord,
     bregman_dual,
     bregman_tangent,
+    chord_gap,
+    line_values,
+    skew_segment,
     tangent_anchor,
 )
 from .errors import (
@@ -51,6 +54,12 @@ from .jensen import (
 )
 
 
+# DivSpec.anchors values, how a value depends on the sweep anchors:
+CHORD = "chord"        # B[alpha, beta]; cells from one table of G values
+IGNORED = "ignored"    # neither; one evaluation repeated over the cells
+REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
+
+
 class DivSpec(NamedTuple):
     """How one identifier resolves.
 
@@ -64,13 +73,16 @@ class DivSpec(NamedTuple):
     ignore the generator and read their arguments as positive weights.
     right_centroid, when set, maps an (m, dim) member matrix to the
     closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
-    holds for every generator and parameter value.
+    holds for every generator and parameter value. anchors says how the
+    value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
+    REJECTED.
     """
 
     kernel: Callable
     build: Optional[Callable] = None
     needs_generator: bool = True
     right_centroid: Optional[Callable] = None
+    anchors: str = IGNORED
 
 
 def _member_mean(members):
@@ -85,19 +97,24 @@ DIVERGENCES = {
     "bregman_dual": DivSpec(bregman_dual),
     "bregman_chord": DivSpec(
         bregman_chord, lambda param: ChordParams(param("alpha"),
-                                                 param("beta"))),
+                                                 param("beta")),
+        anchors=CHORD),
     "bregman_tangent": DivSpec(
-        bregman_tangent, lambda param: tangent_anchor(param("alpha"))),
+        bregman_tangent, lambda param: tangent_anchor(param("alpha")),
+        anchors=REJECTED),
     "bregman_chord_approx": DivSpec(
         bregman_chord, lambda param: approx_anchors(param("epsilon"))),
     "jensen": DivSpec(jensen),
     "jensen_skewed": DivSpec(
-        jensen_skewed, lambda param: skew_weight(param("alpha"))),
+        jensen_skewed, lambda param: skew_weight(param("alpha")),
+        anchors=REJECTED),
     "jensen_chord": DivSpec(
         jensen_chord, lambda param: JensenChordParams(
-            param("alpha"), param("beta"), param("gamma"))),
+            param("alpha"), param("beta"), param("gamma")),
+        anchors=REJECTED),
     "jensen_bregman": DivSpec(
-        jensen_bregman, lambda param: skew_weight(param("alpha"))),
+        jensen_bregman, lambda param: skew_weight(param("alpha")),
+        anchors=REJECTED),
     "kl": DivSpec(kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
     "ekl": DivSpec(extended_kl, needs_generator=False,
@@ -108,7 +125,7 @@ DIVERGENCES = {
     "fdiv_jsym:": DivSpec(
         f_div, lambda name: j_symmetrize(make_f_generator(name)), False),
     "fdiv_jssym:": DivSpec(js_symmetrize_div, make_f_generator, False),
-    # needs_generator of a biskew id is its inner id's, see needs_generator
+    # needs_generator and anchors of a biskew id are its inner id's
     "biskew:": DivSpec(
         biskew, lambda param: SkewPair(param("gamma"), param("delta"))),
 }
@@ -211,24 +228,52 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
 
     alphas and betas are non-empty anchor values in (0, 1], visited in
     sorted order. Cells with alpha == beta are skipped: they are not valid
-    chord anchors. Each cell resolves div_id afresh with its alpha and beta
-    overriding any entries of the same name in params. Returns a list of
-    (alpha, beta, value) tuples.
+    chord anchors. Each cell's alpha and beta override any entries of the
+    same name in params. A CHORD id evaluates its line restriction once at
+    0 and at each distinct anchor (on the gamma and delta interpolants for
+    biskew:) and forms every cell from those values, as bregman_chord does;
+    an IGNORED id is evaluated once; a REJECTED id raises ParameterError
+    before any evaluation. Returns a list of (alpha, beta, value) tuples.
     """
     alphas = _anchors("alphas", alphas)
     betas = _anchors("betas", betas)
+    spec, rest = _spec(div_id)
+    use = (_spec(rest)[0] if spec.kernel is biskew else spec).anchors
+    if use == REJECTED:
+        accepted = ", ".join(
+            key + "<name>" if key.endswith(":") else key
+            for key, entry in DIVERGENCES.items()
+            if entry.anchors != REJECTED and entry.kernel is not biskew)
+        raise ParameterError(
+            f"sweep cannot take divergence {div_id!r}: it reads alpha "
+            f"alone or needs alpha <= beta, which an (alpha, beta) grid "
+            f"does not fit; sweep accepts {accepted}, and biskew:<id> of "
+            f"any of them"
+        )
+    cells = [(a, b) for a in alphas for b in betas if a != b]
+    if not cells:
+        return []
     base = dict(params or {})
+    # one resolution makes every parameter and identifier check
+    D = resolve_divergence(div_id, F, {**base, "alpha": cells[0][0],
+                                       "beta": cells[0][1]})
+    if use == IGNORED:
+        values = [float(D(theta1, theta2))] * len(cells)
+    else:
+        segment = (theta1, theta2)
+        if spec.kernel is biskew:
+            segment = skew_segment(theta1, theta2, SkewPair(
+                float(base["gamma"]), float(base["delta"])))
+        g = None if segment is None else line_values(F, *segment,
+                                                     alphas + betas)
+        values = [0.0 if g is None else
+                  chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
     rows = []
-    for a in alphas:
-        for b in betas:
-            if a == b:
-                continue
-            D = resolve_divergence(div_id, F, {**base, "alpha": a, "beta": b})
-            value = float(D(theta1, theta2))
-            if not math.isfinite(value):
-                raise DomainError(
-                    f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
-                    f"value {value}"
-                )
-            rows.append((a, b, value))
+    for (a, b), value in zip(cells, values):
+        if not math.isfinite(value):
+            raise DomainError(
+                f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
+                f"value {value}"
+            )
+        rows.append((a, b, value))
     return rows

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import chorddiv.verify
 from chorddiv import (
@@ -148,6 +149,18 @@ class TestSweep:
         bound = lines[-1].split("=", 1)[1]
         values = [line.rsplit(",", 1)[1] for line in lines[1:-1]]
         assert values == [bound] * 4
+
+    @pytest.mark.parametrize("div", ["jensen_chord", "bregman_tangent",
+                                     "jensen_skewed", "jensen_bregman"])
+    def test_rejects_ids_a_grid_does_not_fit(self, capsys, tmp_path, div):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "sweep", "--div", div, "--alpha", "0.5", "--gamma", "0.5",
+            "--x", "0", "--y", "1", "--grid", "3", "--out", str(out_csv))
+        assert code == 3
+        assert f"sweep cannot take divergence {div!r}" in err
+        assert "sweep accepts bregman, bregman_dual, bregman_chord, " in err
+        assert not out_csv.exists()
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"

@@ -8,7 +8,9 @@ import pytest
 
 from chorddiv import (
     BracketError,
+    Domain,
     DomainError,
+    Generator,
     ParameterError,
     UnknownDivergenceError,
     bisect_root,
@@ -238,9 +240,16 @@ class TestSweep:
         assert all(v == 1.0 for _, _, v in rows)
 
     @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
-    def test_cells_equal_resolved_divergence(self, div):
-        F = make_builtin("shannon_negentropy", 3)
-        x, y = np.array([0.3, 0.5, 1.2]), np.array([0.9, 0.2, 0.7])
+    @pytest.mark.parametrize("gen", ["quadratic", "shannon_negentropy",
+                                     "burg_negentropy", "log_sum_exp"])
+    @pytest.mark.parametrize("x, y", [
+        ([0.3], [0.9]),
+        ([0.3, 0.5, 1.2], [0.9, 0.2, 0.7]),
+        ([0.4, 0.6], [0.4, 0.6]),
+    ], ids=["d1", "d3", "coincident"])
+    def test_cells_equal_resolved_divergence(self, div, gen, x, y):
+        F = make_builtin(gen, len(x))
+        x, y = np.array(x), np.array(y)
         params = {"gamma": 0.3, "delta": 0.6}
         anchors = (0.2, 0.5, 1.0)
         rows = sweep(F, x, y, anchors, anchors, div, params)
@@ -248,6 +257,46 @@ class TestSweep:
         for a, b, v in rows:
             D = resolve_divergence(div, F, {**params, "alpha": a, "beta": b})
             assert v == D(x, y)
+
+    ALPHAS, BETAS = (0.25, 0.5, 0.75), (0.5, 0.75, 1.0)
+
+    def counted_sweep(self, div):
+        fn = Counter(lambda t: float(np.dot(t, t)))
+        F = Generator(name="counted", dim=2, domain=Domain("reals"), fn=fn)
+        params = {"gamma": 0.2, "delta": 0.9, "epsilon": 1e-3}
+        rows = sweep(F, [0.1, 0.4], [0.7, -0.2], self.ALPHAS, self.BETAS,
+                     div, params)
+        assert len(rows) == 7
+        return fn.calls
+
+    @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
+    def test_evaluates_each_distinct_anchor_once(self, div):
+        assert self.counted_sweep(div) == len({0.0, *self.ALPHAS,
+                                               *self.BETAS})
+
+    @pytest.mark.parametrize("div", ["bregman_chord_approx", "jensen"])
+    def test_anchor_free_divergence_evaluated_once(self, div):
+        # one call of a three-evaluation divergence, not one per cell
+        assert self.counted_sweep(div) == 3
+
+    def test_non_finite_cell_names_its_anchors(self):
+        def fn(t):
+            return float(t[0] ** 2) if t[0] < 0.9 else math.inf
+
+        F = Generator(name="blows_up", dim=1, domain=Domain("reals"), fn=fn)
+        with pytest.raises(DomainError, match=r"\(alpha=0\.25, beta=1\.0\)"):
+            sweep(F, 0.0, 1.0, (0.25,), (0.5, 1.0), "bregman_chord")
+
+    @pytest.mark.parametrize("div", ["bregman_tangent", "jensen_skewed",
+                                     "jensen_bregman", "jensen_chord",
+                                     "biskew:bregman_tangent"])
+    def test_rejects_ids_a_grid_does_not_fit(self, div):
+        fn = Counter(lambda t: float(np.dot(t, t)))
+        F = Generator(name="counted", dim=1, domain=Domain("reals"), fn=fn)
+        params = {"alpha": 0.5, "gamma": 0.5, "delta": 0.2}
+        with pytest.raises(ParameterError, match="sweep accepts bregman, "):
+            sweep(F, 0.0, 1.0, (0.25, 0.5), (0.5, 1.0), div, params)
+        assert fn.calls == 0
 
     def test_unknown_divergence(self):
         F = make_builtin("quadratic", 1)
