@@ -31,7 +31,8 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .generators import BUILTIN_GENERATORS, make_builtin
-from .registry import known_divergences, resolve_divergence, sweep
+from .registry import (known_divergences, resolve_divergence, sweep,
+                       sweep_divergences)
 from .verify import SUITES, run_all, run_suite
 
 PARAM_FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "families, divergence k-means, and anchor sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    div_help = ("divergence identifier, one of: "
-                + ", ".join(known_divergences()))
+    one_of = "divergence identifier, one of: "
+    div_help = one_of + ", ".join(known_divergences())
 
     p_eval = sub.add_parser(
         "eval", help="evaluate a divergence at one pair of points")
@@ -106,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--generator", default="quadratic",
                          help="built-in generator name")
     p_sweep.add_argument("--div", default="bregman_chord",
-                         help=div_help + " (default %(default)s)")
+                         help=one_of + ", ".join(sweep_divergences())
+                         + " (default %(default)s)")
     p_sweep.add_argument("--x", type=_vector, required=True)
     p_sweep.add_argument("--y", type=_vector, required=True)
     p_sweep.add_argument("--grid", type=_positive_int, required=True,

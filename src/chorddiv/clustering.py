@@ -31,12 +31,8 @@ from .registry import needs_generator, resolve_divergence, right_centroid
 #: sum_j (sum_i x_ij) log c_j, which falls without bound as c grows.
 _NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
 
-#: A numeric center update stops once a sweep moves no coordinate by more
-#: than CENTROID_TOL; each 1-D slice is solved to SLICE_TOL.
-CENTROID_TOL = 1e-8
+#: Golden-section tolerance of each 1-D slice of a numeric center search.
 SLICE_TOL = 1e-9
-#: The Lloyd loop stops once an iteration improves the objective by less.
-OBJECTIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,8 @@ class ClusterConfig:
     """Settings for a k-means run.
 
     divergence is any registry identifier; params feeds its scalar
-    parameters (alpha, beta, ...). The tolerances are the module constants
-    CENTROID_TOL, SLICE_TOL and OBJECTIVE_TOL.
+    parameters (alpha, beta, ...). The one tolerance is the module constant
+    SLICE_TOL; center searches and the Lloyd loop stop on progress.
     """
 
     k: int
@@ -68,10 +64,10 @@ class ClusterResult:
     """Outcome of a k-means run.
 
     objective_trace holds the objective after the initial assignment and
-    after each Lloyd iteration; it is non-increasing up to the centroid
-    solver tolerance. center_solves holds one (iteration, cluster, sweeps,
-    capped, on_edge) record per numeric center update, iterations counted
-    from 1, in the order they ran; it is () when every center is closed-form.
+    after each Lloyd iteration; every entry but the last is below the one
+    before. center_solves holds one (iteration, cluster, sweeps, capped,
+    on_edge) record per numeric center update, iterations counted from 1,
+    in the order they ran; it is () when every center is closed-form.
     """
 
     centers: np.ndarray
@@ -171,11 +167,11 @@ def _update_center(members: np.ndarray, F: Generator, D,
     the registry gives no closed form.
 
     Coordinate-wise golden-section search over the expanded bounding box,
-    started from the arithmetic mean, for at most 100 sweeps. Each slice is
-    solved to SLICE_TOL; sweeps stop once no coordinate moves by more than
-    CENTROID_TOL. The box stays in the positive orthant when F's domain is
-    positive or when positive is set, for divergences that read points as
-    positive weights. Returns the search's Minimum, whose x is the center.
+    started from the arithmetic mean, each slice solved to SLICE_TOL, until
+    a sweep does not lower the objective (at most 100 sweeps). The box stays
+    in the positive orthant when F's domain is positive or when positive is
+    set, for divergences that read points as positive weights. Returns the
+    search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
@@ -183,8 +179,7 @@ def _update_center(members: np.ndarray, F: Generator, D,
         return sum(float(D(x, c)) for x in members)
 
     return coordinate_minimize(total, lo, hi, x0=members.mean(axis=0),
-                               tol=SLICE_TOL, max_sweeps=100,
-                               stop_tol=CENTROID_TOL)
+                               tol=SLICE_TOL, max_sweeps=100)
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -196,8 +191,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     the divergence-nearest center (right argument; ties keep the lowest
     center index), and hands any emptied cluster the point farthest from its
     own center. The labels, the repair distances and the objective all come
-    from one n x k divergence matrix per iteration. Stops when the objective
-    improves by less than OBJECTIVE_TOL or after max_iters iterations. Every
+    from one n x k divergence matrix per iteration. Stops at the first
+    iteration that does not lower the objective, or after max_iters. Every
     numeric center update leaves a record in center_solves.
     Under kl and fdiv:kl, which have no right centroid, it raises
     InfeasibleError once the points have passed their checks.
@@ -260,7 +255,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         labels = _repair_empty(labels, cfg.k,
                                dist[np.arange(pts.shape[0]), labels])
         trace.append(_objective_from(dist, labels))
-        if trace[-2] - trace[-1] < OBJECTIVE_TOL:
+        if not trace[-1] < trace[-2]:
             break
     return ClusterResult(
         centers=centers,

@@ -124,10 +124,10 @@ class Minimum(NamedTuple):
     """How coordinate_minimize ended.
 
     x is the point found and sweeps the number of sweeps run. capped means
-    the sweep limit ran out before a sweep moved every coordinate by at most
-    stop_tol. on_edge means some coordinate whose box is wider than tol
-    ended within max(1e-6 * width, tol) of lo or hi, so the true minimizer
-    may lie outside the box.
+    the sweep limit ran out while each sweep still lowered the objective.
+    on_edge means some coordinate whose box is wider than tol ended within
+    max(1e-6 * width, tol) of lo or hi, so the true minimizer may lie
+    outside the box.
     """
 
     x: np.ndarray
@@ -139,15 +139,14 @@ class Minimum(NamedTuple):
 def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
                         x0: Optional[Sequence[float]] = None,
-                        tol: float = 1e-10, max_sweeps: int = 60,
-                        stop_tol: Optional[float] = None) -> Minimum:
+                        tol: float = 1e-10, max_sweeps: int = 60) -> Minimum:
     """Round-robin per-coordinate golden-section descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
-    golden_minimize to tol, until the largest per-coordinate movement in a
-    sweep drops to stop_tol (default tol) or max_sweeps is hit. Returns a
-    Minimum that says which of the two happened and whether the point ended
-    on the box edge. Deterministic for a fixed start.
+    golden_minimize to tol, until a sweep does not lower g or max_sweeps
+    is hit. Returns a Minimum that says which of the two happened and
+    whether the point ended on the box edge. A non-finite g at the start
+    or after a sweep raises DomainError. Deterministic for a fixed start.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -157,27 +156,24 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
         raise BracketError("box has lo > hi on some coordinate")
     x = 0.5 * (lo + hi) if x0 is None else np.asarray(x0, dtype=float).copy()
     np.clip(x, lo, hi, out=x)
-    if stop_tol is None:
-        stop_tol = tol
-    sweeps, capped = 0, True
-    while sweeps < max_sweeps:
-        sweeps += 1
-        moved = 0.0
-        for i in range(x.size):
-            if hi[i] - lo[i] <= tol:
-                best = 0.5 * (lo[i] + hi[i])
-            else:
-                def slice_obj(v: float, i: int = i) -> float:
-                    y = x.copy()
-                    y[i] = v
-                    return g(y)
-
-                best = golden_minimize(slice_obj, lo[i], hi[i], tol)
-            moved = max(moved, abs(best - x[i]))
-            x[i] = best
-        if moved <= stop_tol:
+    last, sweeps, capped = math.inf, 0, True
+    while True:
+        now = float(g(x))
+        if not math.isfinite(now):
+            raise DomainError(f"objective is {now} at {x.tolist()}")
+        if not now < last:
             capped = False
             break
+        if sweeps == max_sweeps:
+            break
+        last, sweeps = now, sweeps + 1
+        for i in range(x.size):
+            def slice_obj(v: float, i: int = i) -> float:
+                y = x.copy()
+                y[i] = v
+                return g(y)
+
+            x[i] = golden_minimize(slice_obj, lo[i], hi[i], tol)
     width = hi - lo
     edge_tol = np.maximum(1e-6 * width, tol)
     on_edge = (width > tol) & ((x - lo <= edge_tol) | (hi - x <= edge_tol))

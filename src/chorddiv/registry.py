@@ -211,6 +211,14 @@ def known_divergences() -> tuple:
                  for key in DIVERGENCES)
 
 
+def sweep_divergences() -> tuple:
+    """The known_divergences() that sweep accepts; biskew:<name> must wrap
+    one of the others."""
+    return tuple(family for family, spec
+                 in zip(known_divergences(), DIVERGENCES.values())
+                 if spec.anchors != REJECTED)
+
+
 def _anchors(label: str, values: Sequence[float]) -> tuple:
     anchors = tuple(sorted(float(v) for v in values))
     if not anchors:
@@ -240,15 +248,12 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     spec, rest = _spec(div_id)
     use = (_spec(rest)[0] if spec.kernel is biskew else spec).anchors
     if use == REJECTED:
-        accepted = ", ".join(
-            key + "<name>" if key.endswith(":") else key
-            for key, entry in DIVERGENCES.items()
-            if entry.anchors != REJECTED and entry.kernel is not biskew)
         raise ParameterError(
             f"sweep cannot take divergence {div_id!r}: it reads alpha "
             f"alone or needs alpha <= beta, which an (alpha, beta) grid "
-            f"does not fit; sweep accepts {accepted}, and biskew:<id> of "
-            f"any of them"
+            f"does not fit; sweep accepts "
+            f"{', '.join(sweep_divergences())}, where biskew: must wrap "
+            f"one of the others"
         )
     cells = [(a, b) for a in alphas for b in betas if a != b]
     if not cells:

@@ -11,6 +11,7 @@ from chorddiv import (
     SuiteResult,
     adjusted_rand_index,
     kmeans,
+    known_divergences,
     make_builtin,
 )
 from chorddiv.cli import main
@@ -161,6 +162,19 @@ class TestSweep:
         assert f"sweep cannot take divergence {div!r}" in err
         assert "sweep accepts bregman, bregman_dual, bregman_chord, " in err
         assert not out_csv.exists()
+
+    def test_help_lists_only_accepted_ids(self, capsys):
+        def help_ids(command):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            return set(out.replace(",", " ").split())
+
+        swept = help_ids("sweep")
+        for refused in ("bregman_tangent", "jensen_skewed", "jensen_chord",
+                        "jensen_bregman"):
+            assert refused not in swept
+        assert "bregman_chord" in swept
+        assert set(known_divergences()) <= help_ids("eval")
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -349,6 +363,21 @@ class TestCluster:
             "centers": res.centers.tolist(),
             "seed": 0,
         }
+
+    def test_converged_center_does_not_warn(self, capsys, tmp_path):
+        # the quadratic chord centroid is the member mean, where the search
+        # starts: it must end there uncapped, with no warning
+        pts = np.random.default_rng(0).uniform(0.2, 3.0, (4, 2))
+        inp = tmp_path / "points.csv"
+        write_points(inp, pts)
+        code, out, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--div", "bregman_chord", "--alpha", "0.9", "--beta", "1.0",
+            "--out-assignments", str(tmp_path / "assignments.csv"),
+            "--out-summary", str(tmp_path / "summary.json"))
+        assert code == 0
+        assert out.startswith("objective ")
+        assert err == ""
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -111,6 +111,17 @@ class TestUpdateCenter:
         assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
         assert not (found.capped or found.on_edge)
 
+    def test_search_from_the_centroid_stops_at_once(self):
+        # quadratic chord: the centroid is the member mean, where the
+        # search starts; a sweep cannot lower the objective from there
+        members = np.random.default_rng(0).uniform(0.2, 3.0, (4, 2))
+        D = resolve_divergence("bregman_chord", QUAD2,
+                               {"alpha": 0.9, "beta": 1.0})
+        found = _update_center(members, QUAD2, D)
+        assert not found.capped
+        assert found.sweeps <= 3
+        assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
+
     def test_positive_domain_center_stays_positive(self):
         F = make_builtin("shannon_negentropy", 1)
         members = np.array([[0.2], [0.4], [0.9]])
@@ -374,10 +385,12 @@ class TestCenterSolves:
 
         monkeypatch.setattr(chorddiv.clustering, "coordinate_minimize",
                             one_sweep)
+        # under shannon the member mean is not the chord centroid, so the
+        # one sweep allowed lowers the objective and the search is capped
         pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
-        res = kmeans(pts, QUAD2, ClusterConfig(
-            k=1, divergence="bregman_chord",
-            params={"alpha": 0.9, "beta": 1.0}))
+        res = kmeans(pts, make_builtin("shannon_negentropy", 2),
+                     ClusterConfig(k=1, divergence="bregman_chord",
+                                   params={"alpha": 0.9, "beta": 1.0}))
         assert res.center_solves
         for _, _, sweeps, capped, _ in res.center_solves:
             assert sweeps == 1

@@ -187,6 +187,26 @@ class TestCoordinateMinimize:
         assert not res.on_edge
         assert not res.capped
 
+    def test_start_at_minimizer_stops_after_one_sweep(self):
+        res = coordinate_minimize(
+            lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2,
+            [-5.0, -5.0], [5.0, 5.0], x0=[1.0, -2.0], tol=1e-9,
+        )
+        assert res.sweeps == 1
+        assert not res.capped
+        assert np.allclose(res.x, [1.0, -2.0], atol=1e-8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_objective_raises(self, bad):
+        with pytest.raises(DomainError, match=r"at \[0\.5, 0\.5\]"):
+            coordinate_minimize(lambda v: bad, [0.0, 0.0], [1.0, 1.0],
+                                max_sweeps=5)
+        # finite at the start, not after the first sweep
+        with pytest.raises(DomainError, match="objective is nan"):
+            coordinate_minimize(
+                lambda v: 0.0 if v[0] == 0.5 else float("nan"),
+                [0.0], [1.0], x0=[0.5], max_sweeps=5)
+
     def test_bad_box(self):
         with pytest.raises(BracketError):
             coordinate_minimize(lambda v: 0.0, [0.0, 1.0], [1.0])
