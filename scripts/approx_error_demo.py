@@ -12,9 +12,15 @@ import argparse
 
 import numpy as np
 
-from chorddiv import bregman, bregman_chord_approx, make_builtin
+from chorddiv import (
+    BUILTIN_GENERATORS,
+    bregman,
+    bregman_chord_approx,
+    make_builtin,
+)
 
 EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+DIM = 3
 
 
 def sample_pair(rng, domain_kind, dim):
@@ -35,19 +41,13 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    configs = [
-        ("quadratic", 3),
-        ("shannon_negentropy", 3),
-        ("burg_negentropy", 3),
-        ("log_sum_exp", 3),
-    ]
     header = "generator".ljust(20) + "".join(
         f"eps={e:<9.0e}" for e in EPSILONS) + "ratios"
     print(header)
-    for name, dim in configs:
+    for name in BUILTIN_GENERATORS:
         rng = np.random.default_rng(args.seed)
-        F = make_builtin(name, dim)
-        pairs = [sample_pair(rng, F.domain.kind, dim)
+        F = make_builtin(name, DIM)
+        pairs = [sample_pair(rng, F.domain.kind, DIM)
                  for _ in range(args.pairs)]
         errors = []
         for eps in EPSILONS:

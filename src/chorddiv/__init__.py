@@ -41,7 +41,6 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .fdiv import (
-    DiscreteDist,
     F_GENERATOR_NAMES,
     FGenerator,
     dual_generator,
@@ -109,7 +108,6 @@ __all__ = [
     "UnknownDivergenceError",
     "UnsupportedGeneratorError",
     "WitnessNotFoundError",
-    "DiscreteDist",
     "F_GENERATOR_NAMES",
     "FGenerator",
     "dual_generator",

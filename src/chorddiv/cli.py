@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .bregman import bregman
-from .clustering import ClusterConfig, kmeans
+from .clustering import NO_RIGHT_CENTROID, ClusterConfig, kmeans
 from .errors import (
     ChorddivError,
     ParseError,
@@ -128,7 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--k", type=_positive_int, required=True)
     p_cluster.add_argument("--generator", default="quadratic")
     p_cluster.add_argument("--div", default="bregman",
-                           help=div_help + " (default %(default)s)")
+                           help=div_help + "; k-means refuses "
+                           + " and ".join(NO_RIGHT_CENTROID)
+                           + ", which have no right centroid "
+                           "(default %(default)s)")
     p_cluster.add_argument("--seed", type=int, default=0)
     p_cluster.add_argument("--max-iters", type=_positive_int, default=100)
     p_cluster.add_argument("--out-assignments", default="assignments.csv",

@@ -27,9 +27,10 @@ from .numerics import Minimum, coordinate_minimize
 from .numerics import golden_minimize  # noqa: F401
 from .registry import needs_generator, resolve_divergence, right_centroid
 
-#: Ids with no right centroid: sum_i kl(x_i : c) is a constant minus
-#: sum_j (sum_i x_ij) log c_j, which falls without bound as c grows.
-_NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
+#: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
+#: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
+#: c grows.
+NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
 
 #: Golden-section tolerance of each 1-D slice of a numeric center search.
 SLICE_TOL = 1e-9
@@ -65,9 +66,11 @@ class ClusterResult:
 
     objective_trace holds the objective after the initial assignment and
     after each Lloyd iteration; every entry but the last is below the one
-    before. center_solves holds one (iteration, cluster, sweeps, capped,
-    on_edge) record per numeric center update, iterations counted from 1,
-    in the order they ran; it is () when every center is closed-form.
+    before. The run ends at the first iteration that does not lower the
+    objective or leaves the labels as they were, or after max_iters.
+    center_solves holds one (iteration, cluster, sweeps, capped, on_edge)
+    record per numeric center update, iterations counted from 1, in the
+    order they ran; it is () when every center is closed-form.
     """
 
     centers: np.ndarray
@@ -192,8 +195,9 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     center index), and hands any emptied cluster the point farthest from its
     own center. The labels, the repair distances and the objective all come
     from one n x k divergence matrix per iteration. Stops at the first
-    iteration that does not lower the objective, or after max_iters. Every
-    numeric center update leaves a record in center_solves.
+    iteration that does not lower the objective or whose labels equal the
+    labels its centers came from, or after max_iters. Every numeric center
+    update leaves a record in center_solves.
     Under kl and fdiv:kl, which have no right centroid, it raises
     InfeasibleError once the points have passed their checks.
     """
@@ -215,7 +219,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                 f"point {pts[i].tolist()} at row {i} is not strictly "
                 f"positive, as divergence {cfg.divergence!r} requires"
             )
-    if cfg.divergence in _NO_RIGHT_CENTROID:
+    if cfg.divergence in NO_RIGHT_CENTROID:
         raise InfeasibleError(
             f"divergence {cfg.divergence!r} has no right centroid: the sum "
             f"of kl(x_i : c) falls without bound as c grows; use 'ekl', "
@@ -251,11 +255,15 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                 solves.append((iterations, j, found.sweeps, found.capped,
                                found.on_edge))
         dist = _distances(pts, centers, D)
-        labels = np.argmin(dist, axis=1)
-        labels = _repair_empty(labels, cfg.k,
-                               dist[np.arange(pts.shape[0]), labels])
-        trace.append(_objective_from(dist, labels))
-        if not trace[-1] < trace[-2]:
+        fresh = np.argmin(dist, axis=1)
+        fresh = _repair_empty(fresh, cfg.k,
+                              dist[np.arange(pts.shape[0]), fresh])
+        trace.append(_objective_from(dist, fresh))
+        # Unchanged labels are a fixed point: the next iteration would
+        # solve the same centers again, bit for bit.
+        settled = np.array_equal(fresh, labels)
+        labels = fresh
+        if settled or not trace[-1] < trace[-2]:
             break
     return ClusterResult(
         centers=centers,

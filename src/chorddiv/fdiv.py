@@ -21,9 +21,6 @@ import numpy as np
 from .errors import DomainError, ParameterError, ShapeError, \
     UnsupportedGeneratorError
 
-#: Stable identifiers accepted by make_f_generator.
-F_GENERATOR_NAMES = ("kl", "tv", "chi2")
-
 
 @dataclass(frozen=True, eq=False)
 class FGenerator:
@@ -52,6 +49,16 @@ class FGenerator:
         return float(self.fn(u))
 
 
+_F_FUNCTIONS = {
+    "kl": lambda u: -np.log(u),
+    "tv": lambda u: 0.5 * np.abs(u - 1.0),
+    "chi2": lambda u: (u - 1.0) ** 2,
+}
+
+#: Stable identifiers accepted by make_f_generator.
+F_GENERATOR_NAMES = tuple(_F_FUNCTIONS)
+
+
 def make_f_generator(name: str) -> FGenerator:
     """Construct a built-in scalar generator by its stable identifier.
 
@@ -59,51 +66,19 @@ def make_f_generator(name: str) -> FGenerator:
     tv     |u - 1| / 2   (induces total variation)
     chi2   (u - 1)^2     (induces Neyman chi-square)
     """
-    if name == "kl":
-        return FGenerator("kl", lambda u: -np.log(u))
-    if name == "tv":
-        return FGenerator("tv", lambda u: 0.5 * np.abs(u - 1.0))
-    if name == "chi2":
-        return FGenerator("chi2", lambda u: (u - 1.0) ** 2)
-    raise UnsupportedGeneratorError(
-        f"unknown f generator {name!r}; known generators: "
-        f"{', '.join(F_GENERATOR_NAMES)}"
-    )
+    fn = _F_FUNCTIONS.get(name)
+    if fn is None:
+        raise UnsupportedGeneratorError(
+            f"unknown f generator {name!r}; known generators: "
+            f"{', '.join(F_GENERATOR_NAMES)}"
+        )
+    return FGenerator(name, fn)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteDist:
-    """Finite vector of strictly positive weights.
-
-    Set normalized=True for points of the probability simplex; the total is
-    then required to be within 1e-12 of one.
-    """
-
-    weights: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.ndim != 1:
-            raise ShapeError(
-                f"weights must be a 1-D vector, got shape {w.shape}"
-            )
-        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
-            raise DomainError("weights must be finite and strictly positive")
-        if self.normalized and abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise DomainError(
-                f"normalized weights must sum to 1 within 1e-12, got "
-                f"{float(np.sum(w))}"
-            )
-        object.__setattr__(self, "weights", w)
-
-
-Weights = Union[DiscreteDist, np.ndarray, list, tuple]
+Weights = Union[np.ndarray, list, tuple]
 
 
 def _weights(x: Weights, label: str) -> np.ndarray:
-    if isinstance(x, DiscreteDist):
-        return x.weights
     w = np.atleast_1d(np.asarray(x, dtype=float))
     if w.ndim != 1:
         raise ShapeError(f"{label} must be a 1-D vector, got shape {w.shape}")

@@ -28,14 +28,6 @@ DOMAIN_KINDS = ("reals", "positive")
 #: which guards log and reciprocal evaluations near the edge.
 DOMAIN_MARGIN = 1e-12
 
-#: Stable identifiers accepted by make_builtin (and the CLI --generator flag).
-BUILTIN_GENERATORS = (
-    "quadratic",
-    "shannon_negentropy",
-    "burg_negentropy",
-    "log_sum_exp",
-)
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -199,6 +191,9 @@ _BUILTIN_FACTORIES = {
     "log_sum_exp": _log_sum_exp,
 }
 
+#: Stable identifiers accepted by make_builtin (and the CLI --generator flag).
+BUILTIN_GENERATORS = tuple(_BUILTIN_FACTORIES)
+
 
 def make_builtin(name: str, dim: int) -> Generator:
     """Construct a built-in generator by its stable identifier.
@@ -208,8 +203,6 @@ def make_builtin(name: str, dim: int) -> Generator:
     burg_negentropy     -sum log t_i on the positive orthant (no conjugate)
     log_sum_exp         log(1 + sum e^(t_i)) on R^D (no conjugate)
     """
-    if int(dim) < 1:
-        raise ParameterError(f"generator dimension must be >= 1, got {dim}")
     factory = _BUILTIN_FACTORIES.get(name)
     if factory is None:
         raise UnsupportedGeneratorError(

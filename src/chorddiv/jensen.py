@@ -60,13 +60,9 @@ def jensen(F: Generator, theta1, theta2) -> float:
     """Midpoint convexity gap (F(theta1) + F(theta2))/2 - F(midpoint).
 
     Symmetric in its arguments; zero iff they coincide for strictly convex F.
+    It is jensen_skewed at alpha = 1/2.
     """
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if _coincident(t1, t2):
-        return 0.0
-    m = F.point(0.5 * (t1 + t2))
-    return 0.5 * (float(F.fn(t1)) + float(F.fn(t2))) - float(F.fn(m))
+    return jensen_skewed(F, theta1, theta2, 0.5)
 
 
 def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:

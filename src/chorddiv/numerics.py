@@ -123,11 +123,13 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
 class Minimum(NamedTuple):
     """How coordinate_minimize ended.
 
-    x is the point found and sweeps the number of sweeps run. capped means
-    the sweep limit ran out while each sweep still lowered the objective.
-    on_edge means some coordinate whose box is wider than tol ended within
-    max(1e-6 * width, tol) of lo or hi, so the true minimizer may lie
-    outside the box.
+    x is the lowest point between sweeps: the start of the sweep that did
+    not lower the objective, or the end of the last sweep when capped.
+    sweeps counts every sweep run, that last one included. capped means the
+    sweep limit ran out while each sweep still lowered the objective.
+    on_edge means some coordinate of x whose box is wider than tol lies
+    within max(1e-6 * width, tol) of lo or hi, so the true minimizer may
+    lie outside the box.
     """
 
     x: np.ndarray
@@ -144,9 +146,10 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
     golden_minimize to tol, until a sweep does not lower g or max_sweeps
-    is hit. Returns a Minimum that says which of the two happened and
-    whether the point ended on the box edge. A non-finite g at the start
-    or after a sweep raises DomainError. Deterministic for a fixed start.
+    is hit. Returns a Minimum at the lowest point between sweeps, saying
+    which of the two happened and whether that point lies on the box edge.
+    A non-finite g at the start or after a sweep raises DomainError.
+    Deterministic for a fixed start.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -162,11 +165,11 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
         if not math.isfinite(now):
             raise DomainError(f"objective is {now} at {x.tolist()}")
         if not now < last:
-            capped = False
+            x, capped = before, False
             break
         if sweeps == max_sweeps:
             break
-        last, sweeps = now, sweeps + 1
+        last, sweeps, before = now, sweeps + 1, x.copy()
         for i in range(x.size):
             def slice_obj(v: float, i: int = i) -> float:
                 y = x.copy()

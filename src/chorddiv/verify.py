@@ -30,13 +30,19 @@ from .bregman import (
 from .clustering import ClusterConfig, adjusted_rand_index, kmeans
 from .errors import ParameterError
 from .fdiv import (
+    F_GENERATOR_NAMES,
     dual_generator,
     extended_kl,
     f_div,
     kl,
     make_f_generator,
 )
-from .generators import Generator, make_builtin, restrict_to_line
+from .generators import (
+    BUILTIN_GENERATORS,
+    Generator,
+    make_builtin,
+    restrict_to_line,
+)
 from .jensen import (
     JensenChordParams,
     jensen,
@@ -231,14 +237,13 @@ def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
     """The witness matches the chord slope to 1e-9 and reconstructs the
     chord divergence to 1e-8, on univariate instances of every builtin."""
     rng = np.random.default_rng(seed)
-    names = ("quadratic", "shannon_negentropy", "burg_negentropy",
-             "log_sum_exp")
     instances = max(4, trials // 2)
     worst_slope = -np.inf
     worst_recon = -np.inf
     inside = True
     for i in range(instances):
-        F = make_builtin(names[i % len(names)], 1)
+        F = make_builtin(
+            BUILTIN_GENERATORS[i % len(BUILTIN_GENERATORS)], 1)
         t1, t2 = _sample_pair(rng, F)
         cp = _sample_anchors(rng)
         lam = mean_value_witness(F, t1, t2, cp)
@@ -342,7 +347,7 @@ def suite_fdiv(trials: int = 200, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     pairs = max(2, trials // 2)
     worst_dual = -np.inf
-    for name in ("kl", "tv", "chi2"):
+    for name in F_GENERATOR_NAMES:
         f = make_f_generator(name)
         fd = dual_generator(f)
         for dim in (2, 5):

@@ -333,6 +333,13 @@ class TestCluster:
         assert "'ekl'" in err
         assert not (tmp_path / "summary.json").exists()
 
+    def test_help_names_refused_ids(self, capsys):
+        code, out, _ = run(capsys, "cluster", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "k-means refuses kl and fdiv:kl, which have no right " \
+               "centroid" in text
+
     def test_edge_pinned_center_warns(self, capsys, tmp_path):
         pts = [[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]]
         inp = tmp_path / "points.csv"

@@ -379,6 +379,18 @@ class TestCenterSolves:
         expected = [0.64, 0.84] if corner == "upper" else [0.16, 0.36]
         assert np.allclose(res.centers[0], expected, atol=1e-8)
 
+    def test_unchanged_labels_end_the_run(self):
+        # k = 1 keeps every label from the start, so the first iteration
+        # already reaches the fixed point; a second would repeat its solve
+        pts = np.array([[0.2, 0.8], [0.3, 0.7], [0.6, 0.4]])
+        res = kmeans(pts, QUAD2, ClusterConfig(
+            k=1, divergence="biskew:kl",
+            params={"gamma": 0.2, "delta": 0.7}))
+        assert res.iterations == 1
+        assert len(res.center_solves) == 1
+        assert res.center_solves[0][:2] == (1, 0)
+        assert len(res.objective_trace) == 2
+
     def test_capped_search_is_recorded(self, monkeypatch):
         def one_sweep(*args, **kwargs):
             return coordinate_minimize(*args, **{**kwargs, "max_sweeps": 1})

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chorddiv import (
-    DiscreteDist,
     DomainError,
     FGenerator,
     ParameterError,
@@ -56,24 +55,6 @@ class TestFGenerator:
     def test_unknown_name(self):
         with pytest.raises(UnsupportedGeneratorError):
             make_f_generator("hellinger")
-
-
-class TestDiscreteDist:
-    def test_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            DiscreteDist(np.array([0.5, 0.0]))
-        with pytest.raises(DomainError):
-            DiscreteDist(np.array([0.5, -0.1]))
-
-    def test_normalized_flag(self):
-        DiscreteDist(np.array([0.25, 0.75]), normalized=True)
-        with pytest.raises(DomainError):
-            DiscreteDist(np.array([0.25, 0.80]), normalized=True)
-
-    def test_accepted_by_divergences(self):
-        p = DiscreteDist(np.array([0.5, 0.5]), normalized=True)
-        q = DiscreteDist(np.array([0.25, 0.75]), normalized=True)
-        assert kl(p, q) == pytest.approx(KL_HALF_QUARTER, abs=1e-12)
 
 
 class TestScalarFDiv:
@@ -143,6 +124,12 @@ class TestFDiv:
         f = make_f_generator("kl")
         with pytest.raises(DomainError):
             f_div(f, (0.5, 0.0), (0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, bad):
+        f = make_f_generator("kl")
+        with pytest.raises(DomainError, match="q must have finite"):
+            f_div(f, (0.5, 0.5), (0.5, bad))
 
 
 class TestDualGenerator:

@@ -66,8 +66,11 @@ class TestMakeBuiltin:
             make_builtin("euclidean", 2)
 
     def test_bad_dimension(self):
-        with pytest.raises(ParameterError):
-            make_builtin("quadratic", 0)
+        for name in BUILTIN_GENERATORS:
+            with pytest.raises(ParameterError,
+                               match="generator dimension must be >= 1, "
+                                     "got 0"):
+                make_builtin(name, 0)
 
     def test_all_names_construct(self):
         for name in BUILTIN_GENERATORS:
