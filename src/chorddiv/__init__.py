@@ -7,7 +7,6 @@ divergences, and an (alpha, beta) sweep engine.
 """
 
 from .bregman import (
-    DEGENERATE_EPS,
     ChordParams,
     SkewPair,
     biskew,
@@ -54,6 +53,7 @@ from .fdiv import (
 )
 from .generators import (
     BUILTIN_GENERATORS,
+    DEGENERATE_EPS,
     Domain,
     Generator,
     LineRestriction,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -57,14 +57,17 @@ def _vector(text: str) -> List[float]:
     return [_finite_float(p) for p in parts]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text!r}")
+        return value
+    return parse
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                          + " (default %(default)s)")
     p_sweep.add_argument("--x", type=_vector, required=True)
     p_sweep.add_argument("--y", type=_vector, required=True)
-    p_sweep.add_argument("--grid", type=_positive_int, required=True,
+    p_sweep.add_argument("--grid", type=_int_at_least(1), required=True,
                          help="N interior anchors per axis: alpha from "
                               "{i/(N+1)}, beta additionally includes 1.0")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
@@ -125,15 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--input", required=True,
                            help="points CSV, one comma-separated point per "
                                 "line, no header")
-    p_cluster.add_argument("--k", type=_positive_int, required=True)
+    p_cluster.add_argument("--k", type=_int_at_least(1), required=True)
     p_cluster.add_argument("--generator", default="quadratic")
     p_cluster.add_argument("--div", default="bregman",
                            help=div_help + "; k-means refuses "
                            + " and ".join(NO_RIGHT_CENTROID)
                            + ", which have no right centroid "
                            "(default %(default)s)")
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--max-iters", type=_positive_int, default=100)
+    p_cluster.add_argument("--seed", type=_int_at_least(0), default=0,
+                           help="random seed, >= 0 (default %(default)s)")
+    p_cluster.add_argument("--max-iters", type=_int_at_least(1), default=100)
     p_cluster.add_argument("--out-assignments", default="assignments.csv",
                            help="output CSV of index,cluster rows")
     p_cluster.add_argument("--out-summary", default="summary.json",
@@ -145,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the randomized property suites")
     p_verify.add_argument("--suite", default=None,
                           help="run one suite: " + ", ".join(SUITES))
-    p_verify.add_argument("--trials", type=_positive_int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=200)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0,
+                          help="random seed, >= 0 (default %(default)s)")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -58,6 +58,8 @@ class ClusterConfig:
             raise ParameterError(
                 f"max_iters must be >= 1, got {self.max_iters}"
             )
+        if int(self.seed) < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

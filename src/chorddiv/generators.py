@@ -28,6 +28,10 @@ DOMAIN_KINDS = ("reals", "positive")
 #: which guards log and reciprocal evaluations near the edge.
 DOMAIN_MARGIN = 1e-12
 
+#: Pairs closer than this in the max norm coincide: every kernel returns 0.0
+#: for them, avoiding 0/0 in slope terms, and no line restriction joins them.
+DEGENERATE_EPS = 1e-14
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -51,12 +55,9 @@ class Domain:
             )
 
     def contains(self, coords: np.ndarray) -> bool:
-        coords = np.asarray(coords, dtype=float)
-        if not np.all(np.isfinite(coords)):
-            return False
-        if self.kind == "reals":
-            return True
-        return bool(np.all(coords > DOMAIN_MARGIN))
+        c = np.asarray(coords, dtype=float)
+        return bool(np.isfinite(c).all()
+                    and (self.kind == "reals" or (c > DOMAIN_MARGIN).all()))
 
 
 REALS = Domain("reals")
@@ -240,16 +241,24 @@ class LineRestriction:
         return float(np.dot(self.theta2 - self.theta1, g))
 
 
+def coincide(t1: np.ndarray, t2: np.ndarray) -> bool:
+    """Whether two points are closer than DEGENERATE_EPS in the max norm."""
+    return float(np.max(np.abs(t1 - t2))) < DEGENERATE_EPS
+
+
+def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
+    """The argument step of every generator kernel: both points validated
+    by F, as (t1, t2), or None when they coincide."""
+    t1 = F.point(theta1)
+    t2 = F.point(theta2)
+    return None if coincide(t1, t2) else (t1, t2)
+
+
 def restrict_to_line(F: Generator, theta1, theta2) -> LineRestriction:
     """Restrict a generator to the segment through theta1 and theta2.
 
-    Both endpoints must be interior domain points and must differ in at
-    least one coordinate.
+    Both endpoints must be interior domain points and must not coincide.
     """
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if bool(np.all(t1 == t2)):
-        raise DegenerateRestrictionError(
-            "line restriction endpoints coincide"
-        )
-    return LineRestriction(F, t1, t2)
+    if (ends := endpoints(F, theta1, theta2)) is None:
+        raise DegenerateRestrictionError("line restriction endpoints coincide")
+    return LineRestriction(F, *ends)

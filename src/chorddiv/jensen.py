@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bregman import _coincident, bregman, interpolate
+from .bregman import bregman, interpolate
 from .errors import ParameterError
-from .generators import Generator
+from .generators import Generator, endpoints
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,9 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
     to the reverse Bregman divergence as alpha -> 0.
     """
     a = skew_weight(alpha)
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if _coincident(t1, t2):
+    if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
+    t1, t2 = ends
     m = F.point(interpolate(t1, t2, a))
     return ((1.0 - a) * float(F.fn(t1)) + a * float(F.fn(t2))
             - float(F.fn(m)))
@@ -90,11 +89,10 @@ def jensen_bregman(F: Generator, theta1, theta2, alpha: float) -> float:
     Coincides with the midpoint Jensen gap at alpha = 1/2.
     """
     a = skew_weight(alpha)
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if _coincident(t1, t2):
+    if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
-    m = F.point(interpolate(t1, t2, a))
+    t1, t2 = ends
+    m = interpolate(t1, t2, a)  # bregman validates it
     return ((1.0 - a) * bregman(F, t1, m) + a * bregman(F, t2, m))
 
 
@@ -112,10 +110,9 @@ def jensen_chord(F: Generator, theta1, theta2,
     Non-negative by convexity; equals the skewed Jensen gap when
     alpha = beta = gamma.
     """
-    t1 = F.point(theta1)
-    t2 = F.point(theta2)
-    if _coincident(t1, t2):
+    if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
+    t1, t2 = ends
     a, b, c = float(jcp.alpha), float(jcp.beta), float(jcp.gamma)
     upper = (1.0 - c) * float(F.fn(t1)) + c * float(F.fn(t2))
     if a == b:  # necessarily c == a, so the lower chord degenerates to F(m_c)

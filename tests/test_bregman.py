@@ -19,6 +19,7 @@ from chorddiv import (
     DomainError,
     Generator,
     GradientRequiredError,
+    JensenChordParams,
     ParameterError,
     ShapeError,
     SkewPair,
@@ -29,6 +30,10 @@ from chorddiv import (
     bregman_dual,
     bregman_tangent,
     interpolate,
+    jensen,
+    jensen_bregman,
+    jensen_chord,
+    jensen_skewed,
     kl,
     make_builtin,
     mean_value_witness,
@@ -423,6 +428,15 @@ class TestDegenerateRule:
         assert bregman_chord(F, t1, t2, cp) == 0.0
         assert bregman_tangent(F, t1, t2, 0.5) == 0.0
         assert bregman_chord_approx(F, t1, t2, 1e-3) == 0.0
+        assert jensen(F, t1, t2) == 0.0
+        assert jensen_skewed(F, t1, t2, 0.3) == 0.0
+        assert jensen_bregman(F, t1, t2, 0.3) == 0.0
+        assert jensen_chord(F, t1, t2, JensenChordParams(0.2, 0.8, 0.5)) == 0.0
+        # the same rule refuses to join the pair by a line
+        with pytest.raises(DegenerateRestrictionError):
+            restrict_to_line(F, t1, t2)
+        with pytest.raises(DegenerateRestrictionError):
+            mean_value_witness(F, t1, t2, cp)
 
 
 class TestScaleInvariance:

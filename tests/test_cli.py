@@ -416,6 +416,17 @@ class TestCluster:
         assert code == 3
         assert "distinct" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path):
+        inp = self.make_input(tmp_path)
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--seed", "-1",
+            "--out-assignments", str(tmp_path / "assignments.csv"),
+            "--out-summary", str(tmp_path / "summary.json"))
+        assert code == 2
+        assert "--seed: must be >= 0" in err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_unwritable_assignments(self, capsys, tmp_path):
         inp = self.make_input(tmp_path)
         code, _, _ = run(
@@ -430,6 +441,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
         assert "nope" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "fdiv", "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--seed: must be >= 0" in err
 
     def test_single_suite_passes(self, capsys):
         code, out, _ = run(

@@ -44,6 +44,10 @@ class TestClusterConfig:
         with pytest.raises(ParameterError):
             ClusterConfig(k=2, max_iters=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            ClusterConfig(k=2, seed=-1)
+
 
 class TestObjective:
     def test_hand_value(self):
