@@ -138,6 +138,37 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     return chord_gap(G(0.0), G(a), G(b), a, b)
 
 
+def bregman_chord_block(F: Generator, X, theta2, cp: ChordParams
+                        ) -> np.ndarray:
+    """bregman_chord(F, X[i], theta2, cp) for each row of the (m, dim)
+    block X, bit for bit, validated once per block.
+
+    theta2 goes through F.point; X gets one shape check, and X with its
+    alpha and beta interpolants toward theta2 one domain check, which
+    raises F.point's DomainError for the first point outside. Rows that
+    coincide with theta2 give 0.0; every other row costs three F.fn calls.
+    """
+    t2 = F.point(theta2)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != F.dim:
+        raise ShapeError(
+            f"{F.name} expects an (m, {F.dim}) block of points, got shape "
+            f"{X.shape}"
+        )
+    a, b = float(cp.alpha), float(cp.beta)
+    # row i holds G(0), G(a), G(b)'s points, as LineRestriction forms them
+    block = np.stack([(1.0 - lam) * X + lam * t2 for lam in (0.0, a, b)],
+                     axis=1)
+    if not F.domain.contains(block):
+        for p in block.reshape(-1, F.dim):
+            F.point(p)  # raises at the first point outside the domain
+    values = np.zeros(X.shape[0])
+    for i in np.flatnonzero(~coincide(X, t2)):
+        g0, g_a, g_b = [float(F.fn(p)) for p in block[i]]
+        values[i] = chord_gap(g0, g_a, g_b, a, b)
+    return values
+
+
 def line_values(F: Generator, theta1, theta2, lams) -> Optional[dict]:
     """The line restriction G(lam) = F((1 - lam) theta1 + lam theta2) at
     0 and at each of lams, keyed by lam and evaluated once per distinct

@@ -8,8 +8,11 @@ cluster's bounding box (expanded by 10 percent and kept in the positive
 orthant when the generator's domain or the divergence needs positive
 arguments), so no gradient is ever needed. Each numeric solve is recorded
 with how it ended; the library only records, it never warns. Each iteration
-evaluates the n x k divergence matrix once. Everything is deterministic for
-a fixed seed.
+evaluates the n x k divergence matrix once. Every divergence value comes
+from registry.resolve_block's evaluator, one call per block of points
+against one center: bregman_chord and bregman_chord_approx validate once
+per block, other ids loop their per-pair callable. Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, ParameterError, ShapeError
 from .generators import Generator
 from .numerics import Minimum, coordinate_minimize
-# Not called here: perfbench/tracing.py patches golden_minimize by this name.
+# Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
-from .registry import needs_generator, resolve_divergence, right_centroid
+from .registry import resolve_divergence  # noqa: F401
+from .registry import needs_generator, resolve_block, right_centroid
 
 #: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
 #: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
@@ -112,9 +116,10 @@ def objective(points, assignments, centers, D) -> float:
     return total
 
 
-def _distances(pts: np.ndarray, centers: np.ndarray, D) -> np.ndarray:
-    """The (n, k) matrix of D(pts[i] : centers[j])."""
-    return np.array([[float(D(x, c)) for c in centers] for x in pts])
+def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
+    """The (n, k) matrix of D(pts[i] : centers[j]), one block(pts, c) call
+    per center."""
+    return np.column_stack([block(pts, c) for c in centers])
 
 
 def _objective_from(dist: np.ndarray, labels: np.ndarray) -> float:
@@ -166,22 +171,24 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
     return lo_x, hi + 0.1 * width
 
 
-def _update_center(members: np.ndarray, F: Generator, D,
+def _update_center(members: np.ndarray, F: Generator, block,
                    positive: bool = False) -> Minimum:
     """Numerical right centroid: argmin_c sum_i D(x_i : c), for divergences
     the registry gives no closed form.
 
     Coordinate-wise golden-section search over the expanded bounding box,
     started from the arithmetic mean, each slice solved to SLICE_TOL, until
-    a sweep does not lower the objective (at most 100 sweeps). The box stays
-    in the positive orthant when F's domain is positive or when positive is
-    set, for divergences that read points as positive weights. Returns the
+    a sweep does not lower the objective (at most 100 sweeps). Each
+    objective value is one block(members, c) call, a resolve_block
+    evaluator, its values summed in index order. The box stays in the
+    positive orthant when F's domain is positive or when positive is set,
+    for divergences that read points as positive weights. Returns the
     search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
     def total(c: np.ndarray) -> float:
-        return sum(float(D(x, c)) for x in members)
+        return sum(block(members, c).tolist())
 
     return coordinate_minimize(total, lo, hi, x0=members.mean(axis=0),
                                tol=SLICE_TOL, max_sweeps=100)
@@ -232,13 +239,13 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         raise InfeasibleError(
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
-    D = resolve_divergence(cfg.divergence, F, cfg.params)
+    block = resolve_block(cfg.divergence, F, cfg.params)
     centroid = right_centroid(cfg.divergence)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
 
-    dist = _distances(pts, centers, D)
+    dist = _distances(pts, centers, block)
     labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
     trace = [_objective_from(dist, labels)]
     solves = []
@@ -252,11 +259,11 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             if centroid is not None:
                 centers[j] = centroid(members)
             else:
-                found = _update_center(members, F, D, positive)
+                found = _update_center(members, F, block, positive)
                 centers[j] = found.x
                 solves.append((iterations, j, found.sweeps, found.capped,
                                found.on_edge))
-        dist = _distances(pts, centers, D)
+        dist = _distances(pts, centers, block)
         fresh = np.argmin(dist, axis=1)
         fresh = _repair_empty(fresh, cfg.k,
                               dist[np.arange(pts.shape[0]), fresh])

@@ -241,9 +241,10 @@ class LineRestriction:
         return float(np.dot(self.theta2 - self.theta1, g))
 
 
-def coincide(t1: np.ndarray, t2: np.ndarray) -> bool:
-    """Whether two points are closer than DEGENERATE_EPS in the max norm."""
-    return float(np.max(np.abs(t1 - t2))) < DEGENERATE_EPS
+def coincide(t1: np.ndarray, t2: np.ndarray):
+    """Whether two points are closer than DEGENERATE_EPS in the max norm;
+    row by row, as a boolean array, when t1 is an (m, dim) block."""
+    return np.max(np.abs(t1 - t2), axis=-1) < DEGENERATE_EPS
 
 
 def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:

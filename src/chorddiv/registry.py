@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .bregman import (
     ChordParams,
     SkewPair,
@@ -21,6 +23,7 @@ from .bregman import (
     biskew,
     bregman,
     bregman_chord,
+    bregman_chord_block,
     bregman_dual,
     bregman_tangent,
     chord_gap,
@@ -75,7 +78,8 @@ class DivSpec(NamedTuple):
     closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
     holds for every generator and parameter value. anchors says how the
     value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
-    REJECTED.
+    REJECTED. block, when set, is the kernel's block form,
+    block(F, X, y, arg) -> the values kernel(F, X[i], y, arg), bit for bit.
     """
 
     kernel: Callable
@@ -83,6 +87,7 @@ class DivSpec(NamedTuple):
     needs_generator: bool = True
     right_centroid: Optional[Callable] = None
     anchors: str = IGNORED
+    block: Optional[Callable] = None
 
 
 def _member_mean(members):
@@ -98,12 +103,13 @@ DIVERGENCES = {
     "bregman_chord": DivSpec(
         bregman_chord, lambda param: ChordParams(param("alpha"),
                                                  param("beta")),
-        anchors=CHORD),
+        anchors=CHORD, block=bregman_chord_block),
     "bregman_tangent": DivSpec(
         bregman_tangent, lambda param: tangent_anchor(param("alpha")),
         anchors=REJECTED),
     "bregman_chord_approx": DivSpec(
-        bregman_chord, lambda param: approx_anchors(param("epsilon"))),
+        bregman_chord, lambda param: approx_anchors(param("epsilon")),
+        block=bregman_chord_block),
     "jensen": DivSpec(jensen),
     "jensen_skewed": DivSpec(
         jensen_skewed, lambda param: skew_weight(param("alpha")),
@@ -166,16 +172,7 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
     the generator. Parameters are validated eagerly, so invalid anchors or
     skews fail here rather than at the first evaluation.
     """
-    params = dict(params or {})
-
-    def param(key: str) -> float:
-        value = params.get(key)
-        if value is None:
-            raise ParameterError(
-                f"divergence {div_id!r} requires parameter {key!r}"
-            )
-        return float(value)
-
+    param = _reader(div_id, params)
     spec, rest = _spec(div_id)
     kernel = spec.kernel
     if kernel is biskew:
@@ -203,6 +200,42 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
         return lambda x, y: kernel(generator, x, y)
     arg = spec.build(param)
     return lambda x, y: kernel(generator, x, y, arg)
+
+
+def resolve_block(div_id: str, generator: Optional[Generator] = None,
+                  params: Optional[Mapping[str, float]] = None
+                  ) -> Callable:
+    """Resolve an identifier to (X, y) -> the array of D(X[i] : y) over
+    the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
+    callable.
+
+    Ids with a block kernel validate once per call and skip the per-pair
+    callable; the others loop the callable resolve_divergence returns.
+    """
+    spec, _ = _spec(div_id)
+    if spec.block is None:
+        D = resolve_divergence(div_id, generator, params)
+        return lambda X, y: np.array([float(D(x, y)) for x in X])
+    if generator is None:
+        raise ParameterError(f"divergence {div_id!r} requires a generator")
+    arg = spec.build(_reader(div_id, params))
+    return lambda X, y: spec.block(generator, X, y, arg)
+
+
+def _reader(div_id: str, params: Optional[Mapping[str, float]]
+            ) -> Callable[[str], float]:
+    """param(name): the float value of params[name], which div_id
+    requires."""
+    params = dict(params or {})
+
+    def param(key: str) -> float:
+        value = params.get(key)
+        if value is None:
+            raise ParameterError(
+                f"divergence {div_id!r} requires parameter {key!r}"
+            )
+        return float(value)
+    return param
 
 
 def known_divergences() -> tuple:

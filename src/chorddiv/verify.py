@@ -468,14 +468,24 @@ SUITES: Dict[str, Callable[[int, int], SuiteResult]] = {
 }
 
 
+def _check_run(trials: int, seed: int) -> None:
+    """The CLI's rule for --trials and --seed: trials >= 1, seed >= 0."""
+    if int(trials) < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if int(seed) < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def run_suite(name: str, trials: int = 200, seed: int = 0) -> SuiteResult:
     fn = SUITES.get(name)
     if fn is None:
         raise ParameterError(
             f"unknown suite {name!r}; known suites: {', '.join(SUITES)}"
         )
+    _check_run(trials, seed)
     return fn(trials, seed)
 
 
 def run_all(trials: int = 200, seed: int = 0) -> list:
+    _check_run(trials, seed)
     return [fn(trials, seed) for fn in SUITES.values()]

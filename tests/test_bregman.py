@@ -13,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chorddiv import (
+    BUILTIN_GENERATORS,
     ChordParams,
     DegenerateRestrictionError,
     Domain,
@@ -39,6 +40,7 @@ from chorddiv import (
     mean_value_witness,
     restrict_to_line,
 )
+from chorddiv.bregman import bregman_chord_block
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -250,6 +252,85 @@ class TestBregmanChord:
         F = make_builtin("shannon_negentropy", 1)
         with pytest.raises(DomainError):
             bregman_chord(F, 0.5, -0.5, ChordParams(0.25, 0.75))
+
+
+def expsum(dim):
+    """A custom generator with no gradient: F(t) = sum exp(t_i)."""
+    return Generator(name="expsum", dim=dim, domain=Domain("reals"),
+                     fn=lambda t: float(np.sum(np.exp(t))))
+
+
+def counted(F):
+    """F rebuilt as a Generator subclass that counts point and fn calls."""
+    calls = {"point": 0, "fn": 0}
+
+    class Counted(Generator):
+        def point(self, theta):
+            calls["point"] += 1
+            return super().point(theta)
+
+    def fn(t):
+        calls["fn"] += 1
+        return F.fn(t)
+
+    return Counted(F.name, F.dim, F.domain, fn, F.grad_fn), calls
+
+
+class TestBregmanChordBlock:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
+    def test_bit_equal_to_bregman_chord(self, gen, dim):
+        F = expsum(dim) if gen == "expsum" else make_builtin(gen, dim)
+        positive = F.domain.kind == "positive"
+        rng = np.random.default_rng(dim)
+        for mag in (1e-2, 1.0, 1e2):
+            sign = 1.0 if positive else rng.choice([-1.0, 1.0], dim)
+            c = sign * mag * rng.uniform(0.5, 1.5, dim)
+            X = np.array([c * (1.0 + gap * rng.uniform(-1.0, 1.0, dim))
+                          for gap in (1e-9, 1e-6, 1e-3, 0.1, 0.5)
+                          for _ in range(3)])
+            for cp in (ChordParams(0.9, 1.0), ChordParams(0.7, 0.2),
+                       ChordParams(1.0 - 1e-6, 1.0)):
+                per_pair = [bregman_chord(F, x, c, cp) for x in X]
+                block = bregman_chord_block(F, X, c, cp)
+                assert block.tobytes() == np.array(per_pair).tobytes()
+
+    def test_coincident_rows_give_exact_zero(self):
+        F, calls = counted(make_builtin("shannon_negentropy", 2))
+        c = np.array([0.4, 1.3])
+        X = np.array([c, [0.9, 0.2], c + 1e-15, [0.5, 0.5]])
+        values = bregman_chord_block(F, X, c, ChordParams(0.25, 0.75))
+        assert values[0] == 0.0 and values[2] == 0.0
+        assert values[1] > 0.0 and values[3] > 0.0
+        assert calls["fn"] == 6
+
+    def test_one_point_call_per_block(self):
+        F, calls = counted(make_builtin("quadratic", 3))
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
+        bregman_chord_block(F, X, X[7], ChordParams(0.9, 1.0))
+        assert calls == {"point": 1, "fn": 3 * 49}
+
+    def test_wrong_width_raises(self):
+        F = make_builtin("quadratic", 2)
+        with pytest.raises(ShapeError):
+            bregman_chord_block(F, np.ones((4, 3)), np.ones(2),
+                                ChordParams(0.25, 0.75))
+        with pytest.raises(ShapeError):
+            bregman_chord_block(F, np.ones(2), np.ones(2),
+                                ChordParams(0.25, 0.75))
+
+    def test_domain_violations_raise_point_errors(self):
+        F = make_builtin("shannon_negentropy", 2)
+        cp = ChordParams(0.25, 0.75)
+        X = np.array([[0.5, 0.5], [0.3, 0.8]])
+        with pytest.raises(DomainError):
+            bregman_chord_block(F, X, np.array([0.5, -0.5]), cp)
+        bad = np.array([[0.5, 0.5], [0.3, -0.8]])
+        with pytest.raises(DomainError) as got:
+            bregman_chord_block(F, bad, np.array([0.5, 0.6]), cp)
+        with pytest.raises(DomainError) as want:
+            F.point(bad[1])
+        assert str(got.value) == str(want.value)
 
 
 class TestBregmanTangent:

@@ -5,6 +5,7 @@ import pytest
 
 import chorddiv.clustering
 import chorddiv.numerics
+import chorddiv.registry
 from chorddiv import (
     BUILTIN_GENERATORS,
     ClusterConfig,
@@ -19,7 +20,14 @@ from chorddiv import (
     objective,
     resolve_divergence,
 )
-from chorddiv.clustering import _repair_empty, _update_center
+from chorddiv.clustering import (
+    SLICE_TOL,
+    _centroid_box,
+    _distances,
+    _repair_empty,
+    _update_center,
+)
+from chorddiv.registry import resolve_block
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
@@ -110,8 +118,8 @@ class TestUpdateCenter:
     def test_quadratic_centroid_is_mean(self):
         rng = np.random.default_rng(12)
         members = rng.uniform(-1.0, 1.0, (20, 2))
-        D = resolve_divergence("bregman", QUAD2)
-        found = _update_center(members, QUAD2, D)
+        block = resolve_block("bregman", QUAD2)
+        found = _update_center(members, QUAD2, block)
         assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
         assert not (found.capped or found.on_edge)
 
@@ -119,9 +127,9 @@ class TestUpdateCenter:
         # quadratic chord: the centroid is the member mean, where the
         # search starts; a sweep cannot lower the objective from there
         members = np.random.default_rng(0).uniform(0.2, 3.0, (4, 2))
-        D = resolve_divergence("bregman_chord", QUAD2,
-                               {"alpha": 0.9, "beta": 1.0})
-        found = _update_center(members, QUAD2, D)
+        block = resolve_block("bregman_chord", QUAD2,
+                              {"alpha": 0.9, "beta": 1.0})
+        found = _update_center(members, QUAD2, block)
         assert not found.capped
         assert found.sweeps <= 3
         assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
@@ -129,9 +137,24 @@ class TestUpdateCenter:
     def test_positive_domain_center_stays_positive(self):
         F = make_builtin("shannon_negentropy", 1)
         members = np.array([[0.2], [0.4], [0.9]])
-        D = resolve_divergence("bregman", F)
-        found = _update_center(members, F, D)
+        block = resolve_block("bregman", F)
+        found = _update_center(members, F, block)
         assert found.x[0] > 0.0
+
+    @pytest.mark.parametrize("gen", ["shannon_negentropy", "quadratic"])
+    def test_block_search_equals_the_per_pair_search(self, gen):
+        F = make_builtin(gen, 2)
+        params = {"alpha": 0.9, "beta": 1.0}
+        members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
+        D = resolve_divergence("bregman_chord", F, params)
+        lo, hi = _centroid_box(members, F.domain.kind == "positive")
+        per_pair = coordinate_minimize(
+            lambda c: sum(float(D(x, c)) for x in members), lo, hi,
+            x0=members.mean(axis=0), tol=SLICE_TOL, max_sweeps=100)
+        found = _update_center(members, F,
+                               resolve_block("bregman_chord", F, params))
+        assert found.x.tobytes() == per_pair.x.tobytes()
+        assert found[1:] == per_pair[1:]
 
 
 class TestKMeans:
@@ -291,13 +314,36 @@ class TestDistanceMatrix:
                 return D(x, y)
             return counted
 
-        monkeypatch.setattr(chorddiv.clustering, "resolve_divergence",
+        monkeypatch.setattr(chorddiv.registry, "resolve_divergence",
                             counting_resolve)
         points, _ = clustering_dataset(seed=2)
         k = 3
         res = kmeans(points, QUAD1, ClusterConfig(k=k, seed=2))
         assert res.iterations >= 2
         assert len(calls) == (res.iterations + 1) * points.shape[0] * k
+
+    @pytest.mark.parametrize("div,params", [
+        ("bregman", {}),
+        ("bregman_chord", {"alpha": 0.3, "beta": 0.8}),
+    ])
+    def test_one_block_call_per_center(self, div, params):
+        F = make_builtin("shannon_negentropy", 2)
+        pts = np.random.default_rng(5).uniform(0.2, 2.0, (9, 2))
+        centers = pts[[1, 4, 6]]
+        block = resolve_block(div, F, params)
+        calls = []
+
+        def counted(X, c):
+            calls.append(X)
+            return block(X, c)
+
+        dist = _distances(pts, centers, counted)
+        assert len(calls) == 3
+        assert all(X is pts for X in calls)
+        D = resolve_divergence(div, F, params)
+        per_pair = np.array([[float(D(x, c)) for c in centers]
+                             for x in pts])
+        assert dist.tobytes() == per_pair.tobytes()
 
     def test_tied_distance_picks_lowest_center(self):
         # 1.0 is equidistant from the initial centers 0.0 and 2.0

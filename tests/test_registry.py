@@ -16,7 +16,7 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.cli import main
-from chorddiv.registry import needs_generator
+from chorddiv.registry import needs_generator, resolve_block
 
 QUAD = make_builtin("quadratic", 2)
 T1 = np.array([0.0, 0.0])
@@ -68,6 +68,26 @@ def test_every_table_id(family, capsys):
                                {**SAMPLE_PARAMS, **OUT_OF_RANGE[key]})
     else:
         resolve_divergence(div_id, QUAD, {})
+
+
+@pytest.mark.parametrize("family", known_divergences())
+def test_block_resolution_matches_the_pair_callable(family):
+    key = family.replace("<name>", "")
+    div_id = key + SUFFIX.get(key, "")
+    X = np.random.default_rng(3).uniform(0.2, 1.5, (5, 2))
+    block = resolve_block(div_id, QUAD, SAMPLE_PARAMS)(X, Q)
+    D = resolve_divergence(div_id, QUAD, SAMPLE_PARAMS)
+    assert block.tobytes() == np.array([D(x, Q) for x in X]).tobytes()
+
+
+@pytest.mark.parametrize("div_id", ["bregman_chord", "bregman_chord_approx"])
+def test_block_kernel_checks_at_resolve_time(div_id):
+    with pytest.raises(ParameterError):
+        resolve_block(div_id, params=SAMPLE_PARAMS)
+    with pytest.raises(ParameterError):
+        resolve_block(div_id, QUAD, {})
+    with pytest.raises(ParameterError):
+        resolve_block(div_id, QUAD, {**SAMPLE_PARAMS, **OUT_OF_RANGE[div_id]})
 
 
 class TestBareIds:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import chorddiv.verify
-from chorddiv import SuiteResult, make_builtin
-from chorddiv.verify import _linear_decay, suite_sandwich
+from chorddiv import ParameterError, SuiteResult, make_builtin
+from chorddiv.verify import _linear_decay, run_all, run_suite, suite_sandwich
 
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -80,3 +80,23 @@ class TestNaN:
         res = suite_sandwich(5, 0)
         assert not res.passed
         assert np.isnan(res.worst)
+
+
+class TestRunArguments:
+    # the CLI's --trials and --seed rule, for library callers
+    @pytest.mark.parametrize("trials,seed,message", [
+        (5, -3, "seed must be >= 0"),
+        (0, 1, "trials must be >= 1"),
+        (-2, 1, "trials must be >= 1"),
+    ])
+    def test_run_suite_rejects(self, trials, seed, message):
+        with pytest.raises(ParameterError, match=message):
+            run_suite("sandwich", trials, seed)
+
+    @pytest.mark.parametrize("trials,seed,message", [
+        (5, -1, "seed must be >= 0"),
+        (0, 0, "trials must be >= 1"),
+    ])
+    def test_run_all_rejects(self, trials, seed, message):
+        with pytest.raises(ParameterError, match=message):
+            run_all(trials, seed)
