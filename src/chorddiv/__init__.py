@@ -15,7 +15,6 @@ from .bregman import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
-    interpolate,
     mean_value_witness,
 )
 from .clustering import (
@@ -46,7 +45,6 @@ from .fdiv import (
     extended_kl,
     f_div,
     j_symmetrize,
-    js_generator,
     js_symmetrize_div,
     kl,
     make_f_generator,
@@ -56,24 +54,16 @@ from .generators import (
     DEGENERATE_EPS,
     Domain,
     Generator,
-    LineRestriction,
     make_builtin,
     restrict_to_line,
 )
 from .jensen import (
     JensenChordParams,
     jensen,
-    jensen_bregman,
     jensen_chord,
     jensen_skewed,
 )
-from .numerics import (
-    Minimum,
-    bisect_root,
-    central_diff_grad,
-    coordinate_minimize,
-    golden_minimize,
-)
+from .numerics import Minimum, coordinate_minimize
 from .registry import known_divergences, resolve_divergence, sweep
 from .verify import SUITES, SuiteResult, run_all, run_suite
 
@@ -89,7 +79,6 @@ __all__ = [
     "bregman_chord_approx",
     "bregman_dual",
     "bregman_tangent",
-    "interpolate",
     "mean_value_witness",
     "ClusterConfig",
     "ClusterResult",
@@ -114,26 +103,20 @@ __all__ = [
     "extended_kl",
     "f_div",
     "j_symmetrize",
-    "js_generator",
     "js_symmetrize_div",
     "kl",
     "make_f_generator",
     "BUILTIN_GENERATORS",
     "Domain",
     "Generator",
-    "LineRestriction",
     "make_builtin",
     "restrict_to_line",
     "JensenChordParams",
     "jensen",
-    "jensen_bregman",
     "jensen_chord",
     "jensen_skewed",
     "Minimum",
-    "bisect_root",
-    "central_diff_grad",
     "coordinate_minimize",
-    "golden_minimize",
     "known_divergences",
     "resolve_divergence",
     "sweep",

@@ -7,8 +7,7 @@ I_f[p : q] = sum_i p_i f(q_i / p_i). Three generator transforms are exposed:
     j_symmetrize  (f + dual f) / 2          Jeffreys-style half sum
     js form       half-sum of divergences to the midpoint mixture
 
-The JS-type symmetrization is defined at the divergence level;
-js_generator is the generator that induces the same divergence.
+The JS-type symmetrization is defined at the divergence level.
 """
 
 from __future__ import annotations
@@ -137,18 +136,6 @@ def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights) -> float:
     pw, qw = _weight_pair(p, q)
     m = 0.5 * (pw + qw)
     return 0.5 * (f_div(f, pw, m) + f_div(f, qw, m))
-
-
-def js_generator(f: FGenerator) -> FGenerator:
-    """Generator whose induced divergence equals js_symmetrize_div:
-
-        (1/2) [ f((1 + u)/2) + u f((1 + u)/(2u)) ]
-    """
-    return FGenerator(
-        f.name + "_jssym",
-        lambda u: 0.5 * (f.fn((1.0 + u) / 2.0)
-                         + u * f.fn((1.0 + u) / (2.0 * u))),
-    )
 
 
 _F_KL = make_f_generator("kl")

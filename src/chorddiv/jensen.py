@@ -1,5 +1,5 @@
-"""Jensen-type divergences: midpoint and skewed Jensen gaps, the
-Jensen-Bregman bridge, and the Jensen chord divergence.
+"""Jensen-type divergences: midpoint and skewed Jensen gaps and the Jensen
+chord divergence.
 
 The Jensen chord divergence measures, at position gamma, the vertical gap
 between the chord through the endpoint graph points and the chord through
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bregman import bregman, interpolate
+from .bregman import interpolate
 from .errors import ParameterError
 from .generators import Generator, endpoints
 
@@ -70,7 +70,10 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
     with m_alpha the alpha interpolant; alpha in the open interval (0, 1).
 
     Recovers the midpoint gap at alpha = 1/2; (1/alpha) times the gap tends
-    to the reverse Bregman divergence as alpha -> 0.
+    to the reverse Bregman divergence as alpha -> 0. It also equals the
+    skew-weighted Bregman average (1 - alpha) B_F(theta1 : m_alpha)
+    + alpha B_F(theta2 : m_alpha), whose gradient terms cancel, so the
+    registry's jensen_bregman id resolves here.
     """
     a = skew_weight(alpha)
     if (ends := endpoints(F, theta1, theta2)) is None:
@@ -79,21 +82,6 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
     m = F.point(interpolate(t1, t2, a))
     return ((1.0 - a) * float(F.fn(t1)) + a * float(F.fn(t2))
             - float(F.fn(m)))
-
-
-def jensen_bregman(F: Generator, theta1, theta2, alpha: float) -> float:
-    """Skew-weighted average of the Bregman divergences to the interpolant:
-
-        (1 - alpha) B_F(theta1 : m_alpha) + alpha B_F(theta2 : m_alpha)
-
-    Coincides with the midpoint Jensen gap at alpha = 1/2.
-    """
-    a = skew_weight(alpha)
-    if (ends := endpoints(F, theta1, theta2)) is None:
-        return 0.0
-    t1, t2 = ends
-    m = interpolate(t1, t2, a)  # bregman validates it
-    return ((1.0 - a) * bregman(F, t1, m) + a * bregman(F, t2, m))
 
 
 def jensen_chord(F: Generator, theta1, theta2,

@@ -27,7 +27,7 @@ def central_diff_grad(F, theta, h: float = 1e-5) -> np.ndarray:
     stencil point falls outside the domain, the step is shrunk once by 10x;
     a second violation raises DomainError.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ParameterError(f"step size must be positive, got {h}")
     theta = F.point(theta)
     grad = np.empty(F.dim)
@@ -60,7 +60,7 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float,
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise BracketError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     g_lo = g(lo)
     if g_lo == 0.0:
@@ -97,7 +97,7 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise BracketError(f"invalid interval [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     width = hi - lo
     if width <= tol:

@@ -50,7 +50,6 @@ from .generators import Generator
 from .jensen import (
     JensenChordParams,
     jensen,
-    jensen_bregman,
     jensen_chord,
     jensen_skewed,
     skew_weight,
@@ -118,8 +117,9 @@ DIVERGENCES = {
         jensen_chord, lambda param: JensenChordParams(
             param("alpha"), param("beta"), param("gamma")),
         anchors=REJECTED),
+    # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
     "jensen_bregman": DivSpec(
-        jensen_bregman, lambda param: skew_weight(param("alpha")),
+        jensen_skewed, lambda param: skew_weight(param("alpha")),
         anchors=REJECTED),
     "kl": DivSpec(kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)

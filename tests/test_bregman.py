@@ -30,17 +30,16 @@ from chorddiv import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
-    interpolate,
     jensen,
-    jensen_bregman,
     jensen_chord,
     jensen_skewed,
     kl,
     make_builtin,
     mean_value_witness,
+    resolve_divergence,
     restrict_to_line,
 )
-from chorddiv.bregman import bregman_chord_block
+from chorddiv.bregman import bregman_chord_block, interpolate
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -511,7 +510,8 @@ class TestDegenerateRule:
         assert bregman_chord_approx(F, t1, t2, 1e-3) == 0.0
         assert jensen(F, t1, t2) == 0.0
         assert jensen_skewed(F, t1, t2, 0.3) == 0.0
-        assert jensen_bregman(F, t1, t2, 0.3) == 0.0
+        assert resolve_divergence("jensen_bregman", F,
+                                  {"alpha": 0.3})(t1, t2) == 0.0
         assert jensen_chord(F, t1, t2, JensenChordParams(0.2, 0.8, 0.5)) == 0.0
         # the same rule refuses to join the pair by a line
         with pytest.raises(DegenerateRestrictionError):

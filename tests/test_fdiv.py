@@ -18,7 +18,6 @@ from chorddiv import (
     extended_kl,
     f_div,
     j_symmetrize,
-    js_generator,
     js_symmetrize_div,
     kl,
     make_builtin,
@@ -189,6 +188,18 @@ class TestJSymmetrize:
     def test_vanishes_at_one(self):
         assert j_symmetrize(make_f_generator("kl"))(1.0) == \
             pytest.approx(0.0, abs=1e-15)
+
+
+def js_generator(f: FGenerator) -> FGenerator:
+    """Generator whose induced divergence equals js_symmetrize_div:
+
+        (1/2) [ f((1 + u)/2) + u f((1 + u)/(2u)) ]
+    """
+    return FGenerator(
+        f.name + "_jssym",
+        lambda u: 0.5 * (f.fn((1.0 + u) / 2.0)
+                         + u * f.fn((1.0 + u) / (2.0 * u))),
+    )
 
 
 class TestJSSymmetrize:

@@ -1,5 +1,5 @@
-"""Jensen family: midpoint and skewed gaps, scaled limit, Jensen-Bregman
-bridge, Jensen chord.
+"""Jensen family: midpoint and skewed gaps, scaled limit, the jensen_bregman
+id, Jensen chord.
 
 Oracle: the Jensen chord value is checked against an explicit construction
 of the two secant lines over the restriction.
@@ -13,10 +13,10 @@ from chorddiv import (
     ParameterError,
     bregman,
     jensen,
-    jensen_bregman,
     jensen_chord,
     jensen_skewed,
     make_builtin,
+    resolve_divergence,
     restrict_to_line,
 )
 
@@ -128,7 +128,15 @@ class TestScaledLimit:
                 assert 5.0 <= big / small <= 20.0
 
 
+def jensen_bregman(F, t1, t2, alpha):
+    """The registry's jensen_bregman id at skew alpha."""
+    return resolve_divergence("jensen_bregman", F, {"alpha": alpha})(t1, t2)
+
+
 class TestJensenBregman:
+    """The jensen_bregman id: the skew-weighted Bregman average to the
+    interpolant, resolved to the skewed Jensen gap."""
+
     def test_half_equals_jensen(self):
         rng = np.random.default_rng(45)
         for name, dim in GENERATOR_MATRIX:
@@ -148,6 +156,7 @@ class TestJensenBregman:
     def test_identical_arguments(self):
         F = make_builtin("quadratic", 1)
         assert jensen_bregman(F, 2.0, 2.0, 0.3) == 0.0
+        assert jensen_bregman(F, 1.0, 1.0 + 1e-15, 0.3) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_invalid_skew(self, alpha):

@@ -8,21 +8,25 @@ import pytest
 
 from chorddiv import (
     BracketError,
+    ChordParams,
     Domain,
     DomainError,
     Generator,
     ParameterError,
     UnknownDivergenceError,
-    bisect_root,
     bregman,
-    central_diff_grad,
     coordinate_minimize,
-    golden_minimize,
     make_builtin,
+    mean_value_witness,
     resolve_divergence,
     sweep,
 )
-from chorddiv.numerics import INV_PHI
+from chorddiv.numerics import (
+    INV_PHI,
+    bisect_root,
+    central_diff_grad,
+    golden_minimize,
+)
 
 
 class Counter:
@@ -77,8 +81,26 @@ class TestCentralDiffGrad:
 
     def test_bad_step(self):
         F = make_builtin("quadratic", 1)
-        with pytest.raises(ParameterError):
-            central_diff_grad(F, 1.0, h=0.0)
+        for h in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                central_diff_grad(F, 1.0, h=h)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("solve", [
+    lambda tol: bisect_root(lambda x: x - 0.9, 0.0, 1.0, tol=tol),
+    lambda tol: golden_minimize(lambda v: (v - 0.3) ** 2, 0.0, 1.0, tol=tol),
+    lambda tol: coordinate_minimize(lambda v: float(v @ v), [-1.0], [1.0],
+                                    tol=tol),
+    lambda tol: mean_value_witness(make_builtin("shannon_negentropy", 1),
+                                   0.3, 0.9, ChordParams(0.2, 0.8), tol=tol),
+], ids=["bisect_root", "golden_minimize", "coordinate_minimize",
+        "mean_value_witness"])
+def test_bad_tolerance(solve, tol):
+    """A NaN tolerance fails the positivity check too, instead of
+    returning a point or escaping as a bare ValueError."""
+    with pytest.raises(ParameterError, match="tolerance must be positive"):
+        solve(tol)
 
 
 class TestBisectRoot:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chorddiv import (
+    BUILTIN_GENERATORS,
     ParameterError,
     UnknownDivergenceError,
     bregman,
@@ -17,6 +18,8 @@ from chorddiv import (
 )
 from chorddiv.cli import main
 from chorddiv.registry import needs_generator, resolve_block
+
+from test_bregman import expsum, sample_pair
 
 QUAD = make_builtin("quadratic", 2)
 T1 = np.array([0.0, 0.0])
@@ -135,6 +138,23 @@ class TestBareIds:
         assert D(p, q) == pytest.approx(0.14384103622589045, abs=1e-12)
         E = resolve_divergence("ekl")
         assert E(np.array([2.0, 1.0]), np.array([2.0, 1.0])) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
+def test_jensen_bregman_is_jensen_skewed(gen, dim):
+    """The jensen_bregman id equals the jensen_skewed id bit for bit, also
+    for a generator without a gradient."""
+    F = expsum(dim) if gen == "expsum" else make_builtin(gen, dim)
+    rng = np.random.default_rng(dim)
+    for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+        JB = resolve_divergence("jensen_bregman", F, {"alpha": a})
+        JS = resolve_divergence("jensen_skewed", F, {"alpha": a})
+        for _ in range(4):
+            t1, t2 = sample_pair(rng, F)
+            value = JB(t1, t2)
+            assert value > 0.0
+            assert value == JS(t1, t2)
 
 
 class TestPrefixedIds:
