@@ -22,7 +22,6 @@ from .clustering import (
     ClusterResult,
     adjusted_rand_index,
     kmeans,
-    objective,
 )
 from .errors import (
     BracketError,
@@ -84,7 +83,6 @@ __all__ = [
     "ClusterResult",
     "adjusted_rand_index",
     "kmeans",
-    "objective",
     "BracketError",
     "ChorddivError",
     "DegenerateRestrictionError",

@@ -27,7 +27,8 @@ from .errors import (
     ShapeError,
     WitnessNotFoundError,
 )
-from .generators import Generator, coincide, endpoints, restrict_to_line
+from .generators import (Generator, coincide, endpoints, line_table,
+                         restrict_to_line)
 from .numerics import bisect_root
 
 
@@ -131,8 +132,6 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     """
     if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
-    # direct calls, not line_values: its table adds about 5 % to the median
-    # call of the pairs benchmark
     G = restrict_to_line(F, *ends)
     a, b = float(cp.alpha), float(cp.beta)
     return chord_gap(G(0.0), G(a), G(b), a, b)
@@ -141,42 +140,13 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
 def bregman_chord_block(F: Generator, X, theta2, cp: ChordParams
                         ) -> np.ndarray:
     """bregman_chord(F, X[i], theta2, cp) for each row of the (m, dim)
-    block X, bit for bit, validated once per block.
-
-    theta2 goes through F.point; X gets one shape check, and X with its
-    alpha and beta interpolants toward theta2 one domain check, which
-    raises F.point's DomainError for the first point outside. Rows that
-    coincide with theta2 give 0.0; every other row costs three F.fn calls.
-    """
-    t2 = F.point(theta2)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != F.dim:
-        raise ShapeError(
-            f"{F.name} expects an (m, {F.dim}) block of points, got shape "
-            f"{X.shape}"
-        )
+    block X, bit for bit: chord_gap on each row of the line_table at 0,
+    alpha and beta, the table the sweep shares, so the block is validated
+    once and a row that coincides with theta2 gives 0.0 for no F call."""
     a, b = float(cp.alpha), float(cp.beta)
-    # row i holds G(0), G(a), G(b)'s points, as LineRestriction forms them
-    block = np.stack([(1.0 - lam) * X + lam * t2 for lam in (0.0, a, b)],
-                     axis=1)
-    if not F.domain.contains(block):
-        for p in block.reshape(-1, F.dim):
-            F.point(p)  # raises at the first point outside the domain
-    values = np.zeros(X.shape[0])
-    for i in np.flatnonzero(~coincide(X, t2)):
-        g0, g_a, g_b = [float(F.fn(p)) for p in block[i]]
-        values[i] = chord_gap(g0, g_a, g_b, a, b)
-    return values
-
-
-def line_values(F: Generator, theta1, theta2, lams) -> Optional[dict]:
-    """The line restriction G(lam) = F((1 - lam) theta1 + lam theta2) at
-    0 and at each of lams, keyed by lam and evaluated once per distinct
-    value; None when the points coincide."""
-    if (ends := endpoints(F, theta1, theta2)) is None:
-        return None
-    G = restrict_to_line(F, *ends)
-    return {lam: G(lam) for lam in {0.0, *lams}}
+    table = line_table(F, X, theta2, (0.0, a, b))
+    return np.array([chord_gap(g0, g_a, g_b, a, b)
+                     for g0, g_a, g_b in table.tolist()])
 
 
 def chord_gap(g0: float, g_a: float, g_b: float, a: float, b: float) -> float:

@@ -23,9 +23,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ParameterError, ShapeError
+from .errors import DomainError, InfeasibleError, ShapeError
 from .generators import Generator
-from .numerics import Minimum, coordinate_minimize
+from .numerics import Minimum, coordinate_minimize, whole_number
 # Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import resolve_divergence  # noqa: F401
@@ -56,14 +56,9 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if int(self.max_iters) < 1:
-            raise ParameterError(
-                f"max_iters must be >= 1, got {self.max_iters}"
-            )
-        if int(self.seed) < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        whole_number("k", self.k, 1)
+        whole_number("max_iters", self.max_iters, 1)
+        whole_number("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +94,8 @@ def _as_matrix(points) -> np.ndarray:
 
 
 def objective(points, assignments, centers, D) -> float:
-    """Sum over points of D(point : assigned center), in index order."""
+    """Sum over points of D(point : assigned center), in index order: the
+    per-pair reference that kmeans's objective trace matches bit for bit."""
     pts = _as_matrix(points)
     ctrs = _as_matrix(centers)
     labels = np.asarray(assignments, dtype=int)
@@ -140,22 +136,18 @@ def _repair_empty(labels: np.ndarray, k: int,
     lowest point index.
     """
     labels = labels.copy()
-    taken = np.zeros(labels.shape[0], dtype=bool)
-    for j in range(k):
-        if np.any(labels == j):
-            continue
-        eligible = ~taken
-        # keep clusters of size one intact, they cannot donate their point
-        for owner in np.unique(labels):
-            members = np.flatnonzero(labels == owner)
-            if members.size == 1:
-                eligible[members[0]] = False
-        if not np.any(eligible):
+    sizes = np.bincount(labels, minlength=k)
+    # a repaired cluster never empties, so the empty ones are known upfront
+    for j in np.flatnonzero(sizes == 0):
+        # keep clusters of size one intact, they cannot donate their point;
+        # a promoted point is such a singleton
+        cand = np.flatnonzero(sizes[labels] > 1)
+        if not cand.size:
             break
-        cand = np.flatnonzero(eligible)
         worst = cand[int(np.argmax(dist_to_center[cand]))]
+        sizes[labels[worst]] -= 1
+        sizes[j] = 1
         labels[worst] = j
-        taken[worst] = True
     return labels
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ShapeError,
     UnsupportedGeneratorError,
 )
+from .numerics import whole_number
 
 DOMAIN_KINDS = ("reals", "positive")
 
@@ -83,10 +84,7 @@ class Generator:
     conjugate: Optional["Generator"] = None
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ParameterError(
-                f"generator dimension must be >= 1, got {self.dim}"
-            )
+        whole_number("generator dimension", self.dim, 1)
 
     @property
     def has_grad(self) -> bool:
@@ -210,7 +208,7 @@ def make_builtin(name: str, dim: int) -> Generator:
             f"unknown generator {name!r}; known generators: "
             f"{', '.join(BUILTIN_GENERATORS)}"
         )
-    return factory(int(dim))
+    return factory(dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +251,34 @@ def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
     t1 = F.point(theta1)
     t2 = F.point(theta2)
     return None if coincide(t1, t2) else (t1, t2)
+
+
+def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
+    """The (m, len(lams)) array of F((1 - lam) X[i] + lam theta2) over the
+    rows of the (m, dim) block X: row i holds the line restriction
+    restrict_to_line(F, X[i], theta2) at lams, bit for bit.
+
+    theta2 goes through F.point; X gets one shape check, and the whole
+    table of points one domain check, which raises F.point's DomainError
+    for the first point outside. Rows that coincide with theta2 hold 0.0
+    and cost no F call.
+    """
+    t2 = F.point(theta2)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != F.dim:
+        raise ShapeError(
+            f"{F.name} expects an (m, {F.dim}) block of points, got shape "
+            f"{X.shape}"
+        )
+    lam = np.asarray(lams, dtype=float)[:, None]
+    points = (1.0 - lam) * X[:, None] + lam * t2  # [i, j] is X[i] at lams[j]
+    if not F.domain.contains(points):
+        for p in points.reshape(-1, F.dim):
+            F.point(p)  # raises at the first point outside the domain
+    table = np.zeros(points.shape[:2])
+    for i in np.flatnonzero(~coincide(X, t2)):
+        table[i] = [float(F.fn(p)) for p in points[i]]
+    return table
 
 
 def restrict_to_line(F: Generator, theta1, theta2) -> LineRestriction:

@@ -10,6 +10,7 @@ that says whether it ran out of sweeps and whether it ended on its box.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -18,6 +19,16 @@ from .errors import BracketError, DomainError, ParameterError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0       # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0    # 1/phi^2
+
+
+def whole_number(label: str, value, least: int) -> int:
+    """value, a Python or numpy integer >= least, as an int; anything else,
+    a float such as 2.0 included, raises ParameterError."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{label} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{label} must be >= {least}, got {value}")
+    return int(value)
 
 
 def central_diff_grad(F, theta, h: float = 1e-5) -> np.ndarray:
@@ -146,11 +157,13 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
     golden_minimize to tol, until a sweep does not lower g or max_sweeps
-    is hit. Returns a Minimum at the lowest point between sweeps, saying
-    which of the two happened and whether that point lies on the box edge.
+    (an integer >= 1) is hit. Returns a Minimum at the lowest point
+    between sweeps, saying which of the two happened and whether that
+    point lies on the box edge.
     A non-finite g at the start or after a sweep raises DomainError.
     Deterministic for a fixed start.
     """
+    max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or lo.ndim != 1:

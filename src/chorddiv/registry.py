@@ -27,7 +27,6 @@ from .bregman import (
     bregman_dual,
     bregman_tangent,
     chord_gap,
-    line_values,
     skew_segment,
     tangent_anchor,
 )
@@ -46,7 +45,7 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import Generator
+from .generators import Generator, line_table
 from .jensen import (
     JensenChordParams,
     jensen,
@@ -57,7 +56,7 @@ from .jensen import (
 
 
 # DivSpec.anchors values, how a value depends on the sweep anchors:
-CHORD = "chord"        # B[alpha, beta]; cells from one table of G values
+CHORD = "chord"        # B[alpha, beta]; cells from one line_table row
 IGNORED = "ignored"    # neither; one evaluation repeated over the cells
 REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
 
@@ -270,10 +269,11 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     alphas and betas are non-empty anchor values in (0, 1], visited in
     sorted order. Cells with alpha == beta are skipped: they are not valid
     chord anchors. Each cell's alpha and beta override any entries of the
-    same name in params. A CHORD id evaluates its line restriction once at
-    0 and at each distinct anchor (on the gamma and delta interpolants for
-    biskew:) and forms every cell from those values, as bregman_chord does;
-    an IGNORED id is evaluated once; a REJECTED id raises ParameterError
+    same name in params. A CHORD id evaluates its segment (the gamma and
+    delta interpolants for biskew:) as a one-row line_table at the sorted
+    anchors {0} U alphas U betas, the table bregman_chord_block builds,
+    and forms each cell from it with chord_gap, as bregman_chord does; an
+    IGNORED id is evaluated once; a REJECTED id raises ParameterError
     before any evaluation. Returns a list of (alpha, beta, value) tuples.
     """
     alphas = _anchors("alphas", alphas)
@@ -302,10 +302,11 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
         if spec.kernel is biskew:
             segment = skew_segment(theta1, theta2, SkewPair(
                 float(base["gamma"]), float(base["delta"])))
-        g = None if segment is None else line_values(F, *segment,
-                                                     alphas + betas)
-        values = [0.0 if g is None else
-                  chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
+        lams = sorted({0.0, *alphas, *betas})
+        row = [0.0] * len(lams) if segment is None else line_table(
+            F, np.atleast_2d(segment[0]), segment[1], lams)[0].tolist()
+        g = dict(zip(lams, row))
+        values = [chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
     rows = []
     for (a, b), value in zip(cells, values):
         if not math.isfinite(value):

@@ -49,7 +49,7 @@ from .jensen import (
     jensen_chord,
     jensen_skewed,
 )
-from .numerics import central_diff_grad
+from .numerics import central_diff_grad, whole_number
 
 #: KL((0.5, 0.5) : (0.25, 0.75)) = 0.5 log 2 + 0.5 log(2/3).
 KL_REFERENCE_VALUE = 0.14384103622589045
@@ -474,11 +474,9 @@ SUITES: Dict[str, Callable[[int, int], SuiteResult]] = {
 
 
 def _check_run(trials: int, seed: int) -> None:
-    """The CLI's rule for --trials and --seed: trials >= 1, seed >= 0."""
-    if int(trials) < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if int(seed) < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    """The CLI's rule for --trials and --seed: integers >= 1 and >= 0."""
+    whole_number("trials", trials, 1)
+    whole_number("seed", seed, 0)
 
 
 def run_suite(name: str, trials: int = 200, seed: int = 0) -> SuiteResult:

@@ -17,7 +17,6 @@ from chorddiv import (
     coordinate_minimize,
     kmeans,
     make_builtin,
-    objective,
     resolve_divergence,
 )
 from chorddiv.clustering import (
@@ -26,6 +25,7 @@ from chorddiv.clustering import (
     _distances,
     _repair_empty,
     _update_center,
+    objective,
 )
 from chorddiv.registry import resolve_block
 from chorddiv.verify import clustering_dataset
@@ -55,6 +55,24 @@ class TestClusterConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             ClusterConfig(k=2, seed=-1)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": 2, "max_iters": 1.5}, "max_iters must be an integer"),
+        ({"k": 2, "seed": 1.5}, "seed must be an integer"),
+        ({"k": "2"}, "k must be an integer"),
+    ])
+    def test_rejects_non_integer_settings(self, settings, message):
+        # each would otherwise end kmeans in a TypeError outside the
+        # ChorddivError hierarchy
+        with pytest.raises(ParameterError, match=message):
+            ClusterConfig(**settings)
+
+    def test_accepts_numpy_integers(self):
+        cfg = ClusterConfig(k=np.int64(2), max_iters=np.int32(5),
+                            seed=np.uint8(3))
+        points, _ = two_group_points()
+        assert kmeans(points, QUAD1, cfg).iterations <= 5
 
 
 class TestObjective:

@@ -20,6 +20,7 @@ from chorddiv import (
     make_builtin,
     restrict_to_line,
 )
+from chorddiv.generators import line_table
 
 
 def sample_point(rng, F):
@@ -71,6 +72,18 @@ class TestMakeBuiltin:
                                match="generator dimension must be >= 1, "
                                      "got 0"):
                 make_builtin(name, 0)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    def test_non_integer_dimension(self, dim):
+        # make_builtin must not truncate 2.5 to 2, and a Generator of
+        # dimension 2.5 would reject every point
+        for make in (lambda: make_builtin("quadratic", dim),
+                     lambda: Generator(name="g", dim=dim, domain=Domain(),
+                                       fn=lambda t: 0.0)):
+            with pytest.raises(ParameterError,
+                               match="generator dimension must be an "
+                                     "integer"):
+                make()
 
     def test_all_names_construct(self):
         for name in BUILTIN_GENERATORS:
@@ -198,6 +211,70 @@ class TestLineRestriction:
         assert not G.has_deriv
         with pytest.raises(GradientRequiredError):
             G.deriv(0.5)
+
+
+def exp_sum(dim, calls=None):
+    """Gradient-free Sum exp(t_i); appends each F argument to calls."""
+    def fn(t):
+        if calls is not None:
+            calls.append(t.copy())
+        return float(np.sum(np.exp(t)))
+    return Generator(name="exp_sum", dim=dim, domain=Domain("reals"), fn=fn)
+
+
+class TestLineTable:
+    LAMS = (0.0, 0.2, 0.5, 0.9, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "exp_sum"])
+    def test_rows_equal_line_restriction(self, name, dim):
+        F = exp_sum(dim) if name == "exp_sum" else make_builtin(name, dim)
+        rng = np.random.default_rng(dim)
+        X = np.array([sample_point(rng, F) for _ in range(4)])
+        y = sample_point(rng, F)
+        table = line_table(F, X, y, self.LAMS)
+        assert table.shape == (4, len(self.LAMS))
+        for x, row in zip(X, table.tolist()):
+            G = restrict_to_line(F, x, y)
+            assert row == [G(lam) for lam in self.LAMS]
+
+    def test_coincident_rows_hold_zero_without_f_calls(self):
+        calls = []
+        F = exp_sum(2, calls)
+        y = np.array([0.3, -0.4])
+        X = np.array([y, [0.1, 0.2], y + 1e-15])
+        table = line_table(F, X, y, self.LAMS)
+        assert table[0].tolist() == table[2].tolist() == [0.0] * 5
+        # only the one distinct row evaluates F, once per lam
+        assert len(calls) == len(self.LAMS)
+        assert all(np.array_equal(t, (1.0 - lam) * X[1] + lam * y)
+                   for t, lam in zip(calls, self.LAMS))
+
+    @pytest.mark.parametrize("X", [
+        np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2)),
+    ], ids=["one-point", "wrong-dim", "3-d"])
+    def test_block_shape_checked(self, X):
+        F = make_builtin("quadratic", 2)
+        with pytest.raises(ShapeError, match=r"expects an \(m, 2\) block"):
+            line_table(F, X, [0.0, 0.0], self.LAMS)
+
+    def test_theta2_goes_through_point(self):
+        F = make_builtin("quadratic", 2)
+        with pytest.raises(ShapeError, match="point of dimension 2"):
+            line_table(F, np.ones((1, 2)), [0.0, 0.0, 0.0], self.LAMS)
+
+    def test_first_point_outside_named(self):
+        F = make_builtin("burg_negentropy", 1)
+        # rows in order, each at lams in order: row 0 at lam 1.5 is the
+        # first point outside, (1 - 1.5) 2.0 + 1.5 0.5 = -0.25
+        X = np.array([[2.0], [-1.0]])
+        with pytest.raises(DomainError, match=r"point \[-0\.25\] is outside "
+                           r"the positive domain of burg_negentropy"):
+            line_table(F, X, 0.5, (0.0, 1.5))
+        with pytest.raises(DomainError, match=r"point \[-1\.0\] is outside"):
+            line_table(F, X, 0.5, (0.0, 0.5))
+        with pytest.raises(DomainError, match=r"point \[-0\.5\] is outside"):
+            line_table(F, X, -0.5, (0.0,))
 
 
 class TestClosedFormConjugates:

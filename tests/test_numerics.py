@@ -233,6 +233,18 @@ class TestCoordinateMinimize:
         with pytest.raises(BracketError):
             coordinate_minimize(lambda v: 0.0, [0.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize("max_sweeps,message", [
+        (-1, "max_sweeps must be >= 1"),
+        (0, "max_sweeps must be >= 1"),
+        (1.5, "max_sweeps must be an integer"),
+        (2.0, "max_sweeps must be an integer"),
+    ])
+    def test_bad_sweep_cap(self, max_sweeps, message):
+        # a cap the sweep count never equals would leave the search uncapped
+        with pytest.raises(ParameterError, match=message):
+            coordinate_minimize(lambda v: float(v @ v), [-1.0], [1.0],
+                                max_sweeps=max_sweeps)
+
 
 class TestSweepGrid:
     """The alpha and beta anchor lists a sweep takes."""
@@ -320,6 +332,27 @@ class TestSweep:
     def test_anchor_free_divergence_evaluated_once(self, div):
         # one call of a three-evaluation divergence, not one per cell
         assert self.counted_sweep(div) == 3
+
+    def counted_points(self, div, anchors):
+        calls = []
+
+        class Counted(Generator):
+            def point(self, theta):
+                calls.append(theta)
+                return super().point(theta)
+
+        F = Counted(name="counted", dim=2, domain=Domain("reals"),
+                    fn=lambda t: float(np.dot(t, t)))
+        sweep(F, [0.1, 0.4], [0.7, -0.2], anchors, anchors, div,
+              {"gamma": 0.2, "delta": 0.9})
+        return len(calls)
+
+    @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
+    def test_validation_does_not_grow_with_anchors(self, div):
+        # one domain check covers the whole table of interpolants
+        few = self.counted_points(div, (0.5, 1.0))
+        many = self.counted_points(div, tuple(i / 20 for i in range(1, 21)))
+        assert few == many
 
     def test_non_finite_cell_names_its_anchors(self):
         def fn(t):

@@ -88,6 +88,8 @@ class TestRunArguments:
         (5, -3, "seed must be >= 0"),
         (0, 1, "trials must be >= 1"),
         (-2, 1, "trials must be >= 1"),
+        (2.5, 0, "trials must be an integer"),
+        (3, 1.5, "seed must be an integer"),
     ])
     def test_run_suite_rejects(self, trials, seed, message):
         with pytest.raises(ParameterError, match=message):
@@ -96,6 +98,8 @@ class TestRunArguments:
     @pytest.mark.parametrize("trials,seed,message", [
         (5, -1, "seed must be >= 0"),
         (0, 0, "trials must be >= 1"),
+        (2.5, 0, "trials must be an integer"),
+        (3, 1.5, "seed must be an integer"),
     ])
     def test_run_all_rejects(self, trials, seed, message):
         with pytest.raises(ParameterError, match=message):
