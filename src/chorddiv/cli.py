@@ -3,7 +3,8 @@
 Subcommands:
     eval     evaluate one divergence at a pair of points
     sweep    evaluate a chord divergence over an (alpha, beta) grid to CSV,
-             optionally rendering an SVG heatmap
+             optionally rendering an SVG heatmap; the output text is made
+             once per distinct anchor and joined per cell
     cluster  k-means over a points CSV under any divergence; prints a
              warning to stderr for each numeric center search that hit its
              sweep cap or ended on the edge of its box
@@ -16,6 +17,7 @@ divergence, or suite names), 3 domain or math error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, List, Optional
@@ -81,7 +83,10 @@ def _params_from(args: argparse.Namespace) -> dict:
             if getattr(args, name, None) is not None}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: its help texts come from static
+    tables, so main builds it on the first call only."""
     parser = argparse.ArgumentParser(
         prog="chorddiv",
         description="Chord Bregman divergences, Jensen and f-divergence "
@@ -175,20 +180,29 @@ def _sweep_grid(n: int) -> tuple:
 
 
 def _write_sweep_csv(path: str, rows, bound: Optional[float]) -> None:
+    # each distinct anchor is repr-ed once, then joined into its cells
+    names = {x: repr(x) for x in
+             {a for a, _, _ in rows} | {b for _, b, _ in rows}}
     lines = ["alpha,beta,value"]
-    lines += [f"{a!r},{b!r},{v:.12g}" for a, b, v in rows]
+    lines += [f"{names[a]},{names[b]},{v:.12g}" for a, b, v in rows]
     if bound is not None:
         lines.append(f"# bregman={bound:.12g}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _heat_color(t: float) -> str:
-    # light-to-dark blue ramp
-    lo = (247, 251, 255)
-    hi = (8, 48, 107)
-    rgb = tuple(round(l + t * (h - l)) for l, h in zip(lo, hi))
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+_HEX = [f"{i:02x}" for i in range(256)]
+# light-to-dark blue ramp
+_RAMP_LO = np.array([247.0, 251.0, 255.0])
+_RAMP_HI = np.array([8.0, 48.0, 107.0])
+
+
+def _heat_colors(t: np.ndarray) -> List[str]:
+    """'#rrggbb' of the ramp at each t in [0, 1]; np.rint rounds half to
+    even, as Python's round does."""
+    rgb = np.rint(_RAMP_LO + t[:, None] * (_RAMP_HI - _RAMP_LO))
+    return ["#" + _HEX[r] + _HEX[g] + _HEX[b]
+            for r, g, b in rgb.astype(int).tolist()]
 
 
 def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
@@ -203,8 +217,14 @@ def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
     values = [v for _, _, v in rows]
     vmin, vmax = min(values), max(values)
     span = vmax - vmin
-    a_pos = {a: i for i, a in enumerate(alphas)}
-    b_pos = {b: i for i, b in enumerate(betas)}
+    t = (np.full(len(values), 0.5) if span == 0.0
+         else (np.array(values) - vmin) / span)
+    # the rect text is made once per alpha column and once per beta row
+    x_text = {a: f'<rect x="{left + i * cell:.1f}" '
+              for i, a in enumerate(alphas)}
+    y_text = {b: f'y="{top + (len(betas) - 1 - i) * cell:.1f}" '
+                 f'width="{cell - gap:.1f}" height="{cell - gap:.1f}" fill="'
+              for i, b in enumerate(betas)}
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -213,14 +233,8 @@ def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
         f'<text x="{left + plot_w / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{title}</text>',
     ]
-    for a, b, v in rows:
-        t = 0.5 if span == 0.0 else (v - vmin) / span
-        x = left + a_pos[a] * cell
-        y = top + (len(betas) - 1 - b_pos[b]) * cell
-        out.append(
-            f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell - gap:.1f}" '
-            f'height="{cell - gap:.1f}" fill="{_heat_color(t)}"/>'
-        )
+    out += [x_text[a] + y_text[b] + color + '"/>'
+            for (a, b, _), color in zip(rows, _heat_colors(t))]
     # axis tick labels (thinned when the grid is dense)
     step = max(1, len(alphas) // 10)
     for i, a in enumerate(alphas):
@@ -253,10 +267,11 @@ def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
     )
     # color legend
     lx = left + plot_w + 30.0
+    low, high = _heat_colors(np.array([0.0, 1.0]))
     out.append(
         '<defs><linearGradient id="scale" x1="0" y1="1" x2="0" y2="0">'
-        f'<stop offset="0" stop-color="{_heat_color(0.0)}"/>'
-        f'<stop offset="1" stop-color="{_heat_color(1.0)}"/>'
+        f'<stop offset="0" stop-color="{low}"/>'
+        f'<stop offset="1" stop-color="{high}"/>'
         '</linearGradient></defs>'
     )
     out.append(

@@ -14,7 +14,9 @@ from chorddiv import (
     known_divergences,
     make_builtin,
 )
-from chorddiv.cli import main
+from chorddiv.cli import (_heat_colors, _sweep_grid, _write_sweep_csv,
+                          build_parser, main, render_heatmap_svg)
+from chorddiv.registry import sweep
 
 
 def run(capsys, *argv):
@@ -216,7 +218,6 @@ class TestSweep:
 
     def test_csv_without_bound_omits_comment(self, tmp_path):
         # the trailing bound comment is skipped for gradient-free generators
-        from chorddiv.cli import _write_sweep_csv
         path = tmp_path / "plain.csv"
         _write_sweep_csv(str(path), [(0.25, 1.0, 0.5)], None)
         assert path.read_text().splitlines() == [
@@ -227,6 +228,175 @@ class TestSweep:
             capsys, "sweep", "--x", "0", "--y", "1", "--grid", "2",
             "--out", str(tmp_path / "missing_dir" / "x.csv"))
         assert code == 4
+
+
+# The sweep outputs as they were formatted one cell at a time: one
+# heat_color call, one rect and one CSV line, each formatted in full, per
+# cell. The reference for the per-anchor formatting in chorddiv.cli.
+def reference_heat_color(t):
+    lo = (247, 251, 255)
+    hi = (8, 48, 107)
+    rgb = tuple(round(l + t * (h - l)) for l, h in zip(lo, hi))
+    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+def reference_svg(rows, alphas, betas, title):
+    left, top, cell, gap = 90.0, 40.0, 30.0, 1.0
+    plot_w = len(alphas) * cell
+    plot_h = len(betas) * cell
+    width = left + plot_w + 160.0
+    height = top + plot_h + 70.0
+    values = [v for _, _, v in rows]
+    vmin, vmax = min(values), max(values)
+    span = vmax - vmin
+    a_pos = {a: i for i, a in enumerate(alphas)}
+    b_pos = {b: i for i, b in enumerate(betas)}
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<text x="{left + plot_w / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{title}</text>',
+    ]
+    for a, b, v in rows:
+        t = 0.5 if span == 0.0 else (v - vmin) / span
+        x = left + a_pos[a] * cell
+        y = top + (len(betas) - 1 - b_pos[b]) * cell
+        out.append(
+            f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell - gap:.1f}" '
+            f'height="{cell - gap:.1f}" fill="{reference_heat_color(t)}"/>'
+        )
+    step = max(1, len(alphas) // 10)
+    for i, a in enumerate(alphas):
+        if i % step and i != len(alphas) - 1:
+            continue
+        x = left + i * cell + cell / 2
+        out.append(
+            f'<text x="{x:.1f}" y="{top + plot_h + 16:.1f}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="9">'
+            f'{a:.3g}</text>'
+        )
+    step = max(1, len(betas) // 10)
+    for i, b in enumerate(betas):
+        if i % step and i != len(betas) - 1:
+            continue
+        y = top + (len(betas) - 1 - i) * cell + cell / 2 + 3
+        out.append(
+            f'<text x="{left - 8:.1f}" y="{y:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="9">{b:.3g}</text>'
+        )
+    out.append(
+        f'<text x="{left + plot_w / 2:.1f}" y="{top + plot_h + 40:.1f}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+        f'alpha</text>'
+    )
+    out.append(
+        f'<text x="20" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">beta</text>'
+    )
+    lx = left + plot_w + 30.0
+    out.append(
+        '<defs><linearGradient id="scale" x1="0" y1="1" x2="0" y2="0">'
+        f'<stop offset="0" stop-color="{reference_heat_color(0.0)}"/>'
+        f'<stop offset="1" stop-color="{reference_heat_color(1.0)}"/>'
+        '</linearGradient></defs>'
+    )
+    out.append(
+        f'<rect x="{lx:.1f}" y="{top:.1f}" width="16" '
+        f'height="{plot_h:.1f}" fill="url(#scale)" stroke="black" '
+        f'stroke-width="0.5"/>'
+    )
+    out.append(
+        f'<text x="{lx + 22:.1f}" y="{top + 10:.1f}" '
+        f'font-family="sans-serif" font-size="10">max={vmax:.6g}</text>'
+    )
+    out.append(
+        f'<text x="{lx + 22:.1f}" y="{top + plot_h:.1f}" '
+        f'font-family="sans-serif" font-size="10">min={vmin:.6g}</text>'
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reference_csv(rows, bound):
+    lines = ["alpha,beta,value"]
+    lines += [f"{a!r},{b!r},{v:.12g}" for a, b, v in rows]
+    if bound is not None:
+        lines.append(f"# bregman={bound:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def ramp_ties():
+    """(t, channel value) pairs at which the ramp lands one channel exactly
+    on k + 0.5, found among the few floats nearest the exact solution."""
+    ties = []
+    for lo, hi in zip((247, 251, 255), (8, 48, 107)):
+        for k in range(min(lo, hi), max(lo, hi)):
+            t = (k + 0.5 - lo) / (hi - lo)
+            ties += [(u, k + 0.5) for u in t + np.arange(-3, 4) * np.spacing(t)
+                     if lo + u * (hi - lo) == k + 0.5]
+    return ties
+
+
+class TestSweepOutputBytes:
+    """The per-anchor formatting writes the bytes the per-cell reference
+    writes."""
+
+    def check(self, tmp_path, rows, alphas, betas, bound):
+        title = "bregman_chord / quadratic  x=[0.3]  y=[0.9]"
+        assert render_heatmap_svg(rows, alphas, betas, title) == \
+            reference_svg(rows, alphas, betas, title)
+        path = tmp_path / "sweep.csv"
+        _write_sweep_csv(str(path), rows, bound)
+        assert path.read_bytes() == reference_csv(rows, bound).encode()
+
+    @pytest.mark.parametrize("gen", ["quadratic", "shannon_negentropy",
+                                     "burg_negentropy", "log_sum_exp"])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 50])
+    def test_real_sweeps(self, tmp_path, gen, grid):
+        F = make_builtin(gen, 3)
+        x, y = np.array([0.3, 0.5, 1.2]), np.array([0.9, 0.2, 0.7])
+        alphas, betas = _sweep_grid(grid)
+        rows = sweep(F, x, y, alphas, betas, "bregman_chord")
+        self.check(tmp_path, rows, alphas, betas, 0.123456789012345)
+
+    def test_coincident_points_give_one_midpoint_colour(self, tmp_path):
+        F = make_builtin("shannon_negentropy", 2)
+        x = np.array([0.4, 0.6])
+        alphas, betas = _sweep_grid(3)
+        rows = sweep(F, x, x.copy(), alphas, betas, "bregman_chord")
+        assert {v for _, _, v in rows} == {0.0}
+        self.check(tmp_path, rows, alphas, betas, 0.0)
+        svg = render_heatmap_svg(rows, alphas, betas, "")
+        cells = [line for line in svg.splitlines()
+                 if line.startswith('<rect x="') and "url(" not in line]
+        assert len(cells) == len(rows)
+        assert all(f'fill="{reference_heat_color(0.5)}"' in line
+                   for line in cells)
+
+    @pytest.mark.parametrize("scale, shift", [
+        (-1.0, 0.0),        # negative
+        (1e-300, 0.0),      # tiny
+        (1.0, -0.37),       # mixed sign
+        (-2.5e7, 1.0e7),    # large, mixed sign
+    ])
+    def test_synthetic_values(self, tmp_path, scale, shift):
+        alphas, betas = _sweep_grid(7)
+        rng = np.random.default_rng(3)
+        cells = [(a, b) for a in alphas for b in betas if a != b]
+        values = shift + scale * rng.random(len(cells))
+        rows = [(a, b, float(v)) for (a, b), v in zip(cells, values)]
+        self.check(tmp_path, rows, alphas, betas, None)
+
+    def test_ramp_on_dense_grid_and_ties(self):
+        ties = ramp_ties()
+        # at k + 0.5 with k even, half-to-even rounds down where adding 0.5
+        # and truncating rounds up
+        assert any(int(v) % 2 == 0 for _, v in ties)
+        t = np.concatenate([np.linspace(0.0, 1.0, 100001),
+                            [u for u, _ in ties]])
+        assert _heat_colors(t) == [reference_heat_color(v) for v in t.tolist()]
 
 
 def write_points(path, points):
@@ -479,3 +649,50 @@ class TestVerify:
                            "--trials", "5")
         assert code == 3
         assert out.startswith("sandwich: FAIL (worst margin nan;")
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch,
+                                               tmp_path):
+        monkeypatch.setitem(
+            chorddiv.verify.SUITES, "patched",
+            lambda trials, seed: SuiteResult("patched", -1.0,
+                                             f"{trials} trials, seed {seed}"))
+        points = tmp_path / "points.csv"
+        write_points(points, [[0.1], [0.2], [1.0], [1.1]])
+        files = [tmp_path / name for name in
+                 ("sweep.csv", "sweep.svg", "assignments.csv",
+                  "summary.json")]
+        commands = [
+            ("eval", "--div", "bregman", "--x", "0,0", "--y", "1,1"),
+            ("eval", "--div", "bregman", "--x", "0", "--y", "1",
+             "--alpha", "x"),
+            ("sweep", "--x", "0.2,0.4", "--y", "1.1,0.3", "--grid", "3",
+             "--out", str(files[0]), "--svg", str(files[1])),
+            ("cluster", "--input", str(points), "--k", "2",
+             "--out-assignments", str(files[2]),
+             "--out-summary", str(files[3])),
+            ("verify", "--suite", "patched", "--trials", "3"),
+        ]
+
+        def call(argv):
+            code, out, err = run(capsys, *argv)
+            written = tuple(f.read_bytes() if f.exists() else None
+                            for f in files)
+            for f in files:
+                f.unlink(missing_ok=True)
+            return code, out, err, written
+
+        fresh = []
+        for argv in commands:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        build_parser.cache_clear()
+        shared = [call(argv) for argv in commands]
+        assert build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, *_ in shared] == [0, 2, 0, 0, 0]
+        assert shared[0][1] == "2\n"
+        assert "--alpha: not a number: 'x'" in shared[1][2]
+        assert shared[4][1] == ("patched: PASS (worst margin -1.000e+00; "
+                                "3 trials, seed 0)\n")
