@@ -45,10 +45,7 @@ class ChordParams:
 
     def __post_init__(self):
         for label, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (0.0 < float(v) <= 1.0):
-                raise ParameterError(
-                    f"chord anchor {label} must lie in (0, 1], got {v}"
-                )
+            unit_anchor(v, f"chord anchor {label}")
         if float(self.alpha) == float(self.beta):
             raise ParameterError(
                 f"chord anchors must differ, got alpha = beta = {self.alpha}"
@@ -100,17 +97,10 @@ def bregman(F: Generator, theta1, theta2) -> float:
 
         F(theta1) - F(theta2) - <theta1 - theta2, grad F(theta2)>
 
-    Non-negative for convex F; zero iff the arguments coincide.
+    Non-negative for convex F; zero iff the arguments coincide. It is
+    bregman_tangent at alpha = 1.
     """
-    if not F.has_grad:
-        raise GradientRequiredError(
-            f"bregman requires a gradient; generator {F.name} has none"
-        )
-    if (ends := endpoints(F, theta1, theta2)) is None:
-        return 0.0
-    t1, t2 = ends
-    g2 = F.grad_fn(t2)
-    return float(F.fn(t1)) - float(F.fn(t2)) - float(np.dot(t1 - t2, g2))
+    return bregman_tangent(F, theta1, theta2, 1.0)
 
 
 def bregman_dual(F: Generator, theta1, theta2) -> float:
@@ -154,11 +144,12 @@ def chord_gap(g0: float, g_a: float, g_b: float, a: float, b: float) -> float:
     return g0 - g_a + a * (g_b - g_a) / (b - a)
 
 
-def tangent_anchor(alpha: float) -> float:
-    """Validated tangent anchor: alpha in (0, 1]."""
-    a = float(alpha)
+def unit_anchor(value: float, label: str) -> float:
+    """Validated anchor: value in (0, 1], the rule of chord and tangent
+    anchors and of sweep grids; the message names it by label."""
+    a = float(value)
     if not (0.0 < a <= 1.0):
-        raise ParameterError(f"tangent anchor must lie in (0, 1], got {alpha}")
+        raise ParameterError(f"{label} must lie in (0, 1], got {value}")
     return a
 
 
@@ -167,17 +158,19 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
 
     Ordinate gap at theta1 against the tangent plane at the alpha
     interpolant; the beta -> alpha limit of the chord divergence. Recovers
-    the ordinary divergence at alpha = 1 and vanishes as alpha -> 0.
+    the ordinary divergence at alpha = 1, where the interpolant is theta2
+    itself, and vanishes as alpha -> 0.
     """
-    a = tangent_anchor(alpha)
+    a = unit_anchor(alpha, "tangent anchor")
     if not F.has_grad:
         raise GradientRequiredError(
-            f"bregman_tangent requires a gradient; generator {F.name} has none"
+            f"bregman and bregman_tangent require a gradient; generator "
+            f"{F.name} has none"
         )
     if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
     t1, t2 = ends
-    m = F.point(interpolate(t1, t2, a))
+    m = t2 if a == 1.0 else F.point(interpolate(t1, t2, a))
     g_m = F.grad_fn(m)
     return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
 

@@ -28,6 +28,7 @@ from .bregman import bregman
 from .clustering import NO_RIGHT_CENTROID, ClusterConfig, kmeans
 from .errors import (
     ChorddivError,
+    DomainError,
     ParseError,
     UnknownDivergenceError,
     UnsupportedGeneratorError,
@@ -170,6 +171,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     F = make_builtin(args.generator, len(args.x))
     D = resolve_divergence(args.div, F, _params_from(args))
     value = float(D(np.array(args.x), np.array(args.y)))
+    if not np.isfinite(value):
+        raise DomainError(
+            f"divergence {args.div!r} produced a non-finite value {value}"
+        )
     print(f"{value:.12g}")
     return 0
 

@@ -114,8 +114,17 @@ def objective(points, assignments, centers, D) -> float:
 
 def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
     """The (n, k) matrix of D(pts[i] : centers[j]), one block(pts, c) call
-    per center."""
-    return np.column_stack([block(pts, c) for c in centers])
+    per center. Raises DomainError naming the first row and center whose
+    value is not finite."""
+    dist = np.column_stack([block(pts, c) for c in centers])
+    finite = np.isfinite(dist)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DomainError(
+            f"divergence from point {pts[i].tolist()} at row {i} to center "
+            f"{j} {centers[j].tolist()} is not finite: {dist[i, j]}"
+        )
+    return dist
 
 
 def _objective_from(dist: np.ndarray, labels: np.ndarray) -> float:

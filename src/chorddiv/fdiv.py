@@ -34,7 +34,7 @@ class FGenerator:
 
     def __post_init__(self):
         probe = float(self.fn(1.0))
-        if abs(probe) > 1e-12:
+        if not abs(probe) <= 1e-12:
             raise ParameterError(
                 f"f generator {self.name!r} must vanish at 1, got f(1)={probe}"
             )

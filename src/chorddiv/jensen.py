@@ -48,12 +48,14 @@ class JensenChordParams:
             )
 
 
-def skew_weight(alpha: float) -> float:
-    """Validated skew: alpha in the open interval (0, 1)."""
+def skew_anchors(alpha: float) -> JensenChordParams:
+    """Jensen chord anchors (alpha, alpha, alpha) for a skew alpha in the
+    open interval (0, 1): the anchors at which jensen_chord is the skewed
+    Jensen gap."""
     a = float(alpha)
     if not (0.0 < a < 1.0):
         raise ParameterError(f"skew must lie in (0, 1), got {alpha}")
-    return a
+    return JensenChordParams(a, a, a)
 
 
 def jensen(F: Generator, theta1, theta2) -> float:
@@ -72,16 +74,11 @@ def jensen_skewed(F: Generator, theta1, theta2, alpha: float) -> float:
     Recovers the midpoint gap at alpha = 1/2; (1/alpha) times the gap tends
     to the reverse Bregman divergence as alpha -> 0. It also equals the
     skew-weighted Bregman average (1 - alpha) B_F(theta1 : m_alpha)
-    + alpha B_F(theta2 : m_alpha), whose gradient terms cancel, so the
-    registry's jensen_bregman id resolves here.
+    + alpha B_F(theta2 : m_alpha), whose gradient terms cancel. It is
+    jensen_chord at skew_anchors(alpha), as are the registry's jensen,
+    jensen_skewed and jensen_bregman ids.
     """
-    a = skew_weight(alpha)
-    if (ends := endpoints(F, theta1, theta2)) is None:
-        return 0.0
-    t1, t2 = ends
-    m = F.point(interpolate(t1, t2, a))
-    return ((1.0 - a) * float(F.fn(t1)) + a * float(F.fn(t2))
-            - float(F.fn(m)))
+    return jensen_chord(F, theta1, theta2, skew_anchors(alpha))
 
 
 def jensen_chord(F: Generator, theta1, theta2,

@@ -28,7 +28,7 @@ from .bregman import (
     bregman_tangent,
     chord_gap,
     skew_segment,
-    tangent_anchor,
+    unit_anchor,
 )
 from .errors import (
     DomainError,
@@ -46,13 +46,7 @@ from .fdiv import (
     make_f_generator,
 )
 from .generators import Generator, line_table
-from .jensen import (
-    JensenChordParams,
-    jensen,
-    jensen_chord,
-    jensen_skewed,
-    skew_weight,
-)
+from .jensen import JensenChordParams, jensen_chord, skew_anchors
 
 
 # DivSpec.anchors values, how a value depends on the sweep anchors:
@@ -103,14 +97,16 @@ DIVERGENCES = {
                                                  param("beta")),
         anchors=CHORD, block=bregman_chord_block),
     "bregman_tangent": DivSpec(
-        bregman_tangent, lambda param: tangent_anchor(param("alpha")),
+        bregman_tangent,
+        lambda param: unit_anchor(param("alpha"), "tangent anchor"),
         anchors=REJECTED),
     "bregman_chord_approx": DivSpec(
         bregman_chord, lambda param: approx_anchors(param("epsilon")),
         block=bregman_chord_block),
-    "jensen": DivSpec(jensen),
+    # the skewed Jensen ids are jensen_chord at alpha = beta = gamma
+    "jensen": DivSpec(jensen_chord, lambda param: skew_anchors(0.5)),
     "jensen_skewed": DivSpec(
-        jensen_skewed, lambda param: skew_weight(param("alpha")),
+        jensen_chord, lambda param: skew_anchors(param("alpha")),
         anchors=REJECTED),
     "jensen_chord": DivSpec(
         jensen_chord, lambda param: JensenChordParams(
@@ -118,7 +114,7 @@ DIVERGENCES = {
         anchors=REJECTED),
     # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
     "jensen_bregman": DivSpec(
-        jensen_skewed, lambda param: skew_weight(param("alpha")),
+        jensen_chord, lambda param: skew_anchors(param("alpha")),
         anchors=REJECTED),
     "kl": DivSpec(kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
@@ -256,8 +252,7 @@ def _anchors(label: str, values: Sequence[float]) -> tuple:
     if not anchors:
         raise ParameterError(f"{label} must be non-empty")
     for v in anchors:
-        if not (0.0 < v <= 1.0):
-            raise ParameterError(f"{label} must lie in (0, 1], got {v}")
+        unit_anchor(v, label)
     return anchors
 
 

@@ -331,8 +331,9 @@ def suite_jensen(trials: int = 200, seed: int = 0) -> SuiteResult:
         F = matrix[i % len(matrix)]
         t1, t2 = _sample_pair(rng, F)
         t = rng.uniform(0.05, 0.95)
-        dev = abs(jensen_chord(F, t1, t2, JensenChordParams(t, t, t))
-                  - jensen_skewed(F, t1, t2, t))
+        gap = ((1.0 - t) * float(F.fn(t1)) + t * float(F.fn(t2))
+               - float(F.fn(interpolate(t1, t2, t))))
+        dev = abs(jensen_chord(F, t1, t2, JensenChordParams(t, t, t)) - gap)
         worst_degen = _worst(worst_degen, dev)
 
     worst = _worst(worst_bridge - 1e-12, worst_ratio, worst_neg,

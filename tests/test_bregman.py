@@ -38,6 +38,7 @@ from chorddiv import (
     mean_value_witness,
     resolve_divergence,
     restrict_to_line,
+    sweep,
 )
 from chorddiv.bregman import bregman_chord_block, interpolate
 
@@ -158,8 +159,35 @@ class TestBregman:
                 assert bregman(F, t1, t2) > 0.0
 
     def test_gradient_required(self):
-        with pytest.raises(GradientRequiredError):
+        with pytest.raises(GradientRequiredError, match=(
+                "^bregman and bregman_tangent require a gradient; "
+                "generator quadratic_noglad has none$")):
             bregman(gradless_quadratic(), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda F: ChordParams(1.5, 0.5),
+     "chord anchor alpha must lie in (0, 1], got 1.5"),
+    (lambda F: ChordParams(0.5, 0),
+     "chord anchor beta must lie in (0, 1], got 0"),
+    (lambda F: bregman_tangent(F, 0.0, 1.0, 0),
+     "tangent anchor must lie in (0, 1], got 0"),
+    (lambda F: resolve_divergence("bregman_tangent", F, {"alpha": 2}),
+     "tangent anchor must lie in (0, 1], got 2.0"),
+    (lambda F: sweep(F, 0.0, 1.0, [2, 0.5], [0.5], "bregman_chord"),
+     "alphas must lie in (0, 1], got 2.0"),
+    (lambda F: jensen_skewed(F, 0.0, 1.0, 1),
+     "skew must lie in (0, 1), got 1"),
+    (lambda F: resolve_divergence("jensen_bregman", F, {"alpha": 0}),
+     "skew must lie in (0, 1), got 0.0"),
+])
+def test_anchor_range_messages(make, message):
+    """One (0, 1] rule serves chord and tangent anchors and sweep grids;
+    each message names the anchor and the value as given, or as sorted
+    for a grid."""
+    with pytest.raises(ParameterError) as err:
+        make(make_builtin("quadratic", 1))
+    assert str(err.value) == message
 
 
 class TestBregmanDual:

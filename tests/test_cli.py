@@ -116,6 +116,20 @@ class TestEval:
         code, _, _ = run(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--div", "bregman_chord", "--x", "1e200", "--y", "2e200",
+         "--alpha", "0.5", "--beta", "1"),
+        ("--div", "bregman", "--x", "1e200", "--y", "2e200"),
+        ("--div", "jensen", "--x", "1e300", "--y", "1.5e300"),
+    ])
+    def test_non_finite_value_is_a_domain_error(self, capsys, argv):
+        # F(x) = x.x overflows to inf, and the divergence to nan
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "eval", *argv)
+        assert code == 3
+        assert out == ""
+        assert "non-finite value nan" in err
+
 
 class TestSweep:
     def expected_grid2_cells(self):
@@ -502,6 +516,19 @@ class TestCluster:
         assert "'kl' has no right centroid" in err
         assert "'ekl'" in err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_non_finite_distance_is_a_domain_error(self, capsys, tmp_path):
+        inp = tmp_path / "points.csv"
+        write_points(inp, [[1e200], [1.1e200], [3e200], [3.1e200]])
+        with np.errstate(over="ignore"):
+            code, out, err = run(
+                capsys, "cluster", "--input", str(inp), "--k", "2",
+                "--out-summary", str(tmp_path / "summary.json"),
+                "--out-assignments", str(tmp_path / "assignments.csv"))
+        assert code == 3
+        assert out == ""
+        assert "row 0" in err and "not finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.csv"]
 
     def test_help_names_refused_ids(self, capsys):
         code, out, _ = run(capsys, "cluster", "--help")

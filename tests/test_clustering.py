@@ -240,6 +240,14 @@ class TestKMeans:
         with pytest.raises(DomainError):
             kmeans(pts, F, ClusterConfig(k=1))
 
+    @pytest.mark.parametrize("div", ["bregman", "jensen"])
+    def test_non_finite_distance_names_row_and_center(self, div):
+        # F(x) = x.x overflows to inf, and the distances to nan
+        pts = np.array([[1e200], [1.1e200], [3e200], [3.1e200]])
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=r"row 0 to center 0 \[3e\+200\]"):
+            kmeans(pts, QUAD1, ClusterConfig(k=2, divergence=div))
+
     @pytest.mark.parametrize("div", ["kl", "ekl", "fdiv:kl",
                                      "biskew:fdiv:chi2"])
     def test_weight_divergence_rejects_non_positive_row(self, div):

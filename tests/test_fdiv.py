@@ -35,6 +35,10 @@ class TestFGenerator:
         with pytest.raises(ParameterError):
             FGenerator("shifted_log", lambda u: -np.log(u) + 1.0)
 
+    def test_nan_at_one_is_rejected(self):
+        with pytest.raises(ParameterError, match="f\\(1\\)=nan"):
+            FGenerator("nan_at_one", lambda u: np.nan * u)
+
     def test_rejects_non_positive_ratio(self):
         f = make_f_generator("kl")
         for bad in (0.0, -1.0, float("nan")):

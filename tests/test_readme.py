@@ -1,15 +1,21 @@
-"""The README's Python blocks: the quick start runs, and every name it
-imports from the package is public."""
+"""The README's code blocks: the quick start runs, every name it imports
+from the package is public, and each `chorddiv eval` example prints the
+value its `# ->` line promises."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+import pytest
 
 import chorddiv
+from chorddiv.cli import main
 
 README = (pathlib.Path(__file__).resolve().parents[1]
           / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+EVAL_EXAMPLES = re.findall(r"^chorddiv (eval .*)\n# -> (.*)$", README, re.M)
 
 
 def imports():
@@ -35,3 +41,13 @@ def test_package_imports_name_only_public_api():
 def test_module_imports_resolve():
     for node in imports():
         exec(compile(ast.Module([node], []), "README import", "exec"), {})
+
+
+def test_eval_examples_are_found():
+    assert len(EVAL_EXAMPLES) == 2
+
+
+@pytest.mark.parametrize("command, printed", EVAL_EXAMPLES)
+def test_eval_example_prints_its_value(command, printed, capsys):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == printed + "\n"
