@@ -130,17 +130,21 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
 def bregman_chord_block(F: Generator, X, theta2, cp: ChordParams
                         ) -> np.ndarray:
     """bregman_chord(F, X[i], theta2, cp) for each row of the (m, dim)
-    block X, bit for bit: chord_gap on each row of the line_table at 0,
-    alpha and beta, the table the sweep shares, so the block is validated
-    once and a row that coincides with theta2 gives 0.0 for no F call."""
+    block X, bit for bit: chord_gap over the columns of the line_table at
+    0, alpha and beta, the table the sweep shares. The block is validated
+    once, its F values come from one F.rows call (per point for a
+    generator without rows), and a row that coincides with theta2 gives
+    0.0 for no F evaluation. numpy rounds the array expression's float64
+    operations, in chord_gap's order, as Python rounds them on floats, and
+    like Python it gives nan or inf there without a warning."""
     a, b = float(cp.alpha), float(cp.beta)
     table = line_table(F, X, theta2, (0.0, a, b))
-    return np.array([chord_gap(g0, g_a, g_b, a, b)
-                     for g0, g_a, g_b in table.tolist()])
+    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
+        return chord_gap(table[:, 0], table[:, 1], table[:, 2], a, b)
 
 
-def chord_gap(g0: float, g_a: float, g_b: float, a: float, b: float) -> float:
-    """B[a, b] from G(0), G(a) and G(b)."""
+def chord_gap(g0, g_a, g_b, a: float, b: float):
+    """B[a, b] from G(0), G(a) and G(b): floats, or arrays of them."""
     return g0 - g_a + a * (g_b - g_a) / (b - a)
 
 

@@ -10,9 +10,11 @@ arguments), so no gradient is ever needed. Each numeric solve is recorded
 with how it ended; the library only records, it never warns. Each iteration
 evaluates the n x k divergence matrix once. Every divergence value comes
 from registry.resolve_block's evaluator, one call per block of points
-against one center: bregman_chord and bregman_chord_approx validate once
-per block, other ids loop their per-pair callable. Everything is
-deterministic for a fixed seed.
+against one center. bregman_chord, bregman_chord_approx and the Jensen ids
+validate once per block and evaluate F in one row-evaluator call per block
+on a builtin generator (one F call per point on a custom one); other ids
+loop their per-pair callable. Everything is deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations

@@ -72,8 +72,11 @@ class Generator:
     fn maps a validated coordinate array to a float; grad_fn, when present,
     maps it to the gradient array. conjugate, when present, is the
     closed-form Legendre conjugate F*, itself a Generator whose gradient is
-    the inverse of grad F. Instances are immutable value objects and all
-    methods are pure.
+    the inverse of grad F. rows, when present, is fn over rows: it maps a
+    (..., dim) array of validated points to the (...) array of fn over its
+    last axis, each value equal to fn's bit for bit, so line_table makes
+    one rows call per block; without it line_table calls fn per point.
+    Instances are immutable value objects and all methods are pure.
     """
 
     name: str
@@ -82,6 +85,7 @@ class Generator:
     fn: Callable[[np.ndarray], float]
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate: Optional["Generator"] = None
+    rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         whole_number("generator dimension", self.dim, 1)
@@ -135,6 +139,8 @@ def _quadratic(dim: int) -> Generator:
         fn=lambda t: float(np.dot(t, t)),
         grad_fn=lambda t: 2.0 * t,
         conjugate=conj,
+        # a stack of dot products; einsum and sum(T * T) round differently
+        rows=lambda T: (T[..., None, :] @ T[..., :, None])[..., 0, 0],
     )
 
 
@@ -154,6 +160,7 @@ def _shannon_negentropy(dim: int) -> Generator:
         fn=lambda t: float(np.sum(t * np.log(t))),
         grad_fn=lambda t: 1.0 + np.log(t),
         conjugate=conj,
+        rows=lambda T: np.sum(T * np.log(T), axis=-1),
     )
 
 
@@ -164,6 +171,7 @@ def _burg_negentropy(dim: int) -> Generator:
         domain=POSITIVE,
         fn=lambda t: -float(np.sum(np.log(t))),
         grad_fn=lambda t: -1.0 / t,
+        rows=lambda T: -np.sum(np.log(T), axis=-1),
     )
 
 
@@ -174,12 +182,18 @@ def _log_sum_exp(dim: int) -> Generator:
         m = max(0.0, float(np.max(t)))
         return m + float(np.log(np.exp(-m) + np.sum(np.exp(t - m))))
 
+    def rows(T: np.ndarray) -> np.ndarray:
+        m = np.maximum(0.0, T.max(axis=-1))
+        return m + np.log(np.exp(-m)
+                          + np.sum(np.exp(T - m[..., None]), axis=-1))
+
     return Generator(
         name="log_sum_exp",
         dim=dim,
         domain=REALS,
         fn=fn,
         grad_fn=lambda t: np.exp(t - fn(t)),
+        rows=rows,
     )
 
 
@@ -259,9 +273,11 @@ def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
     restrict_to_line(F, X[i], theta2) at lams, bit for bit.
 
     theta2 goes through F.point; X gets one shape check, and the whole
-    table of points one domain check, which raises F.point's DomainError
-    for the first point outside. Rows that coincide with theta2 hold 0.0
-    and cost no F call.
+    table of points one domain check, before any evaluation, which raises
+    F.point's DomainError for the first point outside. Rows that coincide
+    with theta2 hold 0.0 and cost no F evaluation. The other rows take one
+    F.rows call when F has a row evaluator (every builtin does), and one
+    F.fn call per point when it has none.
     """
     t2 = F.point(theta2)
     X = np.asarray(X, dtype=float)
@@ -276,8 +292,12 @@ def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
         for p in points.reshape(-1, F.dim):
             F.point(p)  # raises at the first point outside the domain
     table = np.zeros(points.shape[:2])
-    for i in np.flatnonzero(~coincide(X, t2)):
-        table[i] = [float(F.fn(p)) for p in points[i]]
+    live = ~coincide(X, t2)
+    if F.rows is not None:
+        table[live] = F.rows(points[live])
+    else:
+        for i in np.flatnonzero(live):
+            table[i] = [float(F.fn(p)) for p in points[i]]
     return table
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bregman import interpolate
 from .errors import ParameterError
-from .generators import Generator, endpoints
+from .generators import Generator, endpoints, line_table
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,35 @@ def jensen_chord(F: Generator, theta1, theta2,
     if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
     t1, t2 = ends
-    a, b, c = float(jcp.alpha), float(jcp.beta), float(jcp.gamma)
-    upper = (1.0 - c) * float(F.fn(t1)) + c * float(F.fn(t2))
-    if a == b:  # necessarily c == a, so the lower chord degenerates to F(m_c)
-        return upper - float(F.fn(F.point(interpolate(t1, t2, c))))
-    w = (c - a) / (b - a)
+    a, b = float(jcp.alpha), float(jcp.beta)
     f_a = float(F.fn(F.point(interpolate(t1, t2, a))))
-    f_b = float(F.fn(F.point(interpolate(t1, t2, b))))
+    f_b = f_a if a == b else float(F.fn(F.point(interpolate(t1, t2, b))))
+    return jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
+
+
+def jensen_chord_block(F: Generator, X, theta2,
+                       jcp: JensenChordParams) -> np.ndarray:
+    """jensen_chord(F, X[i], theta2, jcp) for each row of the (m, dim)
+    block X, bit for bit: jensen_gap over the columns of the line_table at
+    0, alpha, beta and 1 (0, alpha and 1 when alpha = beta). The table is
+    validated once and filled by one F.rows call (per point for a
+    generator without rows); its columns at 0 and 1 evaluate X[i] and
+    theta2 themselves, its inner columns interpolate's points, and a row
+    that coincides with theta2 gives 0.0 for no F evaluation."""
+    a, b = float(jcp.alpha), float(jcp.beta)
+    table = line_table(F, X, theta2,
+                       (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))
+    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
+        return jensen_gap(table[:, 0], table[:, 1], table[:, -2],
+                          table[:, -1], jcp)
+
+
+def jensen_gap(f1, f_a, f_b, f2, jcp: JensenChordParams):
+    """J[alpha, beta, gamma] from F at theta1, at the alpha and beta
+    interpolants, and at theta2: floats, or arrays of them."""
+    a, b, c = float(jcp.alpha), float(jcp.beta), float(jcp.gamma)
+    upper = (1.0 - c) * f1 + c * f2
+    if a == b:  # necessarily c == a, so the lower chord degenerates to F(m_c)
+        return upper - f_a
+    w = (c - a) / (b - a)
     return upper - ((1.0 - w) * f_a + w * f_b)

@@ -46,7 +46,8 @@ from .fdiv import (
     make_f_generator,
 )
 from .generators import Generator, line_table
-from .jensen import JensenChordParams, jensen_chord, skew_anchors
+from .jensen import (JensenChordParams, jensen_chord, jensen_chord_block,
+                     skew_anchors)
 
 
 # DivSpec.anchors values, how a value depends on the sweep anchors:
@@ -104,18 +105,19 @@ DIVERGENCES = {
         bregman_chord, lambda param: approx_anchors(param("epsilon")),
         block=bregman_chord_block),
     # the skewed Jensen ids are jensen_chord at alpha = beta = gamma
-    "jensen": DivSpec(jensen_chord, lambda param: skew_anchors(0.5)),
+    "jensen": DivSpec(jensen_chord, lambda param: skew_anchors(0.5),
+                      block=jensen_chord_block),
     "jensen_skewed": DivSpec(
         jensen_chord, lambda param: skew_anchors(param("alpha")),
-        anchors=REJECTED),
+        anchors=REJECTED, block=jensen_chord_block),
     "jensen_chord": DivSpec(
         jensen_chord, lambda param: JensenChordParams(
             param("alpha"), param("beta"), param("gamma")),
-        anchors=REJECTED),
+        anchors=REJECTED, block=jensen_chord_block),
     # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
     "jensen_bregman": DivSpec(
         jensen_chord, lambda param: skew_anchors(param("alpha")),
-        anchors=REJECTED),
+        anchors=REJECTED, block=jensen_chord_block),
     "kl": DivSpec(kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
     "ekl": DivSpec(extended_kl, needs_generator=False,
@@ -204,8 +206,9 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
     callable.
 
-    Ids with a block kernel validate once per call and skip the per-pair
-    callable; the others loop the callable resolve_divergence returns.
+    Ids with a block kernel (bregman_chord, bregman_chord_approx and the
+    Jensen ids) validate once per call and skip the per-pair callable; the
+    others loop the callable resolve_divergence returns.
     """
     spec, _ = _spec(div_id)
     if spec.block is None:

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior through main(argv): outputs, files, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chorddiv
 import chorddiv.verify
 from chorddiv import (
     ClusterConfig,
@@ -129,6 +134,46 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "non-finite value nan" in err
+
+
+class TestOverflowUnderWarningsAsErrors:
+    """A fresh interpreter with PYTHONWARNINGS=error: an overflowing builtin
+    still ends in the finiteness checks' exit 3, and no numpy warning
+    reaches stderr."""
+
+    BIG = "1e200,1e200\n1.1e200,1e200\n3e200,1e200\n3.1e200,1e200\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--div", "bregman", "--x", "1e200", "--y", "2e200"],
+        ["eval", "--div", "bregman_chord", "--generator",
+         "shannon_negentropy", "--x", "1e307", "--y", "1.5e307",
+         "--alpha", "0.5", "--beta", "1"],
+        ["eval", "--div", "jensen", "--x", "1e300", "--y", "1.5e300"],
+        ["sweep", "--x", "1e200,1", "--y", "2e200,1", "--grid", "2",
+         "--out", "{tmp}/sweep.csv"],
+        ["cluster", "--input", "{tmp}/points.csv", "--k", "2",
+         "--out-assignments", "{tmp}/a.csv", "--out-summary", "{tmp}/s.json"],
+        ["cluster", "--input", "{tmp}/points.csv", "--k", "2", "--div",
+         "bregman_chord", "--alpha", "0.9", "--beta", "1",
+         "--out-assignments", "{tmp}/a.csv", "--out-summary", "{tmp}/s.json"],
+        ["cluster", "--input", "{tmp}/points.csv", "--k", "2", "--div",
+         "jensen", "--out-assignments", "{tmp}/a.csv",
+         "--out-summary", "{tmp}/s.json"],
+    ])
+    def test_exits_3_without_a_warning(self, tmp_path, argv):
+        (tmp_path / "points.csv").write_text(self.BIG)
+        src = str(pathlib.Path(chorddiv.__file__).parents[1])
+        env = {**os.environ, "PYTHONWARNINGS": "error",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chorddiv.cli",
+             *(a.format(tmp=tmp_path) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Warning" not in proc.stderr
+        assert "non-finite" in proc.stderr or "not finite" in proc.stderr
 
 
 class TestSweep:

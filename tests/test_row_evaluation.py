@@ -1,0 +1,255 @@
+"""Row evaluation: each builtin's Generator.rows equals its scalar fn bit
+for bit, and the block kernels built on line_table equal their per-pair
+kernels bit for bit. Every reference is computed on the scalar path at
+test time, not stored, since numpy versions and BLAS builds may round a
+form differently."""
+
+import dataclasses
+import importlib
+
+import numpy as np
+import pytest
+
+from chorddiv import (
+    BUILTIN_GENERATORS,
+    ChordParams,
+    Domain,
+    Generator,
+    bregman_chord,
+    make_builtin,
+    resolve_divergence,
+    sweep,
+)
+from chorddiv.bregman import bregman_chord_block, chord_gap, interpolate
+from chorddiv.generators import endpoints, line_table
+from chorddiv.jensen import JensenChordParams, jensen_chord, jensen_chord_block
+from chorddiv.registry import resolve_block
+
+# chorddiv.jensen names the function, so the module is looked up by path
+JENSEN = importlib.import_module("chorddiv.jensen")
+
+GENERATORS = [*BUILTIN_GENERATORS, "expsum"]
+
+
+def expsum(dim):
+    """A custom generator with fn only: F(t) = sum exp(t_i)."""
+    return Generator(name="expsum", dim=dim, domain=Domain("reals"),
+                     fn=lambda t: float(np.sum(np.exp(t))))
+
+
+def generator(gen, dim):
+    return expsum(dim) if gen == "expsum" else make_builtin(gen, dim)
+
+
+def same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def scattered_points(F, rng, shape):
+    """Seeded points of leading shape `shape`, each coordinate of
+    magnitude 1e-2 to 1e2, of either sign on the reals."""
+    pts = 10.0 ** rng.uniform(-2.0, 2.0, (*shape, F.dim))
+    if F.domain.kind != "positive":
+        pts *= rng.choice([-1.0, 1.0], pts.shape)
+    return pts
+
+
+def scalar_rows(F, T):
+    """F.fn on each point of T, the reference for F.rows(T)."""
+    values = [float(F.fn(t)) for t in T.reshape(-1, F.dim)]
+    return np.array(values).reshape(T.shape[:-1])
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("shape", [(400,), (60, 3), (1, 80)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_rows_equal_scalar_fn(self, gen, dim, shape):
+        F = make_builtin(gen, dim)
+        T = scattered_points(F, np.random.default_rng(dim), shape)
+        got = F.rows(T)
+        assert got.shape == shape and got.dtype == np.float64
+        assert same_bits(got, scalar_rows(F, T))
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_rows_equal_scalar_fn_on_line_tables(self, gen):
+        # the interpolants line_table evaluates, near and far from theta2
+        F = make_builtin(gen, 3)
+        rng = np.random.default_rng(7)
+        c = scattered_points(F, rng, ())
+        X = np.array([c * (1.0 + gap * rng.uniform(-1.0, 1.0, 3))
+                      for gap in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5)])
+        lam = np.array([0.0, 1e-6, 0.3, 0.9, 1.0 - 1e-6, 1.0])[:, None]
+        T = (1.0 - lam) * X[:, None] + lam * c
+        assert same_bits(F.rows(T), scalar_rows(F, T))
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_empty_input(self, gen):
+        F = make_builtin(gen, 2)
+        assert F.rows(np.empty((0, 3, 2))).shape == (0, 3)
+
+    def test_custom_generators_have_no_rows(self):
+        assert expsum(2).rows is None
+
+
+def reference_chord_block(F, X, theta2, cp):
+    """The chord block as a per-row chord_gap loop over a table filled by
+    one fn call per point."""
+    a, b = float(cp.alpha), float(cp.beta)
+    table = line_table(dataclasses.replace(F, rows=None), X, theta2,
+                       (0.0, a, b))
+    return np.array([chord_gap(g0, g_a, g_b, a, b)
+                     for g0, g_a, g_b in table.tolist()])
+
+
+def reference_jensen_chord(F, theta1, theta2, jcp):
+    """jensen_chord written out on scalar F values."""
+    if (ends := endpoints(F, theta1, theta2)) is None:
+        return 0.0
+    t1, t2 = ends
+    a, b, c = float(jcp.alpha), float(jcp.beta), float(jcp.gamma)
+    upper = (1.0 - c) * float(F.fn(t1)) + c * float(F.fn(t2))
+    if a == b:
+        return upper - float(F.fn(F.point(interpolate(t1, t2, c))))
+    w = (c - a) / (b - a)
+    f_a = float(F.fn(F.point(interpolate(t1, t2, a))))
+    f_b = float(F.fn(F.point(interpolate(t1, t2, b))))
+    return upper - ((1.0 - w) * f_a + w * f_b)
+
+
+def sample_blocks(F):
+    """(X, c) blocks at magnitudes 1e-2 to 1e2 and relative gaps 1e-9 to
+    0.5, each with rows that coincide with c, exactly or within
+    DEGENERATE_EPS."""
+    rng = np.random.default_rng(F.dim)
+    positive = F.domain.kind == "positive"
+    blocks = []
+    for mag in (1e-2, 1.0, 1e2):
+        sign = 1.0 if positive else rng.choice([-1.0, 1.0], F.dim)
+        c = sign * mag * rng.uniform(0.5, 1.5, F.dim)
+        X = [c * (1.0 + gap * rng.uniform(-1.0, 1.0, F.dim))
+             for gap in (1e-9, 1e-6, 1e-3, 0.1, 0.5) for _ in range(2)]
+        blocks.append((np.array([c, *X, c + 1e-15]), c))
+    return blocks
+
+
+def recording_rows(F):
+    """F whose rows records the shape of each input and whose fn fails:
+    with rows set, line_table must not call fn."""
+    shapes = []
+
+    def rows(T):
+        shapes.append(T.shape)
+        return F.rows(T)
+
+    def fn(t):
+        raise AssertionError("fn called on a generator with rows")
+
+    return dataclasses.replace(F, fn=fn, rows=rows), shapes
+
+
+CHORD_PARAMS = [ChordParams(0.9, 1.0), ChordParams(0.7, 0.2),
+                ChordParams(1.0 - 1e-6, 1.0)]
+JENSEN_PARAMS = [JensenChordParams(0.2, 0.8, 0.5),
+                 JensenChordParams(0.0, 1.0, 0.3),
+                 JensenChordParams(0.3, 0.6, 0.3),
+                 JensenChordParams(0.4, 0.4, 0.4)]
+
+
+class TestChordBlock:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_equals_per_pair_and_per_row_loop(self, gen, dim):
+        F = generator(gen, dim)
+        for X, c in sample_blocks(F):
+            for cp in CHORD_PARAMS:
+                block = bregman_chord_block(F, X, c, cp)
+                per_pair = [bregman_chord(F, x, c, cp) for x in X]
+                assert same_bits(block, per_pair)
+                assert same_bits(block, reference_chord_block(F, X, c, cp))
+                assert block[0] == 0.0 and block[-1] == 0.0
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_resolve_block_ids_equal_per_pair(self, gen):
+        F = generator(gen, 2)
+        cases = [("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+                 ("bregman_chord", {"alpha": 0.7, "beta": 0.2}),
+                 ("bregman_chord_approx", {"epsilon": 1e-6}),
+                 ("bregman_chord_approx", {"epsilon": 1e-8})]
+        for div_id, params in cases:
+            block = resolve_block(div_id, F, params)
+            D = resolve_divergence(div_id, F, params)
+            for X, c in sample_blocks(F):
+                assert same_bits(block(X, c), [D(x, c) for x in X])
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_one_rows_call_per_block(self, gen):
+        G, shapes = recording_rows(make_builtin(gen, 2))
+        X, c = sample_blocks(G)[1]
+        bregman_chord_block(G, X, c, ChordParams(0.9, 1.0))
+        assert shapes == [(len(X) - 2, 3, 2)]  # the two coincident rows
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_block_whose_rows_all_coincide(self, gen):
+        G, shapes = recording_rows(make_builtin(gen, 2))
+        c = sample_blocks(G)[1][1]
+        X = np.array([c, c + 1e-15, c - 1e-15])
+        block = bregman_chord_block(G, X, c, ChordParams(0.7, 0.2))
+        assert same_bits(block, np.zeros(3))
+        jblock = jensen_chord_block(G, X, c, JensenChordParams(0.2, 0.8, 0.5))
+        assert same_bits(jblock, np.zeros(3))
+        assert shapes == [(0, 3, 2), (0, 4, 2)]
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_sweep_cells_equal_bregman_chord(self, gen):
+        F = generator(gen, 3)
+        anchors = [i / 8 for i in range(1, 8)] + [1.0]
+        for X, c in sample_blocks(F):
+            x = X[3]
+            cells = sweep(F, x, c, anchors, anchors, "bregman_chord")
+            want = [bregman_chord(F, x, c, ChordParams(a, b))
+                    for a, b, _ in cells]
+            assert same_bits([v for _, _, v in cells], want)
+
+
+class TestJensenChordBlock:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_equals_per_pair_and_reference(self, gen, dim):
+        F = generator(gen, dim)
+        for X, c in sample_blocks(F):
+            for jcp in JENSEN_PARAMS:
+                block = jensen_chord_block(F, X, c, jcp)
+                per_pair = [jensen_chord(F, x, c, jcp) for x in X]
+                reference = [reference_jensen_chord(F, x, c, jcp) for x in X]
+                assert same_bits(per_pair, reference)
+                assert same_bits(block, per_pair)
+                assert block[0] == 0.0 and block[-1] == 0.0
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_resolve_block_ids_equal_per_pair(self, gen):
+        F = generator(gen, 2)
+        cases = [("jensen", {}), ("jensen_skewed", {"alpha": 0.3}),
+                 ("jensen_bregman", {"alpha": 0.9}),
+                 ("jensen_chord", {"alpha": 0.2, "beta": 0.8,
+                                   "gamma": 0.5})]
+        for div_id, params in cases:
+            block = resolve_block(div_id, F, params)
+            D = resolve_divergence(div_id, F, params)
+            for X, c in sample_blocks(F):
+                assert same_bits(block(X, c), [D(x, c) for x in X])
+
+    @pytest.mark.parametrize("jcp, lams", [
+        (JensenChordParams(0.2, 0.8, 0.5), (0.0, 0.2, 0.8, 1.0)),
+        (JensenChordParams(0.4, 0.4, 0.4), (0.0, 0.4, 1.0))])
+    def test_table_columns(self, jcp, lams, monkeypatch):
+        seen = []
+
+        def recording(F, X, theta2, at):
+            seen.append(tuple(at))
+            return line_table(F, X, theta2, at)
+
+        monkeypatch.setattr(JENSEN, "line_table", recording)
+        F = make_builtin("quadratic", 2)
+        jensen_chord_block(F, np.ones((4, 2)), np.zeros(2), jcp)
+        assert seen == [lams]
