@@ -1,8 +1,10 @@
 """Right-sided k-means under any divergence from the registry.
 
 Lloyd iterations with D(point : center) assignments. Where the registry
-gives a closed-form right centroid (the member mean, for bregman and ekl),
-centers take it. Otherwise they are found numerically by
+gives a closed-form right centroid for the divergence under the generator
+(the member mean for bregman and ekl, and for every generator-based id
+under the quadratic builtin; grad F*(mean grad F) for bregman_dual when F
+has a conjugate), centers take it. Otherwise they are found numerically by
 numerics.coordinate_minimize, golden-section search per coordinate over the
 cluster's bounding box (expanded by 10 percent and kept in the positive
 orthant when the generator's domain or the divergence needs positive
@@ -202,10 +204,10 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
 
     Centers are initialized to k distinct data points drawn uniformly with
     the configured seed. Each iteration updates every center (closed form
-    where the registry has one, numerically otherwise), reassigns points to
-    the divergence-nearest center (right argument; ties keep the lowest
-    center index), and hands any emptied cluster the point farthest from its
-    own center. The labels, the repair distances and the objective all come
+    where registry.right_centroid gives one for the divergence under F,
+    numerically otherwise), reassigns points to the divergence-nearest
+    center (right argument; ties keep the lowest center index), and hands
+    any emptied cluster the point farthest from its own center. The labels, the repair distances and the objective all come
     from one n x k divergence matrix per iteration. Stops at the first
     iteration that does not lower the objective or whose labels equal the
     labels its centers came from, or after max_iters. Every numeric center
@@ -243,7 +245,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     block = resolve_block(cfg.divergence, F, cfg.params)
-    centroid = right_centroid(cfg.divergence)
+    centroid = right_centroid(cfg.divergence, F)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()

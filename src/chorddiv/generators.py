@@ -8,7 +8,7 @@ need evaluations, which is the point of the whole exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,6 +76,10 @@ class Generator:
     (..., dim) array of validated points to the (...) array of fn over its
     last axis, each value equal to fn's bit for bit, so line_table makes
     one rows call per block; without it line_table calls fn per point.
+    builtin is the identifier make_builtin built the generator from, and
+    None on every other generator; closed forms that hold for one builtin
+    only, such as the member-mean centroid under quadratic, key on it,
+    never on name, which any generator may take.
     Instances are immutable value objects and all methods are pure.
     """
 
@@ -86,6 +90,7 @@ class Generator:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate: Optional["Generator"] = None
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    builtin: Optional[str] = None
 
     def __post_init__(self):
         whole_number("generator dimension", self.dim, 1)
@@ -209,7 +214,8 @@ BUILTIN_GENERATORS = tuple(_BUILTIN_FACTORIES)
 
 
 def make_builtin(name: str, dim: int) -> Generator:
-    """Construct a built-in generator by its stable identifier.
+    """Construct a built-in generator by its stable identifier, which it
+    records as the generator's builtin field.
 
     quadratic           sum t_i^2 on R^D, with conjugate
     shannon_negentropy  sum t_i log t_i on the positive orthant, with conjugate
@@ -222,7 +228,7 @@ def make_builtin(name: str, dim: int) -> Generator:
             f"unknown generator {name!r}; known generators: "
             f"{', '.join(BUILTIN_GENERATORS)}"
         )
-    return factory(dim)
+    return replace(factory(dim), builtin=name)
 
 
 @dataclass(frozen=True, eq=False)

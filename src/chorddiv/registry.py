@@ -69,7 +69,8 @@ class DivSpec(NamedTuple):
     ignore the generator and read their arguments as positive weights.
     right_centroid, when set, maps an (m, dim) member matrix to the
     closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
-    holds for every generator and parameter value. anchors says how the
+    holds for every generator and parameter value, and right_centroid()
+    adds the forms that hold for one generator. anchors says how the
     value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
     REJECTED. block, when set, is the kernel's block form,
     block(F, X, y, arg) -> the values kernel(F, X[i], y, arg), bit for bit.
@@ -153,10 +154,35 @@ def needs_generator(div_id: str) -> bool:
     return spec.needs_generator
 
 
-def right_centroid(div_id: str) -> Optional[Callable]:
-    """The identifier's closed-form right centroid, or None when it must be
-    found numerically (every biskew: wrapper included)."""
-    return _spec(div_id)[0].right_centroid
+def _left_centroid(F: Generator, members):
+    """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
+    grad F*(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and symmetrized
+    Bregman centroids", IEEE TIT 2009), for F with a conjugate."""
+    eta = np.array([F.grad_fn(x) for x in members]).mean(axis=0)
+    return F.point(F.conjugate.grad_fn(eta))
+
+
+def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
+    """The closed-form argmin_c sum_i D(x_i : c) of the identifier under F,
+    as a map from an (m, dim) member matrix to the center, or None when it
+    must be found numerically. The first rule that holds gives it:
+
+    1. the id's DivSpec.right_centroid: the member mean for bregman and ekl;
+    2. the member mean for every id that evaluates the generator when F is
+       the quadratic builtin, since each such D(x : c) is then a
+       non-negative multiple of |x - c|^2 (biskew: wrappers of those ids
+       included);
+    3. for bregman_dual, D(x : c) = B_F(c : x), the left-sided centroid
+       grad F*(mean_i grad F(x_i)) when F has a conjugate.
+    """
+    spec, _ = _spec(div_id)
+    if spec.right_centroid is not None:
+        return spec.right_centroid
+    if F.builtin == "quadratic" and needs_generator(div_id):
+        return _member_mean
+    if spec.kernel is bregman_dual and F.conjugate is not None:
+        return lambda members: _left_centroid(F, members)
+    return None
 
 
 def resolve_divergence(div_id: str, generator: Optional[Generator] = None,

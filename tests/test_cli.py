@@ -519,6 +519,29 @@ class TestCluster:
         truth = [0] * 8 + [1] * 8
         assert adjusted_rand_index(labels, truth) == 1.0
 
+    def test_readme_chord_example_takes_member_means(self, capsys,
+                                                     tmp_path):
+        # under quadratic the chord centroid is the member mean: no search
+        rng = np.random.default_rng(4)
+        pts = np.vstack([rng.normal(0.0, 0.3, (10, 2)),
+                         rng.normal(3.0, 0.3, (10, 2))])
+        inp = tmp_path / "points.csv"
+        write_points(inp, pts)
+        out_a = tmp_path / "assignments.csv"
+        out_s = tmp_path / "summary.json"
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "2",
+            "--div", "bregman_chord", "--alpha", "0.9", "--beta", "1.0",
+            "--out-assignments", str(out_a), "--out-summary", str(out_s))
+        assert code == 0
+        assert err == ""
+        labels = np.array([int(line.split(",")[1])
+                           for line in out_a.read_text().splitlines()])
+        centers = json.loads(out_s.read_text())["centers"]
+        assert sorted(np.bincount(labels).tolist()) == [10, 10]
+        for j, center in enumerate(centers):
+            assert center == pts[labels == j].mean(axis=0).tolist()
+
     def test_fdiv_centers_stay_positive(self, capsys, tmp_path):
         # quadratic's domain is all of R^2, but fdiv:chi2 needs positive
         # centers; its right centroid is the coordinate-wise harmonic mean

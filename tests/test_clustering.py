@@ -1,5 +1,7 @@
 """k-means under registry divergences: Lloyd loop, repair, centroids, ARI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from chorddiv import (
     BUILTIN_GENERATORS,
     ClusterConfig,
     DomainError,
+    Generator,
     InfeasibleError,
     ParameterError,
     ShapeError,
@@ -27,11 +30,13 @@ from chorddiv.clustering import (
     _update_center,
     objective,
 )
-from chorddiv.registry import resolve_block
+from chorddiv.generators import REALS
+from chorddiv.registry import needs_generator, resolve_block, right_centroid
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
 QUAD2 = make_builtin("quadratic", 2)
+BURG1 = make_builtin("burg_negentropy", 1)
 
 
 def two_group_points(n_per_group=8, seed=3):
@@ -293,26 +298,94 @@ def forbid_golden(monkeypatch):
     monkeypatch.setattr(chorddiv.clustering, "golden_minimize", golden)
 
 
+#: Every identifier that evaluates the generator, with the parameters it
+#: reads, and biskew: of each that biskew may wrap.
+GENERATOR_IDS = {
+    "bregman": {},
+    "bregman_dual": {},
+    "bregman_chord": {"alpha": 0.9, "beta": 1.0},
+    "bregman_tangent": {"alpha": 0.5},
+    "bregman_chord_approx": {"epsilon": 1e-4},
+    "jensen": {},
+    "jensen_skewed": {"alpha": 0.3},
+    "jensen_chord": {"alpha": 0.2, "beta": 0.8, "gamma": 0.5},
+    "jensen_bregman": {"alpha": 0.3},
+}
+GENERATOR_IDS.update({
+    f"biskew:{div}": {**params, "gamma": 0.1, "delta": 0.9}
+    for div, params in list(GENERATOR_IDS.items()) if div != "jensen_chord"
+})
+
+
+def blob_points(dim, seed=7):
+    rng = np.random.default_rng(seed)
+    return np.vstack([0.5 + 0.1 * rng.random((6, dim)),
+                      2.0 + 0.1 * rng.random((6, dim))])
+
+
+def left_centroid(F, members):
+    """grad F*(mean_i grad F(x_i)), the bregman_dual centroid."""
+    eta = np.array([F.grad_fn(x) for x in members]).mean(axis=0)
+    return F.point(F.conjugate.grad_fn(eta))
+
+
 class TestClosedFormCentroid:
+    """The member mean for bregman and ekl under every generator and for
+    every generator-based id under quadratic, and the left-sided centroid
+    for bregman_dual under a generator with a conjugate."""
+
+    def test_ids_cover_the_registry(self):
+        bare = {div for div in chorddiv.registry.known_divergences()
+                if ":" not in div and needs_generator(div)}
+        assert bare == {div for div in GENERATOR_IDS if ":" not in div}
+
     @pytest.mark.parametrize("div,gen,dim", [
         *(("bregman", gen, dim) for gen in BUILTIN_GENERATORS
           for dim in (1, 2)),
         ("ekl", "quadratic", 2),
+        *((div, "quadratic", 2) for div in GENERATOR_IDS if div != "bregman"),
     ])
     def test_centers_are_member_means(self, monkeypatch, div, gen, dim):
         forbid_golden(monkeypatch)
-        rng = np.random.default_rng(7)
-        pts = np.vstack([0.5 + 0.1 * rng.random((6, dim)),
-                         2.0 + 0.1 * rng.random((6, dim))])
-        res = kmeans(pts, make_builtin(gen, dim),
-                     ClusterConfig(k=2, divergence=div, seed=1))
+        pts = blob_points(dim)
+        res = kmeans(pts, make_builtin(gen, dim), ClusterConfig(
+            k=2, divergence=div, params=GENERATOR_IDS.get(div, {}), seed=1))
         assert sorted(np.bincount(res.assignments).tolist()) == [6, 6]
         for j, center in enumerate(res.centers):
             members = pts[res.assignments == j]
             assert np.array_equal(center, members.mean(axis=0))
         assert res.center_solves == ()
 
+    @pytest.mark.parametrize("gen", ["shannon_negentropy", "quadratic"])
+    def test_dual_centers_are_left_centroids(self, monkeypatch, gen):
+        forbid_golden(monkeypatch)
+        F = make_builtin(gen, 2)
+        pts = blob_points(2)
+        res = kmeans(pts, F, ClusterConfig(k=2, divergence="bregman_dual",
+                                           seed=1))
+        assert sorted(np.bincount(res.assignments).tolist()) == [6, 6]
+        for j, center in enumerate(res.centers):
+            members = pts[res.assignments == j]
+            assert np.array_equal(center, left_centroid(F, members))
+            if gen == "quadratic":
+                # the member mean comes first, and the two forms agree
+                assert np.array_equal(center, members.mean(axis=0))
+        assert res.center_solves == ()
+
+    @pytest.mark.parametrize("gen,div", [
+        *(("quadratic", div) for div in GENERATOR_IDS),
+        ("shannon_negentropy", "bregman_dual"),
+    ])
+    def test_closed_form_matches_numeric_search(self, gen, div):
+        F = make_builtin(gen, 2)
+        members = blob_points(2)[:6]
+        found = _update_center(members, F,
+                               resolve_block(div, F, GENERATOR_IDS[div]))
+        centroid = right_centroid(div, F)
+        assert np.max(np.abs(centroid(members) - found.x)) <= 1e-6
+
     def test_biskew_bregman_stays_numeric(self, monkeypatch):
+        # biskew:bregman is the member mean under quadratic only
         calls = []
         original = chorddiv.numerics.golden_minimize
 
@@ -322,10 +395,57 @@ class TestClosedFormCentroid:
 
         monkeypatch.setattr(chorddiv.numerics, "golden_minimize", golden)
         pts = np.array([[0.1], [0.2], [0.4]])
-        kmeans(pts, QUAD1, ClusterConfig(
-            k=1, divergence="biskew:bregman",
-            params={"gamma": 0.2, "delta": 0.7}))
+        cfg = ClusterConfig(k=1, divergence="biskew:bregman",
+                            params={"gamma": 0.2, "delta": 0.7})
+        res = kmeans(pts, QUAD1, cfg)
+        assert not calls
+        assert np.array_equal(res.centers[0], pts.mean(axis=0))
+        res = kmeans(pts, make_builtin("shannon_negentropy", 1), cfg)
         assert calls
+        assert res.center_solves
+
+
+class TestClosedFormKey:
+    """The quadratic closed form keys on make_builtin's builtin field."""
+
+    def test_custom_generator_named_quadratic_stays_numeric(self):
+        exp_sum = Generator(
+            name="quadratic", dim=1, domain=REALS,
+            fn=lambda t: float(np.sum(np.exp(t))),
+            grad_fn=np.exp)
+        assert right_centroid("bregman_chord", exp_sum) is None
+        pts = np.array([[0.1], [0.2], [0.4]])
+        res = kmeans(pts, exp_sum, ClusterConfig(
+            k=1, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}))
+        assert res.center_solves
+
+    def test_rebuilt_generator_with_wrapped_callables_keeps_it(
+            self, monkeypatch):
+        # rebuilt from its init fields, as a tracing wrapper does
+        calls = []
+
+        def wrap(fn):
+            def wrapped(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapped
+
+        fields = {f.name: getattr(QUAD2, f.name)
+                  for f in dataclasses.fields(QUAD2) if f.init}
+        for name in ("fn", "grad_fn", "rows"):
+            fields[name] = wrap(fields[name])
+        F = Generator(**fields)
+        forbid_golden(monkeypatch)
+        pts = blob_points(2)
+        res = kmeans(pts, F, ClusterConfig(
+            k=2, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}, seed=1))
+        assert QUAD2.rows in calls
+        for j, center in enumerate(res.centers):
+            members = pts[res.assignments == j]
+            assert np.array_equal(center, members.mean(axis=0))
+        assert res.center_solves == ()
 
 
 class TestDistanceMatrix:
@@ -428,8 +548,9 @@ class TestCenterSolves:
     """ClusterResult.center_solves: one record per numeric center update."""
 
     def test_one_record_per_numeric_update(self):
+        # Burg has no closed-form chord centroid; the points are positive
         points, _ = clustering_dataset(seed=0)
-        res = kmeans(points, QUAD1, ClusterConfig(
+        res = kmeans(points, BURG1, ClusterConfig(
             k=2, seed=0, divergence="bregman_chord",
             params={"alpha": 0.9, "beta": 1.0}))
         assert [(it, j) for it, j, *_ in res.center_solves] == [
@@ -485,9 +606,10 @@ class TestCenterSolves:
             assert capped
 
     def test_singleton_cluster_is_not_on_edge(self):
-        # a one-point cluster has a zero-width box on every coordinate
-        pts = np.array([[0.0], [0.1], [0.2], [5.0]])
-        res = kmeans(pts, QUAD1, ClusterConfig(
+        # a one-point cluster has a zero-width box on every coordinate;
+        # Burg keeps the search numeric and needs positive points
+        pts = np.array([[0.1], [0.2], [0.3], [5.0]])
+        res = kmeans(pts, BURG1, ClusterConfig(
             k=2, seed=0, divergence="bregman_chord",
             params={"alpha": 0.9, "beta": 1.0}))
         single = int(res.assignments[3])
