@@ -1,22 +1,32 @@
 """Right-sided k-means under any divergence from the registry.
 
-Lloyd iterations with D(point : center) assignments. Where the registry
-gives a closed-form right centroid for the divergence under the generator
-(the member mean for bregman and ekl, and for every generator-based id
-under the quadratic builtin; grad F*(mean grad F) for bregman_dual when F
-has a conjugate), centers take it. Otherwise they are found numerically by
-numerics.coordinate_minimize, golden-section search per coordinate over the
-cluster's bounding box (expanded by 10 percent and kept in the positive
-orthant when the generator's domain or the divergence needs positive
-arguments), so no gradient is ever needed. Each numeric solve is recorded
-with how it ended; the library only records, it never warns. Each iteration
-evaluates the n x k divergence matrix once. Every divergence value comes
-from registry.resolve_block's evaluator, one call per block of points
-against one center. bregman_chord, bregman_chord_approx and the Jensen ids
-validate once per block and evaluate F in one row-evaluator call per block
-on a builtin generator (one F call per point on a custom one); other ids
-loop their per-pair callable. Everything is deterministic for a fixed
-seed.
+Lloyd iterations with D(point : center) assignments. A center comes one of
+three ways:
+
+* closed form, where the registry gives a right centroid for the
+  divergence under the generator: the member mean for bregman and ekl,
+  and for every generator-based id under the quadratic builtin;
+  grad F*(mean grad F) for bregman_dual when F has a conjugate, and the
+  harmonic mean for bregman_dual under burg_negentropy;
+* lockstep, for an id with a block kernel under a separable generator
+  (one with terms: shannon_negentropy, burg_negentropy): the objective is
+  a sum of one-coordinate functions, so numerics.golden_lockstep searches
+  every coordinate at once, one per-coordinate block call per
+  golden-section step, in one sweep;
+* coordinate descent otherwise: numerics.coordinate_minimize,
+  golden-section search per coordinate, sweep after sweep.
+
+Both searches run over the cluster's bounding box (expanded by 10 percent
+and kept in the positive orthant when the generator's domain or the
+divergence needs positive arguments), so no gradient is ever needed. Each
+numeric solve is recorded with how it ended; the library only records, it
+never warns. Each iteration evaluates the n x k divergence matrix once.
+Every divergence value comes from registry.resolve_block's evaluator, one
+call per block of points against one center. bregman_chord,
+bregman_chord_approx and the Jensen ids validate once per block and
+evaluate F in one row-evaluator call per block on a builtin generator (one
+F call per point on a custom one); other ids loop their per-pair callable.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,11 +39,13 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ShapeError
 from .generators import Generator
-from .numerics import Minimum, coordinate_minimize, whole_number
+from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
+                       on_box_edge, whole_number)
 # Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import resolve_divergence  # noqa: F401
-from .registry import needs_generator, resolve_block, right_centroid
+from .registry import (needs_generator, resolve_block, resolve_terms_block,
+                       right_centroid)
 
 #: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
 #: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
@@ -75,7 +87,9 @@ class ClusterResult:
     objective or leaves the labels as they were, or after max_iters.
     center_solves holds one (iteration, cluster, sweeps, capped, on_edge)
     record per numeric center update, iterations counted from 1, in the
-    order they ran; it is () when every center is closed-form.
+    order they ran; it is () when every center is closed-form. A lockstep
+    update (a separable generator) reads sweeps 1 and capped False: its
+    one sweep is the fixed point coordinate descent would confirm.
     """
 
     centers: np.ndarray
@@ -177,26 +191,42 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
 
 
 def _update_center(members: np.ndarray, F: Generator, block,
-                   positive: bool = False) -> Minimum:
+                   positive: bool = False, terms=None) -> Minimum:
     """Numerical right centroid: argmin_c sum_i D(x_i : c), for divergences
     the registry gives no closed form.
 
-    Coordinate-wise golden-section search over the expanded bounding box,
-    started from the arithmetic mean, each slice solved to SLICE_TOL, until
-    a sweep does not lower the objective (at most 100 sweeps). Each
-    objective value is one block(members, c) call, a resolve_block
-    evaluator, its values summed in index order. The box stays in the
-    positive orthant when F's domain is positive or when positive is set,
-    for divergences that read points as positive weights. Returns the
-    search's Minimum, whose x is the center.
+    The objective value at c is one block(members, c) call, a
+    resolve_block evaluator, its values summed in index order. The search
+    runs over the expanded bounding box, which stays in the positive
+    orthant when F's domain is positive or when positive is set, for
+    divergences that read points as positive weights; it starts from the
+    arithmetic mean and solves each coordinate to SLICE_TOL. Without
+    terms it is coordinate-wise golden-section search, until a sweep does
+    not lower the objective (at most 100 sweeps). With terms, the
+    resolve_terms_block evaluator of the same id, it is one golden_lockstep
+    search of every coordinate's share summed over the members, and the
+    center is the point found when its objective is below the mean's,
+    else the mean. A non-finite objective at the mean or at the center
+    raises DomainError. Returns the search's Minimum, whose x is the
+    center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
     def total(c: np.ndarray) -> float:
         return sum(block(members, c).tolist())
 
-    return coordinate_minimize(total, lo, hi, x0=members.mean(axis=0),
-                               tol=SLICE_TOL, max_sweeps=100)
+    start = members.mean(axis=0)
+    if terms is None:
+        return coordinate_minimize(total, lo, hi, x0=start, tol=SLICE_TOL,
+                                   max_sweeps=100)
+    found = golden_lockstep(lambda c: terms(members, c).sum(axis=0), lo, hi,
+                            SLICE_TOL)
+    values = [total(start), total(found)]
+    for x, value in zip((start, found), values):
+        if not math.isfinite(value):
+            raise DomainError(f"objective is {value} at {x.tolist()}")
+    x = found if values[1] < values[0] else start
+    return Minimum(x, 1, False, on_box_edge(x, lo, hi, SLICE_TOL))
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -245,6 +275,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     block = resolve_block(cfg.divergence, F, cfg.params)
+    terms = resolve_terms_block(cfg.divergence, F, cfg.params)
     centroid = right_centroid(cfg.divergence, F)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
@@ -264,7 +295,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             if centroid is not None:
                 centers[j] = centroid(members)
             else:
-                found = _update_center(members, F, block, positive)
+                found = _update_center(members, F, block, positive, terms)
                 centers[j] = found.x
                 solves.append((iterations, j, found.sweeps, found.capped,
                                found.on_edge))

@@ -76,10 +76,16 @@ class Generator:
     (..., dim) array of validated points to the (...) array of fn over its
     last axis, each value equal to fn's bit for bit, so line_table makes
     one rows call per block; without it line_table calls fn per point.
-    builtin is the identifier make_builtin built the generator from, and
-    None on every other generator; closed forms that hold for one builtin
-    only, such as the member-mean centroid under quadratic, key on it,
-    never on name, which any generator may take.
+    terms, when present, says F is separable: it maps a (..., dim) array
+    of validated points to the (..., dim) array of their coordinate terms,
+    with F(t) = sum_j terms(t)_j, so that rows is their sum over the last
+    axis (shannon_negentropy and burg_negentropy set it). A line table
+    built with terms as the row evaluator holds each coordinate's share of
+    every value, which lets k-means search a separable objective's
+    coordinates in lockstep. builtin is the identifier make_builtin built
+    the generator from, and None on every other generator; closed forms
+    that hold for one builtin only, such as the member-mean centroid under
+    quadratic, key on it, never on name, which any generator may take.
     Instances are immutable value objects and all methods are pure.
     """
 
@@ -90,6 +96,7 @@ class Generator:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate: Optional["Generator"] = None
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    terms: Optional[Callable[[np.ndarray], np.ndarray]] = None
     builtin: Optional[str] = None
 
     def __post_init__(self):
@@ -151,6 +158,9 @@ def _quadratic(dim: int) -> Generator:
 
 def _shannon_negentropy(dim: int) -> Generator:
     # F(t) = sum t_i log t_i on the positive orthant; F*(eta) = sum e^(eta-1).
+    def terms(T: np.ndarray) -> np.ndarray:
+        return T * np.log(T)
+
     conj = Generator(
         name="shannon_negentropy_conjugate",
         dim=dim,
@@ -165,18 +175,23 @@ def _shannon_negentropy(dim: int) -> Generator:
         fn=lambda t: float(np.sum(t * np.log(t))),
         grad_fn=lambda t: 1.0 + np.log(t),
         conjugate=conj,
-        rows=lambda T: np.sum(T * np.log(T), axis=-1),
+        rows=lambda T: np.sum(terms(T), axis=-1),
+        terms=terms,
     )
 
 
 def _burg_negentropy(dim: int) -> Generator:
+    def terms(T: np.ndarray) -> np.ndarray:
+        return -np.log(T)
+
     return Generator(
         name="burg_negentropy",
         dim=dim,
         domain=POSITIVE,
         fn=lambda t: -float(np.sum(np.log(t))),
         grad_fn=lambda t: -1.0 / t,
-        rows=lambda T: -np.sum(np.log(T), axis=-1),
+        rows=lambda T: np.sum(terms(T), axis=-1),
+        terms=terms,
     )
 
 
@@ -276,7 +291,9 @@ def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
 def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
     """The (m, len(lams)) array of F((1 - lam) X[i] + lam theta2) over the
     rows of the (m, dim) block X: row i holds the line restriction
-    restrict_to_line(F, X[i], theta2) at lams, bit for bit.
+    restrict_to_line(F, X[i], theta2) at lams, bit for bit. The table takes
+    the trailing shape of F.rows's values, so a generator whose rows are
+    its terms gives the (m, len(lams), dim) table of coordinate terms.
 
     theta2 goes through F.point; X gets one shape check, and the whole
     table of points one domain check, before any evaluation, which raises
@@ -297,11 +314,13 @@ def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
     if not F.domain.contains(points):
         for p in points.reshape(-1, F.dim):
             F.point(p)  # raises at the first point outside the domain
-    table = np.zeros(points.shape[:2])
     live = ~coincide(X, t2)
     if F.rows is not None:
-        table[live] = F.rows(points[live])
+        values = F.rows(points[live])
+        table = np.zeros(points.shape[:2] + values.shape[2:])
+        table[live] = values
     else:
+        table = np.zeros(points.shape[:2])
         for i in np.flatnonzero(live):
             table[i] = [float(F.fn(p)) for p in points[i]]
     return table

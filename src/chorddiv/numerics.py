@@ -1,9 +1,10 @@
 """Shared numerical machinery.
 
 Central finite differences, bracketing root finding, and derivative-free 1-D
-and coordinate-descent minimization. The solvers are deliberately small and
-deterministic: no randomized restarts, fixed evaluation budgets derived from
-the bracket width and the tolerance. The coordinate search returns a Minimum
+(one coordinate, or several in lockstep) and coordinate-descent
+minimization. The solvers are deliberately small and deterministic: no
+randomized restarts, fixed evaluation budgets derived from the bracket
+width and the tolerance. The coordinate search returns a Minimum
 that says whether it ran out of sweeps and whether it ended on its box.
 """
 
@@ -105,42 +106,93 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     tol, then returns the midpoint of the surviving bracket; lands within
     tol of a boundary when the minimizer sits there. Evaluation count is
     ceil(log(tol/(hi-lo)) / log(1/phi)) + 1.
+
+    It is golden_lockstep on one coordinate. The lockstep form serves
+    separable objectives: for F = sum_j f(t_j), each point on a line
+    restriction gives G(lam) = sum_j G_j(lam), and the chord and Jensen
+    gaps are linear in G, so sum_i D(x_i : c) = sum_j H_j(c_j) with H_j
+    reading coordinate j alone. Coordinate descent then finds every H_j's
+    minimizer in its first sweep, which is already its fixed point, so
+    one lockstep search over the d coordinates gives what the sweeps
+    would.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise BracketError(f"invalid interval [{lo}, {hi}]")
+    return float(golden_lockstep(lambda v: (g(v[0]),), [lo], [hi], tol)[0])
+
+
+def golden_lockstep(g: Callable[[list], Sequence[float]],
+                    lo: Sequence[float], hi: Sequence[float],
+                    tol: float = 1e-8) -> np.ndarray:
+    """golden_minimize on d unimodal functions at once, one per coordinate
+    of the box [lo, hi]: x[j] minimizes g_j on [lo[j], hi[j]], bit for bit
+    as golden_minimize(g_j, lo[j], hi[j], tol) finds it.
+
+    g maps a list v of d floats, v[j] in [lo[j], hi[j]], to the d values
+    g_j(v[j]). Each call probes every coordinate; one whose search has
+    ended (or whose interval is no wider than tol, which needs none) is
+    probed inside its interval and its value ignored. The call count is
+    that of the widest interval's golden_minimize, and 0 when every
+    interval is within tol.
+    """
+    lo_a = np.array(lo, dtype=float, ndmin=1)
+    hi_a = np.array(hi, dtype=float, ndmin=1)
+    if (lo_a.shape != hi_a.shape or lo_a.ndim != 1
+            or not (np.isfinite(lo_a).all() and np.isfinite(hi_a).all())
+            or (lo_a > hi_a).any()):
+        raise BracketError(
+            f"invalid interval: lo {lo_a.tolist()}, hi {hi_a.tolist()}")
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    width = hi - lo
-    if width <= tol:
-        return 0.5 * (lo + hi)
-    n = int(math.ceil(math.log(tol / width) / math.log(INV_PHI)))
-    c = lo + INV_PHI_SQ * width
-    d = lo + INV_PHI * width
-    g_c, g_d = g(c), g(d)
-    for _ in range(n - 1):
-        if g_c < g_d:
-            hi, d, g_d = d, c, g_c
-            width *= INV_PHI
-            c = lo + INV_PHI_SQ * width
-            g_c = g(c)
-        else:
-            lo, c, g_c = c, d, g_d
-            width *= INV_PHI
-            d = lo + INV_PHI * width
-            g_d = g(d)
-    return 0.5 * (lo + d) if g_c < g_d else 0.5 * (c + hi)
+    # the state is Python floats, which round as float64 arrays do
+    lo, hi = lo_a.tolist(), hi_a.tolist()
+    width = [b - a for a, b in zip(lo, hi)]
+    steps = [math.ceil(math.log(tol / w) / math.log(INV_PHI)) if w > tol
+             else 0 for w in width]
+    if not any(steps):
+        return 0.5 * (lo_a + hi_a)
+    c = [a + INV_PHI_SQ * w for a, w in zip(lo, width)]
+    d = [a + INV_PHI * w for a, w in zip(lo, width)]
+    g_c = [float(v) for v in g(c)]
+    g_d = [float(v) for v in g(d)]
+    live = range(len(lo))
+    for step in range(1, max(steps)):
+        live = [j for j in live if steps[j] > step]
+        probe = d.copy()  # a coordinate whose search has ended stays at d
+        left = {}  # j -> whether coordinate j probes its c
+        for j in live:
+            width[j] *= INV_PHI
+            left[j] = g_c[j] < g_d[j]
+            if left[j]:
+                hi[j], d[j], g_d[j] = d[j], c[j], g_c[j]
+                c[j] = probe[j] = lo[j] + INV_PHI_SQ * width[j]
+            else:
+                lo[j], c[j], g_c[j] = c[j], d[j], g_d[j]
+                d[j] = probe[j] = lo[j] + INV_PHI * width[j]
+        value = g(probe)
+        for j in live:
+            if left[j]:
+                g_c[j] = float(value[j])
+            else:
+                g_d[j] = float(value[j])
+    return np.array([
+        0.5 * (lo[j] + hi[j]) if not steps[j]
+        else 0.5 * (lo[j] + d[j]) if g_c[j] < g_d[j]
+        else 0.5 * (c[j] + hi[j])
+        for j in range(len(lo))])
 
 
 class Minimum(NamedTuple):
-    """How coordinate_minimize ended.
+    """How a box search ended: coordinate_minimize, or the one-sweep
+    lockstep search that clustering runs for a separable generator.
 
     x is the lowest point between sweeps: the start of the sweep that did
     not lower the objective, or the end of the last sweep when capped.
     sweeps counts every sweep run, that last one included. capped means the
-    sweep limit ran out while each sweep still lowered the objective.
-    on_edge means some coordinate of x whose box is wider than tol lies
-    within max(1e-6 * width, tol) of lo or hi, so the true minimizer may
-    lie outside the box.
+    sweep limit ran out while each sweep still lowered the objective; a
+    lockstep search is one sweep, never capped, whose x is the mean it
+    started from when the point it found is not lower. on_edge means, as
+    on_box_edge decides, that some coordinate of x whose box is wider than
+    tol lies within max(1e-6 * width, tol) of lo or hi, so the true
+    minimizer may lie outside the box.
     """
 
     x: np.ndarray
@@ -190,7 +242,14 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
                 return g(y)
 
             x[i] = golden_minimize(slice_obj, lo[i], hi[i], tol)
+    return Minimum(x, sweeps, capped, on_box_edge(x, lo, hi, tol))
+
+
+def on_box_edge(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                tol: float) -> bool:
+    """Minimum.on_edge: whether some coordinate of x whose box [lo, hi] is
+    wider than tol lies within max(1e-6 * width, tol) of lo or hi."""
     width = hi - lo
     edge_tol = np.maximum(1e-6 * width, tol)
     on_edge = (width > tol) & ((x - lo <= edge_tol) | (hi - x <= edge_tol))
-    return Minimum(x, sweeps, capped, bool(np.any(on_edge)))
+    return bool(np.any(on_edge))

@@ -12,6 +12,7 @@ ParameterError.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -162,6 +163,13 @@ def _left_centroid(F: Generator, members):
     return F.point(F.conjugate.grad_fn(eta))
 
 
+def _harmonic_mean(members):
+    """argmin_c sum_i B_F(c : x_i) for F the Burg negentropy, where
+    B_F(c : x) = sum_j (c_j / x_j - log(c_j / x_j) - 1): setting
+    sum_i (1 / x_ij - 1 / c_j) to zero gives c_j = m / sum_i 1 / x_ij."""
+    return members.shape[0] / (1.0 / members).sum(axis=0)
+
+
 def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
     """The closed-form argmin_c sum_i D(x_i : c) of the identifier under F,
     as a map from an (m, dim) member matrix to the center, or None when it
@@ -173,7 +181,10 @@ def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
        non-negative multiple of |x - c|^2 (biskew: wrappers of those ids
        included);
     3. for bregman_dual, D(x : c) = B_F(c : x), the left-sided centroid
-       grad F*(mean_i grad F(x_i)) when F has a conjugate.
+       grad F*(mean_i grad F(x_i)) when F has a conjugate;
+    4. for bregman_dual when F is the burg_negentropy builtin, which has
+       no conjugate, that centroid in its closed form: the coordinate-wise
+       harmonic mean of the members.
     """
     spec, _ = _spec(div_id)
     if spec.right_centroid is not None:
@@ -182,6 +193,8 @@ def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
         return _member_mean
     if spec.kernel is bregman_dual and F.conjugate is not None:
         return lambda members: _left_centroid(F, members)
+    if spec.kernel is bregman_dual and F.builtin == "burg_negentropy":
+        return _harmonic_mean
     return None
 
 
@@ -244,6 +257,24 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
         raise ParameterError(f"divergence {div_id!r} requires a generator")
     arg = spec.build(_reader(div_id, params))
     return lambda X, y: spec.block(generator, X, y, arg)
+
+
+def resolve_terms_block(div_id: str, generator: Generator,
+                        params: Optional[Mapping[str, float]] = None
+                        ) -> Optional[Callable]:
+    """For an id with a block kernel under a generator with terms:
+    (X, y) -> the (m, dim) array whose [i, j] is coordinate j's share of
+    D(X[i] : y), the block kernel run on line tables of coordinate terms.
+    The kernels' gaps are linear in F's values, so the shares sum to
+    D(X[i] : y) up to rounding, and column j reads X[:, j] and y[j] alone
+    (a row that coincides with y gives zeros). None for any other id or
+    generator.
+    """
+    spec, _ = _spec(div_id)
+    if spec.block is None or generator.terms is None:
+        return None
+    return resolve_block(div_id, replace(generator, rows=generator.terms),
+                         params)
 
 
 def _reader(div_id: str, params: Optional[Mapping[str, float]]

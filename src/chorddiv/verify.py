@@ -28,8 +28,8 @@ from .bregman import (
     interpolate,
     mean_value_witness,
 )
-from .clustering import (ClusterConfig, _update_center, adjusted_rand_index,
-                         kmeans)
+from .clustering import (SLICE_TOL, ClusterConfig, _centroid_box,
+                         adjusted_rand_index, kmeans)
 from .errors import ParameterError
 from .fdiv import (
     F_GENERATOR_NAMES,
@@ -50,7 +50,8 @@ from .jensen import (
     jensen_chord,
     jensen_skewed,
 )
-from .numerics import central_diff_grad, whole_number
+from .numerics import (central_diff_grad, coordinate_minimize,
+                       golden_lockstep, whole_number)
 from .registry import resolve_block
 
 #: KL((0.5, 0.5) : (0.25, 0.75)) = 0.5 log 2 + 0.5 log(2/3).
@@ -422,12 +423,14 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     """k-means recovers two well-separated 1-D groups exactly under both the
     ordinary Bregman divergence and the chord divergence; objective traces
     are non-increasing up to 1e-8; with the quadratic generator the
-    centroid matches the arithmetic mean to 1e-6 three ways: k=1 k-means
+    centroid matches the arithmetic mean to 1e-6 four ways: k=1 k-means
     under bregman and under bregman_chord (alpha=0.9, beta=1, whose value
     is alpha*beta*|x - c|^2 there), both of which take the member mean in
-    closed form, and the numerical search that k-means runs where no
-    closed form is known, clustering._update_center on the bregman_chord
-    block with every point a member."""
+    closed form, and the two numerical searches k-means runs where no
+    closed form is known, on the bregman_chord block with every point a
+    member, over k-means's box and to its SLICE_TOL: coordinate_minimize
+    started at the box's lower corner rather than at the mean, which is
+    the answer, and golden_lockstep, which searches the whole box."""
     points, truth = clustering_dataset(seed)
     F = make_builtin("quadratic", 1)
     chord = {"alpha": 0.9, "beta": 1.0}
@@ -452,18 +455,26 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
 
     dev_b = mean_dev("bregman", {})
     dev_c = mean_dev("bregman_chord", chord)
-    found = _update_center(points, F,
-                           resolve_block("bregman_chord", F, chord))
+    block = resolve_block("bregman_chord", F, chord)
+    lo, hi = _centroid_box(points, False)
+
+    def total(c) -> float:
+        return sum(block(points, c).tolist())
+
+    found = coordinate_minimize(total, lo, hi, x0=lo, tol=SLICE_TOL,
+                                max_sweeps=100)
     dev_s = float(abs(found.x[0] - points.mean()))
+    lockstep = golden_lockstep(lambda c: [total(c)], lo, hi, SLICE_TOL)
+    dev_l = float(abs(lockstep[0] - points.mean()))
 
     worst = _worst(1.0 - ari_b, 1.0 - ari_c, trace_viol, dev_b - 1e-6,
-                   dev_c - 1e-6, dev_s - 1e-6)
+                   dev_c - 1e-6, dev_s - 1e-6, dev_l - 1e-6)
     return SuiteResult(
         name="clustering",
         worst=worst,
         detail=f"ARI bregman {ari_b:.3f}, chord {ari_c:.3f}; mean dev "
                f"bregman {dev_b:.3e}, chord {dev_c:.3e}, chord search "
-               f"{dev_s:.3e}; iterations "
+               f"{dev_s:.3e}, chord lockstep {dev_l:.3e}; iterations "
                f"{res_b.iterations}/{res_c.iterations}",
     )
 

@@ -31,7 +31,9 @@ from chorddiv.clustering import (
     objective,
 )
 from chorddiv.generators import REALS
-from chorddiv.registry import needs_generator, resolve_block, right_centroid
+from chorddiv.numerics import golden_minimize, on_box_edge
+from chorddiv.registry import (needs_generator, resolve_block,
+                               resolve_terms_block, right_centroid)
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
@@ -164,10 +166,12 @@ class TestUpdateCenter:
         found = _update_center(members, F, block)
         assert found.x[0] > 0.0
 
-    @pytest.mark.parametrize("gen", ["shannon_negentropy", "quadratic"])
+    @pytest.mark.parametrize("gen", ["log_sum_exp", "quadratic"])
     def test_block_search_equals_the_per_pair_search(self, gen):
+        # generators without terms, which k-means searches coordinate-wise
         F = make_builtin(gen, 2)
         params = {"alpha": 0.9, "beta": 1.0}
+        assert resolve_terms_block("bregman_chord", F, params) is None
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         D = resolve_divergence("bregman_chord", F, params)
         lo, hi = _centroid_box(members, F.domain.kind == "positive")
@@ -293,9 +297,10 @@ class TestKMeans:
 
 def forbid_golden(monkeypatch):
     def golden(*args, **kwargs):
-        raise AssertionError("golden_minimize called")
-    monkeypatch.setattr(chorddiv.numerics, "golden_minimize", golden)
-    monkeypatch.setattr(chorddiv.clustering, "golden_minimize", golden)
+        raise AssertionError("golden-section search called")
+    for name in ("golden_minimize", "golden_lockstep"):
+        monkeypatch.setattr(chorddiv.numerics, name, golden)
+        monkeypatch.setattr(chorddiv.clustering, name, golden)
 
 
 #: Every identifier that evaluates the generator, with the parameters it
@@ -372,9 +377,23 @@ class TestClosedFormCentroid:
                 assert np.array_equal(center, members.mean(axis=0))
         assert res.center_solves == ()
 
+    def test_burg_dual_centers_are_harmonic_means(self, monkeypatch):
+        forbid_golden(monkeypatch)
+        F = make_builtin("burg_negentropy", 2)
+        pts = blob_points(2)
+        res = kmeans(pts, F, ClusterConfig(k=2, divergence="bregman_dual",
+                                           seed=1))
+        assert sorted(np.bincount(res.assignments).tolist()) == [6, 6]
+        for j, center in enumerate(res.centers):
+            members = pts[res.assignments == j]
+            assert np.array_equal(center, len(members)
+                                  / np.sum(1.0 / members, axis=0))
+        assert res.center_solves == ()
+
     @pytest.mark.parametrize("gen,div", [
         *(("quadratic", div) for div in GENERATOR_IDS),
         ("shannon_negentropy", "bregman_dual"),
+        ("burg_negentropy", "bregman_dual"),
     ])
     def test_closed_form_matches_numeric_search(self, gen, div):
         F = make_builtin(gen, 2)
@@ -594,10 +613,11 @@ class TestCenterSolves:
 
         monkeypatch.setattr(chorddiv.clustering, "coordinate_minimize",
                             one_sweep)
-        # under shannon the member mean is not the chord centroid, so the
-        # one sweep allowed lowers the objective and the search is capped
+        # log_sum_exp has no terms, so its search is coordinate-wise; the
+        # member mean is not the chord centroid there, so the one sweep
+        # allowed lowers the objective and the search is capped
         pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
-        res = kmeans(pts, make_builtin("shannon_negentropy", 2),
+        res = kmeans(pts, make_builtin("log_sum_exp", 2),
                      ClusterConfig(k=1, divergence="bregman_chord",
                                    params={"alpha": 0.9, "beta": 1.0}))
         assert res.center_solves
@@ -617,3 +637,121 @@ class TestCenterSolves:
         solves = [r for r in res.center_solves if r[1] == single]
         assert solves
         assert not any(on_edge for *_, on_edge in solves)
+
+
+#: The separable builtins (those with terms) and the block-kernel ids the
+#: lockstep search serves.
+LOCKSTEP_CASES = [
+    (gen, div, params)
+    for gen in ("shannon_negentropy", "burg_negentropy")
+    for div, params in (("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+                        ("jensen", {}))
+]
+
+
+def with_coordinate(x, j, v):
+    y = x.copy()
+    y[j] = v
+    return y
+
+
+class TestLockstepCenters:
+    """Under a generator with terms, an id with a block kernel takes one
+    lockstep golden-section search per center update."""
+
+    @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
+    def test_equals_golden_minimize_per_coordinate(self, gen, div, params):
+        F = make_builtin(gen, 2)
+        members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
+        block = resolve_block(div, F, params)
+        terms = resolve_terms_block(div, F, params)
+        found = _update_center(members, F, block, terms=terms)
+        mean = members.mean(axis=0)
+        lo, hi = _centroid_box(members, True)
+        want = np.array([golden_minimize(
+            lambda v, j=j: terms(members, with_coordinate(mean, j, v)
+                                 ).sum(axis=0)[j], lo[j], hi[j], SLICE_TOL)
+            for j in range(2)])
+        assert found.x.tobytes() == want.tobytes()
+        # the point found is lower than the mean, so the search took it
+        assert sum(block(members, want)) < sum(block(members, mean))
+        assert (found.sweeps, found.capped) == (1, False)
+        assert found.on_edge == on_box_edge(found.x, lo, hi, SLICE_TOL)
+
+    @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
+    def test_shares_sum_to_the_block(self, gen, div, params):
+        F = make_builtin(gen, 3)
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0.2, 3.0, (6, 3))
+        c = rng.uniform(0.2, 3.0, 3)
+        X[2] = c  # a coinciding row gives zeros
+        shares = resolve_terms_block(div, F, params)(X, c)
+        assert shares.shape == (6, 3)
+        assert not shares[2].any()
+        np.testing.assert_allclose(shares.sum(axis=1),
+                                   resolve_block(div, F, params)(X, c),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
+    def test_kmeans_records_one_sweep_and_matches_coordinate_descent(
+            self, monkeypatch, gen, div, params):
+        F = make_builtin(gen, 2)
+        pts = blob_points(2)
+        cfg = ClusterConfig(k=2, divergence=div, params=params, seed=1)
+        res = kmeans(pts, F, cfg)
+        assert res.center_solves
+        for _, _, sweeps, capped, _ in res.center_solves:
+            assert (sweeps, capped) == (1, False)
+        monkeypatch.setattr(chorddiv.clustering, "resolve_terms_block",
+                            lambda *args: None)
+        swept = kmeans(pts, F, cfg)
+        assert any(sweeps > 1 for _, _, sweeps, _, _ in swept.center_solves)
+        assert np.array_equal(res.assignments, swept.assignments)
+        assert np.max(np.abs(res.centers - swept.centers)) <= 1e-6
+        assert res.objective_trace[-1] == pytest.approx(
+            swept.objective_trace[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("slope,on_edge", [(1.0, True), (0.0, False)])
+    def test_on_edge_follows_the_minimum_rule(self, slope, on_edge):
+        # D(x : c) = sum_j slope c_j + (c_j - x_j)^2 / 100: with slope 1
+        # every coordinate's minimizer lies below the box, at its edge
+        members = np.array([[1.0, 2.0], [1.5, 2.2], [1.2, 2.6]])
+
+        def terms(X, c):
+            return slope * np.asarray(c) + (np.asarray(c) - X) ** 2 / 100.0
+
+        def block(X, c):
+            return terms(X, c).sum(axis=1)
+
+        found = _update_center(members, QUAD2, block, terms=terms)
+        lo, hi = _centroid_box(members, False)
+        assert found.on_edge is on_edge
+        assert found.on_edge == on_box_edge(found.x, lo, hi, SLICE_TOL)
+        if on_edge:
+            assert np.allclose(found.x, lo, atol=1e-8)
+        else:
+            assert np.allclose(found.x, members.mean(axis=0), atol=1e-8)
+
+    def test_keeps_the_mean_when_the_search_is_not_lower(self, monkeypatch):
+        # a search that lands on a box corner is higher than the mean
+        monkeypatch.setattr(chorddiv.clustering, "golden_lockstep",
+                            lambda g, lo, hi, tol: np.asarray(lo))
+        F = make_builtin("shannon_negentropy", 2)
+        members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
+        params = {"alpha": 0.9, "beta": 1.0}
+        found = _update_center(
+            members, F, resolve_block("bregman_chord", F, params),
+            terms=resolve_terms_block("bregman_chord", F, params))
+        assert np.array_equal(found.x, members.mean(axis=0))
+        assert (found.sweeps, found.capped, found.on_edge) == (1, False,
+                                                               False)
+
+    @pytest.mark.parametrize("gen,div", [
+        ("log_sum_exp", "bregman_chord"),
+        ("quadratic", "jensen"),
+        ("shannon_negentropy", "bregman_tangent"),
+        ("shannon_negentropy", "biskew:bregman_chord"),
+    ])
+    def test_other_ids_and_generators_have_no_terms_block(self, gen, div):
+        params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2, "delta": 0.7}
+        assert resolve_terms_block(div, make_builtin(gen, 2), params) is None

@@ -23,8 +23,10 @@ from chorddiv import (
 )
 from chorddiv.numerics import (
     INV_PHI,
+    INV_PHI_SQ,
     bisect_root,
     central_diff_grad,
+    golden_lockstep,
     golden_minimize,
 )
 
@@ -90,11 +92,14 @@ class TestCentralDiffGrad:
 @pytest.mark.parametrize("solve", [
     lambda tol: bisect_root(lambda x: x - 0.9, 0.0, 1.0, tol=tol),
     lambda tol: golden_minimize(lambda v: (v - 0.3) ** 2, 0.0, 1.0, tol=tol),
+    lambda tol: golden_lockstep(lambda v: [x * x for x in v], [0.0, 0.0],
+                                [1.0, 2.0], tol=tol),
     lambda tol: coordinate_minimize(lambda v: float(v @ v), [-1.0], [1.0],
                                     tol=tol),
     lambda tol: mean_value_witness(make_builtin("shannon_negentropy", 1),
                                    0.3, 0.9, ChordParams(0.2, 0.8), tol=tol),
-], ids=["bisect_root", "golden_minimize", "coordinate_minimize",
+], ids=["bisect_root", "golden_minimize", "golden_lockstep",
+        "coordinate_minimize",
         "mean_value_witness"])
 def test_bad_tolerance(solve, tol):
     """A NaN tolerance fails the positivity check too, instead of
@@ -154,6 +159,86 @@ class TestGoldenMinimize:
         golden_minimize(g, 0.0, 1.0, tol=tol)
         cap = math.ceil(math.log(tol) / math.log(INV_PHI)) + 2
         assert g.calls <= cap
+
+
+def scalar_golden(g, lo, hi, tol):
+    """The scalar golden-section loop, the reference golden_lockstep
+    and golden_minimize must equal bit for bit."""
+    width = hi - lo
+    if width <= tol:
+        return 0.5 * (lo + hi)
+    n = int(math.ceil(math.log(tol / width) / math.log(INV_PHI)))
+    c = lo + INV_PHI_SQ * width
+    d = lo + INV_PHI * width
+    g_c, g_d = g(c), g(d)
+    for _ in range(n - 1):
+        if g_c < g_d:
+            hi, d, g_d = d, c, g_c
+            width *= INV_PHI
+            c = lo + INV_PHI_SQ * width
+            g_c = g(c)
+        else:
+            lo, c, g_c = c, d, g_d
+            width *= INV_PHI
+            d = lo + INV_PHI * width
+            g_d = g(d)
+    return 0.5 * (lo + d) if g_c < g_d else 0.5 * (c + hi)
+
+
+class TestGoldenLockstep:
+    @staticmethod
+    def bumps(targets):
+        """One unimodal function per coordinate, with ties and plateaus
+        from rounding near each minimizer."""
+        return [lambda v, t=t: -math.cos(v - t) + 0.01 * (v - t) ** 4
+                for t in targets]
+
+    def test_equals_the_scalar_loop_per_coordinate(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            lo = rng.uniform(-3.0, 3.0, d)
+            # widths from 1e-11 (below tol) to 10, some intervals empty
+            hi = lo + 10.0 ** rng.uniform(-11.0, 1.0, d) * rng.choice(
+                [0.0, 1.0, 1.0, 1.0], d)
+            fs = self.bumps(rng.uniform(lo - 0.5, hi + 0.5))
+            tol = 10.0 ** rng.uniform(-10.0, -3.0)
+            got = golden_lockstep(
+                lambda v: [f(x) for f, x in zip(fs, v)], lo, hi, tol)
+            want = [scalar_golden(f, a, b, tol)
+                    for f, a, b in zip(fs, lo.tolist(), hi.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert [golden_minimize(f, a, b, tol) for f, a, b
+                    in zip(fs, lo, hi)] == want
+
+    def test_calls_are_the_widest_coordinates(self):
+        calls = []
+
+        def g(v):
+            calls.append(list(v))
+            return [(x - 0.3) ** 2 for x in v]
+
+        lo, hi, tol = [0.0, 0.0, 0.5], [1.0, 1e-3, 0.5], 1e-8
+        golden_lockstep(g, lo, hi, tol)
+        one = Counter(lambda v: (v - 0.3) ** 2)
+        golden_minimize(one, 0.0, 1.0, tol)
+        assert len(calls) == one.calls
+        # every probe stays in its interval, finished coordinates included
+        assert all(a <= x <= b for v in calls for a, x, b in zip(lo, v, hi))
+
+    def test_no_calls_when_every_interval_is_within_tol(self):
+        got = golden_lockstep(lambda v: pytest.fail("g called"),
+                              [0.1, 2.0], [0.1 + 1e-12, 2.0], tol=1e-8)
+        assert got.tolist() == [0.5 * (0.1 + (0.1 + 1e-12)), 2.0]
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([0.0, 1.0], [1.0, 0.5]),
+        ([0.0, math.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0]),
+    ])
+    def test_invalid_box(self, lo, hi):
+        with pytest.raises(BracketError):
+            golden_lockstep(lambda v: list(v), lo, hi)
 
 
 class TestCoordinateMinimize:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chorddiv.verify
-from chorddiv import ParameterError, SuiteResult, make_builtin
+from chorddiv import Minimum, ParameterError, SuiteResult, make_builtin
 from chorddiv.verify import _linear_decay, run_all, run_suite, suite_sandwich
 
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -80,6 +80,25 @@ class TestNaN:
         res = suite_sandwich(5, 0)
         assert not res.passed
         assert np.isnan(res.worst)
+
+
+class TestClusteringSearchCheck:
+    """Criterion 10's numeric searches start away from the answer, so a
+    search that does not move fails the suite."""
+
+    @pytest.mark.parametrize("name,idle", [
+        ("coordinate_minimize",
+         lambda g, lo, hi, x0, tol, max_sweeps: Minimum(
+             np.array(x0, dtype=float), 1, False, False)),
+        ("golden_lockstep", lambda g, lo, hi, tol: np.array(lo)),
+    ])
+    def test_a_search_that_returns_its_start_fails(self, monkeypatch, name,
+                                                   idle):
+        assert run_suite("clustering", 5, 0).passed
+        monkeypatch.setattr(chorddiv.verify, name, idle)
+        res = run_suite("clustering", 5, 0)
+        assert not res.passed
+        assert res.worst > 1e-3
 
 
 class TestRunArguments:
