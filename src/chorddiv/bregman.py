@@ -103,6 +103,29 @@ def bregman(F: Generator, theta1, theta2) -> float:
     return bregman_tangent(F, theta1, theta2, 1.0)
 
 
+def bregman_block(F: Generator, X, theta2) -> np.ndarray:
+    """bregman(F, X[i], theta2) for each row of the (m, dim) block X, bit
+    for bit: one F.grad_fn call at theta2, the rows' F values from the
+    line_table at 0 (one F.rows call, per point for a generator without
+    rows), and the gradient terms as a stack of dot products, which round
+    as np.dot does (einsum, sum(A * B) and A @ g round differently). A row
+    that coincides with theta2 gives 0.0, and a generator without a
+    gradient raises GradientRequiredError, as bregman does."""
+    if not F.has_grad:
+        raise GradientRequiredError(
+            f"bregman and bregman_tangent require a gradient; generator "
+            f"{F.name} has none"
+        )
+    t2 = F.point(theta2)
+    values = line_table(F, X, t2, (0.0,))[:, 0]
+    X = np.asarray(X, dtype=float)
+    grad = np.asarray(F.grad_fn(t2), dtype=float)
+    dots = ((X - t2)[:, None, :] @ grad[None, :, None])[:, 0, 0]
+    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
+        gaps = values - float(F.fn(t2)) - dots
+    return np.where(coincide(X, t2), 0.0, gaps)
+
+
 def bregman_dual(F: Generator, theta1, theta2) -> float:
     """Argument-swapped divergence B_F(theta2 : theta1).
 

@@ -8,21 +8,25 @@ three ways:
   and for every generator-based id under the quadratic builtin;
   grad F*(mean grad F) for bregman_dual when F has a conjugate, and the
   harmonic mean for bregman_dual under burg_negentropy;
-* lockstep, for an id with a block kernel under a separable generator
-  (one with terms: shannon_negentropy, burg_negentropy): the objective is
-  a sum of one-coordinate functions, so numerics.golden_lockstep searches
-  every coordinate at once, one per-coordinate block call per
-  golden-section step, in one sweep;
-* coordinate descent otherwise: numerics.coordinate_minimize,
-  golden-section search per coordinate, sweep after sweep.
+* lockstep, for a chord or Jensen id under a separable generator (one
+  with terms: shannon_negentropy, burg_negentropy): the objective is a
+  sum of one-coordinate functions, so numerics.golden_lockstep searches
+  every coordinate at once, one per-coordinate block call per probe, in
+  one sweep;
+* coordinate descent otherwise: numerics.coordinate_minimize, a 1-D
+  search per coordinate, sweep after sweep.
 
+Both take their 1-D steps by Brent's method, golden-section search plus
+parabolic steps (numerics.golden_minimize), which on these objectives
+needs about a third of golden section's calls: 44 lockstep calls instead
+of 126 for a shannon bregman_chord run on the benchmark's four points.
 Both searches run over the cluster's bounding box (expanded by 10 percent
 and kept in the positive orthant when the generator's domain or the
 divergence needs positive arguments), so no gradient is ever needed. Each
 numeric solve is recorded with how it ended; the library only records, it
 never warns. Each iteration evaluates the n x k divergence matrix once.
 Every divergence value comes from registry.resolve_block's evaluator, one
-call per block of points against one center. bregman_chord,
+call per block of points against one center. bregman, bregman_chord,
 bregman_chord_approx and the Jensen ids validate once per block and
 evaluate F in one row-evaluator call per block on a builtin generator (one
 F call per point on a custom one); other ids loop their per-pair callable.
@@ -52,7 +56,7 @@ from .registry import (needs_generator, resolve_block, resolve_terms_block,
 #: c grows.
 NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
 
-#: Golden-section tolerance of each 1-D slice of a numeric center search.
+#: The tol of each 1-D search in a numeric center search.
 SLICE_TOL = 1e-9
 
 
@@ -200,9 +204,10 @@ def _update_center(members: np.ndarray, F: Generator, block,
     runs over the expanded bounding box, which stays in the positive
     orthant when F's domain is positive or when positive is set, for
     divergences that read points as positive weights; it starts from the
-    arithmetic mean and solves each coordinate to SLICE_TOL. Without
-    terms it is coordinate-wise golden-section search, until a sweep does
-    not lower the objective (at most 100 sweeps). With terms, the
+    arithmetic mean and solves each coordinate to SLICE_TOL with Brent's
+    search (golden section plus parabolic steps, as golden_minimize
+    says). Without terms it is coordinate descent, until a sweep does not
+    lower the objective (at most 100 sweeps). With terms, the
     resolve_terms_block evaluator of the same id, it is one golden_lockstep
     search of every coordinate's share summed over the members, and the
     center is the point found when its objective is below the mean's,

@@ -2,10 +2,13 @@
 
 Central finite differences, bracketing root finding, and derivative-free 1-D
 (one coordinate, or several in lockstep) and coordinate-descent
-minimization. The solvers are deliberately small and deterministic: no
-randomized restarts, fixed evaluation budgets derived from the bracket
-width and the tolerance. The coordinate search returns a Minimum
-that says whether it ran out of sweeps and whether it ended on its box.
+minimization. The 1-D minimizer is Brent's method: golden-section search
+with parabolic steps, which stops once its bracket is within a tolerance
+of the best point (see golden_minimize). The solvers are deliberately
+small and deterministic: no randomized restarts, and every budget follows
+from the bracket, the tolerance and the values seen. The coordinate search
+returns a Minimum that says whether it ran out of sweeps and whether it
+ended on its box.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import BracketError, DomainError, ParameterError
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0       # 1/phi
-INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0    # 1/phi^2
+INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0    # 1/phi^2, the golden step
+SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
 
 
 def whole_number(label: str, value, least: int) -> int:
@@ -100,12 +103,29 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float,
 
 def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
                     tol: float = 1e-8) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi].
+    """Brent's minimizer of a unimodal function on [lo, hi]: golden-section
+    search plus parabolic steps (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973; the method of scipy's fminbound), no
+    gradient needed.
 
-    Shrinks the bracket by 1/phi per iteration until its width drops below
-    tol, then returns the midpoint of the surviving bracket; lands within
-    tol of a boundary when the minimizer sits there. Evaluation count is
-    ceil(log(tol/(hi-lo)) / log(1/phi)) + 1.
+    It keeps a bracket [a, b] and the three lowest points probed. Where
+    the parabola through them has its vertex inside the bracket, less
+    than half the step before last away, it probes the vertex; otherwise
+    it takes a golden-section step into the larger side of the bracket.
+    No step is shorter than tol1 = min(sqrt(eps) |x| + tol / 3, reach / 4),
+    x the lowest point and reach = max(1e-6 (hi - lo), tol) the distance
+    within which on_box_edge counts a point as on the edge. The search
+    stops once a and b both lie within 2 tol1 of x, or when a step no
+    longer moves x in floating point. The cap keeps the search as fine as
+    a narrow box: it ends within reach / 2 of the minimizer, where
+    sqrt(eps) |x| alone can exceed the box's width. A bracket end that is
+    still lo or hi then was never probed, so the search probes it, and
+    takes it if it is not higher than x; a minimizer past the box thus
+    gives the edge itself. It returns the lowest point probed. An interval
+    no wider than tol gives its midpoint for no call. On a parabola the
+    search makes 6 calls where golden section alone makes
+    ceil(log(tol/(hi-lo)) / log(1/phi)) + 1 (40 on [0, 1] at tol 1e-8);
+    on k-means center objectives, about a third as many.
 
     It is golden_lockstep on one coordinate. The lockstep form serves
     separable objectives: for F = sum_j f(t_j), each point on a line
@@ -119,6 +139,106 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     return float(golden_lockstep(lambda v: (g(v[0]),), [lo], [hi], tol)[0])
 
 
+class _Brent:
+    """One coordinate's search in golden_lockstep, as golden_minimize
+    describes it: the box [lo, hi], the bracket [a, b], the best point x,
+    the second best w and the one before v, with their values, the last
+    two steps d and e, and the point u being probed."""
+
+    __slots__ = ("lo", "hi", "a", "b", "tol", "cap", "done", "edge",
+                 "x", "w", "v", "fx", "fw", "fv", "d", "e", "u")
+
+    def __init__(self, lo: float, hi: float, tol: float):
+        width = hi - lo
+        self.lo = self.a = lo
+        self.hi = self.b = hi
+        self.tol = tol / 3.0
+        self.cap = max(1e-6 * width, tol) / 4.0  # on_box_edge's reach / 4
+        self.done = width <= tol
+        self.edge = False
+        self.x = 0.5 * (lo + hi) if self.done else lo + INV_PHI_SQ * width
+        self.d = self.e = 0.0
+
+    def start(self, fx: float) -> None:
+        self.w = self.v = self.x
+        self.fx = self.fw = self.fv = fx
+
+    def stop(self) -> float:
+        """End the search at x, or first probe the end of the bracket that
+        is still a box edge, which no step reaches."""
+        if self.a == self.lo or self.b == self.hi:
+            self.edge = True
+            self.u = self.lo if self.a == self.lo else self.hi
+            return self.u
+        self.done = True
+        return self.x
+
+    def probe(self) -> float:
+        """The next point to probe: x once the search has ended."""
+        if self.done:
+            return self.x
+        a, b, x = self.a, self.b, self.x
+        mid = 0.5 * (a + b)
+        tol1 = min(SQRT_EPS * abs(x) + self.tol, self.cap)
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return self.stop()
+        golden = True
+        if abs(self.e) > tol1:
+            r = (x - self.w) * (self.fx - self.fv)
+            q = (x - self.v) * (self.fx - self.fw)
+            p = (x - self.v) * q - (x - self.w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, self.e = self.e, self.d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                self.d = p / q
+                u = x + self.d
+                if u - a < tol2 or b - u < tol2:
+                    self.d = tol1 if mid >= x else -tol1
+        if golden:
+            self.e = (a if x >= mid else b) - x
+            self.d = INV_PHI_SQ * self.e
+        d = self.d
+        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        if u == x or not a < u < b:  # float resolution exhausted
+            return self.stop()
+        self.u = u
+        return u
+
+    def take(self, fu: float) -> None:
+        """Update the bracket and the three best points with g(u)."""
+        if self.done:
+            return
+        u, x = self.u, self.x
+        if self.edge:
+            if fu <= self.fx:
+                self.x, self.fx = u, fu
+            self.done = True
+            return
+        if fu <= self.fx:
+            if u >= x:
+                self.a = x
+            else:
+                self.b = x
+            self.v, self.fv = self.w, self.fw
+            self.w, self.fw = x, self.fx
+            self.x, self.fx = u, fu
+        else:
+            if u < x:
+                self.a = u
+            else:
+                self.b = u
+            if fu <= self.fw or self.w == x:
+                self.v, self.fv = self.w, self.fw
+                self.w, self.fw = u, fu
+            elif fu <= self.fv or self.v == x or self.v == self.w:
+                self.v, self.fv = u, fu
+
+
 def golden_lockstep(g: Callable[[list], Sequence[float]],
                     lo: Sequence[float], hi: Sequence[float],
                     tol: float = 1e-8) -> np.ndarray:
@@ -127,11 +247,11 @@ def golden_lockstep(g: Callable[[list], Sequence[float]],
     as golden_minimize(g_j, lo[j], hi[j], tol) finds it.
 
     g maps a list v of d floats, v[j] in [lo[j], hi[j]], to the d values
-    g_j(v[j]). Each call probes every coordinate; one whose search has
-    ended (or whose interval is no wider than tol, which needs none) is
-    probed inside its interval and its value ignored. The call count is
-    that of the widest interval's golden_minimize, and 0 when every
-    interval is within tol.
+    g_j(v[j]). Each call probes every coordinate, each with its own Brent
+    state; one whose search has ended (or whose interval is no wider than
+    tol, which needs none) probes its best point and its value is
+    ignored. The call count is the largest of the coordinates'
+    golden_minimize counts, and 0 when every interval is within tol.
     """
     lo_a = np.array(lo, dtype=float, ndmin=1)
     hi_a = np.array(hi, dtype=float, ndmin=1)
@@ -143,41 +263,18 @@ def golden_lockstep(g: Callable[[list], Sequence[float]],
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     # the state is Python floats, which round as float64 arrays do
-    lo, hi = lo_a.tolist(), hi_a.tolist()
-    width = [b - a for a, b in zip(lo, hi)]
-    steps = [math.ceil(math.log(tol / w) / math.log(INV_PHI)) if w > tol
-             else 0 for w in width]
-    if not any(steps):
-        return 0.5 * (lo_a + hi_a)
-    c = [a + INV_PHI_SQ * w for a, w in zip(lo, width)]
-    d = [a + INV_PHI * w for a, w in zip(lo, width)]
-    g_c = [float(v) for v in g(c)]
-    g_d = [float(v) for v in g(d)]
-    live = range(len(lo))
-    for step in range(1, max(steps)):
-        live = [j for j in live if steps[j] > step]
-        probe = d.copy()  # a coordinate whose search has ended stays at d
-        left = {}  # j -> whether coordinate j probes its c
-        for j in live:
-            width[j] *= INV_PHI
-            left[j] = g_c[j] < g_d[j]
-            if left[j]:
-                hi[j], d[j], g_d[j] = d[j], c[j], g_c[j]
-                c[j] = probe[j] = lo[j] + INV_PHI_SQ * width[j]
-            else:
-                lo[j], c[j], g_c[j] = c[j], d[j], g_d[j]
-                d[j] = probe[j] = lo[j] + INV_PHI * width[j]
-        value = g(probe)
-        for j in live:
-            if left[j]:
-                g_c[j] = float(value[j])
-            else:
-                g_d[j] = float(value[j])
-    return np.array([
-        0.5 * (lo[j] + hi[j]) if not steps[j]
-        else 0.5 * (lo[j] + d[j]) if g_c[j] < g_d[j]
-        else 0.5 * (c[j] + hi[j])
-        for j in range(len(lo))])
+    searches = [_Brent(a, b, tol)
+                for a, b in zip(lo_a.tolist(), hi_a.tolist())]
+    if all(s.done for s in searches):
+        return np.array([s.x for s in searches])
+    for s, fx in zip(searches, g([s.x for s in searches])):
+        s.start(float(fx))
+    while True:
+        probe = [s.probe() for s in searches]
+        if all(s.done for s in searches):
+            return np.array([s.x for s in searches])
+        for s, fu in zip(searches, g(probe)):
+            s.take(float(fu))
 
 
 class Minimum(NamedTuple):
@@ -205,13 +302,13 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
                         x0: Optional[Sequence[float]] = None,
                         tol: float = 1e-10, max_sweeps: int = 60) -> Minimum:
-    """Round-robin per-coordinate golden-section descent over a box.
+    """Round-robin per-coordinate descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
-    golden_minimize to tol, until a sweep does not lower g or max_sweeps
-    (an integer >= 1) is hit. Returns a Minimum at the lowest point
-    between sweeps, saying which of the two happened and whether that
-    point lies on the box edge.
+    golden_minimize (Brent's search) to tol, until a sweep does not lower
+    g or max_sweeps (an integer >= 1) is hit. Returns a Minimum at the
+    lowest point between sweeps, saying which of the two happened and
+    whether that point lies on the box edge.
     A non-finite g at the start or after a sweep raises DomainError.
     Deterministic for a fixed start.
     """

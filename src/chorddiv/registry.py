@@ -23,6 +23,7 @@ from .bregman import (
     approx_anchors,
     biskew,
     bregman,
+    bregman_block,
     bregman_chord,
     bregman_chord_block,
     bregman_dual,
@@ -74,7 +75,8 @@ class DivSpec(NamedTuple):
     adds the forms that hold for one generator. anchors says how the
     value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
     REJECTED. block, when set, is the kernel's block form,
-    block(F, X, y, arg) -> the values kernel(F, X[i], y, arg), bit for bit.
+    block(F, X, y[, arg]) -> the values kernel(F, X[i], y[, arg]), bit for
+    bit.
     """
 
     kernel: Callable
@@ -93,7 +95,8 @@ def _member_mean(members):
 
 #: The only list of identifiers; its order is the order of the help text.
 DIVERGENCES = {
-    "bregman": DivSpec(bregman, right_centroid=_member_mean),
+    "bregman": DivSpec(bregman, right_centroid=_member_mean,
+                       block=bregman_block),
     "bregman_dual": DivSpec(bregman_dual),
     "bregman_chord": DivSpec(
         bregman_chord, lambda param: ChordParams(param("alpha"),
@@ -245,9 +248,9 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
     callable.
 
-    Ids with a block kernel (bregman_chord, bregman_chord_approx and the
-    Jensen ids) validate once per call and skip the per-pair callable; the
-    others loop the callable resolve_divergence returns.
+    Ids with a block kernel (bregman, bregman_chord, bregman_chord_approx
+    and the Jensen ids) validate once per call and skip the per-pair
+    callable; the others loop the callable resolve_divergence returns.
     """
     spec, _ = _spec(div_id)
     if spec.block is None:
@@ -255,6 +258,8 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
         return lambda X, y: np.array([float(D(x, y)) for x in X])
     if generator is None:
         raise ParameterError(f"divergence {div_id!r} requires a generator")
+    if spec.build is None:
+        return lambda X, y: spec.block(generator, X, y)
     arg = spec.build(_reader(div_id, params))
     return lambda X, y: spec.block(generator, X, y, arg)
 
@@ -262,16 +267,17 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
 def resolve_terms_block(div_id: str, generator: Generator,
                         params: Optional[Mapping[str, float]] = None
                         ) -> Optional[Callable]:
-    """For an id with a block kernel under a generator with terms:
-    (X, y) -> the (m, dim) array whose [i, j] is coordinate j's share of
-    D(X[i] : y), the block kernel run on line tables of coordinate terms.
-    The kernels' gaps are linear in F's values, so the shares sum to
-    D(X[i] : y) up to rounding, and column j reads X[:, j] and y[j] alone
-    (a row that coincides with y gives zeros). None for any other id or
-    generator.
+    """For an id with a gradient-free block kernel (the chord and Jensen
+    ids) under a generator with terms: (X, y) -> the (m, dim) array whose
+    [i, j] is coordinate j's share of D(X[i] : y), the block kernel run on
+    line tables of coordinate terms. The kernels' gaps are linear in F's
+    values, so the shares sum to D(X[i] : y) up to rounding, and column j
+    reads X[:, j] and y[j] alone (a row that coincides with y gives
+    zeros). None for any other id or generator; bregman's block sums its
+    gradient term over the coordinates, and its centroid is the mean.
     """
     spec, _ = _spec(div_id)
-    if spec.block is None or generator.terms is None:
+    if spec.block in (None, bregman_block) or generator.terms is None:
         return None
     return resolve_block(div_id, replace(generator, rows=generator.terms),
                          params)

@@ -469,23 +469,24 @@ class TestClosedFormKey:
 
 class TestDistanceMatrix:
     def test_one_pass_of_n_times_k_calls_per_iteration(self, monkeypatch):
+        # bregman has a block kernel: one call per center over every point
         calls = []
 
         def counting_resolve(*args, **kwargs):
-            D = resolve_divergence(*args, **kwargs)
+            block = resolve_block(*args, **kwargs)
 
-            def counted(x, y):
-                calls.append(1)
-                return D(x, y)
+            def counted(X, y):
+                calls.append(len(X))
+                return block(X, y)
             return counted
 
-        monkeypatch.setattr(chorddiv.registry, "resolve_divergence",
+        monkeypatch.setattr(chorddiv.clustering, "resolve_block",
                             counting_resolve)
         points, _ = clustering_dataset(seed=2)
         k = 3
         res = kmeans(points, QUAD1, ClusterConfig(k=k, seed=2))
         assert res.iterations >= 2
-        assert len(calls) == (res.iterations + 1) * points.shape[0] * k
+        assert calls == [points.shape[0]] * (res.iterations + 1) * k
 
     @pytest.mark.parametrize("div,params", [
         ("bregman", {}),
@@ -749,9 +750,41 @@ class TestLockstepCenters:
     @pytest.mark.parametrize("gen,div", [
         ("log_sum_exp", "bregman_chord"),
         ("quadratic", "jensen"),
+        ("shannon_negentropy", "bregman"),
         ("shannon_negentropy", "bregman_tangent"),
         ("shannon_negentropy", "biskew:bregman_chord"),
     ])
     def test_other_ids_and_generators_have_no_terms_block(self, gen, div):
         params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2, "delta": 0.7}
         assert resolve_terms_block(div, make_builtin(gen, 2), params) is None
+
+
+#: The benchmark's fixed cluster design (perfbench/spec.json, design seed
+#: 2072): four positive points in 2-D.
+BENCH_POINTS = np.array([[1.1282518686626684, 2.024482017121187],
+                         [1.0926856958246813, 2.228123304634702],
+                         [1.8965670030788566, 1.5541048518375142],
+                         [1.8391089756071035, 1.4626825525045366]])
+
+
+class TestSearchBudget:
+    """Brent's parabolic steps keep the lockstep searches short: objective
+    calls per k-means run on the benchmark's design, where golden-section
+    search made 126 under either generator."""
+
+    @pytest.mark.parametrize("gen,budget", [("shannon_negentropy", 50),
+                                            ("burg_negentropy", 40)])
+    def test_lockstep_calls_per_run(self, monkeypatch, gen, budget):
+        calls = []
+        search = chorddiv.clustering.golden_lockstep
+
+        def counted(g, lo, hi, tol):
+            return search(lambda c: calls.append(c) or g(c), lo, hi, tol)
+
+        monkeypatch.setattr(chorddiv.clustering, "golden_lockstep", counted)
+        res = kmeans(BENCH_POINTS, make_builtin(gen, 2), ClusterConfig(
+            k=2, divergence="bregman_chord",
+            params={"alpha": 0.9, "beta": 1.0}))
+        assert res.center_solves
+        assert res.assignments.tolist() == [1, 1, 0, 0]
+        assert len(calls) <= budget

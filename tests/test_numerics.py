@@ -1,4 +1,4 @@
-"""Finite differences, bisection, golden section, coordinate descent,
+"""Finite differences, bisection, Brent's 1-D search, coordinate descent,
 and the sweep engine."""
 
 import math
@@ -22,12 +22,13 @@ from chorddiv import (
     sweep,
 )
 from chorddiv.numerics import (
-    INV_PHI,
     INV_PHI_SQ,
+    SQRT_EPS,
     bisect_root,
     central_diff_grad,
     golden_lockstep,
     golden_minimize,
+    on_box_edge,
 )
 
 
@@ -154,35 +155,149 @@ class TestGoldenMinimize:
                                tol=1e-8) == pytest.approx(0.1, abs=1e-8)
 
     def test_evaluation_budget(self):
+        # on a parabola: the start and two golden steps, one parabolic
+        # step onto the minimizer and one probe tol1 to either side of it;
+        # golden section alone takes 40 calls
         tol = 1e-8
         g = Counter(lambda v: (v - 0.77) ** 2)
-        golden_minimize(g, 0.0, 1.0, tol=tol)
-        cap = math.ceil(math.log(tol) / math.log(INV_PHI)) + 2
-        assert g.calls <= cap
+        x = golden_minimize(g, 0.0, 1.0, tol=tol)
+        assert g.calls == 6
+        assert x == 0.77
+
+    def test_float_resolution_ends_the_search(self):
+        # tol1 is below half a unit in the last place of x here, so a step
+        # of tol1 rounds back to x
+        g = Counter(lambda v: (v - 1e7) ** 2)
+        x = golden_minimize(g, 1e7, 1e7 + 1e-3, tol=1e-12)
+        assert g.calls < 100
+        assert 1e7 <= x <= 1e7 + 1e-6
 
 
-def scalar_golden(g, lo, hi, tol):
-    """The scalar golden-section loop, the reference golden_lockstep
-    and golden_minimize must equal bit for bit."""
+def scalar_brent(g, lo, hi, tol):
+    """Brent's method as one scalar loop, scipy's fminbound with
+    golden_minimize's tolerance, its stop at float resolution and its
+    final probe of a box edge: the reference golden_lockstep and
+    golden_minimize must equal bit for bit."""
     width = hi - lo
     if width <= tol:
         return 0.5 * (lo + hi)
-    n = int(math.ceil(math.log(tol / width) / math.log(INV_PHI)))
-    c = lo + INV_PHI_SQ * width
-    d = lo + INV_PHI * width
-    g_c, g_d = g(c), g(d)
-    for _ in range(n - 1):
-        if g_c < g_d:
-            hi, d, g_d = d, c, g_c
-            width *= INV_PHI
-            c = lo + INV_PHI_SQ * width
-            g_c = g(c)
+    cap = max(1e-6 * width, tol) / 4.0
+    a, b = lo, hi
+    x = w = v = lo + INV_PHI_SQ * width
+    fx = fw = fv = g(x)
+    d = e = 0.0
+
+    def end():
+        if a == lo or b == hi:
+            edge = lo if a == lo else hi
+            if g(edge) <= fx:
+                return edge
+        return x
+
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = min(SQRT_EPS * abs(x) + tol / 3.0, cap)
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return end()
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if mid >= x else -tol1
+        if not parabolic:
+            e = (a - x) if x >= mid else (b - x)
+            d = INV_PHI_SQ * e
+        # fminbound's si: the sign of d, and +1 at d = 0
+        si = float(d > 0.0) - float(d < 0.0) + float(d == 0.0)
+        u = x + si * max(abs(d), tol1)
+        if u == x or not a < u < b:
+            return end()
+        fu = g(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, g_c = c, d, g_d
-            width *= INV_PHI
-            d = lo + INV_PHI * width
-            g_d = g(d)
-    return 0.5 * (lo + d) if g_c < g_d else 0.5 * (c + hi)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+#: Narrow and unit boxes, each with its minimizer past lo, past hi, and
+#: at the middle: (lo, hi, target, on_edge).
+EDGE_CASES = [
+    (lo, lo + width, target, on_edge)
+    for lo in (0.5, 3.0)
+    for width in (1.0, 1e-2, 1e-4)
+    for target, on_edge in ((lo - width, True), (lo + 2.0 * width, True),
+                            (lo + 0.5 * width, False))
+]
+
+
+class TestBoxEdge:
+    """A search whose minimizer lies past its box ends within on_box_edge's
+    reach of that edge however narrow the box; one whose minimizer lies
+    inside does not."""
+
+    @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
+    def test_golden_minimize(self, lo, hi, target, on_edge):
+        for tol in (1e-8, 1e-9):
+            x = golden_minimize(lambda v: (v - target) ** 2, lo, hi, tol)
+            assert lo <= x <= hi
+            assert on_box_edge(np.array([x]), np.array([lo]),
+                               np.array([hi]), tol) is on_edge
+
+    @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
+    def test_narrow_box_is_searched_to_its_scale(self, lo, hi, target,
+                                                 on_edge):
+        # a lopsided kink, which parabolic steps do not find: the search
+        # ends within half of on_box_edge's reach of the minimizer at every
+        # width
+        def kink(v):
+            return 3.0 * (target - v) if v < target else v - target
+
+        for tol in (1e-8, 1e-9):
+            reach = max(1e-6 * (hi - lo), tol)
+            x = golden_minimize(kink, lo, hi, tol)
+            assert abs(x - min(max(target, lo), hi)) <= reach / 2
+
+    @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
+    def test_golden_lockstep(self, lo, hi, target, on_edge):
+        # the second coordinate has a unit box and an interior minimizer
+        box_lo, box_hi = np.array([lo, 0.0]), np.array([hi, 1.0])
+        x = golden_lockstep(
+            lambda v: [(v[0] - target) ** 2, (v[1] - 0.3) ** 2],
+            box_lo, box_hi, 1e-9)
+        assert on_box_edge(x[:1], box_lo[:1], box_hi[:1], 1e-9) is on_edge
+        assert x[1] == pytest.approx(0.3, abs=1e-8)
+        assert not on_box_edge(x[1:], box_lo[1:], box_hi[1:], 1e-9)
+
+    @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
+    def test_coordinate_minimize(self, lo, hi, target, on_edge):
+        res = coordinate_minimize(
+            lambda v: (v[0] - target) ** 2 + (v[1] - 0.3) ** 2,
+            [lo, 0.0], [hi, 1.0], tol=1e-9)
+        assert res.on_edge is on_edge
+        assert not res.capped
+        assert res.x[1] == pytest.approx(0.3, abs=1e-8)
 
 
 class TestGoldenLockstep:
@@ -205,13 +320,13 @@ class TestGoldenLockstep:
             tol = 10.0 ** rng.uniform(-10.0, -3.0)
             got = golden_lockstep(
                 lambda v: [f(x) for f, x in zip(fs, v)], lo, hi, tol)
-            want = [scalar_golden(f, a, b, tol)
+            want = [scalar_brent(f, a, b, tol)
                     for f, a, b in zip(fs, lo.tolist(), hi.tolist())]
             assert got.tobytes() == np.array(want).tobytes()
             assert [golden_minimize(f, a, b, tol) for f, a, b
                     in zip(fs, lo, hi)] == want
 
-    def test_calls_are_the_widest_coordinates(self):
+    def test_calls_are_the_most_any_coordinate_makes(self):
         calls = []
 
         def g(v):
@@ -220,9 +335,13 @@ class TestGoldenLockstep:
 
         lo, hi, tol = [0.0, 0.0, 0.5], [1.0, 1e-3, 0.5], 1e-8
         golden_lockstep(g, lo, hi, tol)
-        one = Counter(lambda v: (v - 0.3) ** 2)
-        golden_minimize(one, 0.0, 1.0, tol)
-        assert len(calls) == one.calls
+        counts = []
+        for a, b in zip(lo, hi):
+            one = Counter(lambda v: (v - 0.3) ** 2)
+            golden_minimize(one, a, b, tol)
+            counts.append(one.calls)
+        assert counts[0] != counts[1] and counts[2] == 0
+        assert len(calls) == max(counts)
         # every probe stays in its interval, finished coordinates included
         assert all(a <= x <= b for v in calls for a, x, b in zip(lo, v, hi))
 

@@ -15,12 +15,15 @@ from chorddiv import (
     ChordParams,
     Domain,
     Generator,
+    GradientRequiredError,
+    bregman,
     bregman_chord,
     make_builtin,
     resolve_divergence,
     sweep,
 )
-from chorddiv.bregman import bregman_chord_block, chord_gap, interpolate
+from chorddiv.bregman import (bregman_block, bregman_chord_block, chord_gap,
+                              interpolate)
 from chorddiv.generators import endpoints, line_table
 from chorddiv.jensen import JensenChordParams, jensen_chord, jensen_chord_block
 from chorddiv.registry import resolve_block
@@ -210,6 +213,65 @@ class TestChordBlock:
             want = [bregman_chord(F, x, c, ChordParams(a, b))
                     for a, b, _ in cells]
             assert same_bits([v for _, _, v in cells], want)
+
+
+def expsum_with_gradient(dim):
+    """expsum with its gradient, and still no rows."""
+    return dataclasses.replace(expsum(dim), grad_fn=np.exp)
+
+
+class TestBregmanBlock:
+    """bregman's block: one gradient at the center, the rows' F values in
+    one rows call, and a stack of np.dot-rounded products."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
+    def test_equals_per_pair(self, gen, dim):
+        F = (expsum_with_gradient(dim) if gen == "expsum"
+             else make_builtin(gen, dim))
+        rng = np.random.default_rng(dim)
+        # coordinates of magnitude e^-4 to e^4, of either sign on the reals
+        X = np.exp(rng.uniform(-4.0, 4.0, (8, 41, dim)))
+        if F.domain.kind != "positive":
+            X *= rng.choice([-1.0, 1.0], X.shape)
+        for X, c in [(x[1:], x[0]) for x in X] + sample_blocks(F):
+            block = bregman_block(F, X, c)
+            assert same_bits(block, [bregman(F, x, c) for x in X])
+        for X, c in sample_blocks(F):
+            block = bregman_block(F, X, c)
+            assert block[0] == 0.0 and block[-1] == 0.0
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_resolve_block_equals_per_pair(self, gen):
+        F = make_builtin(gen, 3)
+        block = resolve_block("bregman", F)
+        D = resolve_divergence("bregman", F)
+        for X, c in sample_blocks(F):
+            assert same_bits(block(X, c), [D(x, c) for x in X])
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_one_rows_one_fn_and_one_gradient_call(self, gen):
+        F = make_builtin(gen, 2)
+        G, shapes = recording_rows(F)
+        calls = []
+
+        def counted(fn):
+            return lambda t: calls.append(fn) or fn(t)
+
+        G = dataclasses.replace(G, fn=counted(F.fn),
+                                grad_fn=counted(F.grad_fn))
+        X, c = sample_blocks(G)[1]
+        bregman_block(G, X, c)
+        assert shapes == [(len(X) - 2, 1, 2)]  # the two coincident rows
+        assert calls == [F.grad_fn, F.fn]  # both at the center
+
+    def test_generator_without_gradient(self):
+        F = expsum(2)
+        X = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(GradientRequiredError, match="expsum has none"):
+            bregman(F, X[0], X[1])
+        with pytest.raises(GradientRequiredError, match="expsum has none"):
+            bregman_block(F, X, X[1])
 
 
 class TestJensenChordBlock:
