@@ -3,8 +3,9 @@
 Subcommands:
     eval     evaluate one divergence at a pair of points
     sweep    evaluate a chord divergence over an (alpha, beta) grid to CSV,
-             optionally rendering an SVG heatmap; the output text is made
-             once per distinct anchor and joined per cell
+             optionally rendering an SVG heatmap; each anchor's text is
+             made once, and each alpha row's text is filled with the row's
+             values by one '%' format
     cluster  k-means over a points CSV under any divergence; prints a
              warning to stderr for each numeric center search that hit its
              sweep cap or ended on the edge of its box
@@ -21,6 +22,7 @@ import contextlib
 import functools
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (
     ChorddivError,
     DomainError,
     ParseError,
+    ShapeError,
     UnknownDivergenceError,
     UnsupportedGeneratorError,
 )
@@ -185,52 +188,82 @@ def _sweep_grid(n: int) -> tuple:
     return alphas, alphas + [1.0]
 
 
-def _write_sweep_csv(path: str, rows, bound: Optional[float]) -> None:
-    # each distinct anchor is repr-ed once, then joined into its cells
-    names = {x: repr(x) for x in
-             {a for a, _, _ in rows} | {b for _, b, _ in rows}}
-    lines = ["alpha,beta,value"]
-    lines += [f"{names[a]},{names[b]},{v:.12g}" for a, b, v in rows]
-    if bound is not None:
-        lines.append(f"# bregman={bound:.12g}")
+def _row_cells(alphas, betas, b_text: List[str], n_values: int) -> list:
+    """b_text per alpha, with the betas equal to alpha sliced out: the cell
+    texts of each alpha row. alphas and betas are ascending, as
+    registry.sweep visits them; raises ShapeError unless the grid has
+    n_values cells."""
+    rows = [b_text[:bisect_left(betas, a)] + b_text[bisect_right(betas, a):]
+            for a in alphas]
+    cells = sum(map(len, rows))
+    if cells != n_values:
+        raise ShapeError(
+            f"{n_values} values for a sweep grid of {cells} cells")
+    return rows
+
+
+def _fill_rows(a_text: List[str], rows: list, values) -> List[str]:
+    """The text of each alpha row that has cells, one cell a line:
+    a_text[i] + each of its cell texts, filled with the row's values, in
+    registry.sweep's order, by one '%' format."""
+    out, k = [], 0
+    for head, cells in zip(a_text, rows):
+        if cells:
+            out.append((head + ("\n" + head).join(cells))
+                       % tuple(values[k:k + len(cells)]))
+            k += len(cells)
+    return out
+
+
+def _write_sweep_csv(path: str, alphas, betas, values,
+                     bound: Optional[float]) -> None:
+    # each anchor is repr-ed once; the rows are written one by one, so the
+    # text is never joined into one more copy of itself
+    cells = _row_cells(alphas, betas, [repr(b) + ",%.12g" for b in betas],
+                       len(values))
+    rows = _fill_rows([repr(a) + "," for a in alphas], cells, values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("alpha,beta,value\n")
+        for row in rows:
+            fh.write(row + "\n")
+        if bound is not None:
+            fh.write(f"# bregman={bound:.12g}\n")
 
 
-_HEX = [f"{i:02x}" for i in range(256)]
 # light-to-dark blue ramp
 _RAMP_LO = np.array([247.0, 251.0, 255.0])
 _RAMP_HI = np.array([8.0, 48.0, 107.0])
 
 
 def _heat_colors(t: np.ndarray) -> List[str]:
-    """'#rrggbb' of the ramp at each t in [0, 1]; np.rint rounds half to
-    even, as Python's round does."""
+    """'#rrggbb' of the ramp at each t in [0, 1], each distinct colour
+    formatted once; np.rint rounds half to even, as Python's round does."""
     rgb = np.rint(_RAMP_LO + t[:, None] * (_RAMP_HI - _RAMP_LO))
-    return ["#" + _HEX[r] + _HEX[g] + _HEX[b]
-            for r, g, b in rgb.astype(int).tolist()]
+    codes = (rgb.astype(int) @ [1 << 16, 1 << 8, 1]).tolist()
+    palette = {code: "#%06x" % code for code in set(codes)}
+    return list(map(palette.__getitem__, codes))
 
 
-def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
+def render_heatmap_svg(alphas, betas, values, title: str) -> str:
     """Self-contained SVG heatmap: alpha on the horizontal axis, beta on the
     vertical axis (increasing upward), linear color scale annotated with the
-    min and max cell values."""
+    min and max cell values. values are the cells in registry.sweep's order
+    over the ascending alphas and betas."""
     left, top, cell, gap = 90.0, 40.0, 30.0, 1.0
     plot_w = len(alphas) * cell
     plot_h = len(betas) * cell
     width = left + plot_w + 160.0
     height = top + plot_h + 70.0
-    values = [v for _, _, v in rows]
+    # the rect text is made once per alpha column and once per beta row
+    cells = _row_cells(
+        alphas, betas,
+        [f'y="{top + (len(betas) - 1 - i) * cell:.1f}" '
+         f'width="{cell - gap:.1f}" height="{cell - gap:.1f}" fill="%s"/>'
+         for i in range(len(betas))], len(values))
     vmin, vmax = min(values), max(values)
     span = vmax - vmin
     t = (np.full(len(values), 0.5) if span == 0.0
          else (np.array(values) - vmin) / span)
-    # the rect text is made once per alpha column and once per beta row
-    x_text = {a: f'<rect x="{left + i * cell:.1f}" '
-              for i, a in enumerate(alphas)}
-    y_text = {b: f'y="{top + (len(betas) - 1 - i) * cell:.1f}" '
-                 f'width="{cell - gap:.1f}" height="{cell - gap:.1f}" fill="'
-              for i, b in enumerate(betas)}
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -239,8 +272,9 @@ def render_heatmap_svg(rows, alphas, betas, title: str) -> str:
         f'<text x="{left + plot_w / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{title}</text>',
     ]
-    out += [x_text[a] + y_text[b] + color + '"/>'
-            for (a, b, _), color in zip(rows, _heat_colors(t))]
+    out += _fill_rows(
+        [f'<rect x="{left + i * cell:.1f}" ' for i in range(len(alphas))],
+        cells, _heat_colors(t))
     # axis tick labels (thinned when the grid is dense)
     step = max(1, len(alphas) // 10)
     for i, a in enumerate(alphas):
@@ -307,11 +341,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     x = np.array(args.x)
     y = np.array(args.y)
     rows = sweep(F, x, y, alphas, betas, args.div, _params_from(args))
+    values = [v for _, _, v in rows]
     bound = bregman(F, x, y) if F.has_grad else None
-    _write_sweep_csv(args.out, rows, bound)
+    _write_sweep_csv(args.out, alphas, betas, values, bound)
     if args.svg is not None:
         title = (f"{args.div} / {args.generator}  x={args.x}  y={args.y}")
-        svg = render_heatmap_svg(rows, alphas, betas, title)
+        svg = render_heatmap_svg(alphas, betas, values, title)
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
     print(f"wrote {len(rows)} cells to {args.out}")

@@ -11,7 +11,6 @@ ParameterError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -330,12 +329,15 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     alphas and betas are non-empty anchor values in (0, 1], visited in
     sorted order. Cells with alpha == beta are skipped: they are not valid
     chord anchors. Each cell's alpha and beta override any entries of the
-    same name in params. A CHORD id evaluates its segment (the gamma and
-    delta interpolants for biskew:) as a one-row line_table at the sorted
+    same name in params. The cells are held as arrays of their alphas and
+    betas. A CHORD id evaluates its segment (the gamma and delta
+    interpolants for biskew:) as a one-row line_table at the sorted
     anchors {0} U alphas U betas, the table bregman_chord_block builds,
-    and forms each cell from it with chord_gap, as bregman_chord does; an
-    IGNORED id is evaluated once; a REJECTED id raises ParameterError
-    before any evaluation. Returns a list of (alpha, beta, value) tuples.
+    and forms every cell from it in one chord_gap array expression,
+    bit-equal to bregman_chord; an IGNORED id is evaluated once, and its
+    value fills every cell; a REJECTED id raises ParameterError before any
+    evaluation. The first non-finite cell in row-major order raises
+    DomainError. Returns a list of (alpha, beta, value) tuples of floats.
     """
     alphas = _anchors("alphas", alphas)
     betas = _anchors("betas", betas)
@@ -349,31 +351,34 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
             f"{', '.join(sweep_divergences())}, where biskew: must wrap "
             f"one of the others"
         )
-    cells = [(a, b) for a in alphas for b in betas if a != b]
-    if not cells:
+    A = np.repeat(alphas, len(betas))
+    B = np.tile(betas, len(alphas))
+    off_diagonal = A != B
+    A, B = A[off_diagonal], B[off_diagonal]
+    if not A.size:
         return []
     base = dict(params or {})
     # one resolution makes every parameter and identifier check
-    D = resolve_divergence(div_id, F, {**base, "alpha": cells[0][0],
-                                       "beta": cells[0][1]})
+    D = resolve_divergence(div_id, F, {**base, "alpha": float(A[0]),
+                                       "beta": float(B[0])})
     if use == IGNORED:
-        values = [float(D(theta1, theta2))] * len(cells)
+        values = np.full(A.size, float(D(theta1, theta2)))
     else:
         segment = (theta1, theta2)
         if spec.kernel is biskew:
             segment = skew_segment(theta1, theta2, SkewPair(
                 float(base["gamma"]), float(base["delta"])))
-        lams = sorted({0.0, *alphas, *betas})
-        row = [0.0] * len(lams) if segment is None else line_table(
-            F, np.atleast_2d(segment[0]), segment[1], lams)[0].tolist()
-        g = dict(zip(lams, row))
-        values = [chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
-    rows = []
-    for (a, b), value in zip(cells, values):
-        if not math.isfinite(value):
-            raise DomainError(
-                f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
-                f"value {value}"
-            )
-        rows.append((a, b, value))
-    return rows
+        lams = np.array(sorted({0.0, *alphas, *betas}))
+        row = np.zeros(lams.size) if segment is None else line_table(
+            F, np.atleast_2d(segment[0]), segment[1], lams)[0]
+        with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
+            values = chord_gap(row[0], row[np.searchsorted(lams, A)],
+                               row[np.searchsorted(lams, B)], A, B)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"sweep cell (alpha={float(A[i])}, beta={float(B[i])}) produced "
+            f"a non-finite value {float(values[i])}"
+        )
+    return list(zip(A.tolist(), B.tolist(), values.tolist()))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv): outputs, files, exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import chorddiv
 import chorddiv.verify
 from chorddiv import (
     ClusterConfig,
+    ShapeError,
     SuiteResult,
     adjusted_rand_index,
     kmeans,
@@ -278,7 +280,7 @@ class TestSweep:
     def test_csv_without_bound_omits_comment(self, tmp_path):
         # the trailing bound comment is skipped for gradient-free generators
         path = tmp_path / "plain.csv"
-        _write_sweep_csv(str(path), [(0.25, 1.0, 0.5)], None)
+        _write_sweep_csv(str(path), [0.25], [1.0], [0.5], None)
         assert path.read_text().splitlines() == [
             "alpha,beta,value", "0.25,1.0,0.5"]
 
@@ -404,10 +406,11 @@ class TestSweepOutputBytes:
 
     def check(self, tmp_path, rows, alphas, betas, bound):
         title = "bregman_chord / quadratic  x=[0.3]  y=[0.9]"
-        assert render_heatmap_svg(rows, alphas, betas, title) == \
+        values = [v for _, _, v in rows]
+        assert render_heatmap_svg(alphas, betas, values, title) == \
             reference_svg(rows, alphas, betas, title)
         path = tmp_path / "sweep.csv"
-        _write_sweep_csv(str(path), rows, bound)
+        _write_sweep_csv(str(path), alphas, betas, values, bound)
         assert path.read_bytes() == reference_csv(rows, bound).encode()
 
     @pytest.mark.parametrize("gen", ["quadratic", "shannon_negentropy",
@@ -427,7 +430,7 @@ class TestSweepOutputBytes:
         rows = sweep(F, x, x.copy(), alphas, betas, "bregman_chord")
         assert {v for _, _, v in rows} == {0.0}
         self.check(tmp_path, rows, alphas, betas, 0.0)
-        svg = render_heatmap_svg(rows, alphas, betas, "")
+        svg = render_heatmap_svg(alphas, betas, [v for _, _, v in rows], "")
         cells = [line for line in svg.splitlines()
                  if line.startswith('<rect x="') and "url(" not in line]
         assert len(cells) == len(rows)
@@ -448,6 +451,28 @@ class TestSweepOutputBytes:
         rows = [(a, b, float(v)) for (a, b), v in zip(cells, values)]
         self.check(tmp_path, rows, alphas, betas, None)
 
+    def test_alpha_row_without_cells(self, tmp_path):
+        # beta 0.5 alone: the alpha 0.5 row is all diagonal and writes nothing
+        self.check(tmp_path, [(0.25, 0.5, 1.5), (0.75, 0.5, -2.0)],
+                   [0.25, 0.5, 0.75], [0.5], 1.0)
+
+    @pytest.mark.parametrize("alphas, betas, cells", [
+        ([0.25, 0.5], [0.5, 1.0], 3),   # alpha 0.5 skips its diagonal
+        ([0.25], [0.5, 1.0], 2),
+        ([0.5], [0.5], 0),
+    ])
+    def test_writers_refuse_values_that_do_not_fit_the_grid(
+            self, tmp_path, alphas, betas, cells):
+        path = tmp_path / "sweep.csv"
+        for n in {0, cells - 1, cells + 1} - {-1, cells}:
+            values = [0.5] * n
+            message = f"{n} values for a sweep grid of {cells} cells"
+            with pytest.raises(ShapeError, match=message):
+                _write_sweep_csv(str(path), alphas, betas, values, None)
+            with pytest.raises(ShapeError, match=message):
+                render_heatmap_svg(alphas, betas, values, "")
+        assert not path.exists()
+
     def test_ramp_on_dense_grid_and_ties(self):
         ties = ramp_ties()
         # at k + 0.5 with k even, half-to-even rounds down where adding 0.5
@@ -456,6 +481,30 @@ class TestSweepOutputBytes:
         t = np.concatenate([np.linspace(0.0, 1.0, 100001),
                             [u for u, _ in ties]])
         assert _heat_colors(t) == [reference_heat_color(v) for v in t.tolist()]
+
+
+class TestSweepGoldenDigests:
+    """SHA-256 of the CSV and SVG two fixed sweep commands write, recorded
+    from the per-cell writers: any change to the sweep's bytes shows
+    here."""
+
+    @pytest.mark.parametrize("argv, csv_digest, svg_digest", [
+        (["--generator", "shannon_negentropy", "--x", "0.3,0.5,1.2",
+          "--y", "0.9,0.2,0.7", "--grid", "50"],
+         "5427052b53709dae50b1368308e0ec6b12e30b9578b304c68dde2b51e6b29271",
+         "aab964fe313ab74c7862f86f13c264d577f64317ea40c1e207122ba5523f40df"),
+        (["--generator", "quadratic", "--x", "0.2", "--y", "0.8",
+          "--grid", "7"],
+         "54539a083fb5ef35d0bffe8dad599c7d6929c75d0aa9f3d04a0c83625b56f53e",
+         "8142d551514abb4b6d0465d25860e476092ef60ff54cdd126f9d838a51622835"),
+    ], ids=["readme_shannon_grid50", "quadratic_grid7"])
+    def test_digests(self, capsys, tmp_path, argv, csv_digest, svg_digest):
+        csv, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        code, _, _ = run(capsys, "sweep", *argv, "--out", str(csv),
+                         "--svg", str(svg))
+        assert code == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_digest
 
 
 def write_points(path, points):

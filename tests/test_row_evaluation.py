@@ -6,6 +6,7 @@ form differently."""
 
 import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chorddiv import (
     BUILTIN_GENERATORS,
     ChordParams,
     Domain,
+    DomainError,
     Generator,
     GradientRequiredError,
     bregman,
@@ -22,14 +24,15 @@ from chorddiv import (
     resolve_divergence,
     sweep,
 )
-from chorddiv.bregman import (bregman_block, bregman_chord_block, chord_gap,
-                              interpolate)
+from chorddiv.bregman import (SkewPair, bregman_block, bregman_chord_block,
+                              chord_gap, interpolate, skew_segment)
 from chorddiv.generators import endpoints, line_table
 from chorddiv.jensen import JensenChordParams, jensen_chord, jensen_chord_block
 from chorddiv.registry import resolve_block
 
 # chorddiv.jensen names the function, so the module is looked up by path
 JENSEN = importlib.import_module("chorddiv.jensen")
+REGISTRY = importlib.import_module("chorddiv.registry")
 
 GENERATORS = [*BUILTIN_GENERATORS, "expsum"]
 
@@ -315,3 +318,114 @@ class TestJensenChordBlock:
         F = make_builtin("quadratic", 2)
         jensen_chord_block(F, np.ones((4, 2)), np.zeros(2), jcp)
         assert seen == [lams]
+
+
+def reference_sweep(F, theta1, theta2, alphas, betas, div_id, params):
+    """registry.sweep's body as it was, one cell at a time: a cells list,
+    one chord_gap per cell on the table's Python floats, and a finiteness
+    loop; div_id is bregman_chord, biskew:bregman_chord or the anchor-free
+    bregman_chord_approx."""
+    alphas, betas = sorted(alphas), sorted(betas)
+    cells = [(a, b) for a in alphas for b in betas if a != b]
+    if not cells:
+        return []
+    D = resolve_divergence(div_id, F, {**params, "alpha": cells[0][0],
+                                       "beta": cells[0][1]})
+    if div_id == "bregman_chord_approx":
+        values = [float(D(theta1, theta2))] * len(cells)
+    else:
+        segment = (theta1, theta2)
+        if div_id.startswith("biskew:"):
+            segment = skew_segment(theta1, theta2, SkewPair(
+                params["gamma"], params["delta"]))
+        lams = sorted({0.0, *alphas, *betas})
+        row = [0.0] * len(lams) if segment is None else line_table(
+            F, np.atleast_2d(segment[0]), segment[1], lams)[0].tolist()
+        g = dict(zip(lams, row))
+        values = [chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
+    rows = []
+    for (a, b), value in zip(cells, values):
+        if not math.isfinite(value):
+            raise DomainError(
+                f"sweep cell (alpha={a}, beta={b}) produced a non-finite "
+                f"value {value}"
+            )
+        rows.append((a, b, value))
+    return rows
+
+
+class TestSweepCells:
+    """registry.sweep forms its cells as arrays, bit-equal to the per-cell
+    reference, with the same first non-finite cell."""
+
+    IDS = [("bregman_chord", {}),
+           ("bregman_chord_approx", {"epsilon": 1e-6}),
+           ("biskew:bregman_chord", {"gamma": 0.1, "delta": 0.9})]
+    GRIDS = [((0.5,), (0.5, 1.0)),  # a single cell
+             (tuple(i / 4 for i in range(1, 4)),
+              tuple(i / 4 for i in range(1, 5))),
+             ((0.9, 0.1, 0.55, 0.3), (1.0, 0.3, 0.7)),  # unsorted
+             (tuple(i / 51 for i in range(1, 51)),
+              tuple(i / 51 for i in range(1, 51)) + (1.0,))]
+
+    def check(self, F, x, y, alphas, betas, div_id, params):
+        got = sweep(F, x, y, alphas, betas, div_id, params)
+        want = reference_sweep(F, x, y, alphas, betas, div_id, params)
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+        assert same_bits([v for *_, v in got], [v for *_, v in want])
+        assert all(type(item) is float for cell in got for item in cell)
+
+    @pytest.mark.parametrize("div_id, params", IDS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_equals_per_cell_reference(self, gen, dim, div_id, params):
+        F = make_builtin(gen, dim)
+        rng = np.random.default_rng(dim)
+        for x, y in scattered_points(F, rng, (3, 2)):
+            for alphas, betas in self.GRIDS:
+                self.check(F, x, y, alphas, betas, div_id, params)
+        x = scattered_points(F, rng, ())
+        for alphas, betas in self.GRIDS:  # coincident points
+            self.check(F, x, x.copy(), alphas, betas, div_id, params)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.95])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_same_first_non_finite_cell(self, dim, threshold):
+        # G(lam) is finite below the threshold and inf beyond it, so the
+        # first bad cell is neither the first cell nor the first row's last
+        def fn(t):
+            return float(t[0] ** 2) if t[0] < threshold else math.inf
+
+        F = Generator(name="blows_up", dim=dim, domain=Domain("reals"),
+                      fn=fn)
+        x, y = np.zeros(dim), np.ones(dim)
+        anchors = tuple(i / 8 for i in range(1, 8))
+        betas = anchors + (1.0,)
+        with pytest.raises(DomainError) as got:
+            sweep(F, x, y, anchors, betas, "bregman_chord")
+        with pytest.raises(DomainError) as want:
+            reference_sweep(F, x, y, anchors, betas, "bregman_chord", {})
+        assert str(got.value) == str(want.value)
+        assert "(alpha=0.125, beta=0.125)" not in str(got.value)
+
+    def test_empty_grid_returns_before_resolution(self):
+        # bregman_chord_approx without epsilon would fail to resolve
+        F = make_builtin("quadratic", 1)
+        assert sweep(F, 0.0, 1.0, (0.5,), (0.5,),
+                     "bregman_chord_approx") == []
+
+    @pytest.mark.parametrize("div_id, params", IDS)
+    def test_one_resolution(self, div_id, params, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return resolve_divergence(*args)
+
+        monkeypatch.setattr(REGISTRY, "resolve_divergence", counted)
+        F = make_builtin("shannon_negentropy", 2)
+        rows = sweep(F, [0.2, 0.7], [0.9, 0.4], *self.GRIDS[3], div_id,
+                     params)
+        assert len(rows) == 50 * 51 - 50
+        # biskew: resolves its inner id inside the one call
+        assert calls == [div_id, *div_id.split(":")[1:]]
