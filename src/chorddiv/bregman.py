@@ -171,6 +171,21 @@ def chord_gap(g0, g_a, g_b, a: float, b: float):
     return g0 - g_a + a * (g_b - g_a) / (b - a)
 
 
+def chord_row(F: Generator, theta1, theta2, A, B) -> np.ndarray:
+    """bregman_chord(F, theta1, theta2, ChordParams(A[k], B[k])) for each
+    k, bit for bit, from one line_table row at the distinct anchors
+    {0} U A U B and one chord_gap array expression; the caller checks the
+    anchors. Coincident points give 0.0 for no F evaluation."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    lams = np.sort(np.concatenate(([0.0], A, B)))
+    lams = lams[np.concatenate(([True], lams[1:] != lams[:-1]))]  # distinct
+    row = line_table(F, np.atleast_2d(theta1), theta2, lams)[0]
+    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
+        return chord_gap(row[0], row[np.searchsorted(lams, A)],
+                         row[np.searchsorted(lams, B)], A, B)
+
+
 def unit_anchor(value: float, label: str) -> float:
     """Validated anchor: value in (0, 1], the rule of chord and tangent
     anchors and of sweep grids; the message names it by label."""
@@ -197,7 +212,8 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
     t1, t2 = ends
-    m = t2 if a == 1.0 else F.point(interpolate(t1, t2, a))
+    # a in (0, 1] keeps the interpolant in the convex domain
+    m = t2 if a == 1.0 else interpolate(t1, t2, a)
     g_m = F.grad_fn(m)
     return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
 
@@ -288,10 +304,6 @@ def skew_segment(theta1, theta2, sp: SkewPair) -> Optional[tuple]:
     the endpoints coincide."""
     t1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
-    if t1.shape != t2.shape:
-        raise ShapeError(
-            f"cannot biskew points of shapes {t1.shape} and {t2.shape}"
-        )
-    if coincide(t1, t2):
+    if t1.shape == t2.shape and coincide(t1, t2):
         return None
     return interpolate(t1, t2, sp.gamma), interpolate(t1, t2, sp.delta)

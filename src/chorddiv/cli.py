@@ -3,9 +3,7 @@
 Subcommands:
     eval     evaluate one divergence at a pair of points
     sweep    evaluate a chord divergence over an (alpha, beta) grid to CSV,
-             optionally rendering an SVG heatmap; each anchor's text is
-             made once, and each alpha row's text is filled with the row's
-             values by one '%' format
+             optionally rendering an SVG heatmap
     cluster  k-means over a points CSV under any divergence; prints a
              warning to stderr for each numeric center search that hit its
              sweep cap or ended on the edge of its box

@@ -17,9 +17,7 @@ three ways:
   search per coordinate, sweep after sweep.
 
 Both take their 1-D steps by Brent's method, golden-section search plus
-parabolic steps (numerics.golden_minimize), which on these objectives
-needs about a third of golden section's calls: 44 lockstep calls instead
-of 126 for a shannon bregman_chord run on the benchmark's four points.
+parabolic steps (numerics.golden_minimize).
 Both searches run over the cluster's bounding box (expanded by 10 percent
 and kept in the positive orthant when the generator's domain or the
 divergence needs positive arguments), so no gradient is ever needed. Each

@@ -101,8 +101,9 @@ def jensen_chord(F: Generator, theta1, theta2,
         return 0.0
     t1, t2 = ends
     a, b = float(jcp.alpha), float(jcp.beta)
-    f_a = float(F.fn(F.point(interpolate(t1, t2, a))))
-    f_b = f_a if a == b else float(F.fn(F.point(interpolate(t1, t2, b))))
+    # anchors in [0, 1] keep both interpolants in the convex domain
+    f_a = float(F.fn(interpolate(t1, t2, a)))
+    f_b = f_a if a == b else float(F.fn(interpolate(t1, t2, b)))
     return jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
 
 

@@ -124,8 +124,7 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     gives the edge itself. It returns the lowest point probed. An interval
     no wider than tol gives its midpoint for no call. On a parabola the
     search makes 6 calls where golden section alone makes
-    ceil(log(tol/(hi-lo)) / log(1/phi)) + 1 (40 on [0, 1] at tol 1e-8);
-    on k-means center objectives, about a third as many.
+    ceil(log(tol/(hi-lo)) / log(1/phi)) + 1 (40 on [0, 1] at tol 1e-8).
 
     It is golden_lockstep on one coordinate. The lockstep form serves
     separable objectives: for F = sum_j f(t_j), each point on a line

@@ -27,7 +27,7 @@ from .bregman import (
     bregman_chord_block,
     bregman_dual,
     bregman_tangent,
-    chord_gap,
+    chord_row,
     skew_segment,
     unit_anchor,
 )
@@ -46,7 +46,7 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import Generator, line_table
+from .generators import Generator
 from .jensen import (JensenChordParams, jensen_chord, jensen_chord_block,
                      skew_anchors)
 
@@ -313,7 +313,7 @@ def sweep_divergences() -> tuple:
 
 
 def _anchors(label: str, values: Sequence[float]) -> tuple:
-    anchors = tuple(sorted(float(v) for v in values))
+    anchors = tuple(sorted({float(v) for v in values}))
     if not anchors:
         raise ParameterError(f"{label} must be non-empty")
     for v in anchors:
@@ -329,15 +329,13 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     alphas and betas are non-empty anchor values in (0, 1], visited in
     sorted order. Cells with alpha == beta are skipped: they are not valid
     chord anchors. Each cell's alpha and beta override any entries of the
-    same name in params. The cells are held as arrays of their alphas and
-    betas. A CHORD id evaluates its segment (the gamma and delta
-    interpolants for biskew:) as a one-row line_table at the sorted
-    anchors {0} U alphas U betas, the table bregman_chord_block builds,
-    and forms every cell from it in one chord_gap array expression,
-    bit-equal to bregman_chord; an IGNORED id is evaluated once, and its
-    value fills every cell; a REJECTED id raises ParameterError before any
-    evaluation. The first non-finite cell in row-major order raises
-    DomainError. Returns a list of (alpha, beta, value) tuples of floats.
+    same name in params. Repeated anchors count once. A CHORD id forms
+    every cell on its segment (the gamma and delta interpolants for
+    biskew:) by one chord_row call, bit-equal to bregman_chord; an IGNORED
+    id is evaluated once, and its value fills every cell; a REJECTED id
+    raises ParameterError before any evaluation. The first non-finite
+    cell in row-major order raises DomainError. Returns a list of
+    (alpha, beta, value) tuples of floats.
     """
     alphas = _anchors("alphas", alphas)
     betas = _anchors("betas", betas)
@@ -368,12 +366,8 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
         if spec.kernel is biskew:
             segment = skew_segment(theta1, theta2, SkewPair(
                 float(base["gamma"]), float(base["delta"])))
-        lams = np.array(sorted({0.0, *alphas, *betas}))
-        row = np.zeros(lams.size) if segment is None else line_table(
-            F, np.atleast_2d(segment[0]), segment[1], lams)[0]
-        with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-            values = chord_gap(row[0], row[np.searchsorted(lams, A)],
-                               row[np.searchsorted(lams, B)], A, B)
+        values = (np.zeros(A.size) if segment is None
+                  else chord_row(F, *segment, A, B))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]

@@ -25,6 +25,7 @@ from .bregman import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
+    chord_row,
     interpolate,
     mean_value_witness,
 )
@@ -171,48 +172,44 @@ def _limit_generators() -> list:
     ]
 
 
-def suite_sandwich(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """0 <= chord divergence <= ordinary Bregman divergence + 1e-12
-    over the built-in generator matrix and random anchor pairs."""
+def _chord_draws(trials: int, seed: int):
+    """The sandwich and swap_symmetry sample, `trials` pairs per generator,
+    each with 20 anchor draws: F, t1, t2, the ChordParams, and one
+    chord_row call's values at them (values[0]) and swapped (values[1])."""
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    checks = 0
     for F in _generator_matrix():
         for _ in range(trials):
             t1, t2 = _sample_pair(rng, F)
-            upper = bregman(F, t1, t2) + 1e-12
-            for _ in range(20):
-                cp = _sample_anchors(rng)
-                v = bregman_chord(F, t1, t2, cp)
-                worst = _worst(worst, -v, v - upper)
-                checks += 1
-    return SuiteResult(
-        name="sandwich",
-        worst=worst,
-        detail=f"{checks} chord evaluations across "
-               f"{len(_generator_matrix())} generators",
-    )
+            cps = [_sample_anchors(rng) for _ in range(20)]
+            a = [cp.alpha for cp in cps]
+            b = [cp.beta for cp in cps]
+            values = chord_row(F, t1, t2, a + b, b + a).reshape(2, 20)
+            yield F, t1, t2, cps, values
+
+
+def suite_sandwich(trials: int = 200, seed: int = 0) -> SuiteResult:
+    """0 <= chord divergence <= ordinary Bregman divergence + 1e-12
+    over the built-in generator matrix and random anchor pairs."""
+    worst = -np.inf
+    checks = 0
+    for F, t1, t2, _, values in _chord_draws(trials, seed):
+        v = values[0]
+        upper = bregman(F, t1, t2) + 1e-12
+        worst = _worst(worst, np.max(-v), np.max(v - upper))
+        checks += v.size
+    return SuiteResult("sandwich", worst, f"{checks} chord evaluations "
+                       f"across {len(_generator_matrix())} generators")
 
 
 def suite_swap_symmetry(trials: int = 200, seed: int = 0) -> SuiteResult:
     """bregman_chord is invariant under swapping its two anchors, to 1e-12."""
-    rng = np.random.default_rng(seed)
     worst = -np.inf
     checks = 0
-    for F in _generator_matrix():
-        for _ in range(trials):
-            t1, t2 = _sample_pair(rng, F)
-            for _ in range(20):
-                cp = _sample_anchors(rng)
-                dev = abs(bregman_chord(F, t1, t2, cp)
-                          - bregman_chord(F, t1, t2, cp.swapped()))
-                worst = _worst(worst, dev - 1e-12)
-                checks += 1
-    return SuiteResult(
-        name="swap_symmetry",
-        worst=worst,
-        detail=f"{checks} anchor swaps, tolerance 1e-12",
-    )
+    for *_, values in _chord_draws(trials, seed):
+        worst = _worst(worst, np.max(np.abs(values[0] - values[1])) - 1e-12)
+        checks += values.shape[1]
+    return SuiteResult("swap_symmetry", worst,
+                       f"{checks} anchor swaps, tolerance 1e-12")
 
 
 def suite_limit_bregman(trials: int = 200, seed: int = 0) -> SuiteResult:

@@ -40,7 +40,7 @@ from chorddiv import (
     restrict_to_line,
     sweep,
 )
-from chorddiv.bregman import bregman_chord_block, interpolate
+from chorddiv.bregman import bregman_chord_block, chord_row, interpolate
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -360,6 +360,82 @@ class TestBregmanChordBlock:
         assert str(got.value) == str(want.value)
 
 
+class TestChordRow:
+    def test_bit_equal_to_bregman_chord(self):
+        rng = np.random.default_rng(3)
+        A = [0.9, 0.2, 0.5, 0.2, 1.0, 1e-6]  # unsorted, 0.2 repeated
+        B = [1.0, 0.7, 0.2, 0.9, 0.5, 2e-6]
+        for gen, dim in GENERATOR_MATRIX:
+            F = make_builtin(gen, dim)
+            t1, t2 = sample_pair(rng, F)
+            want = [bregman_chord(F, t1, t2, ChordParams(a, b))
+                    for a, b in zip(A, B)]
+            got = chord_row(F, t1, t2, A, B)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_point_call_and_distinct_anchors(self):
+        F, calls = counted(make_builtin("shannon_negentropy", 2))
+        chord_row(F, [0.4, 1.3], [0.9, 0.2], [0.25, 0.75, 0.25],
+                  [0.75, 0.25, 1.0])
+        assert calls == {"point": 1, "fn": 4}
+
+    def test_coincident_points_give_zeros_for_no_evaluation(self):
+        F, calls = counted(make_builtin("quadratic", 2))
+        values = chord_row(F, [0.4, 1.3], [0.4, 1.3], [0.25, 0.75],
+                           [0.75, 0.25])
+        assert values.tolist() == [0.0, 0.0]
+        assert calls == {"point": 1, "fn": 0}
+
+
+class TestScalarPointCalls:
+    """Each scalar kernel validates its two arguments once; the
+    interpolants of validated endpoints at anchors in [0, 1] lie in the
+    convex domain and go to F.fn unchecked."""
+
+    X, Y = np.array([0.3, 1.2]), np.array([0.9, 0.4])
+
+    @pytest.mark.parametrize("kernel, points, fns", [
+        (lambda F, x, y: bregman_tangent(F, x, y, 0.4), 2, 2),
+        (lambda F, x, y: bregman_tangent(F, x, y, 1.0), 2, 2),
+        (lambda F, x, y: jensen_chord(F, x, y,
+                                      JensenChordParams(0.2, 0.7, 0.5)), 2, 4),
+        (lambda F, x, y: jensen_skewed(F, x, y, 0.3), 2, 3),
+        (jensen, 2, 3),
+        (lambda F, x, y: bregman_chord(F, x, y, ChordParams(0.25, 0.75)),
+         7, 3),
+    ], ids=["tangent", "tangent_at_1", "jensen_chord", "jensen_skewed",
+            "jensen", "bregman_chord"])
+    def test_counts(self, kernel, points, fns):
+        F, calls = counted(make_builtin("shannon_negentropy", 2))
+        assert kernel(F, self.X, self.Y) > 0.0
+        assert calls == {"point": points, "fn": fns}
+
+    @pytest.mark.parametrize("gen, dim", GENERATOR_MATRIX)
+    def test_values_bit_equal_to_checked_interpolants(self, gen, dim):
+        # the kernels' bodies as they were, each interpolant through F.point
+        def tangent(F, t1, t2, a):
+            m = F.point(interpolate(t1, t2, a))
+            return (float(F.fn(t1)) - float(F.fn(m))
+                    - a * float(np.dot(t1 - t2, F.grad_fn(m))))
+
+        def chord(F, t1, t2, a, b, c):
+            f_a = float(F.fn(F.point(interpolate(t1, t2, a))))
+            f_b = float(F.fn(F.point(interpolate(t1, t2, b))))
+            w = (c - a) / (b - a)
+            return ((1.0 - c) * float(F.fn(t1)) + c * float(F.fn(t2))
+                    - ((1.0 - w) * f_a + w * f_b))
+
+        F = make_builtin(gen, dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            t1, t2 = sample_pair(rng, F)
+            a, c, b = np.sort(rng.uniform(0.0, 1.0, 3)).tolist()
+            assert (bregman_tangent(F, t1, t2, b)
+                    == tangent(F, t1, t2, b))
+            assert (jensen_chord(F, t1, t2, JensenChordParams(a, b, c))
+                    == chord(F, t1, t2, a, b, c))
+
+
 class TestBregmanTangent:
     def test_quadratic_frozen_value(self):
         F = make_builtin("quadratic", 1)
@@ -525,6 +601,11 @@ class TestBiskew:
         D = lambda a, b: bregman(F, a, b)
         with pytest.raises(DomainError):
             biskew(D, 0.1, 2.0, SkewPair(-1.0, 0.5))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="cannot interpolate points of "
+                           r"shapes \(2,\) and \(3,\)"):
+            biskew(kl, [0.5, 0.5], [0.2, 0.3, 0.5], SkewPair(0.25, 0.75))
 
 
 class TestDegenerateRule:

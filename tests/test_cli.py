@@ -787,8 +787,8 @@ class TestVerify:
                        "patched)\n")
 
     def test_nan_divergence_fails_and_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(chorddiv.verify, "bregman_chord",
-                            lambda *args: float("nan"))
+        monkeypatch.setattr(chorddiv.verify, "chord_row",
+                            lambda F, t1, t2, A, B: np.full(len(A), np.nan))
         code, out, _ = run(capsys, "verify", "--suite", "sandwich",
                            "--trials", "5")
         assert code == 3

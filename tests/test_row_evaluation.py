@@ -408,6 +408,14 @@ class TestSweepCells:
         assert str(got.value) == str(want.value)
         assert "(alpha=0.125, beta=0.125)" not in str(got.value)
 
+    def test_repeated_anchors_count_once(self):
+        F = make_builtin("quadratic", 1)
+        assert sweep(F, 0.0, 1.0, (0.5, 0.5), (1.0,),
+                     "bregman_chord") == [(0.5, 1.0, 0.5)]
+        assert sweep(F, 0.0, 1.0, (1.0, 0.5, 1.0), (0.5, 1.0, 0.5),
+                     "bregman_chord") == sweep(F, 0.0, 1.0, (0.5, 1.0),
+                                               (0.5, 1.0), "bregman_chord")
+
     def test_empty_grid_returns_before_resolution(self):
         # bregman_chord_approx without epsilon would fail to resolve
         F = make_builtin("quadratic", 1)

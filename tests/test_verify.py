@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import chorddiv.verify
-from chorddiv import Minimum, ParameterError, SuiteResult, make_builtin
-from chorddiv.verify import _linear_decay, run_all, run_suite, suite_sandwich
+from chorddiv import (Minimum, ParameterError, SuiteResult, bregman_chord,
+                      make_builtin)
+from chorddiv.verify import _chord_draws, _linear_decay, run_all, run_suite
 
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -73,11 +74,44 @@ class TestLinearDecay:
                                  "shannon_negentropy: ratios 31.62/")
 
 
+class TestChordSuites:
+    """sandwich and swap_symmetry read each sampled pair's chord values
+    off one chord_row call; the results are pinned as the per-call
+    bregman_chord loop gave them."""
+
+    @pytest.mark.parametrize("name,seed,worst,detail", [
+        ("sandwich", 0, -9.160142058006662e-06,
+         "28000 chord evaluations across 7 generators"),
+        ("sandwich", 1, -8.345951654563626e-06,
+         "28000 chord evaluations across 7 generators"),
+        ("swap_symmetry", 0, -9.982236431605997e-13,
+         "28000 anchor swaps, tolerance 1e-12"),
+        ("swap_symmetry", 1, -9.982236431605997e-13,
+         "28000 anchor swaps, tolerance 1e-12"),
+    ], ids=["sandwich-0", "sandwich-1", "swap_symmetry-0",
+            "swap_symmetry-1"])
+    def test_results_are_pinned(self, name, seed, worst, detail):
+        res = run_suite(name, 200, seed)
+        assert repr(res.worst) == repr(worst)
+        assert res.detail == detail
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_values_equal_bregman_chord(self, seed):
+        draws = 0
+        for F, t1, t2, cps, values in _chord_draws(20, seed):
+            want = [[bregman_chord(F, t1, t2, cp) for cp in cps],
+                    [bregman_chord(F, t1, t2, cp.swapped()) for cp in cps]]
+            assert values.tobytes() == np.array(want).tobytes()
+            draws += 1
+        assert draws == 7 * 20
+
+
 class TestNaN:
-    def test_nan_divergence_fails_the_sandwich(self, monkeypatch):
-        monkeypatch.setattr(chorddiv.verify, "bregman_chord",
-                            lambda *args: np.nan)
-        res = suite_sandwich(5, 0)
+    @pytest.mark.parametrize("suite", ["sandwich", "swap_symmetry"])
+    def test_nan_divergence_fails_the_suite(self, monkeypatch, suite):
+        monkeypatch.setattr(chorddiv.verify, "chord_row",
+                            lambda F, t1, t2, A, B: np.full(len(A), np.nan))
+        res = run_suite(suite, 5, 0)
         assert not res.passed
         assert np.isnan(res.worst)
 
