@@ -116,8 +116,8 @@ def bregman_block(F: Generator, X, theta2) -> np.ndarray:
             f"bregman and bregman_tangent require a gradient; generator "
             f"{F.name} has none"
         )
-    t2 = F.point(theta2)
-    values = line_table(F, X, t2, (0.0,))[:, 0]
+    values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
+    t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     X = np.asarray(X, dtype=float)
     grad = np.asarray(F.grad_fn(t2), dtype=float)
     dots = ((X - t2)[:, None, :] @ grad[None, :, None])[:, 0, 0]

@@ -4,7 +4,8 @@ Central finite differences, bracketing root finding, and derivative-free 1-D
 (one coordinate, or several in lockstep) and coordinate-descent
 minimization. The 1-D minimizer is Brent's method: golden-section search
 with parabolic steps, which stops once its bracket is within a tolerance
-of the best point (see golden_minimize). The solvers are deliberately
+of the best point (see golden_minimize), written once as a generator
+that golden_lockstep runs per coordinate. The solvers are deliberately
 small and deterministic: no randomized restarts, and every budget follows
 from the bracket, the tolerance and the values seen. The coordinate search
 returns a Minimum that says whether it ran out of sweeps and whether it
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DomainError, ParameterError
+from .errors import BracketError, DomainError, ParameterError, ShapeError
 
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0    # 1/phi^2, the golden step
 SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
@@ -126,7 +127,8 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     search makes 6 calls where golden section alone makes
     ceil(log(tol/(hi-lo)) / log(1/phi)) + 1 (40 on [0, 1] at tol 1e-8).
 
-    It is golden_lockstep on one coordinate. The lockstep form serves
+    It is golden_lockstep on one coordinate: the search is a generator
+    that yields each probe and is sent g's value. The lockstep form serves
     separable objectives: for F = sum_j f(t_j), each point on a line
     restriction gives G(lam) = sum_j G_j(lam), and the chord and Jensen
     gaps are linear in G, so sum_i D(x_i : c) = sum_j H_j(c_j) with H_j
@@ -138,104 +140,74 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     return float(golden_lockstep(lambda v: (g(v[0]),), [lo], [hi], tol)[0])
 
 
-class _Brent:
-    """One coordinate's search in golden_lockstep, as golden_minimize
-    describes it: the box [lo, hi], the bracket [a, b], the best point x,
-    the second best w and the one before v, with their values, the last
-    two steps d and e, and the point u being probed."""
-
-    __slots__ = ("lo", "hi", "a", "b", "tol", "cap", "done", "edge",
-                 "x", "w", "v", "fx", "fw", "fv", "d", "e", "u")
-
-    def __init__(self, lo: float, hi: float, tol: float):
-        width = hi - lo
-        self.lo = self.a = lo
-        self.hi = self.b = hi
-        self.tol = tol / 3.0
-        self.cap = max(1e-6 * width, tol) / 4.0  # on_box_edge's reach / 4
-        self.done = width <= tol
-        self.edge = False
-        self.x = 0.5 * (lo + hi) if self.done else lo + INV_PHI_SQ * width
-        self.d = self.e = 0.0
-
-    def start(self, fx: float) -> None:
-        self.w = self.v = self.x
-        self.fx = self.fw = self.fv = fx
-
-    def stop(self) -> float:
-        """End the search at x, or first probe the end of the bracket that
-        is still a box edge, which no step reaches."""
-        if self.a == self.lo or self.b == self.hi:
-            self.edge = True
-            self.u = self.lo if self.a == self.lo else self.hi
-            return self.u
-        self.done = True
-        return self.x
-
-    def probe(self) -> float:
-        """The next point to probe: x once the search has ended."""
-        if self.done:
-            return self.x
-        a, b, x = self.a, self.b, self.x
+def _brent(lo: float, hi: float, tol: float):
+    """golden_minimize's search as a generator: it yields each point to
+    probe, is sent g's value there, and returns the lowest point probed.
+    It keeps the bracket [a, b], the best point x, the second best w and
+    the one before v, their values, and the last two steps d and e."""
+    width = hi - lo
+    if width <= tol:
+        return 0.5 * (lo + hi)
+    cap = max(1e-6 * width, tol) / 4.0  # on_box_edge's reach / 4
+    a, b = lo, hi
+    x = w = v = lo + INV_PHI_SQ * width
+    fx = fw = fv = yield x
+    d = e = 0.0
+    while True:
         mid = 0.5 * (a + b)
-        tol1 = min(SQRT_EPS * abs(x) + self.tol, self.cap)
+        tol1 = min(SQRT_EPS * abs(x) + tol / 3.0, cap)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return self.stop()
+            break
         golden = True
-        if abs(self.e) > tol1:
-            r = (x - self.w) * (self.fx - self.fv)
-            q = (x - self.v) * (self.fx - self.fw)
-            p = (x - self.v) * q - (x - self.w) * r
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
             q = abs(q)
-            r, self.e = self.e, self.d
+            r, e = e, d
             if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
                 golden = False
-                self.d = p / q
-                u = x + self.d
-                if u - a < tol2 or b - u < tol2:
-                    self.d = tol1 if mid >= x else -tol1
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if mid >= x else -tol1
         if golden:
-            self.e = (a if x >= mid else b) - x
-            self.d = INV_PHI_SQ * self.e
-        d = self.d
+            e = (a if x >= mid else b) - x
+            d = INV_PHI_SQ * e
         u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
         if u == x or not a < u < b:  # float resolution exhausted
-            return self.stop()
-        self.u = u
-        return u
-
-    def take(self, fu: float) -> None:
-        """Update the bracket and the three best points with g(u)."""
-        if self.done:
-            return
-        u, x = self.u, self.x
-        if self.edge:
-            if fu <= self.fx:
-                self.x, self.fx = u, fu
-            self.done = True
-            return
-        if fu <= self.fx:
-            if u >= x:
-                self.a = x
-            else:
-                self.b = x
-            self.v, self.fv = self.w, self.fw
-            self.w, self.fw = x, self.fx
-            self.x, self.fx = u, fu
+            break
+        fu = yield u
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            if u < x:
-                self.a = u
-            else:
-                self.b = u
-            if fu <= self.fw or self.w == x:
-                self.v, self.fv = self.w, self.fw
-                self.w, self.fw = u, fu
-            elif fu <= self.fv or self.v == x or self.v == self.w:
-                self.v, self.fv = u, fu
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    # a bracket end that is still a box edge was never probed
+    if a == lo or b == hi:
+        edge = lo if a == lo else hi
+        if (yield edge) <= fx:
+            return edge
+    return x
+
+
+def _box(lo, hi) -> tuple:
+    """lo, hi as float vectors; BracketError unless finite, alike, lo <= hi."""
+    lo_a = np.array(lo, dtype=float, ndmin=1)
+    hi_a = np.array(hi, dtype=float, ndmin=1)
+    if (lo_a.shape != hi_a.shape or lo_a.ndim != 1
+            or not (np.isfinite(lo_a).all() and np.isfinite(hi_a).all())
+            or (lo_a > hi_a).any()):
+        raise BracketError(
+            f"invalid interval: lo {lo_a.tolist()}, hi {hi_a.tolist()}")
+    return lo_a, hi_a
 
 
 def golden_lockstep(g: Callable[[list], Sequence[float]],
@@ -246,34 +218,31 @@ def golden_lockstep(g: Callable[[list], Sequence[float]],
     as golden_minimize(g_j, lo[j], hi[j], tol) finds it.
 
     g maps a list v of d floats, v[j] in [lo[j], hi[j]], to the d values
-    g_j(v[j]). Each call probes every coordinate, each with its own Brent
-    state; one whose search has ended (or whose interval is no wider than
-    tol, which needs none) probes its best point and its value is
+    g_j(v[j]). Each coordinate runs its own search generator; each round
+    sends every unfinished search its value, then makes one call of g.
+    A coordinate whose search has ended (or whose interval is no wider
+    than tol, which needs none) probes its result and its value is
     ignored. The call count is the largest of the coordinates'
     golden_minimize counts, and 0 when every interval is within tol.
     """
-    lo_a = np.array(lo, dtype=float, ndmin=1)
-    hi_a = np.array(hi, dtype=float, ndmin=1)
-    if (lo_a.shape != hi_a.shape or lo_a.ndim != 1
-            or not (np.isfinite(lo_a).all() and np.isfinite(hi_a).all())
-            or (lo_a > hi_a).any()):
-        raise BracketError(
-            f"invalid interval: lo {lo_a.tolist()}, hi {hi_a.tolist()}")
+    lo_a, hi_a = _box(lo, hi)
     if not tol > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    # the state is Python floats, which round as float64 arrays do
-    searches = [_Brent(a, b, tol)
-                for a, b in zip(lo_a.tolist(), hi_a.tolist())]
-    if all(s.done for s in searches):
-        return np.array([s.x for s in searches])
-    for s, fx in zip(searches, g([s.x for s in searches])):
-        s.start(float(fx))
+    # the searches run on Python floats, which round as float64 arrays do
+    live = dict(enumerate(_brent(a, b, tol)
+                          for a, b in zip(lo_a.tolist(), hi_a.tolist())))
+    x = [None] * len(live)   # each search's probe, then its result
+    fx = [None] * len(live)  # g's values at x; None starts a search
     while True:
-        probe = [s.probe() for s in searches]
-        if all(s.done for s in searches):
-            return np.array([s.x for s in searches])
-        for s, fu in zip(searches, g(probe)):
-            s.take(float(fu))
+        for j, search in list(live.items()):
+            try:
+                x[j] = search.send(fx[j])
+            except StopIteration as end:
+                x[j] = end.value
+                del live[j]
+        if not live:
+            return np.array(x)
+        fx = [float(f) for f in g(list(x))]
 
 
 class Minimum(NamedTuple):
@@ -307,18 +276,17 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
     golden_minimize (Brent's search) to tol, until a sweep does not lower
     g or max_sweeps (an integer >= 1) is hit. Returns a Minimum at the
     lowest point between sweeps, saying which of the two happened and
-    whether that point lies on the box edge.
+    whether that point lies on the box edge. The box gets golden_lockstep's
+    check (BracketError), and a start x0 of another shape raises
+    ShapeError, before any call of g.
     A non-finite g at the start or after a sweep raises DomainError.
     Deterministic for a fixed start.
     """
     max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise BracketError(f"box bounds disagree: {lo.shape} vs {hi.shape}")
-    if np.any(lo > hi):
-        raise BracketError("box has lo > hi on some coordinate")
-    x = 0.5 * (lo + hi) if x0 is None else np.asarray(x0, dtype=float).copy()
+    lo, hi = _box(lo, hi)
+    x = 0.5 * (lo + hi) if x0 is None else np.array(x0, dtype=float, ndmin=1)
+    if x.shape != lo.shape:
+        raise ShapeError(f"x0 of shape {x.shape} for a box of {lo.shape}")
     np.clip(x, lo, hi, out=x)
     last, sweeps, capped = math.inf, 0, True
     while True:

@@ -285,16 +285,18 @@ def resolve_terms_block(div_id: str, generator: Generator,
 def _reader(div_id: str, params: Optional[Mapping[str, float]]
             ) -> Callable[[str], float]:
     """param(name): the float value of params[name], which div_id
-    requires."""
+    requires; a missing or non-numeric value raises ParameterError."""
     params = dict(params or {})
 
     def param(key: str) -> float:
         value = params.get(key)
-        if value is None:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            got = "" if value is None else f" as a number, got {value!r}"
             raise ParameterError(
-                f"divergence {div_id!r} requires parameter {key!r}"
-            )
-        return float(value)
+                f"divergence {div_id!r} requires parameter {key!r}{got}"
+            ) from None
     return param
 
 

@@ -40,7 +40,8 @@ from chorddiv import (
     restrict_to_line,
     sweep,
 )
-from chorddiv.bregman import bregman_chord_block, chord_row, interpolate
+from chorddiv.bregman import (bregman_block, bregman_chord_block, chord_row,
+                              interpolate)
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -358,6 +359,12 @@ class TestBregmanChordBlock:
         with pytest.raises(DomainError) as want:
             F.point(bad[1])
         assert str(got.value) == str(want.value)
+
+
+def test_bregman_block_validates_its_center_once():
+    F, calls = counted(make_builtin("quadratic", 2))
+    bregman_block(F, np.ones((5, 2)), np.zeros(2))
+    assert calls == {"point": 1, "fn": 6}
 
 
 class TestChordRow:

@@ -13,6 +13,7 @@ from chorddiv import (
     DomainError,
     Generator,
     ParameterError,
+    ShapeError,
     UnknownDivergenceError,
     bregman,
     coordinate_minimize,
@@ -345,6 +346,72 @@ class TestGoldenLockstep:
         # every probe stays in its interval, finished coordinates included
         assert all(a <= x <= b for v in calls for a, x, b in zip(lo, v, hi))
 
+    @staticmethod
+    def check_probes(fs, lo, hi, tol):
+        """golden_lockstep probes coordinate j at the points scalar_brent
+        probes for fs[j], in order, and at its result once that search is
+        done; its result is scalar_brent's, bit for bit."""
+        calls = []
+
+        def g(v):
+            calls.append(list(v))
+            return [f(x) for f, x in zip(fs, v)]
+
+        got = golden_lockstep(g, lo, hi, tol)
+        for j, (f, a, b) in enumerate(zip(fs, lo, hi)):
+            probes = []
+            want = scalar_brent(lambda v: probes.append(v) or f(v), a, b, tol)
+            assert got[j].tobytes() == np.float64(want).tobytes()
+            assert len(probes) <= len(calls)
+            tail = [want] * (len(calls) - len(probes))
+            assert (np.array([v[j] for v in calls]).tobytes()
+                    == np.array(probes + tail).tobytes())
+        return calls
+
+    def test_probes_are_the_scalar_loop_per_coordinate(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            d = int(rng.integers(1, 5))
+            lo = rng.uniform(-3.0, 3.0, d)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, d)
+            fs = self.bumps(rng.uniform(lo - 0.5, hi + 0.5))
+            tol = 10.0 ** rng.uniform(-10.0, -3.0)
+            self.check_probes(fs, lo.tolist(), hi.tolist(), tol)
+
+    @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
+    def test_probes_past_the_box(self, lo, hi, target, on_edge):
+        # the first coordinate's minimizer lies past lo, past hi or inside,
+        # the second's inside a unit box; the third is no wider than tol,
+        # and the fourth is flat, so its edge probe ties and is taken
+        fs = [lambda v: (v - target) ** 2, lambda v: (v - 0.3) ** 2,
+              lambda v: v, lambda v: 1.0]
+        calls = self.check_probes(fs, [lo, 0.0, 2.0, 0.0],
+                                  [hi, 1.0, 2.0 + 1e-10, 1.0], 1e-9)
+        assert calls[-1][3] in (0.0, 1.0)
+        assert {v[2] for v in calls} == {0.5 * (2.0 + (2.0 + 1e-10))}
+
+    @pytest.mark.parametrize("search", [
+        lambda g: golden_lockstep(lambda v: [g(x) for x in v],
+                                  [0.0, -1.0], [1.0, 2.0]),
+        lambda g: golden_minimize(g, 0.0, 1.0),
+    ], ids=["lockstep", "scalar"])
+    def test_an_error_from_g_propagates_unchanged(self, search):
+        class Boom(Exception):
+            pass
+
+        boom, calls = Boom("third call"), []
+
+        def g(x):
+            calls.append(x)
+            if len(calls) == 3:
+                raise boom
+            return (x - 0.3) ** 2
+
+        with pytest.raises(Boom) as got:
+            search(g)
+        assert got.value is boom
+        assert len(calls) == 3
+
     def test_no_calls_when_every_interval_is_within_tol(self):
         got = golden_lockstep(lambda v: pytest.fail("g called"),
                               [0.1, 2.0], [0.1 + 1e-12, 2.0], tol=1e-8)
@@ -436,6 +503,22 @@ class TestCoordinateMinimize:
     def test_bad_box(self):
         with pytest.raises(BracketError):
             coordinate_minimize(lambda v: 0.0, [0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([0.0, math.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [math.inf, 1.0]),
+        ([-math.inf], [0.0]),
+        ([0.0, 1.0], [1.0, 0.5]),
+    ])
+    def test_non_finite_or_inverted_box_raises_before_any_call(self, lo, hi):
+        with pytest.raises(BracketError, match="invalid interval"):
+            coordinate_minimize(lambda v: pytest.fail("g called"), lo, hi)
+
+    @pytest.mark.parametrize("x0", [[0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]]])
+    def test_start_of_another_shape_raises_before_any_call(self, x0):
+        with pytest.raises(ShapeError, match=r"x0 of shape"):
+            coordinate_minimize(lambda v: pytest.fail("g called"),
+                                [0.0, 0.0], [1.0, 1.0], x0=x0)
 
     @pytest.mark.parametrize("max_sweeps,message", [
         (-1, "max_sweeps must be >= 1"),

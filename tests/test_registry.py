@@ -5,6 +5,7 @@ import pytest
 
 from chorddiv import (
     BUILTIN_GENERATORS,
+    ClusterConfig,
     ParameterError,
     UnknownDivergenceError,
     bregman,
@@ -12,6 +13,7 @@ from chorddiv import (
     ChordParams,
     SkewPair,
     biskew,
+    kmeans,
     known_divergences,
     make_builtin,
     resolve_divergence,
@@ -91,6 +93,21 @@ def test_block_kernel_checks_at_resolve_time(div_id):
         resolve_block(div_id, QUAD, {})
     with pytest.raises(ParameterError):
         resolve_block(div_id, QUAD, {**SAMPLE_PARAMS, **OUT_OF_RANGE[div_id]})
+
+
+@pytest.mark.parametrize("value", ["x", "", [0.5]])
+def test_non_numeric_parameter_names_the_id_and_parameter(value):
+    params = {"alpha": value, "beta": 1}
+    message = (r"divergence 'bregman_chord' requires parameter 'alpha' as a "
+               r"number, got ")
+    with pytest.raises(ParameterError, match=message):
+        resolve_divergence("bregman_chord", QUAD, params)
+    with pytest.raises(ParameterError, match=message):
+        resolve_block("bregman_chord", QUAD, params)
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+    with pytest.raises(ParameterError, match=message):
+        kmeans(points, QUAD, ClusterConfig(k=2, divergence="bregman_chord",
+                                           params=params))
 
 
 class TestBareIds:
