@@ -103,6 +103,14 @@ def bregman(F: Generator, theta1, theta2) -> float:
     return bregman_tangent(F, theta1, theta2, 1.0)
 
 
+def _require_grad(F: Generator) -> None:
+    if not F.has_grad:
+        raise GradientRequiredError(
+            f"bregman and bregman_tangent require a gradient; generator "
+            f"{F.name} has none"
+        )
+
+
 def bregman_block(F: Generator, X, theta2) -> np.ndarray:
     """bregman(F, X[i], theta2) for each row of the (m, dim) block X, bit
     for bit: one F.grad_fn call at theta2, the rows' F values from the
@@ -111,11 +119,7 @@ def bregman_block(F: Generator, X, theta2) -> np.ndarray:
     as np.dot does (einsum, sum(A * B) and A @ g round differently). A row
     that coincides with theta2 gives 0.0, and a generator without a
     gradient raises GradientRequiredError, as bregman does."""
-    if not F.has_grad:
-        raise GradientRequiredError(
-            f"bregman and bregman_tangent require a gradient; generator "
-            f"{F.name} has none"
-        )
+    _require_grad(F)
     values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
     t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     X = np.asarray(X, dtype=float)
@@ -204,11 +208,7 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     itself, and vanishes as alpha -> 0.
     """
     a = unit_anchor(alpha, "tangent anchor")
-    if not F.has_grad:
-        raise GradientRequiredError(
-            f"bregman and bregman_tangent require a gradient; generator "
-            f"{F.name} has none"
-        )
+    _require_grad(F)
     if (ends := endpoints(F, theta1, theta2)) is None:
         return 0.0
     t1, t2 = ends

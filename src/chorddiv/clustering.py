@@ -113,6 +113,15 @@ def _as_matrix(points) -> np.ndarray:
     return pts
 
 
+def _sum_in_order(values) -> float:
+    """The floats of values added left to right, as every objective here
+    is: the built-in sum compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
+
+
 def objective(points, assignments, centers, D) -> float:
     """Sum over points of D(point : assigned center), in index order: the
     per-pair reference that kmeans's objective trace matches bit for bit."""
@@ -126,10 +135,7 @@ def objective(points, assignments, centers, D) -> float:
         )
     if labels.size and (labels.min() < 0 or labels.max() >= ctrs.shape[0]):
         raise ShapeError("assignment labels out of range")
-    total = 0.0
-    for i in range(pts.shape[0]):
-        total += float(D(pts[i], ctrs[labels[i]]))
-    return total
+    return _sum_in_order(D(p, ctrs[j]) for p, j in zip(pts, labels))
 
 
 def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
@@ -145,15 +151,6 @@ def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
             f"{j} {centers[j].tolist()} is not finite: {dist[i, j]}"
         )
     return dist
-
-
-def _objective_from(dist: np.ndarray, labels: np.ndarray) -> float:
-    """objective() read off a _distances matrix: the same terms summed in
-    the same order, so the value is bit-identical."""
-    total = 0.0
-    for i in range(dist.shape[0]):
-        total += float(dist[i, labels[i]])
-    return total
 
 
 def _repair_empty(labels: np.ndarray, k: int,
@@ -216,7 +213,7 @@ def _update_center(members: np.ndarray, F: Generator, block,
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
     def total(c: np.ndarray) -> float:
-        return sum(block(members, c).tolist())
+        return _sum_in_order(block(members, c).tolist())
 
     start = members.mean(axis=0)
     if terms is None:
@@ -286,7 +283,9 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
 
     dist = _distances(pts, centers, block)
     labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
-    trace = [_objective_from(dist, labels)]
+    # objective() read off dist: the same terms summed in the same order
+    rows = np.arange(pts.shape[0])
+    trace = [_sum_in_order(dist[rows, labels].tolist())]
     solves = []
     iterations = 0
     for _ in range(cfg.max_iters):
@@ -304,9 +303,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                                found.on_edge))
         dist = _distances(pts, centers, block)
         fresh = np.argmin(dist, axis=1)
-        fresh = _repair_empty(fresh, cfg.k,
-                              dist[np.arange(pts.shape[0]), fresh])
-        trace.append(_objective_from(dist, fresh))
+        fresh = _repair_empty(fresh, cfg.k, dist[rows, fresh])
+        trace.append(_sum_in_order(dist[rows, fresh].tolist()))
         # Unchanged labels are a fixed point: the next iteration would
         # solve the same centers again, bit for bit.
         settled = np.array_equal(fresh, labels)

@@ -60,22 +60,22 @@ REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
 class DivSpec(NamedTuple):
     """How one identifier resolves.
 
-    A bare id resolves to kernel(F, x, y), or to kernel(F, x, y, arg) with
-    arg = build(param) when build is set: build reads scalar parameters
-    through param(name) and checks them with the kernel module's own
-    validator, so bad values fail at resolution. An f-divergence prefix id
-    resolves to kernel(build(name), x, y), build making the f generator
-    named after the colon; biskew:<inner> resolves to
-    kernel(inner, x, y, build(param)). needs_generator is False for ids that
-    ignore the generator and read their arguments as positive weights.
+    Every id binds (_bind) to kernel(*pre, x, y, *post). A bare id has
+    pre = (F,), and post = (build(param),) when build is set: build reads
+    scalar parameters through param(name) and checks them with the kernel
+    module's own validator, so bad values fail at resolution. An
+    f-divergence prefix id has pre = (build(name),), build making the f
+    generator named after the colon; biskew:<inner> has pre = (the inner
+    id's callable,) and post = (build(param),). needs_generator is False
+    for ids that ignore the generator and read their arguments as positive
+    weights (kl and ekl, whose pre is empty).
     right_centroid, when set, maps an (m, dim) member matrix to the
     closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
     holds for every generator and parameter value, and right_centroid()
     adds the forms that hold for one generator. anchors says how the
     value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
-    REJECTED. block, when set, is the kernel's block form,
-    block(F, X, y[, arg]) -> the values kernel(F, X[i], y[, arg]), bit for
-    bit.
+    REJECTED. block, when set, is the kernel's block form:
+    block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit.
     """
 
     kernel: Callable
@@ -139,22 +139,25 @@ DIVERGENCES = {
 
 
 def _spec(div_id: str) -> tuple:
+    """(DivSpec of the id's head, text after its colon); a biskew: spec
+    takes its inner id's needs_generator and anchors."""
     head, sep, rest = div_id.partition(":")
     spec = DIVERGENCES.get(head + sep)
     if spec is None:
         raise UnknownDivergenceError(
             f"unknown divergence identifier {div_id!r}"
         )
+    if spec.kernel is biskew:
+        inner, _ = _spec(rest)
+        spec = spec._replace(needs_generator=inner.needs_generator,
+                             anchors=inner.anchors)
     return spec, rest
 
 
 def needs_generator(div_id: str) -> bool:
     """Whether the identifier evaluates the generator; False for the
     f-divergence family, kl and ekl, which take positive weight vectors."""
-    spec, rest = _spec(div_id)
-    if spec.kernel is biskew:
-        return needs_generator(rest)
-    return spec.needs_generator
+    return _spec(div_id)[0].needs_generator
 
 
 def _left_centroid(F: Generator, members):
@@ -191,13 +194,43 @@ def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
     spec, _ = _spec(div_id)
     if spec.right_centroid is not None:
         return spec.right_centroid
-    if F.builtin == "quadratic" and needs_generator(div_id):
+    if F.builtin == "quadratic" and spec.needs_generator:
         return _member_mean
     if spec.kernel is bregman_dual and F.conjugate is not None:
         return lambda members: _left_centroid(F, members)
     if spec.kernel is bregman_dual and F.builtin == "burg_negentropy":
         return _harmonic_mean
     return None
+
+
+def _bind(div_id: str, generator: Optional[Generator],
+          params: Optional[Mapping[str, float]]) -> tuple:
+    """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post)
+    and its block form spec.block(*pre, X, y, *post). Every identifier,
+    generator and parameter check of a resolution is made here."""
+    spec, rest = _spec(div_id)
+    if spec.kernel is biskew:
+        if rest.startswith("biskew:") or rest == "jensen_chord":
+            raise ParameterError(
+                f"biskew cannot wrap {rest!r}: its gamma/delta "
+                f"parameters would be consumed twice"
+            )
+        sp = spec.build(_reader(div_id, params))
+        return spec, (resolve_divergence(rest, generator, params),), (sp,)
+    if not spec.needs_generator:
+        if spec.build is None:
+            return spec, (), ()
+        try:
+            return spec, (spec.build(rest),), ()
+        except UnsupportedGeneratorError as exc:
+            raise UnknownDivergenceError(
+                f"unknown f generator in divergence identifier {div_id!r}"
+            ) from exc
+    if generator is None:
+        raise ParameterError(f"divergence {div_id!r} requires a generator")
+    if spec.build is None:
+        return spec, (generator,), ()
+    return spec, (generator,), (spec.build(_reader(div_id, params)),)
 
 
 def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
@@ -207,37 +240,12 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
 
     Generator-based identifiers close over `generator`; the f-divergence
     family treats the two arguments as positive weight vectors and ignores
-    the generator. Parameters are validated eagerly, so invalid anchors or
-    skews fail here rather than at the first evaluation.
+    the generator. Parameters are validated eagerly, by _bind, so invalid
+    anchors or skews fail here rather than at the first evaluation.
     """
-    param = _reader(div_id, params)
-    spec, rest = _spec(div_id)
+    spec, pre, post = _bind(div_id, generator, params)
     kernel = spec.kernel
-    if kernel is biskew:
-        if rest.startswith("biskew:") or rest == "jensen_chord":
-            raise ParameterError(
-                f"biskew cannot wrap {rest!r}: its gamma/delta "
-                f"parameters would be consumed twice"
-            )
-        sp = spec.build(param)
-        inner = resolve_divergence(rest, generator, params)
-        return lambda x, y: biskew(inner, x, y, sp)
-    if not spec.needs_generator:
-        if spec.build is None:
-            return kernel
-        try:
-            f = spec.build(rest)
-        except UnsupportedGeneratorError as exc:
-            raise UnknownDivergenceError(
-                f"unknown f generator in divergence identifier {div_id!r}"
-            ) from exc
-        return lambda x, y: kernel(f, x, y)
-    if generator is None:
-        raise ParameterError(f"divergence {div_id!r} requires a generator")
-    if spec.build is None:
-        return lambda x, y: kernel(generator, x, y)
-    arg = spec.build(param)
-    return lambda x, y: kernel(generator, x, y, arg)
+    return lambda x, y: kernel(*pre, x, y, *post)
 
 
 def resolve_block(div_id: str, generator: Optional[Generator] = None,
@@ -245,22 +253,17 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
                   ) -> Callable:
     """Resolve an identifier to (X, y) -> the array of D(X[i] : y) over
     the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
-    callable.
+    callable, after the same _bind checks.
 
     Ids with a block kernel (bregman, bregman_chord, bregman_chord_approx
     and the Jensen ids) validate once per call and skip the per-pair
     callable; the others loop the callable resolve_divergence returns.
     """
-    spec, _ = _spec(div_id)
-    if spec.block is None:
+    if _spec(div_id)[0].block is None:
         D = resolve_divergence(div_id, generator, params)
         return lambda X, y: np.array([float(D(x, y)) for x in X])
-    if generator is None:
-        raise ParameterError(f"divergence {div_id!r} requires a generator")
-    if spec.build is None:
-        return lambda X, y: spec.block(generator, X, y)
-    arg = spec.build(_reader(div_id, params))
-    return lambda X, y: spec.block(generator, X, y, arg)
+    spec, pre, post = _bind(div_id, generator, params)
+    return lambda X, y: spec.block(*pre, X, y, *post)
 
 
 def resolve_terms_block(div_id: str, generator: Generator,
@@ -341,9 +344,8 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     """
     alphas = _anchors("alphas", alphas)
     betas = _anchors("betas", betas)
-    spec, rest = _spec(div_id)
-    use = (_spec(rest)[0] if spec.kernel is biskew else spec).anchors
-    if use == REJECTED:
+    spec, _ = _spec(div_id)
+    if spec.anchors == REJECTED:
         raise ParameterError(
             f"sweep cannot take divergence {div_id!r}: it reads alpha "
             f"alone or needs alpha <= beta, which an (alpha, beta) grid "
@@ -357,17 +359,16 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     A, B = A[off_diagonal], B[off_diagonal]
     if not A.size:
         return []
-    base = dict(params or {})
     # one resolution makes every parameter and identifier check
-    D = resolve_divergence(div_id, F, {**base, "alpha": float(A[0]),
+    D = resolve_divergence(div_id, F, {**(params or {}), "alpha": float(A[0]),
                                        "beta": float(B[0])})
-    if use == IGNORED:
+    if spec.anchors == IGNORED:
         values = np.full(A.size, float(D(theta1, theta2)))
     else:
         segment = (theta1, theta2)
         if spec.kernel is biskew:
-            segment = skew_segment(theta1, theta2, SkewPair(
-                float(base["gamma"]), float(base["delta"])))
+            segment = skew_segment(theta1, theta2,
+                                   spec.build(_reader(div_id, params)))
         values = (np.zeros(A.size) if segment is None
                   else chord_row(F, *segment, A, B))
     bad = np.flatnonzero(~np.isfinite(values))

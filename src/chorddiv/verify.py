@@ -30,7 +30,7 @@ from .bregman import (
     mean_value_witness,
 )
 from .clustering import (SLICE_TOL, ClusterConfig, _centroid_box,
-                         adjusted_rand_index, kmeans)
+                         _sum_in_order, adjusted_rand_index, kmeans)
 from .errors import ParameterError
 from .fdiv import (
     F_GENERATOR_NAMES,
@@ -456,7 +456,7 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     lo, hi = _centroid_box(points, False)
 
     def total(c) -> float:
-        return sum(block(points, c).tolist())
+        return _sum_in_order(block(points, c).tolist())
 
     found = coordinate_minimize(total, lo, hi, x0=lo, tol=SLICE_TOL,
                                 max_sweeps=100)

@@ -27,6 +27,7 @@ from chorddiv.clustering import (
     _centroid_box,
     _distances,
     _repair_empty,
+    _sum_in_order,
     _update_center,
     objective,
 )
@@ -105,6 +106,12 @@ class TestObjective:
         centers = np.array([[0.5]])
         with pytest.raises(ShapeError):
             objective(pts, np.array([0]), centers, D)
+
+    def test_sums_left_to_right(self):
+        """Every objective is added left to right on every Python: a
+        compensated sum (the built-in sum from 3.12 on) gives 1.0 here."""
+        assert _sum_in_order([1e16, 1.0, -1e16]) == 0.0
+        assert _sum_in_order(iter([0.5, np.float64(0.25)])) == 0.75
 
 
 class TestRepairEmpty:

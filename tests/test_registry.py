@@ -5,6 +5,7 @@ import pytest
 
 from chorddiv import (
     BUILTIN_GENERATORS,
+    ChorddivError,
     ClusterConfig,
     ParameterError,
     UnknownDivergenceError,
@@ -19,7 +20,8 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.cli import main
-from chorddiv.registry import needs_generator, resolve_block
+from chorddiv.registry import (needs_generator, resolve_block,
+                               right_centroid, sweep)
 
 from test_bregman import expsum, sample_pair
 
@@ -108,6 +110,84 @@ def test_non_numeric_parameter_names_the_id_and_parameter(value):
     with pytest.raises(ParameterError, match=message):
         kmeans(points, QUAD, ClusterConfig(k=2, divergence="bregman_chord",
                                            params=params))
+
+
+#: (id, generator, params, error type, message): each binding fails with the
+#: same error from resolve_divergence and resolve_block.
+BINDING_ERRORS = [
+    ("wasserstein", QUAD, SAMPLE_PARAMS, UnknownDivergenceError,
+     "unknown divergence identifier 'wasserstein'"),
+    ("fdiv:nope", None, SAMPLE_PARAMS, UnknownDivergenceError,
+     "unknown f generator in divergence identifier 'fdiv:nope'"),
+    ("biskew:biskew:bregman", QUAD, SAMPLE_PARAMS, ParameterError,
+     "biskew cannot wrap 'biskew:bregman': its gamma/delta parameters "
+     "would be consumed twice"),
+    ("biskew:jensen_chord", QUAD, {}, ParameterError,
+     "biskew cannot wrap 'jensen_chord': its gamma/delta parameters would "
+     "be consumed twice"),
+    ("bregman_chord", QUAD, {}, ParameterError,
+     "divergence 'bregman_chord' requires parameter 'alpha'"),
+    ("bregman_chord", QUAD, {"alpha": "x", "beta": 0.5}, ParameterError,
+     "divergence 'bregman_chord' requires parameter 'alpha' as a number, "
+     "got 'x'"),
+    ("bregman_chord", QUAD, {**SAMPLE_PARAMS, "alpha": 1.5}, ParameterError,
+     "chord anchor alpha must lie in (0, 1], got 1.5"),
+    ("bregman_chord", None, {}, ParameterError,
+     "divergence 'bregman_chord' requires a generator"),
+    ("biskew:bregman_chord", QUAD, {"gamma": 0.5, "delta": 0.75},
+     ParameterError, "divergence 'bregman_chord' requires parameter 'alpha'"),
+    ("biskew:bregman", None, SAMPLE_PARAMS, ParameterError,
+     "divergence 'bregman' requires a generator"),
+    ("biskew:bregman", QUAD, {"gamma": 0.5}, ParameterError,
+     "divergence 'biskew:bregman' requires parameter 'delta'"),
+    ("biskew:bregman_chord", QUAD, {}, ParameterError,
+     "divergence 'biskew:bregman_chord' requires parameter 'gamma'"),
+]
+
+
+@pytest.mark.parametrize("resolve", [resolve_divergence, resolve_block])
+@pytest.mark.parametrize("div_id, F, params, error, message", BINDING_ERRORS)
+def test_binding_errors(resolve, div_id, F, params, error, message):
+    with pytest.raises(ChorddivError) as info:
+        resolve(div_id, F, params)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def sweep_rejects(div_id):
+    """Whether sweep refuses div_id for how it reads the anchors."""
+    try:
+        sweep(QUAD, P, Q, (0.25,), (0.75,), div_id, SAMPLE_PARAMS)
+    except ParameterError as exc:
+        return str(exc).startswith("sweep cannot take")
+    return False
+
+
+@pytest.mark.parametrize("family", known_divergences())
+def test_biskew_takes_its_inner_ids_properties(family):
+    key = family.replace("<name>", "")
+    div_id = key + SUFFIX.get(key, "")
+    assert needs_generator("biskew:" + div_id) == needs_generator(div_id)
+    assert sweep_rejects("biskew:" + div_id) == sweep_rejects(div_id)
+
+
+@pytest.mark.parametrize("params", [{}, {"gamma": 0.25, "delta": 0.75}])
+def test_biskew_of_an_unknown_id_is_unknown_everywhere(params, capsys):
+    """Raised before gamma and delta are read, from every entry point."""
+    shannon = make_builtin("shannon_negentropy", 2)
+    for call in (lambda: resolve_divergence("biskew:nope", QUAD, params),
+                 lambda: resolve_block("biskew:nope", QUAD, params),
+                 lambda: needs_generator("biskew:nope"),
+                 lambda: right_centroid("biskew:nope", QUAD),
+                 lambda: right_centroid("biskew:nope", shannon)):
+        with pytest.raises(UnknownDivergenceError,
+                           match="^unknown divergence identifier 'nope'$"):
+            call()
+    argv = ["eval", "--div", "biskew:nope", "--x", "0.5", "--y", "0.7"]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+    assert "unknown divergence identifier 'nope'" in capsys.readouterr().err
 
 
 class TestBareIds:
