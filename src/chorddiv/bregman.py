@@ -27,8 +27,8 @@ from .errors import (
     ShapeError,
     WitnessNotFoundError,
 )
-from .generators import (Generator, coincide, endpoints, line_table,
-                         restrict_to_line)
+from .generators import (Generator, as_vector, coincide, endpoints,
+                         line_table, restrict_to_line)
 from .numerics import bisect_root
 
 
@@ -80,8 +80,8 @@ class SkewPair:
 
 def interpolate(theta1, theta2, lam: float) -> np.ndarray:
     """Affine interpolation (1 - lam) theta1 + lam theta2."""
-    t1 = np.atleast_1d(np.asarray(theta1, dtype=float))
-    t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
+    t1 = as_vector(theta1)
+    t2 = as_vector(theta2)
     if t1.shape != t2.shape:
         raise ShapeError(
             f"cannot interpolate points of shapes {t1.shape} and {t2.shape}"
@@ -121,7 +121,7 @@ def bregman_block(F: Generator, X, theta2) -> np.ndarray:
     gradient raises GradientRequiredError, as bregman does."""
     _require_grad(F)
     values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
-    t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
+    t2 = as_vector(theta2)
     X = np.asarray(X, dtype=float)
     grad = np.asarray(F.grad_fn(t2), dtype=float)
     dots = ((X - t2)[:, None, :] @ grad[None, :, None])[:, 0, 0]
@@ -302,8 +302,8 @@ def biskew(D: Callable[[np.ndarray, np.ndarray], float], theta1, theta2,
 def skew_segment(theta1, theta2, sp: SkewPair) -> Optional[tuple]:
     """The gamma and delta interpolants biskew evaluates between; None when
     the endpoints coincide."""
-    t1 = np.atleast_1d(np.asarray(theta1, dtype=float))
-    t2 = np.atleast_1d(np.asarray(theta2, dtype=float))
+    t1 = as_vector(theta1)
+    t2 = as_vector(theta2)
     if t1.shape == t2.shape and coincide(t1, t2):
         return None
     return interpolate(t1, t2, sp.gamma), interpolate(t1, t2, sp.delta)

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional
@@ -365,7 +366,7 @@ def _read_points(path: str) -> np.ndarray:
                 raise ParseError(
                     f"{path}: line {lineno}: not a numeric row: {text!r}"
                 ) from exc
-            if not all(np.isfinite(c) for c in coords):
+            if not all(map(math.isfinite, coords)):
                 raise ParseError(
                     f"{path}: line {lineno}: non-finite coordinate"
                 )

@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, ShapeError
-from .generators import Generator
+from .generators import Generator, finite_above
 from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
                        on_box_edge, whole_number)
 # Not called here: perfbench/tracing.py patches both by these names.
@@ -252,17 +252,19 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"expects {F.dim}"
         )
     positive = not needs_generator(cfg.divergence)
-    for i in range(pts.shape[0]):
-        if not F.domain.contains(pts[i]):
-            raise DomainError(
-                f"point {pts[i].tolist()} at row {i} is outside the "
-                f"{F.domain.kind} domain of {F.name}"
-            )
-        if positive and not np.all(pts[i] > 0.0):
-            raise DomainError(
-                f"point {pts[i].tolist()} at row {i} is not strictly "
-                f"positive, as divergence {cfg.divergence!r} requires"
-            )
+    if not (F.domain.contains(pts)
+            and (not positive or finite_above(pts, 0.0))):
+        for i in range(pts.shape[0]):  # name the first row outside
+            if not F.domain.contains(pts[i]):
+                raise DomainError(
+                    f"point {pts[i].tolist()} at row {i} is outside the "
+                    f"{F.domain.kind} domain of {F.name}"
+                )
+            if positive and not np.all(pts[i] > 0.0):
+                raise DomainError(
+                    f"point {pts[i].tolist()} at row {i} is not strictly "
+                    f"positive, as divergence {cfg.divergence!r} requires"
+                )
     if cfg.divergence in NO_RIGHT_CENTROID:
         raise InfeasibleError(
             f"divergence {cfg.divergence!r} has no right centroid: the sum "

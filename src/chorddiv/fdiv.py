@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, \
     UnsupportedGeneratorError
+from .generators import as_vector, finite_above
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +79,10 @@ Weights = Union[np.ndarray, list, tuple]
 
 
 def _weights(x: Weights, label: str) -> np.ndarray:
-    w = np.atleast_1d(np.asarray(x, dtype=float))
+    w = as_vector(x)
     if w.ndim != 1:
         raise ShapeError(f"{label} must be a 1-D vector, got shape {w.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
+    if not finite_above(w, 0.0):
         raise DomainError(
             f"{label} must have finite, strictly positive entries"
         )
@@ -107,7 +108,7 @@ def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
     Jensen's inequality.
     """
     pw, qw = _weight_pair(p, q)
-    return float(np.sum(pw * f.fn(qw / pw)))
+    return float(np.add.reduce(pw * f.fn(qw / pw), axis=None))
 
 
 def dual_generator(f: FGenerator) -> FGenerator:
@@ -160,4 +161,4 @@ def extended_kl(p: Weights, q: Weights) -> float:
     Shannon negentropy generator.
     """
     pw, qw = _weight_pair(p, q)
-    return float(np.sum(pw * np.log(pw / qw) + qw - pw))
+    return float(np.add.reduce(pw * np.log(pw / qw) + qw - pw, axis=None))

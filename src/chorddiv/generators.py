@@ -56,9 +56,24 @@ class Domain:
             )
 
     def contains(self, coords: np.ndarray) -> bool:
-        c = np.asarray(coords, dtype=float)
-        return bool(np.isfinite(c).all()
-                    and (self.kind == "reals" or (c > DOMAIN_MARGIN).all()))
+        return finite_above(np.asarray(coords, dtype=float),
+                            DOMAIN_MARGIN if self.kind == "positive"
+                            else -np.inf)
+
+
+def finite_above(c: np.ndarray, floor: float) -> bool:
+    """Whether every entry of the float array c is finite and above floor,
+    by two ufunc reductions: NaN propagates through both and fails, and an
+    empty array passes."""
+    return bool(np.minimum.reduce(c, axis=None, initial=np.inf) > floor
+                and np.maximum.reduce(c, axis=None, initial=-np.inf) < np.inf)
+
+
+def as_vector(theta) -> np.ndarray:
+    """theta as a float array, a scalar promoted to a 1-vector (what
+    np.atleast_1d does)."""
+    v = np.asarray(theta, dtype=float)
+    return v.reshape(1) if v.ndim == 0 else v
 
 
 REALS = Domain("reals")
@@ -112,8 +127,8 @@ class Generator:
         Scalars are promoted to 1-vectors so univariate generators accept
         plain floats.
         """
-        coords = np.atleast_1d(np.asarray(theta, dtype=float))
-        if coords.ndim != 1 or coords.shape[0] != self.dim:
+        coords = as_vector(theta)
+        if coords.shape != (self.dim,):
             raise ShapeError(
                 f"{self.name} expects a point of dimension {self.dim}, got "
                 f"shape {coords.shape}"
@@ -165,17 +180,17 @@ def _shannon_negentropy(dim: int) -> Generator:
         name="shannon_negentropy_conjugate",
         dim=dim,
         domain=REALS,
-        fn=lambda eta: float(np.sum(np.exp(eta - 1.0))),
+        fn=lambda eta: float(np.add.reduce(np.exp(eta - 1.0), axis=None)),
         grad_fn=lambda eta: np.exp(eta - 1.0),
     )
     return Generator(
         name="shannon_negentropy",
         dim=dim,
         domain=POSITIVE,
-        fn=lambda t: float(np.sum(t * np.log(t))),
+        fn=lambda t: float(np.add.reduce(t * np.log(t), axis=None)),
         grad_fn=lambda t: 1.0 + np.log(t),
         conjugate=conj,
-        rows=lambda T: np.sum(terms(T), axis=-1),
+        rows=lambda T: np.add.reduce(terms(T), axis=-1),
         terms=terms,
     )
 
@@ -188,9 +203,9 @@ def _burg_negentropy(dim: int) -> Generator:
         name="burg_negentropy",
         dim=dim,
         domain=POSITIVE,
-        fn=lambda t: -float(np.sum(np.log(t))),
+        fn=lambda t: -float(np.add.reduce(np.log(t), axis=None)),
         grad_fn=lambda t: -1.0 / t,
-        rows=lambda T: np.sum(terms(T), axis=-1),
+        rows=lambda T: np.add.reduce(terms(T), axis=-1),
         terms=terms,
     )
 
@@ -199,13 +214,14 @@ def _log_sum_exp(dim: int) -> Generator:
     # F(t) = log(1 + sum e^(t_i)), shifted so the max exponent (including the
     # implicit zero term) is factored out before exponentiation.
     def fn(t: np.ndarray) -> float:
-        m = max(0.0, float(np.max(t)))
-        return m + float(np.log(np.exp(-m) + np.sum(np.exp(t - m))))
+        m = max(0.0, float(np.maximum.reduce(t, axis=None)))
+        return m + float(np.log(np.exp(-m)
+                                + np.add.reduce(np.exp(t - m), axis=None)))
 
     def rows(T: np.ndarray) -> np.ndarray:
-        m = np.maximum(0.0, T.max(axis=-1))
+        m = np.maximum(0.0, np.maximum.reduce(T, axis=-1))
         return m + np.log(np.exp(-m)
-                          + np.sum(np.exp(T - m[..., None]), axis=-1))
+                          + np.add.reduce(np.exp(T - m[..., None]), axis=-1))
 
     return Generator(
         name="log_sum_exp",
@@ -277,7 +293,7 @@ class LineRestriction:
 def coincide(t1: np.ndarray, t2: np.ndarray):
     """Whether two points are closer than DEGENERATE_EPS in the max norm;
     row by row, as a boolean array, when t1 is an (m, dim) block."""
-    return np.abs(t1 - t2).max(axis=-1) < DEGENERATE_EPS
+    return np.maximum.reduce(np.abs(t1 - t2), axis=-1) < DEGENERATE_EPS
 
 
 def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:

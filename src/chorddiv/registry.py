@@ -31,13 +31,9 @@ from .bregman import (
     skew_segment,
     unit_anchor,
 )
-from .errors import (
-    DomainError,
-    ParameterError,
-    UnknownDivergenceError,
-    UnsupportedGeneratorError,
-)
+from .errors import DomainError, ParameterError, UnknownDivergenceError
 from .fdiv import (
+    F_GENERATOR_NAMES,
     dual_generator,
     extended_kl,
     f_div,
@@ -140,7 +136,8 @@ DIVERGENCES = {
 
 def _spec(div_id: str) -> tuple:
     """(DivSpec of the id's head, text after its colon); a biskew: spec
-    takes its inner id's needs_generator and anchors."""
+    takes its inner id's needs_generator and anchors, and an f-divergence
+    prefix id must name one of F_GENERATOR_NAMES after its colon."""
     head, sep, rest = div_id.partition(":")
     spec = DIVERGENCES.get(head + sep)
     if spec is None:
@@ -151,6 +148,10 @@ def _spec(div_id: str) -> tuple:
         inner, _ = _spec(rest)
         spec = spec._replace(needs_generator=inner.needs_generator,
                              anchors=inner.anchors)
+    elif sep and rest not in F_GENERATOR_NAMES:
+        raise UnknownDivergenceError(
+            f"unknown f generator in divergence identifier {div_id!r}"
+        )
     return spec, rest
 
 
@@ -220,12 +221,7 @@ def _bind(div_id: str, generator: Optional[Generator],
     if not spec.needs_generator:
         if spec.build is None:
             return spec, (), ()
-        try:
-            return spec, (spec.build(rest),), ()
-        except UnsupportedGeneratorError as exc:
-            raise UnknownDivergenceError(
-                f"unknown f generator in divergence identifier {div_id!r}"
-            ) from exc
+        return spec, (spec.build(rest),), ()
     if generator is None:
         raise ParameterError(f"divergence {div_id!r} requires a generator")
     if spec.build is None:

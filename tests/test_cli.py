@@ -21,8 +21,9 @@ from chorddiv import (
     known_divergences,
     make_builtin,
 )
-from chorddiv.cli import (_heat_colors, _sweep_grid, _write_sweep_csv,
-                          build_parser, main, render_heatmap_svg)
+from chorddiv.cli import (_heat_colors, _read_points, _sweep_grid,
+                          _write_sweep_csv, build_parser, main,
+                          render_heatmap_svg)
 from chorddiv.registry import sweep
 
 
@@ -721,6 +722,23 @@ class TestCluster:
             capsys, "cluster", "--input", str(path), "--k", "1")
         assert code == 3
         assert "line 2" in err
+
+    @pytest.mark.parametrize("row", ["nan,0.5", "0.5,inf", "-Infinity,1",
+                                     "0.5,1e999", "NaN,-nan"])
+    def test_non_finite_coordinate(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.5,1.0\n{row}\n")
+        code, _, err = run(
+            capsys, "cluster", "--input", str(path), "--k", "1")
+        assert code == 3
+        assert err.strip() == f"error: {path}: line 2: non-finite coordinate"
+
+    def test_tiny_and_signed_zero_coordinates_are_read(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("5e-324,-0.0\n1e-310, 2\n")
+        pts = _read_points(str(path))
+        assert pts.tobytes() == np.array([[5e-324, -0.0],
+                                          [1e-310, 2.0]]).tobytes()
 
     def test_k_exceeds_distinct(self, capsys, tmp_path):
         path = tmp_path / "few.csv"

@@ -31,7 +31,7 @@ from chorddiv.clustering import (
     _update_center,
     objective,
 )
-from chorddiv.generators import REALS
+from chorddiv.generators import REALS, Domain
 from chorddiv.numerics import golden_minimize, on_box_edge
 from chorddiv.registry import (needs_generator, resolve_block,
                                resolve_terms_block, right_centroid)
@@ -271,6 +271,49 @@ class TestKMeans:
         with pytest.raises(DomainError, match="row 1"):
             kmeans(pts, QUAD2, ClusterConfig(
                 k=1, divergence=div, params={"gamma": 0.2, "delta": 0.7}))
+
+    @pytest.mark.parametrize("gen, div, rows", [
+        ("shannon_negentropy", "bregman",
+         [[0.5, 0.5], [0.3, np.nan], [-1.0, 2.0]]),
+        ("shannon_negentropy", "bregman", [[0.5, 0.5], [0.3, 1e-12]]),
+        ("quadratic", "bregman", [[0.5, 0.5], [1.0, 2.0], [np.inf, 0.0]]),
+        ("quadratic", "ekl",
+         [[0.5, 0.5], [0.1, 0.0], [2.9, 3.0], [-0.0, 1.0]]),
+        ("quadratic", "fdiv:kl", [[1e-12, 5e-324], [0.0, 1.0], [-1.0, 1.0]]),
+        ("quadratic", "fdiv:kl", [[1.0, 1.0], [-np.inf, 1.0]]),
+        ("burg_negentropy", "biskew:fdiv:chi2", [[0.5, 0.5], [-0.0, 0.5]]),
+    ])
+    def test_first_bad_row_is_named_as_the_row_walk_names_it(self, gen, div,
+                                                             rows):
+        # the former check, which tested every row in turn
+        F, pts = make_builtin(gen, 2), np.array(rows)
+        positive = not needs_generator(div)
+        with pytest.raises(DomainError) as old:
+            for i in range(pts.shape[0]):
+                if not F.domain.contains(pts[i]):
+                    raise DomainError(
+                        f"point {pts[i].tolist()} at row {i} is outside the "
+                        f"{F.domain.kind} domain of {F.name}")
+                if positive and not np.all(pts[i] > 0.0):
+                    raise DomainError(
+                        f"point {pts[i].tolist()} at row {i} is not strictly "
+                        f"positive, as divergence {div!r} requires")
+        with pytest.raises(DomainError) as new:
+            kmeans(pts, F, ClusterConfig(
+                k=1, divergence=div, params={"gamma": 0.2, "delta": 0.7}))
+        assert str(new.value) == str(old.value)
+
+    def test_points_that_pass_take_one_domain_check(self, monkeypatch):
+        calls = []
+        contains = Domain.contains
+        monkeypatch.setattr(Domain, "contains",
+                            lambda self, c: calls.append(np.shape(c))
+                            or contains(self, c))
+        pts = np.random.default_rng(0).uniform(0.2, 1.0, (40, 2))
+        # kl raises InfeasibleError once the points have passed the checks
+        with pytest.raises(InfeasibleError):
+            kmeans(pts, QUAD2, ClusterConfig(k=1, divergence="kl"))
+        assert calls == [(40, 2)]
 
     @pytest.mark.parametrize("div", ["kl", "fdiv:kl"])
     def test_kl_has_no_right_centroid(self, monkeypatch, div):

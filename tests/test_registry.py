@@ -190,6 +190,34 @@ def test_biskew_of_an_unknown_id_is_unknown_everywhere(params, capsys):
     assert "unknown divergence identifier 'nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [{}, {"gamma": 0.25, "delta": 0.75}])
+@pytest.mark.parametrize("div_id, named", [
+    ("fdiv:nope", "fdiv:nope"), ("fdiv_dual:", "fdiv_dual:"),
+    ("fdiv_jsym:KL", "fdiv_jsym:KL"), ("fdiv_jssym:kl:x", "fdiv_jssym:kl:x"),
+    ("biskew:fdiv:nope", "fdiv:nope"),
+])
+def test_unknown_f_name_is_unknown_everywhere(div_id, named, params, capsys):
+    """The f name is checked with the id, before gamma and delta are read,
+    from every entry point."""
+    shannon = make_builtin("shannon_negentropy", 2)
+    message = f"^unknown f generator in divergence identifier '{named}'$"
+    for call in (lambda: resolve_divergence(div_id, QUAD, params),
+                 lambda: resolve_block(div_id, None, params),
+                 lambda: needs_generator(div_id),
+                 lambda: right_centroid(div_id, QUAD),
+                 lambda: right_centroid(div_id, shannon),
+                 lambda: kmeans(np.array([[0.5, 0.5], [0.2, 0.7]]), QUAD,
+                                ClusterConfig(k=1, divergence=div_id,
+                                              params=params))):
+        with pytest.raises(UnknownDivergenceError, match=message):
+            call()
+    argv = ["eval", "--div", div_id, "--x", "0.5", "--y", "0.7"]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+    assert f"identifier '{named}'" in capsys.readouterr().err
+
+
 class TestBareIds:
     def test_bregman(self):
         D = resolve_divergence("bregman", generator=QUAD)
