@@ -118,8 +118,11 @@ def bregman_block(F: Generator, X, theta2) -> np.ndarray:
     rows), and the gradient terms as a stack of dot products, which round
     as np.dot does (einsum, sum(A * B) and A @ g round differently). A row
     that coincides with theta2 gives 0.0, and a generator without a
-    gradient raises GradientRequiredError, as bregman does."""
+    gradient raises GradientRequiredError, as bregman does. theta2 is one
+    point: a block of second points raises F.point's ShapeError."""
     _require_grad(F)
+    if np.ndim(theta2) == 2:  # line_table would read it as a block
+        F.point(theta2)
     values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
     t2 = as_vector(theta2)
     X = np.asarray(X, dtype=float)
@@ -161,9 +164,11 @@ def bregman_chord_block(F: Generator, X, theta2, cp: ChordParams
     0, alpha and beta, the table the sweep shares. The block is validated
     once, its F values come from one F.rows call (per point for a
     generator without rows), and a row that coincides with theta2 gives
-    0.0 for no F evaluation. numpy rounds the array expression's float64
-    operations, in chord_gap's order, as Python rounds them on floats, and
-    like Python it gives nan or inf there without a warning."""
+    0.0 for no F evaluation. theta2 may be an (m, dim) block Y of per-row
+    second points, as line_table takes it. numpy rounds the array
+    expression's float64 operations, in chord_gap's order, as Python
+    rounds them on floats, and like Python it gives nan or inf there
+    without a warning."""
     a, b = float(cp.alpha), float(cp.beta)
     table = line_table(F, X, theta2, (0.0, a, b))
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf

@@ -10,9 +10,10 @@ three ways:
   harmonic mean for bregman_dual under burg_negentropy;
 * lockstep, for a chord or Jensen id under a separable generator (one
   with terms: shannon_negentropy, burg_negentropy): the objective is a
-  sum of one-coordinate functions, so numerics.golden_lockstep searches
-  every coordinate at once, one per-coordinate block call per probe, in
-  one sweep;
+  sum of one-coordinate functions, so one numerics.golden_lockstep call
+  searches every coordinate of every center of an iteration at once, in
+  one sweep, each probe round one per-coordinate block call in which
+  each member is paired with its own cluster's probe;
 * coordinate descent otherwise: numerics.coordinate_minimize, a 1-D
   search per coordinate, sweep after sweep.
 
@@ -24,7 +25,8 @@ divergence needs positive arguments), so no gradient is ever needed. Each
 numeric solve is recorded with how it ended; the library only records, it
 never warns. Each iteration evaluates the n x k divergence matrix once.
 Every divergence value comes from registry.resolve_block's evaluator, one
-call per block of points against one center. bregman, bregman_chord,
+call per block of points against one center (or, in the lockstep search,
+each point against its own center). bregman, bregman_chord,
 bregman_chord_approx and the Jensen ids validate once per block and
 evaluate F in one row-evaluator call per block on a builtin generator (one
 F call per point on a custom one); other ids loop their per-pair callable.
@@ -91,7 +93,10 @@ class ClusterResult:
     record per numeric center update, iterations counted from 1, in the
     order they ran; it is () when every center is closed-form. A lockstep
     update (a separable generator) reads sweeps 1 and capped False: its
-    one sweep is the fixed point coordinate descent would confirm.
+    one sweep is the fixed point coordinate descent would confirm. The
+    lockstep updates of one iteration share one search, but each keeps
+    its own record, equal to the one a search of its cluster alone
+    would leave.
     """
 
     centers: np.ndarray
@@ -190,9 +195,10 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
 
 
 def _update_center(members: np.ndarray, F: Generator, block,
-                   positive: bool = False, terms=None) -> Minimum:
-    """Numerical right centroid: argmin_c sum_i D(x_i : c), for divergences
-    the registry gives no closed form.
+                   positive: bool = False) -> Minimum:
+    """Numerical right centroid by coordinate descent: argmin_c
+    sum_i D(x_i : c), for divergences the registry gives no closed form
+    and that _lockstep_centers cannot search.
 
     The objective value at c is one block(members, c) call, a
     resolve_block evaluator, its values summed in index order. The search
@@ -201,32 +207,62 @@ def _update_center(members: np.ndarray, F: Generator, block,
     divergences that read points as positive weights; it starts from the
     arithmetic mean and solves each coordinate to SLICE_TOL with Brent's
     search (golden section plus parabolic steps, as golden_minimize
-    says). Without terms it is coordinate descent, until a sweep does not
-    lower the objective (at most 100 sweeps). With terms, the
-    resolve_terms_block evaluator of the same id, it is one golden_lockstep
-    search of every coordinate's share summed over the members, and the
-    center is the point found when its objective is below the mean's,
-    else the mean. A non-finite objective at the mean or at the center
-    raises DomainError. Returns the search's Minimum, whose x is the
+    says), sweep after sweep, until a sweep does not lower the objective
+    (at most 100 sweeps). Returns the search's Minimum, whose x is the
     center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
+    return coordinate_minimize(
+        lambda c: _sum_in_order(block(members, c).tolist()), lo, hi,
+        x0=members.mean(axis=0), tol=SLICE_TOL, max_sweeps=100)
 
-    def total(c: np.ndarray) -> float:
-        return _sum_in_order(block(members, c).tolist())
 
-    start = members.mean(axis=0)
-    if terms is None:
-        return coordinate_minimize(total, lo, hi, x0=start, tol=SLICE_TOL,
-                                   max_sweeps=100)
-    found = golden_lockstep(lambda c: terms(members, c).sum(axis=0), lo, hi,
-                            SLICE_TOL)
-    values = [total(start), total(found)]
-    for x, value in zip((start, found), values):
-        if not math.isfinite(value):
-            raise DomainError(f"objective is {value} at {x.tolist()}")
-    x = found if values[1] < values[0] else start
-    return Minimum(x, 1, False, on_box_edge(x, lo, hi, SLICE_TOL))
+def _lockstep_centers(groups: list, F: Generator, block, terms) -> list:
+    """Numerical right centroids of the member matrices in groups, all
+    searched at once for a separable objective: terms is the
+    resolve_terms_block evaluator of block's id.
+
+    One golden_lockstep call searches every coordinate of every group's
+    box (_update_center's box). Each round is one terms call on the
+    stacked members, each row paired with its own group's probe, and
+    sums each group's shares over its own rows. One block call then
+    gives each group's objective, added in index order, at its mean and
+    at the point found; the center is the point found when its objective
+    is below the mean's, else the mean, and a non-finite objective at
+    either raises DomainError. Each center is thus, bit for bit, the one
+    a search of its group alone finds. Returns one Minimum per group,
+    sweeps 1 and capped False.
+    """
+    sizes = [members.shape[0] for members in groups]
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    stacked = np.concatenate(groups)
+    boxes = [_centroid_box(members, F.domain.kind == "positive")
+             for members in groups]
+    lo, hi = (np.concatenate(side) for side in zip(*boxes))
+
+    def shares(v: list) -> np.ndarray:
+        probes = np.repeat(np.reshape(v, (-1, F.dim)), sizes, axis=0)
+        S = terms(stacked, probes)
+        return np.concatenate([S[a:b].sum(axis=0) for a, b in spans])
+
+    found = golden_lockstep(shares, lo, hi, SLICE_TOL).reshape(-1, F.dim)
+    means = np.array([members.mean(axis=0) for members in groups])
+    # the stacked members against their means, then against the points found
+    values = block(np.concatenate([stacked, stacked]),
+                   np.repeat(np.concatenate([means, found]), sizes + sizes,
+                             axis=0))
+    at_means, at_found = values.reshape(2, -1).tolist()
+    results = []
+    for (a, b), start, x, (lo_j, hi_j) in zip(spans, means, found, boxes):
+        totals = [_sum_in_order(at_means[a:b]), _sum_in_order(at_found[a:b])]
+        for point, total in zip((start, x), totals):
+            if not math.isfinite(total):
+                raise DomainError(f"objective is {total} at {point.tolist()}")
+        x = x if totals[1] < totals[0] else start
+        results.append(Minimum(x, 1, False,
+                               on_box_edge(x, lo_j, hi_j, SLICE_TOL)))
+    return results
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -235,10 +271,13 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     Centers are initialized to k distinct data points drawn uniformly with
     the configured seed. Each iteration updates every center (closed form
     where registry.right_centroid gives one for the divergence under F,
-    numerically otherwise), reassigns points to the divergence-nearest
-    center (right argument; ties keep the lowest center index), and hands
-    any emptied cluster the point farthest from its own center. The labels, the repair distances and the objective all come
-    from one n x k divergence matrix per iteration. Stops at the first
+    numerically otherwise: one lockstep search for all of the centers
+    under a separable generator, coordinate descent center by center
+    otherwise), reassigns points to the divergence-nearest center (right
+    argument; ties keep the lowest center index), and hands any emptied
+    cluster the point farthest from its own center. The labels, the
+    repair distances and the objective all come from one n x k
+    divergence matrix per iteration. Stops at the first
     iteration that does not lower the objective or whose labels equal the
     labels its centers came from, or after max_iters. Every numeric center
     update leaves a record in center_solves.
@@ -292,17 +331,20 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        for j in range(cfg.k):
-            members = pts[labels == j]
-            if not members.size:
-                continue
-            if centroid is not None:
+        groups = [(j, members) for j in range(cfg.k)
+                  if (members := pts[labels == j]).size]
+        if centroid is not None:
+            for j, members in groups:
                 centers[j] = centroid(members)
-            else:
-                found = _update_center(members, F, block, positive, terms)
-                centers[j] = found.x
-                solves.append((iterations, j, found.sweeps, found.capped,
-                               found.on_edge))
+        else:
+            live = [members for _, members in groups]
+            found = (_lockstep_centers(live, F, block, terms)
+                     if terms is not None else
+                     [_update_center(members, F, block, positive)
+                      for members in live])
+            for (j, _), minimum in zip(groups, found):
+                centers[j] = minimum.x
+                solves.append((iterations, j, *minimum[1:]))
         dist = _distances(pts, centers, block)
         fresh = np.argmin(dist, axis=1)
         fresh = _repair_empty(fresh, cfg.k, dist[rows, fresh])

@@ -307,26 +307,45 @@ def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
 def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
     """The (m, len(lams)) array of F((1 - lam) X[i] + lam theta2) over the
     rows of the (m, dim) block X: row i holds the line restriction
-    restrict_to_line(F, X[i], theta2) at lams, bit for bit. The table takes
-    the trailing shape of F.rows's values, so a generator whose rows are
-    its terms gives the (m, len(lams), dim) table of coordinate terms.
+    restrict_to_line(F, X[i], theta2) at lams, bit for bit. theta2 may
+    also be an (m, dim) block Y, whose row i is X[i]'s second point: row
+    i is then line_table(F, X[i:i+1], Y[i], lams)[0], bit for bit. The
+    table takes the trailing shape of F.rows's values, so a generator
+    whose rows are its terms gives the (m, len(lams), dim) table of
+    coordinate terms.
 
-    theta2 goes through F.point; X gets one shape check, and the whole
-    table of points one domain check, before any evaluation, which raises
-    F.point's DomainError for the first point outside. Rows that coincide
-    with theta2 hold 0.0 and cost no F evaluation. The other rows take one
-    F.rows call when F has a row evaluator (every builtin does), and one
-    F.fn call per point when it has none.
+    A point theta2 goes through F.point, then X gets one shape check; a
+    block Y gets one shape check after X's and one domain check, which
+    raises F.point's DomainError for its first row outside. Then the
+    whole table of points gets one domain check, before any evaluation,
+    which raises F.point's DomainError for the first point outside. Rows
+    that coincide with their second point hold 0.0 and cost no F
+    evaluation. The other rows take one F.rows call when F has a row
+    evaluator (every builtin does), and one F.fn call per point when it
+    has none.
     """
-    t2 = F.point(theta2)
+    block = np.ndim(theta2) == 2
+    if not block:
+        t2 = F.point(theta2)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != F.dim:
         raise ShapeError(
             f"{F.name} expects an (m, {F.dim}) block of points, got shape "
             f"{X.shape}"
         )
+    if block:
+        t2 = np.asarray(theta2, dtype=float)
+        if t2.shape != X.shape:
+            raise ShapeError(
+                f"{F.name} expects a {X.shape} block of second points, got "
+                f"shape {t2.shape}"
+            )
+        if not F.domain.contains(t2):
+            for y in t2:
+                F.point(y)  # raises at the first row outside the domain
     lam = np.asarray(lams, dtype=float)[:, None]
-    points = (1.0 - lam) * X[:, None] + lam * t2  # [i, j] is X[i] at lams[j]
+    ends = t2[:, None] if block else t2
+    points = (1.0 - lam) * X[:, None] + lam * ends  # [i, j]: X[i] at lams[j]
     if not F.domain.contains(points):
         for p in points.reshape(-1, F.dim):
             F.point(p)  # raises at the first point outside the domain

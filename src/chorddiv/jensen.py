@@ -115,7 +115,9 @@ def jensen_chord_block(F: Generator, X, theta2,
     validated once and filled by one F.rows call (per point for a
     generator without rows); its columns at 0 and 1 evaluate X[i] and
     theta2 themselves, its inner columns interpolate's points, and a row
-    that coincides with theta2 gives 0.0 for no F evaluation."""
+    that coincides with theta2 gives 0.0 for no F evaluation. theta2 may
+    be an (m, dim) block Y of per-row second points, as line_table takes
+    it."""
     a, b = float(jcp.alpha), float(jcp.beta)
     table = line_table(F, X, theta2,
                        (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))

@@ -71,7 +71,10 @@ class DivSpec(NamedTuple):
     adds the forms that hold for one generator. anchors says how the
     value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
     REJECTED. block, when set, is the kernel's block form:
-    block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit.
+    block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit;
+    a gradient-free block (the chord and Jensen ids) also takes an
+    (m, dim) block Y for y, and row i is then kernel(*pre, X[i], Y[i],
+    *post).
     """
 
     kernel: Callable

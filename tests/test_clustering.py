@@ -1,6 +1,7 @@
 """k-means under registry divergences: Lloyd loop, repair, centroids, ARI."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,13 +27,15 @@ from chorddiv.clustering import (
     SLICE_TOL,
     _centroid_box,
     _distances,
+    _lockstep_centers,
     _repair_empty,
     _sum_in_order,
     _update_center,
     objective,
 )
 from chorddiv.generators import REALS, Domain
-from chorddiv.numerics import golden_minimize, on_box_edge
+from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
+                               on_box_edge)
 from chorddiv.registry import (needs_generator, resolve_block,
                                resolve_terms_block, right_centroid)
 from chorddiv.verify import clustering_dataset
@@ -708,7 +711,7 @@ def with_coordinate(x, j, v):
 
 class TestLockstepCenters:
     """Under a generator with terms, an id with a block kernel takes one
-    lockstep golden-section search per center update."""
+    lockstep search per iteration for all of its centers."""
 
     @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
     def test_equals_golden_minimize_per_coordinate(self, gen, div, params):
@@ -716,7 +719,7 @@ class TestLockstepCenters:
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         block = resolve_block(div, F, params)
         terms = resolve_terms_block(div, F, params)
-        found = _update_center(members, F, block, terms=terms)
+        found, = _lockstep_centers([members], F, block, terms)
         mean = members.mean(axis=0)
         lo, hi = _centroid_box(members, True)
         want = np.array([golden_minimize(
@@ -774,7 +777,7 @@ class TestLockstepCenters:
         def block(X, c):
             return terms(X, c).sum(axis=1)
 
-        found = _update_center(members, QUAD2, block, terms=terms)
+        found, = _lockstep_centers([members], QUAD2, block, terms)
         lo, hi = _centroid_box(members, False)
         assert found.on_edge is on_edge
         assert found.on_edge == on_box_edge(found.x, lo, hi, SLICE_TOL)
@@ -790,9 +793,9 @@ class TestLockstepCenters:
         F = make_builtin("shannon_negentropy", 2)
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         params = {"alpha": 0.9, "beta": 1.0}
-        found = _update_center(
-            members, F, resolve_block("bregman_chord", F, params),
-            terms=resolve_terms_block("bregman_chord", F, params))
+        found, = _lockstep_centers(
+            [members], F, resolve_block("bregman_chord", F, params),
+            resolve_terms_block("bregman_chord", F, params))
         assert np.array_equal(found.x, members.mean(axis=0))
         assert (found.sweeps, found.capped, found.on_edge) == (1, False,
                                                                False)
@@ -809,6 +812,113 @@ class TestLockstepCenters:
         assert resolve_terms_block(div, make_builtin(gen, 2), params) is None
 
 
+def per_center_lockstep(members, F, block, positive, terms):
+    """The per-center lockstep search that _lockstep_centers replaced:
+    one golden_lockstep over one cluster's box, then one block call at
+    the member mean and one at the point found."""
+    lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
+
+    def total(c):
+        return _sum_in_order(block(members, c).tolist())
+
+    start = members.mean(axis=0)
+    found = golden_lockstep(lambda c: terms(members, c).sum(axis=0), lo, hi,
+                            SLICE_TOL)
+    values = [total(start), total(found)]
+    for x, value in zip((start, found), values):
+        if not math.isfinite(value):
+            raise DomainError(f"objective is {value} at {x.tolist()}")
+    x = found if values[1] < values[0] else start
+    return Minimum(x, 1, False, on_box_edge(x, lo, hi, SLICE_TOL))
+
+
+#: Every id with a gradient-free block kernel, at the CLI's parameters.
+BATCH_IDS = [("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+             ("bregman_chord_approx", {"epsilon": 1e-6}),
+             ("jensen", {}),
+             ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5})]
+
+
+def same_minimum(got, want):
+    return got.x.tobytes() == want.x.tobytes() and got[1:] == want[1:]
+
+
+class TestBatchedLockstep:
+    """_lockstep_centers searches all of an iteration's centers at once,
+    bit for bit as one search per center, for as many objective calls as
+    the longest of those searches."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("div,params", BATCH_IDS)
+    @pytest.mark.parametrize("gen", ["shannon_negentropy", "burg_negentropy"])
+    def test_equals_the_per_center_search(self, gen, div, params, k, dim):
+        F = make_builtin(gen, dim)
+        block = resolve_block(div, F, params)
+        terms = resolve_terms_block(div, F, params)
+        rng = np.random.default_rng(100 * k + dim)
+        sizes = rng.integers(2, 7, k)
+        if k > 1:
+            sizes[1] = 1  # a zero-width box, which takes no call
+        groups = [rng.uniform(0.2, 3.0) * rng.uniform(0.5, 1.5, (m, dim))
+                  for m in sizes]
+
+        def counted():
+            calls = []
+
+            def g(X, y):
+                calls.append(1)
+                return terms(X, y)
+
+            return calls, g
+
+        calls, g = counted()
+        got = _lockstep_centers(groups, F, block, g)
+        rounds = []
+        for members, found in zip(groups, got):
+            alone, h = counted()
+            assert same_minimum(found,
+                                per_center_lockstep(members, F, block, False,
+                                                    h))
+            rounds.append(len(alone))
+        assert k == 1 or rounds[1] == 0
+        assert len(calls) == max(rounds) > 0
+
+    @pytest.mark.parametrize("div,params", BATCH_IDS)
+    @pytest.mark.parametrize("gen", ["shannon_negentropy", "burg_negentropy"])
+    def test_kmeans_equals_the_per_center_search(self, monkeypatch, gen, div,
+                                                 params):
+        # half the points clumped: in every case a cluster empties at the
+        # first iteration, takes a point back, and is searched again
+        seed, dim, k = 217, 3, 4
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.2, 3.0, (10, dim))
+        pts[:5] = pts[0] * rng.uniform(0.98, 1.02, (5, dim))
+        F = make_builtin(gen, dim)
+        cfg = ClusterConfig(k=k, divergence=div, params=params, seed=seed)
+        emptied = []
+        repair = chorddiv.clustering._repair_empty
+
+        def spy(labels, k, dist):
+            emptied.append(np.bincount(labels, minlength=k).min() == 0)
+            return repair(labels, k, dist)
+
+        monkeypatch.setattr(chorddiv.clustering, "_repair_empty", spy)
+        got = kmeans(pts, F, cfg)
+        monkeypatch.setattr(
+            chorddiv.clustering, "_lockstep_centers",
+            lambda groups, F, block, terms: [
+                per_center_lockstep(members, F, block, False, terms)
+                for members in groups])
+        want = kmeans(pts, F, cfg)
+        assert emptied[0] and got.iterations > 1
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert np.array_equal(got.assignments, want.assignments)
+        assert got.objective_trace == want.objective_trace
+        assert got.iterations == want.iterations
+        assert got.center_solves == want.center_solves
+
+
 #: The benchmark's fixed cluster design (perfbench/spec.json, design seed
 #: 2072): four positive points in 2-D.
 BENCH_POINTS = np.array([[1.1282518686626684, 2.024482017121187],
@@ -818,13 +928,22 @@ BENCH_POINTS = np.array([[1.1282518686626684, 2.024482017121187],
 
 
 class TestSearchBudget:
-    """Brent's parabolic steps keep the lockstep searches short: objective
-    calls per k-means run on the benchmark's design, where golden-section
-    search made 126 under either generator."""
+    """Brent's parabolic steps keep the lockstep searches short, and one
+    search serves all of an iteration's centers: objective calls per
+    k-means run on the benchmark's design, where golden-section search
+    made 126 under either generator and a search per center made 44, 30,
+    29 and 43."""
 
-    @pytest.mark.parametrize("gen,budget", [("shannon_negentropy", 50),
-                                            ("burg_negentropy", 40)])
-    def test_lockstep_calls_per_run(self, monkeypatch, gen, budget):
+    @pytest.mark.parametrize("gen,div,params,rounds", [
+        ("shannon_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0},
+         33),
+        ("burg_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0},
+         21),
+        ("shannon_negentropy", "jensen", {}, 20),
+        ("burg_negentropy", "jensen", {}, 32),
+    ])
+    def test_lockstep_calls_per_run(self, monkeypatch, gen, div, params,
+                                    rounds):
         calls = []
         search = chorddiv.clustering.golden_lockstep
 
@@ -833,8 +952,7 @@ class TestSearchBudget:
 
         monkeypatch.setattr(chorddiv.clustering, "golden_lockstep", counted)
         res = kmeans(BENCH_POINTS, make_builtin(gen, 2), ClusterConfig(
-            k=2, divergence="bregman_chord",
-            params={"alpha": 0.9, "beta": 1.0}))
+            k=2, divergence=div, params=params))
         assert res.center_solves
         assert res.assignments.tolist() == [1, 1, 0, 0]
-        assert len(calls) <= budget
+        assert len(calls) == rounds

@@ -1,5 +1,6 @@
 """Generator construction, domain checks, line restrictions, conjugates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from chorddiv import (
     make_builtin,
     restrict_to_line,
 )
+from chorddiv.bregman import bregman_block
 from chorddiv.generators import line_table
 
 
@@ -276,6 +278,70 @@ class TestLineTable:
         with pytest.raises(DomainError, match=r"point \[-0\.5\] is outside"):
             line_table(F, X, -0.5, (0.0,))
 
+
+    @staticmethod
+    def second_points(F, X, rng):
+        """A block Y of second points for X: row 1 coincides with X[1]
+        and row 3 lies within DEGENERATE_EPS of X[3]."""
+        Y = np.array([sample_point(rng, F) for _ in X])
+        Y[1] = X[1]
+        Y[3] = X[3] + 1e-15
+        return Y
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "shannon_terms",
+                                      "burg_terms", "exp_sum"])
+    def test_block_of_second_points_is_row_by_row(self, name, dim):
+        if name == "exp_sum":
+            F = exp_sum(dim)
+        elif name.endswith("_terms"):
+            F = make_builtin(name[:-6] + "_negentropy", dim)
+            F = dataclasses.replace(F, rows=F.terms)
+        else:
+            F = make_builtin(name, dim)
+        rng = np.random.default_rng(dim)
+        X = np.array([sample_point(rng, F) for _ in range(5)])
+        Y = self.second_points(F, X, rng)
+        table = line_table(F, X, Y, self.LAMS)
+        assert table.shape[:2] == (5, len(self.LAMS))
+        for i in range(5):
+            row = line_table(F, X[i:i + 1], Y[i], self.LAMS)[0]
+            assert table[i].tobytes() == row.tobytes()
+        assert not table[1].any() and not table[3].any()
+
+    def test_coincident_second_points_make_no_f_calls(self):
+        calls = []
+        F = exp_sum(2, calls)
+        X = np.array([[0.3, -0.4], [0.1, 0.2], [-0.5, 0.6]])
+        Y = np.array([X[0], [0.7, -0.1], X[2] + 1e-15])
+        table = line_table(F, X, Y, self.LAMS)
+        assert not table[0].any() and not table[2].any()
+        # only row 1 evaluates F, once per lam
+        assert len(calls) == len(self.LAMS)
+        assert all(np.array_equal(t, (1.0 - lam) * X[1] + lam * Y[1])
+                   for t, lam in zip(calls, self.LAMS))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3, 1)])
+    def test_block_of_second_points_shape_checked(self, shape):
+        F = make_builtin("quadratic", 2)
+        with pytest.raises(ShapeError, match=r"expects a \(3, 2\) block of "
+                           r"second points, got shape"):
+            line_table(F, np.ones((3, 2)), np.ones(shape), self.LAMS)
+
+    def test_first_second_point_outside_named(self):
+        # every point of the table at lams 0 and 0.5 lies inside; the
+        # block's own rows 1 and 2 do not, and row 1 is named
+        F = make_builtin("burg_negentropy", 1)
+        X = np.array([[1.0], [2.0], [3.0]])
+        Y = np.array([[1.5], [-1.0], [-2.0]])
+        with pytest.raises(DomainError, match=r"^point \[-1\.0\] is outside "
+                           r"the positive domain of burg_negentropy$"):
+            line_table(F, X, Y, (0.0, 0.5))
+
+    def test_bregman_block_takes_one_second_point(self):
+        F = make_builtin("quadratic", 2)
+        with pytest.raises(ShapeError, match="point of dimension 2"):
+            bregman_block(F, np.ones((3, 2)), np.ones((3, 2)))
 
 class TestClosedFormConjugates:
     def test_quadratic_conjugate(self):
