@@ -3,11 +3,10 @@
 Lloyd iterations with D(point : center) assignments. A center comes one of
 three ways:
 
-* closed form, where the registry gives a right centroid for the
-  divergence under the generator: the member mean for bregman and ekl,
-  and for every generator-based id under the quadratic builtin;
-  grad F*(mean grad F) for bregman_dual when F has a conjugate, and the
-  harmonic mean for bregman_dual under burg_negentropy;
+* closed form, where registry.right_centroid gives one: the member mean
+  for bregman and ekl, and for every generator-based id under the
+  quadratic builtin; for bregman_dual, grad F^-1(mean grad F) when F has
+  a conjugate or is the burg_negentropy or log_sum_exp builtin;
 * lockstep, for a chord or Jensen id under a separable generator (one
   with terms: shannon_negentropy, burg_negentropy): the objective is a
   sum of one-coordinate functions, so one numerics.golden_lockstep call

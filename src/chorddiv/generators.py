@@ -43,7 +43,8 @@ class Domain:
         positive -- the positive orthant, theta_i > 0
 
     Membership requires strict clearance of DOMAIN_MARGIN from every
-    boundary. Non-finite coordinates are never members.
+    boundary. Non-finite coordinates are never members: on the reals one
+    reduction, the largest |coordinate|, decides (NaN fails, empty passes).
     """
 
     kind: str = "reals"
@@ -56,9 +57,11 @@ class Domain:
             )
 
     def contains(self, coords: np.ndarray) -> bool:
-        return finite_above(np.asarray(coords, dtype=float),
-                            DOMAIN_MARGIN if self.kind == "positive"
-                            else -np.inf)
+        c = np.asarray(coords, dtype=float)
+        if self.kind == "positive":
+            return finite_above(c, DOMAIN_MARGIN)
+        return bool(np.maximum.reduce(np.abs(c), axis=None, initial=0.0)
+                    < np.inf)
 
 
 def finite_above(c: np.ndarray, floor: float) -> bool:

@@ -65,12 +65,11 @@ class DivSpec(NamedTuple):
     id's callable,) and post = (build(param),). needs_generator is False
     for ids that ignore the generator and read their arguments as positive
     weights (kl and ekl, whose pre is empty).
-    right_centroid, when set, maps an (m, dim) member matrix to the
-    closed-form argmin_c sum_i D(x_i : c); it is set only where that argmin
-    holds for every generator and parameter value, and right_centroid()
-    adds the forms that hold for one generator. anchors says how the
-    value depends on the sweep anchors (alpha, beta): CHORD, IGNORED or
-    REJECTED. block, when set, is the kernel's block form:
+    right_centroid, when set, is the id's closed-form rule: F -> (an
+    (m, dim) member matrix -> argmin_c sum_i D(x_i : c)), or None where F
+    has no closed form; right_centroid() adds the quadratic rule. anchors
+    says how the value depends on the sweep anchors (alpha, beta): CHORD,
+    IGNORED or REJECTED. block, when set, is the kernel's block form:
     block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit;
     a gradient-free block (the chord and Jensen ids) also takes an
     (m, dim) block Y for y, and row i is then kernel(*pre, X[i], Y[i],
@@ -85,17 +84,57 @@ class DivSpec(NamedTuple):
     block: Optional[Callable] = None
 
 
-def _member_mean(members):
-    """Right centroid of every Bregman divergence (Banerjee, Merugu, Dhillon
-    and Ghosh, "Clustering with Bregman Divergences", JMLR 2005)."""
-    return members.mean(axis=0)
+def _member_mean(F: Generator) -> Callable:
+    """The member mean under every F: the right centroid of every Bregman
+    divergence (Banerjee, Merugu, Dhillon and Ghosh, "Clustering with
+    Bregman Divergences", JMLR 2005)."""
+    return lambda members: members.mean(axis=0)
+
+
+def _log_sum_exp_centroid(F: Generator, members) -> np.ndarray:
+    f = F.rows(members)
+    return (np.logaddexp.reduce(members - f[:, None], axis=0)
+            - np.logaddexp.reduce(-f))
+
+
+#: (F, members) -> grad F^-1(mean_i grad F(x_i)), for the builtins
+#: without a conjugate
+_INVERSE_MEAN_GRAD = {
+    # grad F(t) = -1/t is its own inverse
+    "burg_negentropy": lambda F, members: -1.0 / (-1.0 / members).mean(0),
+    # grad F(x) = e^(x - F(x)) and 1 - sum_j grad F(x)_j = e^(-F(x)), so
+    # log eta - log(1 - sum eta) is taken in log space: formed from eta,
+    # 1 - sum eta cancels away from the origin
+    "log_sum_exp": _log_sum_exp_centroid,
+}
+
+
+def _left_centroid(F: Generator) -> Optional[Callable]:
+    """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
+    grad F^-1(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and
+    symmetrized Bregman centroids", IEEE TIT 2009), through F's conjugate
+    or else F's builtin; None when F has neither."""
+    if F.conjugate is not None:
+        return lambda members: F.point(F.conjugate.grad_fn(
+            np.array([F.grad_fn(x) for x in members]).mean(axis=0)))
+    solve = _INVERSE_MEAN_GRAD.get(F.builtin)
+    if solve is None:
+        return None
+    return lambda members: F.point(solve(F, members))
+
+
+# the skewed Jensen ids are jensen_chord at alpha = beta = gamma;
+# (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
+_SKEWED_JENSEN = DivSpec(
+    jensen_chord, lambda param: skew_anchors(param("alpha")),
+    anchors=REJECTED, block=jensen_chord_block)
 
 
 #: The only list of identifiers; its order is the order of the help text.
 DIVERGENCES = {
     "bregman": DivSpec(bregman, right_centroid=_member_mean,
                        block=bregman_block),
-    "bregman_dual": DivSpec(bregman_dual),
+    "bregman_dual": DivSpec(bregman_dual, right_centroid=_left_centroid),
     "bregman_chord": DivSpec(
         bregman_chord, lambda param: ChordParams(param("alpha"),
                                                  param("beta")),
@@ -107,20 +146,14 @@ DIVERGENCES = {
     "bregman_chord_approx": DivSpec(
         bregman_chord, lambda param: approx_anchors(param("epsilon")),
         block=bregman_chord_block),
-    # the skewed Jensen ids are jensen_chord at alpha = beta = gamma
     "jensen": DivSpec(jensen_chord, lambda param: skew_anchors(0.5),
                       block=jensen_chord_block),
-    "jensen_skewed": DivSpec(
-        jensen_chord, lambda param: skew_anchors(param("alpha")),
-        anchors=REJECTED, block=jensen_chord_block),
+    "jensen_skewed": _SKEWED_JENSEN,
     "jensen_chord": DivSpec(
         jensen_chord, lambda param: JensenChordParams(
             param("alpha"), param("beta"), param("gamma")),
         anchors=REJECTED, block=jensen_chord_block),
-    # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
-    "jensen_bregman": DivSpec(
-        jensen_chord, lambda param: skew_anchors(param("alpha")),
-        anchors=REJECTED, block=jensen_chord_block),
+    "jensen_bregman": _SKEWED_JENSEN,
     "kl": DivSpec(kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
     "ekl": DivSpec(extended_kl, needs_generator=False,
@@ -164,47 +197,24 @@ def needs_generator(div_id: str) -> bool:
     return _spec(div_id)[0].needs_generator
 
 
-def _left_centroid(F: Generator, members):
-    """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
-    grad F*(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and symmetrized
-    Bregman centroids", IEEE TIT 2009), for F with a conjugate."""
-    eta = np.array([F.grad_fn(x) for x in members]).mean(axis=0)
-    return F.point(F.conjugate.grad_fn(eta))
-
-
-def _harmonic_mean(members):
-    """argmin_c sum_i B_F(c : x_i) for F the Burg negentropy, where
-    B_F(c : x) = sum_j (c_j / x_j - log(c_j / x_j) - 1): setting
-    sum_i (1 / x_ij - 1 / c_j) to zero gives c_j = m / sum_i 1 / x_ij."""
-    return members.shape[0] / (1.0 / members).sum(axis=0)
-
-
 def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
     """The closed-form argmin_c sum_i D(x_i : c) of the identifier under F,
     as a map from an (m, dim) member matrix to the center, or None when it
     must be found numerically. The first rule that holds gives it:
 
-    1. the id's DivSpec.right_centroid: the member mean for bregman and ekl;
-    2. the member mean for every id that evaluates the generator when F is
+    1. the member mean for every id that evaluates the generator when F is
        the quadratic builtin, since each such D(x : c) is then a
        non-negative multiple of |x - c|^2 (biskew: wrappers of those ids
        included);
-    3. for bregman_dual, D(x : c) = B_F(c : x), the left-sided centroid
-       grad F*(mean_i grad F(x_i)) when F has a conjugate;
-    4. for bregman_dual when F is the burg_negentropy builtin, which has
-       no conjugate, that centroid in its closed form: the coordinate-wise
-       harmonic mean of the members.
+    2. the id's DivSpec.right_centroid rule: the member mean for bregman
+       and ekl; for bregman_dual, whose D(x : c) is B_F(c : x), the
+       left-sided centroid grad F^-1(mean_i grad F(x_i)) when F has a
+       conjugate or is the burg_negentropy or log_sum_exp builtin.
     """
     spec, _ = _spec(div_id)
-    if spec.right_centroid is not None:
-        return spec.right_centroid
     if F.builtin == "quadratic" and spec.needs_generator:
-        return _member_mean
-    if spec.kernel is bregman_dual and F.conjugate is not None:
-        return lambda members: _left_centroid(F, members)
-    if spec.kernel is bregman_dual and F.builtin == "burg_negentropy":
-        return _harmonic_mean
-    return None
+        return _member_mean(F)
+    return None if spec.right_centroid is None else spec.right_centroid(F)
 
 
 def _bind(div_id: str, generator: Optional[Generator],
@@ -358,16 +368,15 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     A, B = A[off_diagonal], B[off_diagonal]
     if not A.size:
         return []
-    # one resolution makes every parameter and identifier check
-    D = resolve_divergence(div_id, F, {**(params or {}), "alpha": float(A[0]),
-                                       "beta": float(B[0])})
+    # one binding makes every parameter and identifier check
+    params = {**(params or {}), "alpha": float(A[0]), "beta": float(B[0])}
+    spec, pre, post = _bind(div_id, F, params)
     if spec.anchors == IGNORED:
-        values = np.full(A.size, float(D(theta1, theta2)))
+        values = np.full(A.size,
+                         float(spec.kernel(*pre, theta1, theta2, *post)))
     else:
-        segment = (theta1, theta2)
-        if spec.kernel is biskew:
-            segment = skew_segment(theta1, theta2,
-                                   spec.build(_reader(div_id, params)))
+        segment = (skew_segment(theta1, theta2, *post)
+                   if spec.kernel is biskew else (theta1, theta2))
         values = (np.zeros(A.size) if segment is None
                   else chord_row(F, *segment, A, B))
     bad = np.flatnonzero(~np.isfinite(values))

@@ -1,8 +1,9 @@
 """The argument checks against test-local copies of their former bodies.
 
 Domain.contains, Generator.point, interpolate, skew_segment and
-fdiv._weights coerce with generators.as_vector and test a point by two
-ufunc reductions (generators.finite_above); the builtins, coincide, f_div
+fdiv._weights coerce with generators.as_vector and test a point by ufunc
+reductions (one on the reals, generators.finite_above's two on the
+positive orthant and for weights); the builtins, coincide, f_div
 and extended_kl reduce with np.add.reduce and np.maximum.reduce. The old
 bodies below are the np.atleast_1d, np.isfinite-and-all, np.sum and np.max
 forms they replaced: every verdict, array (bit for bit), exception type and
@@ -183,10 +184,12 @@ EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, SUBNORMAL, 1e-310, -SUBNORMAL,
 
 def blocks():
     """Scalars, vectors, lists, ints, and 0-d to 3-D blocks, each holding
-    one edge value beside ordinary ones, plus empty blocks."""
+    one edge value beside ordinary ones, plus empty blocks and pairs of
+    edge values."""
     out = [[], (), np.empty(0), np.empty((0, 2)), np.empty((2, 0, 3)),
            3, 0, -1, True, [1, 2], [1, 2, 3], [[1, 2]], [[1], [2]],
-           np.arange(3), np.float32(0.25), "0.5"]
+           np.arange(3), np.float32(0.25), "0.5", [np.nan, np.inf],
+           [np.inf, -np.inf], [1e308, -1e308]]
     for v in EDGES:
         out += [v, np.float64(v), np.array(v), [v], [0.5, v], [v, 0.5, 2.0],
                 np.array([[0.5, v], [1.5, 0.25]]),

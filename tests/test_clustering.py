@@ -387,10 +387,30 @@ def left_centroid(F, members):
     return F.point(F.conjugate.grad_fn(eta))
 
 
+def log_mean_exp(a):
+    """log mean_i e^(a_i) over the first axis, shifted by its maximum."""
+    top = a.max(axis=0)
+    return top + np.log(np.mean(np.exp(a - top), axis=0))
+
+
+#: grad F^-1(mean_i grad F(x_i)) of the builtins without a conjugate,
+#: written out. Burg's grad F(t) = -1/t is its own inverse. log_sum_exp's
+#: grad F(t) = e^(t - F(t)) has 1 - sum_j grad F(t)_j = e^(-F(t)), so its
+#: inverse log eta - log(1 - sum eta) is taken in log space.
+INVERSE_MEAN_GRAD = {
+    "burg_negentropy": lambda F, members: -1.0 / np.array(
+        [F.grad_fn(x) for x in members]).mean(axis=0),
+    "log_sum_exp": lambda F, members: (
+        np.logaddexp.reduce(members - F.rows(members)[:, None], axis=0)
+        - np.logaddexp.reduce(-F.rows(members))),
+}
+
+
 class TestClosedFormCentroid:
     """The member mean for bregman and ekl under every generator and for
     every generator-based id under quadratic, and the left-sided centroid
-    for bregman_dual under a generator with a conjugate."""
+    for bregman_dual under a generator with a conjugate or under the Burg
+    and log_sum_exp builtins."""
 
     def test_ids_cover_the_registry(self):
         bare = {div for div in chorddiv.registry.known_divergences()
@@ -430,23 +450,53 @@ class TestClosedFormCentroid:
                 assert np.array_equal(center, members.mean(axis=0))
         assert res.center_solves == ()
 
-    def test_burg_dual_centers_are_harmonic_means(self, monkeypatch):
+    @pytest.mark.parametrize("gen", INVERSE_MEAN_GRAD)
+    def test_dual_centers_invert_the_mean_gradient(self, monkeypatch, gen):
         forbid_golden(monkeypatch)
-        F = make_builtin("burg_negentropy", 2)
+        F = make_builtin(gen, 2)
         pts = blob_points(2)
         res = kmeans(pts, F, ClusterConfig(k=2, divergence="bregman_dual",
                                            seed=1))
         assert sorted(np.bincount(res.assignments).tolist()) == [6, 6]
         for j, center in enumerate(res.centers):
             members = pts[res.assignments == j]
-            assert np.array_equal(center, len(members)
-                                  / np.sum(1.0 / members, axis=0))
+            assert np.array_equal(center, INVERSE_MEAN_GRAD[gen](F, members))
+            eta = np.array([F.grad_fn(x) for x in members]).mean(axis=0)
+            if gen == "burg_negentropy":
+                # the coordinate-wise harmonic mean, up to rounding
+                harmonic = len(members) / np.sum(1.0 / members, axis=0)
+                assert np.allclose(center, harmonic, rtol=1e-15, atol=0.0)
+            else:
+                # near the origin, the inverse formed from eta agrees
+                assert np.allclose(center, np.log(eta) - np.log1p(-eta.sum()),
+                                   rtol=0.0, atol=1e-13)
         assert res.center_solves == ()
+
+    @pytest.mark.parametrize("shift", [40.0, -800.0])
+    def test_log_sum_exp_dual_centers_hold_far_from_the_origin(self, shift):
+        # at +40, 1 - sum_j of the mean gradient is below rounding, and at
+        # -800 every grad F(x_i) underflows to 0; the center still solves
+        # grad F(c) = mean_i grad F(x_i), checked in log space
+        F = make_builtin("log_sum_exp", 2)
+        members = blob_points(2)[:6] + shift
+        center = right_centroid("bregman_dual", F)(members)
+        f = F.rows(members)
+        assert np.all(np.isfinite(center))
+        assert abs(F(center) + log_mean_exp(-f)) <= 1e-12
+        assert np.allclose(center - F(center),
+                           log_mean_exp(members - f[:, None]),
+                           rtol=0.0, atol=1e-12)
+        block = resolve_block("bregman_dual", F, {})
+        found = _update_center(members, F, block)
+        assert np.max(np.abs(center - found.x)) <= 1e-3
+        assert (block(members, center).sum()
+                <= block(members, found.x).sum() * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("gen,div", [
         *(("quadratic", div) for div in GENERATOR_IDS),
         ("shannon_negentropy", "bregman_dual"),
         ("burg_negentropy", "bregman_dual"),
+        ("log_sum_exp", "bregman_dual"),
     ])
     def test_closed_form_matches_numeric_search(self, gen, div):
         F = make_builtin(gen, 2)
@@ -478,7 +528,20 @@ class TestClosedFormCentroid:
 
 
 class TestClosedFormKey:
-    """The quadratic closed form keys on make_builtin's builtin field."""
+    """The quadratic closed form and the inverse gradients of the builtins
+    without a conjugate key on make_builtin's builtin field."""
+
+    @pytest.mark.parametrize("name", INVERSE_MEAN_GRAD)
+    def test_custom_dual_generator_named_like_a_builtin_stays_numeric(
+            self, name):
+        builtin = make_builtin(name, 1)
+        custom = dataclasses.replace(builtin, builtin=None)
+        assert right_centroid("bregman_dual", builtin) is not None
+        assert right_centroid("bregman_dual", custom) is None
+        pts = np.array([[0.1], [0.2], [0.4]])
+        res = kmeans(pts, custom, ClusterConfig(k=1,
+                                                divergence="bregman_dual"))
+        assert res.center_solves
 
     def test_custom_generator_named_quadratic_stays_numeric(self):
         exp_sum = Generator(

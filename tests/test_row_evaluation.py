@@ -424,16 +424,25 @@ class TestSweepCells:
 
     @pytest.mark.parametrize("div_id, params", IDS)
     def test_one_resolution(self, div_id, params, monkeypatch):
-        calls = []
+        calls, reads = [], []
+        bind, reader = REGISTRY._bind, REGISTRY._reader
 
         def counted(*args):
             calls.append(args[0])
-            return resolve_divergence(*args)
+            return bind(*args)
 
-        monkeypatch.setattr(REGISTRY, "resolve_divergence", counted)
+        def counted_reader(div_id, params):
+            reads.append(div_id)
+            return reader(div_id, params)
+
+        monkeypatch.setattr(REGISTRY, "_bind", counted)
+        monkeypatch.setattr(REGISTRY, "_reader", counted_reader)
         F = make_builtin("shannon_negentropy", 2)
         rows = sweep(F, [0.2, 0.7], [0.9, 0.4], *self.GRIDS[3], div_id,
                      params)
         assert len(rows) == 50 * 51 - 50
-        # biskew: resolves its inner id inside the one call
+        # biskew: binds its inner id inside the one call
         assert calls == [div_id, *div_id.split(":")[1:]]
+        # each binding reads its parameters once: biskew:'s skews are not
+        # read again for its segment
+        assert reads == calls
