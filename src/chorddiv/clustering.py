@@ -7,12 +7,12 @@ three ways:
   for bregman and ekl, and for every generator-based id under the
   quadratic builtin; for bregman_dual, grad F^-1(mean grad F) when F has
   a conjugate or is the burg_negentropy or log_sum_exp builtin;
-* lockstep, for a chord or Jensen id under a separable generator (one
-  with terms: shannon_negentropy, burg_negentropy): the objective is a
-  sum of one-coordinate functions, so one numerics.golden_lockstep call
-  searches every coordinate of every center of an iteration at once, in
-  one sweep, each probe round one per-coordinate block call in which
-  each member is paired with its own cluster's probe;
+* lockstep, for a chord or Jensen id under a generators.SEPARABLE
+  builtin (shannon_negentropy, burg_negentropy): the objective is a sum
+  of one-coordinate objectives under the builtin at dim 1, so one
+  numerics.golden_lockstep call searches every coordinate of every
+  center of an iteration at once, in one sweep, each probe round one
+  1-D block call on every member coordinate and its cluster's probe;
 * coordinate descent otherwise: numerics.coordinate_minimize, a 1-D
   search per coordinate, sweep after sweep.
 
@@ -25,7 +25,7 @@ numeric solve is recorded with how it ended; the library only records, it
 never warns. Each iteration evaluates the n x k divergence matrix once.
 Every divergence value comes from registry.resolve_block's evaluator, one
 call per block of points against one center (or, in the lockstep search,
-each point against its own center). bregman, bregman_chord,
+each member coordinate against its center's). bregman, bregman_chord,
 bregman_chord_approx and the Jensen ids validate once per block and
 evaluate F in one row-evaluator call per block on a builtin generator (one
 F call per point on a custom one); other ids loop their per-pair callable.
@@ -47,8 +47,8 @@ from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
 # Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import resolve_divergence  # noqa: F401
-from .registry import (needs_generator, resolve_block, resolve_terms_block,
-                       right_centroid)
+from .registry import (needs_generator, resolve_block,
+                       resolve_coordinate_block, right_centroid)
 
 #: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
 #: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
@@ -91,7 +91,7 @@ class ClusterResult:
     center_solves holds one (iteration, cluster, sweeps, capped, on_edge)
     record per numeric center update, iterations counted from 1, in the
     order they ran; it is () when every center is closed-form. A lockstep
-    update (a separable generator) reads sweeps 1 and capped False: its
+    update (a SEPARABLE builtin) reads sweeps 1 and capped False: its
     one sweep is the fixed point coordinate descent would confirm. The
     lockstep updates of one iteration share one search, but each keeps
     its own record, equal to the one a search of its cluster alone
@@ -216,14 +216,14 @@ def _update_center(members: np.ndarray, F: Generator, block,
         x0=members.mean(axis=0), tol=SLICE_TOL, max_sweeps=100)
 
 
-def _lockstep_centers(groups: list, F: Generator, block, terms) -> list:
+def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
     """Numerical right centroids of the member matrices in groups, all
-    searched at once for a separable objective: terms is the
-    resolve_terms_block evaluator of block's id.
+    searched at once for a separable objective: coordinate is the
+    resolve_coordinate_block evaluator of block's id (its 1-D block).
 
     One golden_lockstep call searches every coordinate of every group's
-    box (_update_center's box). Each round is one terms call on the
-    stacked members, each row paired with its own group's probe, and
+    box (_update_center's box). Each round is one coordinate call on the
+    stacked members' coordinates, each against its group's probe's, and
     sums each group's shares over its own rows. One block call then
     gives each group's objective, added in index order, at its mean and
     at the point found; the center is the point found when its objective
@@ -242,7 +242,8 @@ def _lockstep_centers(groups: list, F: Generator, block, terms) -> list:
 
     def shares(v: list) -> np.ndarray:
         probes = np.repeat(np.reshape(v, (-1, F.dim)), sizes, axis=0)
-        S = terms(stacked, probes)
+        S = coordinate(stacked.reshape(-1, 1),
+                       probes.reshape(-1, 1)).reshape(-1, F.dim)
         return np.concatenate([S[a:b].sum(axis=0) for a, b in spans])
 
     found = golden_lockstep(shares, lo, hi, SLICE_TOL).reshape(-1, F.dim)
@@ -271,7 +272,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     the configured seed. Each iteration updates every center (closed form
     where registry.right_centroid gives one for the divergence under F,
     numerically otherwise: one lockstep search for all of the centers
-    under a separable generator, coordinate descent center by center
+    under a SEPARABLE builtin, coordinate descent center by center
     otherwise), reassigns points to the divergence-nearest center (right
     argument; ties keep the lowest center index), and hands any emptied
     cluster the point farthest from its own center. The labels, the
@@ -315,7 +316,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     block = resolve_block(cfg.divergence, F, cfg.params)
-    terms = resolve_terms_block(cfg.divergence, F, cfg.params)
+    coordinate = resolve_coordinate_block(cfg.divergence, F, cfg.params)
     centroid = right_centroid(cfg.divergence, F)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
@@ -337,8 +338,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                 centers[j] = centroid(members)
         else:
             live = [members for _, members in groups]
-            found = (_lockstep_centers(live, F, block, terms)
-                     if terms is not None else
+            found = (_lockstep_centers(live, F, block, coordinate)
+                     if coordinate is not None else
                      [_update_center(members, F, block, positive)
                       for members in live])
             for (j, _), minimum in zip(groups, found):

@@ -94,17 +94,12 @@ class Generator:
     (..., dim) array of validated points to the (...) array of fn over its
     last axis, each value equal to fn's bit for bit, so line_table makes
     one rows call per block; without it line_table calls fn per point.
-    terms, when present, says F is separable: it maps a (..., dim) array
-    of validated points to the (..., dim) array of their coordinate terms,
-    with F(t) = sum_j terms(t)_j, so that rows is their sum over the last
-    axis (shannon_negentropy and burg_negentropy set it). A line table
-    built with terms as the row evaluator holds each coordinate's share of
-    every value, which lets k-means search a separable objective's
-    coordinates in lockstep. builtin is the identifier make_builtin built
-    the generator from, and None on every other generator; closed forms
-    that hold for one builtin only, such as the member-mean centroid under
-    quadratic, key on it, never on name, which any generator may take.
-    Instances are immutable value objects and all methods are pure.
+    builtin is the identifier make_builtin built the generator from, and
+    None on every other generator; rules that hold for one builtin only,
+    such as the member-mean centroid under quadratic or the lockstep
+    search of the SEPARABLE builtins, key on it, never on name, which any
+    generator may take. Instances are immutable value objects and all
+    methods are pure.
     """
 
     name: str
@@ -114,7 +109,6 @@ class Generator:
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate: Optional["Generator"] = None
     rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    terms: Optional[Callable[[np.ndarray], np.ndarray]] = None
     builtin: Optional[str] = None
 
     def __post_init__(self):
@@ -176,9 +170,6 @@ def _quadratic(dim: int) -> Generator:
 
 def _shannon_negentropy(dim: int) -> Generator:
     # F(t) = sum t_i log t_i on the positive orthant; F*(eta) = sum e^(eta-1).
-    def terms(T: np.ndarray) -> np.ndarray:
-        return T * np.log(T)
-
     conj = Generator(
         name="shannon_negentropy_conjugate",
         dim=dim,
@@ -193,23 +184,18 @@ def _shannon_negentropy(dim: int) -> Generator:
         fn=lambda t: float(np.add.reduce(t * np.log(t), axis=None)),
         grad_fn=lambda t: 1.0 + np.log(t),
         conjugate=conj,
-        rows=lambda T: np.add.reduce(terms(T), axis=-1),
-        terms=terms,
+        rows=lambda T: np.add.reduce(T * np.log(T), axis=-1),
     )
 
 
 def _burg_negentropy(dim: int) -> Generator:
-    def terms(T: np.ndarray) -> np.ndarray:
-        return -np.log(T)
-
     return Generator(
         name="burg_negentropy",
         dim=dim,
         domain=POSITIVE,
         fn=lambda t: -float(np.add.reduce(np.log(t), axis=None)),
         grad_fn=lambda t: -1.0 / t,
-        rows=lambda T: np.add.reduce(terms(T), axis=-1),
-        terms=terms,
+        rows=lambda T: np.add.reduce(-np.log(T), axis=-1),
     )
 
 
@@ -245,6 +231,10 @@ _BUILTIN_FACTORIES = {
 
 #: Stable identifiers accepted by make_builtin (and the CLI --generator flag).
 BUILTIN_GENERATORS = tuple(_BUILTIN_FACTORIES)
+
+#: The builtins F(t) = sum_j f(t_j), f the builtin at dim 1: their rows
+#: are f's rows summed over the coordinates, bit for bit.
+SEPARABLE = ("shannon_negentropy", "burg_negentropy")
 
 
 def make_builtin(name: str, dim: int) -> Generator:
@@ -312,10 +302,7 @@ def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
     rows of the (m, dim) block X: row i holds the line restriction
     restrict_to_line(F, X[i], theta2) at lams, bit for bit. theta2 may
     also be an (m, dim) block Y, whose row i is X[i]'s second point: row
-    i is then line_table(F, X[i:i+1], Y[i], lams)[0], bit for bit. The
-    table takes the trailing shape of F.rows's values, so a generator
-    whose rows are its terms gives the (m, len(lams), dim) table of
-    coordinate terms.
+    i is then line_table(F, X[i:i+1], Y[i], lams)[0], bit for bit.
 
     A point theta2 goes through F.point, then X gets one shape check; a
     block Y gets one shape check after X's and one domain check, which
@@ -353,12 +340,10 @@ def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
         for p in points.reshape(-1, F.dim):
             F.point(p)  # raises at the first point outside the domain
     live = ~coincide(X, t2)
+    table = np.zeros(points.shape[:2])
     if F.rows is not None:
-        values = F.rows(points[live])
-        table = np.zeros(points.shape[:2] + values.shape[2:])
-        table[live] = values
+        table[live] = F.rows(points[live])
     else:
-        table = np.zeros(points.shape[:2])
         for i in np.flatnonzero(live):
             table[i] = [float(F.fn(p)) for p in points[i]]
     return table

@@ -28,8 +28,8 @@ SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
 
 def whole_number(label: str, value, least: int) -> int:
     """value, a Python or numpy integer >= least, as an int; anything else,
-    a float such as 2.0 included, raises ParameterError."""
-    if not isinstance(value, numbers.Integral):
+    a float such as 2.0 or a bool included, raises ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{label} must be an integer, got {value!r}")
     if value < least:
         raise ParameterError(f"{label} must be >= {least}, got {value}")

@@ -11,7 +11,6 @@ ParameterError.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import Generator
+from .generators import SEPARABLE, Generator, make_builtin
 from .jensen import (JensenChordParams, jensen_chord, jensen_chord_block,
                      skew_anchors)
 
@@ -275,23 +274,23 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     return lambda X, y: spec.block(*pre, X, y, *post)
 
 
-def resolve_terms_block(div_id: str, generator: Generator,
-                        params: Optional[Mapping[str, float]] = None
-                        ) -> Optional[Callable]:
+def resolve_coordinate_block(div_id: str, generator: Generator,
+                             params: Optional[Mapping[str, float]] = None
+                             ) -> Optional[Callable]:
     """For an id with a gradient-free block kernel (the chord and Jensen
-    ids) under a generator with terms: (X, y) -> the (m, dim) array whose
-    [i, j] is coordinate j's share of D(X[i] : y), the block kernel run on
-    line tables of coordinate terms. The kernels' gaps are linear in F's
-    values, so the shares sum to D(X[i] : y) up to rounding, and column j
-    reads X[:, j] and y[j] alone (a row that coincides with y gives
-    zeros). None for any other id or generator; bregman's block sums its
-    gradient term over the coordinates, and its centroid is the mean.
+    ids) under a SEPARABLE builtin, F(t) = sum_j f(t_j): the id's block
+    under f, the builtin at dim 1. The kernels' gaps are linear in F's
+    values, so D(x : c) is, up to rounding, the sum over j of the block's
+    value at (x_j, c_j), and a separable objective can be searched one
+    coordinate at a time. None for any other id or generator; bregman's
+    block sums its gradient term over the coordinates, and its centroid
+    is the mean.
     """
     spec, _ = _spec(div_id)
-    if spec.block in (None, bregman_block) or generator.terms is None:
+    if (spec.block in (None, bregman_block)
+            or generator.builtin not in SEPARABLE):
         return None
-    return resolve_block(div_id, replace(generator, rows=generator.terms),
-                         params)
+    return resolve_block(div_id, make_builtin(generator.builtin, 1), params)
 
 
 def _reader(div_id: str, params: Optional[Mapping[str, float]]

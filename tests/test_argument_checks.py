@@ -93,26 +93,20 @@ def old_extended_kl(p, q):
 
 
 def old_shannon(dim):
-    def terms(T):
-        return T * np.log(T)
-
     conj = Generator("shannon_negentropy_conjugate", dim, REALS,
                      lambda eta: float(np.sum(np.exp(eta - 1.0))),
                      lambda eta: np.exp(eta - 1.0))
     return Generator("shannon_negentropy", dim, POSITIVE,
                      lambda t: float(np.sum(t * np.log(t))),
                      lambda t: 1.0 + np.log(t), conj,
-                     lambda T: np.sum(terms(T), axis=-1), terms)
+                     rows=lambda T: np.sum(T * np.log(T), axis=-1))
 
 
 def old_burg(dim):
-    def terms(T):
-        return -np.log(T)
-
     return Generator("burg_negentropy", dim, POSITIVE,
                      lambda t: -float(np.sum(np.log(t))),
-                     lambda t: -1.0 / t, None,
-                     lambda T: np.sum(terms(T), axis=-1), terms)
+                     lambda t: -1.0 / t,
+                     rows=lambda T: np.sum(-np.log(T), axis=-1))
 
 
 def old_log_sum_exp(dim):
@@ -126,7 +120,7 @@ def old_log_sum_exp(dim):
                           + np.sum(np.exp(T - m[..., None]), axis=-1))
 
     return Generator("log_sum_exp", dim, REALS, fn,
-                     lambda t: np.exp(t - fn(t)), None, rows)
+                     lambda t: np.exp(t - fn(t)), rows=rows)
 
 
 OLD_FACTORIES = {"shannon_negentropy": old_shannon,

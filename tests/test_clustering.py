@@ -1,6 +1,7 @@
 """k-means under registry divergences: Lloyd loop, repair, centroids, ARI."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -33,11 +34,11 @@ from chorddiv.clustering import (
     _update_center,
     objective,
 )
-from chorddiv.generators import REALS, Domain
+from chorddiv.generators import REALS, SEPARABLE, Domain, coincide
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
 from chorddiv.registry import (needs_generator, resolve_block,
-                               resolve_terms_block, right_centroid)
+                               resolve_coordinate_block, right_centroid)
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
@@ -72,6 +73,7 @@ class TestClusterConfig:
         ({"k": 2, "max_iters": 1.5}, "max_iters must be an integer"),
         ({"k": 2, "seed": 1.5}, "seed must be an integer"),
         ({"k": "2"}, "k must be an integer"),
+        ({"k": True}, "k must be an integer, got True"),
     ])
     def test_rejects_non_integer_settings(self, settings, message):
         # each would otherwise end kmeans in a TypeError outside the
@@ -178,10 +180,11 @@ class TestUpdateCenter:
 
     @pytest.mark.parametrize("gen", ["log_sum_exp", "quadratic"])
     def test_block_search_equals_the_per_pair_search(self, gen):
-        # generators without terms, which k-means searches coordinate-wise
+        # generators that are not separable, which k-means searches
+        # coordinate-wise
         F = make_builtin(gen, 2)
         params = {"alpha": 0.9, "beta": 1.0}
-        assert resolve_terms_block("bregman_chord", F, params) is None
+        assert resolve_coordinate_block("bregman_chord", F, params) is None
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         D = resolve_divergence("bregman_chord", F, params)
         lo, hi = _centroid_box(members, F.domain.kind == "positive")
@@ -730,7 +733,7 @@ class TestCenterSolves:
 
         monkeypatch.setattr(chorddiv.clustering, "coordinate_minimize",
                             one_sweep)
-        # log_sum_exp has no terms, so its search is coordinate-wise; the
+        # log_sum_exp is not separable, so its search is coordinate-wise; the
         # member mean is not the chord centroid there, so the one sweep
         # allowed lowers the objective and the search is capped
         pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
@@ -756,14 +759,22 @@ class TestCenterSolves:
         assert not any(on_edge for *_, on_edge in solves)
 
 
-#: The separable builtins (those with terms) and the block-kernel ids the
-#: lockstep search serves.
+#: The separable builtins and the block-kernel ids the lockstep search
+#: serves.
 LOCKSTEP_CASES = [
     (gen, div, params)
-    for gen in ("shannon_negentropy", "burg_negentropy")
+    for gen in SEPARABLE
     for div, params in (("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
                         ("jensen", {}))
 ]
+
+
+def shares(coordinate, X, c):
+    """The (m, dim) array whose [i, j] is coordinate j's share of
+    D(X[i] : c): the 1-D block coordinate on (X[i, j], c[j])."""
+    X = np.asarray(X, dtype=float)
+    Y = np.broadcast_to(c, X.shape)
+    return coordinate(X.reshape(-1, 1), Y.reshape(-1, 1)).reshape(X.shape)
 
 
 def with_coordinate(x, j, v):
@@ -773,7 +784,7 @@ def with_coordinate(x, j, v):
 
 
 class TestLockstepCenters:
-    """Under a generator with terms, an id with a block kernel takes one
+    """Under a separable builtin, an id with a block kernel takes one
     lockstep search per iteration for all of its centers."""
 
     @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
@@ -781,13 +792,14 @@ class TestLockstepCenters:
         F = make_builtin(gen, 2)
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         block = resolve_block(div, F, params)
-        terms = resolve_terms_block(div, F, params)
-        found, = _lockstep_centers([members], F, block, terms)
+        coordinate = resolve_coordinate_block(div, F, params)
+        found, = _lockstep_centers([members], F, block, coordinate)
         mean = members.mean(axis=0)
         lo, hi = _centroid_box(members, True)
         want = np.array([golden_minimize(
-            lambda v, j=j: terms(members, with_coordinate(mean, j, v)
-                                 ).sum(axis=0)[j], lo[j], hi[j], SLICE_TOL)
+            lambda v, j=j: shares(coordinate, members,
+                                  with_coordinate(mean, j, v)).sum(axis=0)[j],
+            lo[j], hi[j], SLICE_TOL)
             for j in range(2)])
         assert found.x.tobytes() == want.tobytes()
         # the point found is lower than the mean, so the search took it
@@ -802,10 +814,10 @@ class TestLockstepCenters:
         X = rng.uniform(0.2, 3.0, (6, 3))
         c = rng.uniform(0.2, 3.0, 3)
         X[2] = c  # a coinciding row gives zeros
-        shares = resolve_terms_block(div, F, params)(X, c)
-        assert shares.shape == (6, 3)
-        assert not shares[2].any()
-        np.testing.assert_allclose(shares.sum(axis=1),
+        S = shares(resolve_coordinate_block(div, F, params), X, c)
+        assert S.shape == (6, 3)
+        assert not S[2].any()
+        np.testing.assert_allclose(S.sum(axis=1),
                                    resolve_block(div, F, params)(X, c),
                                    rtol=1e-12, atol=1e-14)
 
@@ -819,7 +831,7 @@ class TestLockstepCenters:
         assert res.center_solves
         for _, _, sweeps, capped, _ in res.center_solves:
             assert (sweeps, capped) == (1, False)
-        monkeypatch.setattr(chorddiv.clustering, "resolve_terms_block",
+        monkeypatch.setattr(chorddiv.clustering, "resolve_coordinate_block",
                             lambda *args: None)
         swept = kmeans(pts, F, cfg)
         assert any(sweeps > 1 for _, _, sweeps, _, _ in swept.center_solves)
@@ -834,13 +846,13 @@ class TestLockstepCenters:
         # every coordinate's minimizer lies below the box, at its edge
         members = np.array([[1.0, 2.0], [1.5, 2.2], [1.2, 2.6]])
 
-        def terms(X, c):
-            return slope * np.asarray(c) + (np.asarray(c) - X) ** 2 / 100.0
+        def coordinate(X, Y):  # the 1-D block: (m, 1) against (m, 1)
+            return (slope * Y + (Y - X) ** 2 / 100.0)[:, 0]
 
         def block(X, c):
-            return terms(X, c).sum(axis=1)
+            return shares(coordinate, X, c).sum(axis=1)
 
-        found, = _lockstep_centers([members], QUAD2, block, terms)
+        found, = _lockstep_centers([members], QUAD2, block, coordinate)
         lo, hi = _centroid_box(members, False)
         assert found.on_edge is on_edge
         assert found.on_edge == on_box_edge(found.x, lo, hi, SLICE_TOL)
@@ -858,7 +870,7 @@ class TestLockstepCenters:
         params = {"alpha": 0.9, "beta": 1.0}
         found, = _lockstep_centers(
             [members], F, resolve_block("bregman_chord", F, params),
-            resolve_terms_block("bregman_chord", F, params))
+            resolve_coordinate_block("bregman_chord", F, params))
         assert np.array_equal(found.x, members.mean(axis=0))
         assert (found.sweeps, found.capped, found.on_edge) == (1, False,
                                                                False)
@@ -870,12 +882,14 @@ class TestLockstepCenters:
         ("shannon_negentropy", "bregman_tangent"),
         ("shannon_negentropy", "biskew:bregman_chord"),
     ])
-    def test_other_ids_and_generators_have_no_terms_block(self, gen, div):
+    def test_other_ids_and_generators_have_no_coordinate_block(self, gen,
+                                                               div):
         params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2, "delta": 0.7}
-        assert resolve_terms_block(div, make_builtin(gen, 2), params) is None
+        assert resolve_coordinate_block(div, make_builtin(gen, 2),
+                                        params) is None
 
 
-def per_center_lockstep(members, F, block, positive, terms):
+def per_center_lockstep(members, F, block, positive, coordinate):
     """The per-center lockstep search that _lockstep_centers replaced:
     one golden_lockstep over one cluster's box, then one block call at
     the member mean and one at the point found."""
@@ -885,8 +899,9 @@ def per_center_lockstep(members, F, block, positive, terms):
         return _sum_in_order(block(members, c).tolist())
 
     start = members.mean(axis=0)
-    found = golden_lockstep(lambda c: terms(members, c).sum(axis=0), lo, hi,
-                            SLICE_TOL)
+    found = golden_lockstep(
+        lambda c: shares(coordinate, members, c).sum(axis=0), lo, hi,
+        SLICE_TOL)
     values = [total(start), total(found)]
     for x, value in zip((start, found), values):
         if not math.isfinite(value):
@@ -906,6 +921,27 @@ def same_minimum(got, want):
     return got.x.tobytes() == want.x.tobytes() and got[1:] == want[1:]
 
 
+#: The coordinate terms of the separable builtins, F(t) = sum_j
+#: terms(t)_j, the row evaluator the lockstep search once ran its block
+#: kernel under.
+OLD_TERMS = {"shannon_negentropy": lambda T: T * np.log(T),
+             "burg_negentropy": lambda T: -np.log(T)}
+
+
+def old_terms_table(F, X, Y, lams):
+    """The former line_table's evaluation under a generator whose rows
+    are its terms, on a block Y of second points: the (m, len(lams), dim)
+    table of coordinate terms, with zeros on the rows that coincide with
+    their second point."""
+    lam = np.asarray(lams, dtype=float)[:, None]
+    points = (1.0 - lam) * X[:, None] + lam * Y[:, None]
+    live = ~coincide(X, Y)
+    values = F.rows(points[live])
+    table = np.zeros(points.shape[:2] + values.shape[2:])
+    table[live] = values
+    return table
+
+
 class TestBatchedLockstep:
     """_lockstep_centers searches all of an iteration's centers at once,
     bit for bit as one search per center, for as many objective calls as
@@ -914,11 +950,11 @@ class TestBatchedLockstep:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("div,params", BATCH_IDS)
-    @pytest.mark.parametrize("gen", ["shannon_negentropy", "burg_negentropy"])
+    @pytest.mark.parametrize("gen", SEPARABLE)
     def test_equals_the_per_center_search(self, gen, div, params, k, dim):
         F = make_builtin(gen, dim)
         block = resolve_block(div, F, params)
-        terms = resolve_terms_block(div, F, params)
+        coordinate = resolve_coordinate_block(div, F, params)
         rng = np.random.default_rng(100 * k + dim)
         sizes = rng.integers(2, 7, k)
         if k > 1:
@@ -931,7 +967,7 @@ class TestBatchedLockstep:
 
             def g(X, y):
                 calls.append(1)
-                return terms(X, y)
+                return coordinate(X, y)
 
             return calls, g
 
@@ -947,8 +983,43 @@ class TestBatchedLockstep:
         assert k == 1 or rounds[1] == 0
         assert len(calls) == max(rounds) > 0
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("div,params",
+                             [*BATCH_IDS, ("jensen_skewed", {"alpha": 0.3})])
+    @pytest.mark.parametrize("gen", SEPARABLE)
+    def test_shares_equal_the_terms_table(self, monkeypatch, gen, div, params,
+                                          dim):
+        # each probe round's shares, bit for bit as the block kernel run
+        # on line tables of coordinate terms gave them
+        F = make_builtin(gen, dim)
+        rng = np.random.default_rng(31 + dim)
+        sizes = [4, 1, 6]
+        groups = [rng.uniform(0.2, 3.0, (m, dim)) for m in sizes]
+        searches = []
+        monkeypatch.setattr(chorddiv.clustering, "golden_lockstep",
+                            lambda g, lo, hi, tol: searches.append(g)
+                            or np.asarray(lo))
+        coordinate = resolve_coordinate_block(div, F, params)
+        _lockstep_centers(groups, F, resolve_block(div, F, params),
+                          coordinate)
+        probes = rng.uniform(0.2, 3.0, (len(sizes), dim))
+        probes[0] = groups[0][2]  # a member that coincides with its probe
+        got = searches[0](probes.ravel())
+        assert not shares(coordinate, groups[0][2:3], probes[0]).any()
+        for name in ("bregman", "jensen"):
+            monkeypatch.setattr(importlib.import_module(f"chorddiv.{name}"),
+                                "line_table", old_terms_table)
+        terms = resolve_block(div, dataclasses.replace(F, rows=OLD_TERMS[gen]),
+                              params)
+        S = terms(np.concatenate(groups), np.repeat(probes, sizes, axis=0))
+        ends = np.cumsum(sizes)
+        want = np.concatenate([S[a:b].sum(axis=0)
+                               for a, b in zip(ends - sizes, ends)])
+        assert got.shape == (len(sizes) * dim,)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("div,params", BATCH_IDS)
-    @pytest.mark.parametrize("gen", ["shannon_negentropy", "burg_negentropy"])
+    @pytest.mark.parametrize("gen", SEPARABLE)
     def test_kmeans_equals_the_per_center_search(self, monkeypatch, gen, div,
                                                  params):
         # half the points clumped: in every case a cluster empties at the
@@ -970,8 +1041,8 @@ class TestBatchedLockstep:
         got = kmeans(pts, F, cfg)
         monkeypatch.setattr(
             chorddiv.clustering, "_lockstep_centers",
-            lambda groups, F, block, terms: [
-                per_center_lockstep(members, F, block, False, terms)
+            lambda groups, F, block, coordinate: [
+                per_center_lockstep(members, F, block, False, coordinate)
                 for members in groups])
         want = kmeans(pts, F, cfg)
         assert emptied[0] and got.iterations > 1

@@ -1,6 +1,5 @@
 """Generator construction, domain checks, line restrictions, conjugates."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -75,7 +74,7 @@ class TestMakeBuiltin:
                                      "got 0"):
                 make_builtin(name, 0)
 
-    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2", True])
     def test_non_integer_dimension(self, dim):
         # make_builtin must not truncate 2.5 to 2, and a Generator of
         # dimension 2.5 would reject every point
@@ -289,21 +288,14 @@ class TestLineTable:
         return Y
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "shannon_terms",
-                                      "burg_terms", "exp_sum"])
+    @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "exp_sum"])
     def test_block_of_second_points_is_row_by_row(self, name, dim):
-        if name == "exp_sum":
-            F = exp_sum(dim)
-        elif name.endswith("_terms"):
-            F = make_builtin(name[:-6] + "_negentropy", dim)
-            F = dataclasses.replace(F, rows=F.terms)
-        else:
-            F = make_builtin(name, dim)
+        F = exp_sum(dim) if name == "exp_sum" else make_builtin(name, dim)
         rng = np.random.default_rng(dim)
         X = np.array([sample_point(rng, F) for _ in range(5)])
         Y = self.second_points(F, X, rng)
         table = line_table(F, X, Y, self.LAMS)
-        assert table.shape[:2] == (5, len(self.LAMS))
+        assert table.shape == (5, len(self.LAMS))
         for i in range(5):
             row = line_table(F, X[i:i + 1], Y[i], self.LAMS)[0]
             assert table[i].tobytes() == row.tobytes()

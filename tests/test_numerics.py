@@ -525,6 +525,7 @@ class TestCoordinateMinimize:
         (0, "max_sweeps must be >= 1"),
         (1.5, "max_sweeps must be an integer"),
         (2.0, "max_sweeps must be an integer"),
+        (True, "max_sweeps must be an integer"),
     ])
     def test_bad_sweep_cap(self, max_sweeps, message):
         # a cap the sweep count never equals would leave the search uncapped

@@ -143,6 +143,8 @@ class TestRunArguments:
         (-2, 1, "trials must be >= 1"),
         (2.5, 0, "trials must be an integer"),
         (3, 1.5, "seed must be an integer"),
+        (True, False, "trials must be an integer, got True"),
+        (3, False, "seed must be an integer, got False"),
     ])
     def test_run_suite_rejects(self, trials, seed, message):
         with pytest.raises(ParameterError, match=message):
@@ -153,6 +155,8 @@ class TestRunArguments:
         (0, 0, "trials must be >= 1"),
         (2.5, 0, "trials must be an integer"),
         (3, 1.5, "seed must be an integer"),
+        (True, 0, "trials must be an integer, got True"),
+        (3, True, "seed must be an integer, got True"),
     ])
     def test_run_all_rejects(self, trials, seed, message):
         with pytest.raises(ParameterError, match=message):
