@@ -118,18 +118,25 @@ def bregman_block(F: Generator, X, theta2) -> np.ndarray:
     rows), and the gradient terms as a stack of dot products, which round
     as np.dot does (einsum, sum(A * B) and A @ g round differently). A row
     that coincides with theta2 gives 0.0, and a generator without a
-    gradient raises GradientRequiredError, as bregman does. theta2 is one
-    point: a block of second points raises F.point's ShapeError."""
+    gradient raises GradientRequiredError, as bregman does. theta2 may be
+    an (m, dim) block Y of per-row second points, validated as line_table
+    validates it: row i is then bregman(F, X[i], Y[i]), F at Y comes from
+    the line_table at 1 and the gradients from one F.grad_rows call."""
     _require_grad(F)
-    if np.ndim(theta2) == 2:  # line_table would read it as a block
-        F.point(theta2)
-    values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
-    t2 = as_vector(theta2)
     X = np.asarray(X, dtype=float)
-    grad = np.asarray(F.grad_fn(t2), dtype=float)
-    dots = ((X - t2)[:, None, :] @ grad[None, :, None])[:, 0, 0]
+    if np.ndim(theta2) == 2:
+        table = line_table(F, X, theta2, (0.0, 1.0))  # validates Y
+        values, f2 = table[:, 0], table[:, 1]
+        t2 = np.asarray(theta2, dtype=float)
+        grad = F.grad_rows(t2)
+    else:
+        values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
+        t2 = as_vector(theta2)
+        grad = np.asarray(F.grad_fn(t2), dtype=float)[None]
+        f2 = float(F.fn(t2))
+    dots = ((X - t2)[:, None, :] @ grad[:, :, None])[:, 0, 0]
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-        gaps = values - float(F.fn(t2)) - dots
+        gaps = values - f2 - dots
     return np.where(coincide(X, t2), 0.0, gaps)
 
 

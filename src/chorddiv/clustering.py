@@ -22,13 +22,17 @@ Both searches run over the cluster's bounding box (expanded by 10 percent
 and kept in the positive orthant when the generator's domain or the
 divergence needs positive arguments), so no gradient is ever needed. Each
 numeric solve is recorded with how it ended; the library only records, it
-never warns. Each iteration evaluates the n x k divergence matrix once.
-Every divergence value comes from registry.resolve_block's evaluator, one
-call per block of points against one center (or, in the lockstep search,
-each member coordinate against its center's). bregman, bregman_chord,
+never warns. Each iteration evaluates the n x k divergence matrix once,
+in one call of registry.resolve_block's evaluator on n * k rows, each
+point against each center. Every divergence value comes from that
+evaluator, called on a block of points against one center or against an
+(m, dim) block of per-row centers (in the lockstep search, each member
+coordinate against its center's). bregman, bregman_chord,
 bregman_chord_approx and the Jensen ids validate once per block and
 evaluate F in one row-evaluator call per block on a builtin generator (one
-F call per point on a custom one); other ids loop their per-pair callable.
+F call per point on a custom one), and bregman its gradients at a block
+of centers in one call (Generator.grad_rows); other ids loop their
+per-pair callable.
 Everything is deterministic for a fixed seed.
 """
 
@@ -143,10 +147,13 @@ def objective(points, assignments, centers, D) -> float:
 
 
 def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
-    """The (n, k) matrix of D(pts[i] : centers[j]), one block(pts, c) call
-    per center. Raises DomainError naming the first row and center whose
-    value is not finite."""
-    dist = np.column_stack([block(pts, c) for c in centers])
+    """The (n, k) matrix of D(pts[i] : centers[j]) from one block call on
+    n * k rows: pts once per center, each against its center, center by
+    center. Raises DomainError naming the first row and center, in
+    row-major order, whose value is not finite."""
+    n, k = pts.shape[0], centers.shape[0]
+    dist = block(np.tile(pts, (k, 1)),
+                 np.repeat(centers, n, axis=0)).reshape(k, n).T
     finite = np.isfinite(dist)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -277,7 +284,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     argument; ties keep the lowest center index), and hands any emptied
     cluster the point farthest from its own center. The labels, the
     repair distances and the objective all come from one n x k
-    divergence matrix per iteration. Stops at the first
+    divergence matrix per iteration, one block call. Stops at the first
     iteration that does not lower the objective or whose labels equal the
     labels its centers came from, or after max_iters. Every numeric center
     update leaves a record in center_solves.

@@ -94,6 +94,10 @@ class Generator:
     (..., dim) array of validated points to the (...) array of fn over its
     last axis, each value equal to fn's bit for bit, so line_table makes
     one rows call per block; without it line_table calls fn per point.
+    The same rule holds for gradients: on a generator with rows, grad_fn
+    maps a (..., dim) array row by row, each row equal to grad_fn's on
+    that row bit for bit (every builtin's does); on one without rows it
+    takes one point, and grad_rows calls it per row.
     builtin is the identifier make_builtin built the generator from, and
     None on every other generator; rules that hold for one builtin only,
     such as the member-mean centroid under quadratic or the lockstep
@@ -146,6 +150,15 @@ class Generator:
                 f"generator {self.name} defines no gradient"
             )
         return np.asarray(self.grad_fn(self.point(theta)), dtype=float)
+
+    def grad_rows(self, T: np.ndarray) -> np.ndarray:
+        """grad_fn over the rows of the (m, dim) array T of validated
+        points, by the gradient-rows rule: one grad_fn call on a generator
+        with rows, one per row on one without."""
+        if self.rows is not None:
+            return np.asarray(self.grad_fn(T), dtype=float)
+        return np.array([self.grad_fn(t) for t in T],
+                        dtype=float).reshape(T.shape)
 
 
 def _quadratic(dim: int) -> Generator:
@@ -212,12 +225,17 @@ def _log_sum_exp(dim: int) -> Generator:
         return m + np.log(np.exp(-m)
                           + np.add.reduce(np.exp(T - m[..., None]), axis=-1))
 
+    def grad_fn(t: np.ndarray) -> np.ndarray:
+        # grad F(t) = e^(t - F(t)); one point takes fn, which costs less
+        # there than rows and equals it bit for bit
+        return np.exp(t - (fn(t) if t.ndim == 1 else rows(t)[..., None]))
+
     return Generator(
         name="log_sum_exp",
         dim=dim,
         domain=REALS,
         fn=fn,
-        grad_fn=lambda t: np.exp(t - fn(t)),
+        grad_fn=grad_fn,
         rows=rows,
     )
 

@@ -30,7 +30,8 @@ from .bregman import (
     skew_segment,
     unit_anchor,
 )
-from .errors import DomainError, ParameterError, UnknownDivergenceError
+from .errors import (DomainError, ParameterError, ShapeError,
+                     UnknownDivergenceError)
 from .fdiv import (
     F_GENERATOR_NAMES,
     dual_generator,
@@ -70,9 +71,8 @@ class DivSpec(NamedTuple):
     says how the value depends on the sweep anchors (alpha, beta): CHORD,
     IGNORED or REJECTED. block, when set, is the kernel's block form:
     block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit;
-    a gradient-free block (the chord and Jensen ids) also takes an
-    (m, dim) block Y for y, and row i is then kernel(*pre, X[i], Y[i],
-    *post).
+    every block also takes an (m, dim) block Y for y, and row i is then
+    kernel(*pre, X[i], Y[i], *post).
     """
 
     kernel: Callable
@@ -115,7 +115,7 @@ def _left_centroid(F: Generator) -> Optional[Callable]:
     or else F's builtin; None when F has neither."""
     if F.conjugate is not None:
         return lambda members: F.point(F.conjugate.grad_fn(
-            np.array([F.grad_fn(x) for x in members]).mean(axis=0)))
+            F.grad_rows(members).mean(axis=0)))
     solve = _INVERSE_MEAN_GRAD.get(F.builtin)
     if solve is None:
         return None
@@ -261,17 +261,32 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
                   ) -> Callable:
     """Resolve an identifier to (X, y) -> the array of D(X[i] : y) over
     the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
-    callable, after the same _bind checks.
+    callable, after the same _bind checks. y may also be an (m, dim) block
+    Y, and row i is then D(X[i] : Y[i]).
 
     Ids with a block kernel (bregman, bregman_chord, bregman_chord_approx
     and the Jensen ids) validate once per call and skip the per-pair
-    callable; the others loop the callable resolve_divergence returns.
+    callable; the others loop the callable resolve_divergence returns,
+    over X's rows zipped with Y's after one shape check of Y, which raises
+    line_table's ShapeError message.
     """
-    if _spec(div_id)[0].block is None:
-        D = resolve_divergence(div_id, generator, params)
-        return lambda X, y: np.array([float(D(x, y)) for x in X])
-    spec, pre, post = _bind(div_id, generator, params)
-    return lambda X, y: spec.block(*pre, X, y, *post)
+    if _spec(div_id)[0].block is not None:
+        spec, pre, post = _bind(div_id, generator, params)
+        return lambda X, y: spec.block(*pre, X, y, *post)
+    D = resolve_divergence(div_id, generator, params)
+    name = div_id if generator is None else generator.name
+
+    def per_pair(X, y):
+        if np.ndim(y) != 2:
+            return np.array([float(D(x, y)) for x in X])
+        X, Y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+        if Y.shape != X.shape:
+            raise ShapeError(
+                f"{name} expects a {X.shape} block of second points, got "
+                f"shape {Y.shape}"
+            )
+        return np.array([float(D(x, c)) for x, c in zip(X, Y)])
+    return per_pair
 
 
 def resolve_coordinate_block(div_id: str, generator: Generator,

@@ -587,8 +587,9 @@ class TestClosedFormKey:
 
 
 class TestDistanceMatrix:
-    def test_one_pass_of_n_times_k_calls_per_iteration(self, monkeypatch):
-        # bregman has a block kernel: one call per center over every point
+    def test_one_call_of_n_times_k_rows_per_pass(self, monkeypatch):
+        # bregman has a block kernel: one call per pass, every point
+        # against every center
         calls = []
 
         def counting_resolve(*args, **kwargs):
@@ -605,30 +606,54 @@ class TestDistanceMatrix:
         k = 3
         res = kmeans(points, QUAD1, ClusterConfig(k=k, seed=2))
         assert res.iterations >= 2
-        assert calls == [points.shape[0]] * (res.iterations + 1) * k
+        assert calls == [points.shape[0] * k] * (res.iterations + 1)
 
     @pytest.mark.parametrize("div,params", [
         ("bregman", {}),
         ("bregman_chord", {"alpha": 0.3, "beta": 0.8}),
+        ("bregman_tangent", {"alpha": 0.6}),  # the per-pair fallback
     ])
-    def test_one_block_call_per_center(self, div, params):
+    def test_one_block_call_per_pass(self, div, params):
         F = make_builtin("shannon_negentropy", 2)
         pts = np.random.default_rng(5).uniform(0.2, 2.0, (9, 2))
         centers = pts[[1, 4, 6]]
         block = resolve_block(div, F, params)
         calls = []
 
-        def counted(X, c):
-            calls.append(X)
-            return block(X, c)
+        def counted(X, Y):
+            calls.append((X, Y))
+            return block(X, Y)
 
         dist = _distances(pts, centers, counted)
-        assert len(calls) == 3
-        assert all(X is pts for X in calls)
+        assert len(calls) == 1
+        X, Y = calls[0]
+        # pts once per center, each row against its center, center by center
+        assert X.tobytes() == np.concatenate([pts] * 3).tobytes()
+        assert Y.tobytes() == np.array(
+            [c for c in centers for _ in pts]).tobytes()
         D = resolve_divergence(div, F, params)
         per_pair = np.array([[float(D(x, c)) for c in centers]
                              for x in pts])
+        assert dist.shape == (9, 3)
         assert dist.tobytes() == per_pair.tobytes()
+        # a center is a point of pts: its own row holds 0.0
+        assert dist[1, 0] == dist[4, 1] == dist[6, 2] == 0.0
+
+    def test_first_non_finite_named_in_row_major_order(self):
+        # (2, 1) comes first by rows, (3, 0) by centers
+        pts = np.arange(8.0).reshape(4, 2)
+        centers = np.array([[10.0, 11.0], [20.0, 21.0]])
+        bad = {(3, 0): np.inf, (2, 1): np.nan}
+
+        def block(X, Y):
+            # row r of the call is point r % 4 against center r // 4
+            return np.array([bad.get((r % 4, r // 4), 1.0)
+                             for r in range(len(X))])
+
+        with pytest.raises(DomainError, match=(
+                r"^divergence from point \[4\.0, 5\.0\] at row 2 to center "
+                r"1 \[20\.0, 21\.0\] is not finite: nan$")):
+            _distances(pts, centers, block)
 
     def test_tied_distance_picks_lowest_center(self):
         # 1.0 is equidistant from the initial centers 0.0 and 2.0

@@ -330,10 +330,16 @@ class TestLineTable:
                            r"the positive domain of burg_negentropy$"):
             line_table(F, X, Y, (0.0, 0.5))
 
-    def test_bregman_block_takes_one_second_point(self):
+    def test_bregman_block_takes_a_block_of_second_points(self):
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match="point of dimension 2"):
-            bregman_block(F, np.ones((3, 2)), np.ones((3, 2)))
+        X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+        Y = np.array([[0.0, 1.0], [0.5, -1.0], [-2.0, 0.5]])
+        got = bregman_block(F, X, Y)
+        # quadratic: B(x : y) = |x - y|^2
+        assert got.tolist() == [2.0, 0.0, 25.25]
+        with pytest.raises(ShapeError, match=r"expects a \(3, 2\) block of "
+                           r"second points, got shape \(2, 2\)"):
+            bregman_block(F, X, Y[:2])
 
 class TestClosedFormConjugates:
     def test_quadratic_conjugate(self):

@@ -18,6 +18,7 @@ from chorddiv import (
     DomainError,
     Generator,
     GradientRequiredError,
+    ShapeError,
     bregman,
     bregman_chord,
     make_builtin,
@@ -96,6 +97,61 @@ class TestRowForms:
 
     def test_custom_generators_have_no_rows(self):
         assert expsum(2).rows is None
+
+
+def scalar_grads(F, T):
+    """F.grad_fn on each point of T, the reference for gradient rows."""
+    grads = [F.grad_fn(t) for t in T.reshape(-1, F.dim)]
+    return np.array(grads).reshape(T.shape)
+
+
+class TestGradientRows:
+    """Every builtin's grad_fn maps (..., dim) arrays row by row, each row
+    equal to its one-point gradient bit for bit; a generator without rows
+    takes its gradient per row."""
+
+    @pytest.mark.parametrize("shape", [(400,), (60, 3), (1, 80)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_rows_equal_per_point_grad_fn(self, gen, dim, shape):
+        F = make_builtin(gen, dim)
+        T = scattered_points(F, np.random.default_rng(dim), shape)
+        got = F.grad_fn(T)
+        assert got.shape == T.shape and got.dtype == np.float64
+        assert same_bits(got, scalar_grads(F, T))
+        flat = T.reshape(-1, dim)
+        assert same_bits(F.grad_rows(flat), scalar_grads(F, flat))
+
+    @pytest.mark.parametrize("mag", [1.0, 40.0, 300.0, 700.0])
+    @pytest.mark.parametrize("shape", [(400,), (60, 3), (1, 80)])
+    def test_log_sum_exp_rows_far_from_the_origin(self, shape, mag):
+        F = make_builtin("log_sum_exp", 3)
+        rng = np.random.default_rng(int(mag))
+        # coordinates in [-mag, mag], and rows all near +mag or -mag
+        for T in (rng.uniform(-mag, mag, (*shape, 3)),
+                  mag * rng.uniform(0.9, 1.0, (*shape, 3)),
+                  -mag * rng.uniform(0.9, 1.0, (*shape, 3))):
+            assert same_bits(F.grad_fn(T), scalar_grads(F, T))
+            assert np.isfinite(F.grad_fn(T)).all()
+
+    def test_custom_generator_takes_its_gradient_per_row(self):
+        calls = []
+
+        def grad_fn(t):
+            calls.append(t.shape)
+            return np.exp(t)
+
+        F = dataclasses.replace(expsum(3), grad_fn=grad_fn)
+        T = scattered_points(F, np.random.default_rng(3), (7,))
+        got = F.grad_rows(T)
+        assert calls == [(3,)] * 7
+        assert same_bits(got, np.exp(T))
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_empty_input(self, gen):
+        F = (expsum_with_gradient(2) if gen == "expsum"
+             else make_builtin(gen, 2))
+        assert F.grad_rows(np.empty((0, 2))).shape == (0, 2)
 
 
 def reference_chord_block(F, X, theta2, cp):
@@ -268,6 +324,36 @@ class TestBregmanBlock:
         assert shapes == [(len(X) - 2, 1, 2)]  # the two coincident rows
         assert calls == [F.grad_fn, F.fn]  # both at the center
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
+    def test_block_of_second_points_equals_per_pair(self, gen, dim):
+        F = (expsum_with_gradient(dim) if gen == "expsum"
+             else make_builtin(gen, dim))
+        for X, Y in second_point_blocks(F):
+            block = bregman_block(F, X, Y)
+            assert same_bits(block, [bregman(F, x, y) for x, y in zip(X, Y)])
+        for X, Y in second_point_blocks(F)[8:]:  # sample_blocks' blocks
+            block = bregman_block(F, X, Y)
+            assert block[0] == 0.0 and block[-1] == 0.0
+
+    @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
+    def test_block_of_second_points_makes_one_rows_and_gradient_call(
+            self, gen):
+        F = make_builtin(gen, 2)
+        G, shapes = recording_rows(F)  # whose fn fails
+        grads = []
+
+        def grad_fn(T):
+            grads.append(T.shape)
+            return F.grad_fn(T)
+
+        G = dataclasses.replace(G, grad_fn=grad_fn)
+        X, _ = sample_blocks(G)[1]
+        bregman_block(G, X, X[::-1].copy())
+        # F at X and at Y, but not at the two coincident rows
+        assert shapes == [(len(X) - 2, 2, 2)]
+        assert grads == [X.shape]
+
     def test_generator_without_gradient(self):
         F = expsum(2)
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -275,6 +361,70 @@ class TestBregmanBlock:
             bregman(F, X[0], X[1])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
             bregman_block(F, X, X[1])
+        with pytest.raises(GradientRequiredError, match="expsum has none"):
+            bregman_block(F, X, X[::-1])
+
+
+def second_point_blocks(F):
+    """(X, Y) blocks whose rows pair distinct points at magnitudes e^-4 to
+    e^4 (of either sign on the reals), and sample_blocks' rows paired with
+    the same rows reversed; in every block some rows coincide with their
+    second point, exactly or within DEGENERATE_EPS."""
+    rng = np.random.default_rng(F.dim)
+    X = np.exp(rng.uniform(-4.0, 4.0, (8, 41, F.dim)))
+    if F.domain.kind != "positive":
+        X *= rng.choice([-1.0, 1.0], X.shape)
+    blocks = [*X, *(X for X, _ in sample_blocks(F))]
+    # row 20 of the 41 meets itself; sample_blocks' first and last rows
+    # coincide
+    return [(X, X[::-1].copy()) for X in blocks]
+
+
+class TestBlocksOfSecondPoints:
+    """Every resolve_block evaluator takes an (m, dim) block Y: bregman's
+    block and the per-pair fallback as the chord and Jensen blocks do."""
+
+    FALLBACK = [("bregman_tangent", {"alpha": 0.6}),
+                ("bregman_tangent", {"alpha": 1.0}),
+                ("bregman_dual", {}),
+                ("biskew:bregman_chord", {"alpha": 0.9, "beta": 1.0,
+                                          "gamma": 0.1, "delta": 0.9})]
+
+    @pytest.mark.parametrize("div_id, params", FALLBACK)
+    @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
+    def test_fallback_equals_per_pair(self, gen, div_id, params):
+        F = (expsum_with_gradient(2) if gen == "expsum"
+             else make_builtin(gen, 2))
+        block = resolve_block(div_id, F, params)
+        D = resolve_divergence(div_id, F, params)
+        for X, Y in second_point_blocks(F):
+            assert same_bits(block(X, Y), [D(x, y) for x, y in zip(X, Y)])
+            assert same_bits(block(X, Y[3]), [D(x, Y[3]) for x in X])
+
+    @pytest.mark.parametrize("div_id, params", [
+        ("bregman", {}), *FALLBACK[:3]])
+    def test_bad_second_points_raise_the_chord_blocks_errors(
+            self, div_id, params):
+        F = make_builtin("burg_negentropy", 2)
+        X = np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]])
+        chord = resolve_block("bregman_chord", F, {"alpha": 0.9, "beta": 1.0})
+        block = resolve_block(div_id, F, params)
+        for shape in [(2, 2), (4, 2), (3, 3), (3, 1)]:
+            with pytest.raises(ShapeError) as want:
+                chord(X, np.ones(shape))
+            with pytest.raises(ShapeError) as got:
+                block(X, np.ones(shape))
+            assert str(got.value) == str(want.value)
+            assert "expects a (3, 2) block of second points" in str(got.value)
+        # rows 1 and 2 lie outside the positive orthant; row 1 is named
+        Y = np.array([[1.0, 1.0], [-1.0, 2.0], [2.0, -3.0]])
+        with pytest.raises(DomainError) as want:
+            chord(X, Y)
+        with pytest.raises(DomainError) as got:
+            block(X, Y)
+        assert str(got.value) == str(want.value) == (
+            "point [-1.0, 2.0] is outside the positive domain of "
+            "burg_negentropy")
 
 
 class TestJensenChordBlock:
