@@ -28,7 +28,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .generators import (Generator, as_vector, coincide, endpoints,
-                         line_table, restrict_to_line)
+                         line_table, restrict_to_line, rows_pair)
 from .numerics import bisect_root
 
 
@@ -111,33 +111,25 @@ def _require_grad(F: Generator) -> None:
         )
 
 
-def bregman_block(F: Generator, X, theta2) -> np.ndarray:
-    """bregman(F, X[i], theta2) for each row of the (m, dim) block X, bit
-    for bit: one F.grad_fn call at theta2, the rows' F values from the
-    line_table at 0 (one F.rows call, per point for a generator without
-    rows), and the gradient terms as a stack of dot products, which round
-    as np.dot does (einsum, sum(A * B) and A @ g round differently). A row
-    that coincides with theta2 gives 0.0, and a generator without a
-    gradient raises GradientRequiredError, as bregman does. theta2 may be
-    an (m, dim) block Y of per-row second points, validated as line_table
-    validates it: row i is then bregman(F, X[i], Y[i]), F at Y comes from
-    the line_table at 1 and the gradients from one F.grad_rows call."""
+def bregman_tangent_block(F: Generator, X, Y, alpha: float = 1.0
+                          ) -> np.ndarray:
+    """bregman_tangent(F, X[i], Y[i], alpha) over the row pairs of X and
+    Y, as line_table pairs them, bit for bit: F from the line_table at 0
+    and alpha, the gradients at the alpha interpolants (Y at alpha = 1)
+    from one F.grad_rows call, and the gradient terms as a stack of dot
+    products, which round as np.dot does (einsum, sum(A * B) and A @ g
+    round differently). Coincident rows give 0.0; no gradient raises
+    GradientRequiredError. It is also bregman's and bregman_dual's block."""
+    a = unit_anchor(alpha, "tangent anchor")
     _require_grad(F)
+    table = line_table(F, X, Y, (0.0, a))
     X = np.asarray(X, dtype=float)
-    if np.ndim(theta2) == 2:
-        table = line_table(F, X, theta2, (0.0, 1.0))  # validates Y
-        values, f2 = table[:, 0], table[:, 1]
-        t2 = np.asarray(theta2, dtype=float)
-        grad = F.grad_rows(t2)
-    else:
-        values = line_table(F, X, theta2, (0.0,))[:, 0]  # validates theta2
-        t2 = as_vector(theta2)
-        grad = np.asarray(F.grad_fn(t2), dtype=float)[None]
-        f2 = float(F.fn(t2))
-    dots = ((X - t2)[:, None, :] @ grad[:, :, None])[:, 0, 0]
+    Y = np.asarray(Y, dtype=float)
+    grad = F.grad_rows(Y if a == 1.0 else (1.0 - a) * X + a * Y)
+    dots = ((X - Y)[:, None, :] @ grad[:, :, None])[:, 0, 0]
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-        gaps = values - f2 - dots
-    return np.where(coincide(X, t2), 0.0, gaps)
+        gaps = table[:, 0] - table[:, 1] - a * dots
+    return np.where(coincide(X, Y), 0.0, gaps)
 
 
 def bregman_dual(F: Generator, theta1, theta2) -> float:
@@ -164,20 +156,19 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     return chord_gap(G(0.0), G(a), G(b), a, b)
 
 
-def bregman_chord_block(F: Generator, X, theta2, cp: ChordParams
+def bregman_chord_block(F: Generator, X, Y, cp: ChordParams
                         ) -> np.ndarray:
-    """bregman_chord(F, X[i], theta2, cp) for each row of the (m, dim)
-    block X, bit for bit: chord_gap over the columns of the line_table at
-    0, alpha and beta, the table the sweep shares. The block is validated
-    once, its F values come from one F.rows call (per point for a
-    generator without rows), and a row that coincides with theta2 gives
-    0.0 for no F evaluation. theta2 may be an (m, dim) block Y of per-row
-    second points, as line_table takes it. numpy rounds the array
+    """bregman_chord(F, X[i], Y[i], cp) over the row pairs of X and Y, as
+    line_table pairs them, bit for bit: chord_gap over the columns of the
+    line_table at 0, alpha and beta, the table the sweep shares. The
+    blocks are validated once, their F values come from one F.rows call
+    (per point for a generator without rows), and a row whose points
+    coincide gives 0.0 for no F evaluation. numpy rounds the array
     expression's float64 operations, in chord_gap's order, as Python
     rounds them on floats, and like Python it gives nan or inf there
     without a warning."""
     a, b = float(cp.alpha), float(cp.beta)
-    table = line_table(F, X, theta2, (0.0, a, b))
+    table = line_table(F, X, Y, (0.0, a, b))
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return chord_gap(table[:, 0], table[:, 1], table[:, 2], a, b)
 
@@ -196,7 +187,9 @@ def chord_row(F: Generator, theta1, theta2, A, B) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     lams = np.sort(np.concatenate(([0.0], A, B)))
     lams = lams[np.concatenate(([True], lams[1:] != lams[:-1]))]  # distinct
-    row = line_table(F, np.atleast_2d(theta1), theta2, lams)[0]
+    # theta2 is validated first, as bregman_chord validates it
+    row = line_table(F, np.atleast_2d(theta1), F.point(theta2)[None],
+                     lams)[0]
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return chord_gap(row[0], row[np.searchsorted(lams, A)],
                          row[np.searchsorted(lams, B)], A, B)
@@ -319,3 +312,21 @@ def skew_segment(theta1, theta2, sp: SkewPair) -> Optional[tuple]:
     if t1.shape == t2.shape and coincide(t1, t2):
         return None
     return interpolate(t1, t2, sp.gamma), interpolate(t1, t2, sp.delta)
+
+
+def biskew_block(D: Callable, X, Y, sp: SkewPair) -> np.ndarray:
+    """biskew(D_1, X[i], Y[i], sp) over the row pairs of X and Y, bit for
+    bit, where D is D_1's block form: one D call on the gamma and delta
+    interpolants (interpolate's expression) of the rows whose points do
+    not coincide; the others give 0.0."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if not rows_pair(X, Y):
+        raise ShapeError(f"cannot interpolate blocks of shapes {X.shape} "
+                         f"and {Y.shape}")
+    live = ~coincide(X, Y)
+    g, d = float(sp.gamma), float(sp.delta)
+    values = np.zeros(live.shape)
+    values[live] = D(((1.0 - g) * X + g * Y)[live],
+                     ((1.0 - d) * X + d * Y)[live])
+    return values

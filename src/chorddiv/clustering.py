@@ -22,17 +22,12 @@ Both searches run over the cluster's bounding box (expanded by 10 percent
 and kept in the positive orthant when the generator's domain or the
 divergence needs positive arguments), so no gradient is ever needed. Each
 numeric solve is recorded with how it ended; the library only records, it
-never warns. Each iteration evaluates the n x k divergence matrix once,
-in one call of registry.resolve_block's evaluator on n * k rows, each
-point against each center. Every divergence value comes from that
-evaluator, called on a block of points against one center or against an
-(m, dim) block of per-row centers (in the lockstep search, each member
-coordinate against its center's). bregman, bregman_chord,
-bregman_chord_approx and the Jensen ids validate once per block and
-evaluate F in one row-evaluator call per block on a builtin generator (one
-F call per point on a custom one), and bregman its gradients at a block
-of centers in one call (Generator.grad_rows); other ids loop their
-per-pair callable.
+never warns. Every divergence value comes from registry.resolve_block's
+evaluator, the id's block kernel, called on a block of points against
+one (1, dim) center row or against a block of per-row centers: the
+n x k divergence matrix once per iteration, on n * k rows, each point
+against each center. Each call validates once and evaluates F (and
+gradients) in one row-evaluator call on a builtin generator.
 Everything is deterministic for a fixed seed.
 """
 
@@ -164,6 +159,14 @@ def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
     return dist
 
 
+def _distinct_rows(pts: np.ndarray) -> np.ndarray:
+    """np.unique(pts, axis=0) by a stable np.lexsort: of rows that compare
+    equal (0.0 and -0.0), the first in pts is kept."""
+    ordered = pts[np.lexsort(pts.T[::-1])]
+    fresh = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[np.concatenate(([True], fresh))]
+
+
 def _repair_empty(labels: np.ndarray, k: int,
                   dist_to_center: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point farthest from its current center.
@@ -206,7 +209,7 @@ def _update_center(members: np.ndarray, F: Generator, block,
     sum_i D(x_i : c), for divergences the registry gives no closed form
     and that _lockstep_centers cannot search.
 
-    The objective value at c is one block(members, c) call, a
+    The objective value at c is one block(members, c[None]) call, a
     resolve_block evaluator, its values summed in index order. The search
     runs over the expanded bounding box, which stays in the positive
     orthant when F's domain is positive or when positive is set, for
@@ -219,7 +222,7 @@ def _update_center(members: np.ndarray, F: Generator, block,
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
     return coordinate_minimize(
-        lambda c: _sum_in_order(block(members, c).tolist()), lo, hi,
+        lambda c: _sum_in_order(block(members, c[None]).tolist()), lo, hi,
         x0=members.mean(axis=0), tol=SLICE_TOL, max_sweeps=100)
 
 
@@ -248,7 +251,7 @@ def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
     lo, hi = (np.concatenate(side) for side in zip(*boxes))
 
     def shares(v: list) -> np.ndarray:
-        probes = np.repeat(np.reshape(v, (-1, F.dim)), sizes, axis=0)
+        probes = np.repeat(np.asarray(v).reshape(-1, F.dim), sizes, axis=0)
         S = coordinate(stacked.reshape(-1, 1),
                        probes.reshape(-1, 1)).reshape(-1, F.dim)
         return np.concatenate([S[a:b].sum(axis=0) for a, b in spans])
@@ -317,7 +320,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"of kl(x_i : c) falls without bound as c grows; use 'ekl', "
             f"whose right centroid is the member mean"
         )
-    distinct = np.unique(pts, axis=0)
+    distinct = _distinct_rows(pts)
     if cfg.k > distinct.shape[0]:
         raise InfeasibleError(
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"

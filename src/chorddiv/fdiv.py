@@ -7,7 +7,10 @@ I_f[p : q] = sum_i p_i f(q_i / p_i). Three generator transforms are exposed:
     j_symmetrize  (f + dual f) / 2          Jeffreys-style half sum
     js form       half-sum of divergences to the midpoint mixture
 
-The JS-type symmetrization is defined at the divergence level.
+The JS-type symmetrization is defined at the divergence level. Each
+divergence takes two weight vectors and gives a float, or two blocks
+whose rows pair as generators.rows_pair says and gives the array of its
+values over the row pairs, each row's bit for bit as the vector form's.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, \
     UnsupportedGeneratorError
-from .generators import as_vector, finite_above
+from .generators import finite_above, rows_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +82,11 @@ Weights = Union[np.ndarray, list, tuple]
 
 
 def _weights(x: Weights, label: str) -> np.ndarray:
-    w = as_vector(x)
-    if w.ndim != 1:
-        raise ShapeError(f"{label} must be a 1-D vector, got shape {w.shape}")
+    # C order: numpy sums a block's rows in the order it sums one row
+    w = np.ascontiguousarray(x, dtype=float)
+    if w.ndim not in (1, 2):
+        raise ShapeError(f"{label} must be a 1-D vector or a 2-D block of "
+                         f"rows, got shape {w.shape}")
     if not finite_above(w, 0.0):
         raise DomainError(
             f"{label} must have finite, strictly positive entries"
@@ -90,25 +95,29 @@ def _weights(x: Weights, label: str) -> np.ndarray:
 
 
 def _weight_pair(p: Weights, q: Weights) -> tuple:
-    """p and q as weight vectors of equal length."""
+    """p and q as weight vectors of equal length, or as paired blocks."""
     pw = _weights(p, "p")
     qw = _weights(q, "q")
-    if pw.shape != qw.shape:
-        raise ShapeError(
-            f"p and q must have equal length, got {pw.shape[0]} and "
-            f"{qw.shape[0]}"
-        )
+    if pw.shape != qw.shape and not rows_pair(pw, qw):
+        raise ShapeError(f"p and q must have equal length, got shapes "
+                         f"{pw.shape} and {qw.shape}")
     return pw, qw
 
 
-def f_div(f: FGenerator, p: Weights, q: Weights) -> float:
+def _total(terms: np.ndarray):
+    """terms summed over the last axis: a float, or an array of rows."""
+    total = np.add.reduce(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def f_div(f: FGenerator, p: Weights, q: Weights):
     """Discrete f-divergence I_f[p : q] = sum_i p_i f(q_i / p_i).
 
     Non-negative and zero iff p = q when both vectors are normalized, by
     Jensen's inequality.
     """
     pw, qw = _weight_pair(p, q)
-    return float(np.add.reduce(pw * f.fn(qw / pw), axis=None))
+    return _total(pw * f.fn(qw / pw))
 
 
 def dual_generator(f: FGenerator) -> FGenerator:
@@ -125,7 +134,7 @@ def j_symmetrize(f: FGenerator) -> FGenerator:
     return FGenerator(f.name + "_jsym", lambda u: 0.5 * (f.fn(u) + d.fn(u)))
 
 
-def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights) -> float:
+def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights):
     """JS-type symmetrization: half-sum of divergences to the midpoint
     mixture m = (p + q)/2,
 
@@ -142,7 +151,7 @@ def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights) -> float:
 _F_KL = make_f_generator("kl")
 
 
-def kl(p: Weights, q: Weights) -> float:
+def kl(p: Weights, q: Weights):
     """Kullback-Leibler divergence sum_i p_i log(p_i / q_i).
 
     The f-divergence induced by the kl generator; intended for normalized
@@ -151,7 +160,7 @@ def kl(p: Weights, q: Weights) -> float:
     return f_div(_F_KL, p, q)
 
 
-def extended_kl(p: Weights, q: Weights) -> float:
+def extended_kl(p: Weights, q: Weights):
     """KL extended to unnormalized positive weights:
 
         sum_i p_i log(p_i / q_i) + q_i - p_i
@@ -161,4 +170,4 @@ def extended_kl(p: Weights, q: Weights) -> float:
     Shannon negentropy generator.
     """
     pw, qw = _weight_pair(p, q)
-    return float(np.add.reduce(pw * np.log(pw / qw) + qw - pw, axis=None))
+    return _total(pw * np.log(pw / qw) + qw - pw)

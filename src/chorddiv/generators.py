@@ -303,8 +303,15 @@ class LineRestriction:
 
 def coincide(t1: np.ndarray, t2: np.ndarray):
     """Whether two points are closer than DEGENERATE_EPS in the max norm;
-    row by row, as a boolean array, when t1 is an (m, dim) block."""
+    row by row, as a boolean array, for blocks of points."""
     return np.maximum.reduce(np.abs(t1 - t2), axis=-1) < DEGENERATE_EPS
+
+
+def rows_pair(X: np.ndarray, Y: np.ndarray) -> bool:
+    """Whether the arrays X and Y are 2-D blocks of one width whose rows
+    pair as numpy broadcasts them: as many rows, or one a single row."""
+    return (X.ndim == Y.ndim == 2 and X.shape[1] == Y.shape[1]
+            and (X.shape[0] == Y.shape[0] or 1 in (X.shape[0], Y.shape[0])))
 
 
 def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
@@ -315,49 +322,33 @@ def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
     return None if coincide(t1, t2) else (t1, t2)
 
 
-def line_table(F: Generator, X, theta2, lams) -> np.ndarray:
-    """The (m, len(lams)) array of F((1 - lam) X[i] + lam theta2) over the
-    rows of the (m, dim) block X: row i holds the line restriction
-    restrict_to_line(F, X[i], theta2) at lams, bit for bit. theta2 may
-    also be an (m, dim) block Y, whose row i is X[i]'s second point: row
-    i is then line_table(F, X[i:i+1], Y[i], lams)[0], bit for bit.
-
-    A point theta2 goes through F.point, then X gets one shape check; a
-    block Y gets one shape check after X's and one domain check, which
-    raises F.point's DomainError for its first row outside. Then the
-    whole table of points gets one domain check, before any evaluation,
-    which raises F.point's DomainError for the first point outside. Rows
-    that coincide with their second point hold 0.0 and cost no F
-    evaluation. The other rows take one F.rows call when F has a row
-    evaluator (every builtin does), and one F.fn call per point when it
-    has none.
+def line_table(F: Generator, X, Y, lams) -> np.ndarray:
+    """The (m, len(lams)) array of F((1 - lam) X[i] + lam Y[i]) over the
+    row pairs (rows_pair) of X and Y, each an (m, dim) block or one
+    (1, dim) row: row i is restrict_to_line(F, X[i], Y[i]) at lams, bit
+    for bit. Both blocks get one shape check, then Y and the whole table
+    of points one domain check each, before any evaluation, which raises
+    F.point's DomainError for the first row or point outside. Rows whose
+    points coincide hold 0.0 and cost no F evaluation; the others take
+    one F.rows call when F has a row evaluator (every builtin does), and
+    one F.fn call per point when it has none.
     """
-    block = np.ndim(theta2) == 2
-    if not block:
-        t2 = F.point(theta2)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != F.dim:
-        raise ShapeError(
-            f"{F.name} expects an (m, {F.dim}) block of points, got shape "
-            f"{X.shape}"
-        )
-    if block:
-        t2 = np.asarray(theta2, dtype=float)
-        if t2.shape != X.shape:
-            raise ShapeError(
-                f"{F.name} expects a {X.shape} block of second points, got "
-                f"shape {t2.shape}"
-            )
-        if not F.domain.contains(t2):
-            for y in t2:
-                F.point(y)  # raises at the first row outside the domain
+    Y = np.asarray(Y, dtype=float)
+    if not (rows_pair(X, Y) and X.shape[1] == F.dim):
+        raise ShapeError(f"{F.name} expects (m, {F.dim}) or (1, {F.dim}) "
+                         f"blocks of points that pair row by row, got "
+                         f"shapes {X.shape} and {Y.shape}")
+    if not F.domain.contains(Y):
+        for y in Y:
+            F.point(y)  # raises at the first row outside the domain
     lam = np.asarray(lams, dtype=float)[:, None]
-    ends = t2[:, None] if block else t2
-    points = (1.0 - lam) * X[:, None] + lam * ends  # [i, j]: X[i] at lams[j]
+    # [i, j]: the pair of row i at lams[j]
+    points = (1.0 - lam) * X[:, None] + lam * Y[:, None]
     if not F.domain.contains(points):
         for p in points.reshape(-1, F.dim):
             F.point(p)  # raises at the first point outside the domain
-    live = ~coincide(X, t2)
+    live = ~coincide(X, Y)
     table = np.zeros(points.shape[:2])
     if F.rows is not None:
         table[live] = F.rows(points[live])

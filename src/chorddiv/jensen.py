@@ -107,19 +107,17 @@ def jensen_chord(F: Generator, theta1, theta2,
     return jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
 
 
-def jensen_chord_block(F: Generator, X, theta2,
+def jensen_chord_block(F: Generator, X, Y,
                        jcp: JensenChordParams) -> np.ndarray:
-    """jensen_chord(F, X[i], theta2, jcp) for each row of the (m, dim)
-    block X, bit for bit: jensen_gap over the columns of the line_table at
-    0, alpha, beta and 1 (0, alpha and 1 when alpha = beta). The table is
-    validated once and filled by one F.rows call (per point for a
-    generator without rows); its columns at 0 and 1 evaluate X[i] and
-    theta2 themselves, its inner columns interpolate's points, and a row
-    that coincides with theta2 gives 0.0 for no F evaluation. theta2 may
-    be an (m, dim) block Y of per-row second points, as line_table takes
-    it."""
+    """jensen_chord(F, X[i], Y[i], jcp) over the row pairs of X and Y, as
+    line_table pairs them, bit for bit: jensen_gap over the columns of the
+    line_table at 0, alpha, beta and 1 (0, alpha and 1 when alpha = beta).
+    The table is validated once and filled by one F.rows call (per point
+    for a generator without rows); its columns at 0 and 1 evaluate the
+    rows of X and Y themselves, its inner columns interpolate's points,
+    and a row whose points coincide gives 0.0 for no F evaluation."""
     a, b = float(jcp.alpha), float(jcp.beta)
-    table = line_table(F, X, theta2,
+    table = line_table(F, X, Y,
                        (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return jensen_gap(table[:, 0], table[:, 1], table[:, -2],

@@ -20,18 +20,18 @@ from .bregman import (
     SkewPair,
     approx_anchors,
     biskew,
+    biskew_block,
     bregman,
-    bregman_block,
     bregman_chord,
     bregman_chord_block,
     bregman_dual,
     bregman_tangent,
+    bregman_tangent_block,
     chord_row,
     skew_segment,
     unit_anchor,
 )
-from .errors import (DomainError, ParameterError, ShapeError,
-                     UnknownDivergenceError)
+from .errors import DomainError, ParameterError, UnknownDivergenceError
 from .fdiv import (
     F_GENERATOR_NAMES,
     dual_generator,
@@ -56,31 +56,32 @@ REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
 class DivSpec(NamedTuple):
     """How one identifier resolves.
 
-    Every id binds (_bind) to kernel(*pre, x, y, *post). A bare id has
-    pre = (F,), and post = (build(param),) when build is set: build reads
-    scalar parameters through param(name) and checks them with the kernel
+    Every id binds (_bind) to kernel(*pre, x, y, *post) and to its block
+    form block(*pre, X, Y, *post), with X and Y each an (m, dim) block or
+    one (1, dim) row, paired as numpy broadcasts them: row i is
+    kernel(*pre, X[i], Y[i], *post) bit for bit. A bare id has pre = (F,),
+    and post = (build(param),) when build is set: build reads scalar
+    parameters through param(name) and checks them with the kernel
     module's own validator, so bad values fail at resolution. An
     f-divergence prefix id has pre = (build(name),), build making the f
     generator named after the colon; biskew:<inner> has pre = (the inner
-    id's callable,) and post = (build(param),). needs_generator is False
-    for ids that ignore the generator and read their arguments as positive
-    weights (kl and ekl, whose pre is empty).
+    id's callable, or block callable for the block,) and post =
+    (build(param),). needs_generator is False for ids that ignore the
+    generator and read their arguments as positive weights (kl and ekl,
+    whose pre is empty).
     right_centroid, when set, is the id's closed-form rule: F -> (an
     (m, dim) member matrix -> argmin_c sum_i D(x_i : c)), or None where F
     has no closed form; right_centroid() adds the quadratic rule. anchors
     says how the value depends on the sweep anchors (alpha, beta): CHORD,
-    IGNORED or REJECTED. block, when set, is the kernel's block form:
-    block(*pre, X, y, *post) is kernel(*pre, X[i], y, *post) bit for bit;
-    every block also takes an (m, dim) block Y for y, and row i is then
-    kernel(*pre, X[i], Y[i], *post).
+    IGNORED or REJECTED.
     """
 
     kernel: Callable
+    block: Callable
     build: Optional[Callable] = None
     needs_generator: bool = True
     right_centroid: Optional[Callable] = None
     anchors: str = IGNORED
-    block: Optional[Callable] = None
 
 
 def _member_mean(F: Generator) -> Callable:
@@ -125,47 +126,51 @@ def _left_centroid(F: Generator) -> Optional[Callable]:
 # the skewed Jensen ids are jensen_chord at alpha = beta = gamma;
 # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
 _SKEWED_JENSEN = DivSpec(
-    jensen_chord, lambda param: skew_anchors(param("alpha")),
-    anchors=REJECTED, block=jensen_chord_block)
+    jensen_chord, jensen_chord_block,
+    lambda param: skew_anchors(param("alpha")), anchors=REJECTED)
 
 
 #: The only list of identifiers; its order is the order of the help text.
 DIVERGENCES = {
-    "bregman": DivSpec(bregman, right_centroid=_member_mean,
-                       block=bregman_block),
-    "bregman_dual": DivSpec(bregman_dual, right_centroid=_left_centroid),
+    "bregman": DivSpec(bregman, bregman_tangent_block,
+                       right_centroid=_member_mean),
+    "bregman_dual": DivSpec(  # B_F(y : x)
+        bregman_dual, lambda F, X, Y: bregman_tangent_block(F, Y, X),
+        right_centroid=_left_centroid),
     "bregman_chord": DivSpec(
-        bregman_chord, lambda param: ChordParams(param("alpha"),
-                                                 param("beta")),
-        anchors=CHORD, block=bregman_chord_block),
+        bregman_chord, bregman_chord_block,
+        lambda param: ChordParams(param("alpha"), param("beta")),
+        anchors=CHORD),
     "bregman_tangent": DivSpec(
-        bregman_tangent,
+        bregman_tangent, bregman_tangent_block,
         lambda param: unit_anchor(param("alpha"), "tangent anchor"),
         anchors=REJECTED),
     "bregman_chord_approx": DivSpec(
-        bregman_chord, lambda param: approx_anchors(param("epsilon")),
-        block=bregman_chord_block),
-    "jensen": DivSpec(jensen_chord, lambda param: skew_anchors(0.5),
-                      block=jensen_chord_block),
+        bregman_chord, bregman_chord_block,
+        lambda param: approx_anchors(param("epsilon"))),
+    "jensen": DivSpec(jensen_chord, jensen_chord_block,
+                      lambda param: skew_anchors(0.5)),
     "jensen_skewed": _SKEWED_JENSEN,
     "jensen_chord": DivSpec(
-        jensen_chord, lambda param: JensenChordParams(
+        jensen_chord, jensen_chord_block, lambda param: JensenChordParams(
             param("alpha"), param("beta"), param("gamma")),
-        anchors=REJECTED, block=jensen_chord_block),
+        anchors=REJECTED),
     "jensen_bregman": _SKEWED_JENSEN,
-    "kl": DivSpec(kl, needs_generator=False),
+    "kl": DivSpec(kl, kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
-    "ekl": DivSpec(extended_kl, needs_generator=False,
+    "ekl": DivSpec(extended_kl, extended_kl, needs_generator=False,
                    right_centroid=_member_mean),
-    "fdiv:": DivSpec(f_div, make_f_generator, False),
-    "fdiv_dual:": DivSpec(
-        f_div, lambda name: dual_generator(make_f_generator(name)), False),
-    "fdiv_jsym:": DivSpec(
-        f_div, lambda name: j_symmetrize(make_f_generator(name)), False),
-    "fdiv_jssym:": DivSpec(js_symmetrize_div, make_f_generator, False),
+    "fdiv:": DivSpec(f_div, f_div, make_f_generator, False),
+    "fdiv_dual:": DivSpec(f_div, f_div, lambda name: dual_generator(
+        make_f_generator(name)), False),
+    "fdiv_jsym:": DivSpec(f_div, f_div, lambda name: j_symmetrize(
+        make_f_generator(name)), False),
+    "fdiv_jssym:": DivSpec(js_symmetrize_div, js_symmetrize_div,
+                           make_f_generator, False),
     # needs_generator and anchors of a biskew id are its inner id's
     "biskew:": DivSpec(
-        biskew, lambda param: SkewPair(param("gamma"), param("delta"))),
+        biskew, biskew_block,
+        lambda param: SkewPair(param("gamma"), param("delta"))),
 }
 
 
@@ -217,9 +222,9 @@ def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
 
 
 def _bind(div_id: str, generator: Optional[Generator],
-          params: Optional[Mapping[str, float]]) -> tuple:
-    """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post)
-    and its block form spec.block(*pre, X, y, *post). Every identifier,
+          params: Optional[Mapping[str, float]], block: bool = False) -> tuple:
+    """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post),
+    or with block set spec.block(*pre, X, Y, *post). Every identifier,
     generator and parameter check of a resolution is made here."""
     spec, rest = _spec(div_id)
     if spec.kernel is biskew:
@@ -229,7 +234,9 @@ def _bind(div_id: str, generator: Optional[Generator],
                 f"parameters would be consumed twice"
             )
         sp = spec.build(_reader(div_id, params))
-        return spec, (resolve_divergence(rest, generator, params),), (sp,)
+        # resolve_divergence by its module name, which tracers patch
+        resolve = resolve_block if block else resolve_divergence
+        return spec, (resolve(rest, generator, params),), (sp,)
     if not spec.needs_generator:
         if spec.build is None:
             return spec, (), ()
@@ -259,50 +266,29 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
 def resolve_block(div_id: str, generator: Optional[Generator] = None,
                   params: Optional[Mapping[str, float]] = None
                   ) -> Callable:
-    """Resolve an identifier to (X, y) -> the array of D(X[i] : y) over
-    the rows of an (m, dim) matrix X, bit-identical to resolve_divergence's
-    callable, after the same _bind checks. y may also be an (m, dim) block
-    Y, and row i is then D(X[i] : Y[i]).
-
-    Ids with a block kernel (bregman, bregman_chord, bregman_chord_approx
-    and the Jensen ids) validate once per call and skip the per-pair
-    callable; the others loop the callable resolve_divergence returns,
-    over X's rows zipped with Y's after one shape check of Y, which raises
-    line_table's ShapeError message.
+    """Resolve an identifier to (X, Y) -> the array of D(X[i] : Y[i]) over
+    the row pairs of X and Y, each an (m, dim) block or one (1, dim) row,
+    bit-identical to resolve_divergence's callable, after the same _bind
+    checks: the id's block kernel, which validates once per call.
     """
-    if _spec(div_id)[0].block is not None:
-        spec, pre, post = _bind(div_id, generator, params)
-        return lambda X, y: spec.block(*pre, X, y, *post)
-    D = resolve_divergence(div_id, generator, params)
-    name = div_id if generator is None else generator.name
-
-    def per_pair(X, y):
-        if np.ndim(y) != 2:
-            return np.array([float(D(x, y)) for x in X])
-        X, Y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        if Y.shape != X.shape:
-            raise ShapeError(
-                f"{name} expects a {X.shape} block of second points, got "
-                f"shape {Y.shape}"
-            )
-        return np.array([float(D(x, c)) for x, c in zip(X, Y)])
-    return per_pair
+    spec, pre, post = _bind(div_id, generator, params, block=True)
+    block = spec.block
+    return lambda X, Y: block(*pre, X, Y, *post)
 
 
 def resolve_coordinate_block(div_id: str, generator: Generator,
                              params: Optional[Mapping[str, float]] = None
                              ) -> Optional[Callable]:
-    """For an id with a gradient-free block kernel (the chord and Jensen
-    ids) under a SEPARABLE builtin, F(t) = sum_j f(t_j): the id's block
-    under f, the builtin at dim 1. The kernels' gaps are linear in F's
-    values, so D(x : c) is, up to rounding, the sum over j of the block's
-    value at (x_j, c_j), and a separable objective can be searched one
-    coordinate at a time. None for any other id or generator; bregman's
-    block sums its gradient term over the coordinates, and its centroid
-    is the mean.
+    """For an id with a gradient-free block kernel (bregman_chord_block or
+    jensen_chord_block: the chord and Jensen ids) under a SEPARABLE
+    builtin, F(t) = sum_j f(t_j): the id's block under f, the builtin at
+    dim 1. The kernels' gaps are linear in F's values, so D(x : c) is, up
+    to rounding, the sum over j of the block's value at (x_j, c_j), and a
+    separable objective can be searched one coordinate at a time. None
+    for any other id or generator.
     """
     spec, _ = _spec(div_id)
-    if (spec.block in (None, bregman_block)
+    if (spec.block not in (bregman_chord_block, jensen_chord_block)
             or generator.builtin not in SEPARABLE):
         return None
     return resolve_block(div_id, make_builtin(generator.builtin, 1), params)

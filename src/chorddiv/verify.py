@@ -456,7 +456,7 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     lo, hi = _centroid_box(points, False)
 
     def total(c) -> float:
-        return _sum_in_order(block(points, c).tolist())
+        return _sum_in_order(block(points, np.asarray(c)[None]).tolist())
 
     found = coordinate_minimize(total, lo, hi, x0=lo, tol=SLICE_TOL,
                                 max_sweeps=100)

@@ -231,11 +231,24 @@ def test_interpolate_and_skew_segment_match_the_old_bodies(lam):
                 old_skew_segment, x, y, sp), (x, y)
 
 
+def old_weights_by_row(x, label):
+    """old_weights on a vector and row by row on a 2-D block of rows,
+    which it once refused; other ranks raise the shape message that
+    names both."""
+    w = np.atleast_1d(np.asarray(x, dtype=float))
+    if w.ndim == 1:
+        return old_weights(x, label)
+    if w.ndim != 2:
+        raise ShapeError(f"{label} must be a 1-D vector or a 2-D block of "
+                         f"rows, got shape {w.shape}")
+    return np.array([old_weights(row, label) for row in w]).reshape(w.shape)
+
+
 def test_weights_match_the_old_body():
     for x in BLOCKS:
         for label in ("p", "q"):
             assert outcome(fdiv._weights, x, label) == outcome(
-                old_weights, x, label), x
+                old_weights_by_row, x, label), x
 
 
 @pytest.mark.parametrize("name", generators.BUILTIN_GENERATORS)

@@ -40,8 +40,8 @@ from chorddiv import (
     restrict_to_line,
     sweep,
 )
-from chorddiv.bregman import (bregman_block, bregman_chord_block, chord_row,
-                              interpolate)
+from chorddiv.bregman import (bregman_chord_block, bregman_tangent_block,
+                              chord_row, interpolate)
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -320,31 +320,32 @@ class TestBregmanChordBlock:
             for cp in (ChordParams(0.9, 1.0), ChordParams(0.7, 0.2),
                        ChordParams(1.0 - 1e-6, 1.0)):
                 per_pair = [bregman_chord(F, x, c, cp) for x in X]
-                block = bregman_chord_block(F, X, c, cp)
+                block = bregman_chord_block(F, X, c[None], cp)
                 assert block.tobytes() == np.array(per_pair).tobytes()
 
     def test_coincident_rows_give_exact_zero(self):
         F, calls = counted(make_builtin("shannon_negentropy", 2))
         c = np.array([0.4, 1.3])
         X = np.array([c, [0.9, 0.2], c + 1e-15, [0.5, 0.5]])
-        values = bregman_chord_block(F, X, c, ChordParams(0.25, 0.75))
+        values = bregman_chord_block(F, X, c[None], ChordParams(0.25, 0.75))
         assert values[0] == 0.0 and values[2] == 0.0
         assert values[1] > 0.0 and values[3] > 0.0
         assert calls["fn"] == 6
 
-    def test_one_point_call_per_block(self):
+    def test_no_point_call_per_block(self):
+        # the one-row center passes one domain check of the block
         F, calls = counted(make_builtin("quadratic", 3))
         X = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
-        bregman_chord_block(F, X, X[7], ChordParams(0.9, 1.0))
-        assert calls == {"point": 1, "fn": 3 * 49}
+        bregman_chord_block(F, X, X[7:8], ChordParams(0.9, 1.0))
+        assert calls == {"point": 0, "fn": 3 * 49}
 
     def test_wrong_width_raises(self):
         F = make_builtin("quadratic", 2)
         with pytest.raises(ShapeError):
-            bregman_chord_block(F, np.ones((4, 3)), np.ones(2),
+            bregman_chord_block(F, np.ones((4, 3)), np.ones((1, 2)),
                                 ChordParams(0.25, 0.75))
         with pytest.raises(ShapeError):
-            bregman_chord_block(F, np.ones(2), np.ones(2),
+            bregman_chord_block(F, np.ones(2), np.ones((1, 2)),
                                 ChordParams(0.25, 0.75))
 
     def test_domain_violations_raise_point_errors(self):
@@ -352,19 +353,21 @@ class TestBregmanChordBlock:
         cp = ChordParams(0.25, 0.75)
         X = np.array([[0.5, 0.5], [0.3, 0.8]])
         with pytest.raises(DomainError):
-            bregman_chord_block(F, X, np.array([0.5, -0.5]), cp)
+            bregman_chord_block(F, X, np.array([[0.5, -0.5]]), cp)
         bad = np.array([[0.5, 0.5], [0.3, -0.8]])
         with pytest.raises(DomainError) as got:
-            bregman_chord_block(F, bad, np.array([0.5, 0.6]), cp)
+            bregman_chord_block(F, bad, np.array([[0.5, 0.6]]), cp)
         with pytest.raises(DomainError) as want:
             F.point(bad[1])
         assert str(got.value) == str(want.value)
 
 
-def test_bregman_block_validates_its_center_once():
+def test_bregman_tangent_block_checks_its_center_once():
+    # one domain check of the one-row center, and F at it per row from
+    # the line table at 1 on a generator without rows
     F, calls = counted(make_builtin("quadratic", 2))
-    bregman_block(F, np.ones((5, 2)), np.zeros(2))
-    assert calls == {"point": 1, "fn": 6}
+    bregman_tangent_block(F, np.ones((5, 2)), np.zeros((1, 2)))
+    assert calls == {"point": 0, "fn": 10}
 
 
 class TestChordRow:

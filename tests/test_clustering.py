@@ -28,6 +28,7 @@ from chorddiv.clustering import (
     SLICE_TOL,
     _centroid_box,
     _distances,
+    _distinct_rows,
     _lockstep_centers,
     _repair_empty,
     _sum_in_order,
@@ -492,8 +493,8 @@ class TestClosedFormCentroid:
         block = resolve_block("bregman_dual", F, {})
         found = _update_center(members, F, block)
         assert np.max(np.abs(center - found.x)) <= 1e-3
-        assert (block(members, center).sum()
-                <= block(members, found.x).sum() * (1.0 + 1e-12))
+        assert (block(members, center[None]).sum()
+                <= block(members, found.x[None]).sum() * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("gen,div", [
         *(("quadratic", div) for div in GENERATOR_IDS),
@@ -611,7 +612,7 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("div,params", [
         ("bregman", {}),
         ("bregman_chord", {"alpha": 0.3, "beta": 0.8}),
-        ("bregman_tangent", {"alpha": 0.6}),  # the per-pair fallback
+        ("bregman_tangent", {"alpha": 0.6}),  # the tangent block
     ])
     def test_one_block_call_per_pass(self, div, params):
         F = make_builtin("shannon_negentropy", 2)
@@ -828,7 +829,8 @@ class TestLockstepCenters:
             for j in range(2)])
         assert found.x.tobytes() == want.tobytes()
         # the point found is lower than the mean, so the search took it
-        assert sum(block(members, want)) < sum(block(members, mean))
+        assert (sum(block(members, want[None]))
+                < sum(block(members, mean[None])))
         assert (found.sweeps, found.capped) == (1, False)
         assert found.on_edge == on_box_edge(found.x, lo, hi, SLICE_TOL)
 
@@ -843,7 +845,7 @@ class TestLockstepCenters:
         assert S.shape == (6, 3)
         assert not S[2].any()
         np.testing.assert_allclose(S.sum(axis=1),
-                                   resolve_block(div, F, params)(X, c),
+                                   resolve_block(div, F, params)(X, c[None]),
                                    rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
@@ -913,6 +915,22 @@ class TestLockstepCenters:
         assert resolve_coordinate_block(div, make_builtin(gen, 2),
                                         params) is None
 
+    def test_coordinate_blocks_are_the_chord_and_jensen_ids(self):
+        # exactly these ids, under exactly the SEPARABLE builtins
+        chord_and_jensen = {"bregman_chord", "bregman_chord_approx",
+                            "jensen", "jensen_skewed", "jensen_chord",
+                            "jensen_bregman"}
+        params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.5, "delta": 0.7,
+                  "epsilon": 1e-3}
+        for family in chorddiv.registry.known_divergences():
+            div = family.replace("<name>", "chi2" if "fdiv" in family
+                                 else "bregman_chord")
+            for gen in BUILTIN_GENERATORS:
+                got = resolve_coordinate_block(div, make_builtin(gen, 2),
+                                               params)
+                assert (got is not None) == (div in chord_and_jensen
+                                             and gen in SEPARABLE), div
+
 
 def per_center_lockstep(members, F, block, positive, coordinate):
     """The per-center lockstep search that _lockstep_centers replaced:
@@ -921,7 +939,7 @@ def per_center_lockstep(members, F, block, positive, coordinate):
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
 
     def total(c):
-        return _sum_in_order(block(members, c).tolist())
+        return _sum_in_order(block(members, c[None]).tolist())
 
     start = members.mean(axis=0)
     found = golden_lockstep(
@@ -1115,3 +1133,83 @@ class TestSearchBudget:
         assert res.center_solves
         assert res.assignments.tolist() == [1, 1, 0, 0]
         assert len(calls) == rounds
+
+
+class TestDistinctRows:
+    """_distinct_rows gives the rows np.unique(pts, axis=0) gives, in the
+    same order, bit for bit."""
+
+    @pytest.mark.parametrize("pts", [
+        [[0.5]],
+        [[1.0, 2.0, 3.0]],
+        [[2.0], [1.0], [2.0], [0.5], [1.0], [2.0]],
+        [[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.5, 9.0, 1.0],
+         [1.0, 1.0, 7.0], [0.5, 9.0, 1.0]],
+        [[0.0], [-0.0], [1.0]],
+        [[-0.0], [0.0], [1.0]],
+        [[1.0, 0.0, 2.0], [3.0, 1.0, 1.0], [1.0, -0.0, 2.0]],
+        [[1.0, -0.0, 2.0], [3.0, 1.0, 1.0], [1.0, 0.0, 2.0]],
+        [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -1.0]],
+        [[-1.0, 2.0], [-1.0, 1.0], [-2.0, 5.0], [-1.0, 1.0]],
+    ], ids=["one-row", "one-row-3d", "repeats-1d", "repeats-3d",
+            "zero-then-minus-zero", "minus-zero-then-zero",
+            "zero-then-minus-zero-3d", "minus-zero-then-zero-3d",
+            "signed-zeros-only", "negatives"])
+    def test_equals_np_unique(self, pts):
+        pts = np.array(pts)
+        got, want = _distinct_rows(pts), np.unique(pts, axis=0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_equals_np_unique_on_seeded_draws(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (2, 5, 16, 40):
+            pts = rng.integers(-2, 3, (n, dim)) * 0.5
+            got, want = _distinct_rows(pts), np.unique(pts, axis=0)
+            assert got.tobytes() == want.tobytes()
+
+
+#: Every id kmeans accepts, at the CLI's parameters.
+BLOCK_ONLY_IDS = [
+    ("bregman", {}), ("bregman_dual", {}),
+    ("bregman_tangent", {"alpha": 0.5}),
+    ("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+    ("bregman_chord_approx", {"epsilon": 1e-3}),
+    ("jensen", {}), ("jensen_skewed", {"alpha": 0.3}),
+    ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}),
+    ("jensen_bregman", {"alpha": 0.3}), ("ekl", {}),
+    ("fdiv:chi2", {}), ("fdiv:tv", {}), ("fdiv_dual:kl", {}),
+    ("fdiv_jsym:tv", {}), ("fdiv_jssym:chi2", {}),
+    ("biskew:bregman_chord", {"alpha": 0.9, "beta": 1.0, "gamma": 0.1,
+                              "delta": 0.9}),
+    ("biskew:bregman", {"gamma": 0.1, "delta": 0.9}),
+    ("biskew:ekl", {"gamma": 0.3, "delta": 0.8}),
+    ("biskew:fdiv:chi2", {"gamma": 0.1, "delta": 0.9}),
+]
+
+
+@pytest.mark.parametrize("div,params", BLOCK_ONLY_IDS)
+@pytest.mark.parametrize("gen", ["shannon_negentropy", "log_sum_exp"])
+def test_kmeans_calls_no_scalar_kernel(monkeypatch, gen, div, params):
+    # every registry entry's scalar kernel raises; biskew: ids are known
+    # by registry.biskew, which is patched to the entry's own kernel
+    def raising(key):
+        def kernel(*args):
+            raise AssertionError(f"kmeans called {key!r}'s scalar kernel")
+        return kernel
+
+    registry = chorddiv.registry
+    for key, spec in registry.DIVERGENCES.items():
+        monkeypatch.setitem(registry.DIVERGENCES, key,
+                            spec._replace(kernel=raising(key)))
+    monkeypatch.setattr(registry, "biskew",
+                        registry.DIVERGENCES["biskew:"].kernel)
+    for name in ("bregman_tangent", "bregman_dual", "f_div", "extended_kl",
+                 "js_symmetrize_div"):
+        monkeypatch.setattr(registry, name, raising(name))
+    F = make_builtin(gen, 2)
+    pts = blob_points(2)[:12]
+    res = kmeans(pts, F, ClusterConfig(k=2, divergence=div, params=params,
+                                       seed=1))
+    assert np.isfinite(res.objective_trace).all()

@@ -292,3 +292,56 @@ def test_dual_involution_property(u):
     f = make_f_generator("kl")
     ff = dual_generator(dual_generator(f))
     assert ff(u) == pytest.approx(f(u), rel=1e-9, abs=1e-12)
+
+
+def weight_divergences():
+    return [pytest.param(kl, id="kl"),
+            pytest.param(extended_kl, id="extended_kl")] + [
+        pytest.param(lambda p, q, f=make(name), div=div: div(f, p, q),
+                     id=f"{form}:{name}")
+        for form, make, div in (
+            ("fdiv", make_f_generator, f_div),
+            ("fdiv_dual", lambda n: dual_generator(make_f_generator(n)),
+             f_div),
+            ("fdiv_jsym", lambda n: j_symmetrize(make_f_generator(n)),
+             f_div),
+            ("fdiv_jssym", make_f_generator, js_symmetrize_div))
+        for name in ("kl", "tv", "chi2")]
+
+
+class TestBlocks:
+    """Each weight divergence takes two blocks whose rows pair, (m, d)
+    or one (1, d) row either side, and its row values equal the vector
+    form's bit for bit, whatever the blocks' memory layout."""
+
+    @pytest.mark.parametrize("div", weight_divergences())
+    def test_rows_equal_the_vector_form(self, div):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 7, 8, 9, 17, 64, 200, 1000):
+            P = rng.uniform(0.05, 3.0, (6, d))
+            Q = rng.uniform(0.05, 3.0, (6, d))
+            Q[2] = P[2]
+            for X, Y in [(P, Q), (np.asfortranarray(P), Q),
+                         (P, np.asfortranarray(Q)),
+                         (rng.uniform(0.05, 3.0, (6, 2 * d))[:, ::2], Q)]:
+                want = [div(x, y) for x, y in zip(X, Y)]
+                assert div(X, Y).tobytes() == np.array(want).tobytes()
+                assert div(X, Y[:1]).tobytes() == np.array(
+                    [div(x, Y[0]) for x in X]).tobytes()
+                assert div(Y[:1], X).tobytes() == np.array(
+                    [div(Y[0], x) for x in X]).tobytes()
+            assert type(div(P[0], Q[0])) is float
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 2), (2, 2)), ((3, 2), (3, 3)), ((3, 2), (2,)), ((2,), (1, 2)),
+    ])
+    def test_blocks_that_do_not_pair(self, shapes):
+        p, q = (np.full(shape, 0.5) for shape in shapes)
+        with pytest.raises(ShapeError, match=r"p and q must have equal "
+                           r"length, got shapes"):
+            f_div(make_f_generator("kl"), p, q)
+
+    def test_three_dimensional_weights(self):
+        with pytest.raises(ShapeError, match=r"p must be a 1-D vector or a "
+                           r"2-D block of rows, got shape \(1, 2, 2\)"):
+            kl(np.full((1, 2, 2), 0.5), np.full((1, 2), 0.5))

@@ -20,7 +20,7 @@ from chorddiv import (
     make_builtin,
     restrict_to_line,
 )
-from chorddiv.bregman import bregman_block
+from chorddiv.bregman import bregman_tangent_block
 from chorddiv.generators import line_table
 
 
@@ -233,10 +233,15 @@ class TestLineTable:
         rng = np.random.default_rng(dim)
         X = np.array([sample_point(rng, F) for _ in range(4)])
         y = sample_point(rng, F)
-        table = line_table(F, X, y, self.LAMS)
+        table = line_table(F, X, y[None], self.LAMS)
         assert table.shape == (4, len(self.LAMS))
         for x, row in zip(X, table.tolist()):
             G = restrict_to_line(F, x, y)
+            assert row == [G(lam) for lam in self.LAMS]
+        # one row as the first block pairs with every row of the second
+        swapped = line_table(F, y[None], X, self.LAMS)
+        for x, row in zip(X, swapped.tolist()):
+            G = restrict_to_line(F, y, x)
             assert row == [G(lam) for lam in self.LAMS]
 
     def test_coincident_rows_hold_zero_without_f_calls(self):
@@ -244,7 +249,7 @@ class TestLineTable:
         F = exp_sum(2, calls)
         y = np.array([0.3, -0.4])
         X = np.array([y, [0.1, 0.2], y + 1e-15])
-        table = line_table(F, X, y, self.LAMS)
+        table = line_table(F, X, y[None], self.LAMS)
         assert table[0].tolist() == table[2].tolist() == [0.0] * 5
         # only the one distinct row evaluates F, once per lam
         assert len(calls) == len(self.LAMS)
@@ -256,13 +261,17 @@ class TestLineTable:
     ], ids=["one-point", "wrong-dim", "3-d"])
     def test_block_shape_checked(self, X):
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match=r"expects an \(m, 2\) block"):
-            line_table(F, X, [0.0, 0.0], self.LAMS)
+        with pytest.raises(ShapeError, match=r"expects \(m, 2\) or \(1, 2\) "
+                           r"blocks of points that pair row by row, got "
+                           r"shapes .+ and \(1, 2\)"):
+            line_table(F, X, [[0.0, 0.0]], self.LAMS)
 
-    def test_theta2_goes_through_point(self):
+    @pytest.mark.parametrize("y", [[0.0, 0.0], [0.0, 0.0, 0.0], 0.0])
+    def test_one_second_point_is_not_a_block(self, y):
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match="point of dimension 2"):
-            line_table(F, np.ones((1, 2)), [0.0, 0.0, 0.0], self.LAMS)
+        with pytest.raises(ShapeError, match=r"blocks of points that pair "
+                           r"row by row, got shapes \(1, 2\) and"):
+            line_table(F, np.ones((1, 2)), y, self.LAMS)
 
     def test_first_point_outside_named(self):
         F = make_builtin("burg_negentropy", 1)
@@ -271,11 +280,11 @@ class TestLineTable:
         X = np.array([[2.0], [-1.0]])
         with pytest.raises(DomainError, match=r"point \[-0\.25\] is outside "
                            r"the positive domain of burg_negentropy"):
-            line_table(F, X, 0.5, (0.0, 1.5))
+            line_table(F, X, [[0.5]], (0.0, 1.5))
         with pytest.raises(DomainError, match=r"point \[-1\.0\] is outside"):
-            line_table(F, X, 0.5, (0.0, 0.5))
+            line_table(F, X, [[0.5]], (0.0, 0.5))
         with pytest.raises(DomainError, match=r"point \[-0\.5\] is outside"):
-            line_table(F, X, -0.5, (0.0,))
+            line_table(F, X, [[-0.5]], (0.0,))
 
 
     @staticmethod
@@ -297,7 +306,7 @@ class TestLineTable:
         table = line_table(F, X, Y, self.LAMS)
         assert table.shape == (5, len(self.LAMS))
         for i in range(5):
-            row = line_table(F, X[i:i + 1], Y[i], self.LAMS)[0]
+            row = line_table(F, X[i:i + 1], Y[i:i + 1], self.LAMS)[0]
             assert table[i].tobytes() == row.tobytes()
         assert not table[1].any() and not table[3].any()
 
@@ -313,11 +322,11 @@ class TestLineTable:
         assert all(np.array_equal(t, (1.0 - lam) * X[1] + lam * Y[1])
                    for t, lam in zip(calls, self.LAMS))
 
-    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3, 1)])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3, 1), (2,)])
     def test_block_of_second_points_shape_checked(self, shape):
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match=r"expects a \(3, 2\) block of "
-                           r"second points, got shape"):
+        with pytest.raises(ShapeError, match=r"blocks of points that pair "
+                           r"row by row, got shapes \(3, 2\) and"):
             line_table(F, np.ones((3, 2)), np.ones(shape), self.LAMS)
 
     def test_first_second_point_outside_named(self):
@@ -334,12 +343,12 @@ class TestLineTable:
         F = make_builtin("quadratic", 2)
         X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         Y = np.array([[0.0, 1.0], [0.5, -1.0], [-2.0, 0.5]])
-        got = bregman_block(F, X, Y)
+        got = bregman_tangent_block(F, X, Y)
         # quadratic: B(x : y) = |x - y|^2
         assert got.tolist() == [2.0, 0.0, 25.25]
-        with pytest.raises(ShapeError, match=r"expects a \(3, 2\) block of "
-                           r"second points, got shape \(2, 2\)"):
-            bregman_block(F, X, Y[:2])
+        with pytest.raises(ShapeError, match=r"pair row by row, got shapes "
+                           r"\(3, 2\) and \(2, 2\)"):
+            bregman_tangent_block(F, X, Y[:2])
 
 class TestClosedFormConjugates:
     def test_quadratic_conjugate(self):

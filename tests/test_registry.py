@@ -1,5 +1,7 @@
 """Divergence-id resolution: bare ids, prefixed families, parameter plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.cli import main
-from chorddiv.registry import (needs_generator, resolve_block,
-                               right_centroid, sweep)
+from chorddiv.registry import (DIVERGENCES, DivSpec, needs_generator,
+                               resolve_block, right_centroid, sweep)
 
 from test_bregman import expsum, sample_pair
 
@@ -77,14 +79,55 @@ def test_every_table_id(family, capsys):
         resolve_divergence(div_id, QUAD, {})
 
 
+def expsum_with_gradient(dim):
+    """A custom generator with a gradient and no rows."""
+    return dataclasses.replace(expsum(dim), grad_fn=np.exp)
+
+
+def check_block(div_id, F):
+    """resolve_block's evaluator against the pair callable, bit for bit,
+    on both forms of the second block, (m, dim) and one (1, dim) row, and
+    with one row as the first block; rows 2 and 4 coincide with their
+    second point, exactly and within DEGENERATE_EPS (where the generator
+    ids give 0.0 and the weight ids their value)."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.2, 1.5, (6, 2))
+    Y = rng.uniform(0.2, 1.5, (6, 2))
+    Y[2] = X[2]
+    Y[4] = X[4] + 1e-15
+    X[5] = Q
+    block = resolve_block(div_id, F, SAMPLE_PARAMS)
+    D = resolve_divergence(div_id, F, SAMPLE_PARAMS)
+
+    def same(got, want):
+        return got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    assert same(block(X, Y), [D(x, y) for x, y in zip(X, Y)])
+    assert same(block(X, Q[None]), [D(x, Q) for x in X])
+    assert same(block(Q[None], X), [D(Q, x) for x in X])
+    assert block(X, Y)[2] == block(X, Q[None])[5] == 0.0
+
+
+@pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
 @pytest.mark.parametrize("family", known_divergences())
-def test_block_resolution_matches_the_pair_callable(family):
+def test_block_resolution_matches_the_pair_callable(family, gen):
     key = family.replace("<name>", "")
-    div_id = key + SUFFIX.get(key, "")
-    X = np.random.default_rng(3).uniform(0.2, 1.5, (5, 2))
-    block = resolve_block(div_id, QUAD, SAMPLE_PARAMS)(X, Q)
-    D = resolve_divergence(div_id, QUAD, SAMPLE_PARAMS)
-    assert block.tobytes() == np.array([D(x, Q) for x in X]).tobytes()
+    F = expsum_with_gradient(2) if gen == "expsum" else make_builtin(gen, 2)
+    check_block(key + SUFFIX.get(key, ""), F)
+
+
+@pytest.mark.parametrize("inner", [
+    "bregman_chord", "bregman_tangent", "bregman_dual", "jensen", "kl",
+    "ekl", "fdiv:chi2", "fdiv_dual:kl", "fdiv_jssym:tv"])
+def test_biskew_blocks_take_the_inner_block(inner):
+    check_block("biskew:" + inner, make_builtin("shannon_negentropy", 2))
+
+
+def test_every_entry_has_a_block():
+    for spec in DIVERGENCES.values():
+        assert callable(spec.block) and spec.block is not None
+    with pytest.raises(TypeError):
+        DivSpec(bregman)  # block is a required field
 
 
 @pytest.mark.parametrize("div_id", ["bregman_chord", "bregman_chord_approx"])

@@ -25,8 +25,9 @@ from chorddiv import (
     resolve_divergence,
     sweep,
 )
-from chorddiv.bregman import (SkewPair, bregman_block, bregman_chord_block,
-                              chord_gap, interpolate, skew_segment)
+from chorddiv.bregman import (SkewPair, bregman_chord_block,
+                              bregman_tangent_block, chord_gap, interpolate,
+                              skew_segment)
 from chorddiv.generators import endpoints, line_table
 from chorddiv.jensen import JensenChordParams, jensen_chord, jensen_chord_block
 from chorddiv.registry import resolve_block
@@ -225,10 +226,11 @@ class TestChordBlock:
         F = generator(gen, dim)
         for X, c in sample_blocks(F):
             for cp in CHORD_PARAMS:
-                block = bregman_chord_block(F, X, c, cp)
+                block = bregman_chord_block(F, X, c[None], cp)
                 per_pair = [bregman_chord(F, x, c, cp) for x in X]
                 assert same_bits(block, per_pair)
-                assert same_bits(block, reference_chord_block(F, X, c, cp))
+                assert same_bits(block,
+                                 reference_chord_block(F, X, c[None], cp))
                 assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", GENERATORS)
@@ -242,20 +244,20 @@ class TestChordBlock:
             block = resolve_block(div_id, F, params)
             D = resolve_divergence(div_id, F, params)
             for X, c in sample_blocks(F):
-                assert same_bits(block(X, c), [D(x, c) for x in X])
+                assert same_bits(block(X, c[None]), [D(x, c) for x in X])
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
     def test_one_rows_call_per_block(self, gen):
         G, shapes = recording_rows(make_builtin(gen, 2))
         X, c = sample_blocks(G)[1]
-        bregman_chord_block(G, X, c, ChordParams(0.9, 1.0))
+        bregman_chord_block(G, X, c[None], ChordParams(0.9, 1.0))
         assert shapes == [(len(X) - 2, 3, 2)]  # the two coincident rows
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
     def test_block_whose_rows_all_coincide(self, gen):
         G, shapes = recording_rows(make_builtin(gen, 2))
-        c = sample_blocks(G)[1][1]
-        X = np.array([c, c + 1e-15, c - 1e-15])
+        c = sample_blocks(G)[1][1][None]
+        X = np.array([c[0], c[0] + 1e-15, c[0] - 1e-15])
         block = bregman_chord_block(G, X, c, ChordParams(0.7, 0.2))
         assert same_bits(block, np.zeros(3))
         jblock = jensen_chord_block(G, X, c, JensenChordParams(0.2, 0.8, 0.5))
@@ -280,8 +282,9 @@ def expsum_with_gradient(dim):
 
 
 class TestBregmanBlock:
-    """bregman's block: one gradient at the center, the rows' F values in
-    one rows call, and a stack of np.dot-rounded products."""
+    """bregman's block, the tangent block at alpha = 1: one gradient at
+    the one-row center, F at the rows and at the center in one rows call,
+    and a stack of np.dot-rounded products."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
@@ -294,10 +297,10 @@ class TestBregmanBlock:
         if F.domain.kind != "positive":
             X *= rng.choice([-1.0, 1.0], X.shape)
         for X, c in [(x[1:], x[0]) for x in X] + sample_blocks(F):
-            block = bregman_block(F, X, c)
+            block = bregman_tangent_block(F, X, c[None])
             assert same_bits(block, [bregman(F, x, c) for x in X])
         for X, c in sample_blocks(F):
-            block = bregman_block(F, X, c)
+            block = bregman_tangent_block(F, X, c[None])
             assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
@@ -306,10 +309,10 @@ class TestBregmanBlock:
         block = resolve_block("bregman", F)
         D = resolve_divergence("bregman", F)
         for X, c in sample_blocks(F):
-            assert same_bits(block(X, c), [D(x, c) for x in X])
+            assert same_bits(block(X, c[None]), [D(x, c) for x in X])
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
-    def test_one_rows_one_fn_and_one_gradient_call(self, gen):
+    def test_one_rows_and_one_gradient_call(self, gen):
         F = make_builtin(gen, 2)
         G, shapes = recording_rows(F)
         calls = []
@@ -320,9 +323,10 @@ class TestBregmanBlock:
         G = dataclasses.replace(G, fn=counted(F.fn),
                                 grad_fn=counted(F.grad_fn))
         X, c = sample_blocks(G)[1]
-        bregman_block(G, X, c)
-        assert shapes == [(len(X) - 2, 1, 2)]  # the two coincident rows
-        assert calls == [F.grad_fn, F.fn]  # both at the center
+        bregman_tangent_block(G, X, c[None])
+        # F at X and at the center, but not at the two coincident rows
+        assert shapes == [(len(X) - 2, 2, 2)]
+        assert calls == [F.grad_fn]  # at the center
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
@@ -330,10 +334,10 @@ class TestBregmanBlock:
         F = (expsum_with_gradient(dim) if gen == "expsum"
              else make_builtin(gen, dim))
         for X, Y in second_point_blocks(F):
-            block = bregman_block(F, X, Y)
+            block = bregman_tangent_block(F, X, Y)
             assert same_bits(block, [bregman(F, x, y) for x, y in zip(X, Y)])
         for X, Y in second_point_blocks(F)[8:]:  # sample_blocks' blocks
-            block = bregman_block(F, X, Y)
+            block = bregman_tangent_block(F, X, Y)
             assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
@@ -349,7 +353,7 @@ class TestBregmanBlock:
 
         G = dataclasses.replace(G, grad_fn=grad_fn)
         X, _ = sample_blocks(G)[1]
-        bregman_block(G, X, X[::-1].copy())
+        bregman_tangent_block(G, X, X[::-1].copy())
         # F at X and at Y, but not at the two coincident rows
         assert shapes == [(len(X) - 2, 2, 2)]
         assert grads == [X.shape]
@@ -360,9 +364,9 @@ class TestBregmanBlock:
         with pytest.raises(GradientRequiredError, match="expsum has none"):
             bregman(F, X[0], X[1])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
-            bregman_block(F, X, X[1])
+            bregman_tangent_block(F, X, X[1:])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
-            bregman_block(F, X, X[::-1])
+            bregman_tangent_block(F, X, X[::-1])
 
 
 def second_point_blocks(F):
@@ -381,41 +385,45 @@ def second_point_blocks(F):
 
 
 class TestBlocksOfSecondPoints:
-    """Every resolve_block evaluator takes an (m, dim) block Y: bregman's
-    block and the per-pair fallback as the chord and Jensen blocks do."""
+    """Every resolve_block evaluator takes an (m, dim) block Y or one
+    (1, dim) row, and checks it as the chord and Jensen blocks do."""
 
-    FALLBACK = [("bregman_tangent", {"alpha": 0.6}),
+    TANGENT = [("bregman_tangent", {"alpha": 0.6}),
                 ("bregman_tangent", {"alpha": 1.0}),
                 ("bregman_dual", {}),
                 ("biskew:bregman_chord", {"alpha": 0.9, "beta": 1.0,
                                           "gamma": 0.1, "delta": 0.9})]
 
-    @pytest.mark.parametrize("div_id, params", FALLBACK)
+    @pytest.mark.parametrize("div_id, params", TANGENT)
     @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
-    def test_fallback_equals_per_pair(self, gen, div_id, params):
+    def test_blocks_equal_per_pair(self, gen, div_id, params):
         F = (expsum_with_gradient(2) if gen == "expsum"
              else make_builtin(gen, 2))
         block = resolve_block(div_id, F, params)
         D = resolve_divergence(div_id, F, params)
         for X, Y in second_point_blocks(F):
             assert same_bits(block(X, Y), [D(x, y) for x, y in zip(X, Y)])
-            assert same_bits(block(X, Y[3]), [D(x, Y[3]) for x in X])
+            assert same_bits(block(X, Y[3:4]), [D(x, Y[3]) for x in X])
+            assert same_bits(block(Y[3:4], X), [D(Y[3], x) for x in X])
 
     @pytest.mark.parametrize("div_id, params", [
-        ("bregman", {}), *FALLBACK[:3]])
+        ("bregman", {}), *TANGENT[:3]])
     def test_bad_second_points_raise_the_chord_blocks_errors(
             self, div_id, params):
         F = make_builtin("burg_negentropy", 2)
         X = np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]])
         chord = resolve_block("bregman_chord", F, {"alpha": 0.9, "beta": 1.0})
         block = resolve_block(div_id, F, params)
-        for shape in [(2, 2), (4, 2), (3, 3), (3, 1)]:
+        for shape in [(2, 2), (4, 2), (3, 3), (3, 1), (2,)]:
+            # bregman_dual's block is the tangent block on the swapped pair
+            pair = ((np.ones(shape), X) if div_id == "bregman_dual"
+                    else (X, np.ones(shape)))
             with pytest.raises(ShapeError) as want:
-                chord(X, np.ones(shape))
+                chord(*pair)
             with pytest.raises(ShapeError) as got:
                 block(X, np.ones(shape))
             assert str(got.value) == str(want.value)
-            assert "expects a (3, 2) block of second points" in str(got.value)
+            assert "blocks of points that pair row by row" in str(got.value)
         # rows 1 and 2 lie outside the positive orthant; row 1 is named
         Y = np.array([[1.0, 1.0], [-1.0, 2.0], [2.0, -3.0]])
         with pytest.raises(DomainError) as want:
@@ -434,7 +442,7 @@ class TestJensenChordBlock:
         F = generator(gen, dim)
         for X, c in sample_blocks(F):
             for jcp in JENSEN_PARAMS:
-                block = jensen_chord_block(F, X, c, jcp)
+                block = jensen_chord_block(F, X, c[None], jcp)
                 per_pair = [jensen_chord(F, x, c, jcp) for x in X]
                 reference = [reference_jensen_chord(F, x, c, jcp) for x in X]
                 assert same_bits(per_pair, reference)
@@ -452,7 +460,7 @@ class TestJensenChordBlock:
             block = resolve_block(div_id, F, params)
             D = resolve_divergence(div_id, F, params)
             for X, c in sample_blocks(F):
-                assert same_bits(block(X, c), [D(x, c) for x in X])
+                assert same_bits(block(X, c[None]), [D(x, c) for x in X])
 
     @pytest.mark.parametrize("jcp, lams", [
         (JensenChordParams(0.2, 0.8, 0.5), (0.0, 0.2, 0.8, 1.0)),
@@ -460,13 +468,13 @@ class TestJensenChordBlock:
     def test_table_columns(self, jcp, lams, monkeypatch):
         seen = []
 
-        def recording(F, X, theta2, at):
+        def recording(F, X, Y, at):
             seen.append(tuple(at))
-            return line_table(F, X, theta2, at)
+            return line_table(F, X, Y, at)
 
         monkeypatch.setattr(JENSEN, "line_table", recording)
         F = make_builtin("quadratic", 2)
-        jensen_chord_block(F, np.ones((4, 2)), np.zeros(2), jcp)
+        jensen_chord_block(F, np.ones((4, 2)), np.zeros((1, 2)), jcp)
         assert seen == [lams]
 
 
@@ -490,7 +498,8 @@ def reference_sweep(F, theta1, theta2, alphas, betas, div_id, params):
                 params["gamma"], params["delta"]))
         lams = sorted({0.0, *alphas, *betas})
         row = [0.0] * len(lams) if segment is None else line_table(
-            F, np.atleast_2d(segment[0]), segment[1], lams)[0].tolist()
+            F, np.atleast_2d(segment[0]), np.atleast_2d(segment[1]),
+            lams)[0].tolist()
         g = dict(zip(lams, row))
         values = [chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
     rows = []

@@ -53,6 +53,7 @@ def test_line_table_shape(gen, rows):
         F = dataclasses.replace(F, rows=None)
     rng = np.random.default_rng(8)
     X = positive_points(rng, (4, 2))
-    assert line_table(F, X, X[0], (0.0, 0.5, 1.0)).shape == (4, 3)
+    assert line_table(F, X, X[:1], (0.0, 0.5, 1.0)).shape == (4, 3)
+    assert line_table(F, X[:1], X, (0.0, 0.5, 1.0)).shape == (4, 3)
     assert line_table(F, X, X[::-1], (0.0, 0.5)).shape == (4, 2)
-    assert line_table(F, X[:0], X[0], (0.0, 0.5)).shape == (0, 2)
+    assert line_table(F, X[:0], X[:1], (0.0, 0.5)).shape == (0, 2)
