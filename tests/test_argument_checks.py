@@ -1,14 +1,18 @@
 """The argument checks against test-local copies of their former bodies.
 
 Domain.contains, Generator.point, interpolate, skew_segment and
-fdiv._weights coerce with generators.as_vector and test a point by ufunc
-reductions (one on the reals, generators.finite_above's two on the
-positive orthant and for weights); the builtins, coincide, f_div
+fdiv._weights coerce with generators.as_vector and test a point through
+generators.finite_above: arrays of at most SMALL_ARRAY entries by Python
+float comparisons, larger ones by ufunc reductions (one on the reals, two
+on the positive orthant and for weights). The builtins, coincide, f_div
 and extended_kl reduce with np.add.reduce and np.maximum.reduce. The old
 bodies below are the np.atleast_1d, np.isfinite-and-all, np.sum and np.max
-forms they replaced: every verdict, array (bit for bit), exception type and
-message must match them, and so must every value of the pairs benchmark's
-ids with the old bodies patched back in.
+forms they replaced, and the two-reduction finite_above: every verdict,
+array (bit for bit), exception type and message must match them, on
+blocks that hold each edge value first and last at SMALL_ARRAY and
+SMALL_ARRAY + 1 entries too, and so must every value of the pairs
+benchmark's ids with the old bodies patched back in. One test pins which
+side of SMALL_ARRAY reaches the reductions.
 """
 
 import importlib
@@ -17,8 +21,8 @@ import numpy as np
 import pytest
 
 from chorddiv.errors import DomainError, ShapeError
-from chorddiv.generators import (DOMAIN_MARGIN, POSITIVE, REALS, Generator,
-                                  make_builtin)
+from chorddiv.generators import (DOMAIN_MARGIN, POSITIVE, REALS, SMALL_ARRAY,
+                                  Generator, make_builtin)
 
 bregman, fdiv, generators, jensen, registry = (
     importlib.import_module(f"chorddiv.{name}")
@@ -31,6 +35,11 @@ def old_contains(self, coords):
     c = np.asarray(coords, dtype=float)
     return bool(np.isfinite(c).all() and (self.kind == "reals"
                                           or (c > DOMAIN_MARGIN).all()))
+
+
+def old_finite_above(c, floor):
+    return bool(np.minimum.reduce(c, axis=None, initial=np.inf) > floor
+                and np.maximum.reduce(c, axis=None, initial=-np.inf) < np.inf)
 
 
 def old_point(self, theta):
@@ -176,10 +185,27 @@ EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, SUBNORMAL, 1e-310, -SUBNORMAL,
          np.nextafter(DOMAIN_MARGIN, 1.0), 0.5, 1.0, -1.0, 1e308, -1e308]
 
 
+#: Shapes of SMALL_ARRAY entries, the largest that the float comparisons
+#: check, and of SMALL_ARRAY + 1, the smallest that the reductions check,
+#: in 1-D, 2-D and 3-D, and one long vector.
+SIDE_SHAPES = [(SMALL_ARRAY,), (2, SMALL_ARRAY // 2), (2, 2, SMALL_ARRAY // 4),
+               (SMALL_ARRAY + 1,), (1, SMALL_ARRAY + 1),
+               (SMALL_ARRAY + 1, 1, 1), (10_000,)]
+
+
+def with_edge(shape, v, at):
+    """An array of ordinary values in [0.5, 2] of the given shape, its
+    entry at flat index at set to v."""
+    a = np.linspace(0.5, 2.0, int(np.prod(shape)))
+    a[at] = v
+    return a.reshape(shape)
+
+
 def blocks():
     """Scalars, vectors, lists, ints, and 0-d to 3-D blocks, each holding
     one edge value beside ordinary ones, plus empty blocks and pairs of
-    edge values."""
+    edge values; and the SIDE_SHAPES, each holding an edge value first
+    or last."""
     out = [[], (), np.empty(0), np.empty((0, 2)), np.empty((2, 0, 3)),
            3, 0, -1, True, [1, 2], [1, 2, 3], [[1, 2]], [[1], [2]],
            np.arange(3), np.float32(0.25), "0.5", [np.nan, np.inf],
@@ -188,6 +214,8 @@ def blocks():
         out += [v, np.float64(v), np.array(v), [v], [0.5, v], [v, 0.5, 2.0],
                 np.array([[0.5, v], [1.5, 0.25]]),
                 np.full((2, 1, 3), v), np.array([[[0.5, 0.5, v]]])]
+        out += [with_edge(shape, v, at) for shape in SIDE_SHAPES
+                for at in (0, -1)]
     return out
 
 
@@ -202,6 +230,43 @@ def test_contains_matches_the_old_body(domain):
     for x in BLOCKS:
         assert outcome(domain.contains, x) == outcome(old_contains, domain,
                                                       x), x
+
+
+@pytest.mark.parametrize("floor", [0.0, DOMAIN_MARGIN])
+def test_finite_above_matches_the_old_body(floor):
+    for x in BLOCKS:
+        c = np.asarray(x, dtype=float)
+        assert outcome(generators.finite_above, c, floor) == outcome(
+            old_finite_above, c, floor), x
+
+
+class ReductionSpy:
+    """numpy, recording which ufunc reductions are looked up on it."""
+
+    def __init__(self):
+        self.reductions = []
+
+    def __getattr__(self, name):
+        if name in ("minimum", "maximum"):
+            self.reductions.append(name)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("domain", [REALS, POSITIVE], ids=["reals",
+                                                           "positive"])
+def test_only_arrays_above_small_array_reach_the_reductions(domain,
+                                                            monkeypatch):
+    spy = ReductionSpy()
+    monkeypatch.setattr(generators, "np", spy)
+    for shape in SIDE_SHAPES:
+        for v in (1.0, np.nan, DOMAIN_MARGIN):
+            spy.reductions.clear()
+            c = with_edge(shape, v, -1)
+            assert domain.contains(c) == old_contains(domain, c)
+            if domain is POSITIVE:
+                assert generators.finite_above(c, 0.0) == old_finite_above(
+                    c, 0.0)
+            assert bool(spy.reductions) == (c.size > SMALL_ARRAY), shape
 
 
 @pytest.mark.parametrize("name", ["quadratic", "shannon_negentropy"])
