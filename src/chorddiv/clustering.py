@@ -1,12 +1,10 @@
 """Right-sided k-means under any divergence from the registry.
 
-Lloyd iterations with D(point : center) assignments. A center comes one of
-three ways:
+Lloyd iterations with D(point : center) assignments. A run takes the
+first of registry.center_rule's four rules that holds: two closed forms,
+the member mean and the left-sided centroid grad F^-1(mean grad F), then
+two searches:
 
-* closed form, where registry.right_centroid gives one: the member mean
-  for bregman and ekl, and for every generator-based id under the
-  quadratic builtin; for bregman_dual, grad F^-1(mean grad F) when F has
-  a conjugate or is the burg_negentropy or log_sum_exp builtin;
 * lockstep, for a chord or Jensen id under a generators.SEPARABLE
   builtin (shannon_negentropy, burg_negentropy): the objective is a sum
   of one-coordinate objectives under the builtin at dim 1, so one
@@ -46,8 +44,7 @@ from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
 # Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import resolve_divergence  # noqa: F401
-from .registry import (needs_generator, resolve_block,
-                       resolve_coordinate_block, right_centroid)
+from .registry import center_rule, needs_generator, resolve_block
 
 #: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
 #: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
@@ -206,8 +203,8 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
 def _update_center(members: np.ndarray, F: Generator, block,
                    positive: bool = False) -> Minimum:
     """Numerical right centroid by coordinate descent: argmin_c
-    sum_i D(x_i : c), for divergences the registry gives no closed form
-    and that _lockstep_centers cannot search.
+    sum_i D(x_i : c), for the ids and generators whose center_rule is
+    "descent".
 
     The objective value at c is one block(members, c[None]) call, a
     resolve_block evaluator, its values summed in index order. The search
@@ -228,8 +225,8 @@ def _update_center(members: np.ndarray, F: Generator, block,
 
 def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
     """Numerical right centroids of the member matrices in groups, all
-    searched at once for a separable objective: coordinate is the
-    resolve_coordinate_block evaluator of block's id (its 1-D block).
+    searched at once for a separable objective: coordinate is the rule
+    center_rule gives block's id on its "lockstep" path (its 1-D block).
 
     One golden_lockstep call searches every coordinate of every group's
     box (_update_center's box). Each round is one coordinate call on the
@@ -279,13 +276,12 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     """Lloyd k-means under the configured divergence.
 
     Centers are initialized to k distinct data points drawn uniformly with
-    the configured seed. Each iteration updates every center (closed form
-    where registry.right_centroid gives one for the divergence under F,
-    numerically otherwise: one lockstep search for all of the centers
-    under a SEPARABLE builtin, coordinate descent center by center
-    otherwise), reassigns points to the divergence-nearest center (right
-    argument; ties keep the lowest center index), and hands any emptied
-    cluster the point farthest from its own center. The labels, the
+    the configured seed. Each iteration updates every center by the one
+    rule registry.center_rule gives the divergence under F (a closed form,
+    one lockstep search for all of the centers, or coordinate descent
+    center by center), reassigns points to the divergence-nearest center
+    (right argument; ties keep the lowest center index), and hands any
+    emptied cluster the point farthest from its own center. The labels, the
     repair distances and the objective all come from one n x k
     divergence matrix per iteration, one block call. Stops at the first
     iteration that does not lower the objective or whose labels equal the
@@ -326,8 +322,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
     block = resolve_block(cfg.divergence, F, cfg.params)
-    coordinate = resolve_coordinate_block(cfg.divergence, F, cfg.params)
-    centroid = right_centroid(cfg.divergence, F)
+    path, rule = center_rule(cfg.divergence, F, cfg.params)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
@@ -343,13 +338,13 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         iterations += 1
         groups = [(j, members) for j in range(cfg.k)
                   if (members := pts[labels == j]).size]
-        if centroid is not None:
+        if path in ("mean", "left"):
             for j, members in groups:
-                centers[j] = centroid(members)
+                centers[j] = rule(members)
         else:
             live = [members for _, members in groups]
-            found = (_lockstep_centers(live, F, block, coordinate)
-                     if coordinate is not None else
+            found = (_lockstep_centers(live, F, block, rule)
+                     if path == "lockstep" else
                      [_update_center(members, F, block, positive)
                       for members in live])
             for (j, _), minimum in zip(groups, found):

@@ -69,11 +69,11 @@ class DivSpec(NamedTuple):
     (build(param),). needs_generator is False for ids that ignore the
     generator and read their arguments as positive weights (kl and ekl,
     whose pre is empty).
-    right_centroid, when set, is the id's closed-form rule: F -> (an
-    (m, dim) member matrix -> argmin_c sum_i D(x_i : c)), or None where F
-    has no closed form; right_centroid() adds the quadratic rule. anchors
-    says how the value depends on the sweep anchors (alpha, beta): CHORD,
-    IGNORED or REJECTED.
+    right_centroid, when set, is the id's closed-form rule: F -> (path,
+    an (m, dim) member matrix -> argmin_c sum_i D(x_i : c)), or None where
+    F has no closed form; center_rule() adds the quadratic, lockstep and
+    descent rules. anchors says how the value depends on the sweep
+    anchors (alpha, beta): CHORD, IGNORED or REJECTED.
     """
 
     kernel: Callable
@@ -84,11 +84,11 @@ class DivSpec(NamedTuple):
     anchors: str = IGNORED
 
 
-def _member_mean(F: Generator) -> Callable:
+def _member_mean(F: Generator) -> tuple:
     """The member mean under every F: the right centroid of every Bregman
     divergence (Banerjee, Merugu, Dhillon and Ghosh, "Clustering with
     Bregman Divergences", JMLR 2005)."""
-    return lambda members: members.mean(axis=0)
+    return "mean", lambda members: members.mean(axis=0)
 
 
 def _log_sum_exp_centroid(F: Generator, members) -> np.ndarray:
@@ -109,18 +109,18 @@ _INVERSE_MEAN_GRAD = {
 }
 
 
-def _left_centroid(F: Generator) -> Optional[Callable]:
+def _left_centroid(F: Generator) -> Optional[tuple]:
     """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
     grad F^-1(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and
     symmetrized Bregman centroids", IEEE TIT 2009), through F's conjugate
     or else F's builtin; None when F has neither."""
     if F.conjugate is not None:
-        return lambda members: F.point(F.conjugate.grad_fn(
+        return "left", lambda members: F.point(F.conjugate.grad_fn(
             F.grad_rows(members).mean(axis=0)))
     solve = _INVERSE_MEAN_GRAD.get(F.builtin)
     if solve is None:
         return None
-    return lambda members: F.point(solve(F, members))
+    return "left", lambda members: F.point(solve(F, members))
 
 
 # the skewed Jensen ids are jensen_chord at alpha = beta = gamma;
@@ -201,26 +201,6 @@ def needs_generator(div_id: str) -> bool:
     return _spec(div_id)[0].needs_generator
 
 
-def right_centroid(div_id: str, F: Generator) -> Optional[Callable]:
-    """The closed-form argmin_c sum_i D(x_i : c) of the identifier under F,
-    as a map from an (m, dim) member matrix to the center, or None when it
-    must be found numerically. The first rule that holds gives it:
-
-    1. the member mean for every id that evaluates the generator when F is
-       the quadratic builtin, since each such D(x : c) is then a
-       non-negative multiple of |x - c|^2 (biskew: wrappers of those ids
-       included);
-    2. the id's DivSpec.right_centroid rule: the member mean for bregman
-       and ekl; for bregman_dual, whose D(x : c) is B_F(c : x), the
-       left-sided centroid grad F^-1(mean_i grad F(x_i)) when F has a
-       conjugate or is the burg_negentropy or log_sum_exp builtin.
-    """
-    spec, _ = _spec(div_id)
-    if F.builtin == "quadratic" and spec.needs_generator:
-        return _member_mean(F)
-    return None if spec.right_centroid is None else spec.right_centroid(F)
-
-
 def _bind(div_id: str, generator: Optional[Generator],
           params: Optional[Mapping[str, float]], block: bool = False) -> tuple:
     """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post),
@@ -276,22 +256,36 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     return lambda X, Y: block(*pre, X, Y, *post)
 
 
-def resolve_coordinate_block(div_id: str, generator: Generator,
-                             params: Optional[Mapping[str, float]] = None
-                             ) -> Optional[Callable]:
-    """For an id with a gradient-free block kernel (bregman_chord_block or
-    jensen_chord_block: the chord and Jensen ids) under a SEPARABLE
-    builtin, F(t) = sum_j f(t_j): the id's block under f, the builtin at
-    dim 1. The kernels' gaps are linear in F's values, so D(x : c) is, up
-    to rounding, the sum over j of the block's value at (x_j, c_j), and a
-    separable objective can be searched one coordinate at a time. None
-    for any other id or generator.
+def center_rule(div_id: str, F: Generator,
+                params: Optional[Mapping[str, float]] = None) -> tuple:
+    """(path, rule): how argmin_c sum_i D(x_i : c) is found for the id
+    under F, by the first rule that holds:
+
+    1. ("mean", members -> their mean) for every id that evaluates the
+       generator when F is the quadratic builtin: each such D(x : c) is
+       then a non-negative multiple of |x - c|^2 (biskew: wrappers too);
+    2. the id's DivSpec.right_centroid closed form: "mean" for bregman and
+       ekl, ("left", the left-sided centroid) for bregman_dual when F has
+       a conjugate or is the burg_negentropy or log_sum_exp builtin;
+    3. ("lockstep", the id's block under f, the builtin at dim 1) for the
+       chord and Jensen ids (gradient-free block kernels) under a
+       SEPARABLE builtin, F(t) = sum_j f(t_j): their gaps are linear in
+       F's values, so D(x : c) sums the block's values at (x_j, c_j);
+    4. ("descent", None) otherwise: coordinate descent.
+
+    A closed form maps an (m, dim) member matrix to its center. Only rule
+    3 reads params, after _spec has checked the identifier.
     """
     spec, _ = _spec(div_id)
-    if (spec.block not in (bregman_chord_block, jensen_chord_block)
-            or generator.builtin not in SEPARABLE):
-        return None
-    return resolve_block(div_id, make_builtin(generator.builtin, 1), params)
+    if F.builtin == "quadratic" and spec.needs_generator:
+        return _member_mean(F)
+    if spec.right_centroid and (closed := spec.right_centroid(F)):
+        return closed
+    if (spec.block in (bregman_chord_block, jensen_chord_block)
+            and F.builtin in SEPARABLE):
+        return "lockstep", resolve_block(div_id, make_builtin(F.builtin, 1),
+                                         params)
+    return "descent", None
 
 
 def _reader(div_id: str, params: Optional[Mapping[str, float]]

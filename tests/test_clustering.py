@@ -38,8 +38,7 @@ from chorddiv.clustering import (
 from chorddiv.generators import REALS, SEPARABLE, Domain, coincide
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
-from chorddiv.registry import (needs_generator, resolve_block,
-                               resolve_coordinate_block, right_centroid)
+from chorddiv.registry import center_rule, needs_generator, resolve_block
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
@@ -181,11 +180,11 @@ class TestUpdateCenter:
 
     @pytest.mark.parametrize("gen", ["log_sum_exp", "quadratic"])
     def test_block_search_equals_the_per_pair_search(self, gen):
-        # generators that are not separable, which k-means searches
-        # coordinate-wise
+        # generators that are not separable, whose objective has no
+        # lockstep search, only coordinate descent
         F = make_builtin(gen, 2)
         params = {"alpha": 0.9, "beta": 1.0}
-        assert resolve_coordinate_block("bregman_chord", F, params) is None
+        assert center_rule("bregman_chord", F, params)[0] != "lockstep"
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         D = resolve_divergence("bregman_chord", F, params)
         lo, hi = _centroid_box(members, F.domain.kind == "positive")
@@ -416,11 +415,6 @@ class TestClosedFormCentroid:
     for bregman_dual under a generator with a conjugate or under the Burg
     and log_sum_exp builtins."""
 
-    def test_ids_cover_the_registry(self):
-        bare = {div for div in chorddiv.registry.known_divergences()
-                if ":" not in div and needs_generator(div)}
-        assert bare == {div for div in GENERATOR_IDS if ":" not in div}
-
     @pytest.mark.parametrize("div,gen,dim", [
         *(("bregman", gen, dim) for gen in BUILTIN_GENERATORS
           for dim in (1, 2)),
@@ -483,7 +477,7 @@ class TestClosedFormCentroid:
         # grad F(c) = mean_i grad F(x_i), checked in log space
         F = make_builtin("log_sum_exp", 2)
         members = blob_points(2)[:6] + shift
-        center = right_centroid("bregman_dual", F)(members)
+        center = center_rule("bregman_dual", F)[1](members)
         f = F.rows(members)
         assert np.all(np.isfinite(center))
         assert abs(F(center) + log_mean_exp(-f)) <= 1e-12
@@ -507,7 +501,7 @@ class TestClosedFormCentroid:
         members = blob_points(2)[:6]
         found = _update_center(members, F,
                                resolve_block(div, F, GENERATOR_IDS[div]))
-        centroid = right_centroid(div, F)
+        _, centroid = center_rule(div, F)
         assert np.max(np.abs(centroid(members) - found.x)) <= 1e-6
 
     def test_biskew_bregman_stays_numeric(self, monkeypatch):
@@ -540,8 +534,6 @@ class TestClosedFormKey:
             self, name):
         builtin = make_builtin(name, 1)
         custom = dataclasses.replace(builtin, builtin=None)
-        assert right_centroid("bregman_dual", builtin) is not None
-        assert right_centroid("bregman_dual", custom) is None
         pts = np.array([[0.1], [0.2], [0.4]])
         res = kmeans(pts, custom, ClusterConfig(k=1,
                                                 divergence="bregman_dual"))
@@ -552,7 +544,6 @@ class TestClosedFormKey:
             name="quadratic", dim=1, domain=REALS,
             fn=lambda t: float(np.sum(np.exp(t))),
             grad_fn=np.exp)
-        assert right_centroid("bregman_chord", exp_sum) is None
         pts = np.array([[0.1], [0.2], [0.4]])
         res = kmeans(pts, exp_sum, ClusterConfig(
             k=1, divergence="bregman_chord",
@@ -585,6 +576,106 @@ class TestClosedFormKey:
             members = pts[res.assignments == j]
             assert np.array_equal(center, members.mean(axis=0))
         assert res.center_solves == ()
+
+
+def conjugate_expsum(dim):
+    """F(t) = sum_j exp(t_j), with its gradient and its conjugate
+    F*(s) = sum_j s_j log s_j - s_j, named like a separable builtin."""
+    conjugate = Generator(name="expsum*", dim=dim, domain=Domain("positive"),
+                          fn=lambda s: float(np.sum(s * np.log(s) - s)),
+                          grad_fn=np.log)
+    return Generator(name="shannon_negentropy", dim=dim, domain=REALS,
+                     fn=lambda t: float(np.sum(np.exp(t))), grad_fn=np.exp,
+                     conjugate=conjugate)
+
+
+#: The routing table's generators at d = 2: the builtins, then two custom
+#: generators named like builtins, one with a gradient and a conjugate and
+#: one with fn only. The rules key on make_builtin's builtin field, never
+#: on the name.
+ROUTE_GENERATORS = {
+    **{gen: make_builtin(gen, 2) for gen in BUILTIN_GENERATORS},
+    "conjugate": conjugate_expsum(2),
+    "fn only": Generator(name="quadratic", dim=2, domain=REALS,
+                         fn=lambda t: float(np.sum(np.exp(t)))),
+}
+ROUTE_PARAMS = {"alpha": 0.5, "beta": 1.0, "gamma": 0.5, "delta": 0.7,
+                "epsilon": 1e-3}
+
+#: The center path of every known_divergences() family, <name> expanded
+#: to chi2 after fdiv and to bregman_chord after biskew:, under each
+#: ROUTE_GENERATORS column in order.
+ROUTES = {
+    "bregman": "mean mean mean mean mean mean",
+    "bregman_dual": "mean left left left left descent",
+    "bregman_chord": "mean lockstep lockstep descent descent descent",
+    "bregman_tangent": "mean descent descent descent descent descent",
+    "bregman_chord_approx": "mean lockstep lockstep descent descent descent",
+    "jensen": "mean lockstep lockstep descent descent descent",
+    "jensen_skewed": "mean lockstep lockstep descent descent descent",
+    "jensen_chord": "mean lockstep lockstep descent descent descent",
+    "jensen_bregman": "mean lockstep lockstep descent descent descent",
+    "kl": "descent descent descent descent descent descent",
+    "ekl": "mean mean mean mean mean mean",
+    "fdiv:<name>": "descent descent descent descent descent descent",
+    "fdiv_dual:<name>": "descent descent descent descent descent descent",
+    "fdiv_jsym:<name>": "descent descent descent descent descent descent",
+    "fdiv_jssym:<name>": "descent descent descent descent descent descent",
+    "biskew:<name>": "mean descent descent descent descent descent",
+}
+
+
+class TestCenterRule:
+    """registry.center_rule routes every id under every generator to one
+    of four center paths, and kmeans resolves it once per run."""
+
+    @pytest.mark.parametrize("column,gen", enumerate(ROUTE_GENERATORS))
+    @pytest.mark.parametrize("family", chorddiv.registry.known_divergences())
+    def test_routes_every_family(self, family, column, gen):
+        div = family.replace("<name>", "chi2" if "fdiv" in family
+                             else "bregman_chord")
+        F = ROUTE_GENERATORS[gen]
+        path, rule = center_rule(div, F, ROUTE_PARAMS)
+        assert path == ROUTES[family].split()[column]
+        members = blob_points(2)[:6]
+        if path == "mean":
+            assert rule(members).tobytes() == members.mean(axis=0).tobytes()
+        elif path == "left":
+            # grad F at the center is the members' mean gradient
+            eta = np.mean([F.grad(x) for x in members], axis=0)
+            np.testing.assert_allclose(F.grad(rule(members)), eta,
+                                       rtol=1e-12, atol=0.0)
+        elif path == "lockstep":
+            # the id's block under the builtin at dim 1
+            X, Y = members.reshape(-1, 1), members[::-1].reshape(-1, 1)
+            f = make_builtin(gen, 1)
+            want = resolve_block(div, f, ROUTE_PARAMS)(X, Y)
+            assert rule(X, Y).tobytes() == want.tobytes()
+        else:
+            assert rule is None
+
+    @pytest.mark.parametrize("gen,div,params", [
+        ("shannon_negentropy", "bregman", {}),
+        ("burg_negentropy", "bregman_dual", {}),
+        ("burg_negentropy", "jensen", {}),
+        ("log_sum_exp", "bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+    ])
+    def test_kmeans_resolves_it_once_per_run(self, monkeypatch, gen, div,
+                                              params):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return center_rule(*args)
+
+        monkeypatch.setattr(chorddiv.clustering, "center_rule", spy)
+        F = make_builtin(gen, 2)
+        res = kmeans(blob_points(2), F, ClusterConfig(
+            k=3, divergence=div, params=params, seed=1))
+        assert res.iterations > 1
+        assert calls == [(div, F, params)]
+        closed = center_rule(div, F, params)[0] in ("mean", "left")
+        assert (res.center_solves == ()) is closed
 
 
 class TestDistanceMatrix:
@@ -795,6 +886,13 @@ LOCKSTEP_CASES = [
 ]
 
 
+def lockstep_block(div, F, params):
+    """The 1-D block center_rule gives div under F, on its lockstep path."""
+    path, coordinate = center_rule(div, F, params)
+    assert path == "lockstep"
+    return coordinate
+
+
 def shares(coordinate, X, c):
     """The (m, dim) array whose [i, j] is coordinate j's share of
     D(X[i] : c): the 1-D block coordinate on (X[i, j], c[j])."""
@@ -818,7 +916,7 @@ class TestLockstepCenters:
         F = make_builtin(gen, 2)
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         block = resolve_block(div, F, params)
-        coordinate = resolve_coordinate_block(div, F, params)
+        coordinate = lockstep_block(div, F, params)
         found, = _lockstep_centers([members], F, block, coordinate)
         mean = members.mean(axis=0)
         lo, hi = _centroid_box(members, True)
@@ -841,7 +939,7 @@ class TestLockstepCenters:
         X = rng.uniform(0.2, 3.0, (6, 3))
         c = rng.uniform(0.2, 3.0, 3)
         X[2] = c  # a coinciding row gives zeros
-        S = shares(resolve_coordinate_block(div, F, params), X, c)
+        S = shares(lockstep_block(div, F, params), X, c)
         assert S.shape == (6, 3)
         assert not S[2].any()
         np.testing.assert_allclose(S.sum(axis=1),
@@ -858,8 +956,8 @@ class TestLockstepCenters:
         assert res.center_solves
         for _, _, sweeps, capped, _ in res.center_solves:
             assert (sweeps, capped) == (1, False)
-        monkeypatch.setattr(chorddiv.clustering, "resolve_coordinate_block",
-                            lambda *args: None)
+        monkeypatch.setattr(chorddiv.clustering, "center_rule",
+                            lambda *args: ("descent", None))
         swept = kmeans(pts, F, cfg)
         assert any(sweeps > 1 for _, _, sweeps, _, _ in swept.center_solves)
         assert np.array_equal(res.assignments, swept.assignments)
@@ -897,39 +995,10 @@ class TestLockstepCenters:
         params = {"alpha": 0.9, "beta": 1.0}
         found, = _lockstep_centers(
             [members], F, resolve_block("bregman_chord", F, params),
-            resolve_coordinate_block("bregman_chord", F, params))
+            lockstep_block("bregman_chord", F, params))
         assert np.array_equal(found.x, members.mean(axis=0))
         assert (found.sweeps, found.capped, found.on_edge) == (1, False,
                                                                False)
-
-    @pytest.mark.parametrize("gen,div", [
-        ("log_sum_exp", "bregman_chord"),
-        ("quadratic", "jensen"),
-        ("shannon_negentropy", "bregman"),
-        ("shannon_negentropy", "bregman_tangent"),
-        ("shannon_negentropy", "biskew:bregman_chord"),
-    ])
-    def test_other_ids_and_generators_have_no_coordinate_block(self, gen,
-                                                               div):
-        params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.2, "delta": 0.7}
-        assert resolve_coordinate_block(div, make_builtin(gen, 2),
-                                        params) is None
-
-    def test_coordinate_blocks_are_the_chord_and_jensen_ids(self):
-        # exactly these ids, under exactly the SEPARABLE builtins
-        chord_and_jensen = {"bregman_chord", "bregman_chord_approx",
-                            "jensen", "jensen_skewed", "jensen_chord",
-                            "jensen_bregman"}
-        params = {"alpha": 0.5, "beta": 1.0, "gamma": 0.5, "delta": 0.7,
-                  "epsilon": 1e-3}
-        for family in chorddiv.registry.known_divergences():
-            div = family.replace("<name>", "chi2" if "fdiv" in family
-                                 else "bregman_chord")
-            for gen in BUILTIN_GENERATORS:
-                got = resolve_coordinate_block(div, make_builtin(gen, 2),
-                                               params)
-                assert (got is not None) == (div in chord_and_jensen
-                                             and gen in SEPARABLE), div
 
 
 def per_center_lockstep(members, F, block, positive, coordinate):
@@ -997,7 +1066,7 @@ class TestBatchedLockstep:
     def test_equals_the_per_center_search(self, gen, div, params, k, dim):
         F = make_builtin(gen, dim)
         block = resolve_block(div, F, params)
-        coordinate = resolve_coordinate_block(div, F, params)
+        coordinate = lockstep_block(div, F, params)
         rng = np.random.default_rng(100 * k + dim)
         sizes = rng.integers(2, 7, k)
         if k > 1:
@@ -1042,7 +1111,7 @@ class TestBatchedLockstep:
         monkeypatch.setattr(chorddiv.clustering, "golden_lockstep",
                             lambda g, lo, hi, tol: searches.append(g)
                             or np.asarray(lo))
-        coordinate = resolve_coordinate_block(div, F, params)
+        coordinate = lockstep_block(div, F, params)
         _lockstep_centers(groups, F, resolve_block(div, F, params),
                           coordinate)
         probes = rng.uniform(0.2, 3.0, (len(sizes), dim))

@@ -22,8 +22,8 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.cli import main
-from chorddiv.registry import (DIVERGENCES, DivSpec, needs_generator,
-                               resolve_block, right_centroid, sweep)
+from chorddiv.registry import (DIVERGENCES, DivSpec, center_rule,
+                               needs_generator, resolve_block, sweep)
 
 from test_bregman import expsum, sample_pair
 
@@ -221,8 +221,8 @@ def test_biskew_of_an_unknown_id_is_unknown_everywhere(params, capsys):
     for call in (lambda: resolve_divergence("biskew:nope", QUAD, params),
                  lambda: resolve_block("biskew:nope", QUAD, params),
                  lambda: needs_generator("biskew:nope"),
-                 lambda: right_centroid("biskew:nope", QUAD),
-                 lambda: right_centroid("biskew:nope", shannon)):
+                 lambda: center_rule("biskew:nope", QUAD, params),
+                 lambda: center_rule("biskew:nope", shannon, params)):
         with pytest.raises(UnknownDivergenceError,
                            match="^unknown divergence identifier 'nope'$"):
             call()
@@ -247,8 +247,8 @@ def test_unknown_f_name_is_unknown_everywhere(div_id, named, params, capsys):
     for call in (lambda: resolve_divergence(div_id, QUAD, params),
                  lambda: resolve_block(div_id, None, params),
                  lambda: needs_generator(div_id),
-                 lambda: right_centroid(div_id, QUAD),
-                 lambda: right_centroid(div_id, shannon),
+                 lambda: center_rule(div_id, QUAD, params),
+                 lambda: center_rule(div_id, shannon, params),
                  lambda: kmeans(np.array([[0.5, 0.5], [0.2, 0.7]]), QUAD,
                                 ClusterConfig(k=1, divergence=div_id,
                                               params=params))):
@@ -259,6 +259,17 @@ def test_unknown_f_name_is_unknown_everywhere(div_id, named, params, capsys):
         argv += [f"--{key}", str(value)]
     assert main(argv) == 2
     assert f"identifier '{named}'" in capsys.readouterr().err
+
+
+def test_closed_form_center_rules_read_no_parameters():
+    """bregman_chord needs alpha and beta to resolve, but its member-mean
+    rule under quadratic is found without them."""
+    with pytest.raises(ParameterError):
+        resolve_block("bregman_chord", QUAD, {})
+    path, rule = center_rule("bregman_chord", QUAD, {})
+    members = np.array([[0.0, 1.0], [0.5, 0.25], [2.0, 2.0]])
+    assert path == "mean"
+    assert rule(members).tobytes() == members.mean(axis=0).tobytes()
 
 
 class TestBareIds:
