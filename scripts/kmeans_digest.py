@@ -14,11 +14,14 @@ Runs chorddiv.kmeans on every combination of
 
 Each run is recorded as the repr of its result (centers as bytes, labels,
 objective trace, iterations, center_solves), or of its exception's class
-and message. The script prints the run count and one SHA-256 over all
-records. Two source trees that print the same line on the same machine give
-the same k-means results bit for bit. The digest is not portable: numpy's
-log and exp may differ by an ulp from one build to another, so compare two
-trees on one machine only.
+and message. The script prints the run count, one SHA-256 over all records
+and one over the labels alone (a refused run's exception standing in for
+its labels). Two source trees that print the same first digest on the same
+machine give the same k-means results bit for bit; the same second digest,
+the same labels, which shows a change that moves centers within the search
+tolerance but leaves every label as it was. The digests are not portable:
+numpy's log and exp may differ by an ulp from one build to another, so
+compare two trees on one machine only.
 
     PYTHONPATH=src PYTHONWARNINGS=error python scripts/kmeans_digest.py
 """
@@ -80,17 +83,20 @@ def expsum(dim: int) -> Generator:
                      fn=lambda t: float(np.sum(np.exp(t))), grad_fn=np.exp)
 
 
-def record(points, F, cfg) -> str:
+def record(points, F, cfg) -> tuple:
+    """The run's full record and its labels' record."""
     try:
         res = kmeans(points, F, cfg)
     except ChorddivError as exc:
-        return repr((type(exc).__name__, str(exc)))
-    return repr((res.centers.tobytes(), res.assignments.tolist(),
-                 res.objective_trace, res.iterations, res.center_solves))
+        refused = repr((type(exc).__name__, str(exc)))
+        return refused, refused
+    return (repr((res.centers.tobytes(), res.assignments.tolist(),
+                  res.objective_trace, res.iterations, res.center_solves)),
+            repr(res.assignments.tolist()))
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    digest, labels = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for pts in point_sets():
         for dim in (1, 2):
@@ -102,10 +108,11 @@ def main() -> None:
                     for div, params in IDS:
                         cfg = ClusterConfig(k=k, divergence=div,
                                             params=params, seed=1)
-                        digest.update(record(points, F, cfg).encode())
-                        digest.update(b"\n")
+                        full, assigned = record(points, F, cfg)
+                        digest.update(full.encode() + b"\n")
+                        labels.update(assigned.encode() + b"\n")
                         runs += 1
-    print(runs, digest.hexdigest())
+    print(runs, digest.hexdigest(), labels.hexdigest())
 
 
 if __name__ == "__main__":

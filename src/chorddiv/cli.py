@@ -167,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if len(args.x) != len(args.y):
-        print(f"error: point dimensions differ: {len(args.x)} vs "
-              f"{len(args.y)}", file=sys.stderr)
-        return 2
     F = make_builtin(args.generator, len(args.x))
     D = resolve_divergence(args.div, F, _params_from(args))
     value = float(D(np.array(args.x), np.array(args.y)))
@@ -331,10 +327,6 @@ def render_heatmap_svg(alphas, betas, values, title: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if len(args.x) != len(args.y):
-        print(f"error: point dimensions differ: {len(args.x)} vs "
-              f"{len(args.y)}", file=sys.stderr)
-        return 2
     F = make_builtin(args.generator, len(args.x))
     alphas, betas = _sweep_grid(args.grid)
     x = np.array(args.x)
@@ -444,6 +436,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # the points of eval and sweep must share one dimension
+    x, y = getattr(args, "x", ()), getattr(args, "y", ())
+    if len(x) != len(y):
+        print(f"error: point dimensions differ: {len(x)} vs {len(y)}",
+              file=sys.stderr)
+        return 2
     # eval, sweep and cluster check their results for finiteness, so numpy's
     # floating-point warnings stay off there and an overflow exits 3
     quiet = (np.errstate(all="ignore") if args.command != "verify"
@@ -454,10 +452,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UnknownDivergenceError, UnsupportedGeneratorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChorddivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ZeroDivisionError, FloatingPointError, OverflowError) as exc:
+    except (ChorddivError, ZeroDivisionError, FloatingPointError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

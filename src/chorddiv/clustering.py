@@ -51,17 +51,15 @@ from .registry import center_rule, needs_generator, resolve_block
 #: c grows.
 NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
 
-#: The tol of each 1-D search in a numeric center search.
-SLICE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
     """Settings for a k-means run.
 
     divergence is any registry identifier; params feeds its scalar
-    parameters (alpha, beta, ...). The one tolerance is the module constant
-    SLICE_TOL; center searches and the Lloyd loop stop on progress.
+    parameters (alpha, beta, ...). There is no tolerance: each 1-D search
+    takes its own from its box (numerics.golden_minimize), and center
+    searches and the Lloyd loop stop on progress.
     """
 
     k: int
@@ -211,16 +209,16 @@ def _update_center(members: np.ndarray, F: Generator, block,
     runs over the expanded bounding box, which stays in the positive
     orthant when F's domain is positive or when positive is set, for
     divergences that read points as positive weights; it starts from the
-    arithmetic mean and solves each coordinate to SLICE_TOL with Brent's
-    search (golden section plus parabolic steps, as golden_minimize
-    says), sweep after sweep, until a sweep does not lower the objective
-    (at most 100 sweeps). Returns the search's Minimum, whose x is the
-    center.
+    arithmetic mean and solves each coordinate with Brent's search
+    (golden section plus parabolic steps, to a tolerance taken from the
+    box, as golden_minimize says), sweep after sweep, until a sweep does
+    not lower the objective (at most 100 sweeps). Returns the search's
+    Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
     return coordinate_minimize(
         lambda c: _sum_in_order(block(members, c[None]).tolist()), lo, hi,
-        x0=members.mean(axis=0), tol=SLICE_TOL, max_sweeps=100)
+        x0=members.mean(axis=0), max_sweeps=100)
 
 
 def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
@@ -253,7 +251,7 @@ def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
                        probes.reshape(-1, 1)).reshape(-1, F.dim)
         return np.concatenate([S[a:b].sum(axis=0) for a, b in spans])
 
-    found = golden_lockstep(shares, lo, hi, SLICE_TOL).reshape(-1, F.dim)
+    found = golden_lockstep(shares, lo, hi).reshape(-1, F.dim)
     means = np.array([members.mean(axis=0) for members in groups])
     # the stacked members against their means, then against the points found
     values = block(np.concatenate([stacked, stacked]),
@@ -267,8 +265,7 @@ def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
             if not math.isfinite(total):
                 raise DomainError(f"objective is {total} at {point.tolist()}")
         x = x if totals[1] < totals[0] else start
-        results.append(Minimum(x, 1, False,
-                               on_box_edge(x, lo_j, hi_j, SLICE_TOL)))
+        results.append(Minimum(x, 1, False, on_box_edge(x, lo_j, hi_j)))
     return results
 
 

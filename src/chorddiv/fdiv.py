@@ -141,11 +141,14 @@ def js_symmetrize_div(f: FGenerator, p: Weights, q: Weights):
         (I_f[p : m] + I_f[q : m]) / 2.
 
     For f = kl on normalized inputs this is the Jensen-Shannon divergence,
-    bounded by log 2.
+    bounded by log 2. p and q are checked once; m is then positive, and
+    finite unless p + q overflows, which raises DomainError.
     """
     pw, qw = _weight_pair(p, q)
     m = 0.5 * (pw + qw)
-    return 0.5 * (f_div(f, pw, m) + f_div(f, qw, m))
+    if not finite_above(m, 0.0):
+        raise DomainError("p + q must be finite")
+    return 0.5 * (_total(pw * f.fn(m / pw)) + _total(qw * f.fn(m / qw)))
 
 
 _F_KL = make_f_generator("kl")

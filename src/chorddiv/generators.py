@@ -35,10 +35,10 @@ DOMAIN_MARGIN = 1e-12
 DEGENERATE_EPS = 1e-14
 
 #: Domain checks decide arrays of at most this many entries by Python float
-#: comparisons and larger ones by numpy ufunc reductions. A reduction costs
-#: about 1.5 us however few its entries, a comparison about 0.05 us per
-#: entry, so the two cost about the same at 32 entries on the reals (one
-#: reduction) and near 50 on the positive orthant (two).
+#: comparisons and larger ones by two numpy ufunc reductions. A reduction
+#: costs about 1.5 us however few its entries, a comparison about 0.05 us
+#: per entry, so the comparisons cost what one reduction does at about 32
+#: entries and what the two do near 50.
 SMALL_ARRAY = 32
 
 
@@ -52,9 +52,8 @@ class Domain:
 
     Membership requires strict clearance of DOMAIN_MARGIN from every
     boundary. Non-finite coordinates are never members (NaN fails, empty
-    passes). Up to SMALL_ARRAY coordinates, finite_above's float
-    comparisons decide, at floor -inf on the reals; beyond it, on the
-    reals one reduction, the largest |coordinate|.
+    passes). finite_above decides, at floor -inf on the reals and at
+    DOMAIN_MARGIN on the positive orthant.
     """
 
     kind: str = "reals"
@@ -67,13 +66,8 @@ class Domain:
             )
 
     def contains(self, coords: np.ndarray) -> bool:
-        c = np.asarray(coords, dtype=float)
-        if self.kind == "positive":
-            return finite_above(c, DOMAIN_MARGIN)
-        if c.size <= SMALL_ARRAY:
-            return finite_above(c, -np.inf)
-        return bool(np.maximum.reduce(np.abs(c), axis=None, initial=0.0)
-                    < np.inf)
+        floor = DOMAIN_MARGIN if self.kind == "positive" else -math.inf
+        return finite_above(np.asarray(coords, dtype=float), floor)
 
 
 def finite_above(c: np.ndarray, floor: float) -> bool:

@@ -4,12 +4,13 @@ Central finite differences, bracketing root finding, and derivative-free 1-D
 (one coordinate, or several in lockstep) and coordinate-descent
 minimization. The 1-D minimizer is Brent's method: golden-section search
 with parabolic steps, which stops once its bracket is within a tolerance
-of the best point (see golden_minimize), written once as a generator
-that golden_lockstep runs per coordinate. The solvers are deliberately
-small and deterministic: no randomized restarts, and every budget follows
-from the bracket, the tolerance and the values seen. The coordinate search
-returns a Minimum that says whether it ran out of sweeps and whether it
-ended on its box.
+of the best point that it derives from the bracket's width (see
+golden_minimize), written once as a generator that golden_lockstep runs
+per coordinate. The searches take no tolerance, so a box scaled by s is
+searched at s times the same probes. The solvers are deliberately small
+and deterministic: no randomized restarts, and every budget follows from
+the bracket and the values seen. The coordinate search returns a Minimum
+that says whether it ran out of sweeps and whether it ended on its box.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .errors import BracketError, DomainError, ParameterError, ShapeError
 
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0    # 1/phi^2, the golden step
 SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
+#: Brent's absolute tolerance t as a share of the width of the interval
+#: searched, t = BRACKET_TOL (hi - lo).
+BRACKET_TOL = 3e-9
+#: on_box_edge's reach as a share of the width of a box side.
+EDGE_REACH = 1e-6
 
 
 def whole_number(label: str, value, least: int) -> int:
@@ -102,8 +108,8 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-8) -> float:
+def golden_minimize(g: Callable[[float], float], lo: float,
+                    hi: float) -> float:
     """Brent's minimizer of a unimodal function on [lo, hi]: golden-section
     search plus parabolic steps (R. P. Brent, Algorithms for Minimization
     without Derivatives, 1973; the method of scipy's fminbound), no
@@ -113,19 +119,21 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     the parabola through them has its vertex inside the bracket, less
     than half the step before last away, it probes the vertex; otherwise
     it takes a golden-section step into the larger side of the bracket.
-    No step is shorter than tol1 = min(sqrt(eps) |x| + tol / 3, reach / 4),
-    x the lowest point and reach = max(1e-6 (hi - lo), tol) the distance
+    No step is shorter than tol1 = min(sqrt(eps) |x| + t / 3, reach / 4),
+    x the lowest point, t = BRACKET_TOL (hi - lo) Brent's absolute term
+    taken from the interval, and reach = EDGE_REACH (hi - lo) the distance
     within which on_box_edge counts a point as on the edge. The search
     stops once a and b both lie within 2 tol1 of x, or when a step no
-    longer moves x in floating point. The cap keeps the search as fine as
-    a narrow box: it ends within reach / 2 of the minimizer, where
-    sqrt(eps) |x| alone can exceed the box's width. A bracket end that is
-    still lo or hi then was never probed, so the search probes it, and
-    takes it if it is not higher than x; a minimizer past the box thus
-    gives the edge itself. It returns the lowest point probed. An interval
-    no wider than tol gives its midpoint for no call. On a parabola the
-    search makes 6 calls where golden section alone makes
-    ceil(log(tol/(hi-lo)) / log(1/phi)) + 1 (40 on [0, 1] at tol 1e-8).
+    longer moves x in floating point. Every term scales with the
+    interval, so [s lo, s hi] is searched at s times the probes of
+    [lo, hi], up to rounding. The cap keeps the search as fine as a narrow
+    box: it ends within reach / 2 of the minimizer, where sqrt(eps) |x|
+    alone can exceed the box's width. A bracket end that is still lo or
+    hi then was never probed, so the search probes it, and takes it if it
+    is not higher than x; a minimizer past the box thus gives the edge
+    itself. It returns the lowest point probed. A zero-width interval
+    gives its point for no call. On the parabola (v - 0.77)^2 on [0, 1]
+    the search makes 6 calls, where golden section alone makes 37.
 
     It is golden_lockstep on one coordinate: the search is a generator
     that yields each probe and is sent g's value. The lockstep form serves
@@ -137,25 +145,26 @@ def golden_minimize(g: Callable[[float], float], lo: float, hi: float,
     one lockstep search over the d coordinates gives what the sweeps
     would.
     """
-    return float(golden_lockstep(lambda v: (g(v[0]),), [lo], [hi], tol)[0])
+    return float(golden_lockstep(lambda v: (g(v[0]),), [lo], [hi])[0])
 
 
-def _brent(lo: float, hi: float, tol: float):
+def _brent(lo: float, hi: float):
     """golden_minimize's search as a generator: it yields each point to
     probe, is sent g's value there, and returns the lowest point probed.
     It keeps the bracket [a, b], the best point x, the second best w and
     the one before v, their values, and the last two steps d and e."""
     width = hi - lo
-    if width <= tol:
-        return 0.5 * (lo + hi)
-    cap = max(1e-6 * width, tol) / 4.0  # on_box_edge's reach / 4
+    if width == 0.0:
+        return lo
+    t = BRACKET_TOL * width
+    cap = EDGE_REACH * width / 4.0  # on_box_edge's reach / 4
     a, b = lo, hi
     x = w = v = lo + INV_PHI_SQ * width
     fx = fw = fv = yield x
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
-        tol1 = min(SQRT_EPS * abs(x) + tol / 3.0, cap)
+        tol1 = min(SQRT_EPS * abs(x) + t / 3.0, cap)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             break
@@ -211,25 +220,22 @@ def _box(lo, hi) -> tuple:
 
 
 def golden_lockstep(g: Callable[[list], Sequence[float]],
-                    lo: Sequence[float], hi: Sequence[float],
-                    tol: float = 1e-8) -> np.ndarray:
+                    lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
     """golden_minimize on d unimodal functions at once, one per coordinate
     of the box [lo, hi]: x[j] minimizes g_j on [lo[j], hi[j]], bit for bit
-    as golden_minimize(g_j, lo[j], hi[j], tol) finds it.
+    as golden_minimize(g_j, lo[j], hi[j]) finds it.
 
     g maps a list v of d floats, v[j] in [lo[j], hi[j]], to the d values
     g_j(v[j]). Each coordinate runs its own search generator; each round
     sends every unfinished search its value, then makes one call of g.
-    A coordinate whose search has ended (or whose interval is no wider
-    than tol, which needs none) probes its result and its value is
-    ignored. The call count is the largest of the coordinates'
-    golden_minimize counts, and 0 when every interval is within tol.
+    A coordinate whose search has ended (or whose interval has zero
+    width, which needs none) probes its result and its value is ignored.
+    The call count is the largest of the coordinates' golden_minimize
+    counts, and 0 when every interval has zero width.
     """
     lo_a, hi_a = _box(lo, hi)
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
     # the searches run on Python floats, which round as float64 arrays do
-    live = dict(enumerate(_brent(a, b, tol)
+    live = dict(enumerate(_brent(a, b)
                           for a, b in zip(lo_a.tolist(), hi_a.tolist())))
     x = [None] * len(live)   # each search's probe, then its result
     fx = [None] * len(live)  # g's values at x; None starts a search
@@ -255,9 +261,9 @@ class Minimum(NamedTuple):
     sweep limit ran out while each sweep still lowered the objective; a
     lockstep search is one sweep, never capped, whose x is the mean it
     started from when the point it found is not lower. on_edge means, as
-    on_box_edge decides, that some coordinate of x whose box is wider than
-    tol lies within max(1e-6 * width, tol) of lo or hi, so the true
-    minimizer may lie outside the box.
+    on_box_edge decides, that some coordinate of x whose side of the box
+    has positive width lies within EDGE_REACH * width of lo or hi, so the
+    true minimizer may lie outside the box.
     """
 
     x: np.ndarray
@@ -269,11 +275,11 @@ class Minimum(NamedTuple):
 def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
                         x0: Optional[Sequence[float]] = None,
-                        tol: float = 1e-10, max_sweeps: int = 60) -> Minimum:
+                        max_sweeps: int = 60) -> Minimum:
     """Round-robin per-coordinate descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
-    golden_minimize (Brent's search) to tol, until a sweep does not lower
+    golden_minimize (Brent's search), until a sweep does not lower
     g or max_sweeps (an integer >= 1) is hit. Returns a Minimum at the
     lowest point between sweeps, saying which of the two happened and
     whether that point lies on the box edge. The box gets golden_lockstep's
@@ -305,15 +311,15 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
                 y[i] = v
                 return g(y)
 
-            x[i] = golden_minimize(slice_obj, lo[i], hi[i], tol)
-    return Minimum(x, sweeps, capped, on_box_edge(x, lo, hi, tol))
+            x[i] = golden_minimize(slice_obj, lo[i], hi[i])
+    return Minimum(x, sweeps, capped, on_box_edge(x, lo, hi))
 
 
-def on_box_edge(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                tol: float) -> bool:
-    """Minimum.on_edge: whether some coordinate of x whose box [lo, hi] is
-    wider than tol lies within max(1e-6 * width, tol) of lo or hi."""
+def on_box_edge(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Minimum.on_edge: whether some coordinate of x whose side [lo, hi] of
+    the box has positive width lies within EDGE_REACH * width of lo or
+    hi."""
     width = hi - lo
-    edge_tol = np.maximum(1e-6 * width, tol)
-    on_edge = (width > tol) & ((x - lo <= edge_tol) | (hi - x <= edge_tol))
+    reach = EDGE_REACH * width
+    on_edge = (width > 0.0) & ((x - lo <= reach) | (hi - x <= reach))
     return bool(np.any(on_edge))

@@ -29,8 +29,8 @@ from .bregman import (
     interpolate,
     mean_value_witness,
 )
-from .clustering import (SLICE_TOL, ClusterConfig, _centroid_box,
-                         _sum_in_order, adjusted_rand_index, kmeans)
+from .clustering import (ClusterConfig, _centroid_box, _sum_in_order,
+                         adjusted_rand_index, kmeans)
 from .errors import ParameterError
 from .fdiv import (
     F_GENERATOR_NAMES,
@@ -63,6 +63,16 @@ RATIO_WINDOW = (5.0, 20.0)
 #: Skews of the Jensen-Bregman bridge check, cycled by loop index so the
 #: check draws nothing from the suite's random stream.
 BRIDGE_SKEWS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+#: The clustering suite's scale cases, (generator, id, params): a lockstep
+#: search under shannon and under Burg, coordinate descent, and the member
+#: mean.
+SCALE_CASES = (
+    ("shannon_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+    ("burg_negentropy", "jensen", {}),
+    ("shannon_negentropy", "bregman_tangent", {"alpha": 0.5}),
+    ("quadratic", "bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+)
 
 
 @dataclass(frozen=True)
@@ -425,9 +435,15 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     is alpha*beta*|x - c|^2 there), both of which take the member mean in
     closed form, and the two numerical searches k-means runs where no
     closed form is known, on the bregman_chord block with every point a
-    member, over k-means's box and to its SLICE_TOL: coordinate_minimize
-    started at the box's lower corner rather than at the mean, which is
-    the answer, and golden_lockstep, which searches the whole box."""
+    member, over k-means's box: coordinate_minimize started at the box's
+    lower corner rather than at the mean, which is the answer, and
+    golden_lockstep, which searches the whole box.
+
+    k-means is also scale-equivariant: each SCALE_CASES id scales as
+    D(s x : s c) = s^p D(x : c) under its builtin, so on the dataset
+    shifted by 0.5 and scaled by s = 1e-6 and 1e6 the labels must equal
+    the unscaled run's and the centers divided by s must match its
+    centers within a relative 1e-6."""
     points, truth = clustering_dataset(seed)
     F = make_builtin("quadratic", 1)
     chord = {"alpha": 0.9, "beta": 1.0}
@@ -458,21 +474,35 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     def total(c) -> float:
         return _sum_in_order(block(points, np.asarray(c)[None]).tolist())
 
-    found = coordinate_minimize(total, lo, hi, x0=lo, tol=SLICE_TOL,
-                                max_sweeps=100)
+    found = coordinate_minimize(total, lo, hi, x0=lo, max_sweeps=100)
     dev_s = float(abs(found.x[0] - points.mean()))
-    lockstep = golden_lockstep(lambda c: [total(c)], lo, hi, SLICE_TOL)
+    lockstep = golden_lockstep(lambda c: [total(c)], lo, hi)
     dev_l = float(abs(lockstep[0] - points.mean()))
 
+    shifted = points + 0.5
+    scale_gap = -np.inf
+    for gen, div, params in SCALE_CASES:
+        G = make_builtin(gen, 1)
+        cfg = ClusterConfig(k=2, divergence=div, params=params, seed=seed)
+        base = kmeans(shifted, G, cfg)
+        for s in (1e-6, 1e6):
+            res = kmeans(s * shifted, G, cfg)
+            same = np.array_equal(res.assignments, base.assignments)
+            gap = np.abs(res.centers / s - base.centers) / base.centers
+            scale_gap = _worst(scale_gap,
+                               float(np.max(gap)) if same else np.inf)
+
     worst = _worst(1.0 - ari_b, 1.0 - ari_c, trace_viol, dev_b - 1e-6,
-                   dev_c - 1e-6, dev_s - 1e-6, dev_l - 1e-6)
+                   dev_c - 1e-6, dev_s - 1e-6, dev_l - 1e-6,
+                   scale_gap - 1e-6)
     return SuiteResult(
         name="clustering",
         worst=worst,
         detail=f"ARI bregman {ari_b:.3f}, chord {ari_c:.3f}; mean dev "
                f"bregman {dev_b:.3e}, chord {dev_c:.3e}, chord search "
                f"{dev_s:.3e}, chord lockstep {dev_l:.3e}; iterations "
-               f"{res_b.iterations}/{res_c.iterations}",
+               f"{res_b.iterations}/{res_c.iterations}; scale gap "
+               f"{scale_gap:.3e}",
     )
 
 

@@ -3,16 +3,16 @@
 Domain.contains, Generator.point, interpolate, skew_segment and
 fdiv._weights coerce with generators.as_vector and test a point through
 generators.finite_above: arrays of at most SMALL_ARRAY entries by Python
-float comparisons, larger ones by ufunc reductions (one on the reals, two
-on the positive orthant and for weights). The builtins, coincide, f_div
-and extended_kl reduce with np.add.reduce and np.maximum.reduce. The old
-bodies below are the np.atleast_1d, np.isfinite-and-all, np.sum and np.max
-forms they replaced, and the two-reduction finite_above: every verdict,
-array (bit for bit), exception type and message must match them, on
-blocks that hold each edge value first and last at SMALL_ARRAY and
-SMALL_ARRAY + 1 entries too, and so must every value of the pairs
-benchmark's ids with the old bodies patched back in. One test pins which
-side of SMALL_ARRAY reaches the reductions.
+float comparisons, larger ones by two ufunc reductions. The builtins,
+coincide, f_div and extended_kl reduce with np.add.reduce and
+np.maximum.reduce. The old bodies below are the np.atleast_1d,
+np.isfinite-and-all, np.sum and np.max forms they replaced, and the
+two-reduction finite_above: every verdict, array (bit for bit),
+exception type and message must match them, on blocks that hold each
+edge value first and last at SMALL_ARRAY and SMALL_ARRAY + 1 entries
+too, and so must every value of the pairs benchmark's ids with the old
+bodies patched back in. One test pins which side of SMALL_ARRAY reaches
+the reductions.
 """
 
 import importlib

@@ -40,8 +40,8 @@ from chorddiv import (
     restrict_to_line,
     sweep,
 )
-from chorddiv.bregman import (bregman_chord_block, bregman_tangent_block,
-                              chord_row, interpolate)
+from chorddiv.bregman import (biskew_block, bregman_chord_block,
+                              bregman_tangent_block, chord_row, interpolate)
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -612,10 +612,15 @@ class TestBiskew:
         with pytest.raises(DomainError):
             biskew(D, 0.1, 2.0, SkewPair(-1.0, 0.5))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="cannot interpolate points of "
-                           r"shapes \(2,\) and \(3,\)"):
-            biskew(kl, [0.5, 0.5], [0.2, 0.3, 0.5], SkewPair(0.25, 0.75))
+    @pytest.mark.parametrize("form,x,y,message", [
+        (biskew, [0.5, 0.5], [0.2, 0.3, 0.5],
+         r"cannot interpolate points of shapes \(2,\) and \(3,\)"),
+        (biskew_block, np.ones((2, 2)), np.ones((3, 2)),
+         r"cannot interpolate blocks of shapes \(2, 2\) and \(3, 2\)"),
+    ], ids=["points", "blocks"])
+    def test_shape_mismatch(self, form, x, y, message):
+        with pytest.raises(ShapeError, match=message):
+            form(kl, x, y, SkewPair(0.25, 0.75))
 
 
 class TestDegenerateRule:

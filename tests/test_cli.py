@@ -102,16 +102,34 @@ class TestEval:
         assert code == 2
         assert "wasserstein" in err
 
-    def test_dimension_mismatch(self, capsys):
-        code, _, err = run(
-            capsys, "eval", "--div", "bregman", "--x", "0,0", "--y", "1")
+    @pytest.mark.parametrize("command", [
+        ["eval", "--div", "bregman"],
+        ["sweep", "--grid", "2", "--out", "{tmp}/sweep.csv"],
+    ], ids=["eval", "sweep"])
+    def test_dimension_mismatch(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path)
+                                       for a in command),
+                             "--x", "0,0", "--y", "1")
         assert code == 2
-        assert "dimensions differ" in err
+        assert out == ""
+        assert err == "error: point dimensions differ: 2 vs 1\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_malformed_vector(self, capsys):
-        code, _, err = run(
-            capsys, "eval", "--div", "bregman", "--x", "1,a", "--y", "0,0")
+    @pytest.mark.parametrize("argv,message", [
+        (("eval", "--div", "bregman", "--x", "1,a", "--y", "0,0"),
+         "not a number: 'a'"),
+        (("eval", "--div", "bregman", "--x", "1,,2", "--y", "0,0,0"),
+         "expected comma-separated numbers, got '1,,2'"),
+        (("eval", "--div", "bregman", "--x", "nan", "--y", "0"),
+         "value must be finite: 'nan'"),
+        (("sweep", "--x", "0", "--y", "1", "--grid", "1.5"),
+         "not an integer: '1.5'"),
+    ], ids=["letter", "empty-entry", "nan", "fractional-grid"])
+    def test_malformed_argument(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_domain_violation(self, capsys):
         code, _, err = run(
@@ -714,6 +732,15 @@ class TestCluster:
             capsys, "cluster", "--input", str(path), "--k", "1")
         assert code == 3
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_file_without_rows(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "cluster", "--input", str(path), "--k", "1")
+        assert code == 3
+        assert err == f"error: {path}: no data rows\n"
 
     def test_ragged_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

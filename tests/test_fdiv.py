@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chorddiv.fdiv
 from chorddiv import (
     DomainError,
     FGenerator,
@@ -236,6 +237,32 @@ class TestJSSymmetrize:
                 q = rng.uniform(0.1, 2.0, 4)
                 assert abs(f_div(fj, p, q)
                            - js_symmetrize_div(f, p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["kl", "tv", "chi2"])
+    def test_checks_each_argument_once_and_equals_the_former_body(
+            self, monkeypatch, name):
+        f, rng = make_f_generator(name), np.random.default_rng(59)
+        checked = []
+        weights = chorddiv.fdiv._weights
+        monkeypatch.setattr(chorddiv.fdiv, "_weights", lambda x, label:
+                            checked.append(label) or weights(x, label))
+        for shape_p, shape_q in [(4, 4), ((5, 3), (5, 3)), ((5, 3), (1, 3)),
+                                 ((1, 3), (5, 3))]:
+            p, q = rng.uniform(0.01, 5.0, shape_p), rng.uniform(0.01, 5.0,
+                                                                  shape_q)
+            checked.clear()
+            got = js_symmetrize_div(f, p, q)
+            assert checked == ["p", "q"]
+            # the former body: two f_div calls on the mixture
+            m = 0.5 * (p + q)
+            want = 0.5 * (f_div(f, p, m) + f_div(f, q, m))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_overflowing_mixture_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=r"p \+ q must be finite"):
+            js_symmetrize_div(make_f_generator("kl"), [1e308, 1.0],
+                              [1e308, 1.0])
 
 
 class TestKL:

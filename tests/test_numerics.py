@@ -23,6 +23,8 @@ from chorddiv import (
     sweep,
 )
 from chorddiv.numerics import (
+    BRACKET_TOL,
+    EDGE_REACH,
     INV_PHI_SQ,
     SQRT_EPS,
     bisect_root,
@@ -93,16 +95,9 @@ class TestCentralDiffGrad:
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("solve", [
     lambda tol: bisect_root(lambda x: x - 0.9, 0.0, 1.0, tol=tol),
-    lambda tol: golden_minimize(lambda v: (v - 0.3) ** 2, 0.0, 1.0, tol=tol),
-    lambda tol: golden_lockstep(lambda v: [x * x for x in v], [0.0, 0.0],
-                                [1.0, 2.0], tol=tol),
-    lambda tol: coordinate_minimize(lambda v: float(v @ v), [-1.0], [1.0],
-                                    tol=tol),
     lambda tol: mean_value_witness(make_builtin("shannon_negentropy", 1),
                                    0.3, 0.9, ChordParams(0.2, 0.8), tol=tol),
-], ids=["bisect_root", "golden_minimize", "golden_lockstep",
-        "coordinate_minimize",
-        "mean_value_witness"])
+], ids=["bisect_root", "mean_value_witness"])
 def test_bad_tolerance(solve, tol):
     """A NaN tolerance fails the positivity check too, instead of
     returning a point or escaping as a bare ValueError."""
@@ -141,27 +136,30 @@ class TestBisectRoot:
 
 class TestGoldenMinimize:
     def test_interior_minimum(self):
-        x = golden_minimize(lambda v: (v - 0.3) ** 2, 0.0, 1.0, tol=1e-8)
+        x = golden_minimize(lambda v: (v - 0.3) ** 2, 0.0, 1.0)
         assert x == pytest.approx(0.3, abs=2e-8)
 
     def test_boundary_minimum(self):
-        x = golden_minimize(lambda v: v, 0.0, 1.0, tol=1e-8)
+        x = golden_minimize(lambda v: v, 0.0, 1.0)
         assert x == pytest.approx(0.0, abs=1e-7)
 
     def test_degenerate_interval(self):
-        assert golden_minimize(lambda v: v * v, 0.4, 0.4) == 0.4
+        g = Counter(lambda v: v * v)
+        assert golden_minimize(g, 0.4, 0.4) == 0.4
+        assert g.calls == 0
 
-    def test_width_below_tol(self):
-        assert golden_minimize(lambda v: v * v, 0.1, 0.1 + 1e-12,
-                               tol=1e-8) == pytest.approx(0.1, abs=1e-8)
+    def test_narrow_interval_is_searched(self):
+        # an interval of 1e-12 has no tolerance to fall within: it is
+        # searched to its float resolution and ends at its edge
+        assert golden_minimize(lambda v: v * v, 0.1, 0.1 + 1e-12) == 0.1
+        assert golden_minimize(lambda v: -v, 0.1, 0.1 + 1e-12) == 0.1 + 1e-12
 
     def test_evaluation_budget(self):
         # on a parabola: the start and two golden steps, one parabolic
         # step onto the minimizer and one probe tol1 to either side of it;
-        # golden section alone takes 40 calls
-        tol = 1e-8
+        # golden section alone takes 37 calls
         g = Counter(lambda v: (v - 0.77) ** 2)
-        x = golden_minimize(g, 0.0, 1.0, tol=tol)
+        x = golden_minimize(g, 0.0, 1.0)
         assert g.calls == 6
         assert x == 0.77
 
@@ -169,20 +167,36 @@ class TestGoldenMinimize:
         # tol1 is below half a unit in the last place of x here, so a step
         # of tol1 rounds back to x
         g = Counter(lambda v: (v - 1e7) ** 2)
-        x = golden_minimize(g, 1e7, 1e7 + 1e-3, tol=1e-12)
+        x = golden_minimize(g, 1e7, 1e7 + 1e-3)
         assert g.calls < 100
         assert 1e7 <= x <= 1e7 + 1e-6
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scaled_interval_takes_scaled_probes(self, scale):
+        # tol1 scales with the interval, so the search of a scaled
+        # function on the scaled interval probes the scaled points
+        def bump(v):
+            return -math.cos(v - 0.35) + 0.01 * (v - 0.35) ** 4
 
-def scalar_brent(g, lo, hi, tol):
+        probes, scaled = [], []
+        golden_minimize(lambda v: probes.append(v) or bump(v), 0.2, 1.1)
+        golden_minimize(lambda v: scaled.append(v) or bump(v / scale),
+                        0.2 * scale, 1.1 * scale)
+        assert len(scaled) == len(probes)
+        np.testing.assert_allclose(np.array(scaled) / scale, probes,
+                                   rtol=1e-12)
+
+
+def scalar_brent(g, lo, hi):
     """Brent's method as one scalar loop, scipy's fminbound with
-    golden_minimize's tolerance, its stop at float resolution and its
-    final probe of a box edge: the reference golden_lockstep and
-    golden_minimize must equal bit for bit."""
+    golden_minimize's tolerance, taken from the interval, its stop at
+    float resolution and its final probe of a box edge: the reference
+    golden_lockstep and golden_minimize must equal bit for bit."""
     width = hi - lo
-    if width <= tol:
-        return 0.5 * (lo + hi)
-    cap = max(1e-6 * width, tol) / 4.0
+    if width == 0.0:
+        return lo
+    tol = BRACKET_TOL * width
+    cap = EDGE_REACH * width / 4.0
     a, b = lo, hi
     x = w = v = lo + INV_PHI_SQ * width
     fx = fw = fv = g(x)
@@ -260,11 +274,10 @@ class TestBoxEdge:
 
     @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
     def test_golden_minimize(self, lo, hi, target, on_edge):
-        for tol in (1e-8, 1e-9):
-            x = golden_minimize(lambda v: (v - target) ** 2, lo, hi, tol)
-            assert lo <= x <= hi
-            assert on_box_edge(np.array([x]), np.array([lo]),
-                               np.array([hi]), tol) is on_edge
+        x = golden_minimize(lambda v: (v - target) ** 2, lo, hi)
+        assert lo <= x <= hi
+        assert on_box_edge(np.array([x]), np.array([lo]),
+                           np.array([hi])) is on_edge
 
     @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
     def test_narrow_box_is_searched_to_its_scale(self, lo, hi, target,
@@ -275,10 +288,9 @@ class TestBoxEdge:
         def kink(v):
             return 3.0 * (target - v) if v < target else v - target
 
-        for tol in (1e-8, 1e-9):
-            reach = max(1e-6 * (hi - lo), tol)
-            x = golden_minimize(kink, lo, hi, tol)
-            assert abs(x - min(max(target, lo), hi)) <= reach / 2
+        reach = EDGE_REACH * (hi - lo)
+        x = golden_minimize(kink, lo, hi)
+        assert abs(x - min(max(target, lo), hi)) <= reach / 2
 
     @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
     def test_golden_lockstep(self, lo, hi, target, on_edge):
@@ -286,16 +298,16 @@ class TestBoxEdge:
         box_lo, box_hi = np.array([lo, 0.0]), np.array([hi, 1.0])
         x = golden_lockstep(
             lambda v: [(v[0] - target) ** 2, (v[1] - 0.3) ** 2],
-            box_lo, box_hi, 1e-9)
-        assert on_box_edge(x[:1], box_lo[:1], box_hi[:1], 1e-9) is on_edge
+            box_lo, box_hi)
+        assert on_box_edge(x[:1], box_lo[:1], box_hi[:1]) is on_edge
         assert x[1] == pytest.approx(0.3, abs=1e-8)
-        assert not on_box_edge(x[1:], box_lo[1:], box_hi[1:], 1e-9)
+        assert not on_box_edge(x[1:], box_lo[1:], box_hi[1:])
 
     @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
     def test_coordinate_minimize(self, lo, hi, target, on_edge):
         res = coordinate_minimize(
             lambda v: (v[0] - target) ** 2 + (v[1] - 0.3) ** 2,
-            [lo, 0.0], [hi, 1.0], tol=1e-9)
+            [lo, 0.0], [hi, 1.0])
         assert res.on_edge is on_edge
         assert not res.capped
         assert res.x[1] == pytest.approx(0.3, abs=1e-8)
@@ -314,17 +326,16 @@ class TestGoldenLockstep:
         for _ in range(200):
             d = int(rng.integers(1, 6))
             lo = rng.uniform(-3.0, 3.0, d)
-            # widths from 1e-11 (below tol) to 10, some intervals empty
+            # widths from 1e-11 to 10, some intervals of zero width
             hi = lo + 10.0 ** rng.uniform(-11.0, 1.0, d) * rng.choice(
                 [0.0, 1.0, 1.0, 1.0], d)
             fs = self.bumps(rng.uniform(lo - 0.5, hi + 0.5))
-            tol = 10.0 ** rng.uniform(-10.0, -3.0)
             got = golden_lockstep(
-                lambda v: [f(x) for f, x in zip(fs, v)], lo, hi, tol)
-            want = [scalar_brent(f, a, b, tol)
+                lambda v: [f(x) for f, x in zip(fs, v)], lo, hi)
+            want = [scalar_brent(f, a, b)
                     for f, a, b in zip(fs, lo.tolist(), hi.tolist())]
             assert got.tobytes() == np.array(want).tobytes()
-            assert [golden_minimize(f, a, b, tol) for f, a, b
+            assert [golden_minimize(f, a, b) for f, a, b
                     in zip(fs, lo, hi)] == want
 
     def test_calls_are_the_most_any_coordinate_makes(self):
@@ -334,12 +345,12 @@ class TestGoldenLockstep:
             calls.append(list(v))
             return [(x - 0.3) ** 2 for x in v]
 
-        lo, hi, tol = [0.0, 0.0, 0.5], [1.0, 1e-3, 0.5], 1e-8
-        golden_lockstep(g, lo, hi, tol)
+        lo, hi = [0.0, 0.0, 0.5], [1.0, 1e-3, 0.5]
+        golden_lockstep(g, lo, hi)
         counts = []
         for a, b in zip(lo, hi):
             one = Counter(lambda v: (v - 0.3) ** 2)
-            golden_minimize(one, a, b, tol)
+            golden_minimize(one, a, b)
             counts.append(one.calls)
         assert counts[0] != counts[1] and counts[2] == 0
         assert len(calls) == max(counts)
@@ -347,7 +358,7 @@ class TestGoldenLockstep:
         assert all(a <= x <= b for v in calls for a, x, b in zip(lo, v, hi))
 
     @staticmethod
-    def check_probes(fs, lo, hi, tol):
+    def check_probes(fs, lo, hi):
         """golden_lockstep probes coordinate j at the points scalar_brent
         probes for fs[j], in order, and at its result once that search is
         done; its result is scalar_brent's, bit for bit."""
@@ -357,10 +368,10 @@ class TestGoldenLockstep:
             calls.append(list(v))
             return [f(x) for f, x in zip(fs, v)]
 
-        got = golden_lockstep(g, lo, hi, tol)
+        got = golden_lockstep(g, lo, hi)
         for j, (f, a, b) in enumerate(zip(fs, lo, hi)):
             probes = []
-            want = scalar_brent(lambda v: probes.append(v) or f(v), a, b, tol)
+            want = scalar_brent(lambda v: probes.append(v) or f(v), a, b)
             assert got[j].tobytes() == np.float64(want).tobytes()
             assert len(probes) <= len(calls)
             tail = [want] * (len(calls) - len(probes))
@@ -375,20 +386,21 @@ class TestGoldenLockstep:
             lo = rng.uniform(-3.0, 3.0, d)
             hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, d)
             fs = self.bumps(rng.uniform(lo - 0.5, hi + 0.5))
-            tol = 10.0 ** rng.uniform(-10.0, -3.0)
-            self.check_probes(fs, lo.tolist(), hi.tolist(), tol)
+            self.check_probes(fs, lo.tolist(), hi.tolist())
 
     @pytest.mark.parametrize("lo,hi,target,on_edge", EDGE_CASES)
     def test_probes_past_the_box(self, lo, hi, target, on_edge):
         # the first coordinate's minimizer lies past lo, past hi or inside,
-        # the second's inside a unit box; the third is no wider than tol,
-        # and the fourth is flat, so its edge probe ties and is taken
+        # the second's inside a unit box; the third has zero width, the
+        # fourth is flat, so its edge probe ties and is taken, and the
+        # fifth, 1e-10 wide, is searched to its lower edge
         fs = [lambda v: (v - target) ** 2, lambda v: (v - 0.3) ** 2,
-              lambda v: v, lambda v: 1.0]
-        calls = self.check_probes(fs, [lo, 0.0, 2.0, 0.0],
-                                  [hi, 1.0, 2.0 + 1e-10, 1.0], 1e-9)
+              lambda v: v, lambda v: 1.0, lambda v: v]
+        calls = self.check_probes(fs, [lo, 0.0, 2.0, 0.0, 2.0],
+                                  [hi, 1.0, 2.0, 1.0, 2.0 + 1e-10])
         assert calls[-1][3] in (0.0, 1.0)
-        assert {v[2] for v in calls} == {0.5 * (2.0 + (2.0 + 1e-10))}
+        assert {v[2] for v in calls} == {2.0}
+        assert calls[-1][4] == 2.0
 
     @pytest.mark.parametrize("search", [
         lambda g: golden_lockstep(lambda v: [g(x) for x in v],
@@ -412,10 +424,10 @@ class TestGoldenLockstep:
         assert got.value is boom
         assert len(calls) == 3
 
-    def test_no_calls_when_every_interval_is_within_tol(self):
+    def test_no_calls_when_every_interval_has_zero_width(self):
         got = golden_lockstep(lambda v: pytest.fail("g called"),
-                              [0.1, 2.0], [0.1 + 1e-12, 2.0], tol=1e-8)
-        assert got.tolist() == [0.5 * (0.1 + (0.1 + 1e-12)), 2.0]
+                              [0.1, 2.0], [0.1, 2.0])
+        assert got.tolist() == [0.1, 2.0]
 
     @pytest.mark.parametrize("lo,hi", [
         ([0.0, 1.0], [1.0, 0.5]),
@@ -431,7 +443,7 @@ class TestCoordinateMinimize:
     def test_separable_quadratic(self):
         res = coordinate_minimize(
             lambda v: (v[0] - 1.0) ** 2 + (v[1] + 2.0) ** 2,
-            [-5.0, -5.0], [5.0, 5.0], tol=1e-9,
+            [-5.0, -5.0], [5.0, 5.0],
         )
         assert np.allclose(res.x, [1.0, -2.0], atol=1e-8)
         assert not res.capped
@@ -439,7 +451,7 @@ class TestCoordinateMinimize:
 
     def test_minimum_pinned_to_box(self):
         res = coordinate_minimize(lambda v: (v[0] - 10.0) ** 2,
-                                  [0.0], [1.0], tol=1e-9)
+                                  [0.0], [1.0])
         assert res.x[0] == pytest.approx(1.0, abs=1e-8)
         assert res.on_edge
         assert not res.capped
@@ -447,14 +459,14 @@ class TestCoordinateMinimize:
         # inside is not
         for target, on_edge in ((1.0 - 5e-7, True), (1.0 - 1e-3, False)):
             res = coordinate_minimize(lambda v: (v[0] - target) ** 2,
-                                      [0.0], [1.0], tol=1e-9)
+                                      [0.0], [1.0])
             assert res.on_edge is on_edge
 
     def test_coupled_quadratic(self):
         # minimum of (x - y)^2 + (x - 1)^2 at x = y = 1
         res = coordinate_minimize(
             lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
-            [-5.0, -5.0], [5.0, 5.0], tol=1e-10,
+            [-5.0, -5.0], [5.0, 5.0],
         )
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
         assert not res.capped
@@ -462,7 +474,7 @@ class TestCoordinateMinimize:
         # one sweep cannot settle the coupling, so the search is capped
         res = coordinate_minimize(
             lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
-            [-5.0, -5.0], [5.0, 5.0], tol=1e-10, max_sweeps=1,
+            [-5.0, -5.0], [5.0, 5.0], max_sweeps=1,
         )
         assert res.capped
         assert res.sweeps == 1
@@ -473,7 +485,7 @@ class TestCoordinateMinimize:
         # search that ran into its box
         res = coordinate_minimize(
             lambda v: (v[0] - 0.3) ** 2 + (v[1] - 2.0) ** 2,
-            [0.0, 2.0], [1.0, 2.0], tol=1e-9,
+            [0.0, 2.0], [1.0, 2.0],
         )
         assert res.x[1] == 2.0
         assert res.x[0] == pytest.approx(0.3, abs=1e-8)
@@ -484,7 +496,7 @@ class TestCoordinateMinimize:
         # the one sweep cannot lower g, so the start comes back bit for bit
         m = np.array([0.3, -1.25])
         res = coordinate_minimize(lambda v: float(np.sum((v - m) ** 2)),
-                                  [-5.0, -5.0], [5.0, 5.0], x0=m, tol=1e-9)
+                                  [-5.0, -5.0], [5.0, 5.0], x0=m)
         assert res.sweeps == 1
         assert not res.capped
         assert res.x.tolist() == m.tolist()

@@ -1,6 +1,8 @@
 """The shared pieces of the property suites: the pass rule, the
 linear-decay check fed synthetic error ladders, and NaN margins."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,9 @@ class TestClusteringSearchCheck:
 
     @pytest.mark.parametrize("name,idle", [
         ("coordinate_minimize",
-         lambda g, lo, hi, x0, tol, max_sweeps: Minimum(
+         lambda g, lo, hi, x0, max_sweeps: Minimum(
              np.array(x0, dtype=float), 1, False, False)),
-        ("golden_lockstep", lambda g, lo, hi, tol: np.array(lo)),
+        ("golden_lockstep", lambda g, lo, hi: np.array(lo)),
     ])
     def test_a_search_that_returns_its_start_fails(self, monkeypatch, name,
                                                    idle):
@@ -133,6 +135,30 @@ class TestClusteringSearchCheck:
         res = run_suite("clustering", 5, 0)
         assert not res.passed
         assert res.worst > 1e-3
+
+
+class TestClusteringScaleCheck:
+    """A k-means whose runs at scale 1e-6 drift from the unscaled run, by
+    centers off by a relative 1e-5 or by other labels, fails the suite."""
+
+    @pytest.mark.parametrize("drift,worst", [
+        (lambda res: dataclasses.replace(res, centers=res.centers * 1.00001),
+         1e-5 - 1e-6),
+        (lambda res: dataclasses.replace(res,
+                                         assignments=1 - res.assignments),
+         np.inf),
+    ], ids=["centers", "labels"])
+    def test_drift_at_small_scale_fails(self, monkeypatch, drift, worst):
+        kmeans = chorddiv.verify.kmeans
+
+        def drifting(points, F, cfg):
+            res = kmeans(points, F, cfg)
+            return drift(res) if np.max(points) < 1e-3 else res
+
+        monkeypatch.setattr(chorddiv.verify, "kmeans", drifting)
+        res = run_suite("clustering", 5, 0)
+        assert not res.passed
+        assert res.worst == pytest.approx(worst, rel=0.05)
 
 
 class TestRunArguments:
