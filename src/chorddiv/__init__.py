@@ -15,7 +15,6 @@ from .bregman import (
     bregman_chord_approx,
     bregman_dual,
     bregman_tangent,
-    mean_value_witness,
 )
 from .clustering import (
     ClusterConfig,
@@ -35,7 +34,6 @@ from .errors import (
     ShapeError,
     UnknownDivergenceError,
     UnsupportedGeneratorError,
-    WitnessNotFoundError,
 )
 from .fdiv import (
     F_GENERATOR_NAMES,
@@ -50,11 +48,9 @@ from .fdiv import (
 )
 from .generators import (
     BUILTIN_GENERATORS,
-    DEGENERATE_EPS,
     Domain,
     Generator,
     make_builtin,
-    restrict_to_line,
 )
 from .jensen import (
     JensenChordParams,
@@ -69,7 +65,6 @@ from .verify import SUITES, SuiteResult, run_all, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGENERATE_EPS",
     "ChordParams",
     "SkewPair",
     "biskew",
@@ -78,7 +73,6 @@ __all__ = [
     "bregman_chord_approx",
     "bregman_dual",
     "bregman_tangent",
-    "mean_value_witness",
     "ClusterConfig",
     "ClusterResult",
     "adjusted_rand_index",
@@ -94,7 +88,6 @@ __all__ = [
     "ShapeError",
     "UnknownDivergenceError",
     "UnsupportedGeneratorError",
-    "WitnessNotFoundError",
     "F_GENERATOR_NAMES",
     "FGenerator",
     "dual_generator",
@@ -108,7 +101,6 @@ __all__ = [
     "Domain",
     "Generator",
     "make_builtin",
-    "restrict_to_line",
     "JensenChordParams",
     "jensen",
     "jensen_chord",

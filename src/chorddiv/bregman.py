@@ -20,16 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    GradientRequiredError,
-    ParameterError,
-    ShapeError,
-    WitnessNotFoundError,
-)
+from .errors import GradientRequiredError, ParameterError, ShapeError
 from .generators import (Generator, as_vector, coincide, endpoints,
                          line_table, restrict_to_line, rows_pair)
-from .numerics import bisect_root
 
 
 @dataclass(frozen=True)
@@ -221,42 +214,6 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
     m = t2 if a == 1.0 else interpolate(t1, t2, a)
     g_m = F.grad_fn(m)
     return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
-
-
-def mean_value_witness(F: Generator, theta1, theta2, cp: ChordParams,
-                       tol: float = 1e-12) -> float:
-    """Anchor lam* strictly between alpha and beta where the restriction's
-    derivative equals the chord slope, located by bisection.
-
-    Exists by the mean value theorem and is unique for a strictly convex
-    restriction (the derivative is strictly increasing). Consequently the
-    chord value can be reconstructed from the witness:
-    G(0) - G(alpha) + alpha G'(lam*) equals bregman_chord.
-
-    Raises DegenerateRestrictionError for coincident points, and
-    WitnessNotFoundError if the derivative fails to bracket the slope,
-    which cannot happen in exact arithmetic.
-    """
-    G = restrict_to_line(F, theta1, theta2)
-    if not G.has_deriv:
-        raise GradientRequiredError(
-            f"mean_value_witness requires a gradient; generator {F.name} "
-            f"has none"
-        )
-    a, b = float(cp.alpha), float(cp.beta)
-    slope = (G(a) - G(b)) / (a - b)
-    lo, hi = min(a, b), max(a, b)
-
-    def gap(lam: float) -> float:
-        return G.deriv(lam) - slope
-
-    try:
-        return bisect_root(gap, lo, hi, tol=tol)
-    except BracketError as exc:
-        raise WitnessNotFoundError(
-            f"derivative does not bracket the chord slope on [{lo}, {hi}]: "
-            f"{exc}"
-        ) from exc
 
 
 def approx_anchors(epsilon: float) -> ChordParams:

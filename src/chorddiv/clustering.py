@@ -1,9 +1,9 @@
 """Right-sided k-means under any divergence from the registry.
 
 Lloyd iterations with D(point : center) assignments. A run takes the
-first of registry.center_rule's four rules that holds: two closed forms,
-the member mean and the left-sided centroid grad F^-1(mean grad F), then
-two searches:
+first of registry.center_rule's rules that holds: three closed forms,
+the member mean, the left-sided centroid grad F^-1(mean grad F) and the
+coordinatewise median of the tv f-divergences, then two searches:
 
 * lockstep, for a chord or Jensen id under a generators.SEPARABLE
   builtin (shannon_negentropy, burg_negentropy): the objective is a sum
@@ -212,13 +212,13 @@ def _update_center(members: np.ndarray, F: Generator, block,
     arithmetic mean and solves each coordinate with Brent's search
     (golden section plus parabolic steps, to a tolerance taken from the
     box, as golden_minimize says), sweep after sweep, until a sweep does
-    not lower the objective (at most 100 sweeps). Returns the search's
-    Minimum, whose x is the center.
+    not lower the objective (at most numerics.MAX_SWEEPS sweeps). Returns
+    the search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
     return coordinate_minimize(
         lambda c: _sum_in_order(block(members, c[None]).tolist()), lo, hi,
-        x0=members.mean(axis=0), max_sweeps=100)
+        x0=members.mean(axis=0))
 
 
 def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
@@ -335,7 +335,7 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         iterations += 1
         groups = [(j, members) for j in range(cfg.k)
                   if (members := pts[labels == j]).size]
-        if path in ("mean", "left"):
+        if path not in ("lockstep", "descent"):
             for j, members in groups:
                 centers[j] = rule(members)
         else:

@@ -19,7 +19,7 @@ class ShapeError(ChorddivError):
 
 
 class ParameterError(ChorddivError):
-    """A scalar parameter (skew, anchor, dimension, tolerance) is invalid."""
+    """A scalar parameter (skew, anchor, dimension, count) is invalid."""
 
 
 class GradientRequiredError(ChorddivError):
@@ -36,10 +36,6 @@ class UnknownDivergenceError(ChorddivError):
 
 class BracketError(ChorddivError):
     """A bracketing search was started without a valid bracket."""
-
-
-class WitnessNotFoundError(BracketError):
-    """The mean-value witness search failed to bracket the chord slope."""
 
 
 class DegenerateRestrictionError(ChorddivError):

@@ -304,15 +304,6 @@ class LineRestriction:
     def __call__(self, lam: float) -> float:
         return self.base(self.point_at(lam))
 
-    @property
-    def has_deriv(self) -> bool:
-        return self.base.has_grad
-
-    def deriv(self, lam: float) -> float:
-        """d/dlam via the chain rule on the base gradient."""
-        g = self.base.grad(self.point_at(lam))
-        return float(np.dot(self.theta2 - self.theta1, g))
-
 
 def coincide(t1: np.ndarray, t2: np.ndarray):
     """Whether two points are closer than DEGENERATE_EPS in the max norm;

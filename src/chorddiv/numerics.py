@@ -1,16 +1,16 @@
-"""Shared numerical machinery.
+"""Shared numerical machinery: derivative-free 1-D (one coordinate, or
+several in lockstep) and coordinate-descent minimization.
 
-Central finite differences, bracketing root finding, and derivative-free 1-D
-(one coordinate, or several in lockstep) and coordinate-descent
-minimization. The 1-D minimizer is Brent's method: golden-section search
-with parabolic steps, which stops once its bracket is within a tolerance
-of the best point that it derives from the bracket's width (see
-golden_minimize), written once as a generator that golden_lockstep runs
-per coordinate. The searches take no tolerance, so a box scaled by s is
-searched at s times the same probes. The solvers are deliberately small
-and deterministic: no randomized restarts, and every budget follows from
-the bracket and the values seen. The coordinate search returns a Minimum
-that says whether it ran out of sweeps and whether it ended on its box.
+The 1-D minimizer is Brent's method: golden-section search with parabolic
+steps, which stops once its bracket is within a tolerance of the best
+point that it derives from the bracket's width (see golden_minimize),
+written once as a generator that golden_lockstep runs per coordinate.
+The searches take no tolerance, so a box scaled by s is searched at s
+times the same probes. The solvers are deliberately small and
+deterministic: no randomized restarts, and every budget follows from the
+bracket, the values seen and MAX_SWEEPS. The coordinate search returns a
+Minimum that says whether it ran out of sweeps and whether it ended on
+its box.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
 BRACKET_TOL = 3e-9
 #: on_box_edge's reach as a share of the width of a box side.
 EDGE_REACH = 1e-6
+#: The most sweeps coordinate_minimize runs.
+MAX_SWEEPS = 100
 
 
 def whole_number(label: str, value, least: int) -> int:
@@ -40,72 +42,6 @@ def whole_number(label: str, value, least: int) -> int:
     if value < least:
         raise ParameterError(f"{label} must be >= {least}, got {value}")
     return int(value)
-
-
-def central_diff_grad(F, theta, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a generator at an interior point.
-
-    Uses [F(theta + h e_i) - F(theta - h e_i)] / (2 h) per coordinate. If a
-    stencil point falls outside the domain, the step is shrunk once by 10x;
-    a second violation raises DomainError.
-    """
-    if not h > 0.0:
-        raise ParameterError(f"step size must be positive, got {h}")
-    theta = F.point(theta)
-    grad = np.empty(F.dim)
-    for i in range(F.dim):
-        step = h
-        for _ in range(2):
-            up = theta.copy()
-            up[i] += step
-            dn = theta.copy()
-            dn[i] -= step
-            if F.domain.contains(up) and F.domain.contains(dn):
-                grad[i] = (float(F.fn(up)) - float(F.fn(dn))) / (2.0 * step)
-                break
-            step /= 10.0
-        else:
-            raise DomainError(
-                f"finite-difference stencil leaves the domain of {F.name} at "
-                f"coordinate {i} (theta={theta.tolist()}, h={h})"
-            )
-    return grad
-
-
-def bisect_root(g: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> float:
-    """Bisection root of a scalar function on a sign-changing bracket.
-
-    Halves [lo, hi] until its width drops below tol and returns the bracket
-    midpoint; one evaluation of g per halving, so the total evaluation count
-    is bounded by ceil(log2((hi - lo)/tol)) + 2.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise BracketError(f"invalid bracket [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        return lo
-    g_hi = g(hi)
-    if g_hi == 0.0:
-        return hi
-    if (g_lo < 0.0) == (g_hi < 0.0):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: g(lo)={g_lo}, g(hi)={g_hi}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # float resolution exhausted
-            break
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def golden_minimize(g: Callable[[float], float], lo: float,
@@ -274,13 +210,12 @@ class Minimum(NamedTuple):
 
 def coordinate_minimize(g: Callable[[np.ndarray], float],
                         lo: Sequence[float], hi: Sequence[float],
-                        x0: Optional[Sequence[float]] = None,
-                        max_sweeps: int = 60) -> Minimum:
+                        x0: Optional[Sequence[float]] = None) -> Minimum:
     """Round-robin per-coordinate descent over a box.
 
     Sweeps coordinates in index order, minimizing each 1-D slice with
     golden_minimize (Brent's search), until a sweep does not lower
-    g or max_sweeps (an integer >= 1) is hit. Returns a Minimum at the
+    g or MAX_SWEEPS sweeps have run. Returns a Minimum at the
     lowest point between sweeps, saying which of the two happened and
     whether that point lies on the box edge. The box gets golden_lockstep's
     check (BracketError), and a start x0 of another shape raises
@@ -288,7 +223,6 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
     A non-finite g at the start or after a sweep raises DomainError.
     Deterministic for a fixed start.
     """
-    max_sweeps = whole_number("max_sweeps", max_sweeps, 1)
     lo, hi = _box(lo, hi)
     x = 0.5 * (lo + hi) if x0 is None else np.array(x0, dtype=float, ndmin=1)
     if x.shape != lo.shape:
@@ -302,7 +236,7 @@ def coordinate_minimize(g: Callable[[np.ndarray], float],
         if not now < last:
             x, capped = before, False
             break
-        if sweeps == max_sweeps:
+        if sweeps == MAX_SWEEPS:
             break
         last, sweeps, before = now, sweeps + 1, x.copy()
         for i in range(x.size):

@@ -71,9 +71,9 @@ class DivSpec(NamedTuple):
     whose pre is empty).
     right_centroid, when set, is the id's closed-form rule: F -> (path,
     an (m, dim) member matrix -> argmin_c sum_i D(x_i : c)), or None where
-    F has no closed form; center_rule() adds the quadratic, lockstep and
-    descent rules. anchors says how the value depends on the sweep
-    anchors (alpha, beta): CHORD, IGNORED or REJECTED.
+    F has no closed form; center_rule() adds the quadratic, tv median,
+    lockstep and descent rules. anchors says how the value depends on the
+    sweep anchors (alpha, beta): CHORD, IGNORED or REJECTED.
     """
 
     kernel: Callable
@@ -264,9 +264,12 @@ def center_rule(div_id: str, F: Generator,
     1. ("mean", members -> their mean) for every id that evaluates the
        generator when F is the quadratic builtin: each such D(x : c) is
        then a non-negative multiple of |x - c|^2 (biskew: wrappers too);
-    2. the id's DivSpec.right_centroid closed form: "mean" for bregman and
-       ekl, ("left", the left-sided centroid) for bregman_dual when F has
-       a conjugate or is the burg_negentropy or log_sum_exp builtin;
+    2. a closed form: ("median", the coordinatewise median) for the four
+       f-divergence ids of tv, self-dual, so that each D(x : c) is a
+       multiple of sum_j |c_j - x_j|; the id's DivSpec.right_centroid,
+       "mean" for bregman and ekl, ("left", the left-sided centroid) for
+       bregman_dual when F has a conjugate or is the burg_negentropy or
+       log_sum_exp builtin;
     3. ("lockstep", the id's block under f, the builtin at dim 1) for the
        chord and Jensen ids (gradient-free block kernels) under a
        SEPARABLE builtin, F(t) = sum_j f(t_j): their gaps are linear in
@@ -276,9 +279,11 @@ def center_rule(div_id: str, F: Generator,
     A closed form maps an (m, dim) member matrix to its center. Only rule
     3 reads params, after _spec has checked the identifier.
     """
-    spec, _ = _spec(div_id)
+    spec, rest = _spec(div_id)
     if F.builtin == "quadratic" and spec.needs_generator:
         return _member_mean(F)
+    if rest == "tv":  # biskew:fdiv:tv has rest "fdiv:tv"
+        return "median", lambda members: np.median(members, axis=0)
     if spec.right_centroid and (closed := spec.right_centroid(F)):
         return closed
     if (spec.block in (bregman_chord_block, jensen_chord_block)

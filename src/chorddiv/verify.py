@@ -13,6 +13,7 @@ noise and keep the epsilon-ladder decay ratios close to 10 per decade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -27,11 +28,10 @@ from .bregman import (
     bregman_tangent,
     chord_row,
     interpolate,
-    mean_value_witness,
 )
 from .clustering import (ClusterConfig, _centroid_box, _sum_in_order,
                          adjusted_rand_index, kmeans)
-from .errors import ParameterError
+from .errors import BracketError, DomainError, ParameterError
 from .fdiv import (
     F_GENERATOR_NAMES,
     dual_generator,
@@ -40,19 +40,14 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import (
-    BUILTIN_GENERATORS,
-    Generator,
-    make_builtin,
-    restrict_to_line,
-)
+from .generators import (BUILTIN_GENERATORS, Generator, LineRestriction,
+                         make_builtin, restrict_to_line)
 from .jensen import (
     JensenChordParams,
     jensen_chord,
     jensen_skewed,
 )
-from .numerics import (central_diff_grad, coordinate_minimize,
-                       golden_lockstep, whole_number)
+from .numerics import coordinate_minimize, golden_lockstep, whole_number
 from .registry import resolve_block
 
 #: KL((0.5, 0.5) : (0.25, 0.75)) = 0.5 log 2 + 0.5 log(2/3).
@@ -246,9 +241,54 @@ def suite_limit_tangent(trials: int = 200, seed: int = 0) -> SuiteResult:
     return SuiteResult(name="limit_tangent", worst=worst, detail=detail)
 
 
+def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of g on [lo, hi] by bisection, to a bracket width of 1e-12 or
+    float resolution, in at most ceil(log2((hi - lo) / 1e-12)) + 2 calls
+    of g; BracketError unless lo < hi are finite and g changes sign."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise BracketError(f"invalid bracket [{lo}, {hi}]")
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return lo if g_lo == 0.0 else hi
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: g(lo)={g_lo}, g(hi)={g_hi}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):  # float resolution exhausted
+            break
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _line_deriv(G: LineRestriction, lam: float) -> float:
+    """G'(lam) = <theta2 - theta1, grad F(theta_lam)>, F = G.base."""
+    return float(np.dot(G.theta2 - G.theta1, G.base.grad(G.point_at(lam))))
+
+
+def _witness(G: LineRestriction, slope: float, lo: float, hi: float) -> float:
+    """The lam in [lo, hi] where G'(lam) equals slope, the chord's, by
+    _bisect: unique for a strictly convex G. A derivative that does not
+    bracket the slope, impossible in exact arithmetic, raises BracketError."""
+    try:
+        return _bisect(lambda lam: _line_deriv(G, lam) - slope, lo, hi)
+    except BracketError as exc:
+        raise BracketError(
+            f"derivative does not bracket the chord slope on [{lo}, {hi}]: "
+            f"{exc}") from exc
+
+
 def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """The witness matches the chord slope to 1e-9 and reconstructs the
-    chord divergence to 1e-8, on univariate instances of every builtin."""
+    """The mean-value witness lam* (_witness) lies between the anchors,
+    matches the chord slope to 1e-9 and, as G(0) - G(alpha) + alpha
+    G'(lam*), reconstructs the chord divergence to 1e-8, on univariate
+    instances of every builtin."""
     rng = np.random.default_rng(seed)
     instances = max(4, trials // 2)
     worst_slope = -np.inf
@@ -259,13 +299,13 @@ def suite_mean_value(trials: int = 200, seed: int = 0) -> SuiteResult:
             BUILTIN_GENERATORS[i % len(BUILTIN_GENERATORS)], 1)
         t1, t2 = _sample_pair(rng, F)
         cp = _sample_anchors(rng)
-        lam = mean_value_witness(F, t1, t2, cp)
-        lo, hi = min(cp.alpha, cp.beta), max(cp.alpha, cp.beta)
-        inside = inside and (lo < lam < hi)
         G = restrict_to_line(F, t1, t2)
         slope = (G(cp.alpha) - G(cp.beta)) / (cp.alpha - cp.beta)
-        worst_slope = _worst(worst_slope, abs(G.deriv(lam) - slope))
-        recon = G(0.0) - G(cp.alpha) + cp.alpha * G.deriv(lam)
+        lo, hi = min(cp.alpha, cp.beta), max(cp.alpha, cp.beta)
+        lam = _witness(G, slope, lo, hi)
+        inside = inside and (lo < lam < hi)
+        worst_slope = _worst(worst_slope, abs(_line_deriv(G, lam) - slope))
+        recon = G(0.0) - G(cp.alpha) + cp.alpha * _line_deriv(G, lam)
         worst_recon = _worst(
             worst_recon, abs(recon - bregman_chord(F, t1, t2, cp))
         )
@@ -393,6 +433,27 @@ def suite_fdiv(trials: int = 200, seed: int = 0) -> SuiteResult:
     )
 
 
+def _central_diff_grad(F: Generator, theta) -> np.ndarray:
+    """gradcheck's reference: [F(theta + h e_i) - F(theta - h e_i)] / (2 h)
+    per coordinate at h = 1e-5, shrunk once by 10x where the stencil
+    leaves the domain; a second violation raises DomainError."""
+    theta = F.point(theta)
+    grad = np.empty(F.dim)
+    for i in range(F.dim):
+        for step in (1e-5, 1e-5 / 10.0):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += step
+            dn[i] -= step
+            if F.domain.contains(up) and F.domain.contains(dn):
+                grad[i] = (float(F.fn(up)) - float(F.fn(dn))) / (2.0 * step)
+                break
+        else:
+            raise DomainError(
+                f"finite-difference stencil leaves the domain of {F.name} at "
+                f"coordinate {i} (theta={theta.tolist()}, h=1e-05)")
+    return grad
+
+
 def suite_gradcheck(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Closed-form gradients agree with central differences to a relative
     1e-6 on random interior points of every builtin."""
@@ -403,7 +464,7 @@ def suite_gradcheck(trials: int = 200, seed: int = 0) -> SuiteResult:
         for _ in range(points):
             t = _sample_point(rng, F)
             g = F.grad(t)
-            fd = central_diff_grad(F, t)
+            fd = _central_diff_grad(F, t)
             rel = float(np.max(np.abs(g - fd))) / max(
                 1.0, float(np.max(np.abs(g)))
             )
@@ -474,7 +535,7 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     def total(c) -> float:
         return _sum_in_order(block(points, np.asarray(c)[None]).tolist())
 
-    found = coordinate_minimize(total, lo, hi, x0=lo, max_sweeps=100)
+    found = coordinate_minimize(total, lo, hi, x0=lo)
     dev_s = float(abs(found.x[0] - points.mean()))
     lockstep = golden_lockstep(lambda c: [total(c)], lo, hi)
     dev_l = float(abs(lockstep[0] - points.mean()))

@@ -1,5 +1,4 @@
-"""Bregman family: ordinary, dual, chord, tangent, witness, approximation,
-biskew.
+"""Bregman family: ordinary, dual, chord, tangent, approximation, biskew.
 
 Oracle: the chord divergence is checked against an explicit two-point-line
 construction on the restriction, built independently of the library formula.
@@ -35,13 +34,12 @@ from chorddiv import (
     jensen_skewed,
     kl,
     make_builtin,
-    mean_value_witness,
     resolve_divergence,
-    restrict_to_line,
     sweep,
 )
 from chorddiv.bregman import (biskew_block, bregman_chord_block,
                               bregman_tangent_block, chord_row, interpolate)
+from chorddiv.generators import restrict_to_line
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -493,55 +491,6 @@ class TestBregmanTangent:
             assert 5.0 <= big / small <= 20.0
 
 
-class TestMeanValueWitness:
-    def test_quadratic_midpoint(self):
-        F = make_builtin("quadratic", 1)
-        lam = mean_value_witness(F, 0.0, 1.0, ChordParams(0.25, 0.75))
-        assert lam == pytest.approx(0.5, abs=1e-9)
-
-    def test_swap_gives_same_witness(self):
-        F = make_builtin("shannon_negentropy", 1)
-        cp = ChordParams(0.3, 0.7)
-        a = mean_value_witness(F, 0.2, 1.2, cp)
-        b = mean_value_witness(F, 0.2, 1.2, cp.swapped())
-        assert a == pytest.approx(b, abs=1e-9)
-
-    def test_witness_matches_slope_and_reconstructs_chord(self):
-        rng = np.random.default_rng(81)
-        for name, _ in GENERATOR_MATRIX:
-            F = make_builtin(name, 1)
-            t1, t2 = sample_pair(rng, F)
-            cp = ChordParams(0.15, 0.85)
-            lam = mean_value_witness(F, t1, t2, cp)
-            assert min(cp.alpha, cp.beta) < lam < max(cp.alpha, cp.beta)
-            G = restrict_to_line(F, t1, t2)
-            slope = (G(cp.alpha) - G(cp.beta)) / (cp.alpha - cp.beta)
-            assert abs(G.deriv(lam) - slope) <= 1e-9
-            recon = G(0.0) - G(cp.alpha) + cp.alpha * G.deriv(lam)
-            assert recon == pytest.approx(
-                bregman_chord(F, t1, t2, cp), abs=1e-8)
-
-    def test_independent_derivative_check(self):
-        F = make_builtin("log_sum_exp", 1)
-        cp = ChordParams(0.2, 0.9)
-        lam = mean_value_witness(F, -1.0, 1.5, cp)
-        G = restrict_to_line(F, -1.0, 1.5)
-        h = 1e-6
-        fd = (G(lam + h) - G(lam - h)) / (2 * h)
-        slope = (G(cp.alpha) - G(cp.beta)) / (cp.alpha - cp.beta)
-        assert fd == pytest.approx(slope, abs=1e-6)
-
-    def test_coincident_arguments_rejected(self):
-        F = make_builtin("quadratic", 1)
-        with pytest.raises(DegenerateRestrictionError):
-            mean_value_witness(F, 1.0, 1.0, ChordParams(0.25, 0.75))
-
-    def test_gradient_required(self):
-        with pytest.raises(GradientRequiredError):
-            mean_value_witness(gradless_quadratic(), 0.0, 1.0,
-                               ChordParams(0.25, 0.75))
-
-
 class TestBregmanChordApprox:
     def test_linear_error_quadratic(self):
         F = make_builtin("quadratic", 1)
@@ -640,8 +589,6 @@ class TestDegenerateRule:
         # the same rule refuses to join the pair by a line
         with pytest.raises(DegenerateRestrictionError):
             restrict_to_line(F, t1, t2)
-        with pytest.raises(DegenerateRestrictionError):
-            mean_value_witness(F, t1, t2, cp)
 
 
 class TestScaleInvariance:

@@ -189,7 +189,7 @@ class TestUpdateCenter:
         lo, hi = _centroid_box(members, F.domain.kind == "positive")
         per_pair = coordinate_minimize(
             lambda c: sum(float(D(x, c)) for x in members), lo, hi,
-            x0=members.mean(axis=0), max_sweeps=100)
+            x0=members.mean(axis=0))
         found = _update_center(members, F,
                                resolve_block("bregman_chord", F, params))
         assert found.x.tobytes() == per_pair.x.tobytes()
@@ -638,9 +638,15 @@ ROUTES = {
 }
 
 
+#: The f-divergence ids of tv and the constant w with D(x : c) =
+#: w sum_j |c_j - x_j|: tv is self-dual.
+TV_IDS = {"fdiv:tv": 0.5, "fdiv_dual:tv": 0.5, "fdiv_jsym:tv": 0.5,
+          "fdiv_jssym:tv": 0.25}
+
+
 class TestCenterRule:
     """registry.center_rule routes every id under every generator to one
-    of four center paths, and kmeans resolves it once per run."""
+    of its center paths, and kmeans resolves it once per run."""
 
     @pytest.mark.parametrize("column,gen", enumerate(ROUTE_GENERATORS))
     @pytest.mark.parametrize("family", chorddiv.registry.known_divergences())
@@ -687,8 +693,59 @@ class TestCenterRule:
             k=3, divergence=div, params=params, seed=1))
         assert res.iterations > 1
         assert calls == [(div, F, params)]
-        closed = center_rule(div, F, params)[0] in ("mean", "left")
+        closed = center_rule(div, F, params)[0] not in ("lockstep",
+                                                        "descent")
         assert (res.center_solves == ()) is closed
+
+    @pytest.mark.parametrize("gen", ROUTE_GENERATORS)
+    @pytest.mark.parametrize("div", TV_IDS)
+    def test_tv_centers_are_the_coordinatewise_median(self, div, gen):
+        path, rule = center_rule(div, ROUTE_GENERATORS[gen], ROUTE_PARAMS)
+        assert path == "median"
+        # an odd count has one median, an even count the middle pair's
+        # midpoint
+        for members in (blob_points(2)[:7], blob_points(2)[:6]):
+            want = np.median(members, axis=0)
+            assert rule(members).tobytes() == want.tobytes()
+
+    def test_biskew_of_tv_is_searched(self):
+        assert center_rule("biskew:fdiv:tv", QUAD2, ROUTE_PARAMS) == (
+            "descent", None)
+
+    @pytest.mark.parametrize("div,weight", TV_IDS.items())
+    def test_tv_ids_are_multiples_of_the_l1_distance(self, div, weight):
+        X = blob_points(3)
+        Y = X[::-1] + 0.05
+        got = resolve_block(div, None, {})(X, Y)
+        np.testing.assert_allclose(
+            got, weight * np.abs(Y - X).sum(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_tv_median_is_not_above_the_search(self):
+        # the search's point lies on or above the flat minimum the median
+        # sits in
+        members = np.random.default_rng(3).uniform(0.2, 2.0, (8, 2))
+        for div in TV_IDS:
+            block = resolve_block(div, None, {})
+
+            def total(c):
+                return float(np.sum(block(members, np.asarray(c)[None])))
+
+            found = _update_center(members, QUAD2, block, positive=True)
+            median = center_rule(div, QUAD2, {})[1](members)
+            assert total(median) <= total(found.x)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tv_ids_give_one_clustering(self, dim):
+        pts = np.random.default_rng(5).uniform(0.3, 2.5, (17, dim))
+        runs = [kmeans(pts, QUAD2 if dim == 2 else QUAD1, ClusterConfig(
+            k=3, divergence=div, seed=1)) for div in TV_IDS]
+        for res in runs:
+            assert res.center_solves == ()
+            assert res.centers.tobytes() == runs[0].centers.tobytes()
+            assert res.assignments.tolist() == runs[0].assignments.tolist()
+        for j, center in enumerate(runs[0].centers):
+            members = pts[runs[0].assignments == j]
+            assert center.tobytes() == np.median(members, axis=0).tobytes()
 
 
 class TestDistanceMatrix:
@@ -858,11 +915,7 @@ class TestCenterSolves:
         assert len(res.objective_trace) == 2
 
     def test_capped_search_is_recorded(self, monkeypatch):
-        def one_sweep(*args, **kwargs):
-            return coordinate_minimize(*args, **{**kwargs, "max_sweeps": 1})
-
-        monkeypatch.setattr(chorddiv.clustering, "coordinate_minimize",
-                            one_sweep)
+        monkeypatch.setattr(chorddiv.numerics, "MAX_SWEEPS", 1)
         # log_sum_exp is not separable, so its search is coordinate-wise; the
         # member mean is not the chord centroid there, so the one sweep
         # allowed lowers the objective and the search is capped

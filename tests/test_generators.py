@@ -18,10 +18,9 @@ from chorddiv import (
     ShapeError,
     UnsupportedGeneratorError,
     make_builtin,
-    restrict_to_line,
 )
 from chorddiv.bregman import bregman_tangent_block
-from chorddiv.generators import line_table
+from chorddiv.generators import line_table, restrict_to_line
 
 
 def sample_point(rng, F):
@@ -170,17 +169,6 @@ class TestLineRestriction:
             assert G(0.0) == pytest.approx(F(t1), abs=1e-12)
             assert G(1.0) == pytest.approx(F(t2), abs=1e-12)
 
-    def test_deriv_matches_finite_difference(self):
-        rng = np.random.default_rng(7)
-        for name in BUILTIN_GENERATORS:
-            F = make_builtin(name, 2)
-            t1, t2 = sample_point(rng, F), sample_point(rng, F)
-            G = restrict_to_line(F, t1, t2)
-            h = 1e-6
-            for lam in (0.2, 0.5, 0.8):
-                fd = (G(lam + h) - G(lam - h)) / (2 * h)
-                assert G.deriv(lam) == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
     def test_strict_convexity_in_lambda(self):
         rng = np.random.default_rng(13)
         for name in BUILTIN_GENERATORS:
@@ -204,14 +192,6 @@ class TestLineRestriction:
         F = make_builtin("burg_negentropy", 1)
         with pytest.raises(DomainError):
             restrict_to_line(F, 1.0, -1.0)
-
-    def test_gradless_base_has_no_deriv(self):
-        F = Generator(name="abs2", dim=1, domain=Domain("reals"),
-                      fn=lambda t: float(np.dot(t, t)))
-        G = restrict_to_line(F, 0.0, 1.0)
-        assert not G.has_deriv
-        with pytest.raises(GradientRequiredError):
-            G.deriv(0.5)
 
 
 def exp_sum(dim, calls=None):

@@ -17,8 +17,8 @@ from chorddiv import (
     jensen_skewed,
     make_builtin,
     resolve_divergence,
-    restrict_to_line,
 )
+from chorddiv.generators import restrict_to_line
 
 from test_bregman import GENERATOR_MATRIX, sample_pair
 

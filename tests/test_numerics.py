@@ -1,5 +1,4 @@
-"""Finite differences, bisection, Brent's 1-D search, coordinate descent,
-and the sweep engine."""
+"""Brent's 1-D search, coordinate descent, and the sweep engine."""
 
 import math
 
@@ -8,7 +7,6 @@ import pytest
 
 from chorddiv import (
     BracketError,
-    ChordParams,
     Domain,
     DomainError,
     Generator,
@@ -18,17 +16,15 @@ from chorddiv import (
     bregman,
     coordinate_minimize,
     make_builtin,
-    mean_value_witness,
     resolve_divergence,
     sweep,
 )
+from chorddiv import numerics
 from chorddiv.numerics import (
     BRACKET_TOL,
     EDGE_REACH,
     INV_PHI_SQ,
     SQRT_EPS,
-    bisect_root,
-    central_diff_grad,
     golden_lockstep,
     golden_minimize,
     on_box_edge,
@@ -45,93 +41,6 @@ class Counter:
     def __call__(self, x):
         self.calls += 1
         return self.fn(x)
-
-
-class TestCentralDiffGrad:
-    def test_quadratic(self):
-        F = make_builtin("quadratic", 1)
-        assert central_diff_grad(F, 3.0)[0] == pytest.approx(6.0, abs=1e-8)
-
-    def test_multivariate(self):
-        F = make_builtin("quadratic", 3)
-        fd = central_diff_grad(F, [1.0, -2.0, 0.5])
-        assert np.allclose(fd, [2.0, -4.0, 1.0], atol=1e-8)
-
-    def test_matches_closed_form_gradients(self):
-        rng = np.random.default_rng(2)
-        for name in ("shannon_negentropy", "burg_negentropy",
-                     "log_sum_exp"):
-            F = make_builtin(name, 2)
-            for _ in range(20):
-                if F.domain.kind == "positive":
-                    t = rng.uniform(0.2, 1.5, 2)
-                else:
-                    t = rng.uniform(-1.5, 1.5, 2)
-                fd = central_diff_grad(F, t)
-                g = F.grad(t)
-                assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) \
-                    < 1e-6
-
-    def test_step_shrinks_near_boundary(self):
-        # 5e-6 - 1e-5 < 0, so the default step must shrink once
-        F = make_builtin("burg_negentropy", 1)
-        fd = central_diff_grad(F, 5e-6)[0]
-        # h shrinks to 1e-6, still 20% of theta, so the difference quotient
-        # carries a visible curvature error; 2% covers it comfortably
-        assert fd == pytest.approx(-1.0 / 5e-6, rel=2e-2)
-
-    def test_fails_when_shrunk_step_still_leaves_domain(self):
-        F = make_builtin("burg_negentropy", 1)
-        with pytest.raises(DomainError):
-            central_diff_grad(F, 5e-8)
-
-    def test_bad_step(self):
-        F = make_builtin("quadratic", 1)
-        for h in (0.0, math.nan):
-            with pytest.raises(ParameterError):
-                central_diff_grad(F, 1.0, h=h)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("solve", [
-    lambda tol: bisect_root(lambda x: x - 0.9, 0.0, 1.0, tol=tol),
-    lambda tol: mean_value_witness(make_builtin("shannon_negentropy", 1),
-                                   0.3, 0.9, ChordParams(0.2, 0.8), tol=tol),
-], ids=["bisect_root", "mean_value_witness"])
-def test_bad_tolerance(solve, tol):
-    """A NaN tolerance fails the positivity check too, instead of
-    returning a point or escaping as a bare ValueError."""
-    with pytest.raises(ParameterError, match="tolerance must be positive"):
-        solve(tol)
-
-
-class TestBisectRoot:
-    def test_linear(self):
-        root = bisect_root(lambda x: x - 0.5, 0.0, 1.0, tol=1e-10)
-        assert root == pytest.approx(0.5, abs=1e-10)
-
-    def test_sqrt2(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-    def test_exact_zero_at_endpoint(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x, 2.0, 1.0)
-
-    def test_evaluation_budget(self):
-        tol = 1e-10
-        g = Counter(lambda x: x - 0.31)
-        bisect_root(g, 0.0, 1.0, tol=tol)
-        cap = math.ceil(math.log2(1.0 / tol)) + 2
-        assert g.calls <= cap
 
 
 class TestGoldenMinimize:
@@ -462,7 +371,7 @@ class TestCoordinateMinimize:
                                       [0.0], [1.0])
             assert res.on_edge is on_edge
 
-    def test_coupled_quadratic(self):
+    def test_coupled_quadratic(self, monkeypatch):
         # minimum of (x - y)^2 + (x - 1)^2 at x = y = 1
         res = coordinate_minimize(
             lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
@@ -472,9 +381,10 @@ class TestCoordinateMinimize:
         assert not res.capped
         assert 1 < res.sweeps < 60
         # one sweep cannot settle the coupling, so the search is capped
+        monkeypatch.setattr(numerics, "MAX_SWEEPS", 1)
         res = coordinate_minimize(
             lambda v: (v[0] - v[1]) ** 2 + (v[0] - 1.0) ** 2,
-            [-5.0, -5.0], [5.0, 5.0], max_sweeps=1,
+            [-5.0, -5.0], [5.0, 5.0],
         )
         assert res.capped
         assert res.sweeps == 1
@@ -502,15 +412,15 @@ class TestCoordinateMinimize:
         assert res.x.tolist() == m.tolist()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_objective_raises(self, bad):
+    def test_non_finite_objective_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(numerics, "MAX_SWEEPS", 5)
         with pytest.raises(DomainError, match=r"at \[0\.5, 0\.5\]"):
-            coordinate_minimize(lambda v: bad, [0.0, 0.0], [1.0, 1.0],
-                                max_sweeps=5)
+            coordinate_minimize(lambda v: bad, [0.0, 0.0], [1.0, 1.0])
         # finite at the start, not after the first sweep
         with pytest.raises(DomainError, match="objective is nan"):
             coordinate_minimize(
                 lambda v: 0.0 if v[0] == 0.5 else float("nan"),
-                [0.0], [1.0], x0=[0.5], max_sweeps=5)
+                [0.0], [1.0], x0=[0.5])
 
     def test_bad_box(self):
         with pytest.raises(BracketError):
@@ -531,19 +441,6 @@ class TestCoordinateMinimize:
         with pytest.raises(ShapeError, match=r"x0 of shape"):
             coordinate_minimize(lambda v: pytest.fail("g called"),
                                 [0.0, 0.0], [1.0, 1.0], x0=x0)
-
-    @pytest.mark.parametrize("max_sweeps,message", [
-        (-1, "max_sweeps must be >= 1"),
-        (0, "max_sweeps must be >= 1"),
-        (1.5, "max_sweeps must be an integer"),
-        (2.0, "max_sweeps must be an integer"),
-        (True, "max_sweeps must be an integer"),
-    ])
-    def test_bad_sweep_cap(self, max_sweeps, message):
-        # a cap the sweep count never equals would leave the search uncapped
-        with pytest.raises(ParameterError, match=message):
-            coordinate_minimize(lambda v: float(v @ v), [-1.0], [1.0],
-                                max_sweeps=max_sweeps)
 
 
 class TestSweepGrid:
