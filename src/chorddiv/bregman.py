@@ -211,7 +211,7 @@ def bregman_tangent(F: Generator, theta1, theta2, alpha: float) -> float:
         return 0.0
     t1, t2 = ends
     # a in (0, 1] keeps the interpolant in the convex domain
-    m = t2 if a == 1.0 else interpolate(t1, t2, a)
+    m = t2 if a == 1.0 else (1.0 - a) * t1 + a * t2
     g_m = F.grad_fn(m)
     return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
 
@@ -262,13 +262,19 @@ def biskew(D: Callable[[np.ndarray, np.ndarray], float], theta1, theta2,
 
 
 def skew_segment(theta1, theta2, sp: SkewPair) -> Optional[tuple]:
-    """The gamma and delta interpolants biskew evaluates between; None when
-    the endpoints coincide."""
+    """The gamma and delta interpolants biskew evaluates between, by
+    interpolate's expression and shape check; None when the endpoints
+    coincide."""
     t1 = as_vector(theta1)
     t2 = as_vector(theta2)
-    if t1.shape == t2.shape and coincide(t1, t2):
+    if t1.shape != t2.shape:
+        raise ShapeError(
+            f"cannot interpolate points of shapes {t1.shape} and {t2.shape}"
+        )
+    if coincide(t1, t2):
         return None
-    return interpolate(t1, t2, sp.gamma), interpolate(t1, t2, sp.delta)
+    g, d = float(sp.gamma), float(sp.delta)
+    return (1.0 - g) * t1 + g * t2, (1.0 - d) * t1 + d * t2
 
 
 def biskew_block(D: Callable, X, Y, sp: SkewPair) -> np.ndarray:

@@ -320,10 +320,18 @@ def rows_pair(X: np.ndarray, Y: np.ndarray) -> bool:
 
 def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
     """The argument step of every generator kernel: both points validated
-    by F, as (t1, t2), or None when they coincide."""
+    by F, as (t1, t2), or None when they coincide. Validated points are
+    finite, so up to SMALL_ARRAY entries coincide's verdict is taken by
+    abs(a - b) < DEGENERATE_EPS over their Python floats (about 0.6 us at
+    d = 2, against 1.7 us for coincide's reduction)."""
     t1 = F.point(theta1)
     t2 = F.point(theta2)
-    return None if coincide(t1, t2) else (t1, t2)
+    if t1.size > SMALL_ARRAY:
+        return None if coincide(t1, t2) else (t1, t2)
+    for a, b in zip(t1.tolist(), t2.tolist()):
+        if not abs(a - b) < DEGENERATE_EPS:
+            return t1, t2
+    return None
 
 
 def line_table(F: Generator, X, Y, lams) -> np.ndarray:

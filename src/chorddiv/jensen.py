@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import interpolate
 from .errors import ParameterError
 from .generators import Generator, endpoints, line_table
 
@@ -102,8 +101,8 @@ def jensen_chord(F: Generator, theta1, theta2,
     t1, t2 = ends
     a, b = float(jcp.alpha), float(jcp.beta)
     # anchors in [0, 1] keep both interpolants in the convex domain
-    f_a = float(F.fn(interpolate(t1, t2, a)))
-    f_b = f_a if a == b else float(F.fn(interpolate(t1, t2, b)))
+    f_a = float(F.fn((1.0 - a) * t1 + a * t2))
+    f_b = f_a if a == b else float(F.fn((1.0 - b) * t1 + b * t2))
     return jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
 
 

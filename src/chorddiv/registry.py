@@ -265,11 +265,12 @@ def center_rule(div_id: str, F: Generator,
        generator when F is the quadratic builtin: each such D(x : c) is
        then a non-negative multiple of |x - c|^2 (biskew: wrappers too);
     2. a closed form: ("median", the coordinatewise median) for the four
-       f-divergence ids of tv, self-dual, so that each D(x : c) is a
-       multiple of sum_j |c_j - x_j|; the id's DivSpec.right_centroid,
-       "mean" for bregman and ekl, ("left", the left-sided centroid) for
-       bregman_dual when F has a conjugate or is the burg_negentropy or
-       log_sum_exp builtin;
+       f-divergence ids of tv, self-dual, and their biskew: wrappers, so
+       that each D(x : c) is a positive multiple of sum_j |c_j - x_j|
+       (|delta - gamma| times more under biskew:); the id's
+       DivSpec.right_centroid, "mean" for bregman and ekl, ("left", the
+       left-sided centroid) for bregman_dual when F has a conjugate or is
+       the burg_negentropy or log_sum_exp builtin;
     3. ("lockstep", the id's block under f, the builtin at dim 1) for the
        chord and Jensen ids (gradient-free block kernels) under a
        SEPARABLE builtin, F(t) = sum_j f(t_j): their gaps are linear in
@@ -279,10 +280,10 @@ def center_rule(div_id: str, F: Generator,
     A closed form maps an (m, dim) member matrix to its center. Only rule
     3 reads params, after _spec has checked the identifier.
     """
-    spec, rest = _spec(div_id)
+    spec = _spec(div_id)[0]
     if F.builtin == "quadratic" and spec.needs_generator:
         return _member_mean(F)
-    if rest == "tv":  # biskew:fdiv:tv has rest "fdiv:tv"
+    if div_id.endswith(":tv"):  # fdiv:tv, biskew:fdiv:tv, ...
         return "median", lambda members: np.median(members, axis=0)
     if spec.right_centroid and (closed := spec.right_centroid(F)):
         return closed

@@ -12,7 +12,11 @@ exception type and message must match them, on blocks that hold each
 edge value first and last at SMALL_ARRAY and SMALL_ARRAY + 1 entries
 too, and so must every value of the pairs benchmark's ids with the old
 bodies patched back in. One test pins which side of SMALL_ARRAY reaches
-the reductions.
+the reductions, and one that generators.endpoints decides coincidence
+as coincide does, by Python floats up to SMALL_ARRAY entries. The old
+bodies of endpoints, bregman_tangent and jensen_chord are the coincide
+and interpolate calls that the float decision and interpolate's
+expression replaced.
 """
 
 import importlib
@@ -80,6 +84,33 @@ def old_skew_segment(theta1, theta2, sp):
             old_interpolate(t1, t2, sp.delta))
 
 
+def old_endpoints(F, theta1, theta2):
+    t1 = F.point(theta1)
+    t2 = F.point(theta2)
+    return None if old_coincide(t1, t2) else (t1, t2)
+
+
+def old_bregman_tangent(F, theta1, theta2, alpha):
+    a = bregman.unit_anchor(alpha, "tangent anchor")
+    bregman._require_grad(F)
+    if (ends := old_endpoints(F, theta1, theta2)) is None:
+        return 0.0
+    t1, t2 = ends
+    m = t2 if a == 1.0 else old_interpolate(t1, t2, a)
+    g_m = F.grad_fn(m)
+    return float(F.fn(t1)) - float(F.fn(m)) - a * float(np.dot(t1 - t2, g_m))
+
+
+def old_jensen_chord(F, theta1, theta2, jcp):
+    if (ends := old_endpoints(F, theta1, theta2)) is None:
+        return 0.0
+    t1, t2 = ends
+    a, b = float(jcp.alpha), float(jcp.beta)
+    f_a = float(F.fn(old_interpolate(t1, t2, a)))
+    f_b = f_a if a == b else float(F.fn(old_interpolate(t1, t2, b)))
+    return jensen.jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
+
+
 def old_weights(x, label):
     w = np.atleast_1d(np.asarray(x, dtype=float))
     if w.ndim != 1:
@@ -144,16 +175,22 @@ def old_bodies(monkeypatch):
     monkeypatch.setattr(generators.Generator, "point", old_point)
     for module in (generators, bregman):
         monkeypatch.setattr(module, "coincide", old_coincide)
-    for module in (bregman, jensen):
-        monkeypatch.setattr(module, "interpolate", old_interpolate)
+    for module in (generators, bregman, jensen):
+        monkeypatch.setattr(module, "endpoints", old_endpoints)
+    monkeypatch.setattr(bregman, "interpolate", old_interpolate)
     monkeypatch.setattr(bregman, "skew_segment", old_skew_segment)
+    monkeypatch.setattr(bregman, "bregman_tangent", old_bregman_tangent)
+    monkeypatch.setattr(jensen, "jensen_chord", old_jensen_chord)
     monkeypatch.setattr(fdiv, "_weights", old_weights)
     monkeypatch.setattr(fdiv, "f_div", old_f_div)
     monkeypatch.setattr(fdiv, "extended_kl", old_extended_kl)
+    old_kernels = {registry.f_div: old_f_div,
+                   registry.bregman_tangent: old_bregman_tangent,
+                   registry.jensen_chord: old_jensen_chord}
     for key, spec in registry.DIVERGENCES.items():
-        if spec.kernel is registry.f_div:
-            monkeypatch.setitem(registry.DIVERGENCES, key,
-                                spec._replace(kernel=old_f_div))
+        if spec.kernel in old_kernels:
+            monkeypatch.setitem(registry.DIVERGENCES, key, spec._replace(
+                kernel=old_kernels[spec.kernel]))
     for name, factory in OLD_FACTORIES.items():
         monkeypatch.setitem(generators._BUILTIN_FACTORIES, name, factory)
 
@@ -267,6 +304,56 @@ def test_only_arrays_above_small_array_reach_the_reductions(domain,
                 assert generators.finite_above(c, 0.0) == old_finite_above(
                     c, 0.0)
             assert bool(spy.reductions) == (c.size > SMALL_ARRAY), shape
+
+
+EPS = generators.DEGENERATE_EPS
+GAPS = [0.0, np.nextafter(EPS, 0.0), EPS, 2.0 * EPS]
+
+
+def gap_pairs(dim):
+    """(x, y, verdict) at dim entries: y is x with one coordinate, first or
+    last, moved by each of GAPS away from 0.0 on the reals (away from 1.0
+    on the positive orthant, verdict None), and -0.0 against 0.0; verdict
+    is whether the pair coincides."""
+    out = []
+    for at in (0, -1):
+        x = with_edge((dim,), 0.0, at)
+        for gap in GAPS:
+            y = x.copy()
+            y[at] = gap
+            out.append((x, y, gap < EPS))
+            out.append((x + 1.0, y + 1.0, None))
+        out.append((x, with_edge((dim,), -0.0, at), True))
+    return out
+
+
+@pytest.mark.parametrize("dim", [SMALL_ARRAY, SMALL_ARRAY + 1])
+def test_endpoints_decides_coincidence_as_coincide(dim, monkeypatch):
+    spy = ReductionSpy()
+    monkeypatch.setattr(generators, "np", spy)
+    coincide_calls = []
+
+    def counted_coincide(t1, t2):
+        coincide_calls.append(t1.size)
+        return old_coincide(t1, t2)
+
+    monkeypatch.setattr(generators, "coincide", counted_coincide)
+    for x, y, verdict in gap_pairs(dim):
+        F = make_builtin("quadratic" if verdict is not None
+                         else "shannon_negentropy", dim)
+        for t1, t2 in ((x, y), (y, x)):
+            spy.reductions.clear()
+            coincide_calls.clear()
+            ends = generators.endpoints(F, t1, t2)
+            # only points above SMALL_ARRAY reach coincide and the
+            # reductions, its own and finite_above's
+            assert coincide_calls == ([dim] if dim > SMALL_ARRAY else [])
+            assert bool(spy.reductions) == (dim > SMALL_ARRAY)
+            assert (ends is None) == bool(old_coincide(t1, t2))
+            if verdict is not None:
+                assert (ends is None) == verdict
+            if ends is not None:
+                assert ends[0] is t1 and ends[1] is t2
 
 
 @pytest.mark.parametrize("name", ["quadratic", "shannon_negentropy"])

@@ -638,10 +638,14 @@ ROUTES = {
 }
 
 
-#: The f-divergence ids of tv and the constant w with D(x : c) =
-#: w sum_j |c_j - x_j|: tv is self-dual.
-TV_IDS = {"fdiv:tv": 0.5, "fdiv_dual:tv": 0.5, "fdiv_jsym:tv": 0.5,
-          "fdiv_jssym:tv": 0.25}
+#: The f-divergence ids of tv and their biskew: wrappers, and the
+#: constant w with D(x : c) = w sum_j |c_j - x_j| under TV_PARAMS: tv is
+#: self-dual, and a biskew: wrapper scales its id's by |delta - gamma|.
+TV_PARAMS = {"gamma": 0.1, "delta": 0.9}
+_TV_WEIGHTS = {"fdiv:tv": 0.5, "fdiv_dual:tv": 0.5, "fdiv_jsym:tv": 0.5,
+               "fdiv_jssym:tv": 0.25}
+TV_IDS = {**_TV_WEIGHTS,
+          **{"biskew:" + div: 0.8 * w for div, w in _TV_WEIGHTS.items()}}
 
 
 class TestCenterRule:
@@ -700,7 +704,7 @@ class TestCenterRule:
     @pytest.mark.parametrize("gen", ROUTE_GENERATORS)
     @pytest.mark.parametrize("div", TV_IDS)
     def test_tv_centers_are_the_coordinatewise_median(self, div, gen):
-        path, rule = center_rule(div, ROUTE_GENERATORS[gen], ROUTE_PARAMS)
+        path, rule = center_rule(div, ROUTE_GENERATORS[gen], TV_PARAMS)
         assert path == "median"
         # an odd count has one median, an even count the middle pair's
         # midpoint
@@ -708,37 +712,36 @@ class TestCenterRule:
             want = np.median(members, axis=0)
             assert rule(members).tobytes() == want.tobytes()
 
-    def test_biskew_of_tv_is_searched(self):
-        assert center_rule("biskew:fdiv:tv", QUAD2, ROUTE_PARAMS) == (
-            "descent", None)
-
     @pytest.mark.parametrize("div,weight", TV_IDS.items())
     def test_tv_ids_are_multiples_of_the_l1_distance(self, div, weight):
         X = blob_points(3)
         Y = X[::-1] + 0.05
-        got = resolve_block(div, None, {})(X, Y)
+        got = resolve_block(div, None, TV_PARAMS)(X, Y)
         np.testing.assert_allclose(
             got, weight * np.abs(Y - X).sum(axis=1), rtol=1e-12, atol=0.0)
 
     def test_tv_median_is_not_above_the_search(self):
         # the search's point lies on or above the flat minimum the median
-        # sits in
+        # sits in; a biskew: wrapper's interpolants round, which moves its
+        # objective along that minimum by an ulp or so
         members = np.random.default_rng(3).uniform(0.2, 2.0, (8, 2))
         for div in TV_IDS:
-            block = resolve_block(div, None, {})
+            slack = 1e-15 if div.startswith("biskew:") else 0.0
+            block = resolve_block(div, None, TV_PARAMS)
 
             def total(c):
                 return float(np.sum(block(members, np.asarray(c)[None])))
 
             found = _update_center(members, QUAD2, block, positive=True)
-            median = center_rule(div, QUAD2, {})[1](members)
-            assert total(median) <= total(found.x)
+            median = center_rule(div, QUAD2, TV_PARAMS)[1](members)
+            assert total(median) <= total(found.x) * (1.0 + slack)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_tv_ids_give_one_clustering(self, dim):
         pts = np.random.default_rng(5).uniform(0.3, 2.5, (17, dim))
         runs = [kmeans(pts, QUAD2 if dim == 2 else QUAD1, ClusterConfig(
-            k=3, divergence=div, seed=1)) for div in TV_IDS]
+            k=3, divergence=div, params=TV_PARAMS, seed=1))
+            for div in TV_IDS]
         for res in runs:
             assert res.center_solves == ()
             assert res.centers.tobytes() == runs[0].centers.tobytes()
