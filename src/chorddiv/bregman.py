@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GradientRequiredError, ParameterError, ShapeError
-from .generators import (Generator, as_vector, coincide, endpoints,
+from .generators import (Bound, Generator, as_vector, coincide, endpoints,
                          line_table, restrict_to_line, rows_pair)
 
 
@@ -125,6 +125,38 @@ def bregman_tangent_block(F: Generator, X, Y, alpha: float = 1.0
     return np.where(coincide(X, Y), 0.0, gaps)
 
 
+def bregman_tangent_bound(F: Generator, X, alpha: float = 1.0,
+                          swap: bool = False) -> Callable:
+    """bregman_tangent_block bound to X (generators.Bound): (C, J) -> the
+    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]),
+    or on the swapped pairs with swap (bregman_dual's bound form). At
+    alpha = 1 a call evaluates F and the gradient once per row of C (the
+    gradient once per row of X at binding, with swap); below 1, both at
+    the interpolants. The gradient terms are the block's stacked dot
+    products on operands of its layout. Call it under
+    np.errstate(all="ignore"): its gaps give inf and nan unwarned, as
+    Python floats do."""
+    a = unit_anchor(alpha, "tangent anchor")
+    _require_grad(F)
+    rows = Bound(F, X, (0.0, a), swap)
+    grad_x = F.grad_rows(rows.X) if swap and a == 1.0 else None
+
+    def bound(C, J) -> np.ndarray:
+        dead, (f0, f_a), Y = rows.table(C, J)
+        first, second = (Y, rows.X) if swap else (rows.X, Y)
+        diff = first - second
+        if a < 1.0:
+            grad = F.grad_rows(((1.0 - a) * first + a * second)
+                               .reshape(-1, F.dim)).reshape(diff.shape)
+        else:
+            grad = grad_x if swap else F.grad_rows(np.asarray(C, float))[J]
+        grad = np.ascontiguousarray(np.broadcast_to(grad, diff.shape))
+        dots = (diff[..., None, :] @ grad[..., :, None])[..., 0, 0]
+        gaps = f0 - f_a - a * dots
+        return gaps if dead is None else np.where(dead, 0.0, gaps)
+    return bound
+
+
 def bregman_dual(F: Generator, theta1, theta2) -> float:
     """Argument-swapped divergence B_F(theta2 : theta1).
 
@@ -132,6 +164,12 @@ def bregman_dual(F: Generator, theta1, theta2) -> float:
     when the conjugate exists.
     """
     return bregman(F, theta2, theta1)
+
+
+def bregman_dual_block(F: Generator, X, Y) -> np.ndarray:
+    """bregman_dual(F, X[i], Y[i]) over the row pairs of X and Y: the
+    tangent block at alpha = 1 on the swapped pairs."""
+    return bregman_tangent_block(F, Y, X)
 
 
 def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
@@ -164,6 +202,22 @@ def bregman_chord_block(F: Generator, X, Y, cp: ChordParams
     table = line_table(F, X, Y, (0.0, a, b))
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return chord_gap(table[:, 0], table[:, 1], table[:, 2], a, b)
+
+
+def bregman_chord_bound(F: Generator, X, cp: ChordParams) -> Callable:
+    """bregman_chord_block bound to X (generators.Bound): (C, J) -> the
+    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]).
+    A call evaluates F once per row of C when an anchor is 1 and at the
+    other anchors' interpolants: one column for anchors (alpha, 1). Call
+    it under np.errstate(all="ignore"), as bregman_tangent_bound."""
+    a, b = float(cp.alpha), float(cp.beta)
+    rows = Bound(F, X, (0.0, a, b))
+
+    def bound(C, J) -> np.ndarray:
+        dead, (g0, g_a, g_b), _ = rows.table(C, J)
+        gaps = chord_gap(g0, g_a, g_b, a, b)
+        return gaps if dead is None else np.where(dead, 0.0, gaps)
+    return bound
 
 
 def chord_gap(g0, g_a, g_b, a: float, b: float):

@@ -10,7 +10,8 @@ coordinatewise median of the tv f-divergences, then two searches:
   of one-coordinate objectives under the builtin at dim 1, so one
   numerics.golden_lockstep call searches every coordinate of every
   center of an iteration at once, in one sweep, each probe round one
-  1-D block call on every member coordinate and its cluster's probe;
+  1-D block call on every member coordinate, bound once per search,
+  and the k * d probes;
 * coordinate descent otherwise: numerics.coordinate_minimize, a 1-D
   search per coordinate, sweep after sweep.
 
@@ -20,12 +21,17 @@ Both searches run over the cluster's bounding box (expanded by 10 percent
 and kept in the positive orthant when the generator's domain or the
 divergence needs positive arguments), so no gradient is ever needed. Each
 numeric solve is recorded with how it ended; the library only records, it
-never warns. Every divergence value comes from registry.resolve_block's
-evaluator, the id's block kernel, called on a block of points against
-one (1, dim) center row or against a block of per-row centers: the
-n x k divergence matrix once per iteration, on n * k rows, each point
-against each center. Each call validates once and evaluates F (and
-gradients) in one row-evaluator call on a builtin generator.
+never warns. Every divergence value comes from the id's block bound to the
+side that stays fixed (registry.resolve_bound): the points, once per run,
+for the n x k divergence matrix of each pass, each point against each of
+the k centers; the members of a cluster, once per coordinate-descent
+update; the member coordinates, once per lockstep search. Under a chord,
+Jensen or Bregman id, binding validates the fixed points and evaluates F
+at them once, and a call checks the moving points and evaluates F once
+per distinct moving point and at the pairs' interior interpolants: a
+bregman_chord pass at anchors (alpha, 1) costs k + n * k F evaluations,
+a bregman pass k F evaluations and k gradients. Each pass and search
+runs its gap expressions under one np.errstate.
 Everything is deterministic for a fixed seed.
 """
 
@@ -44,12 +50,16 @@ from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
 # Not called here: perfbench/tracing.py patches both by these names.
 from .numerics import golden_minimize  # noqa: F401
 from .registry import resolve_divergence  # noqa: F401
-from .registry import center_rule, needs_generator, resolve_block
+from .registry import center_rule, needs_generator, resolve_bound
 
 #: Ids kmeans refuses, having no right centroid: sum_i kl(x_i : c) is a
 #: constant minus sum_j (sum_i x_ij) log c_j, which falls without bound as
 #: c grows.
 NO_RIGHT_CENTROID = ("kl", "fdiv:kl")
+
+#: The pairing index of a bound block call on one center: every row
+#: against C's row 0.
+_FIRST = np.zeros(1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -136,14 +146,14 @@ def objective(points, assignments, centers, D) -> float:
     return _sum_in_order(D(p, ctrs[j]) for p, j in zip(pts, labels))
 
 
-def _distances(pts: np.ndarray, centers: np.ndarray, block) -> np.ndarray:
-    """The (n, k) matrix of D(pts[i] : centers[j]) from one block call on
-    n * k rows: pts once per center, each against its center, center by
-    center. Raises DomainError naming the first row and center, in
-    row-major order, whose value is not finite."""
-    n, k = pts.shape[0], centers.shape[0]
-    dist = block(np.tile(pts, (k, 1)),
-                 np.repeat(centers, n, axis=0)).reshape(k, n).T
+def _distances(pts: np.ndarray, centers: np.ndarray, bound) -> np.ndarray:
+    """The (n, k) matrix of D(pts[i] : centers[j]) from one call of bound,
+    the block bound to pts (registry.resolve_bound), on the k centers:
+    every point against every center, center by center. Raises
+    DomainError naming the first row and center, in row-major order,
+    whose value is not finite."""
+    with np.errstate(all="ignore"):
+        dist = bound(centers, np.arange(centers.shape[0])[:, None]).T
     finite = np.isfinite(dist)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -198,14 +208,15 @@ def _centroid_box(members: np.ndarray, positive: bool) -> tuple:
     return lo_x, hi + 0.1 * width
 
 
-def _update_center(members: np.ndarray, F: Generator, block,
+def _update_center(members: np.ndarray, F: Generator, bind,
                    positive: bool = False) -> Minimum:
     """Numerical right centroid by coordinate descent: argmin_c
     sum_i D(x_i : c), for the ids and generators whose center_rule is
     "descent".
 
-    The objective value at c is one block(members, c[None]) call, a
-    resolve_block evaluator, its values summed in index order. The search
+    bind is the id's registry.resolve_bound binder. The members are
+    bound once per update, and the objective value at c is one call of
+    the bound block on c, its values summed in index order. The search
     runs over the expanded bounding box, which stays in the positive
     orthant when F's domain is positive or when positive is set, for
     divergences that read points as positive weights; it starts from the
@@ -216,27 +227,33 @@ def _update_center(members: np.ndarray, F: Generator, block,
     the search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
-    return coordinate_minimize(
-        lambda c: _sum_in_order(block(members, c[None]).tolist()), lo, hi,
-        x0=members.mean(axis=0))
+    bound = bind(members)
+    with np.errstate(all="ignore"):
+        return coordinate_minimize(
+            lambda c: _sum_in_order(bound(c[None], _FIRST).tolist()), lo, hi,
+            x0=members.mean(axis=0))
 
 
-def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
+def _lockstep_centers(groups: list, F: Generator, bind, coordinate) -> list:
     """Numerical right centroids of the member matrices in groups, all
-    searched at once for a separable objective: coordinate is the rule
-    center_rule gives block's id on its "lockstep" path (its 1-D block).
+    searched at once for a separable objective: coordinate is the binder
+    center_rule gives bind's id on its "lockstep" path (its 1-D block),
+    and bind the id's own (registry.resolve_bound).
 
     One golden_lockstep call searches every coordinate of every group's
-    box (_update_center's box). Each round is one coordinate call on the
-    stacked members' coordinates, each against its group's probe's, and
-    sums each group's shares over its own rows. One block call then
-    gives each group's objective, added in index order, at its mean and
-    at the point found; the center is the point found when its objective
-    is below the mean's, else the mean, and a non-finite objective at
-    either raises DomainError. Each center is thus, bit for bit, the one
-    a search of its group alone finds. Returns one Minimum per group,
-    sweeps 1 and capped False.
+    box (_update_center's box). The stacked members' coordinates are bound
+    once, as 1-D points; each round is one call of the bound block on the
+    k * d probes, each member coordinate against its group's probe's, and
+    sums each group's shares over its own rows. The stacked members, bound
+    once more, then give in one call each
+    group's objective, added in index order, at its mean and at the point
+    found; the center is the point found when its objective is below the
+    mean's, else the mean, and a non-finite objective at either raises
+    DomainError. Each center is thus, bit for bit, the one a search of
+    its group alone finds. Returns one Minimum per group, sweeps 1 and
+    capped False.
     """
+    k, d = len(groups), F.dim
     sizes = [members.shape[0] for members in groups]
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -244,20 +261,23 @@ def _lockstep_centers(groups: list, F: Generator, block, coordinate) -> list:
     boxes = [_centroid_box(members, F.domain.kind == "positive")
              for members in groups]
     lo, hi = (np.concatenate(side) for side in zip(*boxes))
+    owner = np.repeat(np.arange(k), sizes)
+    # member row i's coordinate j meets probe owner[i] * d + j
+    index = (owner[:, None] * d + np.arange(d)).ravel()
+    with np.errstate(all="ignore"):
+        rows = coordinate(stacked.reshape(-1, 1))
 
-    def shares(v: list) -> np.ndarray:
-        probes = np.repeat(np.asarray(v).reshape(-1, F.dim), sizes, axis=0)
-        S = coordinate(stacked.reshape(-1, 1),
-                       probes.reshape(-1, 1)).reshape(-1, F.dim)
-        return np.concatenate([S[a:b].sum(axis=0) for a, b in spans])
+        def shares(v: list) -> list:
+            S = rows(np.array(v)[:, None], index).reshape(-1, d)
+            return [x for a, b in spans
+                    for x in np.add.reduce(S[a:b], axis=0).tolist()]
 
-    found = golden_lockstep(shares, lo, hi).reshape(-1, F.dim)
-    means = np.array([members.mean(axis=0) for members in groups])
-    # the stacked members against their means, then against the points found
-    values = block(np.concatenate([stacked, stacked]),
-                   np.repeat(np.concatenate([means, found]), sizes + sizes,
-                             axis=0))
-    at_means, at_found = values.reshape(2, -1).tolist()
+        found = golden_lockstep(shares, lo, hi).reshape(-1, d)
+        means = np.array([members.mean(axis=0) for members in groups])
+        # the stacked members against their means, then the points found
+        at_means, at_found = bind(stacked)(
+            np.concatenate([means, found]),
+            np.array([owner, owner + k])).tolist()
     results = []
     for (a, b), start, x, (lo_j, hi_j) in zip(spans, means, found, boxes):
         totals = [_sum_in_order(at_means[a:b]), _sum_in_order(at_found[a:b])]
@@ -280,7 +300,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     (right argument; ties keep the lowest center index), and hands any
     emptied cluster the point farthest from its own center. The labels, the
     repair distances and the objective all come from one n x k
-    divergence matrix per iteration, one block call. Stops at the first
+    divergence matrix per iteration, one call of the block bound to the
+    points once per run. Stops at the first
     iteration that does not lower the objective or whose labels equal the
     labels its centers came from, or after max_iters. Every numeric center
     update leaves a record in center_solves.
@@ -318,13 +339,14 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
         raise InfeasibleError(
             f"k={cfg.k} exceeds the {distinct.shape[0]} distinct points"
         )
-    block = resolve_block(cfg.divergence, F, cfg.params)
+    bind = resolve_bound(cfg.divergence, F, cfg.params)
     path, rule = center_rule(cfg.divergence, F, cfg.params)
     rng = np.random.default_rng(cfg.seed)
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
 
-    dist = _distances(pts, centers, block)
+    bound = bind(pts)
+    dist = _distances(pts, centers, bound)
     labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
     # objective() read off dist: the same terms summed in the same order
     rows = np.arange(pts.shape[0])
@@ -340,14 +362,14 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
                 centers[j] = rule(members)
         else:
             live = [members for _, members in groups]
-            found = (_lockstep_centers(live, F, block, rule)
+            found = (_lockstep_centers(live, F, bind, rule)
                      if path == "lockstep" else
-                     [_update_center(members, F, block, positive)
+                     [_update_center(members, F, bind, positive)
                       for members in live])
             for (j, _), minimum in zip(groups, found):
                 centers[j] = minimum.x
                 solves.append((iterations, j, *minimum[1:]))
-        dist = _distances(pts, centers, block)
+        dist = _distances(pts, centers, bound)
         fresh = np.argmin(dist, axis=1)
         fresh = _repair_empty(fresh, cfg.k, dist[rows, fresh])
         trace.append(_sum_in_order(dist[rows, fresh].tolist()))

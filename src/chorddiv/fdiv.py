@@ -15,6 +15,7 @@ values over the row pairs, each row's bit for bit as the vector form's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -88,10 +89,19 @@ def _weights(x: Weights, label: str) -> np.ndarray:
         raise ShapeError(f"{label} must be a 1-D vector or a 2-D block of "
                          f"rows, got shape {w.shape}")
     if not finite_above(w, 0.0):
-        raise DomainError(
-            f"{label} must have finite, strictly positive entries"
-        )
+        raise DomainError(f"{label} must have finite, strictly positive "
+                          f"entries: {_first_outside(w)}")
     return w
+
+
+def _first_outside(w: np.ndarray) -> str:
+    """The vector w, or the first row of the block w, with an entry that
+    is not finite and positive, and that entry, for _weights' message."""
+    for i, row in enumerate(np.atleast_2d(w).tolist()):
+        for j, v in enumerate(row):
+            if not 0.0 < v < math.inf:
+                at = "" if w.ndim == 1 else f"row {i} "
+                return f"{at}{row} has {v} at entry {j}"
 
 
 def _weight_pair(p: Weights, q: Weights) -> tuple:

@@ -334,6 +334,37 @@ def endpoints(F: Generator, theta1, theta2) -> Optional[tuple]:
     return None
 
 
+def _validate(F: Generator, points: np.ndarray) -> None:
+    """One domain check of the (..., dim) array points; F.point's
+    DomainError for the first of them outside, in row-major order."""
+    if not F.domain.contains(points):
+        for p in points.reshape(-1, F.dim):
+            F.point(p)
+
+
+def _values(F: Generator, points: np.ndarray) -> np.ndarray:
+    """F over the (..., dim) array of validated points: one F.rows call,
+    or one F.fn call per point on a generator without rows."""
+    if F.rows is not None:
+        return np.asarray(F.rows(points), dtype=float)
+    return np.array([float(F.fn(p)) for p in points.reshape(-1, F.dim)]
+                    ).reshape(points.shape[:-1])
+
+
+def _table(F: Generator, points: np.ndarray, dead) -> np.ndarray:
+    """The validate-and-evaluate body of line_table and Bound: F at the
+    (..., dim) array points after one domain check of all of them, and
+    0.0 for no evaluation where dead, a mask over points' leading axes
+    but its last, is True; dead is None when it would be all False."""
+    _validate(F, points)
+    if dead is None:
+        return _values(F, points)
+    live = ~dead
+    table = np.zeros(points.shape[:-1])
+    table[live] = _values(F, points[live])
+    return table
+
+
 def line_table(F: Generator, X, Y, lams) -> np.ndarray:
     """The (m, len(lams)) array of F((1 - lam) X[i] + lam Y[i]) over the
     row pairs (rows_pair) of X and Y, each an (m, dim) block or one
@@ -351,23 +382,81 @@ def line_table(F: Generator, X, Y, lams) -> np.ndarray:
         raise ShapeError(f"{F.name} expects (m, {F.dim}) or (1, {F.dim}) "
                          f"blocks of points that pair row by row, got "
                          f"shapes {X.shape} and {Y.shape}")
-    if not F.domain.contains(Y):
-        for y in Y:
-            F.point(y)  # raises at the first row outside the domain
+    _validate(F, Y)
     lam = np.asarray(lams, dtype=float)[:, None]
     # [i, j]: the pair of row i at lams[j]
     points = (1.0 - lam) * X[:, None] + lam * Y[:, None]
-    if not F.domain.contains(points):
-        for p in points.reshape(-1, F.dim):
-            F.point(p)  # raises at the first point outside the domain
-    live = ~coincide(X, Y)
-    table = np.zeros(points.shape[:2])
-    if F.rows is not None:
-        table[live] = F.rows(points[live])
-    else:
-        for i in np.flatnonzero(live):
-            table[i] = [float(F.fn(p)) for p in points[i]]
-    return table
+    dead = coincide(X, Y)
+    return _table(F, points, dead if dead.any() else None)
+
+
+class Bound:
+    """line_table's columns at fixed lams over pairs of a bound block X,
+    an (n, dim) array, and the rows of a moving block C: pair i is
+    (X[i], C[J[..., i]]), or (C[J[..., i]], X[i]) with swap, for an
+    integer index J whose last axis has n entries or one for every row.
+
+    Binding validates X (F.point's DomainError for its first row
+    outside), evaluates F at its rows once and forms X's share of every
+    interpolant. table(C, J) then checks C, naming the first row outside
+    in the order J pairs them, and the interpolants, and evaluates F
+    once per row of C (when a column at C's end needs it) and, by
+    _table, at the interior lams. Each column is line_table's bit for
+    bit, interpolants (1 - lam) first + lam second included, and pairs
+    whose points coincide cost no interior evaluation.
+    """
+
+    def __init__(self, F: Generator, X, lams, swap: bool = False):
+        X = np.ascontiguousarray(X, dtype=float)
+        if not (X.ndim == 2 and X.shape[1] == F.dim):
+            raise ShapeError(f"{F.name} expects an (n, {F.dim}) block of "
+                             f"points to bind, got shape {X.shape}")
+        _validate(F, X)
+        self.F, self.X, self.fX = F, X, _values(F, X)
+        lams = [float(lam) for lam in lams]
+        inner = [lam for lam in lams if lam not in (0.0, 1.0)]
+        # each column's source: fX, F at C, or an interior column
+        ends = {0.0: "c" if swap else "x", 1.0: "x" if swap else "c"}
+        self.plan = [ends[lam] if lam in ends else inner.index(lam)
+                     for lam in lams]
+        lam = np.array(inner)[:, None]
+        # interpolant (1 - lam) first + lam second = X's share + C's share
+        self.x_share = (lam if swap else 1.0 - lam) * X[:, None] if inner \
+            else None
+        self.c_weight = 1.0 - lam if swap else lam
+
+    def table(self, C, J) -> tuple:
+        """(dead, columns, Y): Y = C[J], the moving points of the pairs;
+        dead the mask of pairs whose points coincide, or None when none
+        do; columns[l] the array of F at lams[l] over the pairs, of J's
+        shape with n entries in its last axis, 0.0 on dead pairs at
+        the interior lams."""
+        F, X = self.F, self.X
+        C = np.asarray(C, dtype=float)
+        J = np.asarray(J)
+        if not (C.ndim == 2 and C.shape[1] == F.dim and J.ndim
+                and J.shape[-1] in (X.shape[0], 1)):
+            raise ShapeError(f"{F.name} expects an (m, {F.dim}) block and "
+                             f"an index of {X.shape[0]} or 1 entries per "
+                             f"row, got shapes {C.shape} and {J.shape}")
+        if not F.domain.contains(C):
+            for j in J.ravel().tolist():
+                F.point(C[j])  # raises at the first row outside
+            _validate(F, C)  # or at one that no pair reaches
+        Y = C[J]
+        dead = None
+        # a pair coincides only if some coordinate gap is below the bound
+        if np.minimum.reduce(np.abs(X - Y), axis=None,
+                             initial=math.inf) < DEGENERATE_EPS:
+            dead = coincide(X, Y)
+            dead = dead if dead.any() else None
+        if self.x_share is not None:
+            table = _table(F, self.x_share + self.c_weight * Y[..., None, :],
+                           dead)
+        f_c = _values(F, C)[J] if "c" in self.plan else None
+        columns = [self.fX if at == "x" else f_c if at == "c"
+                   else table[..., at] for at in self.plan]
+        return dead, columns, Y
 
 
 def restrict_to_line(F: Generator, theta1, theta2) -> LineRestriction:

@@ -10,11 +10,12 @@ the skewed Jensen gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
-from .generators import Generator, endpoints, line_table
+from .generators import Bound, Generator, endpoints, line_table
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,22 @@ def jensen_chord_block(F: Generator, X, Y,
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return jensen_gap(table[:, 0], table[:, 1], table[:, -2],
                           table[:, -1], jcp)
+
+
+def jensen_chord_bound(F: Generator, X, jcp: JensenChordParams) -> Callable:
+    """jensen_chord_block bound to X (generators.Bound): (C, J) -> the
+    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]).
+    A call evaluates F once per row of C and at the interpolants of the
+    anchors inside (0, 1), one column when alpha = beta. Call it under
+    np.errstate(all="ignore"): its gaps give inf and nan unwarned."""
+    a, b = float(jcp.alpha), float(jcp.beta)
+    rows = Bound(F, X, (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))
+
+    def bound(C, J) -> np.ndarray:
+        dead, cols, _ = rows.table(C, J)
+        gaps = jensen_gap(cols[0], cols[1], cols[-2], cols[-1], jcp)
+        return gaps if dead is None else np.where(dead, 0.0, gaps)
+    return bound
 
 
 def jensen_gap(f1, f_a, f_b, f2, jcp: JensenChordParams):

@@ -24,9 +24,12 @@ from .bregman import (
     bregman,
     bregman_chord,
     bregman_chord_block,
+    bregman_chord_bound,
     bregman_dual,
+    bregman_dual_block,
     bregman_tangent,
     bregman_tangent_block,
+    bregman_tangent_bound,
     chord_row,
     skew_segment,
     unit_anchor,
@@ -44,7 +47,7 @@ from .fdiv import (
 )
 from .generators import SEPARABLE, Generator, make_builtin
 from .jensen import (JensenChordParams, jensen_chord, jensen_chord_block,
-                     skew_anchors)
+                     jensen_chord_bound, skew_anchors)
 
 
 # DivSpec.anchors values, how a value depends on the sweep anchors:
@@ -134,9 +137,8 @@ _SKEWED_JENSEN = DivSpec(
 DIVERGENCES = {
     "bregman": DivSpec(bregman, bregman_tangent_block,
                        right_centroid=_member_mean),
-    "bregman_dual": DivSpec(  # B_F(y : x)
-        bregman_dual, lambda F, X, Y: bregman_tangent_block(F, Y, X),
-        right_centroid=_left_centroid),
+    "bregman_dual": DivSpec(bregman_dual, bregman_dual_block,
+                            right_centroid=_left_centroid),
     "bregman_chord": DivSpec(
         bregman_chord, bregman_chord_block,
         lambda param: ChordParams(param("alpha"), param("beta")),
@@ -256,6 +258,52 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     return lambda X, Y: block(*pre, X, Y, *post)
 
 
+#: The bound forms of the block kernels of every chord, Jensen and
+#: Bregman id; resolve_bound binds every other block by gathering.
+_BOUND = {
+    bregman_chord_block: bregman_chord_bound,
+    jensen_chord_block: jensen_chord_bound,
+    bregman_tangent_block: bregman_tangent_bound,
+    bregman_dual_block: lambda F, X: bregman_tangent_bound(F, X, swap=True),
+}
+
+
+def resolve_bound(div_id: str, generator: Optional[Generator] = None,
+                  params: Optional[Mapping[str, float]] = None
+                  ) -> Callable:
+    """Resolve an identifier to X -> its block bound to X, an (n, dim)
+    block of first points: a callable (C, J) -> the array of
+    D(X[i] : C[J[..., i]]), J an integer array whose last axis has n
+    entries or one for every row, each value bit-identical to
+    resolve_block's on that pair, after the same _bind checks. The chord,
+    Jensen and Bregman ids bind by their kernels' bound forms (_BOUND),
+    which check and evaluate X once; every other id by gathering each
+    call's pairs into one resolve_block call. A bound block's gap
+    expression gives inf and nan as Python floats do, so callers run it
+    under np.errstate(all="ignore"), once per search or pass.
+    """
+    spec, pre, post = _bind(div_id, generator, params, block=True)
+    bound = _BOUND.get(spec.block)
+    if bound is not None:
+        return lambda X: bound(*pre, X, *post)
+    block = spec.block
+    return lambda X: _gathered(lambda X, Y: block(*pre, X, Y, *post), X)
+
+
+def _gathered(block: Callable, X) -> Callable:
+    """The (X, Y) block bound to X by gathering: a call on (C, J) makes
+    one block call on the pairs' rows, X's and C[J]'s broadcast."""
+    X = np.asarray(X, dtype=float)
+
+    def bound(C, J) -> np.ndarray:
+        Y = np.asarray(C, dtype=float)[np.asarray(J)]
+        pairs = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+        flat = [np.broadcast_to(A, pairs + A.shape[-1:]).reshape(
+            -1, A.shape[-1]) for A in (X, Y)]
+        return block(*flat).reshape(pairs)
+    return bound
+
+
 def center_rule(div_id: str, F: Generator,
                 params: Optional[Mapping[str, float]] = None) -> tuple:
     """(path, rule): how argmin_c sum_i D(x_i : c) is found for the id
@@ -271,10 +319,11 @@ def center_rule(div_id: str, F: Generator,
        DivSpec.right_centroid, "mean" for bregman and ekl, ("left", the
        left-sided centroid) for bregman_dual when F has a conjugate or is
        the burg_negentropy or log_sum_exp builtin;
-    3. ("lockstep", the id's block under f, the builtin at dim 1) for the
-       chord and Jensen ids (gradient-free block kernels) under a
-       SEPARABLE builtin, F(t) = sum_j f(t_j): their gaps are linear in
-       F's values, so D(x : c) sums the block's values at (x_j, c_j);
+    3. ("lockstep", resolve_bound's binder of the id under f, the
+       builtin at dim 1) for the chord and Jensen ids (gradient-free
+       block kernels) under a SEPARABLE builtin, F(t) = sum_j f(t_j):
+       their gaps are linear in F's values, so D(x : c) sums the 1-D
+       block's values at (x_j, c_j);
     4. ("descent", None) otherwise: coordinate descent.
 
     A closed form maps an (m, dim) member matrix to its center. Only rule
@@ -289,7 +338,7 @@ def center_rule(div_id: str, F: Generator,
         return closed
     if (spec.block in (bregman_chord_block, jensen_chord_block)
             and F.builtin in SEPARABLE):
-        return "lockstep", resolve_block(div_id, make_builtin(F.builtin, 1),
+        return "lockstep", resolve_bound(div_id, make_builtin(F.builtin, 1),
                                          params)
     return "descent", None
 

@@ -386,14 +386,24 @@ def test_interpolate_and_skew_segment_match_the_old_bodies(lam):
 def old_weights_by_row(x, label):
     """old_weights on a vector and row by row on a 2-D block of rows,
     which it once refused; other ranks raise the shape message that
-    names both."""
+    names both. Its DomainError message goes on to name the vector, or
+    the first row of the block, with an entry outside, and the first
+    such entry."""
     w = np.atleast_1d(np.asarray(x, dtype=float))
-    if w.ndim == 1:
-        return old_weights(x, label)
-    if w.ndim != 2:
+    if w.ndim not in (1, 2):
         raise ShapeError(f"{label} must be a 1-D vector or a 2-D block of "
                          f"rows, got shape {w.shape}")
-    return np.array([old_weights(row, label) for row in w]).reshape(w.shape)
+    try:
+        if w.ndim == 1:
+            return old_weights(x, label)
+        return np.array([old_weights(row, label)
+                         for row in w]).reshape(w.shape)
+    except DomainError as exc:
+        rows = np.atleast_2d(w)
+        i, j = np.argwhere(~(np.isfinite(rows) & (rows > 0.0)))[0]
+        at = "" if w.ndim == 1 else f"row {i} "
+        raise DomainError(f"{exc}: {at}{rows[i].tolist()} has "
+                          f"{rows[i, j].tolist()} at entry {j}") from None
 
 
 def test_weights_match_the_old_body():

@@ -572,6 +572,26 @@ class TestCluster:
         assert abs(centers[0] - 0.05) < 0.1
         assert abs(centers[1] - 1.05) < 0.1
 
+    def test_weights_outside_the_orthant_are_named(self, capsys, tmp_path):
+        # CI's 40 cluster points; skews outside [0, 1] put the gamma
+        # interpolant 1.5 x - 0.5 c of the first point and center out of
+        # the orthant, and the message names that row and its entry
+        rng = np.random.default_rng(0)
+        inp = tmp_path / "points.csv"
+        write_points(inp, np.vstack([rng.uniform(0.2, 1.0, (20, 2)),
+                                     rng.uniform(2.0, 3.0, (20, 2))]))
+        code, out, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "2",
+            "--generator", "quadratic", "--div", "biskew:fdiv:tv",
+            "--gamma", "-0.5", "--delta", "1.5",
+            "--out-assignments", str(tmp_path / "assignments.csv"),
+            "--out-summary", str(tmp_path / "summary.json"))
+        assert code == 3 and out == ""
+        assert err == (
+            "error: p must have finite, strictly positive entries: row 0 "
+            "[-0.08499404162371604, -0.7122533824615352] has "
+            "-0.08499404162371604 at entry 0\n")
+
     def test_chord_divergence_cluster(self, capsys, tmp_path):
         inp = self.make_input(tmp_path, seed=9)
         out_a = tmp_path / "assignments.csv"

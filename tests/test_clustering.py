@@ -37,7 +37,8 @@ from chorddiv.clustering import (
 from chorddiv.generators import REALS, SEPARABLE, Domain, coincide
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
-from chorddiv.registry import center_rule, needs_generator, resolve_block
+from chorddiv.registry import (center_rule, needs_generator, resolve_block,
+                               resolve_bound)
 from chorddiv.verify import clustering_dataset
 
 QUAD1 = make_builtin("quadratic", 1)
@@ -154,8 +155,7 @@ class TestUpdateCenter:
     def test_quadratic_centroid_is_mean(self):
         rng = np.random.default_rng(12)
         members = rng.uniform(-1.0, 1.0, (20, 2))
-        block = resolve_block("bregman", QUAD2)
-        found = _update_center(members, QUAD2, block)
+        found = _update_center(members, QUAD2, resolve_bound("bregman", QUAD2))
         assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
         assert not (found.capped or found.on_edge)
 
@@ -163,9 +163,9 @@ class TestUpdateCenter:
         # quadratic chord: the centroid is the member mean, where the
         # search starts; a sweep cannot lower the objective from there
         members = np.random.default_rng(0).uniform(0.2, 3.0, (4, 2))
-        block = resolve_block("bregman_chord", QUAD2,
-                              {"alpha": 0.9, "beta": 1.0})
-        found = _update_center(members, QUAD2, block)
+        bind = resolve_bound("bregman_chord", QUAD2,
+                             {"alpha": 0.9, "beta": 1.0})
+        found = _update_center(members, QUAD2, bind)
         assert not found.capped
         assert found.sweeps <= 3
         assert np.max(np.abs(found.x - members.mean(axis=0))) <= 1e-6
@@ -173,8 +173,7 @@ class TestUpdateCenter:
     def test_positive_domain_center_stays_positive(self):
         F = make_builtin("shannon_negentropy", 1)
         members = np.array([[0.2], [0.4], [0.9]])
-        block = resolve_block("bregman", F)
-        found = _update_center(members, F, block)
+        found = _update_center(members, F, resolve_bound("bregman", F))
         assert found.x[0] > 0.0
 
     @pytest.mark.parametrize("gen", ["log_sum_exp", "quadratic"])
@@ -191,7 +190,7 @@ class TestUpdateCenter:
             lambda c: sum(float(D(x, c)) for x in members), lo, hi,
             x0=members.mean(axis=0))
         found = _update_center(members, F,
-                               resolve_block("bregman_chord", F, params))
+                               resolve_bound("bregman_chord", F, params))
         assert found.x.tobytes() == per_pair.x.tobytes()
         assert found[1:] == per_pair[1:]
 
@@ -498,7 +497,7 @@ class TestClosedFormCentroid:
                            log_mean_exp(members - f[:, None]),
                            rtol=0.0, atol=1e-12)
         block = resolve_block("bregman_dual", F, {})
-        found = _update_center(members, F, block)
+        found = _update_center(members, F, resolve_bound("bregman_dual", F))
         assert np.max(np.abs(center - found.x)) <= 1e-3
         assert (block(members, center[None]).sum()
                 <= block(members, found.x[None]).sum() * (1.0 + 1e-12))
@@ -513,7 +512,7 @@ class TestClosedFormCentroid:
         F = make_builtin(gen, 2)
         members = blob_points(2)[:6]
         found = _update_center(members, F,
-                               resolve_block(div, F, GENERATOR_IDS[div]))
+                               resolve_bound(div, F, GENERATOR_IDS[div]))
         _, centroid = center_rule(div, F)
         assert np.max(np.abs(centroid(members) - found.x)) <= 1e-6
 
@@ -673,7 +672,8 @@ class TestCenterRule:
             X, Y = members.reshape(-1, 1), members[::-1].reshape(-1, 1)
             f = make_builtin(gen, 1)
             want = resolve_block(div, f, ROUTE_PARAMS)(X, Y)
-            assert rule(X, Y).tobytes() == want.tobytes()
+            got = rule(X)(Y, np.arange(len(Y)))
+            assert got.tobytes() == want.tobytes()
         else:
             assert rule is None
 
@@ -732,7 +732,9 @@ class TestCenterRule:
             def total(c):
                 return float(np.sum(block(members, np.asarray(c)[None])))
 
-            found = _update_center(members, QUAD2, block, positive=True)
+            found = _update_center(members, QUAD2,
+                                   resolve_bound(div, None, TV_PARAMS),
+                                   positive=True)
             median = center_rule(div, QUAD2, TV_PARAMS)[1](members)
             assert total(median) <= total(found.x) * (1.0 + slack)
 
@@ -758,20 +760,25 @@ class TestDistanceMatrix:
         calls = []
 
         def counting_resolve(*args, **kwargs):
-            block = resolve_block(*args, **kwargs)
+            bind = resolve_bound(*args, **kwargs)
 
-            def counted(X, y):
-                calls.append(len(X))
-                return block(X, y)
-            return counted
+            def counted_bind(X):
+                bound = bind(X)
 
-        monkeypatch.setattr(chorddiv.clustering, "resolve_block",
+                def counted(C, J):
+                    calls.append(np.broadcast_shapes((len(X),),
+                                                     np.shape(J)))
+                    return bound(C, J)
+                return counted
+            return counted_bind
+
+        monkeypatch.setattr(chorddiv.clustering, "resolve_bound",
                             counting_resolve)
         points, _ = clustering_dataset(seed=2)
         k = 3
         res = kmeans(points, QUAD1, ClusterConfig(k=k, seed=2))
         assert res.iterations >= 2
-        assert calls == [points.shape[0] * k] * (res.iterations + 1)
+        assert calls == [(k, points.shape[0])] * (res.iterations + 1)
 
     @pytest.mark.parametrize("div,params", [
         ("bregman", {}),
@@ -782,20 +789,20 @@ class TestDistanceMatrix:
         F = make_builtin("shannon_negentropy", 2)
         pts = np.random.default_rng(5).uniform(0.2, 2.0, (9, 2))
         centers = pts[[1, 4, 6]]
-        block = resolve_block(div, F, params)
+        bound = resolve_bound(div, F, params)(pts)
         calls = []
 
-        def counted(X, Y):
-            calls.append((X, Y))
-            return block(X, Y)
+        def counted(C, J):
+            calls.append((C, J))
+            return bound(C, J)
 
         dist = _distances(pts, centers, counted)
         assert len(calls) == 1
-        X, Y = calls[0]
-        # pts once per center, each row against its center, center by center
-        assert X.tobytes() == np.concatenate([pts] * 3).tobytes()
-        assert Y.tobytes() == np.array(
-            [c for c in centers for _ in pts]).tobytes()
+        C, J = calls[0]
+        # the centers once, each against every point, center by center
+        assert C.tobytes() == centers.tobytes()
+        assert np.broadcast_to(J, (3, 9)).tolist() == [[j] * 9
+                                                       for j in range(3)]
         D = resolve_divergence(div, F, params)
         per_pair = np.array([[float(D(x, c)) for c in centers]
                              for x in pts])
@@ -810,15 +817,15 @@ class TestDistanceMatrix:
         centers = np.array([[10.0, 11.0], [20.0, 21.0]])
         bad = {(3, 0): np.inf, (2, 1): np.nan}
 
-        def block(X, Y):
-            # row r of the call is point r % 4 against center r // 4
-            return np.array([bad.get((r % 4, r // 4), 1.0)
-                             for r in range(len(X))])
+        def bound(C, J):
+            # row j of the call is center J[j] against every point
+            return np.array([[bad.get((i, j), 1.0) for i in range(4)]
+                             for j in np.ravel(J)])
 
         with pytest.raises(DomainError, match=(
                 r"^divergence from point \[4\.0, 5\.0\] at row 2 to center "
                 r"1 \[20\.0, 21\.0\] is not finite: nan$")):
-            _distances(pts, centers, block)
+            _distances(pts, centers, bound)
 
     def test_tied_distance_picks_lowest_center(self):
         # 1.0 is equidistant from the initial centers 0.0 and 2.0
@@ -955,11 +962,19 @@ LOCKSTEP_CASES = [
 ]
 
 
-def lockstep_block(div, F, params):
-    """The 1-D block center_rule gives div under F, on its lockstep path."""
+def lockstep_rule(div, F, params):
+    """The 1-D binder center_rule gives div under F, on its lockstep
+    path."""
     path, coordinate = center_rule(div, F, params)
     assert path == "lockstep"
     return coordinate
+
+
+def lockstep_block(div, F, params):
+    """The (X, Y) form of the 1-D block lockstep_rule binds: div under
+    F's builtin at dim 1."""
+    lockstep_rule(div, F, params)
+    return resolve_block(div, make_builtin(F.builtin, 1), params)
 
 
 def shares(coordinate, X, c):
@@ -986,7 +1001,8 @@ class TestLockstepCenters:
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         block = resolve_block(div, F, params)
         coordinate = lockstep_block(div, F, params)
-        found, = _lockstep_centers([members], F, block, coordinate)
+        found, = _lockstep_centers([members], F, resolve_bound(div, F, params),
+                                   lockstep_rule(div, F, params))
         mean = members.mean(axis=0)
         lo, hi = _centroid_box(members, True)
         want = np.array([golden_minimize(
@@ -1040,13 +1056,14 @@ class TestLockstepCenters:
         # every coordinate's minimizer lies below the box, at its edge
         members = np.array([[1.0, 2.0], [1.5, 2.2], [1.2, 2.6]])
 
-        def coordinate(X, Y):  # the 1-D block: (m, 1) against (m, 1)
-            return (slope * Y + (Y - X) ** 2 / 100.0)[:, 0]
+        def bind(X):  # D bound to X: (C, J) -> D(X[i] : C[J[..., i]])
+            def bound(C, J):
+                Y = C[J]
+                return (slope * Y + (Y - X) ** 2 / 100.0).sum(axis=-1)
+            return bound
 
-        def block(X, c):
-            return shares(coordinate, X, c).sum(axis=1)
-
-        found, = _lockstep_centers([members], QUAD2, block, coordinate)
+        # the sum over coordinates is the one term of a 1-D point
+        found, = _lockstep_centers([members], QUAD2, bind, bind)
         lo, hi = _centroid_box(members, False)
         assert found.on_edge is on_edge
         assert found.on_edge == on_box_edge(found.x, lo, hi)
@@ -1063,8 +1080,8 @@ class TestLockstepCenters:
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         params = {"alpha": 0.9, "beta": 1.0}
         found, = _lockstep_centers(
-            [members], F, resolve_block("bregman_chord", F, params),
-            lockstep_block("bregman_chord", F, params))
+            [members], F, resolve_bound("bregman_chord", F, params),
+            lockstep_rule("bregman_chord", F, params))
         assert np.array_equal(found.x, members.mean(axis=0))
         assert (found.sweeps, found.capped, found.on_edge) == (1, False,
                                                                False)
@@ -1135,6 +1152,7 @@ class TestBatchedLockstep:
         F = make_builtin(gen, dim)
         block = resolve_block(div, F, params)
         coordinate = lockstep_block(div, F, params)
+        rule = lockstep_rule(div, F, params)
         rng = np.random.default_rng(100 * k + dim)
         sizes = rng.integers(2, 7, k)
         if k > 1:
@@ -1151,8 +1169,14 @@ class TestBatchedLockstep:
 
             return calls, g
 
-        calls, g = counted()
-        got = _lockstep_centers(groups, F, block, g)
+        calls = []
+
+        def counted_rule(X):  # the rule's bound block, its calls counted
+            bound = rule(X)
+            return lambda C, J: calls.append(1) or bound(C, J)
+
+        got = _lockstep_centers(groups, F, resolve_bound(div, F, params),
+                                counted_rule)
         rounds = []
         for members, found in zip(groups, got):
             alone, h = counted()
@@ -1180,11 +1204,11 @@ class TestBatchedLockstep:
                             lambda g, lo, hi: searches.append(g)
                             or np.asarray(lo))
         coordinate = lockstep_block(div, F, params)
-        _lockstep_centers(groups, F, resolve_block(div, F, params),
-                          coordinate)
+        _lockstep_centers(groups, F, resolve_bound(div, F, params),
+                          lockstep_rule(div, F, params))
         probes = rng.uniform(0.2, 3.0, (len(sizes), dim))
         probes[0] = groups[0][2]  # a member that coincides with its probe
-        got = searches[0](probes.ravel())
+        got = np.array(searches[0](probes.ravel().tolist()))
         assert not shares(coordinate, groups[0][2:3], probes[0]).any()
         for name in ("bregman", "jensen"):
             monkeypatch.setattr(importlib.import_module(f"chorddiv.{name}"),
@@ -1221,8 +1245,9 @@ class TestBatchedLockstep:
         got = kmeans(pts, F, cfg)
         monkeypatch.setattr(
             chorddiv.clustering, "_lockstep_centers",
-            lambda groups, F, block, coordinate: [
-                per_center_lockstep(members, F, block, False, coordinate)
+            lambda groups, F, bind, rule: [
+                per_center_lockstep(members, F, resolve_block(div, F, params),
+                                    False, lockstep_block(div, F, params))
                 for members in groups])
         want = kmeans(pts, F, cfg)
         assert emptied[0] and got.iterations > 1

@@ -129,6 +129,21 @@ class TestFDiv:
         with pytest.raises(DomainError):
             f_div(f, (0.5, 0.0), (0.5, 0.5))
 
+    def test_message_names_the_vector_or_row_and_entry(self, monkeypatch):
+        f = make_f_generator("kl")
+        with pytest.raises(DomainError, match=(
+                r"^q must have finite, strictly positive entries: "
+                r"\[0\.5, -0\.0, nan\] has -0\.0 at entry 1$")):
+            f_div(f, (0.5, 0.5, 0.5), (0.5, -0.0, float("nan")))
+        block = np.array([[0.5, 0.5], [0.2, 0.3], [1.0, 0.0]])
+        with pytest.raises(DomainError, match=(
+                r"^p must have finite, strictly positive entries: "
+                r"row 2 \[1\.0, 0\.0\] has 0\.0 at entry 1$")):
+            f_div(f, block, block[::-1])
+        # valid weights never build the message
+        monkeypatch.setattr(chorddiv.fdiv, "_first_outside", None)
+        assert f_div(f, block[:2], block[1::-1]).shape == (2,)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_weight(self, bad):
         f = make_f_generator("kl")
