@@ -9,8 +9,11 @@ Runs chorddiv.kmeans on every combination of
   gradient and no rows;
 * k = 2 and 3, seed 1;
 * 23 ids that between them take every center path: the member mean, the
-  left-sided centroid, the coordinatewise median, the lockstep search and
-  coordinate descent, and kl, which kmeans refuses.
+  left-sided centroid, the coordinatewise median, the concave-convex
+  update (the chord ids with an anchor at 1 and the skewed Jensen ids
+  under a generator with a left-sided centroid rule), the lockstep search
+  (jensen_chord under shannon and Burg) and coordinate descent, and kl,
+  which kmeans refuses.
 
 Each run is recorded as the repr of its result (centers as bytes, labels,
 objective trace, iterations, center_solves), or of its exception's class

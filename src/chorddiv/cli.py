@@ -5,8 +5,8 @@ Subcommands:
     sweep    evaluate a chord divergence over an (alpha, beta) grid to CSV,
              optionally rendering an SVG heatmap
     cluster  k-means over a points CSV under any divergence; prints a
-             warning to stderr for each numeric center search that hit its
-             sweep cap or ended on the edge of its box
+             warning to stderr for each numeric center update that hit its
+             step cap or ended on the edge of its box
     verify   run the randomized property suites
 
 Exit codes: 0 success, 2 usage error (including unknown generator,
@@ -388,7 +388,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     result = kmeans(points, F, cfg)
     for iteration, j, sweeps, capped, on_edge in result.center_solves:
         ended = [text for text, flag in (
-            (f"hit its cap of {sweeps} sweeps", capped),
+            (f"hit its cap after {sweeps} steps", capped),
             ("ended on the edge of its box", on_edge),
         ) if flag]
         if ended:

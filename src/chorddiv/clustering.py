@@ -3,35 +3,47 @@
 Lloyd iterations with D(point : center) assignments. A run takes the
 first of registry.center_rule's rules that holds: three closed forms,
 the member mean, the left-sided centroid grad F^-1(mean grad F) and the
-coordinatewise median of the tv f-divergences, then two searches:
+coordinatewise median of the tv f-divergences, then one fixed-point
+update and two searches:
 
-* lockstep, for a chord or Jensen id under a generators.SEPARABLE
-  builtin (shannon_negentropy, burg_negentropy): the objective is a sum
-  of one-coordinate objectives under the builtin at dim 1, so one
-  numerics.golden_lockstep call searches every coordinate of every
-  center of an iteration at once, in one sweep, each probe round one
-  1-D block call on every member coordinate, bound once per search,
-  and the k * d probes;
+* cccp, for a chord id with one anchor at 1 or a skewed Jensen id under
+  a generator with the left-sided centroid rule: the objective is a
+  difference of convex functions of c, and its concave-convex step is
+  the left-sided centroid of the members' interpolants with c; one
+  update moves every center of an iteration at once, each map one
+  gradient-rows call on every member, accelerated by SQUAREM
+  (_cccp_centers);
+* lockstep, for the other chord and Jensen ids under a
+  generators.SEPARABLE builtin (shannon_negentropy, burg_negentropy): the
+  objective is a sum of one-coordinate objectives under the builtin at
+  dim 1, so one numerics.golden_lockstep call searches every coordinate
+  of every center of an iteration at once, in one sweep, each probe
+  round one 1-D block call on every member coordinate, bound once per
+  search, and the k * d probes;
 * coordinate descent otherwise: numerics.coordinate_minimize, a 1-D
   search per coordinate, sweep after sweep.
 
-Both take their 1-D steps by Brent's method, golden-section search plus
-parabolic steps (numerics.golden_minimize).
-Both searches run over the cluster's bounding box (expanded by 10 percent
-and kept in the positive orthant when the generator's domain or the
-divergence needs positive arguments), so no gradient is ever needed. Each
-numeric solve is recorded with how it ended; the library only records, it
-never warns. Every divergence value comes from the id's block bound to the
-side that stays fixed (registry.resolve_bound): the points, once per run,
-for the n x k divergence matrix of each pass, each point against each of
-the k centers; the members of a cluster, once per coordinate-descent
-update; the member coordinates, once per lockstep search. Under a chord,
-Jensen or Bregman id, binding validates the fixed points and evaluates F
-at them once, and a call checks the moving points and evaluates F once
-per distinct moving point and at the pairs' interior interpolants: a
-bregman_chord pass at anchors (alpha, 1) costs k + n * k F evaluations,
-a bregman pass k F evaluations and k gradients. Each pass and search
-runs its gap expressions under one np.errstate.
+Both searches take their 1-D steps by Brent's method, golden-section
+search plus parabolic steps (numerics.golden_minimize), over the
+cluster's bounding box (expanded by 10 percent and kept in the positive
+orthant when the generator's domain or the divergence needs positive
+arguments), so they need no gradient; the cccp update takes F's
+gradients and their inverse. A one-point cluster takes no update: its
+center is its member. Each numeric update is recorded with how it
+ended; the library only records, it never warns. Every divergence value
+comes from the id's block bound to the side that stays fixed
+(registry.resolve_bound): the points, once per run, for the n x k
+divergence matrix of each pass, each point against each of the k
+centers, and for the objectives of the cccp candidates and of the
+lockstep means and points found; the members of a cluster, once per
+coordinate-descent update; the member coordinates, once per lockstep
+search. Under a chord, Jensen or Bregman id, binding validates the
+fixed points and evaluates F at them once, and a call checks the moving
+points and evaluates F once per distinct moving point and at the pairs'
+interior interpolants: a bregman_chord pass at anchors (alpha, 1) costs
+k + n * k F evaluations, a bregman pass k F evaluations and k
+gradients. Each pass and update runs its gap expressions under one
+np.errstate.
 Everything is deterministic for a fixed seed.
 """
 
@@ -43,6 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import numerics
 from .errors import DomainError, InfeasibleError, ShapeError
 from .generators import Generator, finite_above
 from .numerics import (Minimum, coordinate_minimize, golden_lockstep,
@@ -94,12 +107,17 @@ class ClusterResult:
     objective or leaves the labels as they were, or after max_iters.
     center_solves holds one (iteration, cluster, sweeps, capped, on_edge)
     record per numeric center update, iterations counted from 1, in the
-    order they ran; it is () when every center is closed-form. A lockstep
-    update (a SEPARABLE builtin) reads sweeps 1 and capped False: its
-    one sweep is the fixed point coordinate descent would confirm. The
-    lockstep updates of one iteration share one search, but each keeps
-    its own record, equal to the one a search of its cluster alone
-    would leave.
+    order they ran; it is () when every center is closed-form. A
+    coordinate-descent record counts sweeps. A cccp record counts maps in
+    sweeps, three per SQUAREM cycle; its capped says numerics.MAX_SWEEPS
+    cycles ran, each lowering the objective, and on_edge is False, as no
+    box bounds it. A lockstep update (a SEPARABLE builtin) reads sweeps 1
+    and capped False: its one sweep is the fixed point coordinate descent
+    would confirm. A one-point cluster's record reads sweeps 1, capped
+    False and on_edge False, as any search of it would leave. The cccp
+    and lockstep updates of one iteration share one batch, but each keeps
+    its own record, equal to the one an update of its cluster alone would
+    leave.
     """
 
     centers: np.ndarray
@@ -234,59 +252,161 @@ def _update_center(members: np.ndarray, F: Generator, bind,
             x0=members.mean(axis=0))
 
 
-def _lockstep_centers(groups: list, F: Generator, bind, coordinate) -> list:
-    """Numerical right centroids of the member matrices in groups, all
-    searched at once for a separable objective: coordinate is the binder
-    center_rule gives bind's id on its "lockstep" path (its 1-D block),
-    and bind the id's own (registry.resolve_bound).
+def _stack(pts: np.ndarray, groups: list) -> tuple:
+    """(stacked, owner, slot) for the clusters whose rows of pts are the
+    ascending index arrays in groups: their member rows stacked in group
+    order, the group of each stacked row, and each point's group (0 for
+    the points of no group), to pair every point of a call of the points'
+    bound block with its own group's row of C."""
+    order = np.concatenate(groups)
+    owner = np.repeat(np.arange(len(groups)), [rows.size for rows in groups])
+    slot = np.zeros(pts.shape[0], dtype=int)
+    slot[order] = owner
+    return pts[order], owner, slot
+
+
+def _totals(values: list, groups: list) -> list:
+    """Each group's objective: the values of its rows, a list over the
+    points, added in index order."""
+    return [_sum_in_order([values[i] for i in rows.tolist()])
+            for rows in groups]
+
+
+def _raise_if_not_finite(totals: list, points) -> None:
+    for total, point in zip(totals, points):
+        if not math.isfinite(total):
+            raise DomainError(f"objective is {total} at {point.tolist()}")
+
+
+def _lockstep_centers(pts: np.ndarray, groups: list, F: Generator, bound,
+                      coordinate) -> list:
+    """Numerical right centroids of the clusters whose rows of pts are
+    the ascending index arrays in groups, all searched at once for a
+    separable objective: coordinate is the binder center_rule gives the
+    id on its "lockstep" path (its 1-D block), and bound the id's block
+    bound to pts (registry.resolve_bound).
 
     One golden_lockstep call searches every coordinate of every group's
     box (_update_center's box). The stacked members' coordinates are bound
     once, as 1-D points; each round is one call of the bound block on the
     k * d probes, each member coordinate against its group's probe's, and
-    sums each group's shares over its own rows. The stacked members, bound
-    once more, then give in one call each
-    group's objective, added in index order, at its mean and at the point
-    found; the center is the point found when its objective is below the
-    mean's, else the mean, and a non-finite objective at either raises
-    DomainError. Each center is thus, bit for bit, the one a search of
-    its group alone finds. Returns one Minimum per group, sweeps 1 and
-    capped False.
+    sums each group's shares over its own rows. One call of bound then
+    gives each group's objective, added in index order, at its mean and
+    at the point found; the center is the point found when its objective
+    is below the mean's, else the mean, and a non-finite objective at
+    either raises DomainError. Each center is thus, bit for bit, the one
+    a search of its group alone finds. Returns one Minimum per group,
+    sweeps 1 and capped False.
     """
     k, d = len(groups), F.dim
-    sizes = [members.shape[0] for members in groups]
+    stacked, owner, slot = _stack(pts, groups)
+    sizes = [rows.size for rows in groups]
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
-    stacked = np.concatenate(groups)
-    boxes = [_centroid_box(members, F.domain.kind == "positive")
-             for members in groups]
+    boxes = [_centroid_box(pts[rows], F.domain.kind == "positive")
+             for rows in groups]
     lo, hi = (np.concatenate(side) for side in zip(*boxes))
-    owner = np.repeat(np.arange(k), sizes)
     # member row i's coordinate j meets probe owner[i] * d + j
     index = (owner[:, None] * d + np.arange(d)).ravel()
     with np.errstate(all="ignore"):
-        rows = coordinate(stacked.reshape(-1, 1))
+        probes = coordinate(stacked.reshape(-1, 1))
 
         def shares(v: list) -> list:
-            S = rows(np.array(v)[:, None], index).reshape(-1, d)
+            S = probes(np.array(v)[:, None], index).reshape(-1, d)
             return [x for a, b in spans
                     for x in np.add.reduce(S[a:b], axis=0).tolist()]
 
         found = golden_lockstep(shares, lo, hi).reshape(-1, d)
-        means = np.array([members.mean(axis=0) for members in groups])
-        # the stacked members against their means, then the points found
-        at_means, at_found = bind(stacked)(
-            np.concatenate([means, found]),
-            np.array([owner, owner + k])).tolist()
+        means = np.array([pts[rows].mean(axis=0) for rows in groups])
+        # every point against its group's mean, then its point found
+        at_means, at_found = bound(np.concatenate([means, found]),
+                                   np.array([slot, slot + k])).tolist()
     results = []
-    for (a, b), start, x, (lo_j, hi_j) in zip(spans, means, found, boxes):
-        totals = [_sum_in_order(at_means[a:b]), _sum_in_order(at_found[a:b])]
-        for point, total in zip((start, x), totals):
-            if not math.isfinite(total):
-                raise DomainError(f"objective is {total} at {point.tolist()}")
+    for totals, start, x, (lo_j, hi_j) in zip(
+            zip(_totals(at_means, groups), _totals(at_found, groups)),
+            means, found, boxes):
+        _raise_if_not_finite(totals, (start, x))
         x = x if totals[1] < totals[0] else start
         results.append(Minimum(x, 1, False, on_box_edge(x, lo_j, hi_j)))
     return results
+
+
+def _cccp_centers(pts: np.ndarray, groups: list, F: Generator, bound,
+                  step) -> list:
+    """Right centroids of the clusters whose rows of pts are the ascending
+    index arrays in groups, all updated at once by the concave-convex
+    procedure: step is the rule center_rule gives the id on its "cccp"
+    path, bound here to the stacked members, and bound the id's block
+    bound to pts (registry.resolve_bound).
+
+    A map M of every center is one call of the bound step: one
+    gradient-rows call on every member's interpolant with its own
+    cluster's center, one grouped mean and one inverse gradient of the k
+    means. SQUAREM (Varadhan and Roland, Scand. J. Stat. 2008, scheme S3)
+    accelerates the maps: from the member mean c0, a cycle maps c1 = M(c0)
+    and c2 = M(c1), extrapolates to c' = c0 - 2 a r + a^2 v, with
+    r = c1 - c0, v = c2 - 2 c1 + c0 and a = -max(1, |r| / |v|), and maps
+    c3 = M(c'). One call of bound scores c2 and c3 of every cluster, and a
+    cluster moves to c3 when it is lower than c2, else to c2, the plain
+    double step. F's domain is checked before a point is mapped or
+    scored: a cluster whose c' or c3 it rejects takes c2, and one whose c1
+    or c2 it rejects is mapped and scored at c0, which lowers nothing. A
+    cluster stops at the first cycle that does not lower its objective,
+    at the lowest point seen: no tolerance. Finished clusters stay in the
+    batch, their rows ignored, so each cluster ends where an update of it
+    alone would. A non-finite objective at the mean or at a double step
+    raises DomainError. Returns one Minimum(x, maps, capped, False) per
+    cluster: maps counts its maps, three per cycle, capped says it still
+    lowered its objective after numerics.MAX_SWEEPS cycles, and no box
+    bounds it.
+    """
+    k = len(groups)
+    stacked, owner, slot = _stack(pts, groups)
+    sizes = np.array([rows.size for rows in groups])
+    cccp = step(stacked, (np.cumsum(sizes) - sizes, sizes[:, None]))
+    tries = np.arange(2)[:, None] * k + slot  # c2's rows, then c3's
+
+    def inside(C: np.ndarray) -> np.ndarray:  # which rows F's domain holds
+        if F.domain.contains(C):
+            return np.ones(k, dtype=bool)
+        return np.array([F.domain.contains(c) for c in C])
+
+    with np.errstate(all="ignore"):
+        x = np.array([pts[rows].mean(axis=0) for rows in groups])
+        best = _totals(bound(x, slot).tolist(), groups)
+        _raise_if_not_finite(best, x)
+        maps = [0] * k
+        live = set(range(k))
+        for _ in range(numerics.MAX_SWEEPS):
+            # a row outside the domain is mapped or scored at x instead
+            x1 = cccp(x[owner])
+            ok = inside(x1)
+            x2 = cccp(np.where(ok[:, None], x1, x)[owner])
+            r, v = x1 - x, x2 - 2.0 * x1 + x
+            a = -np.maximum(np.sqrt(np.add.reduce(r * r, axis=1)
+                                    / np.add.reduce(v * v, axis=1)),
+                            1.0)[:, None]
+            far = x - 2.0 * a * r + a * a * v
+            ok &= inside(x2)
+            c2 = np.where(ok[:, None], x2, x)
+            ok &= inside(far)
+            x3 = cccp(np.where(ok[:, None], far, x)[owner])
+            c3 = np.where((ok & inside(x3))[:, None], x3, x)
+            at2, at3 = (_totals(values, groups) for values in
+                        bound(np.concatenate([c2, c3]), tries).tolist())
+            for j in sorted(live):
+                maps[j] += 3
+                _raise_if_not_finite(at2[j:j + 1], c2[j:j + 1])
+                # the extrapolated step when lower, else the double step
+                y, total = ((c3[j], at3[j]) if at3[j] < at2[j]
+                            else (c2[j], at2[j]))
+                if total < best[j]:
+                    x[j], best[j] = y, total
+                else:
+                    live.discard(j)
+            if not live:
+                break
+    return [Minimum(x[j], maps[j], j in live, False) for j in range(k)]
 
 
 def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
@@ -295,8 +415,9 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     Centers are initialized to k distinct data points drawn uniformly with
     the configured seed. Each iteration updates every center by the one
     rule registry.center_rule gives the divergence under F (a closed form,
-    one lockstep search for all of the centers, or coordinate descent
-    center by center), reassigns points to the divergence-nearest center
+    one concave-convex update or one lockstep search for all of the
+    centers, or coordinate descent center by center; a one-point cluster
+    keeps its member), reassigns points to the divergence-nearest center
     (right argument; ties keep the lowest center index), and hands any
     emptied cluster the point farthest from its own center. The labels, the
     repair distances and the objective all come from one n x k
@@ -356,17 +477,24 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     for _ in range(cfg.max_iters):
         iterations += 1
         groups = [(j, members) for j in range(cfg.k)
-                  if (members := pts[labels == j]).size]
-        if path not in ("lockstep", "descent"):
+                  if (members := np.flatnonzero(labels == j)).size]
+        if path not in ("cccp", "lockstep", "descent"):
             for j, members in groups:
-                centers[j] = rule(members)
+                centers[j] = rule(pts[members])
         else:
-            live = [members for _, members in groups]
-            found = (_lockstep_centers(live, F, bind, rule)
-                     if path == "lockstep" else
-                     [_update_center(members, F, bind, positive)
-                      for members in live])
-            for (j, _), minimum in zip(groups, found):
+            # a one-point cluster's center is its member, which every
+            # search returns for it after one sweep: it takes no search
+            many = [members for _, members in groups if members.size > 1]
+            if path == "descent":
+                found = [_update_center(pts[members], F, bind, positive)
+                         for members in many]
+            else:
+                batch = _cccp_centers if path == "cccp" else _lockstep_centers
+                found = batch(pts, many, F, bound, rule) if many else []
+            found = iter(found)
+            for j, members in groups:
+                minimum = (next(found) if members.size > 1 else
+                           Minimum(pts[members[0]], 1, False, False))
                 centers[j] = minimum.x
                 solves.append((iterations, j, *minimum[1:]))
         dist = _distances(pts, centers, bound)

@@ -202,6 +202,7 @@ def _shannon_negentropy(dim: int) -> Generator:
         domain=REALS,
         fn=lambda eta: float(np.add.reduce(np.exp(eta - 1.0), axis=None)),
         grad_fn=lambda eta: np.exp(eta - 1.0),
+        rows=lambda E: np.add.reduce(np.exp(E - 1.0), axis=-1),
     )
     return Generator(
         name="shannon_negentropy",

@@ -30,7 +30,8 @@ SQRT_EPS = math.sqrt(2.0 ** -52)             # sqrt of float64's epsilon
 BRACKET_TOL = 3e-9
 #: on_box_edge's reach as a share of the width of a box side.
 EDGE_REACH = 1e-6
-#: The most sweeps coordinate_minimize runs.
+#: The most sweeps coordinate_minimize runs, and the most SQUAREM cycles
+#: of clustering's concave-convex update.
 MAX_SWEEPS = 100
 
 
@@ -188,8 +189,9 @@ def golden_lockstep(g: Callable[[list], Sequence[float]],
 
 
 class Minimum(NamedTuple):
-    """How a box search ended: coordinate_minimize, or the one-sweep
-    lockstep search that clustering runs for a separable generator.
+    """How a center update ended: coordinate_minimize, the one-sweep
+    lockstep search that clustering runs for a separable generator, or
+    clustering's concave-convex update.
 
     x is the lowest point between sweeps: the start of the sweep that did
     not lower the objective, or the end of the last sweep when capped.
@@ -199,7 +201,9 @@ class Minimum(NamedTuple):
     started from when the point it found is not lower. on_edge means, as
     on_box_edge decides, that some coordinate of x whose side of the box
     has positive width lies within EDGE_REACH * width of lo or hi, so the
-    true minimizer may lie outside the box.
+    true minimizer may lie outside the box. A concave-convex update counts
+    its maps in sweeps, is capped after MAX_SWEEPS cycles that each
+    lowered its objective, and has no box, so on_edge is False.
     """
 
     x: np.ndarray

@@ -94,17 +94,30 @@ def _member_mean(F: Generator) -> tuple:
     return "mean", lambda members: members.mean(axis=0)
 
 
-def _log_sum_exp_centroid(F: Generator, members) -> np.ndarray:
-    f = F.rows(members)
-    return (np.logaddexp.reduce(members - f[:, None], axis=0)
-            - np.logaddexp.reduce(-f))
+def _group_means(A: np.ndarray, groups) -> np.ndarray:
+    """The mean of A's rows over each group of groups = (starts, counts):
+    a group runs from one of the ascending starts, the first 0, to the
+    next, and counts is the (g, 1) array of its rows. groups None is one
+    group, whose mean A.mean(axis=0) rounds."""
+    if groups is None:
+        return A.mean(axis=0, keepdims=True)
+    starts, counts = groups
+    return np.add.reduceat(A, starts, axis=0) / counts
 
 
-#: (F, members) -> grad F^-1(mean_i grad F(x_i)), for the builtins
-#: without a conjugate
+def _log_sum_exp_centroid(F: Generator, T, groups) -> np.ndarray:
+    f = F.rows(T)
+    starts = [0] if groups is None else groups[0]
+    return (np.logaddexp.reduceat(T - f[:, None], starts, axis=0)
+            - np.logaddexp.reduceat(-f, starts)[:, None])
+
+
+#: (F, T, groups) -> grad F^-1(mean grad F) over each group of T's rows,
+#: for the builtins without a conjugate
 _INVERSE_MEAN_GRAD = {
     # grad F(t) = -1/t is its own inverse
-    "burg_negentropy": lambda F, members: -1.0 / (-1.0 / members).mean(0),
+    "burg_negentropy": lambda F, T, groups: -1.0 / _group_means(-1.0 / T,
+                                                                groups),
     # grad F(x) = e^(x - F(x)) and 1 - sum_j grad F(x)_j = e^(-F(x)), so
     # log eta - log(1 - sum eta) is taken in log space: formed from eta,
     # 1 - sum eta cancels away from the origin
@@ -112,18 +125,41 @@ _INVERSE_MEAN_GRAD = {
 }
 
 
-def _left_centroid(F: Generator) -> Optional[tuple]:
-    """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
-    grad F^-1(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and
-    symmetrized Bregman centroids", IEEE TIT 2009), through F's conjugate
-    or else F's builtin; None when F has neither."""
+def _inverse_mean_grad(F: Generator) -> Optional[Callable]:
+    """(T, groups) -> the array of grad F^-1(mean grad F(t)) over each
+    group of the rows t of T (_group_means' groups), one row per group:
+    through F's conjugate, or else F's builtin; None when F has
+    neither."""
     if F.conjugate is not None:
-        return "left", lambda members: F.point(F.conjugate.grad_fn(
-            F.grad_rows(members).mean(axis=0)))
+        return lambda T, groups: F.conjugate.grad_rows(
+            _group_means(F.grad_rows(T), groups))
     solve = _INVERSE_MEAN_GRAD.get(F.builtin)
     if solve is None:
         return None
-    return "left", lambda members: F.point(solve(F, members))
+    return lambda T, groups: solve(F, T, groups)
+
+
+def _left_centroid(F: Generator) -> Optional[tuple]:
+    """argmin_c sum_i B_F(c : x_i), the left-sided Bregman centroid
+    grad F^-1(mean_i grad F(x_i)) (Nielsen and Nock, "Sided and
+    symmetrized Bregman centroids", IEEE TIT 2009), through
+    _inverse_mean_grad; None when F has no such rule."""
+    solve = _inverse_mean_grad(F)
+    if solve is None:
+        return None
+    return "left", lambda members: F.point(solve(members, None)[0])
+
+
+def _cccp_weight(anchors) -> Optional[float]:
+    """The interpolation weight w of the concave-convex step for chord or
+    Jensen anchors: the anchor other than 1 of a chord with one anchor at
+    1 (1 - epsilon for bregman_chord_approx), alpha of Jensen anchors
+    alpha = beta (the skewed Jensen ids); None for any other anchors."""
+    if isinstance(anchors, ChordParams):
+        a, b = float(anchors.alpha), float(anchors.beta)
+        return a if b == 1.0 else b if a == 1.0 else None
+    a = float(anchors.alpha)
+    return a if a == float(anchors.beta) else None
 
 
 # the skewed Jensen ids are jensen_chord at alpha = beta = gamma;
@@ -319,15 +355,30 @@ def center_rule(div_id: str, F: Generator,
        DivSpec.right_centroid, "mean" for bregman and ekl, ("left", the
        left-sided centroid) for bregman_dual when F has a conjugate or is
        the burg_negentropy or log_sum_exp builtin;
-    3. ("lockstep", resolve_bound's binder of the id under f, the
-       builtin at dim 1) for the chord and Jensen ids (gradient-free
+    3. ("cccp", the concave-convex map) for the chord ids with one anchor
+       at 1 (bregman_chord_approx included) and the skewed Jensen ids
+       (jensen, jensen_skewed, jensen_bregman: Jensen anchors alpha =
+       beta) under an F with the left-sided centroid rule: with w the
+       _cccp_weight of the id's anchors, sum_i D(x_i : c) is a multiple of
+       w m F(c) - sum_i F((1 - w) x_i + w c) plus a constant, a
+       difference of convex functions of c, whose concave-convex step
+       (Yuille and Rangarajan, Neural Comput. 2003) is the left-sided
+       centroid of the interpolants, c <- grad F^-1(mean_i grad
+       F((1 - w) x_i + w c)). The rule binds (X, groups), X an (m, dim)
+       member matrix and groups = (starts, counts), the first row and
+       the (g, 1) array of the rows of each cluster, to the step: C, the
+       current center of each member's row, -> the next center of each
+       cluster;
+    4. ("lockstep", resolve_bound's binder of the id under f, the
+       builtin at dim 1) for the other chord and Jensen ids (gradient-free
        block kernels) under a SEPARABLE builtin, F(t) = sum_j f(t_j):
        their gaps are linear in F's values, so D(x : c) sums the 1-D
        block's values at (x_j, c_j);
-    4. ("descent", None) otherwise: coordinate descent.
+    5. ("descent", None) otherwise: coordinate descent.
 
-    A closed form maps an (m, dim) member matrix to its center. Only rule
-    3 reads params, after _spec has checked the identifier.
+    A closed form maps an (m, dim) member matrix to its center. Only rules
+    3 and 4 read params, after _spec has checked the identifier, and rule
+    3 only under an F with the left-sided centroid rule.
     """
     spec = _spec(div_id)[0]
     if F.builtin == "quadratic" and spec.needs_generator:
@@ -336,8 +387,15 @@ def center_rule(div_id: str, F: Generator,
         return "median", lambda members: np.median(members, axis=0)
     if spec.right_centroid and (closed := spec.right_centroid(F)):
         return closed
-    if (spec.block in (bregman_chord_block, jensen_chord_block)
-            and F.builtin in SEPARABLE):
+    chord_or_jensen = spec.block in (bregman_chord_block, jensen_chord_block)
+    solve = _inverse_mean_grad(F)
+    if (chord_or_jensen and solve is not None and (w := _cccp_weight(
+            spec.build(_reader(div_id, params)))) is not None):
+        def cccp(X, groups):
+            share = (1.0 - w) * X
+            return lambda C: solve(share + w * C, groups)
+        return "cccp", cccp
+    if chord_or_jensen and F.builtin in SEPARABLE:
         return "lockstep", resolve_bound(div_id, make_builtin(F.builtin, 1),
                                          params)
     return "descent", None

@@ -59,12 +59,13 @@ RATIO_WINDOW = (5.0, 20.0)
 #: check draws nothing from the suite's random stream.
 BRIDGE_SKEWS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-#: The clustering suite's scale cases, (generator, id, params): a lockstep
-#: search under shannon and under Burg, coordinate descent, and the member
-#: mean.
+#: The clustering suite's scale cases, (generator, id, params): a
+#: concave-convex update under shannon and under Burg, a lockstep search,
+#: coordinate descent, and the member mean.
 SCALE_CASES = (
     ("shannon_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0}),
     ("burg_negentropy", "jensen", {}),
+    ("shannon_negentropy", "bregman_chord", {"alpha": 0.3, "beta": 0.7}),
     ("shannon_negentropy", "bregman_tangent", {"alpha": 0.5}),
     ("quadratic", "bregman_chord", {"alpha": 0.9, "beta": 1.0}),
 )
@@ -498,7 +499,10 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     closed form is known, on the bregman_chord block with every point a
     member, over k-means's box: coordinate_minimize started at the box's
     lower corner rather than at the mean, which is the answer, and
-    golden_lockstep, which searches the whole box.
+    golden_lockstep, which searches the whole box. Under shannon, on the
+    dataset shifted by 0.5, the concave-convex center of k=1 k-means
+    under bregman_chord must match golden_lockstep's search of the same
+    objective over k-means's box to 1e-6.
 
     k-means is also scale-equivariant: each SCALE_CASES id scales as
     D(s x : s c) = s^p D(x : c) under its builtin, so on the dataset
@@ -541,6 +545,15 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     dev_l = float(abs(lockstep[0] - points.mean()))
 
     shifted = points + 0.5
+    S = make_builtin("shannon_negentropy", 1)
+    cccp = kmeans(shifted, S, ClusterConfig(
+        k=1, divergence="bregman_chord", params=chord, seed=seed))
+    s_block = resolve_block("bregman_chord", S, chord)
+    searched = golden_lockstep(lambda c: [_sum_in_order(s_block(
+        shifted, np.asarray(c)[None]).tolist())],
+        *_centroid_box(shifted, True))
+    dev_k = float(abs(cccp.centers[0, 0] - searched[0]))
+
     scale_gap = -np.inf
     for gen, div, params in SCALE_CASES:
         G = make_builtin(gen, 1)
@@ -555,13 +568,14 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
 
     worst = _worst(1.0 - ari_b, 1.0 - ari_c, trace_viol, dev_b - 1e-6,
                    dev_c - 1e-6, dev_s - 1e-6, dev_l - 1e-6,
-                   scale_gap - 1e-6)
+                   dev_k - 1e-6, scale_gap - 1e-6)
     return SuiteResult(
         name="clustering",
         worst=worst,
         detail=f"ARI bregman {ari_b:.3f}, chord {ari_c:.3f}; mean dev "
                f"bregman {dev_b:.3e}, chord {dev_c:.3e}, chord search "
-               f"{dev_s:.3e}, chord lockstep {dev_l:.3e}; iterations "
+               f"{dev_s:.3e}, chord lockstep {dev_l:.3e}; shannon chord "
+               f"cccp against lockstep {dev_k:.3e}; iterations "
                f"{res_b.iterations}/{res_c.iterations}; scale gap "
                f"{scale_gap:.3e}",
     )

@@ -225,14 +225,15 @@ class TestEvaluationCounts:
         assert (counts["fn"], counts["grad"]) == old_cost(n, k)
         assert dist.tobytes() == want.reshape(k, n).T.tobytes()
 
-    @pytest.mark.parametrize("div,params", [
-        ("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
-        ("jensen", {}),
+    @pytest.mark.parametrize("div,params,interior,ends", [
+        ("bregman_chord", {"alpha": 0.3, "beta": 0.7}, 2, False),
+        ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}, 2, True),
     ])
-    def test_a_lockstep_round(self, monkeypatch, div, params):
-        # m member coordinates, k * d probes: the interior column of
-        # each member coordinate and F at each probe, through the 1-D
-        # builtin's rows
+    def test_a_lockstep_round(self, monkeypatch, div, params, interior,
+                              ends):
+        # m member coordinates, k * d probes: the interior columns of
+        # each member coordinate, and F at each probe when a column is
+        # at 1, through the 1-D builtin's rows
         values = []
         builtin = chorddiv.registry.make_builtin
 
@@ -263,7 +264,11 @@ class TestEvaluationCounts:
         rng = np.random.default_rng(3)
         groups = [rng.uniform(0.2, 1.0, (3, d)), rng.uniform(2.0, 3.0, (4, d))]
         m, k = 7, len(groups)
-        _lockstep_centers(groups, F, resolve_bound(div, F, params),
-                          center_rule(div, F, params)[1])
+        pts = np.concatenate(groups)
+        path, rule = center_rule(div, F, params)
+        assert path == "lockstep"
+        _lockstep_centers(pts, [np.arange(3), np.arange(3, 7)], F,
+                          resolve_bound(div, F, params)(pts), rule)
         # binding the m * d member coordinates, once, then each round
-        assert rounds == [m * d, m * d + k * d, m * d + k * d]
+        each = interior * m * d + (k * d if ends else 0)
+        assert rounds == [m * d, each, each]

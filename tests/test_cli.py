@@ -724,6 +724,22 @@ class TestCluster:
             "seed": 0,
         }
 
+    def test_capped_center_warns(self, capsys, tmp_path, monkeypatch):
+        # one SQUAREM cycle allowed, which still lowers the objective: a
+        # concave-convex update counts its three maps as steps
+        monkeypatch.setattr(chorddiv.numerics, "MAX_SWEEPS", 1)
+        inp = tmp_path / "points.csv"
+        write_points(inp, [[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
+        code, _, err = run(
+            capsys, "cluster", "--input", str(inp), "--k", "1",
+            "--generator", "log_sum_exp", "--div", "bregman_chord",
+            "--alpha", "0.9", "--beta", "1",
+            "--out-assignments", str(tmp_path / "assignments.csv"),
+            "--out-summary", str(tmp_path / "summary.json"))
+        assert code == 0
+        assert err == ("warning: center 0 at iteration 1: the numeric "
+                       "search hit its cap after 3 steps\n")
+
     def test_converged_center_does_not_warn(self, capsys, tmp_path):
         # the quadratic chord centroid is the member mean, where the search
         # starts: it must end there uncapped, with no warning

@@ -25,6 +25,7 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.clustering import (
+    _cccp_centers,
     _centroid_box,
     _distances,
     _distinct_rows,
@@ -34,7 +35,8 @@ from chorddiv.clustering import (
     _update_center,
     objective,
 )
-from chorddiv.generators import REALS, SEPARABLE, Domain, coincide
+from chorddiv.generators import (DOMAIN_MARGIN, REALS, SEPARABLE, Bound,
+                                 Domain, coincide)
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
 from chorddiv.registry import (center_rule, needs_generator, resolve_block,
@@ -179,7 +181,7 @@ class TestUpdateCenter:
     @pytest.mark.parametrize("gen", ["log_sum_exp", "quadratic"])
     def test_block_search_equals_the_per_pair_search(self, gen):
         # generators that are not separable, whose objective has no
-        # lockstep search, only coordinate descent
+        # lockstep search: coordinate descent bound to the members
         F = make_builtin(gen, 2)
         params = {"alpha": 0.9, "beta": 1.0}
         assert center_rule("bregman_chord", F, params)[0] != "lockstep"
@@ -620,13 +622,13 @@ ROUTE_PARAMS = {"alpha": 0.5, "beta": 1.0, "gamma": 0.5, "delta": 0.7,
 ROUTES = {
     "bregman": "mean mean mean mean mean mean",
     "bregman_dual": "mean left left left left descent",
-    "bregman_chord": "mean lockstep lockstep descent descent descent",
+    "bregman_chord": "mean cccp cccp cccp cccp descent",
     "bregman_tangent": "mean descent descent descent descent descent",
-    "bregman_chord_approx": "mean lockstep lockstep descent descent descent",
-    "jensen": "mean lockstep lockstep descent descent descent",
-    "jensen_skewed": "mean lockstep lockstep descent descent descent",
+    "bregman_chord_approx": "mean cccp cccp cccp cccp descent",
+    "jensen": "mean cccp cccp cccp cccp descent",
+    "jensen_skewed": "mean cccp cccp cccp cccp descent",
     "jensen_chord": "mean lockstep lockstep descent descent descent",
-    "jensen_bregman": "mean lockstep lockstep descent descent descent",
+    "jensen_bregman": "mean cccp cccp cccp cccp descent",
     "kl": "descent descent descent descent descent descent",
     "ekl": "mean mean mean mean mean mean",
     "fdiv:<name>": "descent descent descent descent descent descent",
@@ -667,6 +669,18 @@ class TestCenterRule:
             eta = np.mean([F.grad(x) for x in members], axis=0)
             np.testing.assert_allclose(F.grad(rule(members)), eta,
                                        rtol=1e-12, atol=0.0)
+        elif path == "cccp":
+            # one concave-convex step from c: grad F at the next center is
+            # the mean gradient at the interpolants (1 - w) x_i + w c
+            w = (1.0 - ROUTE_PARAMS["epsilon"]
+                 if family == "bregman_chord_approx" else 0.5)
+            c = members.mean(axis=0) + 0.1
+            groups = (np.array([0]), np.array([[len(members)]]))
+            step, = rule(members, groups)(np.broadcast_to(c, members.shape))
+            eta = np.mean([F.grad((1.0 - w) * x + w * c) for x in members],
+                          axis=0)
+            np.testing.assert_allclose(F.grad(step), eta, rtol=1e-12,
+                                       atol=0.0)
         elif path == "lockstep":
             # the id's block under the builtin at dim 1
             X, Y = members.reshape(-1, 1), members[::-1].reshape(-1, 1)
@@ -697,7 +711,7 @@ class TestCenterRule:
             k=3, divergence=div, params=params, seed=1))
         assert res.iterations > 1
         assert calls == [(div, F, params)]
-        closed = center_rule(div, F, params)[0] not in ("lockstep",
+        closed = center_rule(div, F, params)[0] not in ("cccp", "lockstep",
                                                         "descent")
         assert (res.center_solves == ()) is closed
 
@@ -926,13 +940,14 @@ class TestCenterSolves:
 
     def test_capped_search_is_recorded(self, monkeypatch):
         monkeypatch.setattr(chorddiv.numerics, "MAX_SWEEPS", 1)
-        # log_sum_exp is not separable, so its search is coordinate-wise; the
+        # log_sum_exp is not separable and a chord with no anchor at 1 has
+        # no concave-convex step, so its search is coordinate-wise; the
         # member mean is not the chord centroid there, so the one sweep
         # allowed lowers the objective and the search is capped
         pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
         res = kmeans(pts, make_builtin("log_sum_exp", 2),
                      ClusterConfig(k=1, divergence="bregman_chord",
-                                   params={"alpha": 0.9, "beta": 1.0}))
+                                   params={"alpha": 0.3, "beta": 0.7}))
         assert res.center_solves
         for _, _, sweeps, capped, _ in res.center_solves:
             assert sweeps == 1
@@ -944,7 +959,7 @@ class TestCenterSolves:
         pts = np.array([[0.1], [0.2], [0.3], [5.0]])
         res = kmeans(pts, BURG1, ClusterConfig(
             k=2, seed=0, divergence="bregman_chord",
-            params={"alpha": 0.9, "beta": 1.0}))
+            params={"alpha": 0.3, "beta": 0.7}))
         single = int(res.assignments[3])
         assert np.bincount(res.assignments).tolist()[single] == 1
         solves = [r for r in res.center_solves if r[1] == single]
@@ -953,13 +968,30 @@ class TestCenterSolves:
 
 
 #: The separable builtins and the block-kernel ids the lockstep search
-#: serves.
+#: serves: a chord with both anchors below 1 and a Jensen chord with
+#: alpha < beta, which have no concave-convex step.
 LOCKSTEP_CASES = [
     (gen, div, params)
     for gen in SEPARABLE
-    for div, params in (("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
-                        ("jensen", {}))
+    for div, params in (("bregman_chord", {"alpha": 0.3, "beta": 0.7}),
+                        ("jensen_chord",
+                         {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}))
 ]
+
+
+def stacked(groups):
+    """(points, rows): the member matrices in groups stacked, and each
+    group's rows of them."""
+    ends = np.cumsum([len(members) for members in groups])
+    return np.concatenate(groups), [np.arange(end - len(members), end)
+                                    for members, end in zip(groups, ends)]
+
+
+def lockstep_search(groups, F, bind, coordinate):
+    """_lockstep_centers on member matrices: their rows stacked are the
+    points, bound by bind, and each group is its own rows."""
+    pts, rows = stacked(groups)
+    return _lockstep_centers(pts, rows, F, bind(pts), coordinate)
 
 
 def lockstep_rule(div, F, params):
@@ -1001,8 +1033,8 @@ class TestLockstepCenters:
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
         block = resolve_block(div, F, params)
         coordinate = lockstep_block(div, F, params)
-        found, = _lockstep_centers([members], F, resolve_bound(div, F, params),
-                                   lockstep_rule(div, F, params))
+        found, = lockstep_search([members], F, resolve_bound(div, F, params),
+                                 lockstep_rule(div, F, params))
         mean = members.mean(axis=0)
         lo, hi = _centroid_box(members, True)
         want = np.array([golden_minimize(
@@ -1063,7 +1095,7 @@ class TestLockstepCenters:
             return bound
 
         # the sum over coordinates is the one term of a 1-D point
-        found, = _lockstep_centers([members], QUAD2, bind, bind)
+        found, = lockstep_search([members], QUAD2, bind, bind)
         lo, hi = _centroid_box(members, False)
         assert found.on_edge is on_edge
         assert found.on_edge == on_box_edge(found.x, lo, hi)
@@ -1078,8 +1110,8 @@ class TestLockstepCenters:
                             lambda g, lo, hi: np.asarray(lo))
         F = make_builtin("shannon_negentropy", 2)
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
-        params = {"alpha": 0.9, "beta": 1.0}
-        found, = _lockstep_centers(
+        params = {"alpha": 0.3, "beta": 0.7}
+        found, = lockstep_search(
             [members], F, resolve_bound("bregman_chord", F, params),
             lockstep_rule("bregman_chord", F, params))
         assert np.array_equal(found.x, members.mean(axis=0))
@@ -1107,11 +1139,13 @@ def per_center_lockstep(members, F, block, positive, coordinate):
     return Minimum(x, 1, False, on_box_edge(x, lo, hi))
 
 
-#: Every id with a gradient-free block kernel, at the CLI's parameters.
-BATCH_IDS = [("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
-             ("bregman_chord_approx", {"epsilon": 1e-6}),
-             ("jensen", {}),
-             ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5})]
+#: The gradient-free block-kernel ids the lockstep search serves: chord
+#: anchors in either order, and Jensen chords with gamma inside and at
+#: an end of [alpha, beta].
+BATCH_IDS = [("bregman_chord", {"alpha": 0.3, "beta": 0.7}),
+             ("bregman_chord", {"alpha": 0.9, "beta": 0.5}),
+             ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}),
+             ("jensen_chord", {"alpha": 0.1, "beta": 0.6, "gamma": 0.6})]
 
 
 def same_minimum(got, want):
@@ -1175,8 +1209,8 @@ class TestBatchedLockstep:
             bound = rule(X)
             return lambda C, J: calls.append(1) or bound(C, J)
 
-        got = _lockstep_centers(groups, F, resolve_bound(div, F, params),
-                                counted_rule)
+        got = lockstep_search(groups, F, resolve_bound(div, F, params),
+                              counted_rule)
         rounds = []
         for members, found in zip(groups, got):
             alone, h = counted()
@@ -1188,8 +1222,7 @@ class TestBatchedLockstep:
         assert len(calls) == max(rounds) > 0
 
     @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("div,params",
-                             [*BATCH_IDS, ("jensen_skewed", {"alpha": 0.3})])
+    @pytest.mark.parametrize("div,params", BATCH_IDS)
     @pytest.mark.parametrize("gen", SEPARABLE)
     def test_shares_equal_the_terms_table(self, monkeypatch, gen, div, params,
                                           dim):
@@ -1204,8 +1237,8 @@ class TestBatchedLockstep:
                             lambda g, lo, hi: searches.append(g)
                             or np.asarray(lo))
         coordinate = lockstep_block(div, F, params)
-        _lockstep_centers(groups, F, resolve_bound(div, F, params),
-                          lockstep_rule(div, F, params))
+        lockstep_search(groups, F, resolve_bound(div, F, params),
+                        lockstep_rule(div, F, params))
         probes = rng.uniform(0.2, 3.0, (len(sizes), dim))
         probes[0] = groups[0][2]  # a member that coincides with its probe
         got = np.array(searches[0](probes.ravel().tolist()))
@@ -1228,7 +1261,7 @@ class TestBatchedLockstep:
                                                  params):
         # half the points clumped: in every case a cluster empties at the
         # first iteration, takes a point back, and is searched again
-        seed, dim, k = 217, 3, 4
+        seed, dim, k = 101, 3, 4
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.2, 3.0, (10, dim))
         pts[:5] = pts[0] * rng.uniform(0.98, 1.02, (5, dim))
@@ -1245,10 +1278,11 @@ class TestBatchedLockstep:
         got = kmeans(pts, F, cfg)
         monkeypatch.setattr(
             chorddiv.clustering, "_lockstep_centers",
-            lambda groups, F, bind, rule: [
-                per_center_lockstep(members, F, resolve_block(div, F, params),
-                                    False, lockstep_block(div, F, params))
-                for members in groups])
+            lambda pts, groups, F, bound, rule: [
+                per_center_lockstep(pts[rows], F,
+                                    resolve_block(div, F, params), False,
+                                    lockstep_block(div, F, params))
+                for rows in groups])
         want = kmeans(pts, F, cfg)
         assert emptied[0] and got.iterations > 1
         assert got.centers.tobytes() == want.centers.tobytes()
@@ -1269,17 +1303,20 @@ BENCH_POINTS = np.array([[1.1282518686626684, 2.024482017121187],
 class TestSearchBudget:
     """Brent's parabolic steps keep the lockstep searches short, and one
     search serves all of an iteration's centers: objective calls per
-    k-means run on the benchmark's design, where golden-section steps
-    alone made 68 under either generator and a search per center made
-    43, 32, 28 and 45."""
+    k-means run on the benchmark's design, where a search per center
+    made 63, 29, 32 and 46. The concave-convex centers take few maps
+    there: the one-point cluster of the first iteration takes none, and
+    a cycle is three maps."""
 
     @pytest.mark.parametrize("gen,div,params,rounds", [
-        ("shannon_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0},
-         32),
-        ("burg_negentropy", "bregman_chord", {"alpha": 0.9, "beta": 1.0},
-         23),
-        ("shannon_negentropy", "jensen", {}, 19),
-        ("burg_negentropy", "jensen", {}, 32),
+        ("shannon_negentropy", "bregman_chord", {"alpha": 0.3, "beta": 0.7},
+         38),
+        ("burg_negentropy", "bregman_chord", {"alpha": 0.3, "beta": 0.7},
+         20),
+        ("shannon_negentropy", "jensen_chord",
+         {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}, 23),
+        ("burg_negentropy", "jensen_chord",
+         {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}, 36),
     ])
     def test_lockstep_calls_per_run(self, monkeypatch, gen, div, params,
                                     rounds):
@@ -1293,8 +1330,203 @@ class TestSearchBudget:
         res = kmeans(BENCH_POINTS, make_builtin(gen, 2), ClusterConfig(
             k=2, divergence=div, params=params))
         assert res.center_solves
-        assert res.assignments.tolist() == [1, 1, 0, 0]
+        labels = res.assignments.tolist()
+        assert labels[0] == labels[1] != labels[2] == labels[3]
         assert len(calls) == rounds
+
+    @pytest.mark.parametrize("gen,div,maps", [
+        ("shannon_negentropy", "bregman_chord", [1, 9, 6, 6]),
+        ("burg_negentropy", "bregman_chord", [1, 12, 9, 12]),
+        ("shannon_negentropy", "jensen", [1, 12, 6, 9]),
+        ("burg_negentropy", "jensen", [1, 12, 6, 6]),
+    ])
+    def test_cccp_maps_per_run(self, monkeypatch, gen, div, maps):
+        # no lockstep search runs
+        monkeypatch.setattr(chorddiv.clustering, "golden_lockstep", None)
+        res = kmeans(BENCH_POINTS, make_builtin(gen, 2), ClusterConfig(
+            k=2, divergence=div, params={"alpha": 0.9, "beta": 1.0}))
+        assert res.assignments.tolist() == [1, 1, 0, 0]
+        assert [sweeps for *_, sweeps, _, _ in res.center_solves] == maps
+        assert not any(capped or on_edge
+                       for *_, capped, on_edge in res.center_solves)
+
+
+#: The ids center_rule sends to the concave-convex path, at anchors that
+#: reach each weight rule: a chord anchor at 1 either side, 1 - epsilon,
+#: and Jensen skews. w is the interpolation weight of the step.
+CCCP_IDS = [
+    ("bregman_chord", {"alpha": 0.9, "beta": 1.0}, 0.9),
+    ("bregman_chord", {"alpha": 1.0, "beta": 0.4}, 0.4),
+    ("bregman_chord_approx", {"epsilon": 1e-3}, 1.0 - 1e-3),
+    ("jensen", {}, 0.5),
+    ("jensen_skewed", {"alpha": 0.3}, 0.3),
+    ("jensen_bregman", {"alpha": 0.7}, 0.7),
+]
+
+#: The generators with a left-sided centroid rule: through a conjugate
+#: (shannon's, and a custom one), Burg's and log_sum_exp's own forms.
+CCCP_GENERATORS = ["shannon_negentropy", "burg_negentropy", "log_sum_exp",
+                   "conjugate"]
+
+#: How far a concave-convex center's objective may lie above the
+#: searches', relative to theirs. Both stop on progress, and the computed
+#: objectives are sums of gaps of F values that cancel (by up to
+#: 1/epsilon for bregman_chord_approx), so near a minimizer they differ
+#: by rounding: 4.8e-12 at most over these cases.
+CCCP_SLACK = 1e-11
+
+
+def cccp_generator(gen, dim):
+    return conjugate_expsum(dim) if gen == "conjugate" else make_builtin(
+        gen, dim)
+
+
+def cccp_search(groups, F, div, params):
+    """_cccp_centers on member matrices, as lockstep_search runs
+    _lockstep_centers."""
+    path, step = center_rule(div, F, params)
+    assert path == "cccp"
+    pts, rows = stacked(groups)
+    return _cccp_centers(pts, rows, F, resolve_bound(div, F, params)(pts),
+                         step)
+
+
+class TestCCCPCenters:
+    """The concave-convex centers, accelerated by SQUAREM, against the
+    searches they replace, and the records they leave."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("gen", CCCP_GENERATORS)
+    @pytest.mark.parametrize("div,params,w", CCCP_IDS)
+    def test_not_above_the_searches_and_stationary(self, div, params, w,
+                                                    gen, dim):
+        F = cccp_generator(gen, dim)
+        rng = np.random.default_rng(7 * dim)
+        members = rng.uniform(0.2, 3.0, (9, dim))
+        found, = cccp_search([members], F, div, params)
+        block = resolve_block(div, F, params)
+
+        def total(c):
+            return _sum_in_order(block(members, c[None]).tolist())
+
+        bind = resolve_bound(div, F, params)
+        searched = [_update_center(members, F, bind).x]
+        if gen in SEPARABLE:
+            searched += [x for x, *_ in lockstep_search(
+                [members], F, bind,
+                resolve_bound(div, make_builtin(gen, 1), params))]
+        for x in searched:
+            assert total(found.x) <= total(x) + CCCP_SLACK * abs(total(x))
+        assert 3 <= found.sweeps < 100 and found.sweeps % 3 == 0
+        assert not (found.capped or found.on_edge)
+        # the center is a fixed point of the concave-convex step
+        eta = np.mean([F.grad((1.0 - w) * x + w * found.x)
+                       for x in members], axis=0)
+        np.testing.assert_allclose(F.grad(found.x), eta, rtol=1e-7,
+                                   atol=0.0)
+
+    def test_batch_equals_one_update_per_cluster(self):
+        F = make_builtin("log_sum_exp", 2)
+        rng = np.random.default_rng(11)
+        groups = [rng.normal(c, 0.3, (m, 2))
+                  for c, m in ((0.0, 5), (2.0, 8), (-1.0, 3))]
+        got = cccp_search(groups, F, "jensen", {})
+        for members, found in zip(groups, got):
+            alone, = cccp_search([members], F, "jensen", {})
+            assert same_minimum(found, alone)
+
+    def test_extrapolation_outside_the_domain_falls_back(self):
+        # shannon bregman_chord_approx on members a few DOMAIN_MARGIN
+        # above the orthant's edge in one coordinate: an extrapolated
+        # point falls below zero there, and the plain double step
+        # carries the update on, inside the domain
+        rejected = []
+
+        class Watched(Domain):
+            def contains(self, coords):
+                inside = super().contains(coords)
+                if not inside and np.ndim(coords) == 1:
+                    rejected.append(np.array(coords))
+                return inside
+
+        F = dataclasses.replace(make_builtin("shannon_negentropy", 2),
+                                domain=Watched("positive"))
+        members = np.array([[1.7e-11, 1.023952232972],
+                            [3.7e-11, 1.4979515e-05]])
+        params = {"epsilon": 1e-3}
+        found, = cccp_search([members], F, "bregman_chord_approx", params)
+        assert any(np.isfinite(x).all() and x.min() < 0.0 for x in rejected)
+        assert F.domain.contains(found.x)
+        assert not found.capped
+        block = resolve_block("bregman_chord_approx", F, params)
+        mean = members.mean(axis=0)
+        assert (np.sum(block(members, found.x[None]))
+                < np.sum(block(members, mean[None])))
+
+    def test_capped_update_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(chorddiv.numerics, "MAX_SWEEPS", 1)
+        # the member mean is not the chord centroid under log_sum_exp, so
+        # the one cycle allowed lowers the objective
+        pts = np.array([[0.1, 0.3], [0.2, 0.5], [0.4, 0.2]])
+        res = kmeans(pts, make_builtin("log_sum_exp", 2),
+                     ClusterConfig(k=1, divergence="bregman_chord",
+                                   params={"alpha": 0.9, "beta": 1.0}))
+        assert res.center_solves == ((1, 0, 3, True, False),)
+
+    def test_non_finite_objective_at_the_mean_raises(self):
+        # F overflows at the middle point already when the points are
+        # bound, which warns there
+        pts = np.array([[0.5], [1e308], [2.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match="^objective is "):
+            cccp_search([pts], make_builtin("shannon_negentropy", 1),
+                        "jensen", {})
+
+
+@pytest.mark.parametrize("div,params,path", [
+    ("bregman_chord", {"alpha": 0.9, "beta": 1.0}, "cccp"),
+    ("bregman_chord", {"alpha": 0.3, "beta": 0.7}, "lockstep"),
+    ("bregman_tangent", {"alpha": 0.5}, "descent"),
+])
+def test_one_point_clusters_take_no_search(monkeypatch, div, params, path):
+    # the fourth point is a cluster of its own in every iteration: its
+    # member is its center, recorded as one sweep that ends inside
+    F = make_builtin("shannon_negentropy", 1)
+    assert center_rule(div, F, params)[0] == path
+    sizes = []
+    for name in ("_cccp_centers", "_lockstep_centers"):
+        search = getattr(chorddiv.clustering, name)
+        monkeypatch.setattr(
+            chorddiv.clustering, name,
+            lambda pts, groups, *rest, search=search: sizes.extend(
+                rows.size for rows in groups) or search(pts, groups, *rest))
+    update = chorddiv.clustering._update_center
+    monkeypatch.setattr(chorddiv.clustering, "_update_center",
+                        lambda members, *rest: sizes.append(len(members))
+                        or update(members, *rest))
+    pts = np.array([[0.1], [0.2], [0.3], [5.0]])
+    res = kmeans(pts, F, ClusterConfig(k=2, seed=0, divergence=div,
+                                       params=params))
+    single = int(res.assignments[3])
+    assert res.centers[single].tobytes() == pts[3].tobytes()
+    records = [r for r in res.center_solves if r[1] == single]
+    assert len(records) == res.iterations
+    assert all(r[2:] == (1, False, False) for r in records)
+    assert sizes and min(sizes) > 1
+
+
+def test_lockstep_run_binds_the_points_once(monkeypatch):
+    # the points, for the passes and each search's closing call, then
+    # each search's member coordinates
+    inits = []
+    init = Bound.__init__
+    monkeypatch.setattr(Bound, "__init__", lambda self, F, X, *rest: (
+        inits.append(X.shape), init(self, F, X, *rest))[1])
+    res = kmeans(BENCH_POINTS, make_builtin("shannon_negentropy", 2),
+                 ClusterConfig(k=2, divergence="bregman_chord",
+                               params={"alpha": 0.3, "beta": 0.7}))
+    assert res.iterations == 2
+    assert inits == [(4, 2), (8, 1), (8, 1)]
 
 
 class TestDistinctRows:
