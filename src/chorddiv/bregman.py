@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GradientRequiredError, ParameterError, ShapeError
-from .generators import (Bound, Generator, as_vector, coincide, endpoints,
-                         line_table, restrict_to_line, rows_pair)
+from .generators import (Bound, Generator, _table, as_vector, coincide,
+                         endpoints, restrict_to_line, rows_pair)
 
 
 @dataclass(frozen=True)
@@ -104,38 +104,20 @@ def _require_grad(F: Generator) -> None:
         )
 
 
-def bregman_tangent_block(F: Generator, X, Y, alpha: float = 1.0
-                          ) -> np.ndarray:
-    """bregman_tangent(F, X[i], Y[i], alpha) over the row pairs of X and
-    Y, as line_table pairs them, bit for bit: F from the line_table at 0
-    and alpha, the gradients at the alpha interpolants (Y at alpha = 1)
-    from one F.grad_rows call, and the gradient terms as a stack of dot
-    products, which round as np.dot does (einsum, sum(A * B) and A @ g
-    round differently). Coincident rows give 0.0; no gradient raises
-    GradientRequiredError. It is also bregman's and bregman_dual's block."""
-    a = unit_anchor(alpha, "tangent anchor")
-    _require_grad(F)
-    table = line_table(F, X, Y, (0.0, a))
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    grad = F.grad_rows(Y if a == 1.0 else (1.0 - a) * X + a * Y)
-    dots = ((X - Y)[:, None, :] @ grad[:, :, None])[:, 0, 0]
-    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-        gaps = table[:, 0] - table[:, 1] - a * dots
-    return np.where(coincide(X, Y), 0.0, gaps)
-
-
 def bregman_tangent_bound(F: Generator, X, alpha: float = 1.0,
                           swap: bool = False) -> Callable:
-    """bregman_tangent_block bound to X (generators.Bound): (C, J) -> the
-    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]),
-    or on the swapped pairs with swap (bregman_dual's bound form). At
-    alpha = 1 a call evaluates F and the gradient once per row of C (the
-    gradient once per row of X at binding, with swap); below 1, both at
-    the interpolants. The gradient terms are the block's stacked dot
-    products on operands of its layout. Call it under
-    np.errstate(all="ignore"): its gaps give inf and nan unwarned, as
-    Python floats do."""
+    """bregman_tangent's vector form, bound to X (generators.Bound):
+    (C, J) -> bregman_tangent(F, X[i], C[J[..., i]], alpha) over Bound's
+    pairs, bit for bit, or over the swapped pairs with swap
+    (bregman_dual's form); bregman's at alpha = 1. F comes from Bound's
+    columns at 0 and alpha. At alpha = 1 a call evaluates F and the
+    gradient once per row of C (the gradient once per row of X at
+    binding, with swap); below 1, both at the interpolants. The gradient
+    terms are a stack of dot products, which round as np.dot does
+    (einsum, sum(A * B) and A @ g round differently). Coincident pairs
+    give 0.0; no gradient raises GradientRequiredError at binding. Call
+    it under np.errstate(all="ignore"): its gaps give inf and nan
+    unwarned, as Python floats do."""
     a = unit_anchor(alpha, "tangent anchor")
     _require_grad(F)
     rows = Bound(F, X, (0.0, a), swap)
@@ -166,12 +148,6 @@ def bregman_dual(F: Generator, theta1, theta2) -> float:
     return bregman(F, theta2, theta1)
 
 
-def bregman_dual_block(F: Generator, X, Y) -> np.ndarray:
-    """bregman_dual(F, X[i], Y[i]) over the row pairs of X and Y: the
-    tangent block at alpha = 1 on the swapped pairs."""
-    return bregman_tangent_block(F, Y, X)
-
-
 def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     """Chord Bregman divergence B[alpha, beta](theta1 : theta2).
 
@@ -187,29 +163,16 @@ def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:
     return chord_gap(G(0.0), G(a), G(b), a, b)
 
 
-def bregman_chord_block(F: Generator, X, Y, cp: ChordParams
-                        ) -> np.ndarray:
-    """bregman_chord(F, X[i], Y[i], cp) over the row pairs of X and Y, as
-    line_table pairs them, bit for bit: chord_gap over the columns of the
-    line_table at 0, alpha and beta, the table the sweep shares. The
-    blocks are validated once, their F values come from one F.rows call
-    (per point for a generator without rows), and a row whose points
-    coincide gives 0.0 for no F evaluation. numpy rounds the array
-    expression's float64 operations, in chord_gap's order, as Python
-    rounds them on floats, and like Python it gives nan or inf there
-    without a warning."""
-    a, b = float(cp.alpha), float(cp.beta)
-    table = line_table(F, X, Y, (0.0, a, b))
-    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-        return chord_gap(table[:, 0], table[:, 1], table[:, 2], a, b)
-
-
 def bregman_chord_bound(F: Generator, X, cp: ChordParams) -> Callable:
-    """bregman_chord_block bound to X (generators.Bound): (C, J) -> the
-    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]).
-    A call evaluates F once per row of C when an anchor is 1 and at the
-    other anchors' interpolants: one column for anchors (alpha, 1). Call
-    it under np.errstate(all="ignore"), as bregman_tangent_bound."""
+    """bregman_chord's vector form, bound to X (generators.Bound):
+    (C, J) -> bregman_chord(F, X[i], C[J[..., i]], cp) over Bound's
+    pairs, bit for bit: chord_gap over Bound's columns at 0, alpha and
+    beta. numpy rounds the array expression's float64 operations, in
+    chord_gap's order, as Python rounds them on floats. A call evaluates
+    F once per row of C when an anchor is 1 and at the other anchors'
+    interpolants: one column for anchors (alpha, 1). Coincident pairs
+    give 0.0. Call it under np.errstate(all="ignore"), as
+    bregman_tangent_bound."""
     a, b = float(cp.alpha), float(cp.beta)
     rows = Bound(F, X, (0.0, a, b))
 
@@ -227,16 +190,23 @@ def chord_gap(g0, g_a, g_b, a: float, b: float):
 
 def chord_row(F: Generator, theta1, theta2, A, B) -> np.ndarray:
     """bregman_chord(F, theta1, theta2, ChordParams(A[k], B[k])) for each
-    k, bit for bit, from one line_table row at the distinct anchors
-    {0} U A U B and one chord_gap array expression; the caller checks the
-    anchors. Coincident points give 0.0 for no F evaluation."""
+    k, bit for bit, from F on the segment at the distinct anchors
+    {0} U A U B (generators._table, after one domain check of all of
+    those points, theta1 among them) and one chord_gap array expression;
+    the caller checks the anchors. theta2 is validated first, by
+    F.point. Coincident points give 0.0 for no F evaluation."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     lams = np.sort(np.concatenate(([0.0], A, B)))
     lams = lams[np.concatenate(([True], lams[1:] != lams[:-1]))]  # distinct
-    # theta2 is validated first, as bregman_chord validates it
-    row = line_table(F, np.atleast_2d(theta1), F.point(theta2)[None],
-                     lams)[0]
+    t2 = F.point(theta2)
+    t1 = as_vector(theta1)
+    if t1.shape != t2.shape:
+        raise ShapeError(f"cannot interpolate points of shapes {t1.shape} "
+                         f"and {t2.shape}")
+    lam = lams[:, None]
+    dead = coincide(t1, t2)
+    row = _table(F, (1.0 - lam) * t1 + lam * t2, dead if dead else None)
     with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
         return chord_gap(row[0], row[np.searchsorted(lams, A)],
                          row[np.searchsorted(lams, B)], A, B)

@@ -42,8 +42,9 @@ fixed points and evaluates F at them once, and a call checks the moving
 points and evaluates F once per distinct moving point and at the pairs'
 interior interpolants: a bregman_chord pass at anchors (alpha, 1) costs
 k + n * k F evaluations, a bregman pass k F evaluations and k
-gradients. Each pass and update runs its gap expressions under one
-np.errstate.
+gradients. Each binding, pass and update runs its evaluations and gap
+expressions under one np.errstate, so a value that overflows surfaces
+as the pass's DomainError, not as a numpy warning.
 Everything is deterministic for a fixed seed.
 """
 
@@ -245,8 +246,8 @@ def _update_center(members: np.ndarray, F: Generator, bind,
     the search's Minimum, whose x is the center.
     """
     lo, hi = _centroid_box(members, positive or F.domain.kind == "positive")
-    bound = bind(members)
     with np.errstate(all="ignore"):
+        bound = bind(members)
         return coordinate_minimize(
             lambda c: _sum_in_order(bound(c[None], _FIRST).tolist()), lo, hi,
             x0=members.mean(axis=0))
@@ -466,7 +467,8 @@ def kmeans(points, F: Generator, cfg: ClusterConfig) -> ClusterResult:
     chosen = rng.choice(distinct.shape[0], size=cfg.k, replace=False)
     centers = distinct[np.sort(chosen)].copy()
 
-    bound = bind(pts)
+    with np.errstate(all="ignore"):  # F at the points, as in each pass
+        bound = bind(pts)
     dist = _distances(pts, centers, bound)
     labels = np.argmin(dist, axis=1)  # ties keep the lowest center index
     # objective() read off dist: the same terms summed in the same order

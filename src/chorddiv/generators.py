@@ -105,8 +105,8 @@ class Generator:
     closed-form Legendre conjugate F*, itself a Generator whose gradient is
     the inverse of grad F. rows, when present, is fn over rows: it maps a
     (..., dim) array of validated points to the (...) array of fn over its
-    last axis, each value equal to fn's bit for bit, so line_table makes
-    one rows call per block; without it line_table calls fn per point.
+    last axis, each value equal to fn's bit for bit, so a Bound makes one
+    rows call per table of points; without it a Bound calls fn per point.
     The same rule holds for gradients: on a generator with rows, grad_fn
     maps a (..., dim) array row by row, each row equal to grad_fn's on
     that row bit for bit (every builtin's does); on one without rows it
@@ -353,10 +353,11 @@ def _values(F: Generator, points: np.ndarray) -> np.ndarray:
 
 
 def _table(F: Generator, points: np.ndarray, dead) -> np.ndarray:
-    """The validate-and-evaluate body of line_table and Bound: F at the
-    (..., dim) array points after one domain check of all of them, and
-    0.0 for no evaluation where dead, a mask over points' leading axes
-    but its last, is True; dead is None when it would be all False."""
+    """The validate-and-evaluate body of Bound and the sweep's chord_row:
+    F at the (..., dim) array points after one domain check of all of
+    them, and 0.0 for no evaluation where dead, a mask over points'
+    leading axes but its last, is True; dead is None when it would be
+    all False."""
     _validate(F, points)
     if dead is None:
         return _values(F, points)
@@ -366,44 +367,22 @@ def _table(F: Generator, points: np.ndarray, dead) -> np.ndarray:
     return table
 
 
-def line_table(F: Generator, X, Y, lams) -> np.ndarray:
-    """The (m, len(lams)) array of F((1 - lam) X[i] + lam Y[i]) over the
-    row pairs (rows_pair) of X and Y, each an (m, dim) block or one
-    (1, dim) row: row i is restrict_to_line(F, X[i], Y[i]) at lams, bit
-    for bit. Both blocks get one shape check, then Y and the whole table
-    of points one domain check each, before any evaluation, which raises
-    F.point's DomainError for the first row or point outside. Rows whose
-    points coincide hold 0.0 and cost no F evaluation; the others take
-    one F.rows call when F has a row evaluator (every builtin does), and
-    one F.fn call per point when it has none.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if not (rows_pair(X, Y) and X.shape[1] == F.dim):
-        raise ShapeError(f"{F.name} expects (m, {F.dim}) or (1, {F.dim}) "
-                         f"blocks of points that pair row by row, got "
-                         f"shapes {X.shape} and {Y.shape}")
-    _validate(F, Y)
-    lam = np.asarray(lams, dtype=float)[:, None]
-    # [i, j]: the pair of row i at lams[j]
-    points = (1.0 - lam) * X[:, None] + lam * Y[:, None]
-    dead = coincide(X, Y)
-    return _table(F, points, dead if dead.any() else None)
-
-
 class Bound:
-    """line_table's columns at fixed lams over pairs of a bound block X,
-    an (n, dim) array, and the rows of a moving block C: pair i is
-    (X[i], C[J[..., i]]), or (C[J[..., i]], X[i]) with swap, for an
-    integer index J whose last axis has n entries or one for every row.
+    """The columns G(lam) = F((1 - lam) first + lam second) at fixed lams
+    over pairs of a bound block X, an (n, dim) array, and the rows of a
+    moving block C: pair i is (X[i], C[J[..., i]]), or (C[J[..., i]],
+    X[i]) with swap, for an integer index J whose last axis has n
+    entries or one for every row. The bound forms of the chord, Jensen
+    and Bregman kernels, their only vector forms, read their gaps off
+    its columns.
 
     Binding validates X (F.point's DomainError for its first row
     outside), evaluates F at its rows once and forms X's share of every
     interpolant. table(C, J) then checks C, naming the first row outside
     in the order J pairs them, and the interpolants, and evaluates F
     once per row of C (when a column at C's end needs it) and, by
-    _table, at the interior lams. Each column is line_table's bit for
-    bit, interpolants (1 - lam) first + lam second included, and pairs
+    _table, at the interior lams. Each column is F at the pairs'
+    interpolants (1 - lam) first + lam second, bit for bit, and pairs
     whose points coincide cost no interior evaluation.
     """
 

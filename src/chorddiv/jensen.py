@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .generators import Bound, Generator, endpoints, line_table
+from .generators import Bound, Generator, endpoints
 
 
 @dataclass(frozen=True)
@@ -107,29 +107,15 @@ def jensen_chord(F: Generator, theta1, theta2,
     return jensen_gap(float(F.fn(t1)), f_a, f_b, float(F.fn(t2)), jcp)
 
 
-def jensen_chord_block(F: Generator, X, Y,
-                       jcp: JensenChordParams) -> np.ndarray:
-    """jensen_chord(F, X[i], Y[i], jcp) over the row pairs of X and Y, as
-    line_table pairs them, bit for bit: jensen_gap over the columns of the
-    line_table at 0, alpha, beta and 1 (0, alpha and 1 when alpha = beta).
-    The table is validated once and filled by one F.rows call (per point
-    for a generator without rows); its columns at 0 and 1 evaluate the
-    rows of X and Y themselves, its inner columns interpolate's points,
-    and a row whose points coincide gives 0.0 for no F evaluation."""
-    a, b = float(jcp.alpha), float(jcp.beta)
-    table = line_table(F, X, Y,
-                       (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))
-    with np.errstate(all="ignore"):  # Python floats never warn: inf - inf
-        return jensen_gap(table[:, 0], table[:, 1], table[:, -2],
-                          table[:, -1], jcp)
-
-
 def jensen_chord_bound(F: Generator, X, jcp: JensenChordParams) -> Callable:
-    """jensen_chord_block bound to X (generators.Bound): (C, J) -> the
-    block's values, bit for bit, on Bound's pairs (X[i], C[J[..., i]]).
-    A call evaluates F once per row of C and at the interpolants of the
-    anchors inside (0, 1), one column when alpha = beta. Call it under
-    np.errstate(all="ignore"): its gaps give inf and nan unwarned."""
+    """jensen_chord's vector form, bound to X (generators.Bound):
+    (C, J) -> jensen_chord(F, X[i], C[J[..., i]], jcp) over Bound's
+    pairs, bit for bit: jensen_gap over Bound's columns at 0, alpha,
+    beta and 1 (0, alpha and 1 when alpha = beta). A call evaluates F
+    once per row of C and at the interpolants of the anchors inside
+    (0, 1), one column when alpha = beta. Coincident pairs give 0.0.
+    Call it under np.errstate(all="ignore"): its gaps give inf and nan
+    unwarned."""
     a, b = float(jcp.alpha), float(jcp.beta)
     rows = Bound(F, X, (0.0, a, 1.0) if a == b else (0.0, a, b, 1.0))
 

@@ -23,18 +23,16 @@ from .bregman import (
     biskew_block,
     bregman,
     bregman_chord,
-    bregman_chord_block,
     bregman_chord_bound,
     bregman_dual,
-    bregman_dual_block,
     bregman_tangent,
-    bregman_tangent_block,
     bregman_tangent_bound,
     chord_row,
     skew_segment,
     unit_anchor,
 )
-from .errors import DomainError, ParameterError, UnknownDivergenceError
+from .errors import (DomainError, ParameterError, ShapeError,
+                     UnknownDivergenceError)
 from .fdiv import (
     F_GENERATOR_NAMES,
     dual_generator,
@@ -45,13 +43,14 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import SEPARABLE, Generator, make_builtin
-from .jensen import (JensenChordParams, jensen_chord, jensen_chord_block,
-                     jensen_chord_bound, skew_anchors)
+from .generators import (SEPARABLE, Generator, _validate, make_builtin,
+                         rows_pair)
+from .jensen import (JensenChordParams, jensen_chord, jensen_chord_bound,
+                     skew_anchors)
 
 
 # DivSpec.anchors values, how a value depends on the sweep anchors:
-CHORD = "chord"        # B[alpha, beta]; cells from one line_table row
+CHORD = "chord"        # B[alpha, beta]; cells from one chord_row call
 IGNORED = "ignored"    # neither; one evaluation repeated over the cells
 REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
 
@@ -59,17 +58,21 @@ REJECTED = "rejected"  # alpha alone, or alpha <= beta only; no grid fits
 class DivSpec(NamedTuple):
     """How one identifier resolves.
 
-    Every id binds (_bind) to kernel(*pre, x, y, *post) and to its block
-    form block(*pre, X, Y, *post), with X and Y each an (m, dim) block or
-    one (1, dim) row, paired as numpy broadcasts them: row i is
-    kernel(*pre, X[i], Y[i], *post) bit for bit. A bare id has pre = (F,),
-    and post = (build(param),) when build is set: build reads scalar
-    parameters through param(name) and checks them with the kernel
-    module's own validator, so bad values fail at resolution. An
+    Every id binds (_bind) to kernel(*pre, x, y, *post) and to one vector
+    form, block or bound, never both. block(*pre, X, Y, *post) takes X
+    and Y each an (m, dim) block or one (1, dim) row, paired as numpy
+    broadcasts them: row i is kernel(*pre, X[i], Y[i], *post) bit for
+    bit. bound(*pre, X, *post), set for the chord, Jensen and Bregman
+    ids, binds an (n, dim) block X and returns (C, J) -> the array of
+    kernel(*pre, X[i], C[J[..., i]], *post), bit for bit; their block is
+    the bound form called once on all pairs (resolve_block). A bare id
+    has pre = (F,), and post = (build(param),) when build is set: build
+    reads scalar parameters through param(name) and checks them with the
+    kernel module's own validator, so bad values fail at resolution. An
     f-divergence prefix id has pre = (build(name),), build making the f
     generator named after the colon; biskew:<inner> has pre = (the inner
-    id's callable, or block callable for the block,) and post =
-    (build(param),). needs_generator is False for ids that ignore the
+    id's callable, or its resolve_block callable for the block,) and
+    post = (build(param),). needs_generator is False for ids that ignore the
     generator and read their arguments as positive weights (kl and ekl,
     whose pre is empty).
     right_centroid, when set, is the id's closed-form rule: F -> (path,
@@ -80,11 +83,12 @@ class DivSpec(NamedTuple):
     """
 
     kernel: Callable
-    block: Callable
+    block: Optional[Callable] = None
     build: Optional[Callable] = None
     needs_generator: bool = True
     right_centroid: Optional[Callable] = None
     anchors: str = IGNORED
+    bound: Optional[Callable] = None
 
 
 def _member_mean(F: Generator) -> tuple:
@@ -165,34 +169,35 @@ def _cccp_weight(anchors) -> Optional[float]:
 # the skewed Jensen ids are jensen_chord at alpha = beta = gamma;
 # (1 - a) B(t1 : m_a) + a B(t2 : m_a) is jensen_skewed: gradients cancel
 _SKEWED_JENSEN = DivSpec(
-    jensen_chord, jensen_chord_block,
-    lambda param: skew_anchors(param("alpha")), anchors=REJECTED)
+    jensen_chord, build=lambda param: skew_anchors(param("alpha")),
+    anchors=REJECTED, bound=jensen_chord_bound)
 
 
 #: The only list of identifiers; its order is the order of the help text.
 DIVERGENCES = {
-    "bregman": DivSpec(bregman, bregman_tangent_block,
-                       right_centroid=_member_mean),
-    "bregman_dual": DivSpec(bregman_dual, bregman_dual_block,
-                            right_centroid=_left_centroid),
+    "bregman": DivSpec(bregman, right_centroid=_member_mean,
+                       bound=bregman_tangent_bound),
+    "bregman_dual": DivSpec(
+        bregman_dual, right_centroid=_left_centroid,
+        bound=lambda F, X: bregman_tangent_bound(F, X, swap=True)),
     "bregman_chord": DivSpec(
-        bregman_chord, bregman_chord_block,
-        lambda param: ChordParams(param("alpha"), param("beta")),
-        anchors=CHORD),
+        bregman_chord,
+        build=lambda param: ChordParams(param("alpha"), param("beta")),
+        anchors=CHORD, bound=bregman_chord_bound),
     "bregman_tangent": DivSpec(
-        bregman_tangent, bregman_tangent_block,
-        lambda param: unit_anchor(param("alpha"), "tangent anchor"),
-        anchors=REJECTED),
+        bregman_tangent,
+        build=lambda param: unit_anchor(param("alpha"), "tangent anchor"),
+        anchors=REJECTED, bound=bregman_tangent_bound),
     "bregman_chord_approx": DivSpec(
-        bregman_chord, bregman_chord_block,
-        lambda param: approx_anchors(param("epsilon"))),
-    "jensen": DivSpec(jensen_chord, jensen_chord_block,
-                      lambda param: skew_anchors(0.5)),
+        bregman_chord, build=lambda param: approx_anchors(param("epsilon")),
+        bound=bregman_chord_bound),
+    "jensen": DivSpec(jensen_chord, build=lambda param: skew_anchors(0.5),
+                      bound=jensen_chord_bound),
     "jensen_skewed": _SKEWED_JENSEN,
     "jensen_chord": DivSpec(
-        jensen_chord, jensen_chord_block, lambda param: JensenChordParams(
+        jensen_chord, build=lambda param: JensenChordParams(
             param("alpha"), param("beta"), param("gamma")),
-        anchors=REJECTED),
+        anchors=REJECTED, bound=jensen_chord_bound),
     "jensen_bregman": _SKEWED_JENSEN,
     "kl": DivSpec(kl, kl, needs_generator=False),
     # ekl is the Bregman divergence of sum(t log t - t)
@@ -242,8 +247,10 @@ def needs_generator(div_id: str) -> bool:
 def _bind(div_id: str, generator: Optional[Generator],
           params: Optional[Mapping[str, float]], block: bool = False) -> tuple:
     """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post),
-    or with block set spec.block(*pre, X, Y, *post). Every identifier,
-    generator and parameter check of a resolution is made here."""
+    and its vector form spec.block(*pre, X, Y, *post) or
+    spec.bound(*pre, X, *post); block set resolves a biskew: id's inner
+    id to its block. Every identifier, generator and parameter check of a
+    resolution is made here."""
     spec, rest = _spec(div_id)
     if spec.kernel is biskew:
         if rest.startswith("biskew:") or rest == "jensen_chord":
@@ -287,21 +294,41 @@ def resolve_block(div_id: str, generator: Optional[Generator] = None,
     """Resolve an identifier to (X, Y) -> the array of D(X[i] : Y[i]) over
     the row pairs of X and Y, each an (m, dim) block or one (1, dim) row,
     bit-identical to resolve_divergence's callable, after the same _bind
-    checks: the id's block kernel, which validates once per call.
+    checks: the id's block kernel, which validates once per call, or, for
+    an id with a bound form, that form called once on all pairs
+    (_bound_block).
     """
     spec, pre, post = _bind(div_id, generator, params, block=True)
+    if spec.bound is not None:
+        bound = spec.bound
+        return _bound_block(lambda X: bound(*pre, X, *post), generator)
     block = spec.block
     return lambda X, Y: block(*pre, X, Y, *post)
 
 
-#: The bound forms of the block kernels of every chord, Jensen and
-#: Bregman id; resolve_bound binds every other block by gathering.
-_BOUND = {
-    bregman_chord_block: bregman_chord_bound,
-    jensen_chord_block: jensen_chord_bound,
-    bregman_tangent_block: bregman_tangent_bound,
-    bregman_dual_block: lambda F, X: bregman_tangent_bound(F, X, swap=True),
-}
+def _bound_block(bind: Callable, F: Generator) -> Callable:
+    """The (X, Y) block of the bound form bind, X -> (C, J) -> values:
+    the blocks get one shape check, Y one domain check (F.point's
+    DomainError for its first row outside), and binding X the rest,
+    then one call pairs X's rows with Y's as numpy broadcasts them. All
+    of it runs under np.errstate(all="ignore"): the gaps give inf and
+    nan unwarned, as Python floats do."""
+    def block(X, Y) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if not (rows_pair(X, Y) and X.shape[1] == F.dim):
+            raise ShapeError(f"{F.name} expects (m, {F.dim}) or (1, {F.dim}) "
+                             f"blocks of points that pair row by row, got "
+                             f"shapes {X.shape} and {Y.shape}")
+        with np.errstate(all="ignore"):
+            _validate(F, Y)
+            n, m = X.shape[0], Y.shape[0]
+            # pair i: X[i] and Y[i], X's one row and Y[i], or X[i] and
+            # Y's one row
+            J = (np.arange(m) if n == m else np.arange(m)[:, None] if n == 1
+                 else np.zeros(n, dtype=int))
+            return bind(X)(Y, J).reshape(-1)
+    return block
 
 
 def resolve_bound(div_id: str, generator: Optional[Generator] = None,
@@ -312,15 +339,15 @@ def resolve_bound(div_id: str, generator: Optional[Generator] = None,
     D(X[i] : C[J[..., i]]), J an integer array whose last axis has n
     entries or one for every row, each value bit-identical to
     resolve_block's on that pair, after the same _bind checks. The chord,
-    Jensen and Bregman ids bind by their kernels' bound forms (_BOUND),
+    Jensen and Bregman ids bind by their bound forms (DivSpec.bound),
     which check and evaluate X once; every other id by gathering each
-    call's pairs into one resolve_block call. A bound block's gap
+    call's pairs into one block call. A bound block's gap
     expression gives inf and nan as Python floats do, so callers run it
     under np.errstate(all="ignore"), once per search or pass.
     """
     spec, pre, post = _bind(div_id, generator, params, block=True)
-    bound = _BOUND.get(spec.block)
-    if bound is not None:
+    if spec.bound is not None:
+        bound = spec.bound
         return lambda X: bound(*pre, X, *post)
     block = spec.block
     return lambda X: _gathered(lambda X, Y: block(*pre, X, Y, *post), X)
@@ -371,9 +398,9 @@ def center_rule(div_id: str, F: Generator,
        cluster;
     4. ("lockstep", resolve_bound's binder of the id under f, the
        builtin at dim 1) for the other chord and Jensen ids (gradient-free
-       block kernels) under a SEPARABLE builtin, F(t) = sum_j f(t_j):
+       bound forms) under a SEPARABLE builtin, F(t) = sum_j f(t_j):
        their gaps are linear in F's values, so D(x : c) sums the 1-D
-       block's values at (x_j, c_j);
+       bound form's values at (x_j, c_j);
     5. ("descent", None) otherwise: coordinate descent.
 
     A closed form maps an (m, dim) member matrix to its center. Only rules
@@ -387,7 +414,7 @@ def center_rule(div_id: str, F: Generator,
         return "median", lambda members: np.median(members, axis=0)
     if spec.right_centroid and (closed := spec.right_centroid(F)):
         return closed
-    chord_or_jensen = spec.block in (bregman_chord_block, jensen_chord_block)
+    chord_or_jensen = spec.bound in (bregman_chord_bound, jensen_chord_bound)
     solve = _inverse_mean_grad(F)
     if (chord_or_jensen and solve is not None and (w := _cccp_weight(
             spec.build(_reader(div_id, params)))) is not None):

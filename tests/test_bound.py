@@ -1,15 +1,16 @@
 """Bound blocks (registry.resolve_bound, generators.Bound): bit-equal to
-the (X, Y) blocks on the pairs they form, the same DomainError, and F
-evaluated once per distinct point."""
+the (X, Y) blocks on the pairs they form and to the scalar kernels, the
+same DomainError, and F evaluated once per distinct point."""
 
 import numpy as np
 import pytest
 
 import chorddiv.clustering
 import chorddiv.registry
-from chorddiv import BUILTIN_GENERATORS, DomainError, Generator, make_builtin
+from chorddiv import (BUILTIN_GENERATORS, DomainError, Generator,
+                      make_builtin, resolve_divergence)
 from chorddiv.clustering import _distances, _lockstep_centers
-from chorddiv.generators import DOMAIN_MARGIN, REALS, Bound, line_table
+from chorddiv.generators import DOMAIN_MARGIN, REALS, Bound
 from chorddiv.registry import (center_rule, needs_generator, resolve_block,
                                resolve_bound)
 
@@ -19,16 +20,19 @@ from chorddiv.registry import (center_rule, needs_generator, resolve_block,
 BOUND_IDS = [
     ("bregman", {}),
     ("bregman_dual", {}),
+    ("bregman_tangent", {"alpha": 0.4}),
     ("bregman_tangent", {"alpha": 0.5}),
     ("bregman_tangent", {"alpha": 1.0}),
     ("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
     ("bregman_chord", {"alpha": 0.3, "beta": 0.7}),
+    ("bregman_chord", {"alpha": 0.3, "beta": 0.8}),
     ("bregman_chord", {"alpha": 1.0, "beta": 0.4}),
     ("bregman_chord_approx", {"epsilon": 1e-3}),
     ("jensen", {}),
     ("jensen_skewed", {"alpha": 0.3}),
     ("jensen_bregman", {"alpha": 0.7}),
     ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5}),
+    ("jensen_chord", {"alpha": 0.2, "beta": 0.7, "gamma": 0.5}),
     ("jensen_chord", {"alpha": 0.0, "beta": 1.0, "gamma": 0.5}),
 ]
 
@@ -101,11 +105,23 @@ def indexes(n, k):
             np.array([own, (own + 1) % k])]
 
 
+def same_as_scalar(got, D, X, Y):
+    """Whether got is D over the row pairs of X and Y, bit for bit."""
+    pairs = np.broadcast_shapes(X.shape, Y.shape)
+    want = [D(x, y) for x, y in zip(np.broadcast_to(X, pairs),
+                                    np.broadcast_to(Y, pairs))]
+    return got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
 class TestBitEqualToTheBlock:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "expsum"])
     @pytest.mark.parametrize("div,params", BOUND_IDS + GATHERED_IDS)
     def test_every_pairing(self, div, params, name, dim):
+        # the block against the scalar kernel on paired blocks, one-row
+        # blocks on either side and 1 x 1, coincident rows included, and
+        # the bound block against the block on every pairing kmeans
+        # makes
         F = generator(name, dim)
         rng = np.random.default_rng(dim)
         # the weight divergences read positive points under any F
@@ -118,6 +134,10 @@ class TestBitEqualToTheBlock:
         C[3] = C[0]                 # a duplicate center
         block = resolve_block(div, F, params)
         bind = resolve_bound(div, F, params)
+        D = resolve_divergence(div, F, params)
+        for Xs, Ys in [(X[[0, 2, 4, 3]], C), (X[:1], C), (X, C[1:2]),
+                       (X[2:3], C[1:2]), (X[:1], C[:1])]:
+            assert same_as_scalar(block(Xs, Ys), D, Xs, Ys)
         for k in (4, 1):            # and a single-row C
             for J in indexes(len(X), k):
                 Xg, Yg, shape = pairs(X, C[:k], J)
@@ -140,7 +160,7 @@ class TestBitEqualToTheBlock:
 
 class TestDomainErrors:
     """The bound call raises the (X, Y) block's DomainError, whose message
-    is line_table's: F.point's, for the first point outside."""
+    is F.point's, for the first point outside."""
 
     @pytest.mark.parametrize("div,params", BOUND_IDS)
     def test_center_outside(self, div, params):
@@ -163,7 +183,8 @@ class TestDomainErrors:
     def test_interpolant_rounds_below_the_margin(self, swap):
         # the anchors of the ids keep a convex combination of points
         # above DOMAIN_MARGIN above it; one just past the segment's end
-        # rounds onto the margin, and both tables name it
+        # rounds onto the margin, and the table names it: the first
+        # interpolant outside, in lams' order
         F = make_builtin("shannon_negentropy", 1)
         t = 2.0 ** -50
         lams = (0.0, -t, 0.5, 1.0 + t)
@@ -171,7 +192,9 @@ class TestDomainErrors:
         c = np.array([[np.nextafter(DOMAIN_MARGIN, 1.0)]])
         J = np.zeros(1, dtype=int)
         X, Y = (c, x) if swap else (x, c)
-        want = outcome(line_table, F, X, Y, lams)
+        outside = [p for lam in lams
+                   if not F.domain.contains(p := (1.0 - lam) * X + lam * Y)]
+        want = outcome(F.point, outside[0][0])
         assert want[0] is DomainError and "outside the positive" in want[1]
         named = float(want[1].split("[")[1].split("]")[0])
         assert 0.0 < named <= DOMAIN_MARGIN

@@ -37,9 +37,9 @@ from chorddiv import (
     resolve_divergence,
     sweep,
 )
-from chorddiv.bregman import (biskew_block, bregman_chord_block,
-                              bregman_tangent_block, chord_row, interpolate)
+from chorddiv.bregman import biskew_block, chord_row, interpolate
 from chorddiv.generators import restrict_to_line
+from chorddiv.registry import resolve_block
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -302,6 +302,12 @@ def counted(F):
     return Counted(F.name, F.dim, F.domain, fn, F.grad_fn), calls
 
 
+def chord_block(F, cp):
+    """bregman_chord's block at the anchors cp."""
+    return resolve_block("bregman_chord", F,
+                         {"alpha": cp.alpha, "beta": cp.beta})
+
+
 class TestBregmanChordBlock:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
@@ -318,54 +324,57 @@ class TestBregmanChordBlock:
             for cp in (ChordParams(0.9, 1.0), ChordParams(0.7, 0.2),
                        ChordParams(1.0 - 1e-6, 1.0)):
                 per_pair = [bregman_chord(F, x, c, cp) for x in X]
-                block = bregman_chord_block(F, X, c[None], cp)
+                block = chord_block(F, cp)(X, c[None])
                 assert block.tobytes() == np.array(per_pair).tobytes()
 
     def test_coincident_rows_give_exact_zero(self):
         F, calls = counted(make_builtin("shannon_negentropy", 2))
         c = np.array([0.4, 1.3])
         X = np.array([c, [0.9, 0.2], c + 1e-15, [0.5, 0.5]])
-        values = bregman_chord_block(F, X, c[None], ChordParams(0.25, 0.75))
+        values = chord_block(F, ChordParams(0.25, 0.75))(X, c[None])
         assert values[0] == 0.0 and values[2] == 0.0
         assert values[1] > 0.0 and values[3] > 0.0
-        assert calls["fn"] == 6
+        # F at the four rows when they are bound, and at the two anchors'
+        # interpolants of the two rows that do not coincide with c
+        assert calls["fn"] == 4 + 2 * 2
 
     def test_no_point_call_per_block(self):
-        # the one-row center passes one domain check of the block
+        # the one-row center passes one domain check of the block; F is
+        # evaluated at the 50 rows, at the 49 live 0.9 interpolants and
+        # at the center
         F, calls = counted(make_builtin("quadratic", 3))
         X = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
-        bregman_chord_block(F, X, X[7:8], ChordParams(0.9, 1.0))
-        assert calls == {"point": 0, "fn": 3 * 49}
+        chord_block(F, ChordParams(0.9, 1.0))(X, X[7:8])
+        assert calls == {"point": 0, "fn": 50 + 49 + 1}
 
     def test_wrong_width_raises(self):
         F = make_builtin("quadratic", 2)
+        block = chord_block(F, ChordParams(0.25, 0.75))
         with pytest.raises(ShapeError):
-            bregman_chord_block(F, np.ones((4, 3)), np.ones((1, 2)),
-                                ChordParams(0.25, 0.75))
+            block(np.ones((4, 3)), np.ones((1, 2)))
         with pytest.raises(ShapeError):
-            bregman_chord_block(F, np.ones(2), np.ones((1, 2)),
-                                ChordParams(0.25, 0.75))
+            block(np.ones(2), np.ones((1, 2)))
 
     def test_domain_violations_raise_point_errors(self):
         F = make_builtin("shannon_negentropy", 2)
-        cp = ChordParams(0.25, 0.75)
+        block = chord_block(F, ChordParams(0.25, 0.75))
         X = np.array([[0.5, 0.5], [0.3, 0.8]])
         with pytest.raises(DomainError):
-            bregman_chord_block(F, X, np.array([[0.5, -0.5]]), cp)
+            block(X, np.array([[0.5, -0.5]]))
         bad = np.array([[0.5, 0.5], [0.3, -0.8]])
         with pytest.raises(DomainError) as got:
-            bregman_chord_block(F, bad, np.array([[0.5, 0.6]]), cp)
+            block(bad, np.array([[0.5, 0.6]]))
         with pytest.raises(DomainError) as want:
             F.point(bad[1])
         assert str(got.value) == str(want.value)
 
 
-def test_bregman_tangent_block_checks_its_center_once():
-    # one domain check of the one-row center, and F at it per row from
-    # the line table at 1 on a generator without rows
+def test_bregman_block_checks_its_center_once():
+    # one domain check of the one-row center, and on a generator without
+    # rows F once per bound row and once at the center
     F, calls = counted(make_builtin("quadratic", 2))
-    bregman_tangent_block(F, np.ones((5, 2)), np.zeros((1, 2)))
-    assert calls == {"point": 0, "fn": 10}
+    resolve_block("bregman", F)(np.ones((5, 2)), np.zeros((1, 2)))
+    assert calls == {"point": 0, "fn": 5 + 1}
 
 
 class TestChordRow:
@@ -393,6 +402,17 @@ class TestChordRow:
                            [0.75, 0.25])
         assert values.tolist() == [0.0, 0.0]
         assert calls == {"point": 1, "fn": 0}
+
+    def test_second_endpoint_checked_first(self):
+        # theta2 by F.point, then theta1 with the row's points
+        F = make_builtin("shannon_negentropy", 2)
+        with pytest.raises(DomainError, match=r"point \[0\.9, -0\.2\]"):
+            chord_row(F, [0.4, -1.3], [0.9, -0.2], [0.25], [0.75])
+        with pytest.raises(DomainError, match=r"point \[0\.4, -1\.3\]"):
+            chord_row(F, [0.4, -1.3], [0.9, 0.2], [0.25], [0.75])
+        with pytest.raises(ShapeError, match=r"cannot interpolate points "
+                           r"of shapes \(3,\) and \(2,\)"):
+            chord_row(F, [0.4, 1.3, 0.1], [0.9, 0.2], [0.25], [0.75])
 
 
 class TestScalarPointCalls:

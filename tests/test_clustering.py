@@ -24,6 +24,7 @@ from chorddiv import (
     make_builtin,
     resolve_divergence,
 )
+from chorddiv.bregman import chord_gap
 from chorddiv.clustering import (
     _cccp_centers,
     _centroid_box,
@@ -37,6 +38,7 @@ from chorddiv.clustering import (
 )
 from chorddiv.generators import (DOMAIN_MARGIN, REALS, SEPARABLE, Bound,
                                  Domain, coincide)
+from chorddiv.jensen import JensenChordParams, jensen_gap
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
 from chorddiv.registry import (center_rule, needs_generator, resolve_block,
@@ -280,9 +282,28 @@ class TestKMeans:
     def test_non_finite_distance_names_row_and_center(self, div):
         # F(x) = x.x overflows to inf, and the distances to nan
         pts = np.array([[1e200], [1.1e200], [3e200], [3.1e200]])
-        with np.errstate(over="ignore"), pytest.raises(
-                DomainError, match=r"row 0 to center 0 \[3e\+200\]"):
+        with pytest.raises(DomainError,
+                           match=r"row 0 to center 0 \[3e\+200\]"):
             kmeans(pts, QUAD1, ClusterConfig(k=2, divergence=div))
+
+    @pytest.mark.parametrize("div", ["bregman", "jensen",
+                                     "bregman_tangent"])
+    def test_overflow_at_binding_raises_the_pass_error(self, div):
+        # F(1e308) = 1e308 log 1e308 overflows when the points are bound;
+        # no numpy warning escapes, and the pass names the bad distance
+        pts = np.array([[0.5], [1e308], [2.0]])
+        with pytest.raises(DomainError, match=r"^divergence from point "):
+            kmeans(pts, make_builtin("shannon_negentropy", 1), ClusterConfig(
+                k=2, divergence=div, params={"alpha": 0.5}))
+
+    def test_overflow_at_a_members_binding_is_not_a_warning(self):
+        # coordinate descent binds each cluster's members; an overflow
+        # there gives a non-finite objective, not a numpy warning
+        F = make_builtin("shannon_negentropy", 1)
+        members = np.array([[0.5], [1e308], [2.0]])
+        bind = resolve_bound("bregman_tangent", F, {"alpha": 0.5})
+        with pytest.raises(DomainError, match="^objective is nan"):
+            _update_center(members, F, bind)
 
     @pytest.mark.parametrize("div", ["kl", "ekl", "fdiv:kl",
                                      "biskew:fdiv:chi2"])
@@ -1159,18 +1180,31 @@ OLD_TERMS = {"shannon_negentropy": lambda T: T * np.log(T),
              "burg_negentropy": lambda T: -np.log(T)}
 
 
-def old_terms_table(F, X, Y, lams):
-    """The former line_table's evaluation under a generator whose rows
-    are its terms, on a block Y of second points: the (m, len(lams), dim)
-    table of coordinate terms, with zeros on the rows that coincide with
-    their second point."""
+def old_terms_table(gen, X, Y, lams):
+    """The table of coordinate terms the lockstep search once evaluated,
+    on a block Y of second points: the (m, len(lams), dim) array of
+    OLD_TERMS[gen] at the interpolants (1 - lam) X[i] + lam Y[i], with
+    zeros on the rows that coincide with their second point."""
     lam = np.asarray(lams, dtype=float)[:, None]
     points = (1.0 - lam) * X[:, None] + lam * Y[:, None]
     live = ~coincide(X, Y)
-    values = F.rows(points[live])
-    table = np.zeros(points.shape[:2] + values.shape[2:])
-    table[live] = values
+    table = np.zeros(points.shape)
+    table[live] = OLD_TERMS[gen](points[live])
     return table
+
+
+def old_terms_block(gen, div, params, X, Y):
+    """The (m, dim) coordinate shares of the chord or Jensen gap of each
+    row pair of X and Y: its gap expression over old_terms_table's
+    columns, as the block kernel once formed them."""
+    a, b = params["alpha"], params["beta"]
+    with np.errstate(all="ignore"):
+        if div == "bregman_chord":
+            t = old_terms_table(gen, X, Y, (0.0, a, b))
+            return chord_gap(t[:, 0], t[:, 1], t[:, 2], a, b)
+        t = old_terms_table(gen, X, Y, (0.0, a, b, 1.0))
+        return jensen_gap(t[:, 0], t[:, 1], t[:, 2], t[:, 3],
+                          JensenChordParams(a, b, params["gamma"]))
 
 
 class TestBatchedLockstep:
@@ -1227,7 +1261,7 @@ class TestBatchedLockstep:
     def test_shares_equal_the_terms_table(self, monkeypatch, gen, div, params,
                                           dim):
         # each probe round's shares, bit for bit as the block kernel run
-        # on line tables of coordinate terms gave them
+        # on tables of coordinate terms gave them
         F = make_builtin(gen, dim)
         rng = np.random.default_rng(31 + dim)
         sizes = [4, 1, 6]
@@ -1243,12 +1277,8 @@ class TestBatchedLockstep:
         probes[0] = groups[0][2]  # a member that coincides with its probe
         got = np.array(searches[0](probes.ravel().tolist()))
         assert not shares(coordinate, groups[0][2:3], probes[0]).any()
-        for name in ("bregman", "jensen"):
-            monkeypatch.setattr(importlib.import_module(f"chorddiv.{name}"),
-                                "line_table", old_terms_table)
-        terms = resolve_block(div, dataclasses.replace(F, rows=OLD_TERMS[gen]),
-                              params)
-        S = terms(np.concatenate(groups), np.repeat(probes, sizes, axis=0))
+        S = old_terms_block(gen, div, params, np.concatenate(groups),
+                            np.repeat(probes, sizes, axis=0))
         ends = np.cumsum(sizes)
         want = np.concatenate([S[a:b].sum(axis=0)
                                for a, b in zip(ends - sizes, ends)])
@@ -1387,8 +1417,9 @@ def cccp_search(groups, F, div, params):
     path, step = center_rule(div, F, params)
     assert path == "cccp"
     pts, rows = stacked(groups)
-    return _cccp_centers(pts, rows, F, resolve_bound(div, F, params)(pts),
-                         step)
+    with np.errstate(all="ignore"):  # as kmeans binds its points
+        bound = resolve_bound(div, F, params)(pts)
+    return _cccp_centers(pts, rows, F, bound, step)
 
 
 class TestCCCPCenters:
@@ -1475,10 +1506,9 @@ class TestCCCPCenters:
 
     def test_non_finite_objective_at_the_mean_raises(self):
         # F overflows at the middle point already when the points are
-        # bound, which warns there
+        # bound, under the binding's np.errstate
         pts = np.array([[0.5], [1e308], [2.0]])
-        with np.errstate(over="ignore"), pytest.raises(
-                DomainError, match="^objective is "):
+        with pytest.raises(DomainError, match="^objective is "):
             cccp_search([pts], make_builtin("shannon_negentropy", 1),
                         "jensen", {})
 

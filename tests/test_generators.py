@@ -19,8 +19,8 @@ from chorddiv import (
     UnsupportedGeneratorError,
     make_builtin,
 )
-from chorddiv.bregman import bregman_tangent_block
-from chorddiv.generators import line_table, restrict_to_line
+from chorddiv.generators import Bound, restrict_to_line
+from chorddiv.registry import resolve_block
 
 
 def sample_point(rng, F):
@@ -203,8 +203,21 @@ def exp_sum(dim, calls=None):
     return Generator(name="exp_sum", dim=dim, domain=Domain("reals"), fn=fn)
 
 
-class TestLineTable:
+def bound_table(F, X, Y, lams):
+    """Bound's columns at lams over the row pairs of X and Y, paired as
+    resolve_block pairs them: the (m, len(lams)) table, with the mask of
+    the pairs whose points coincide (None when none do)."""
+    n, m = len(X), len(Y)
+    J = (np.arange(m) if n == m else np.arange(m)[:, None] if n == 1
+         else np.zeros(n, dtype=int))
+    dead, columns, _ = Bound(F, X, lams).table(Y, J)
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return table.reshape(-1, len(lams)), dead
+
+
+class TestBoundColumns:
     LAMS = (0.0, 0.2, 0.5, 0.9, 1.0)
+    INNER = [1, 2, 3]  # the columns at lams inside (0, 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "exp_sum"])
@@ -213,13 +226,13 @@ class TestLineTable:
         rng = np.random.default_rng(dim)
         X = np.array([sample_point(rng, F) for _ in range(4)])
         y = sample_point(rng, F)
-        table = line_table(F, X, y[None], self.LAMS)
+        table, _ = bound_table(F, X, y[None], self.LAMS)
         assert table.shape == (4, len(self.LAMS))
         for x, row in zip(X, table.tolist()):
             G = restrict_to_line(F, x, y)
             assert row == [G(lam) for lam in self.LAMS]
         # one row as the first block pairs with every row of the second
-        swapped = line_table(F, y[None], X, self.LAMS)
+        swapped, _ = bound_table(F, y[None], X, self.LAMS)
         for x, row in zip(X, swapped.tolist()):
             G = restrict_to_line(F, y, x)
             assert row == [G(lam) for lam in self.LAMS]
@@ -229,12 +242,18 @@ class TestLineTable:
         F = exp_sum(2, calls)
         y = np.array([0.3, -0.4])
         X = np.array([y, [0.1, 0.2], y + 1e-15])
-        table = line_table(F, X, y[None], self.LAMS)
-        assert table[0].tolist() == table[2].tolist() == [0.0] * 5
-        # only the one distinct row evaluates F, once per lam
-        assert len(calls) == len(self.LAMS)
+        table, dead = bound_table(F, X, y[None], self.LAMS)
+        assert dead.tolist() == [True, False, True]
+        assert not table[0, self.INNER].any()
+        assert not table[2, self.INNER].any()
+        # F at X's rows once, when they are bound, at the interior lams
+        # of the one distinct row only, and at y
+        inner = [self.LAMS[j] for j in self.INNER]
+        assert len(calls) == len(X) + len(inner) + 1
+        assert all(np.array_equal(t, x) for t, x in zip(calls, X))
         assert all(np.array_equal(t, (1.0 - lam) * X[1] + lam * y)
-                   for t, lam in zip(calls, self.LAMS))
+                   for t, lam in zip(calls[3:], inner))
+        assert np.array_equal(calls[-1], y)
 
     @pytest.mark.parametrize("X", [
         np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2)),
@@ -244,28 +263,29 @@ class TestLineTable:
         with pytest.raises(ShapeError, match=r"expects \(m, 2\) or \(1, 2\) "
                            r"blocks of points that pair row by row, got "
                            r"shapes .+ and \(1, 2\)"):
-            line_table(F, X, [[0.0, 0.0]], self.LAMS)
+            resolve_block("jensen", F)(X, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("y", [[0.0, 0.0], [0.0, 0.0, 0.0], 0.0])
     def test_one_second_point_is_not_a_block(self, y):
         F = make_builtin("quadratic", 2)
         with pytest.raises(ShapeError, match=r"blocks of points that pair "
                            r"row by row, got shapes \(1, 2\) and"):
-            line_table(F, np.ones((1, 2)), y, self.LAMS)
+            resolve_block("jensen", F)(np.ones((1, 2)), y)
 
     def test_first_point_outside_named(self):
         F = make_builtin("burg_negentropy", 1)
-        # rows in order, each at lams in order: row 0 at lam 1.5 is the
-        # first point outside, (1 - 1.5) 2.0 + 1.5 0.5 = -0.25
+        # binding checks X's rows: row 1 is the first outside
         X = np.array([[2.0], [-1.0]])
-        with pytest.raises(DomainError, match=r"point \[-0\.25\] is outside "
+        with pytest.raises(DomainError, match=r"point \[-1\.0\] is outside "
                            r"the positive domain of burg_negentropy"):
-            line_table(F, X, [[0.5]], (0.0, 1.5))
-        with pytest.raises(DomainError, match=r"point \[-1\.0\] is outside"):
-            line_table(F, X, [[0.5]], (0.0, 0.5))
+            Bound(F, X, (0.0, 1.5))
+        # then the table's interpolants: (1 - 1.5) 2.0 + 1.5 0.5 = -0.25
+        with pytest.raises(DomainError, match=r"point \[-0\.25\] is "
+                           r"outside the positive domain of burg_negentropy"):
+            Bound(F, X[:1], (0.0, 1.5)).table([[0.5]], np.zeros(1, int))
+        # a block checks Y before binding X
         with pytest.raises(DomainError, match=r"point \[-0\.5\] is outside"):
-            line_table(F, X, [[-0.5]], (0.0,))
-
+            resolve_block("jensen", F)(X, [[-0.5]])
 
     @staticmethod
     def second_points(F, X, rng):
@@ -283,52 +303,57 @@ class TestLineTable:
         rng = np.random.default_rng(dim)
         X = np.array([sample_point(rng, F) for _ in range(5)])
         Y = self.second_points(F, X, rng)
-        table = line_table(F, X, Y, self.LAMS)
+        table, dead = bound_table(F, X, Y, self.LAMS)
         assert table.shape == (5, len(self.LAMS))
         for i in range(5):
-            row = line_table(F, X[i:i + 1], Y[i:i + 1], self.LAMS)[0]
+            row = bound_table(F, X[i:i + 1], Y[i:i + 1], self.LAMS)[0][0]
             assert table[i].tobytes() == row.tobytes()
-        assert not table[1].any() and not table[3].any()
+        assert dead.tolist() == [False, True, False, True, False]
+        assert not table[1, self.INNER].any()
+        assert not table[3, self.INNER].any()
 
     def test_coincident_second_points_make_no_f_calls(self):
         calls = []
         F = exp_sum(2, calls)
         X = np.array([[0.3, -0.4], [0.1, 0.2], [-0.5, 0.6]])
         Y = np.array([X[0], [0.7, -0.1], X[2] + 1e-15])
-        table = line_table(F, X, Y, self.LAMS)
-        assert not table[0].any() and not table[2].any()
-        # only row 1 evaluates F, once per lam
-        assert len(calls) == len(self.LAMS)
+        table, _ = bound_table(F, X, Y, self.LAMS)
+        assert not table[0, self.INNER].any()
+        assert not table[2, self.INNER].any()
+        # F at X's rows, at the interior lams of row 1 only, and at Y's
+        # rows
+        inner = [self.LAMS[j] for j in self.INNER]
+        assert len(calls) == len(X) + len(inner) + len(Y)
         assert all(np.array_equal(t, (1.0 - lam) * X[1] + lam * Y[1])
-                   for t, lam in zip(calls, self.LAMS))
+                   for t, lam in zip(calls[3:], inner))
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3, 1), (2,)])
     def test_block_of_second_points_shape_checked(self, shape):
         F = make_builtin("quadratic", 2)
         with pytest.raises(ShapeError, match=r"blocks of points that pair "
                            r"row by row, got shapes \(3, 2\) and"):
-            line_table(F, np.ones((3, 2)), np.ones(shape), self.LAMS)
+            resolve_block("jensen", F)(np.ones((3, 2)), np.ones(shape))
 
     def test_first_second_point_outside_named(self):
-        # every point of the table at lams 0 and 0.5 lies inside; the
-        # block's own rows 1 and 2 do not, and row 1 is named
+        # every point of the table at lams 0, 0.5 and 1 lies inside but
+        # for the block's own rows 1 and 2, and row 1 is named
         F = make_builtin("burg_negentropy", 1)
         X = np.array([[1.0], [2.0], [3.0]])
         Y = np.array([[1.5], [-1.0], [-2.0]])
         with pytest.raises(DomainError, match=r"^point \[-1\.0\] is outside "
                            r"the positive domain of burg_negentropy$"):
-            line_table(F, X, Y, (0.0, 0.5))
+            resolve_block("jensen", F)(X, Y)
 
     def test_bregman_block_takes_a_block_of_second_points(self):
         F = make_builtin("quadratic", 2)
         X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         Y = np.array([[0.0, 1.0], [0.5, -1.0], [-2.0, 0.5]])
-        got = bregman_tangent_block(F, X, Y)
+        block = resolve_block("bregman", F)
         # quadratic: B(x : y) = |x - y|^2
-        assert got.tolist() == [2.0, 0.0, 25.25]
+        assert block(X, Y).tolist() == [2.0, 0.0, 25.25]
         with pytest.raises(ShapeError, match=r"pair row by row, got shapes "
                            r"\(3, 2\) and \(2, 2\)"):
-            bregman_tangent_block(F, X, Y[:2])
+            block(X, Y[:2])
 
 class TestClosedFormConjugates:
     def test_quadratic_conjugate(self):

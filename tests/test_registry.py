@@ -22,8 +22,8 @@ from chorddiv import (
     resolve_divergence,
 )
 from chorddiv.cli import main
-from chorddiv.registry import (DIVERGENCES, DivSpec, center_rule,
-                               needs_generator, resolve_block, sweep)
+from chorddiv.registry import (DIVERGENCES, center_rule, needs_generator,
+                               resolve_block, sweep)
 
 from test_bregman import expsum, sample_pair
 
@@ -123,11 +123,16 @@ def test_biskew_blocks_take_the_inner_block(inner):
     check_block("biskew:" + inner, make_builtin("shannon_negentropy", 2))
 
 
-def test_every_entry_has_a_block():
-    for spec in DIVERGENCES.values():
-        assert callable(spec.block) and spec.block is not None
-    with pytest.raises(TypeError):
-        DivSpec(bregman)  # block is a required field
+def test_every_entry_has_one_vector_form():
+    # a block, or a bound form from which resolve_block derives the block
+    for key, spec in DIVERGENCES.items():
+        forms = [form for form in (spec.block, spec.bound)
+                 if form is not None]
+        assert len(forms) == 1 and callable(forms[0]), key
+    assert sorted(key for key, spec in DIVERGENCES.items() if spec.bound) == [
+        "bregman", "bregman_chord", "bregman_chord_approx", "bregman_dual",
+        "bregman_tangent", "jensen", "jensen_bregman", "jensen_chord",
+        "jensen_skewed"]
 
 
 @pytest.mark.parametrize("div_id", ["bregman_chord", "bregman_chord_approx"])

@@ -1,6 +1,7 @@
 """Row evaluation: each builtin's Generator.rows equals its scalar fn bit
-for bit, and the block kernels built on line_table equal their per-pair
-kernels bit for bit. Every reference is computed on the scalar path at
+for bit, and the blocks built on generators.Bound (resolve_block, the
+bound form called once on all pairs) equal their per-pair kernels bit
+for bit. Every reference is computed on the scalar path at
 test time, not stored, since numpy versions and BLAS builds may round a
 form differently."""
 
@@ -25,12 +26,12 @@ from chorddiv import (
     resolve_divergence,
     sweep,
 )
-from chorddiv.bregman import (SkewPair, bregman_chord_block,
-                              bregman_tangent_block, chord_gap, interpolate,
-                              skew_segment)
-from chorddiv.generators import endpoints, line_table
-from chorddiv.jensen import JensenChordParams, jensen_chord, jensen_chord_block
+from chorddiv.bregman import SkewPair, chord_gap, interpolate, skew_segment
+from chorddiv.generators import Bound, coincide, endpoints, restrict_to_line
+from chorddiv.jensen import JensenChordParams, jensen_chord
 from chorddiv.registry import resolve_block
+
+from test_bregman import chord_block
 
 # chorddiv.jensen names the function, so the module is looked up by path
 JENSEN = importlib.import_module("chorddiv.jensen")
@@ -80,8 +81,8 @@ class TestRowForms:
         assert same_bits(got, scalar_rows(F, T))
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
-    def test_rows_equal_scalar_fn_on_line_tables(self, gen):
-        # the interpolants line_table evaluates, near and far from theta2
+    def test_rows_equal_scalar_fn_on_bound_tables(self, gen):
+        # the interpolants a Bound evaluates, near and far from theta2
         F = make_builtin(gen, 3)
         rng = np.random.default_rng(7)
         c = scattered_points(F, rng, ())
@@ -156,13 +157,19 @@ class TestGradientRows:
 
 
 def reference_chord_block(F, X, theta2, cp):
-    """The chord block as a per-row chord_gap loop over a table filled by
-    one fn call per point."""
+    """The chord block as a per-row chord_gap loop on one fn call per
+    interpolant; 0.0 on the rows that coincide with theta2."""
     a, b = float(cp.alpha), float(cp.beta)
-    table = line_table(dataclasses.replace(F, rows=None), X, theta2,
-                       (0.0, a, b))
-    return np.array([chord_gap(g0, g_a, g_b, a, b)
-                     for g0, g_a, g_b in table.tolist()])
+    return np.array([0.0 if coincide(x, theta2) else chord_gap(
+        *(float(F.fn((1.0 - lam) * x + lam * theta2)) for lam in (0.0, a, b)),
+        a, b) for x in X])
+
+
+def jensen_block(F, jcp):
+    """jensen_chord's block at the anchors jcp."""
+    return resolve_block("jensen_chord", F, {"alpha": jcp.alpha,
+                                             "beta": jcp.beta,
+                                             "gamma": jcp.gamma})
 
 
 def reference_jensen_chord(F, theta1, theta2, jcp):
@@ -198,7 +205,7 @@ def sample_blocks(F):
 
 def recording_rows(F):
     """F whose rows records the shape of each input and whose fn fails:
-    with rows set, line_table must not call fn."""
+    with rows set, a Bound must not call fn."""
     shapes = []
 
     def rows(T):
@@ -226,11 +233,10 @@ class TestChordBlock:
         F = generator(gen, dim)
         for X, c in sample_blocks(F):
             for cp in CHORD_PARAMS:
-                block = bregman_chord_block(F, X, c[None], cp)
+                block = chord_block(F, cp)(X, c[None])
                 per_pair = [bregman_chord(F, x, c, cp) for x in X]
                 assert same_bits(block, per_pair)
-                assert same_bits(block,
-                                 reference_chord_block(F, X, c[None], cp))
+                assert same_bits(block, reference_chord_block(F, X, c, cp))
                 assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", GENERATORS)
@@ -247,22 +253,26 @@ class TestChordBlock:
                 assert same_bits(block(X, c[None]), [D(x, c) for x in X])
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
-    def test_one_rows_call_per_block(self, gen):
+    def test_one_rows_call_per_table(self, gen):
         G, shapes = recording_rows(make_builtin(gen, 2))
         X, c = sample_blocks(G)[1]
-        bregman_chord_block(G, X, c[None], ChordParams(0.9, 1.0))
-        assert shapes == [(len(X) - 2, 3, 2)]  # the two coincident rows
+        chord_block(G, ChordParams(0.9, 1.0))(X, c[None])
+        # F at X's rows when they are bound, at the 0.9 interpolants of
+        # all but the two coincident rows, and at the one center
+        assert shapes == [(len(X), 2), (len(X) - 2, 1, 2), (1, 2)]
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
     def test_block_whose_rows_all_coincide(self, gen):
         G, shapes = recording_rows(make_builtin(gen, 2))
         c = sample_blocks(G)[1][1][None]
         X = np.array([c[0], c[0] + 1e-15, c[0] - 1e-15])
-        block = bregman_chord_block(G, X, c, ChordParams(0.7, 0.2))
+        block = chord_block(G, ChordParams(0.7, 0.2))(X, c)
         assert same_bits(block, np.zeros(3))
-        jblock = jensen_chord_block(G, X, c, JensenChordParams(0.2, 0.8, 0.5))
+        jblock = jensen_block(G, JensenChordParams(0.2, 0.8, 0.5))(X, c)
         assert same_bits(jblock, np.zeros(3))
-        assert shapes == [(0, 3, 2), (0, 4, 2)]
+        # no interior interpolant is evaluated; X is bound, and jensen
+        # takes F at the center, its column at 1
+        assert shapes == [(3, 2), (0, 2, 2), (3, 2), (0, 2, 2), (1, 2)]
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_sweep_cells_equal_bregman_chord(self, gen):
@@ -282,9 +292,10 @@ def expsum_with_gradient(dim):
 
 
 class TestBregmanBlock:
-    """bregman's block, the tangent block at alpha = 1: one gradient at
-    the one-row center, F at the rows and at the center in one rows call,
-    and a stack of np.dot-rounded products."""
+    """bregman's block, the tangent bound form at alpha = 1 called once on
+    all pairs: one gradient at the one-row center, F at the rows when
+    they are bound and at the center, and a stack of np.dot-rounded
+    products."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "expsum"])
@@ -296,12 +307,11 @@ class TestBregmanBlock:
         X = np.exp(rng.uniform(-4.0, 4.0, (8, 41, dim)))
         if F.domain.kind != "positive":
             X *= rng.choice([-1.0, 1.0], X.shape)
+        block = resolve_block("bregman", F)
         for X, c in [(x[1:], x[0]) for x in X] + sample_blocks(F):
-            block = bregman_tangent_block(F, X, c[None])
-            assert same_bits(block, [bregman(F, x, c) for x in X])
+            assert same_bits(block(X, c[None]), [bregman(F, x, c) for x in X])
         for X, c in sample_blocks(F):
-            block = bregman_tangent_block(F, X, c[None])
-            assert block[0] == 0.0 and block[-1] == 0.0
+            assert block(X, c[None])[0] == 0.0 == block(X, c[None])[-1]
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
     def test_resolve_block_equals_per_pair(self, gen):
@@ -323,9 +333,9 @@ class TestBregmanBlock:
         G = dataclasses.replace(G, fn=counted(F.fn),
                                 grad_fn=counted(F.grad_fn))
         X, c = sample_blocks(G)[1]
-        bregman_tangent_block(G, X, c[None])
-        # F at X and at the center, but not at the two coincident rows
-        assert shapes == [(len(X) - 2, 2, 2)]
+        resolve_block("bregman", G)(X, c[None])
+        # F at X when it is bound and at the center
+        assert shapes == [(len(X), 2), (1, 2)]
         assert calls == [F.grad_fn]  # at the center
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
@@ -333,12 +343,12 @@ class TestBregmanBlock:
     def test_block_of_second_points_equals_per_pair(self, gen, dim):
         F = (expsum_with_gradient(dim) if gen == "expsum"
              else make_builtin(gen, dim))
+        block = resolve_block("bregman", F)
         for X, Y in second_point_blocks(F):
-            block = bregman_tangent_block(F, X, Y)
-            assert same_bits(block, [bregman(F, x, y) for x, y in zip(X, Y)])
+            assert same_bits(block(X, Y),
+                             [bregman(F, x, y) for x, y in zip(X, Y)])
         for X, Y in second_point_blocks(F)[8:]:  # sample_blocks' blocks
-            block = bregman_tangent_block(F, X, Y)
-            assert block[0] == 0.0 and block[-1] == 0.0
+            assert block(X, Y)[0] == 0.0 == block(X, Y)[-1]
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
     def test_block_of_second_points_makes_one_rows_and_gradient_call(
@@ -353,9 +363,9 @@ class TestBregmanBlock:
 
         G = dataclasses.replace(G, grad_fn=grad_fn)
         X, _ = sample_blocks(G)[1]
-        bregman_tangent_block(G, X, X[::-1].copy())
-        # F at X and at Y, but not at the two coincident rows
-        assert shapes == [(len(X) - 2, 2, 2)]
+        resolve_block("bregman", G)(X, X[::-1].copy())
+        # F at X when it is bound, and at Y
+        assert shapes == [X.shape, X.shape]
         assert grads == [X.shape]
 
     def test_generator_without_gradient(self):
@@ -363,10 +373,11 @@ class TestBregmanBlock:
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
             bregman(F, X[0], X[1])
+        block = resolve_block("bregman", F)
         with pytest.raises(GradientRequiredError, match="expsum has none"):
-            bregman_tangent_block(F, X, X[1:])
+            block(X, X[1:])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
-            bregman_tangent_block(F, X, X[::-1])
+            block(X, X[::-1])
 
 
 def second_point_blocks(F):
@@ -386,7 +397,8 @@ def second_point_blocks(F):
 
 class TestBlocksOfSecondPoints:
     """Every resolve_block evaluator takes an (m, dim) block Y or one
-    (1, dim) row, and checks it as the chord and Jensen blocks do."""
+    (1, dim) row, and checks both blocks as the chord and Jensen blocks
+    do."""
 
     TANGENT = [("bregman_tangent", {"alpha": 0.6}),
                 ("bregman_tangent", {"alpha": 1.0}),
@@ -407,31 +419,36 @@ class TestBlocksOfSecondPoints:
             assert same_bits(block(Y[3:4], X), [D(Y[3], x) for x in X])
 
     @pytest.mark.parametrize("div_id, params", [
-        ("bregman", {}), *TANGENT[:3]])
-    def test_bad_second_points_raise_the_chord_blocks_errors(
-            self, div_id, params):
+        ("bregman", {}), *TANGENT[:3],
+        ("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
+        ("bregman_chord_approx", {"epsilon": 1e-6}), ("jensen", {}),
+        ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5})])
+    def test_bad_blocks_raise_the_same_errors(self, div_id, params):
+        # every block with a bound form checks the shapes of both blocks,
+        # then Y, then X: the first row outside Y is named when both
+        # blocks hold one (bregman_dual included, whose swapped pairs
+        # once named X's first)
         F = make_builtin("burg_negentropy", 2)
         X = np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]])
-        chord = resolve_block("bregman_chord", F, {"alpha": 0.9, "beta": 1.0})
         block = resolve_block(div_id, F, params)
         for shape in [(2, 2), (4, 2), (3, 3), (3, 1), (2,)]:
-            # bregman_dual's block is the tangent block on the swapped pair
-            pair = ((np.ones(shape), X) if div_id == "bregman_dual"
-                    else (X, np.ones(shape)))
-            with pytest.raises(ShapeError) as want:
-                chord(*pair)
             with pytest.raises(ShapeError) as got:
                 block(X, np.ones(shape))
-            assert str(got.value) == str(want.value)
-            assert "blocks of points that pair row by row" in str(got.value)
+            assert str(got.value) == (
+                f"burg_negentropy expects (m, 2) or (1, 2) blocks of points "
+                f"that pair row by row, got shapes (3, 2) and {shape}")
         # rows 1 and 2 lie outside the positive orthant; row 1 is named
         Y = np.array([[1.0, 1.0], [-1.0, 2.0], [2.0, -3.0]])
-        with pytest.raises(DomainError) as want:
-            chord(X, Y)
+        for first in (X, -X):
+            with pytest.raises(DomainError) as got:
+                block(first, Y)
+            assert str(got.value) == (
+                "point [-1.0, 2.0] is outside the positive domain of "
+                "burg_negentropy")
         with pytest.raises(DomainError) as got:
-            block(X, Y)
-        assert str(got.value) == str(want.value) == (
-            "point [-1.0, 2.0] is outside the positive domain of "
+            block(-X, Y[:1])
+        assert str(got.value) == (
+            "point [-1.0, -2.0] is outside the positive domain of "
             "burg_negentropy")
 
 
@@ -442,7 +459,7 @@ class TestJensenChordBlock:
         F = generator(gen, dim)
         for X, c in sample_blocks(F):
             for jcp in JENSEN_PARAMS:
-                block = jensen_chord_block(F, X, c[None], jcp)
+                block = jensen_block(F, jcp)(X, c[None])
                 per_pair = [jensen_chord(F, x, c, jcp) for x in X]
                 reference = [reference_jensen_chord(F, x, c, jcp) for x in X]
                 assert same_bits(per_pair, reference)
@@ -468,13 +485,13 @@ class TestJensenChordBlock:
     def test_table_columns(self, jcp, lams, monkeypatch):
         seen = []
 
-        def recording(F, X, Y, at):
+        def recording(F, X, at, swap=False):
             seen.append(tuple(at))
-            return line_table(F, X, Y, at)
+            return Bound(F, X, at, swap)
 
-        monkeypatch.setattr(JENSEN, "line_table", recording)
+        monkeypatch.setattr(JENSEN, "Bound", recording)
         F = make_builtin("quadratic", 2)
-        jensen_chord_block(F, np.ones((4, 2)), np.zeros((1, 2)), jcp)
+        jensen_block(F, jcp)(np.ones((4, 2)), np.zeros((1, 2)))
         assert seen == [lams]
 
 
@@ -497,9 +514,9 @@ def reference_sweep(F, theta1, theta2, alphas, betas, div_id, params):
             segment = skew_segment(theta1, theta2, SkewPair(
                 params["gamma"], params["delta"]))
         lams = sorted({0.0, *alphas, *betas})
-        row = [0.0] * len(lams) if segment is None else line_table(
-            F, np.atleast_2d(segment[0]), np.atleast_2d(segment[1]),
-            lams)[0].tolist()
+        ends = None if segment is None else endpoints(F, *segment)
+        G = None if ends is None else restrict_to_line(F, *ends)
+        row = [0.0 if G is None else G(lam) for lam in lams]
         g = dict(zip(lams, row))
         values = [chord_gap(g[0.0], g[a], g[b], a, b) for a, b in cells]
     rows = []

@@ -1,7 +1,7 @@
 """The separable builtins: generators.SEPARABLE names exactly the builtins
 whose row evaluator is, bit for bit, the sum over coordinates of the row
-evaluator of the same builtin at dim 1; line_table keeps its
-(m, len(lams)) shape under every generator."""
+evaluator of the same builtin at dim 1; a block keeps its (m,) shape
+under every generator, with a row evaluator or without."""
 
 import dataclasses
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from chorddiv import BUILTIN_GENERATORS, make_builtin
-from chorddiv.generators import SEPARABLE, line_table
+from chorddiv.generators import SEPARABLE
+from chorddiv.registry import resolve_block
 
 SHAPES = [(400, 1), (60, 3, 2), (1, 80, 10), (500, 3)]
 
@@ -47,13 +48,16 @@ def test_rows_are_the_sum_of_the_one_dimensional_rows(gen, shape):
 
 @pytest.mark.parametrize("rows", ["builtin", "none"])
 @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
-def test_line_table_shape(gen, rows):
+def test_block_shape(gen, rows):
+    # jensen evaluates F at 0, 1/2 and 1, bregman_tangent at 0 and 1/2
     F = make_builtin(gen, 2)
     if rows == "none":
         F = dataclasses.replace(F, rows=None)
     rng = np.random.default_rng(8)
     X = positive_points(rng, (4, 2))
-    assert line_table(F, X, X[:1], (0.0, 0.5, 1.0)).shape == (4, 3)
-    assert line_table(F, X[:1], X, (0.0, 0.5, 1.0)).shape == (4, 3)
-    assert line_table(F, X, X[::-1], (0.0, 0.5)).shape == (4, 2)
-    assert line_table(F, X[:0], X[:1], (0.0, 0.5)).shape == (0, 2)
+    jensen = resolve_block("jensen", F)
+    tangent = resolve_block("bregman_tangent", F, {"alpha": 0.5})
+    assert jensen(X, X[:1]).shape == (4,)
+    assert jensen(X[:1], X).shape == (4,)
+    assert tangent(X, X[::-1]).shape == (4,)
+    assert tangent(X[:0], X[:1]).shape == (0,)
