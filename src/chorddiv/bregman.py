@@ -303,9 +303,10 @@ def skew_segment(theta1, theta2, sp: SkewPair) -> Optional[tuple]:
 
 def biskew_block(D: Callable, X, Y, sp: SkewPair) -> np.ndarray:
     """biskew(D_1, X[i], Y[i], sp) over the row pairs of X and Y, bit for
-    bit, where D is D_1's block form: one D call on the gamma and delta
+    bit, where D is D_1's resolve_bound binder: bound to the gamma
     interpolants (interpolate's expression) of the rows whose points do
-    not coincide; the others give 0.0."""
+    not coincide, which it checks first, and called on their delta
+    interpolants row by row; the others give 0.0."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if not rows_pair(X, Y):
@@ -314,6 +315,6 @@ def biskew_block(D: Callable, X, Y, sp: SkewPair) -> np.ndarray:
     live = ~coincide(X, Y)
     g, d = float(sp.gamma), float(sp.delta)
     values = np.zeros(live.shape)
-    values[live] = D(((1.0 - g) * X + g * Y)[live],
-                     ((1.0 - d) * X + d * Y)[live])
+    B = ((1.0 - d) * X + d * Y)[live]
+    values[live] = D(((1.0 - g) * X + g * Y)[live])(B, np.arange(len(B)))
     return values

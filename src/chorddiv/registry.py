@@ -31,8 +31,7 @@ from .bregman import (
     skew_segment,
     unit_anchor,
 )
-from .errors import (DomainError, ParameterError, ShapeError,
-                     UnknownDivergenceError)
+from .errors import DomainError, ParameterError, UnknownDivergenceError
 from .fdiv import (
     F_GENERATOR_NAMES,
     dual_generator,
@@ -43,8 +42,7 @@ from .fdiv import (
     kl,
     make_f_generator,
 )
-from .generators import (SEPARABLE, Generator, _validate, make_builtin,
-                         rows_pair)
+from .generators import SEPARABLE, Generator, make_builtin
 from .jensen import (JensenChordParams, jensen_chord, jensen_chord_bound,
                      skew_anchors)
 
@@ -59,19 +57,19 @@ class DivSpec(NamedTuple):
     """How one identifier resolves.
 
     Every id binds (_bind) to kernel(*pre, x, y, *post) and to one vector
-    form, block or bound, never both. block(*pre, X, Y, *post) takes X
-    and Y each an (m, dim) block or one (1, dim) row, paired as numpy
-    broadcasts them: row i is kernel(*pre, X[i], Y[i], *post) bit for
-    bit. bound(*pre, X, *post), set for the chord, Jensen and Bregman
-    ids, binds an (n, dim) block X and returns (C, J) -> the array of
-    kernel(*pre, X[i], C[J[..., i]], *post), bit for bit; their block is
-    the bound form called once on all pairs (resolve_block). A bare id
+    form, block or bound, never both, which resolve_bound binds to X.
+    bound(*pre, X, *post), set for the chord, Jensen and Bregman ids,
+    binds an (n, dim) block X and returns (C, J) -> the array of
+    kernel(*pre, X[i], C[J[..., i]], *post), bit for bit.
+    block(*pre, X, Y, *post), set for the other ids, takes X and Y each
+    an (m, dim) block or one (1, dim) row, paired as numpy broadcasts
+    them: row i is kernel(*pre, X[i], Y[i], *post) bit for bit. A bare id
     has pre = (F,), and post = (build(param),) when build is set: build
     reads scalar parameters through param(name) and checks them with the
     kernel module's own validator, so bad values fail at resolution. An
     f-divergence prefix id has pre = (build(name),), build making the f
     generator named after the colon; biskew:<inner> has pre = (the inner
-    id's callable, or its resolve_block callable for the block,) and
+    id's callable, or its resolve_bound binder for the block,) and
     post = (build(param),). needs_generator is False for ids that ignore the
     generator and read their arguments as positive weights (kl and ekl,
     whose pre is empty).
@@ -245,12 +243,13 @@ def needs_generator(div_id: str) -> bool:
 
 
 def _bind(div_id: str, generator: Optional[Generator],
-          params: Optional[Mapping[str, float]], block: bool = False) -> tuple:
+          params: Optional[Mapping[str, float]], vector: bool = False
+          ) -> tuple:
     """(spec, pre, post): the divergence is spec.kernel(*pre, x, y, *post),
     and its vector form spec.block(*pre, X, Y, *post) or
-    spec.bound(*pre, X, *post); block set resolves a biskew: id's inner
-    id to its block. Every identifier, generator and parameter check of a
-    resolution is made here."""
+    spec.bound(*pre, X, *post); vector set resolves a biskew: id's inner
+    id to its resolve_bound binder. Every identifier, generator and
+    parameter check of a resolution is made here."""
     spec, rest = _spec(div_id)
     if spec.kernel is biskew:
         if rest.startswith("biskew:") or rest == "jensen_chord":
@@ -260,7 +259,7 @@ def _bind(div_id: str, generator: Optional[Generator],
             )
         sp = spec.build(_reader(div_id, params))
         # resolve_divergence by its module name, which tracers patch
-        resolve = resolve_block if block else resolve_divergence
+        resolve = resolve_bound if vector else resolve_divergence
         return spec, (resolve(rest, generator, params),), (sp,)
     if not spec.needs_generator:
         if spec.build is None:
@@ -288,64 +287,22 @@ def resolve_divergence(div_id: str, generator: Optional[Generator] = None,
     return lambda x, y: kernel(*pre, x, y, *post)
 
 
-def resolve_block(div_id: str, generator: Optional[Generator] = None,
-                  params: Optional[Mapping[str, float]] = None
-                  ) -> Callable:
-    """Resolve an identifier to (X, Y) -> the array of D(X[i] : Y[i]) over
-    the row pairs of X and Y, each an (m, dim) block or one (1, dim) row,
-    bit-identical to resolve_divergence's callable, after the same _bind
-    checks: the id's block kernel, which validates once per call, or, for
-    an id with a bound form, that form called once on all pairs
-    (_bound_block).
-    """
-    spec, pre, post = _bind(div_id, generator, params, block=True)
-    if spec.bound is not None:
-        bound = spec.bound
-        return _bound_block(lambda X: bound(*pre, X, *post), generator)
-    block = spec.block
-    return lambda X, Y: block(*pre, X, Y, *post)
-
-
-def _bound_block(bind: Callable, F: Generator) -> Callable:
-    """The (X, Y) block of the bound form bind, X -> (C, J) -> values:
-    the blocks get one shape check, Y one domain check (F.point's
-    DomainError for its first row outside), and binding X the rest,
-    then one call pairs X's rows with Y's as numpy broadcasts them. All
-    of it runs under np.errstate(all="ignore"): the gaps give inf and
-    nan unwarned, as Python floats do."""
-    def block(X, Y) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if not (rows_pair(X, Y) and X.shape[1] == F.dim):
-            raise ShapeError(f"{F.name} expects (m, {F.dim}) or (1, {F.dim}) "
-                             f"blocks of points that pair row by row, got "
-                             f"shapes {X.shape} and {Y.shape}")
-        with np.errstate(all="ignore"):
-            _validate(F, Y)
-            n, m = X.shape[0], Y.shape[0]
-            # pair i: X[i] and Y[i], X's one row and Y[i], or X[i] and
-            # Y's one row
-            J = (np.arange(m) if n == m else np.arange(m)[:, None] if n == 1
-                 else np.zeros(n, dtype=int))
-            return bind(X)(Y, J).reshape(-1)
-    return block
-
-
 def resolve_bound(div_id: str, generator: Optional[Generator] = None,
                   params: Optional[Mapping[str, float]] = None
                   ) -> Callable:
-    """Resolve an identifier to X -> its block bound to X, an (n, dim)
-    block of first points: a callable (C, J) -> the array of
+    """Resolve an identifier to X -> its vector form bound to X, an
+    (n, dim) block of first points: a callable (C, J) -> the array of
     D(X[i] : C[J[..., i]]), J an integer array whose last axis has n
     entries or one for every row, each value bit-identical to
-    resolve_block's on that pair, after the same _bind checks. The chord,
-    Jensen and Bregman ids bind by their bound forms (DivSpec.bound),
-    which check and evaluate X once; every other id by gathering each
-    call's pairs into one block call. A bound block's gap
+    resolve_divergence's callable on that pair, after the same _bind
+    checks; J = np.arange(m) pairs X's rows with the m rows of C. The
+    chord, Jensen and Bregman ids bind by their bound forms
+    (DivSpec.bound), which check and evaluate X once; every other id by
+    gathering each call's pairs into one block call. A bound block's gap
     expression gives inf and nan as Python floats do, so callers run it
     under np.errstate(all="ignore"), once per search or pass.
     """
-    spec, pre, post = _bind(div_id, generator, params, block=True)
+    spec, pre, post = _bind(div_id, generator, params, vector=True)
     if spec.bound is not None:
         bound = spec.bound
         return lambda X: bound(*pre, X, *post)

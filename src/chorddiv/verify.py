@@ -48,7 +48,7 @@ from .jensen import (
     jensen_skewed,
 )
 from .numerics import coordinate_minimize, golden_lockstep, whole_number
-from .registry import resolve_block
+from .registry import resolve_bound
 
 #: KL((0.5, 0.5) : (0.25, 0.75)) = 0.5 log 2 + 0.5 log(2/3).
 KL_REFERENCE_VALUE = 0.14384103622589045
@@ -533,12 +533,19 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
 
     dev_b = mean_dev("bregman", {})
     dev_c = mean_dev("bregman_chord", chord)
-    block = resolve_block("bregman_chord", F, chord)
+
+    def objective(G, members) -> Callable:
+        """c -> sum_i bregman_chord(G, members[i], c), members bound once."""
+        bound = resolve_bound("bregman_chord", G, chord)(members)
+
+        def total(c) -> float:
+            with np.errstate(all="ignore"):
+                values = bound(np.asarray(c)[None], [0])
+            return _sum_in_order(values.tolist())
+        return total
+
+    total = objective(F, points)
     lo, hi = _centroid_box(points, False)
-
-    def total(c) -> float:
-        return _sum_in_order(block(points, np.asarray(c)[None]).tolist())
-
     found = coordinate_minimize(total, lo, hi, x0=lo)
     dev_s = float(abs(found.x[0] - points.mean()))
     lockstep = golden_lockstep(lambda c: [total(c)], lo, hi)
@@ -548,10 +555,9 @@ def suite_clustering(trials: int = 200, seed: int = 0) -> SuiteResult:
     S = make_builtin("shannon_negentropy", 1)
     cccp = kmeans(shifted, S, ClusterConfig(
         k=1, divergence="bregman_chord", params=chord, seed=seed))
-    s_block = resolve_block("bregman_chord", S, chord)
-    searched = golden_lockstep(lambda c: [_sum_in_order(s_block(
-        shifted, np.asarray(c)[None]).tolist())],
-        *_centroid_box(shifted, True))
+    s_total = objective(S, shifted)
+    searched = golden_lockstep(lambda c: [s_total(c)],
+                               *_centroid_box(shifted, True))
     dev_k = float(abs(cccp.centers[0, 0] - searched[0]))
 
     scale_gap = -np.inf

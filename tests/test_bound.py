@@ -1,6 +1,7 @@
-"""Bound blocks (registry.resolve_bound, generators.Bound): bit-equal to
-the (X, Y) blocks on the pairs they form and to the scalar kernels, the
-same DomainError, and F evaluated once per distinct point."""
+"""Bound blocks (registry.resolve_bound, generators.Bound): on every
+pairing bit-equal to the same form called on the flattened pairs and to
+the scalar kernels, the same DomainError, and F evaluated once per
+distinct point."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from chorddiv import (BUILTIN_GENERATORS, DomainError, Generator,
                       make_builtin, resolve_divergence)
 from chorddiv.clustering import _distances, _lockstep_centers
 from chorddiv.generators import DOMAIN_MARGIN, REALS, Bound
-from chorddiv.registry import (center_rule, needs_generator, resolve_block,
-                               resolve_bound)
+from chorddiv.registry import center_rule, needs_generator, resolve_bound
+
+from test_bregman import paired
 
 #: Every chord, Jensen and Bregman id, at parameters that reach each
 #: column rule: an anchor at 1 or none, alpha = 1, alpha = beta, and
@@ -118,10 +120,9 @@ class TestBitEqualToTheBlock:
     @pytest.mark.parametrize("name", [*BUILTIN_GENERATORS, "expsum"])
     @pytest.mark.parametrize("div,params", BOUND_IDS + GATHERED_IDS)
     def test_every_pairing(self, div, params, name, dim):
-        # the block against the scalar kernel on paired blocks, one-row
-        # blocks on either side and 1 x 1, coincident rows included, and
-        # the bound block against the block on every pairing kmeans
-        # makes
+        # the paired rows against the scalar kernel on paired blocks, a
+        # one-row second block and 1 x 1, coincident rows included, and
+        # the bound block against them on every pairing kmeans makes
         F = generator(name, dim)
         rng = np.random.default_rng(dim)
         # the weight divergences read positive points under any F
@@ -132,10 +133,10 @@ class TestBitEqualToTheBlock:
         C[1] = X[2]                 # a coincident pair
         C[2] = X[4] + 1e-15         # a pair within DEGENERATE_EPS
         C[3] = C[0]                 # a duplicate center
-        block = resolve_block(div, F, params)
+        block = paired(div, F, params)
         bind = resolve_bound(div, F, params)
         D = resolve_divergence(div, F, params)
-        for Xs, Ys in [(X[[0, 2, 4, 3]], C), (X[:1], C), (X, C[1:2]),
+        for Xs, Ys in [(X[[0, 2, 4, 3]], C), (X, C[1:2]),
                        (X[2:3], C[1:2]), (X[:1], C[:1])]:
             assert same_as_scalar(block(Xs, Ys), D, Xs, Ys)
         for k in (4, 1):            # and a single-row C
@@ -159,8 +160,8 @@ class TestBitEqualToTheBlock:
 
 
 class TestDomainErrors:
-    """The bound call raises the (X, Y) block's DomainError, whose message
-    is F.point's, for the first point outside."""
+    """The bound call raises the DomainError of the call on its flattened
+    pairs, whose message is F.point's, for the first point outside."""
 
     @pytest.mark.parametrize("div,params", BOUND_IDS)
     def test_center_outside(self, div, params):
@@ -169,7 +170,7 @@ class TestDomainErrors:
         C = np.array([[0.4, 0.4], [0.6, -0.1], [-0.2, 0.5]])
         for J in (np.arange(3)[:, None], np.array([0, 2, 1])):
             Xg, Yg, _ = pairs(X, C, J)
-            want = outcome(resolve_block(div, F, params), Xg, Yg)
+            want = outcome(paired(div, F, params), Xg, Yg)
             got = outcome(bound_call, resolve_bound(div, F, params), X, C,
                           J)
             assert got == want
@@ -243,8 +244,8 @@ class TestEvaluationCounts:
         dist = _distances(pts, centers, bound)
         assert (counts["fn"], counts["grad"]) == cost(n, k)
         counts.update(fn=0, grad=0)
-        want = resolve_block(div, F, params)(np.tile(pts, (k, 1)),
-                                             np.repeat(centers, n, axis=0))
+        want = paired(div, F, params)(np.tile(pts, (k, 1)),
+                                      np.repeat(centers, n, axis=0))
         assert (counts["fn"], counts["grad"]) == old_cost(n, k)
         assert dist.tobytes() == want.reshape(k, n).T.tobytes()
 

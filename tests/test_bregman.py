@@ -39,7 +39,7 @@ from chorddiv import (
 )
 from chorddiv.bregman import biskew_block, chord_row, interpolate
 from chorddiv.generators import restrict_to_line
-from chorddiv.registry import resolve_block
+from chorddiv.registry import resolve_bound
 
 
 def chord_gap_oracle(F, t1, t2, a, b):
@@ -302,10 +302,16 @@ def counted(F):
     return Counted(F.name, F.dim, F.domain, fn, F.grad_fn), calls
 
 
+def paired(div_id, F=None, params=None):
+    """(X, Y) -> the array of D(X[i] : Y[i]), or of D(X[i] : Y[0]) when Y
+    is one row, by resolve_bound."""
+    bind = resolve_bound(div_id, F, params)
+    return lambda X, Y: bind(X)(Y, np.arange(len(Y)))
+
+
 def chord_block(F, cp):
     """bregman_chord's block at the anchors cp."""
-    return resolve_block("bregman_chord", F,
-                         {"alpha": cp.alpha, "beta": cp.beta})
+    return paired("bregman_chord", F, {"alpha": cp.alpha, "beta": cp.beta})
 
 
 class TestBregmanChordBlock:
@@ -373,7 +379,7 @@ def test_bregman_block_checks_its_center_once():
     # one domain check of the one-row center, and on a generator without
     # rows F once per bound row and once at the center
     F, calls = counted(make_builtin("quadratic", 2))
-    resolve_block("bregman", F)(np.ones((5, 2)), np.zeros((1, 2)))
+    paired("bregman", F)(np.ones((5, 2)), np.zeros((1, 2)))
     assert calls == {"point": 0, "fn": 5 + 1}
 
 

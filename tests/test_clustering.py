@@ -41,9 +41,10 @@ from chorddiv.generators import (DOMAIN_MARGIN, REALS, SEPARABLE, Bound,
 from chorddiv.jensen import JensenChordParams, jensen_gap
 from chorddiv.numerics import (Minimum, golden_lockstep, golden_minimize,
                                on_box_edge)
-from chorddiv.registry import (center_rule, needs_generator, resolve_block,
-                               resolve_bound)
+from chorddiv.registry import center_rule, needs_generator, resolve_bound
 from chorddiv.verify import clustering_dataset
+
+from test_bregman import paired
 
 QUAD1 = make_builtin("quadratic", 1)
 QUAD2 = make_builtin("quadratic", 2)
@@ -519,7 +520,7 @@ class TestClosedFormCentroid:
         assert np.allclose(center - F(center),
                            log_mean_exp(members - f[:, None]),
                            rtol=0.0, atol=1e-12)
-        block = resolve_block("bregman_dual", F, {})
+        block = paired("bregman_dual", F, {})
         found = _update_center(members, F, resolve_bound("bregman_dual", F))
         assert np.max(np.abs(center - found.x)) <= 1e-3
         assert (block(members, center[None]).sum()
@@ -706,7 +707,7 @@ class TestCenterRule:
             # the id's block under the builtin at dim 1
             X, Y = members.reshape(-1, 1), members[::-1].reshape(-1, 1)
             f = make_builtin(gen, 1)
-            want = resolve_block(div, f, ROUTE_PARAMS)(X, Y)
+            want = paired(div, f, ROUTE_PARAMS)(X, Y)
             got = rule(X)(Y, np.arange(len(Y)))
             assert got.tobytes() == want.tobytes()
         else:
@@ -751,7 +752,7 @@ class TestCenterRule:
     def test_tv_ids_are_multiples_of_the_l1_distance(self, div, weight):
         X = blob_points(3)
         Y = X[::-1] + 0.05
-        got = resolve_block(div, None, TV_PARAMS)(X, Y)
+        got = paired(div, None, TV_PARAMS)(X, Y)
         np.testing.assert_allclose(
             got, weight * np.abs(Y - X).sum(axis=1), rtol=1e-12, atol=0.0)
 
@@ -762,7 +763,7 @@ class TestCenterRule:
         members = np.random.default_rng(3).uniform(0.2, 2.0, (8, 2))
         for div in TV_IDS:
             slack = 1e-15 if div.startswith("biskew:") else 0.0
-            block = resolve_block(div, None, TV_PARAMS)
+            block = paired(div, None, TV_PARAMS)
 
             def total(c):
                 return float(np.sum(block(members, np.asarray(c)[None])))
@@ -1027,7 +1028,7 @@ def lockstep_block(div, F, params):
     """The (X, Y) form of the 1-D block lockstep_rule binds: div under
     F's builtin at dim 1."""
     lockstep_rule(div, F, params)
-    return resolve_block(div, make_builtin(F.builtin, 1), params)
+    return paired(div, make_builtin(F.builtin, 1), params)
 
 
 def shares(coordinate, X, c):
@@ -1052,7 +1053,7 @@ class TestLockstepCenters:
     def test_equals_golden_minimize_per_coordinate(self, gen, div, params):
         F = make_builtin(gen, 2)
         members = np.random.default_rng(4).uniform(0.2, 3.0, (7, 2))
-        block = resolve_block(div, F, params)
+        block = paired(div, F, params)
         coordinate = lockstep_block(div, F, params)
         found, = lockstep_search([members], F, resolve_bound(div, F, params),
                                  lockstep_rule(div, F, params))
@@ -1081,7 +1082,7 @@ class TestLockstepCenters:
         assert S.shape == (6, 3)
         assert not S[2].any()
         np.testing.assert_allclose(S.sum(axis=1),
-                                   resolve_block(div, F, params)(X, c[None]),
+                                   paired(div, F, params)(X, c[None]),
                                    rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("gen,div,params", LOCKSTEP_CASES)
@@ -1218,7 +1219,7 @@ class TestBatchedLockstep:
     @pytest.mark.parametrize("gen", SEPARABLE)
     def test_equals_the_per_center_search(self, gen, div, params, k, dim):
         F = make_builtin(gen, dim)
-        block = resolve_block(div, F, params)
+        block = paired(div, F, params)
         coordinate = lockstep_block(div, F, params)
         rule = lockstep_rule(div, F, params)
         rng = np.random.default_rng(100 * k + dim)
@@ -1310,7 +1311,7 @@ class TestBatchedLockstep:
             chorddiv.clustering, "_lockstep_centers",
             lambda pts, groups, F, bound, rule: [
                 per_center_lockstep(pts[rows], F,
-                                    resolve_block(div, F, params), False,
+                                    paired(div, F, params), False,
                                     lockstep_block(div, F, params))
                 for rows in groups])
         want = kmeans(pts, F, cfg)
@@ -1435,7 +1436,7 @@ class TestCCCPCenters:
         rng = np.random.default_rng(7 * dim)
         members = rng.uniform(0.2, 3.0, (9, dim))
         found, = cccp_search([members], F, div, params)
-        block = resolve_block(div, F, params)
+        block = paired(div, F, params)
 
         def total(c):
             return _sum_in_order(block(members, c[None]).tolist())
@@ -1489,7 +1490,7 @@ class TestCCCPCenters:
         assert any(np.isfinite(x).all() and x.min() < 0.0 for x in rejected)
         assert F.domain.contains(found.x)
         assert not found.capped
-        block = resolve_block("bregman_chord_approx", F, params)
+        block = paired("bregman_chord_approx", F, params)
         mean = members.mean(axis=0)
         assert (np.sum(block(members, found.x[None]))
                 < np.sum(block(members, mean[None])))

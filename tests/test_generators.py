@@ -1,6 +1,7 @@
 """Generator construction, domain checks, line restrictions, conjugates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from chorddiv import (
     make_builtin,
 )
 from chorddiv.generators import Bound, restrict_to_line
-from chorddiv.registry import resolve_block
+from chorddiv.registry import resolve_bound
+
+from test_bregman import paired
 
 
 def sample_point(rng, F):
@@ -204,9 +207,10 @@ def exp_sum(dim, calls=None):
 
 
 def bound_table(F, X, Y, lams):
-    """Bound's columns at lams over the row pairs of X and Y, paired as
-    resolve_block pairs them: the (m, len(lams)) table, with the mask of
-    the pairs whose points coincide (None when none do)."""
+    """Bound's columns at lams over the row pairs of X and Y, row by row,
+    or one row of either with every row of the other: the
+    (m, len(lams)) table, with the mask of the pairs whose points
+    coincide (None when none do)."""
     n, m = len(X), len(Y)
     J = (np.arange(m) if n == m else np.arange(m)[:, None] if n == 1
          else np.zeros(n, dtype=int))
@@ -259,18 +263,30 @@ class TestBoundColumns:
         np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2)),
     ], ids=["one-point", "wrong-dim", "3-d"])
     def test_block_shape_checked(self, X):
+        # by binding, directly and through the registry
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match=r"expects \(m, 2\) or \(1, 2\) "
-                           r"blocks of points that pair row by row, got "
-                           r"shapes .+ and \(1, 2\)"):
-            resolve_block("jensen", F)(X, [[0.0, 0.0]])
+        message = (r"^quadratic expects an \(n, 2\) block of points to "
+                   rf"bind, got shape {re.escape(str(X.shape))}$")
+        with pytest.raises(ShapeError, match=message):
+            Bound(F, X, self.LAMS)
+        with pytest.raises(ShapeError, match=message):
+            resolve_bound("jensen", F)(X)
 
-    @pytest.mark.parametrize("y", [[0.0, 0.0], [0.0, 0.0, 0.0], 0.0])
-    def test_one_second_point_is_not_a_block(self, y):
+    @pytest.mark.parametrize("C, J", [
+        ([0.0, 0.0], [0]), ([[0.0, 0.0, 0.0]], [0]), (0.0, [0]),
+        ([[0.0, 0.0]], 0), ([[0.0, 0.0]], [0, 0]),
+    ], ids=["one-point", "wrong-dim", "scalar", "scalar-index",
+            "two-entries"])
+    def test_table_shape_checked(self, C, J):
+        # C must be an (m, 2) block, and J's last axis hold 3 or 1 entries
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match=r"blocks of points that pair "
-                           r"row by row, got shapes \(1, 2\) and"):
-            resolve_block("jensen", F)(np.ones((1, 2)), y)
+        bound = Bound(F, np.ones((3, 2)), self.LAMS)
+        message = (r"^quadratic expects an \(m, 2\) block and an index of "
+                   r"3 or 1 entries per row, got shapes "
+                   rf"{re.escape(str(np.shape(C)))} and "
+                   rf"{re.escape(str(np.shape(J)))}$")
+        with pytest.raises(ShapeError, match=message):
+            bound.table(C, J)
 
     def test_first_point_outside_named(self):
         F = make_builtin("burg_negentropy", 1)
@@ -283,9 +299,6 @@ class TestBoundColumns:
         with pytest.raises(DomainError, match=r"point \[-0\.25\] is "
                            r"outside the positive domain of burg_negentropy"):
             Bound(F, X[:1], (0.0, 1.5)).table([[0.5]], np.zeros(1, int))
-        # a block checks Y before binding X
-        with pytest.raises(DomainError, match=r"point \[-0\.5\] is outside"):
-            resolve_block("jensen", F)(X, [[-0.5]])
 
     @staticmethod
     def second_points(F, X, rng):
@@ -329,10 +342,12 @@ class TestBoundColumns:
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3, 1), (2,)])
     def test_block_of_second_points_shape_checked(self, shape):
+        # paired with X's rows by np.arange(m), a table call
         F = make_builtin("quadratic", 2)
-        with pytest.raises(ShapeError, match=r"blocks of points that pair "
-                           r"row by row, got shapes \(3, 2\) and"):
-            resolve_block("jensen", F)(np.ones((3, 2)), np.ones(shape))
+        with pytest.raises(ShapeError, match=r"^quadratic expects an "
+                           r"\(m, 2\) block and an index of 3 or 1 entries "
+                           r"per row, got shapes "):
+            paired("jensen", F)(np.ones((3, 2)), np.ones(shape))
 
     def test_first_second_point_outside_named(self):
         # every point of the table at lams 0, 0.5 and 1 lies inside but
@@ -342,17 +357,17 @@ class TestBoundColumns:
         Y = np.array([[1.5], [-1.0], [-2.0]])
         with pytest.raises(DomainError, match=r"^point \[-1\.0\] is outside "
                            r"the positive domain of burg_negentropy$"):
-            resolve_block("jensen", F)(X, Y)
+            paired("jensen", F)(X, Y)
 
     def test_bregman_block_takes_a_block_of_second_points(self):
         F = make_builtin("quadratic", 2)
         X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         Y = np.array([[0.0, 1.0], [0.5, -1.0], [-2.0, 0.5]])
-        block = resolve_block("bregman", F)
+        block = paired("bregman", F)
         # quadratic: B(x : y) = |x - y|^2
         assert block(X, Y).tolist() == [2.0, 0.0, 25.25]
-        with pytest.raises(ShapeError, match=r"pair row by row, got shapes "
-                           r"\(3, 2\) and \(2, 2\)"):
+        with pytest.raises(ShapeError, match=r"an index of 3 or 1 entries per "
+                           r"row, got shapes \(2, 2\) and \(2,\)"):
             block(X, Y[:2])
 
 class TestClosedFormConjugates:

@@ -9,6 +9,7 @@ from chorddiv import (
     BUILTIN_GENERATORS,
     ChorddivError,
     ClusterConfig,
+    DomainError,
     ParameterError,
     UnknownDivergenceError,
     bregman,
@@ -23,9 +24,9 @@ from chorddiv import (
 )
 from chorddiv.cli import main
 from chorddiv.registry import (DIVERGENCES, center_rule, needs_generator,
-                               resolve_block, sweep)
+                               resolve_bound, sweep)
 
-from test_bregman import expsum, sample_pair
+from test_bregman import expsum, paired, sample_pair
 
 QUAD = make_builtin("quadratic", 2)
 T1 = np.array([0.0, 0.0])
@@ -85,18 +86,18 @@ def expsum_with_gradient(dim):
 
 
 def check_block(div_id, F):
-    """resolve_block's evaluator against the pair callable, bit for bit,
-    on both forms of the second block, (m, dim) and one (1, dim) row, and
-    with one row as the first block; rows 2 and 4 coincide with their
-    second point, exactly and within DEGENERATE_EPS (where the generator
-    ids give 0.0 and the weight ids their value)."""
+    """resolve_bound's vector form against the pair callable, bit for
+    bit, on both forms of the second block, (m, dim) and one (1, dim)
+    row; rows 2 and 4 coincide with their second point, exactly and
+    within DEGENERATE_EPS (where the generator ids give 0.0 and the
+    weight ids their value)."""
     rng = np.random.default_rng(3)
     X = rng.uniform(0.2, 1.5, (6, 2))
     Y = rng.uniform(0.2, 1.5, (6, 2))
     Y[2] = X[2]
     Y[4] = X[4] + 1e-15
     X[5] = Q
-    block = resolve_block(div_id, F, SAMPLE_PARAMS)
+    block = paired(div_id, F, SAMPLE_PARAMS)
     D = resolve_divergence(div_id, F, SAMPLE_PARAMS)
 
     def same(got, want):
@@ -104,7 +105,6 @@ def check_block(div_id, F):
 
     assert same(block(X, Y), [D(x, y) for x, y in zip(X, Y)])
     assert same(block(X, Q[None]), [D(x, Q) for x in X])
-    assert same(block(Q[None], X), [D(Q, x) for x in X])
     assert block(X, Y)[2] == block(X, Q[None])[5] == 0.0
 
 
@@ -123,8 +123,30 @@ def test_biskew_blocks_take_the_inner_block(inner):
     check_block("biskew:" + inner, make_builtin("shannon_negentropy", 2))
 
 
+@pytest.mark.parametrize("inner", [
+    "bregman_chord", "bregman_dual", "jensen", "ekl"])
+def test_biskew_vector_form_names_a_gamma_interpolant_first(inner):
+    """With skews outside [0, 1], row 0's gamma interpolant and row 1's
+    delta interpolant lie outside the orthant; binding the inner id's
+    vector form to the gamma interpolants names row 0's first, over a
+    bound form as over a weight block."""
+    F = make_builtin("shannon_negentropy", 2)
+    params = {"alpha": 0.9, "beta": 1.0, "gamma": -0.5, "delta": 1.5}
+    X = np.array([[0.5, 0.1], [0.7, 0.5]])
+    Y = np.array([[0.2, 1.8], [0.1, 0.5]])
+    with pytest.raises(DomainError) as info:
+        paired("biskew:" + inner, F, params)(X, Y)
+    if inner == "ekl":
+        assert str(info.value) == ("p must have finite, strictly positive "
+                                   "entries: row 0 [0.65, -0.75] has -0.75 "
+                                   "at entry 1")
+    else:
+        assert str(info.value) == ("point [0.65, -0.75] is outside the "
+                                   "positive domain of shannon_negentropy")
+
+
 def test_every_entry_has_one_vector_form():
-    # a block, or a bound form from which resolve_block derives the block
+    # a block, which resolve_bound gathers, or a bound form
     for key, spec in DIVERGENCES.items():
         forms = [form for form in (spec.block, spec.bound)
                  if form is not None]
@@ -138,11 +160,11 @@ def test_every_entry_has_one_vector_form():
 @pytest.mark.parametrize("div_id", ["bregman_chord", "bregman_chord_approx"])
 def test_block_kernel_checks_at_resolve_time(div_id):
     with pytest.raises(ParameterError):
-        resolve_block(div_id, params=SAMPLE_PARAMS)
+        resolve_bound(div_id, params=SAMPLE_PARAMS)
     with pytest.raises(ParameterError):
-        resolve_block(div_id, QUAD, {})
+        resolve_bound(div_id, QUAD, {})
     with pytest.raises(ParameterError):
-        resolve_block(div_id, QUAD, {**SAMPLE_PARAMS, **OUT_OF_RANGE[div_id]})
+        resolve_bound(div_id, QUAD, {**SAMPLE_PARAMS, **OUT_OF_RANGE[div_id]})
 
 
 @pytest.mark.parametrize("value", ["x", "", [0.5]])
@@ -153,7 +175,7 @@ def test_non_numeric_parameter_names_the_id_and_parameter(value):
     with pytest.raises(ParameterError, match=message):
         resolve_divergence("bregman_chord", QUAD, params)
     with pytest.raises(ParameterError, match=message):
-        resolve_block("bregman_chord", QUAD, params)
+        resolve_bound("bregman_chord", QUAD, params)
     points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
     with pytest.raises(ParameterError, match=message):
         kmeans(points, QUAD, ClusterConfig(k=2, divergence="bregman_chord",
@@ -161,7 +183,7 @@ def test_non_numeric_parameter_names_the_id_and_parameter(value):
 
 
 #: (id, generator, params, error type, message): each binding fails with the
-#: same error from resolve_divergence and resolve_block.
+#: same error from resolve_divergence and resolve_bound.
 BINDING_ERRORS = [
     ("wasserstein", QUAD, SAMPLE_PARAMS, UnknownDivergenceError,
      "unknown divergence identifier 'wasserstein'"),
@@ -193,7 +215,7 @@ BINDING_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("resolve", [resolve_divergence, resolve_block])
+@pytest.mark.parametrize("resolve", [resolve_divergence, resolve_bound])
 @pytest.mark.parametrize("div_id, F, params, error, message", BINDING_ERRORS)
 def test_binding_errors(resolve, div_id, F, params, error, message):
     with pytest.raises(ChorddivError) as info:
@@ -224,7 +246,7 @@ def test_biskew_of_an_unknown_id_is_unknown_everywhere(params, capsys):
     """Raised before gamma and delta are read, from every entry point."""
     shannon = make_builtin("shannon_negentropy", 2)
     for call in (lambda: resolve_divergence("biskew:nope", QUAD, params),
-                 lambda: resolve_block("biskew:nope", QUAD, params),
+                 lambda: resolve_bound("biskew:nope", QUAD, params),
                  lambda: needs_generator("biskew:nope"),
                  lambda: center_rule("biskew:nope", QUAD, params),
                  lambda: center_rule("biskew:nope", shannon, params)):
@@ -250,7 +272,7 @@ def test_unknown_f_name_is_unknown_everywhere(div_id, named, params, capsys):
     shannon = make_builtin("shannon_negentropy", 2)
     message = f"^unknown f generator in divergence identifier '{named}'$"
     for call in (lambda: resolve_divergence(div_id, QUAD, params),
-                 lambda: resolve_block(div_id, None, params),
+                 lambda: resolve_bound(div_id, None, params),
                  lambda: needs_generator(div_id),
                  lambda: center_rule(div_id, QUAD, params),
                  lambda: center_rule(div_id, shannon, params),
@@ -270,7 +292,7 @@ def test_closed_form_center_rules_read_no_parameters():
     """bregman_chord needs alpha and beta to resolve, but its member-mean
     rule under quadratic is found without them."""
     with pytest.raises(ParameterError):
-        resolve_block("bregman_chord", QUAD, {})
+        resolve_bound("bregman_chord", QUAD, {})
     path, rule = center_rule("bregman_chord", QUAD, {})
     members = np.array([[0.0, 1.0], [0.5, 0.25], [2.0, 2.0]])
     assert path == "mean"

@@ -1,7 +1,7 @@
 """Row evaluation: each builtin's Generator.rows equals its scalar fn bit
-for bit, and the blocks built on generators.Bound (resolve_block, the
-bound form called once on all pairs) equal their per-pair kernels bit
-for bit. Every reference is computed on the scalar path at
+for bit, and the vector forms built on generators.Bound (resolve_bound,
+the bound form called once on all pairs) equal their per-pair kernels
+bit for bit. Every reference is computed on the scalar path at
 test time, not stored, since numpy versions and BLAS builds may round a
 form differently."""
 
@@ -29,9 +29,8 @@ from chorddiv import (
 from chorddiv.bregman import SkewPair, chord_gap, interpolate, skew_segment
 from chorddiv.generators import Bound, coincide, endpoints, restrict_to_line
 from chorddiv.jensen import JensenChordParams, jensen_chord
-from chorddiv.registry import resolve_block
 
-from test_bregman import chord_block
+from test_bregman import chord_block, paired
 
 # chorddiv.jensen names the function, so the module is looked up by path
 JENSEN = importlib.import_module("chorddiv.jensen")
@@ -167,9 +166,8 @@ def reference_chord_block(F, X, theta2, cp):
 
 def jensen_block(F, jcp):
     """jensen_chord's block at the anchors jcp."""
-    return resolve_block("jensen_chord", F, {"alpha": jcp.alpha,
-                                             "beta": jcp.beta,
-                                             "gamma": jcp.gamma})
+    return paired("jensen_chord", F, {"alpha": jcp.alpha, "beta": jcp.beta,
+                                      "gamma": jcp.gamma})
 
 
 def reference_jensen_chord(F, theta1, theta2, jcp):
@@ -240,14 +238,14 @@ class TestChordBlock:
                 assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", GENERATORS)
-    def test_resolve_block_ids_equal_per_pair(self, gen):
+    def test_resolve_bound_ids_equal_per_pair(self, gen):
         F = generator(gen, 2)
         cases = [("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
                  ("bregman_chord", {"alpha": 0.7, "beta": 0.2}),
                  ("bregman_chord_approx", {"epsilon": 1e-6}),
                  ("bregman_chord_approx", {"epsilon": 1e-8})]
         for div_id, params in cases:
-            block = resolve_block(div_id, F, params)
+            block = paired(div_id, F, params)
             D = resolve_divergence(div_id, F, params)
             for X, c in sample_blocks(F):
                 assert same_bits(block(X, c[None]), [D(x, c) for x in X])
@@ -307,16 +305,16 @@ class TestBregmanBlock:
         X = np.exp(rng.uniform(-4.0, 4.0, (8, 41, dim)))
         if F.domain.kind != "positive":
             X *= rng.choice([-1.0, 1.0], X.shape)
-        block = resolve_block("bregman", F)
+        block = paired("bregman", F)
         for X, c in [(x[1:], x[0]) for x in X] + sample_blocks(F):
             assert same_bits(block(X, c[None]), [bregman(F, x, c) for x in X])
         for X, c in sample_blocks(F):
             assert block(X, c[None])[0] == 0.0 == block(X, c[None])[-1]
 
     @pytest.mark.parametrize("gen", BUILTIN_GENERATORS)
-    def test_resolve_block_equals_per_pair(self, gen):
+    def test_resolve_bound_equals_per_pair(self, gen):
         F = make_builtin(gen, 3)
-        block = resolve_block("bregman", F)
+        block = paired("bregman", F)
         D = resolve_divergence("bregman", F)
         for X, c in sample_blocks(F):
             assert same_bits(block(X, c[None]), [D(x, c) for x in X])
@@ -333,7 +331,7 @@ class TestBregmanBlock:
         G = dataclasses.replace(G, fn=counted(F.fn),
                                 grad_fn=counted(F.grad_fn))
         X, c = sample_blocks(G)[1]
-        resolve_block("bregman", G)(X, c[None])
+        paired("bregman", G)(X, c[None])
         # F at X when it is bound and at the center
         assert shapes == [(len(X), 2), (1, 2)]
         assert calls == [F.grad_fn]  # at the center
@@ -343,7 +341,7 @@ class TestBregmanBlock:
     def test_block_of_second_points_equals_per_pair(self, gen, dim):
         F = (expsum_with_gradient(dim) if gen == "expsum"
              else make_builtin(gen, dim))
-        block = resolve_block("bregman", F)
+        block = paired("bregman", F)
         for X, Y in second_point_blocks(F):
             assert same_bits(block(X, Y),
                              [bregman(F, x, y) for x, y in zip(X, Y)])
@@ -363,7 +361,7 @@ class TestBregmanBlock:
 
         G = dataclasses.replace(G, grad_fn=grad_fn)
         X, _ = sample_blocks(G)[1]
-        resolve_block("bregman", G)(X, X[::-1].copy())
+        paired("bregman", G)(X, X[::-1].copy())
         # F at X when it is bound, and at Y
         assert shapes == [X.shape, X.shape]
         assert grads == [X.shape]
@@ -373,7 +371,7 @@ class TestBregmanBlock:
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
             bregman(F, X[0], X[1])
-        block = resolve_block("bregman", F)
+        block = paired("bregman", F)
         with pytest.raises(GradientRequiredError, match="expsum has none"):
             block(X, X[1:])
         with pytest.raises(GradientRequiredError, match="expsum has none"):
@@ -396,9 +394,8 @@ def second_point_blocks(F):
 
 
 class TestBlocksOfSecondPoints:
-    """Every resolve_block evaluator takes an (m, dim) block Y or one
-    (1, dim) row, and checks both blocks as the chord and Jensen blocks
-    do."""
+    """Every resolve_bound vector form pairs an (m, dim) block X with an
+    (m, dim) block Y or one (1, dim) row."""
 
     TANGENT = [("bregman_tangent", {"alpha": 0.6}),
                 ("bregman_tangent", {"alpha": 1.0}),
@@ -411,45 +408,40 @@ class TestBlocksOfSecondPoints:
     def test_blocks_equal_per_pair(self, gen, div_id, params):
         F = (expsum_with_gradient(2) if gen == "expsum"
              else make_builtin(gen, 2))
-        block = resolve_block(div_id, F, params)
+        block = paired(div_id, F, params)
         D = resolve_divergence(div_id, F, params)
         for X, Y in second_point_blocks(F):
             assert same_bits(block(X, Y), [D(x, y) for x, y in zip(X, Y)])
             assert same_bits(block(X, Y[3:4]), [D(x, Y[3]) for x in X])
-            assert same_bits(block(Y[3:4], X), [D(Y[3], x) for x in X])
 
     @pytest.mark.parametrize("div_id, params", [
         ("bregman", {}), *TANGENT[:3],
         ("bregman_chord", {"alpha": 0.9, "beta": 1.0}),
         ("bregman_chord_approx", {"epsilon": 1e-6}), ("jensen", {}),
         ("jensen_chord", {"alpha": 0.2, "beta": 0.8, "gamma": 0.5})])
-    def test_bad_blocks_raise_the_same_errors(self, div_id, params):
-        # every block with a bound form checks the shapes of both blocks,
-        # then Y, then X: the first row outside Y is named when both
-        # blocks hold one (bregman_dual included, whose swapped pairs
-        # once named X's first)
+    def test_bad_blocks_raise_the_bound_errors(self, div_id, params):
+        # every bound form raises generators.Bound's errors: the shape
+        # check of the moving block and its index, then binding names X's
+        # first row outside before any of Y's (bregman_dual, whose pairs
+        # are swapped, included)
         F = make_builtin("burg_negentropy", 2)
         X = np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]])
-        block = resolve_block(div_id, F, params)
+        block = paired(div_id, F, params)
         for shape in [(2, 2), (4, 2), (3, 3), (3, 1), (2,)]:
             with pytest.raises(ShapeError) as got:
                 block(X, np.ones(shape))
             assert str(got.value) == (
-                f"burg_negentropy expects (m, 2) or (1, 2) blocks of points "
-                f"that pair row by row, got shapes (3, 2) and {shape}")
+                f"burg_negentropy expects an (m, 2) block and an index of 3 "
+                f"or 1 entries per row, got shapes {shape} and "
+                f"({shape[0]},)")
         # rows 1 and 2 lie outside the positive orthant; row 1 is named
         Y = np.array([[1.0, 1.0], [-1.0, 2.0], [2.0, -3.0]])
-        for first in (X, -X):
+        for first, named in ((X, "[-1.0, 2.0]"), (-X, "[-1.0, -2.0]")):
             with pytest.raises(DomainError) as got:
                 block(first, Y)
             assert str(got.value) == (
-                "point [-1.0, 2.0] is outside the positive domain of "
-                "burg_negentropy")
-        with pytest.raises(DomainError) as got:
-            block(-X, Y[:1])
-        assert str(got.value) == (
-            "point [-1.0, -2.0] is outside the positive domain of "
-            "burg_negentropy")
+                f"point {named} is outside the positive domain of "
+                f"burg_negentropy")
 
 
 class TestJensenChordBlock:
@@ -467,14 +459,14 @@ class TestJensenChordBlock:
                 assert block[0] == 0.0 and block[-1] == 0.0
 
     @pytest.mark.parametrize("gen", GENERATORS)
-    def test_resolve_block_ids_equal_per_pair(self, gen):
+    def test_resolve_bound_ids_equal_per_pair(self, gen):
         F = generator(gen, 2)
         cases = [("jensen", {}), ("jensen_skewed", {"alpha": 0.3}),
                  ("jensen_bregman", {"alpha": 0.9}),
                  ("jensen_chord", {"alpha": 0.2, "beta": 0.8,
                                    "gamma": 0.5})]
         for div_id, params in cases:
-            block = resolve_block(div_id, F, params)
+            block = paired(div_id, F, params)
             D = resolve_divergence(div_id, F, params)
             for X, c in sample_blocks(F):
                 assert same_bits(block(X, c[None]), [D(x, c) for x in X])
