@@ -143,9 +143,16 @@ def bregman_dual(F: Generator, theta1, theta2) -> float:
     """Argument-swapped divergence B_F(theta2 : theta1).
 
     Equals the conjugate-side divergence B_{F*}(grad F(theta1) : grad F(theta2))
-    when the conjugate exists.
+    when the conjugate exists. bregman(F, theta2, theta1) bit for bit,
+    but theta1 is validated first, as every kernel validates its
+    arguments in order.
     """
-    return bregman(F, theta2, theta1)
+    _require_grad(F)
+    if (ends := endpoints(F, theta1, theta2)) is None:
+        return 0.0
+    t1, t2 = ends
+    g_1 = F.grad_fn(t1)
+    return float(F.fn(t2)) - float(F.fn(t1)) - float(np.dot(t2 - t1, g_1))
 
 
 def bregman_chord(F: Generator, theta1, theta2, cp: ChordParams) -> float:

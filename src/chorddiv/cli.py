@@ -212,6 +212,11 @@ def _fill_rows(a_text: List[str], rows: list, values) -> List[str]:
 
 def _write_sweep_csv(path: str, alphas, betas, values,
                      bound: Optional[float]) -> None:
+    """The sweep CSV at path: a header, one alpha,beta,value line per
+    cell and, when bound is not None, a '# bregman=' line. values are
+    the cells in registry.sweep's order over the ascending alphas and
+    betas, as Python floats (cmd_sweep passes values.tolist(), which the
+    '%' formats read faster than numpy scalars)."""
     # each anchor is repr-ed once; the rows are written one by one, so the
     # text is never joined into one more copy of itself
     cells = _row_cells(alphas, betas, [repr(b) + ",%.12g" for b in betas],
@@ -243,7 +248,9 @@ def render_heatmap_svg(alphas, betas, values, title: str) -> str:
     """Self-contained SVG heatmap: alpha on the horizontal axis, beta on the
     vertical axis (increasing upward), linear color scale annotated with the
     min and max cell values. values are the cells in registry.sweep's order
-    over the ascending alphas and betas."""
+    over the ascending alphas and betas: its values array, read without a
+    copy (a sequence of floats is converted). The min and max labels are
+    the first minimum and maximum, the cells Python's min and max pick."""
     left, top, cell, gap = 90.0, 40.0, 30.0, 1.0
     plot_w = len(alphas) * cell
     plot_h = len(betas) * cell
@@ -255,10 +262,13 @@ def render_heatmap_svg(alphas, betas, values, title: str) -> str:
         [f'y="{top + (len(betas) - 1 - i) * cell:.1f}" '
          f'width="{cell - gap:.1f}" height="{cell - gap:.1f}" fill="%s"/>'
          for i in range(len(betas))], len(values))
-    vmin, vmax = min(values), max(values)
+    values = np.asarray(values, dtype=float)
+    # argmin and argmax take the first of tied cells, as min and max do, so
+    # a tie of 0.0 and -0.0 prints the one that came first
+    vmin = float(values[values.argmin()])
+    vmax = float(values[values.argmax()])
     span = vmax - vmin
-    t = (np.full(len(values), 0.5) if span == 0.0
-         else (np.array(values) - vmin) / span)
+    t = np.full(len(values), 0.5) if span == 0.0 else (values - vmin) / span
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -331,16 +341,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas, betas = _sweep_grid(args.grid)
     x = np.array(args.x)
     y = np.array(args.y)
-    rows = sweep(F, x, y, alphas, betas, args.div, _params_from(args))
-    values = [v for _, _, v in rows]
+    _, _, values = sweep(F, x, y, alphas, betas, args.div, _params_from(args))
     bound = bregman(F, x, y) if F.has_grad else None
-    _write_sweep_csv(args.out, alphas, betas, values, bound)
+    _write_sweep_csv(args.out, alphas, betas, values.tolist(), bound)
     if args.svg is not None:
         title = (f"{args.div} / {args.generator}  x={args.x}  y={args.y}")
         svg = render_heatmap_svg(alphas, betas, values, title)
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
-    print(f"wrote {len(rows)} cells to {args.out}")
+    print(f"wrote {len(values)} cells to {args.out}")
     return 0
 
 

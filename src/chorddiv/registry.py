@@ -428,7 +428,7 @@ def _anchors(label: str, values: Sequence[float]) -> tuple:
 
 def sweep(F, theta1, theta2, alphas: Sequence[float],
           betas: Sequence[float], div_id: str,
-          params: Optional[Mapping[str, float]] = None) -> list:
+          params: Optional[Mapping[str, float]] = None) -> tuple:
     """Evaluate a divergence over an anchor grid, row-major by alpha then beta.
 
     alphas and betas are non-empty anchor values in (0, 1], visited in
@@ -439,8 +439,9 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     biskew:) by one chord_row call, bit-equal to bregman_chord; an IGNORED
     id is evaluated once, and its value fills every cell; a REJECTED id
     raises ParameterError before any evaluation. The first non-finite
-    cell in row-major order raises DomainError. Returns a list of
-    (alpha, beta, value) tuples of floats.
+    cell in row-major order raises DomainError. Returns the cells as
+    three aligned float64 arrays (alphas, betas, values), empty when every
+    cell is on the diagonal.
     """
     alphas = _anchors("alphas", alphas)
     betas = _anchors("betas", betas)
@@ -458,7 +459,7 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
     off_diagonal = A != B
     A, B = A[off_diagonal], B[off_diagonal]
     if not A.size:
-        return []
+        return A, B, np.zeros(0)
     # one binding makes every parameter and identifier check
     params = {**(params or {}), "alpha": float(A[0]), "beta": float(B[0])}
     spec, pre, post = _bind(div_id, F, params)
@@ -477,4 +478,4 @@ def sweep(F, theta1, theta2, alphas: Sequence[float],
             f"sweep cell (alpha={float(A[i])}, beta={float(B[i])}) produced "
             f"a non-finite value {float(values[i])}"
         )
-    return list(zip(A.tolist(), B.tolist(), values.tolist()))
+    return A, B, values

@@ -448,8 +448,9 @@ class TestSweepGrid:
 
     def test_sorts_values(self):
         F = make_builtin("quadratic", 1)
-        rows = sweep(F, 0.0, 1.0, (0.75, 0.25), (1.0, 0.5), "bregman_chord")
-        assert [(a, b) for a, b, _ in rows] == [
+        alphas, betas, _ = sweep(F, 0.0, 1.0, (0.75, 0.25), (1.0, 0.5),
+                                 "bregman_chord")
+        assert list(zip(alphas.tolist(), betas.tolist())) == [
             (0.25, 0.5), (0.25, 1.0), (0.75, 0.5), (0.75, 1.0)
         ]
 
@@ -466,29 +467,33 @@ class TestSweepGrid:
 class TestSweep:
     def test_two_by_two_skips_diagonal(self):
         F = make_builtin("quadratic", 1)
-        rows = sweep(F, 0.0, 1.0, (0.25, 0.75), (0.25, 0.75), "bregman_chord")
-        assert [(a, b) for a, b, _ in rows] == [(0.25, 0.75), (0.75, 0.25)]
-        for _, _, v in rows:
+        alphas, betas, values = sweep(F, 0.0, 1.0, (0.25, 0.75),
+                                      (0.25, 0.75), "bregman_chord")
+        assert list(zip(alphas.tolist(), betas.tolist())) == [(0.25, 0.75),
+                                                              (0.75, 0.25)]
+        for v in values:
             assert v == pytest.approx(0.1875, abs=1e-15)
 
     def test_row_major_ordering(self):
         F = make_builtin("quadratic", 1)
-        rows = sweep(F, 0.0, 1.0, (0.2, 0.5), (0.3, 0.9), "bregman_chord")
-        assert [(a, b) for a, b, _ in rows] == [
+        alphas, betas, _ = sweep(F, 0.0, 1.0, (0.2, 0.5), (0.3, 0.9),
+                                 "bregman_chord")
+        assert list(zip(alphas.tolist(), betas.tolist())) == [
             (0.2, 0.3), (0.2, 0.9), (0.5, 0.3), (0.5, 0.9)
         ]
 
     def test_identical_points_give_zeros(self):
         F = make_builtin("shannon_negentropy", 2)
-        rows = sweep(F, [0.4, 0.6], [0.4, 0.6], (0.25, 0.75), (0.25, 0.75),
-                     "bregman_chord")
-        assert all(v == 0.0 for _, _, v in rows)
+        _, _, values = sweep(F, [0.4, 0.6], [0.4, 0.6], (0.25, 0.75),
+                             (0.25, 0.75), "bregman_chord")
+        assert all(v == 0.0 for v in values)
 
     def test_constant_divergence_ignores_anchors(self):
         F = make_builtin("quadratic", 1)
-        rows = sweep(F, 0.0, 1.0, (0.25, 0.75), (0.25, 0.75), "bregman")
-        assert len(rows) == 2
-        assert all(v == 1.0 for _, _, v in rows)
+        _, _, values = sweep(F, 0.0, 1.0, (0.25, 0.75), (0.25, 0.75),
+                             "bregman")
+        assert len(values) == 2
+        assert all(v == 1.0 for v in values)
 
     @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
     @pytest.mark.parametrize("gen", ["quadratic", "shannon_negentropy",
@@ -503,9 +508,9 @@ class TestSweep:
         x, y = np.array(x), np.array(y)
         params = {"gamma": 0.3, "delta": 0.6}
         anchors = (0.2, 0.5, 1.0)
-        rows = sweep(F, x, y, anchors, anchors, div, params)
-        assert len(rows) == 6
-        for a, b, v in rows:
+        alphas, betas, values = sweep(F, x, y, anchors, anchors, div, params)
+        assert len(values) == 6
+        for a, b, v in zip(alphas.tolist(), betas.tolist(), values):
             D = resolve_divergence(div, F, {**params, "alpha": a, "beta": b})
             assert v == D(x, y)
 
@@ -515,9 +520,9 @@ class TestSweep:
         fn = Counter(lambda t: float(np.dot(t, t)))
         F = Generator(name="counted", dim=2, domain=Domain("reals"), fn=fn)
         params = {"gamma": 0.2, "delta": 0.9, "epsilon": 1e-3}
-        rows = sweep(F, [0.1, 0.4], [0.7, -0.2], self.ALPHAS, self.BETAS,
-                     div, params)
-        assert len(rows) == 7
+        _, _, values = sweep(F, [0.1, 0.4], [0.7, -0.2], self.ALPHAS,
+                             self.BETAS, div, params)
+        assert len(values) == 7
         return fn.calls
 
     @pytest.mark.parametrize("div", ["bregman_chord", "biskew:bregman_chord"])
@@ -578,7 +583,7 @@ class TestSweep:
     def test_cells_respect_sandwich_and_symmetry(self):
         F = make_builtin("shannon_negentropy", 1)
         values = tuple(i / 7 for i in range(1, 7))
-        rows = sweep(F, 0.2, 0.8, values, values, "bregman_chord")
+        rows = zip(*sweep(F, 0.2, 0.8, values, values, "bregman_chord"))
         bound = bregman(F, 0.2, 0.8)
         table = {(a, b): v for a, b, v in rows}
         for (a, b), v in table.items():

@@ -145,6 +145,26 @@ def test_biskew_vector_form_names_a_gamma_interpolant_first(inner):
                                    "positive domain of shannon_negentropy")
 
 
+@pytest.mark.parametrize("div_id, x, y, params, named", [
+    ("bregman_dual", [-1.0, 2.0], [2.0, -3.0], {}, "[-1.0, 2.0]"),
+    # both interpolants outside: gamma's is the first argument
+    ("biskew:bregman_dual", [0.2, 0.9], [0.9, 0.2],
+     {"gamma": -0.5, "delta": 1.5}, "[-0.14999999999999997, 1.25]"),
+])
+def test_bregman_dual_names_its_first_argument_on_both_paths(
+        div_id, x, y, params, named):
+    """bregman_dual validates its arguments in order, as every kernel does,
+    so its scalar kernel and its vector form name the same point when both
+    lie outside the domain."""
+    F = make_builtin("shannon_negentropy", 2)
+    with pytest.raises(DomainError) as scalar:
+        resolve_divergence(div_id, F, params)(np.array(x), np.array(y))
+    with pytest.raises(DomainError) as vector:
+        paired(div_id, F, params)(np.array([x]), np.array([y]))
+    assert str(scalar.value) == str(vector.value) == (
+        f"point {named} is outside the positive domain of shannon_negentropy")
+
+
 def test_every_entry_has_one_vector_form():
     # a block, which resolve_bound gathers, or a bound form
     for key, spec in DIVERGENCES.items():

@@ -278,10 +278,11 @@ class TestChordBlock:
         anchors = [i / 8 for i in range(1, 8)] + [1.0]
         for X, c in sample_blocks(F):
             x = X[3]
-            cells = sweep(F, x, c, anchors, anchors, "bregman_chord")
+            alphas, betas, values = sweep(F, x, c, anchors, anchors,
+                                          "bregman_chord")
             want = [bregman_chord(F, x, c, ChordParams(a, b))
-                    for a, b, _ in cells]
-            assert same_bits([v for _, _, v in cells], want)
+                    for a, b in zip(alphas, betas)]
+            assert same_bits(values, want)
 
 
 def expsum_with_gradient(dim):
@@ -487,6 +488,12 @@ class TestJensenChordBlock:
         assert seen == [lams]
 
 
+def cells(grid):
+    """sweep's three arrays zipped back into (alpha, beta, value) tuples of
+    Python floats."""
+    return list(zip(*(column.tolist() for column in grid)))
+
+
 def reference_sweep(F, theta1, theta2, alphas, betas, div_id, params):
     """registry.sweep's body as it was, one cell at a time: a cells list,
     one chord_gap per cell on the table's Python floats, and a finiteness
@@ -539,9 +546,10 @@ class TestSweepCells:
     def check(self, F, x, y, alphas, betas, div_id, params):
         got = sweep(F, x, y, alphas, betas, div_id, params)
         want = reference_sweep(F, x, y, alphas, betas, div_id, params)
-        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
-        assert same_bits([v for *_, v in got], [v for *_, v in want])
-        assert all(type(item) is float for cell in got for item in cell)
+        assert list(zip(got[0].tolist(), got[1].tolist())) == \
+            [(a, b) for a, b, _ in want]
+        assert same_bits(got[2], [v for *_, v in want])
+        assert all(column.dtype == np.float64 for column in got)
 
     @pytest.mark.parametrize("div_id, params", IDS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -578,17 +586,17 @@ class TestSweepCells:
 
     def test_repeated_anchors_count_once(self):
         F = make_builtin("quadratic", 1)
-        assert sweep(F, 0.0, 1.0, (0.5, 0.5), (1.0,),
-                     "bregman_chord") == [(0.5, 1.0, 0.5)]
-        assert sweep(F, 0.0, 1.0, (1.0, 0.5, 1.0), (0.5, 1.0, 0.5),
-                     "bregman_chord") == sweep(F, 0.0, 1.0, (0.5, 1.0),
-                                               (0.5, 1.0), "bregman_chord")
+        assert cells(sweep(F, 0.0, 1.0, (0.5, 0.5), (1.0,),
+                           "bregman_chord")) == [(0.5, 1.0, 0.5)]
+        assert cells(sweep(F, 0.0, 1.0, (1.0, 0.5, 1.0), (0.5, 1.0, 0.5),
+                           "bregman_chord")) == \
+            cells(sweep(F, 0.0, 1.0, (0.5, 1.0), (0.5, 1.0), "bregman_chord"))
 
     def test_empty_grid_returns_before_resolution(self):
         # bregman_chord_approx without epsilon would fail to resolve
         F = make_builtin("quadratic", 1)
-        assert sweep(F, 0.0, 1.0, (0.5,), (0.5,),
-                     "bregman_chord_approx") == []
+        assert cells(sweep(F, 0.0, 1.0, (0.5,), (0.5,),
+                           "bregman_chord_approx")) == []
 
     @pytest.mark.parametrize("div_id, params", IDS)
     def test_one_resolution(self, div_id, params, monkeypatch):
@@ -606,9 +614,9 @@ class TestSweepCells:
         monkeypatch.setattr(REGISTRY, "_bind", counted)
         monkeypatch.setattr(REGISTRY, "_reader", counted_reader)
         F = make_builtin("shannon_negentropy", 2)
-        rows = sweep(F, [0.2, 0.7], [0.9, 0.4], *self.GRIDS[3], div_id,
-                     params)
-        assert len(rows) == 50 * 51 - 50
+        _, _, values = sweep(F, [0.2, 0.7], [0.9, 0.4], *self.GRIDS[3],
+                             div_id, params)
+        assert len(values) == 50 * 51 - 50
         # biskew: binds its inner id inside the one call
         assert calls == [div_id, *div_id.split(":")[1:]]
         # each binding reads its parameters once: biskew:'s skews are not
