@@ -114,7 +114,8 @@ def bregman_tangent_bound(F: Generator, X, alpha: float = 1.0,
     gradient once per row of C (the gradient once per row of X at
     binding, with swap); below 1, both at the interpolants. The gradient
     terms are a stack of dot products, which round as np.dot does
-    (einsum, sum(A * B) and A @ g round differently). Coincident pairs
+    (einsum, sum(A * B) and A @ g round differently); the matmul
+    broadcasts the gradient rows over the pairs, uncopied. Coincident pairs
     give 0.0; no gradient raises GradientRequiredError at binding. Call
     it under np.errstate(all="ignore"): its gaps give inf and nan
     unwarned, as Python floats do."""
@@ -132,7 +133,6 @@ def bregman_tangent_bound(F: Generator, X, alpha: float = 1.0,
                                .reshape(-1, F.dim)).reshape(diff.shape)
         else:
             grad = grad_x if swap else F.grad_rows(np.asarray(C, float))[J]
-        grad = np.ascontiguousarray(np.broadcast_to(grad, diff.shape))
         dots = (diff[..., None, :] @ grad[..., :, None])[..., 0, 0]
         gaps = f0 - f_a - a * dots
         return gaps if dead is None else np.where(dead, 0.0, gaps)

@@ -173,9 +173,8 @@ def _distances(pts: np.ndarray, centers: np.ndarray, bound) -> np.ndarray:
     whose value is not finite."""
     with np.errstate(all="ignore"):
         dist = bound(centers, np.arange(centers.shape[0])[:, None]).T
-    finite = np.isfinite(dist)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    if not finite_above(dist, -math.inf):
+        i, j = np.argwhere(~np.isfinite(dist))[0]
         raise DomainError(
             f"divergence from point {pts[i].tolist()} at row {i} to center "
             f"{j} {centers[j].tolist()} is not finite: {dist[i, j]}"
@@ -199,8 +198,10 @@ def _repair_empty(labels: np.ndarray, k: int,
     to a singleton is not moved again. Deterministic: ties resolve to the
     lowest point index.
     """
-    labels = labels.copy()
     sizes = np.bincount(labels, minlength=k)
+    if sizes.all():
+        return labels
+    labels = labels.copy()
     # a repaired cluster never empties, so the empty ones are known upfront
     for j in np.flatnonzero(sizes == 0):
         # keep clusters of size one intact, they cannot donate their point;
@@ -349,17 +350,17 @@ def _cccp_centers(pts: np.ndarray, groups: list, F: Generator, bound,
     r = c1 - c0, v = c2 - 2 c1 + c0 and a = -max(1, |r| / |v|), and maps
     c3 = M(c'). One call of bound scores c2 and c3 of every cluster, and a
     cluster moves to c3 when it is lower than c2, else to c2, the plain
-    double step. F's domain is checked before a point is mapped or
-    scored: a cluster whose c' or c3 it rejects takes c2, and one whose c1
-    or c2 it rejects is mapped and scored at c0, which lowers nothing. A
-    cluster stops at the first cycle that does not lower its objective,
-    at the lowest point seen: no tolerance. Finished clusters stay in the
-    batch, their rows ignored, so each cluster ends where an update of it
-    alone would. A non-finite objective at the mean or at a double step
-    raises DomainError. Returns one Minimum(x, maps, capped, False) per
-    cluster: maps counts its maps, three per cycle, capped says it still
-    lowered its objective after numerics.MAX_SWEEPS cycles, and no box
-    bounds it.
+    double step. F's domain checks each candidate array, all c1, c2, c' or
+    c3, at once before it is mapped or scored, per row only if that fails:
+    a cluster whose c' or c3 it rejects takes c2, and one whose c1 or c2 it
+    rejects is mapped and scored at c0, which lowers nothing. A cluster
+    stops at the first cycle that does not lower its objective, at the
+    lowest point seen: no tolerance. Finished clusters stay in the batch,
+    their rows ignored, so each cluster ends where an update of it alone
+    would. A non-finite objective at the mean or at a double step raises
+    DomainError. Returns one Minimum(x, maps, capped, False) per cluster:
+    maps counts its maps, three per cycle, capped says it still lowered its
+    objective after numerics.MAX_SWEEPS cycles, and no box bounds it.
     """
     k = len(groups)
     stacked, owner, slot = _stack(pts, groups)
@@ -367,32 +368,31 @@ def _cccp_centers(pts: np.ndarray, groups: list, F: Generator, bound,
     cccp = step(stacked, (np.cumsum(sizes) - sizes, sizes[:, None]))
     tries = np.arange(2)[:, None] * k + slot  # c2's rows, then c3's
 
-    def inside(C: np.ndarray) -> np.ndarray:  # which rows F's domain holds
-        if F.domain.contains(C):
-            return np.ones(k, dtype=bool)
-        return np.array([F.domain.contains(c) for c in C])
+    def screen(C: np.ndarray, ok) -> tuple:
+        """(C, ok): ok narrowed to the rows F's domain holds, True while all
+        have, and C's other rows set to x's; one check per row if C fails."""
+        if not F.domain.contains(C):
+            ok = ok & np.array([F.domain.contains(c) for c in C])
+        return (C if ok is True else np.where(ok[:, None], C, x)), ok
 
     with np.errstate(all="ignore"):
-        x = np.array([pts[rows].mean(axis=0) for rows in groups])
+        # the member means, by .mean(axis=0)'s sum and division
+        x = np.array([np.add.reduce(pts[g], axis=0) / g.size for g in groups])
         best = _totals(bound(x, slot).tolist(), groups)
         _raise_if_not_finite(best, x)
         maps = [0] * k
         live = set(range(k))
         for _ in range(numerics.MAX_SWEEPS):
-            # a row outside the domain is mapped or scored at x instead
-            x1 = cccp(x[owner])
-            ok = inside(x1)
-            x2 = cccp(np.where(ok[:, None], x1, x)[owner])
+            x1, ok = screen(cccp(x[owner]), True)
+            x2 = cccp(x1[owner])
             r, v = x1 - x, x2 - 2.0 * x1 + x
             a = -np.maximum(np.sqrt(np.add.reduce(r * r, axis=1)
                                     / np.add.reduce(v * v, axis=1)),
                             1.0)[:, None]
             far = x - 2.0 * a * r + a * a * v
-            ok &= inside(x2)
-            c2 = np.where(ok[:, None], x2, x)
-            ok &= inside(far)
-            x3 = cccp(np.where(ok[:, None], far, x)[owner])
-            c3 = np.where((ok & inside(x3))[:, None], x3, x)
+            c2, ok = screen(x2, ok)
+            far, ok = screen(far, ok)
+            c3, _ = screen(cccp(far[owner]), ok)
             at2, at3 = (_totals(values, groups) for values in
                         bound(np.concatenate([c2, c3]), tries).tolist())
             for j in sorted(live):

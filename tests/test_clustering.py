@@ -847,6 +847,31 @@ class TestDistanceMatrix:
         # a center is a point of pts: its own row holds 0.0
         assert dist[1, 0] == dist[4, 1] == dist[6, 2] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 16, 40])  # 40 > SMALL_ARRAY
+    @pytest.mark.parametrize("gen", [*BUILTIN_GENERATORS, "custom"])
+    @pytest.mark.parametrize("div,params", [
+        ("bregman", {}),
+        ("bregman_dual", {}),
+        ("bregman_tangent", {"alpha": 1.0}),
+        ("bregman_tangent", {"alpha": 0.6}),
+    ])
+    def test_gradient_pass_equals_the_per_pair_kernel(self, div, params,
+                                                      gen, dim):
+        # the stacked matmul broadcasts each center's gradient row over
+        # the points and rounds each dot product as np.dot does; custom
+        # has a gradient but no rows
+        F = (conjugate_expsum(dim) if gen == "custom"
+             else make_builtin(gen, dim))
+        pts = np.random.default_rng(dim).uniform(0.2, 2.0, (9, dim))
+        bound = resolve_bound(div, F, params)(pts)
+        D = resolve_divergence(div, F, params)
+        for k in range(1, 5):
+            centers = np.random.default_rng(k).uniform(0.2, 2.0, (k, dim))
+            per_pair = np.array([[float(D(x, c)) for c in centers]
+                                 for x in pts])
+            dist = _distances(pts, centers, bound)
+            assert dist.tobytes() == per_pair.tobytes()
+
     def test_first_non_finite_named_in_row_major_order(self):
         # (2, 1) comes first by rows, (3, 0) by centers
         pts = np.arange(8.0).reshape(4, 2)
@@ -1423,6 +1448,26 @@ def cccp_search(groups, F, div, params):
     return _cccp_centers(pts, rows, F, bound, step)
 
 
+def watched(F, seen):
+    """F under a domain that appends (point, verdict) to seen for each
+    single point it is asked about: the per-row checks."""
+    class Watched(Domain):
+        def contains(self, coords):
+            inside = super().contains(coords)
+            if np.ndim(coords) == 1:
+                seen.append((np.array(coords), inside))
+            return inside
+
+    return dataclasses.replace(F, domain=Watched(F.domain.kind))
+
+
+#: Two points a few DOMAIN_MARGIN above the orthant's edge in their
+#: first coordinate: under shannon bregman_chord_approx (epsilon 1e-3),
+#: their center's extrapolated point falls below zero there.
+EDGE_MEMBERS = np.array([[1.7e-11, 1.023952232972],
+                         [3.7e-11, 1.4979515e-05]])
+
+
 class TestCCCPCenters:
     """The concave-convex centers, accelerated by SQUAREM, against the
     searches they replace, and the records they leave."""
@@ -1467,27 +1512,54 @@ class TestCCCPCenters:
             alone, = cccp_search([members], F, "jensen", {})
             assert same_minimum(found, alone)
 
+    def test_mixed_domain_batch_equals_one_update_per_cluster(self):
+        # the edge cluster's extrapolated point leaves the orthant and
+        # falls back to its cycle's start, the other cluster's does not:
+        # the per-row check keeps one row and rejects the other
+        seen = []
+        F = watched(make_builtin("shannon_negentropy", 2), seen)
+        groups = [EDGE_MEMBERS, np.array([[2.0, 2.1], [2.2, 1.9],
+                                          [2.1, 2.3]])]
+        params = {"epsilon": 1e-3}
+        got = cccp_search(groups, F, "bregman_chord_approx", params)
+        assert any(not inside for _, inside in seen)
+        assert any(inside for _, inside in seen)
+        for members, found in zip(groups, got):
+            alone, = cccp_search([members], F, "bregman_chord_approx",
+                                 params)
+            assert same_minimum(found, alone)
+
+    @pytest.mark.parametrize("gen,div,nan_rows", [
+        # the benchmark's command: in one cycle a map returns its start
+        # exactly, so r = v = 0, the step length is 0/0 and the
+        # extrapolated point NaN, in a batch of one cluster
+        ("shannon_negentropy", "bregman_chord", 1),
+        ("shannon_negentropy", "jensen", 0),
+        ("burg_negentropy", "bregman_chord", 0),
+    ])
+    def test_candidates_inside_take_no_per_row_check(self, gen, div,
+                                                       nan_rows):
+        # a candidate array whose rows all lie in the domain passes one
+        # check of the whole array: only the NaN rows are checked alone
+        seen = []
+        kmeans(BENCH_POINTS, watched(make_builtin(gen, 2), seen),
+               ClusterConfig(k=2, divergence=div,
+                             params={"alpha": 0.9, "beta": 1.0}))
+        assert len(seen) == nan_rows
+        assert all(np.isnan(x).all() and not inside for x, inside in seen)
+
     def test_extrapolation_outside_the_domain_falls_back(self):
         # shannon bregman_chord_approx on members a few DOMAIN_MARGIN
         # above the orthant's edge in one coordinate: an extrapolated
         # point falls below zero there, and the plain double step
         # carries the update on, inside the domain
-        rejected = []
-
-        class Watched(Domain):
-            def contains(self, coords):
-                inside = super().contains(coords)
-                if not inside and np.ndim(coords) == 1:
-                    rejected.append(np.array(coords))
-                return inside
-
-        F = dataclasses.replace(make_builtin("shannon_negentropy", 2),
-                                domain=Watched("positive"))
-        members = np.array([[1.7e-11, 1.023952232972],
-                            [3.7e-11, 1.4979515e-05]])
+        seen = []
+        F = watched(make_builtin("shannon_negentropy", 2), seen)
+        members = EDGE_MEMBERS
         params = {"epsilon": 1e-3}
         found, = cccp_search([members], F, "bregman_chord_approx", params)
-        assert any(np.isfinite(x).all() and x.min() < 0.0 for x in rejected)
+        assert any(np.isfinite(x).all() and x.min() < 0.0
+                   for x, inside in seen if not inside)
         assert F.domain.contains(found.x)
         assert not found.capped
         block = paired("bregman_chord_approx", F, params)
